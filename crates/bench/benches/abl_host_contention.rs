@@ -9,8 +9,8 @@
 
 use phishare_bench::{banner, persist_json, table1_workload, EXPERIMENT_SEED};
 use phishare_cluster::report::{pct, secs, table};
-use phishare_cluster::sweep::{run_sweep_auto, SweepJob};
-use phishare_cluster::ClusterConfig;
+use phishare_cluster::sweep::{default_threads, run_sweep, SweepJob};
+use phishare_cluster::{ClusterConfig, SubstrateMode};
 use phishare_core::ClusterPolicy;
 use serde::Serialize;
 
@@ -42,7 +42,7 @@ fn main() {
             });
         }
     }
-    let results = run_sweep_auto(grid);
+    let results = run_sweep(grid, default_threads(), SubstrateMode::Fast);
 
     let rows: Vec<Row> = results
         .iter()

@@ -14,8 +14,8 @@ use phishare_bench::{
     banner, persist_json, synthetic_workload, table1_workload, EXPERIMENT_SEED, SYNTHETIC_JOBS,
 };
 use phishare_cluster::report::{secs, table};
-use phishare_cluster::sweep::{run_sweep_auto, SweepJob};
-use phishare_cluster::ClusterConfig;
+use phishare_cluster::sweep::{default_threads, run_sweep, SweepJob};
+use phishare_cluster::{ClusterConfig, SubstrateMode};
 use phishare_core::ClusterPolicy;
 use phishare_knapsack::ValueFunction;
 use phishare_workload::ResourceDist;
@@ -55,7 +55,7 @@ fn main() {
             });
         }
     }
-    let results = run_sweep_auto(grid);
+    let results = run_sweep(grid, default_threads(), SubstrateMode::Fast);
 
     let rows: Vec<Row> = results
         .iter()

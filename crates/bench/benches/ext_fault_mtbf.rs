@@ -15,8 +15,8 @@
 use phishare_bench::{banner, persist_json, table1_workload};
 use phishare_cluster::fault::FallbackPolicy;
 use phishare_cluster::report::{pct, table};
-use phishare_cluster::sweep::{run_sweep_auto, SweepJob};
-use phishare_cluster::{ClusterConfig, DevicePool};
+use phishare_cluster::sweep::{default_threads, run_sweep, SweepJob};
+use phishare_cluster::{ClusterConfig, DevicePool, SubstrateMode};
 use phishare_core::ClusterPolicy;
 use serde::Serialize;
 
@@ -75,7 +75,7 @@ fn main() {
             }
         }
     }
-    let results = run_sweep_auto(grid);
+    let results = run_sweep(grid, default_threads(), SubstrateMode::Fast);
 
     let mut rows = Vec::new();
     let mut printable = Vec::new();

@@ -68,7 +68,7 @@ fn main() {
     }
     // Sharded across worker processes on the shared-throughput substrate —
     // the manifest round-trips the substrate spelling, and the merge is
-    // bit-identical to the in-process `run_sweep_substrate_auto`.
+    // bit-identical to the in-process `run_sweep`.
     let results = run_sweep_sharded_auto(
         grid,
         SubstrateMode::Shared,

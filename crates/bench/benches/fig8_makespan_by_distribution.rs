@@ -7,8 +7,8 @@
 
 use phishare_bench::{banner, persist_json, synthetic_workload, EXPERIMENT_SEED, SYNTHETIC_JOBS};
 use phishare_cluster::report::{bar_chart, pct, secs, table};
-use phishare_cluster::sweep::{run_sweep_auto, SweepJob};
-use phishare_cluster::ClusterConfig;
+use phishare_cluster::sweep::{default_threads, run_sweep, SweepJob};
+use phishare_cluster::{ClusterConfig, SubstrateMode};
 use phishare_core::ClusterPolicy;
 use phishare_workload::ResourceDist;
 use serde::Serialize;
@@ -39,7 +39,7 @@ fn main() {
             });
         }
     }
-    let results = run_sweep_auto(grid);
+    let results = run_sweep(grid, default_threads(), SubstrateMode::Fast);
 
     let mut rows: Vec<Row> = Vec::new();
     let mut printable = Vec::new();

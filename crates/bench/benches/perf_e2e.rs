@@ -3,8 +3,8 @@
 //! Runs a figure-scale sweep (3 policies × 3 synthetic distributions ×
 //! 3 seeds, 8-node cells) twice through the same parallel sweep harness:
 //! once on the slab-indexed substrate fast path with per-worker scratch
-//! recycling (`run_sweep`), once on the seed's map-keyed substrate
-//! (`run_sweep_keyed` — `BTreeMap` lookups per event, Vec-allocating
+//! recycling (`SubstrateMode::Fast`), once on the seed's map-keyed
+//! substrate (`SubstrateMode::Keyed` — `BTreeMap` lookups per event, Vec-allocating
 //! completion scans, aggregates recomputed by iteration). The keyed sweep
 //! is the honest pre-optimization cost floor; the fast sweep must beat it
 //! by ≥ 1.5× while staying **pin-for-pin identical** across every cell.
@@ -26,7 +26,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use phishare_bench::{banner, persist_json, GateKnobs, EXPERIMENT_SEED, SYNTHETIC_JOBS};
 use phishare_cluster::{
-    run_sweep, run_sweep_keyed, ClusterConfig, Experiment, SubstrateMode, SweepJob,
+    default_threads, run_sweep, ClusterConfig, Experiment, SubstrateMode, SweepJob,
 };
 use phishare_core::ClusterPolicy;
 use phishare_sim::SimDuration;
@@ -171,12 +171,12 @@ fn allocation_count() -> Option<u64> {
 
 fn gate() -> E2eBench {
     let wls = workloads();
-    let threads = phishare_cluster::sweep::default_threads();
+    let threads = default_threads();
 
     // Sanity first: every cell must agree pin-for-pin across substrates
     // before timing means anything.
-    let fast = run_sweep(grid(&wls), threads);
-    let keyed = run_sweep_keyed(grid(&wls), threads);
+    let fast = run_sweep(grid(&wls), threads, SubstrateMode::Fast);
+    let keyed = run_sweep(grid(&wls), threads, SubstrateMode::Keyed);
     assert_eq!(fast.len(), keyed.len());
     for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
         assert_eq!(fl, kl, "cell order diverged");
@@ -209,15 +209,15 @@ fn gate() -> E2eBench {
     let keyed_runs = 2;
     let fast_runs = 3;
     let keyed_ms = time_runs(keyed_runs, || {
-        black_box(run_sweep_keyed(grid(&wls), threads));
+        black_box(run_sweep(grid(&wls), threads, SubstrateMode::Keyed));
     });
     let fast_ms = time_runs(fast_runs, || {
-        black_box(run_sweep(grid(&wls), threads));
+        black_box(run_sweep(grid(&wls), threads, SubstrateMode::Fast));
     });
 
     // Allocation census over one fast sweep (feature-gated).
     let allocs_per_offload = allocation_count().map(|before| {
-        run_sweep(grid(&wls), threads);
+        run_sweep(grid(&wls), threads, SubstrateMode::Fast);
         let delta = allocation_count().expect("feature on") - before;
         delta as f64 / total_offloads as f64
     });
@@ -260,7 +260,10 @@ fn bench_substrates(c: &mut Criterion) {
         |b, (cfg, wl)| {
             b.iter(|| {
                 black_box(
-                    Experiment::run_with_substrate(cfg, wl, SubstrateMode::Keyed).expect("runs"),
+                    Experiment::new(cfg, wl)
+                        .substrate(SubstrateMode::Keyed)
+                        .simulate()
+                        .expect("runs"),
                 )
             })
         },

@@ -128,7 +128,11 @@ fn gate() -> ScaleBench {
         &shard_opts(max_workers, root.join("oracle")),
     )
     .expect("sharded sweep runs");
-    let in_process = run_sweep(scale_grid(oracle_cells), max_workers.min(cores));
+    let in_process = run_sweep(
+        scale_grid(oracle_cells),
+        max_workers.min(cores),
+        SubstrateMode::Fast,
+    );
     assert_eq!(
         sharded, in_process,
         "sharded sweep diverged from in-process run_sweep"

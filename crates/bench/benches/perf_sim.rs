@@ -3,7 +3,7 @@
 //! Runs a full 8-node × 1600-job experiment end to end under both event
 //! schemes: the next-completion fast path (`Experiment::run` — one
 //! prediction event per device per generation, lazily drained when stale)
-//! against the retained per-offload scheme (`Experiment::run_naive_events`
+//! against the retained per-offload scheme (`.per_offload_events()`
 //! — one event per active offload per generation, the pre-optimization
 //! cost model).
 //!
@@ -113,13 +113,21 @@ fn gate() -> SimBench {
 
     // Sanity first: both schemes must agree before timing means anything.
     let fast = Experiment::run(&cfg, &wl).expect("fast-path experiment runs");
-    let naive = Experiment::run_naive_events(&cfg, &wl).expect("naive-event experiment runs");
+    let naive = Experiment::new(&cfg, &wl)
+        .per_offload_events()
+        .simulate()
+        .expect("naive-event experiment runs");
     assert_eq!(fast, naive, "event schemes diverged on the gate workload");
 
     let naive_runs = 3;
     let fast_runs = 7;
     let naive_ms = time_runs(naive_runs, || {
-        black_box(Experiment::run_naive_events(&cfg, &wl).expect("runs"));
+        black_box(
+            Experiment::new(&cfg, &wl)
+                .per_offload_events()
+                .simulate()
+                .expect("runs"),
+        );
     });
     let fast_ms = time_runs(fast_runs, || {
         black_box(Experiment::run(&cfg, &wl).expect("runs"));
@@ -152,7 +160,16 @@ fn bench_experiments(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("naive_events", "4n/400j"),
         &(&cfg, &wl),
-        |b, (cfg, wl)| b.iter(|| black_box(Experiment::run_naive_events(cfg, wl).expect("runs"))),
+        |b, (cfg, wl)| {
+            b.iter(|| {
+                black_box(
+                    Experiment::new(cfg, wl)
+                        .per_offload_events()
+                        .simulate()
+                        .expect("runs"),
+                )
+            })
+        },
     );
     group.bench_with_input(
         BenchmarkId::new("next_completion", "4n/400j"),

@@ -126,14 +126,17 @@ fn assert_identical(sharded: &[SweepOutcome], in_process: &[SweepOutcome]) {
 fn sharded_sweep_matches_in_process() {
     let jobs = grid(40, 11, &[2, 3, 4]);
     let sharded = run_sweep_sharded(jobs, &opts(2, SubstrateMode::Fast, None)).unwrap();
-    assert_identical(&sharded, &run_sweep(grid(40, 11, &[2, 3, 4]), 1));
+    assert_identical(
+        &sharded,
+        &run_sweep(grid(40, 11, &[2, 3, 4]), 1, SubstrateMode::Fast),
+    );
 }
 
 #[test]
 fn sharded_sweep_matches_in_process_on_keyed_substrate() {
     let jobs = grid(30, 3, &[2, 4]);
     let sharded = run_sweep_sharded(jobs, &opts(3, SubstrateMode::Keyed, None)).unwrap();
-    let in_process = phishare_cluster::run_sweep_keyed(grid(30, 3, &[2, 4]), 1);
+    let in_process = run_sweep(grid(30, 3, &[2, 4]), 1, SubstrateMode::Keyed);
     assert_identical(&sharded, &in_process);
 }
 
@@ -154,7 +157,10 @@ fn sigkilled_worker_resumes_bit_identical() {
     let mut resume_opts = opts(2, SubstrateMode::Fast, Some(dir.clone()));
     resume_opts.resume = true;
     let resumed = run_sweep_sharded(grid(120, 7, &sizes), &resume_opts).unwrap();
-    assert_identical(&resumed, &run_sweep(grid(120, 7, &sizes), 1));
+    assert_identical(
+        &resumed,
+        &run_sweep(grid(120, 7, &sizes), 1, SubstrateMode::Fast),
+    );
 
     // The resumed generation really skipped the survivors: worker 0's log
     // still holds its pre-kill records.
@@ -183,7 +189,10 @@ fn truncated_final_record_resumes_bit_identical() {
     let mut resume_opts = opts(2, SubstrateMode::Fast, Some(dir.clone()));
     resume_opts.resume = true;
     let resumed = run_sweep_sharded(grid(120, 9, &sizes), &resume_opts).unwrap();
-    assert_identical(&resumed, &run_sweep(grid(120, 9, &sizes), 1));
+    assert_identical(
+        &resumed,
+        &run_sweep(grid(120, 9, &sizes), 1, SubstrateMode::Fast),
+    );
     let _ = survived;
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -218,10 +227,7 @@ proptest! {
         let sizes = [2u32, 3];
         let sharded =
             run_sweep_sharded(grid(jobs, seed, &sizes), &opts(workers, substrate, None)).unwrap();
-        let in_process = match substrate {
-            SubstrateMode::Fast => run_sweep(grid(jobs, seed, &sizes), 1),
-            _ => phishare_cluster::run_sweep_keyed(grid(jobs, seed, &sizes), 1),
-        };
+        let in_process = run_sweep(grid(jobs, seed, &sizes), 1, substrate);
         prop_assert_eq!(sharded, in_process);
     }
 
@@ -242,7 +248,7 @@ proptest! {
         let mut resume_opts = opts(resume_workers, SubstrateMode::Fast, Some(dir.clone()));
         resume_opts.resume = true;
         let resumed = run_sweep_sharded(grid(100, seed, &sizes), &resume_opts).unwrap();
-        let uninterrupted = run_sweep(grid(100, seed, &sizes), 1);
+        let uninterrupted = run_sweep(grid(100, seed, &sizes), 1, SubstrateMode::Fast);
         prop_assert_eq!(resumed, uninterrupted);
         std::fs::remove_dir_all(&dir).unwrap();
     }

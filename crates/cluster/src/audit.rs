@@ -322,7 +322,7 @@ mod tests {
             .build();
         let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(2);
         cfg.knapsack.window = 48;
-        let (result, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (result, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         audit(&cfg, &wl, &result, &trace)
     }
 
@@ -343,7 +343,7 @@ mod tests {
             .build();
         let mut cfg = ClusterConfig::paper_cluster(ClusterPolicy::Mcck).with_nodes(2);
         cfg.knapsack.window = 48;
-        let (result, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (result, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         let violations = audit(&cfg, &wl, &result, &trace);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(result.container_kills > 0);
@@ -356,7 +356,7 @@ mod tests {
             .seed(63)
             .build();
         let cfg = ClusterConfig::paper_cluster(ClusterPolicy::Mcck).with_nodes(2);
-        let (mut result, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (mut result, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         // Corrupt the accounting.
         result.completed -= 1;
         let violations = audit(&cfg, &wl, &result, &trace);
@@ -377,7 +377,7 @@ mod tests {
             .seed(64)
             .build();
         let mut cfg = ClusterConfig::paper_cluster(ClusterPolicy::Mc).with_nodes(2);
-        let (mut result, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (mut result, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         result.cycles_skipped = result.negotiation_cycles + 1;
         let violations = audit(&cfg, &wl, &result, &trace);
         assert!(

@@ -73,12 +73,9 @@ pub use perturb::{
 };
 pub use runtime::{Experiment, ExperimentScratch, SubstrateMode};
 pub use shard::{
-    default_workers, run_sweep_sharded, run_worker, run_worker_with, worker_main, CellRecord,
-    ManifestCell, ShardManifest, ShardOptions,
+    default_workers, run_sweep_sharded, run_worker, worker_main, CellRecord, ManifestCell,
+    ShardManifest, ShardOptions,
 };
 pub use substrate::{CosmicSubstrate, DeviceSubstrate};
-pub use sweep::{
-    default_threads, run_sweep, run_sweep_auto, run_sweep_keyed, run_sweep_substrate_auto,
-    SweepJob, SweepOutcome,
-};
+pub use sweep::{default_threads, run_sweep, SweepJob, SweepOutcome};
 pub use trace::{KillReason, Trace, TraceEvent};

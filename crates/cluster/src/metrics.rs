@@ -104,41 +104,79 @@ pub struct ExperimentResult {
 
 impl PartialEq for ExperimentResult {
     fn eq(&self, other: &Self) -> bool {
-        // Every field except `plan_ms` (nondeterministic wall-clock) and
-        // `cycles_skipped` (work-avoidance accounting; differs between
-        // skip-on and skip-off twins whose results are otherwise equal).
-        self.policy == other.policy
-            && self.nodes == other.nodes
-            && self.workload == other.workload
-            && self.jobs == other.jobs
-            && self.completed == other.completed
-            && self.container_kills == other.container_kills
-            && self.oom_kills == other.oom_kills
-            && self.makespan_secs == other.makespan_secs
-            && self.thread_utilization == other.thread_utilization
-            && self.core_utilization == other.core_utilization
-            && self.mem_utilization == other.mem_utilization
-            && self.device_busy_fraction == other.device_busy_fraction
-            && self.host_core_utilization == other.host_core_utilization
-            && self.mean_wait_secs == other.mean_wait_secs
-            && self.mean_turnaround_secs == other.mean_turnaround_secs
-            && self.mean_offload_queue_secs == other.mean_offload_queue_secs
-            && self.negotiation_cycles == other.negotiation_cycles
-            && self.pins_issued == other.pins_issued
-            && self.energy_kwh == other.energy_kwh
-            && self.events_processed == other.events_processed
-            && self.device_resets == other.device_resets
-            && self.node_churns == other.node_churns
-            && self.retries == other.retries
-            && self.fallback_offloads == other.fallback_offloads
-            && self.perturb_windows == other.perturb_windows
-            && self.stale_ad_skips == other.stale_ad_skips
-            && self.jittered_cycles == other.jittered_cycles
-            && self.inflated_offloads == other.inflated_offloads
-            && self.stale_match_rejects == other.stale_match_rejects
-            && self.held_after_retries == other.held_after_retries
-            && self.plan_cache_hits == other.plan_cache_hits
-            && self.plan_cache_misses == other.plan_cache_misses
+        // Destructured without `..`: a new field fails to compile until it
+        // is compared below or ignored here. Ignored: `plan_ms`
+        // (nondeterministic wall-clock) and `cycles_skipped`
+        // (work-avoidance accounting; differs between skip-on and skip-off
+        // twins whose results are otherwise equal).
+        let Self {
+            policy,
+            nodes,
+            workload,
+            jobs,
+            completed,
+            container_kills,
+            oom_kills,
+            makespan_secs,
+            thread_utilization,
+            core_utilization,
+            mem_utilization,
+            device_busy_fraction,
+            host_core_utilization,
+            mean_wait_secs,
+            mean_turnaround_secs,
+            mean_offload_queue_secs,
+            negotiation_cycles,
+            cycles_skipped: _,
+            pins_issued,
+            energy_kwh,
+            events_processed,
+            device_resets,
+            node_churns,
+            retries,
+            fallback_offloads,
+            perturb_windows,
+            stale_ad_skips,
+            jittered_cycles,
+            inflated_offloads,
+            stale_match_rejects,
+            held_after_retries,
+            plan_cache_hits,
+            plan_cache_misses,
+            plan_ms: _,
+        } = self;
+        *policy == other.policy
+            && *nodes == other.nodes
+            && *workload == other.workload
+            && *jobs == other.jobs
+            && *completed == other.completed
+            && *container_kills == other.container_kills
+            && *oom_kills == other.oom_kills
+            && *makespan_secs == other.makespan_secs
+            && *thread_utilization == other.thread_utilization
+            && *core_utilization == other.core_utilization
+            && *mem_utilization == other.mem_utilization
+            && *device_busy_fraction == other.device_busy_fraction
+            && *host_core_utilization == other.host_core_utilization
+            && *mean_wait_secs == other.mean_wait_secs
+            && *mean_turnaround_secs == other.mean_turnaround_secs
+            && *mean_offload_queue_secs == other.mean_offload_queue_secs
+            && *negotiation_cycles == other.negotiation_cycles
+            && *pins_issued == other.pins_issued
+            && *energy_kwh == other.energy_kwh
+            && *events_processed == other.events_processed
+            && *device_resets == other.device_resets
+            && *node_churns == other.node_churns
+            && *retries == other.retries
+            && *fallback_offloads == other.fallback_offloads
+            && *perturb_windows == other.perturb_windows
+            && *stale_ad_skips == other.stale_ad_skips
+            && *jittered_cycles == other.jittered_cycles
+            && *inflated_offloads == other.inflated_offloads
+            && *stale_match_rejects == other.stale_match_rejects
+            && *held_after_retries == other.held_after_retries
+            && *plan_cache_hits == other.plan_cache_hits
+            && *plan_cache_misses == other.plan_cache_misses
     }
 }
 

@@ -1,7 +1,10 @@
 //! The discrete-event world: full job lifecycle on the simulated cluster.
 //!
-//! One [`Experiment::run`] call simulates a complete workload under one
-//! cluster configuration and returns the measurements the paper reports.
+//! One [`Experiment`] simulates a complete workload under one cluster
+//! configuration and returns the measurements the paper reports. The
+//! builder picks the substrate, explicit fault/perturbation plans, scratch
+//! recycling, and the event mode; every combination reaches the same event
+//! loop.
 //!
 //! ## Lifecycle of a job
 //!
@@ -29,12 +32,12 @@
 //! host's) membership changes — the generation counter bumps and every
 //! pending prediction event goes stale. Two schemes deliver them:
 //!
-//! * **Next-completion (default, [`Experiment::run`])** — exactly one
-//!   prediction event per device per generation, chosen by the allocation-
-//!   free `next_completion()`. Stale entries are drained lazily at pop time
+//! * **Next-completion (the default)** — exactly one prediction event per
+//!   device per generation, chosen by the allocation-free
+//!   `next_completion()`. Stale entries are drained lazily at pop time
 //!   ([`phishare_sim::Sim::step_live`]); handling the winner bumps the
 //!   generation and schedules the next winner. O(1) heap entries per device.
-//! * **Per-offload ([`Experiment::run_naive_events`])** — the seed's
+//! * **Per-offload ([`Experiment::per_offload_events`])** — the seed's
 //!   original scheme: one event per active offload per generation, stale
 //!   ones dropped by the generation guard as they fire. O(n) heap churn per
 //!   membership change; retained as the differential oracle — both modes
@@ -173,8 +176,8 @@ impl std::fmt::Display for SubstrateMode {
 /// steady-state size and are then thrown away; recycling them across cells
 /// (the same discipline as the planner's `DpScratch`) makes the per-cell
 /// allocation cost O(1) after warm-up. Recycling is invisible to results:
-/// `Experiment::run_with_scratch` is asserted bit-identical to
-/// [`Experiment::run`] by the runtime tests and the substrate proptests.
+/// [`Experiment::scratch`] runs are asserted bit-identical to fresh ones by
+/// the runtime tests and the substrate proptests.
 #[derive(Debug)]
 pub struct ExperimentScratch {
     /// Drained event heap from the previous cell (capacity retained).
@@ -223,303 +226,144 @@ struct RunningJob<DH, CH> {
     fallback: bool,
 }
 
-/// Entry point: run one experiment.
-pub struct Experiment;
+/// One experiment: a workload on a cluster, with the run options set by
+/// the builder methods. [`Experiment::simulate`] and
+/// [`Experiment::simulate_traced`] run it.
+///
+/// ```no_run
+/// # use phishare_cluster::{ClusterConfig, Experiment, FaultPlan, SubstrateMode};
+/// # use phishare_core::ClusterPolicy;
+/// # use phishare_workload::{WorkloadBuilder, WorkloadKind};
+/// let cfg = ClusterConfig::paper_cluster(ClusterPolicy::Mcck);
+/// let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix).count(40).build();
+/// let plan = FaultPlan::empty();
+/// let (result, trace) = Experiment::new(&cfg, &wl)
+///     .substrate(SubstrateMode::Keyed)
+///     .faults(&plan)
+///     .simulate_traced()?;
+/// # Ok::<(), String>(())
+/// ```
+pub struct Experiment<'a> {
+    config: &'a ClusterConfig,
+    workload: &'a Workload,
+    substrate: SubstrateMode,
+    faults: Option<&'a FaultPlan>,
+    perturbs: Option<&'a PerturbPlan>,
+    scratch: Option<&'a mut ExperimentScratch>,
+    mode: EventMode,
+}
 
-impl Experiment {
-    /// Simulate `workload` on the cluster described by `config`.
-    ///
-    /// Fails fast (rather than deadlocking) when the configuration is
-    /// invalid or a job cannot fit on any device.
-    pub fn run(config: &ClusterConfig, workload: &Workload) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
+impl<'a> Experiment<'a> {
+    /// Simulate `workload` on the cluster described by `config`: the fast
+    /// substrate, next-completion events, and the fault and perturbation
+    /// plans `config` generates, until a builder method says otherwise.
+    pub fn new(config: &'a ClusterConfig, workload: &'a Workload) -> Self {
+        Experiment {
             config,
             workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// Like [`Experiment::run`] but also records a full lifecycle
-    /// [`Trace`] (submission, pinning, dispatch, offloads, completion).
-    pub fn run_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            true,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run`] with an explicit fault-injection plan instead of
-    /// the one derived from `config.faults`.
-    ///
-    /// An empty plan is guaranteed to leave the timeline bit-identical to
-    /// [`Experiment::run`] with faults disabled (asserted by the
-    /// differential proptests).
-    pub fn run_with_faults(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<ExperimentResult, String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_faults`] with lifecycle tracing.
-    pub fn run_with_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            true,
-            EventMode::NextCompletion,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run_with_faults_traced`] under the per-offload oracle
-    /// event scheme (differential testing only).
-    pub fn run_naive_events_with_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            plan,
-            &perturbs,
-            true,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run`] under the seed's per-offload event scheme.
-    ///
-    /// Kept as the differential oracle for the next-completion fast path:
-    /// results must be bit-identical to [`Experiment::run`] (asserted by
-    /// the `perf_sim` bench gate and the differential proptests). Not a
-    /// production entry point.
-    pub fn run_naive_events(
-        config: &ClusterConfig,
-        workload: &Workload,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_traced`] under the seed's per-offload event scheme.
-    pub fn run_naive_events_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            true,
-            EventMode::PerOffload,
-            None,
-        )
-        .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// [`Experiment::run`] on an explicitly chosen substrate.
-    ///
-    /// [`SubstrateMode::Keyed`] replays the run on the seed's map-backed
-    /// device/COSMIC state; results must be bit-identical to the default
-    /// slab-backed run (asserted by the differential proptests and the
-    /// `perf_e2e` bench gate, where the keyed run is the timing floor).
-    pub fn run_with_substrate(
-        config: &ClusterConfig,
-        workload: &Workload,
-        substrate: SubstrateMode,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(config, workload, &plan, &perturbs, false, substrate, None)
-            .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_substrate`] recycling `scratch`'s buffers
-    /// across calls — [`Experiment::run_with_scratch`] generalized to every
-    /// substrate, so sweep workers use one cell body regardless of mode.
-    /// Bit-identical to the scratch-free forms (the sweep tests pin every
-    /// substrate's recycled results against fresh runs).
-    pub fn run_with_substrate_scratch(
-        config: &ClusterConfig,
-        workload: &Workload,
-        substrate: SubstrateMode,
-        scratch: &mut ExperimentScratch,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(
-            config,
-            workload,
-            &plan,
-            &perturbs,
-            false,
-            substrate,
-            Some(scratch),
-        )
-        .map(|(r, _)| r)
-    }
-
-    /// [`Experiment::run_with_faults_traced`] on an explicitly chosen
-    /// substrate (differential testing of the fault paths).
-    pub fn run_with_substrate_faults_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        substrate: SubstrateMode,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_substrate_inner(config, workload, plan, &perturbs, true, substrate, None)
-            .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    /// Chaos entry point: explicit fault *and* perturbation plans on an
-    /// explicitly chosen substrate, with lifecycle tracing.
-    ///
-    /// An empty perturbation plan (with `config.perturb` disabled) is
-    /// guaranteed bit-identical to
-    /// [`Experiment::run_with_substrate_faults_traced`], and the oracle
-    /// pairs (`Fast`/`Keyed`, `Shared`/`SharedNaive`) stay bit-identical
-    /// under every (stack, trace, fault-plan) triple — asserted by
-    /// `tests/prop_chaos.rs`.
-    pub fn run_chaos_traced(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        perturbs: &PerturbPlan,
-        substrate: SubstrateMode,
-    ) -> Result<(ExperimentResult, Trace), String> {
-        Self::run_substrate_inner(config, workload, plan, perturbs, true, substrate, None)
-            .map(|(r, t)| (r, t.expect("tracing was enabled")))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_substrate_inner(
-        config: &ClusterConfig,
-        workload: &Workload,
-        plan: &FaultPlan,
-        perturbs: &PerturbPlan,
-        traced: bool,
-        substrate: SubstrateMode,
-        scratch: Option<&mut ExperimentScratch>,
-    ) -> Result<(ExperimentResult, Option<Trace>), String> {
-        match substrate {
-            SubstrateMode::Fast => Self::run_inner::<PhiDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
-            ),
-            SubstrateMode::Keyed => Self::run_inner::<KeyedPhiDevice, KeyedCosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
-            ),
-            SubstrateMode::Shared => Self::run_inner::<SharedThroughputDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
-            ),
-            SubstrateMode::SharedNaive => Self::run_inner::<NaiveSharedDevice, CosmicDevice>(
-                config,
-                workload,
-                plan,
-                perturbs,
-                traced,
-                EventMode::NextCompletion,
-                scratch,
-            ),
+            substrate: SubstrateMode::Fast,
+            faults: None,
+            perturbs: None,
+            scratch: None,
+            mode: EventMode::NextCompletion,
         }
     }
 
-    /// [`Experiment::run`] recycling `scratch`'s buffers across calls.
+    /// Run on an explicitly chosen device/COSMIC substrate. The oracle
+    /// pairs (`Fast`/`Keyed`, `Shared`/`SharedNaive`) are bit-identical.
+    pub fn substrate(mut self, substrate: SubstrateMode) -> Self {
+        self.substrate = substrate;
+        self
+    }
+
+    /// Inject `plan` instead of the fault plan derived from
+    /// `config.faults`. An empty plan leaves the timeline bit-identical to
+    /// a run with faults disabled.
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+
+    /// Apply `plan` instead of the perturbation plan derived from
+    /// `config.perturb`. An empty plan (with `config.perturb` disabled) is
+    /// bit-identical to a run without chaos.
+    pub fn perturbs(mut self, plan: &'a PerturbPlan) -> Self {
+        self.perturbs = Some(plan);
+        self
+    }
+
+    /// Recycle `scratch`'s event heap and grant buffers, so back-to-back
+    /// runs (sweep cells) allocate them once per worker. Bit-identical to
+    /// a fresh run.
+    pub fn scratch(mut self, scratch: &'a mut ExperimentScratch) -> Self {
+        self.scratch = Some(scratch);
+        self
+    }
+
+    /// Deliver completion predictions under the seed's per-offload event
+    /// scheme (see the module docs) — the differential oracle of the
+    /// next-completion fast path, not a production mode.
+    pub fn per_offload_events(mut self) -> Self {
+        self.mode = EventMode::PerOffload;
+        self
+    }
+
+    /// Run the experiment.
     ///
-    /// Sweep workers call this once per grid cell so the event heap and
-    /// grant buffers are allocated once per worker, not once per cell.
-    /// Bit-identical to [`Experiment::run`] (asserted by the runtime
-    /// tests).
-    pub fn run_with_scratch(
-        config: &ClusterConfig,
-        workload: &Workload,
-        scratch: &mut ExperimentScratch,
-    ) -> Result<ExperimentResult, String> {
-        let plan = FaultPlan::generate(config);
-        let perturbs = PerturbPlan::generate(config);
-        Self::run_inner::<PhiDevice, CosmicDevice>(
+    /// Fails fast (rather than deadlocking) when the configuration or a
+    /// plan is invalid, or a job cannot fit on any device.
+    pub fn simulate(self) -> Result<ExperimentResult, String> {
+        self.launch(false).map(|(r, _)| r)
+    }
+
+    /// [`Experiment::simulate`], also recording the full lifecycle
+    /// [`Trace`] (submission, pinning, dispatch, offloads, completion).
+    /// Tracing never changes the result.
+    pub fn simulate_traced(self) -> Result<(ExperimentResult, Trace), String> {
+        self.launch(true)
+            .map(|(r, t)| (r, t.expect("tracing was enabled")))
+    }
+
+    fn launch(self, traced: bool) -> Result<(ExperimentResult, Option<Trace>), String> {
+        let Experiment {
             config,
             workload,
-            &plan,
-            &perturbs,
-            false,
-            EventMode::NextCompletion,
-            Some(scratch),
-        )
-        .map(|(r, _)| r)
+            substrate,
+            faults,
+            perturbs,
+            scratch,
+            mode,
+        } = self;
+        let generated_faults;
+        let plan = match faults {
+            Some(plan) => plan,
+            None => {
+                generated_faults = FaultPlan::generate(config);
+                &generated_faults
+            }
+        };
+        let generated_perturbs;
+        let perturbs = match perturbs {
+            Some(plan) => plan,
+            None => {
+                generated_perturbs = PerturbPlan::generate(config);
+                &generated_perturbs
+            }
+        };
+        match substrate {
+            SubstrateMode::Fast => Self::run_inner::<PhiDevice, CosmicDevice>(
+                config, workload, plan, perturbs, traced, mode, scratch,
+            ),
+            SubstrateMode::Keyed => Self::run_inner::<KeyedPhiDevice, KeyedCosmicDevice>(
+                config, workload, plan, perturbs, traced, mode, scratch,
+            ),
+            SubstrateMode::Shared => Self::run_inner::<SharedThroughputDevice, CosmicDevice>(
+                config, workload, plan, perturbs, traced, mode, scratch,
+            ),
+            SubstrateMode::SharedNaive => Self::run_inner::<NaiveSharedDevice, CosmicDevice>(
+                config, workload, plan, perturbs, traced, mode, scratch,
+            ),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -566,7 +410,8 @@ impl Experiment {
             if let Some(cap) = thread_cap {
                 if job.thread_req > cap {
                     return Err(format!(
-                        "job {} declares {} threads but the scheduler's per-device                          thread budget is {cap}; it could never be placed",
+                        "job {} declares {} threads but the scheduler's per-device \
+                         thread budget is {cap}; it could never be placed",
                         job.id, job.thread_req
                     ));
                 }
@@ -687,6 +532,56 @@ impl Experiment {
     }
 }
 
+/// Fixed-shape forms of the builder. The `phibench` benchmark links
+/// against exactly these four; new code should use the builder.
+impl Experiment<'_> {
+    /// `Experiment::new(config, workload).simulate()`. Used by the benchmark.
+    pub fn run(config: &ClusterConfig, workload: &Workload) -> Result<ExperimentResult, String> {
+        Experiment::new(config, workload).simulate()
+    }
+
+    /// The builder with `.substrate(substrate)`. Used by the benchmark.
+    pub fn run_with_substrate(
+        config: &ClusterConfig,
+        workload: &Workload,
+        substrate: SubstrateMode,
+    ) -> Result<ExperimentResult, String> {
+        Experiment::new(config, workload)
+            .substrate(substrate)
+            .simulate()
+    }
+
+    /// The builder with `.substrate(substrate).scratch(scratch)`. Used by
+    /// the benchmark.
+    pub fn run_with_substrate_scratch(
+        config: &ClusterConfig,
+        workload: &Workload,
+        substrate: SubstrateMode,
+        scratch: &mut ExperimentScratch,
+    ) -> Result<ExperimentResult, String> {
+        Experiment::new(config, workload)
+            .substrate(substrate)
+            .scratch(scratch)
+            .simulate()
+    }
+
+    /// The traced builder with explicit fault and perturbation plans on
+    /// `substrate`. Used by the benchmark.
+    pub fn run_chaos_traced(
+        config: &ClusterConfig,
+        workload: &Workload,
+        plan: &FaultPlan,
+        perturbs: &PerturbPlan,
+        substrate: SubstrateMode,
+    ) -> Result<(ExperimentResult, Trace), String> {
+        Experiment::new(config, workload)
+            .substrate(substrate)
+            .faults(plan)
+            .perturbs(perturbs)
+            .simulate_traced()
+    }
+}
+
 struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     cfg: &'a ClusterConfig,
     wl: &'a Workload,
@@ -736,7 +631,7 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// artefact), so it is the mode-independent simulation-cost metric.
     live_events: u64,
     rng_oom: DetRng,
-    /// Lifecycle trace (None unless `run_traced` was used).
+    /// Lifecycle trace (None unless the run is traced).
     trace: Option<Trace>,
     // --- fault state ---
     /// Nodes whose startd vanished (churn); no ads, no dispatch, no hosts.
@@ -2329,8 +2224,8 @@ mod tests {
             on.negotiation_interval = SimDuration::from_secs(2);
             let mut off = on;
             off.skip_quiescent = false;
-            let (r_on, t_on) = Experiment::run_traced(&on, &wl).unwrap();
-            let (r_off, t_off) = Experiment::run_traced(&off, &wl).unwrap();
+            let (r_on, t_on) = Experiment::new(&on, &wl).simulate_traced().unwrap();
+            let (r_off, t_off) = Experiment::new(&off, &wl).simulate_traced().unwrap();
             // `PartialEq` excludes `cycles_skipped`; everything else —
             // every counter, every utilization, the makespan — matches.
             assert_eq!(r_on, r_off, "{policy}: results diverged");
@@ -2366,8 +2261,11 @@ mod tests {
         let wl = small_workload(40, 13);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let (fast, fast_trace) = Experiment::run_traced(&cfg, &wl).unwrap();
-            let (naive, naive_trace) = Experiment::run_naive_events_traced(&cfg, &wl).unwrap();
+            let (fast, fast_trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
+            let (naive, naive_trace) = Experiment::new(&cfg, &wl)
+                .per_offload_events()
+                .simulate_traced()
+                .unwrap();
             assert_eq!(fast, naive, "{policy}: metrics diverged across event modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2398,7 +2296,7 @@ mod tests {
             *threads = 500;
         }
         let err = Experiment::run(&fast_config(ClusterPolicy::Mcck), &wl).unwrap_err();
-        assert!(err.contains("thread budget"), "{err}");
+        assert!(err.contains("per-device thread budget is"), "{err}");
         // MCC has no knapsack thread filter; COSMIC clamps at admission, so
         // the same workload completes there.
         let r = Experiment::run(&fast_config(ClusterPolicy::Mcc), &wl).unwrap();
@@ -2461,7 +2359,7 @@ mod tests {
         let wl = small_workload(25, 11);
         let cfg = fast_config(ClusterPolicy::Mcck);
         let plain = Experiment::run(&cfg, &wl).unwrap();
-        let (traced, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (traced, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the simulation");
         // Every job leaves a complete lifecycle in the trace.
         use crate::trace::TraceEvent as TE;
@@ -2523,7 +2421,10 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let plain = Experiment::run(&cfg, &wl).unwrap();
-            let faulted = Experiment::run_with_faults(&cfg, &wl, &FaultPlan::empty()).unwrap();
+            let faulted = Experiment::new(&cfg, &wl)
+                .faults(&FaultPlan::empty())
+                .simulate()
+                .unwrap();
             assert_eq!(plain, faulted, "{policy}: empty plan perturbed the run");
         }
     }
@@ -2533,7 +2434,10 @@ mod tests {
         let wl = small_workload(20, 22);
         let cfg = fast_config(ClusterPolicy::Mcck);
         let plan = one_fault(FaultKind::DeviceReset, 1, 0, 5, 30);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
+            .unwrap();
         assert_eq!(r.device_resets, 1);
         assert_eq!(r.node_churns, 0);
         // HostOnly fallback: jobs caught on the card keep their slot and
@@ -2552,7 +2456,10 @@ mod tests {
         let wl = small_workload(20, 23);
         let cfg = fast_config(ClusterPolicy::Mcck);
         let plan = one_fault(FaultKind::NodeChurn, 1, 0, 5, 60);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
+            .unwrap();
         assert_eq!(r.node_churns, 1);
         assert!(r.retries > 0, "churn should vacate running jobs: {r:?}");
         assert_eq!(
@@ -2573,7 +2480,10 @@ mod tests {
         cfg.recovery.fallback = FallbackPolicy::Requeue;
         cfg.recovery.max_retries = 0;
         let plan = one_fault(FaultKind::DeviceReset, 1, 0, 5, 30);
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
+        let (r, trace) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
+            .unwrap();
         assert_eq!(r.held_after_retries, 1, "{r:?}");
         assert_eq!(r.retries, 0, "a zero budget never grants a retry");
         assert_eq!(r.completed + r.held_after_retries, r.jobs);
@@ -2604,9 +2514,15 @@ mod tests {
         };
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let (fast, fast_trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan).unwrap();
-            let (naive, naive_trace) =
-                Experiment::run_naive_events_with_faults_traced(&cfg, &wl, &plan).unwrap();
+            let (fast, fast_trace) = Experiment::new(&cfg, &wl)
+                .faults(&plan)
+                .simulate_traced()
+                .unwrap();
+            let (naive, naive_trace) = Experiment::new(&cfg, &wl)
+                .faults(&plan)
+                .per_offload_events()
+                .simulate_traced()
+                .unwrap();
             assert_eq!(fast, naive, "{policy}: fault metrics diverged across modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2625,7 +2541,10 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let fast = Experiment::run(&cfg, &wl).unwrap();
-            let keyed = Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::Keyed).unwrap();
+            let keyed = Experiment::new(&cfg, &wl)
+                .substrate(SubstrateMode::Keyed)
+                .simulate()
+                .unwrap();
             assert_eq!(fast, keyed, "{policy}: substrates diverged");
         }
     }
@@ -2653,16 +2572,16 @@ mod tests {
         };
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let (fast, fast_trace) =
-                Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Fast)
-                    .unwrap();
-            let (keyed, keyed_trace) = Experiment::run_with_substrate_faults_traced(
-                &cfg,
-                &wl,
-                &plan,
-                SubstrateMode::Keyed,
-            )
-            .unwrap();
+            let (fast, fast_trace) = Experiment::new(&cfg, &wl)
+                .faults(&plan)
+                .substrate(SubstrateMode::Fast)
+                .simulate_traced()
+                .unwrap();
+            let (keyed, keyed_trace) = Experiment::new(&cfg, &wl)
+                .faults(&plan)
+                .substrate(SubstrateMode::Keyed)
+                .simulate_traced()
+                .unwrap();
             assert_eq!(fast, keyed, "{policy}: fault metrics diverged");
             assert_eq!(
                 fast_trace.events, keyed_trace.events,
@@ -2676,9 +2595,14 @@ mod tests {
         let wl = small_workload(40, 31);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
-            let shared = Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::Shared).unwrap();
-            let naive =
-                Experiment::run_with_substrate(&cfg, &wl, SubstrateMode::SharedNaive).unwrap();
+            let shared = Experiment::new(&cfg, &wl)
+                .substrate(SubstrateMode::Shared)
+                .simulate()
+                .unwrap();
+            let naive = Experiment::new(&cfg, &wl)
+                .substrate(SubstrateMode::SharedNaive)
+                .simulate()
+                .unwrap();
             assert_eq!(shared, naive, "{policy}: shared engines diverged");
             assert!(shared.completed > 0, "{policy}: nothing ran end-to-end");
         }
@@ -2703,20 +2627,16 @@ mod tests {
             for policy in [ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
                 let mut cfg = fast_config(policy);
                 cfg.pool = pool;
-                let (shared, shared_trace) = Experiment::run_with_substrate_faults_traced(
-                    &cfg,
-                    &wl,
-                    &plan,
-                    SubstrateMode::Shared,
-                )
-                .unwrap();
-                let (naive, naive_trace) = Experiment::run_with_substrate_faults_traced(
-                    &cfg,
-                    &wl,
-                    &plan,
-                    SubstrateMode::SharedNaive,
-                )
-                .unwrap();
+                let (shared, shared_trace) = Experiment::new(&cfg, &wl)
+                    .faults(&plan)
+                    .substrate(SubstrateMode::Shared)
+                    .simulate_traced()
+                    .unwrap();
+                let (naive, naive_trace) = Experiment::new(&cfg, &wl)
+                    .faults(&plan)
+                    .substrate(SubstrateMode::SharedNaive)
+                    .simulate_traced()
+                    .unwrap();
                 assert_eq!(shared, naive, "{policy}/{pool:?}: shared engines diverged");
                 assert_eq!(
                     shared_trace.events, naive_trace.events,
@@ -2738,14 +2658,23 @@ mod tests {
         let cfg = fast_config(ClusterPolicy::Mcck);
         let fresh = Experiment::run(&cfg, &wl).unwrap();
         let mut scratch = ExperimentScratch::new();
-        let first = Experiment::run_with_scratch(&cfg, &wl, &mut scratch).unwrap();
-        let second = Experiment::run_with_scratch(&cfg, &wl, &mut scratch).unwrap();
+        let first = Experiment::new(&cfg, &wl)
+            .scratch(&mut scratch)
+            .simulate()
+            .unwrap();
+        let second = Experiment::new(&cfg, &wl)
+            .scratch(&mut scratch)
+            .simulate()
+            .unwrap();
         assert_eq!(fresh, first, "cold scratch perturbed the run");
         assert_eq!(fresh, second, "recycled scratch perturbed the run");
         // A different cell through the same (dirty) scratch is unaffected.
         let cfg2 = fast_config(ClusterPolicy::Mc);
         let fresh2 = Experiment::run(&cfg2, &wl).unwrap();
-        let third = Experiment::run_with_scratch(&cfg2, &wl, &mut scratch).unwrap();
+        let third = Experiment::new(&cfg2, &wl)
+            .scratch(&mut scratch)
+            .simulate()
+            .unwrap();
         assert_eq!(fresh2, third, "scratch leaked state across cells");
     }
 
@@ -2756,7 +2685,7 @@ mod tests {
         cfg.faults.device_mtbf_secs = 150.0;
         cfg.faults.node_mtbf_secs = 400.0;
         cfg.faults.horizon_secs = 600.0;
-        let (r, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (r, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         assert!(
             r.device_resets + r.node_churns > 0,
             "an aggressive MTBF should strike at least once: {r:?}"
@@ -2795,14 +2724,11 @@ mod tests {
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = fast_config(policy);
             let plain = Experiment::run(&cfg, &wl).unwrap();
-            let (chaos, _) = Experiment::run_chaos_traced(
-                &cfg,
-                &wl,
-                &FaultPlan::empty(),
-                &PerturbPlan::empty(),
-                SubstrateMode::Fast,
-            )
-            .unwrap();
+            let (chaos, _) = Experiment::new(&cfg, &wl)
+                .faults(&FaultPlan::empty())
+                .perturbs(&PerturbPlan::empty())
+                .simulate_traced()
+                .unwrap();
             assert_eq!(plain, chaos, "{policy}: empty stack perturbed the run");
         }
     }
@@ -2811,8 +2737,8 @@ mod tests {
     fn perturbed_runs_are_deterministic_and_audit_clean() {
         let wl = small_workload(30, 42);
         let cfg = chaos_config(ClusterPolicy::Mcck);
-        let (a, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
-        let (b, _) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (a, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
+        let (b, _) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         assert_eq!(a, b);
         assert!(a.perturb_windows > 0, "stack never opened a window: {a:?}");
         assert!(a.jittered_cycles > 0, "jitter never fired: {a:?}");
@@ -2865,7 +2791,7 @@ mod tests {
         cfg.perturb.stale_ads.mean_gap_secs = 10.0;
         cfg.perturb.stale_ads.duration_secs = 40.0;
         cfg.perturb.horizon_secs = 1800.0;
-        let (r, trace) = Experiment::run_traced(&cfg, &wl).unwrap();
+        let (r, trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
         assert!(r.stale_ad_skips > 0, "{r:?}");
         assert!(r.all_completed(), "{r:?}");
         let violations = audit(&cfg, &wl, &r, &trace);
@@ -2877,8 +2803,11 @@ mod tests {
         let wl = small_workload(25, 46);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = chaos_config(policy);
-            let (fast, fast_trace) = Experiment::run_traced(&cfg, &wl).unwrap();
-            let (naive, naive_trace) = Experiment::run_naive_events_traced(&cfg, &wl).unwrap();
+            let (fast, fast_trace) = Experiment::new(&cfg, &wl).simulate_traced().unwrap();
+            let (naive, naive_trace) = Experiment::new(&cfg, &wl)
+                .per_offload_events()
+                .simulate_traced()
+                .unwrap();
             assert_eq!(fast, naive, "{policy}: chaos metrics diverged across modes");
             assert_eq!(
                 fast_trace.events, naive_trace.events,
@@ -2894,7 +2823,13 @@ mod tests {
             let cfg = chaos_config(policy);
             let faults = FaultPlan::generate(&cfg);
             let perturbs = PerturbPlan::generate(&cfg);
-            let run = |mode| Experiment::run_chaos_traced(&cfg, &wl, &faults, &perturbs, mode);
+            let run = |mode| {
+                Experiment::new(&cfg, &wl)
+                    .substrate(mode)
+                    .faults(&faults)
+                    .perturbs(&perturbs)
+                    .simulate_traced()
+            };
             let (fast, fast_trace) = run(SubstrateMode::Fast).unwrap();
             let (keyed, keyed_trace) = run(SubstrateMode::Keyed).unwrap();
             assert_eq!(fast, keyed, "{policy}: fast/keyed diverged under chaos");

@@ -127,24 +127,6 @@ pub struct ShardOptions {
     pub substrate: SubstrateMode,
 }
 
-impl ShardOptions {
-    /// Options for `workers` processes spawned from this process's own
-    /// executable — the common case for benches and the CLI, whose
-    /// binaries all accept the worker-mode flags.
-    pub fn from_current_exe(workers: usize) -> Result<Self, String> {
-        let exe = std::env::current_exe()
-            .map_err(|e| format!("cannot locate current executable for worker spawn: {e}"))?;
-        Ok(Self {
-            workers,
-            worker_exe: exe,
-            dir: None,
-            resume: false,
-            keep_dir: false,
-            substrate: SubstrateMode::Fast,
-        })
-    }
-}
-
 /// Default worker-process count: the `PHISHARE_SWEEP_WORKERS` environment
 /// variable when set to a positive integer, otherwise the thread-sweep
 /// default ([`crate::sweep::default_threads`]).
@@ -393,16 +375,13 @@ fn scan_all_logs(dir: &Path) -> Result<Vec<CellRecord>, String> {
 /// lease files until the grid is exhausted. Returns the number of cells
 /// this worker executed.
 ///
-/// This is the body behind `--worker --dir <dir> --worker-id <k>`.
-pub fn run_worker(dir: &Path, worker_id: usize) -> Result<usize, String> {
-    run_worker_with(dir, worker_id, None)
-}
-
-/// [`run_worker`] with an optional collector-partition override applied to
+/// `partitions`, when set, overrides the collector partition count of
 /// every cell this worker executes (the `--partitions` worker flag).
 /// Results are partition-count-invariant, so two workers on the same grid
 /// may use different values without corrupting the merge.
-pub fn run_worker_with(
+///
+/// This is the body behind `--worker --dir <dir> --worker-id <k>`.
+pub fn run_worker(
     dir: &Path,
     worker_id: usize,
     partitions: Option<usize>,
@@ -540,7 +519,7 @@ pub fn parse_worker_args(args: &[String]) -> Result<(PathBuf, usize, Option<usiz
 /// this when their first argument is `--worker`.
 pub fn worker_main(args: &[String]) -> Result<usize, String> {
     let (dir, worker_id, partitions) = parse_worker_args(args)?;
-    run_worker_with(&dir, worker_id, partitions)
+    run_worker(&dir, worker_id, partitions)
 }
 
 /// Merge every worker log in `dir` back into submission order. Labels are
@@ -785,11 +764,11 @@ mod tests {
         write_manifest(&dir, &manifest).unwrap();
         // Two sequential worker "processes" in-process: the second finds
         // everything leased/checkpointed and runs nothing.
-        let ran = run_worker(&dir, 0).unwrap();
+        let ran = run_worker(&dir, 0, None).unwrap();
         assert_eq!(ran, 4);
-        assert_eq!(run_worker(&dir, 1).unwrap(), 0);
+        assert_eq!(run_worker(&dir, 1, None).unwrap(), 0);
         let merged = merge_results(&dir).unwrap();
-        let expected = crate::sweep::run_sweep(grid(), 1);
+        let expected = crate::sweep::run_sweep(grid(), 1, SubstrateMode::Fast);
         assert_eq!(merged, expected, "sharded merge diverged from run_sweep");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -801,11 +780,11 @@ mod tests {
         write_manifest(&dir, &manifest).unwrap();
         // Override every cell to 4 collector partitions: the merge must
         // still equal the serial, single-partition in-process sweep.
-        assert_eq!(run_worker_with(&dir, 0, Some(4)).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, Some(4)).unwrap(), 4);
         let merged = merge_results(&dir).unwrap();
         assert_eq!(
             merged,
-            crate::sweep::run_sweep(grid(), 1),
+            crate::sweep::run_sweep(grid(), 1, SubstrateMode::Fast),
             "--partitions changed sweep results"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -843,12 +822,15 @@ mod tests {
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
         // First generation checkpoints everything...
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // ...a resume clears leases (simulated) and re-runs nothing.
         clear_leases(&dir).unwrap();
-        assert_eq!(run_worker(&dir, 1).unwrap(), 0);
+        assert_eq!(run_worker(&dir, 1, None).unwrap(), 0);
         let merged = merge_results(&dir).unwrap();
-        assert_eq!(merged, crate::sweep::run_sweep(grid(), 1));
+        assert_eq!(
+            merged,
+            crate::sweep::run_sweep(grid(), 1, SubstrateMode::Fast)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -857,7 +839,7 @@ mod tests {
         let dir = temp_dir("torn");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // Tear the final record: chop the log mid-line.
         let log = log_path(&dir, 0);
         let bytes = fs::read(&log).unwrap();
@@ -867,9 +849,12 @@ mod tests {
         assert!(torn);
         // Next generation: leases cleared, the torn cell re-runs.
         clear_leases(&dir).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 1);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 1);
         let merged = merge_results(&dir).unwrap();
-        assert_eq!(merged, crate::sweep::run_sweep(grid(), 1));
+        assert_eq!(
+            merged,
+            crate::sweep::run_sweep(grid(), 1, SubstrateMode::Fast)
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -878,7 +863,7 @@ mod tests {
         let dir = temp_dir("dup");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         // Forge a duplicate of the first record into a second log.
         let first_line = fs::read_to_string(log_path(&dir, 0))
             .unwrap()
@@ -897,7 +882,7 @@ mod tests {
         let dir = temp_dir("label");
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         write_manifest(&dir, &manifest).unwrap();
-        assert_eq!(run_worker(&dir, 0).unwrap(), 4);
+        assert_eq!(run_worker(&dir, 0, None).unwrap(), 4);
         let log = log_path(&dir, 0);
         let text = fs::read_to_string(&log)
             .unwrap()

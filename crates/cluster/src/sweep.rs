@@ -37,15 +37,18 @@ pub type SweepOutcome = (String, Result<ExperimentResult, String>);
 /// Run one sweep cell on the given substrate, recycling `scratch`.
 ///
 /// The single worker body shared by every sweep mode — the in-process
-/// workers of [`run_sweep`]/[`run_sweep_keyed`] and the per-process
-/// workers of [`crate::shard`] all execute cells through here, so every
-/// path gets scratch recycling and every path is bit-identical.
+/// workers of [`run_sweep`] and the per-process workers of
+/// [`crate::shard`] all execute cells through here, so every path gets
+/// scratch recycling and every path is bit-identical.
 pub(crate) fn run_cell(
     job: &SweepJob,
     substrate: SubstrateMode,
     scratch: &mut ExperimentScratch,
 ) -> Result<ExperimentResult, String> {
-    Experiment::run_with_substrate_scratch(&job.config, &job.workload, substrate, scratch)
+    Experiment::new(&job.config, &job.workload)
+        .substrate(substrate)
+        .scratch(scratch)
+        .simulate()
 }
 
 /// Submission-order reassembly of indexed sweep outcomes.
@@ -88,36 +91,18 @@ impl OrderedSlots {
     }
 }
 
-/// Run every job in the grid, using up to `threads` worker threads.
-/// Results come back in the same order as `jobs`.
+/// Run every job in the grid on `substrate`, using up to `threads` worker
+/// threads ([`default_threads`] sizes the pool to the machine). Results
+/// come back in the same order as `jobs`.
 ///
 /// Each worker owns one [`ExperimentScratch`] and recycles its event heap
 /// and grant buffers across the cells it processes — steady-state cells
 /// allocate O(1), and recycling is asserted bit-identical to fresh runs.
-pub fn run_sweep(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, threads, SubstrateMode::Fast)
-}
-
-/// [`run_sweep`] on the seed's keyed substrate ([`SubstrateMode::Keyed`]),
-/// with the same per-worker scratch recycling as the fast path.
-///
-/// The differential oracle and the timing floor for the `perf_e2e` bench
-/// gate: its results must be bit-identical to [`run_sweep`]'s.
-pub fn run_sweep_keyed(jobs: Vec<SweepJob>, threads: usize) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, threads, SubstrateMode::Keyed)
-}
-
-/// [`run_sweep`] on an explicitly chosen substrate, sized to the machine
-/// like [`run_sweep_auto`]. The heterogeneous-SKU experiments run their
-/// grids on [`SubstrateMode::Shared`] through this.
-pub fn run_sweep_substrate_auto(
+pub fn run_sweep(
     jobs: Vec<SweepJob>,
+    threads: usize,
     substrate: SubstrateMode,
 ) -> Vec<SweepOutcome> {
-    sweep_inner(jobs, default_threads(), substrate)
-}
-
-fn sweep_inner(jobs: Vec<SweepJob>, threads: usize, substrate: SubstrateMode) -> Vec<SweepOutcome> {
     assert!(threads >= 1, "need at least one worker");
     let n = jobs.len();
     if n == 0 {
@@ -162,13 +147,6 @@ fn sweep_inner(jobs: Vec<SweepJob>, threads: usize, substrate: SubstrateMode) ->
     slots
         .finish()
         .expect("every sweep cell reports exactly once")
-}
-
-/// [`run_sweep`] sized to the machine: worker count from
-/// [`std::thread::available_parallelism`] via [`default_threads`]. The
-/// bench harness entry point — benches should not hand-pick thread counts.
-pub fn run_sweep_auto(jobs: Vec<SweepJob>) -> Vec<SweepOutcome> {
-    run_sweep(jobs, default_threads())
 }
 
 /// Default worker count: the `PHISHARE_SWEEP_THREADS` environment variable
@@ -228,8 +206,8 @@ mod tests {
 
     #[test]
     fn sweep_matches_serial_execution() {
-        let parallel = run_sweep(grid(), 4);
-        let serial = run_sweep(grid(), 1);
+        let parallel = run_sweep(grid(), 4, SubstrateMode::Fast);
+        let serial = run_sweep(grid(), 1, SubstrateMode::Fast);
         assert_eq!(parallel.len(), 6);
         for ((pl, pr), (sl, sr)) in parallel.iter().zip(serial.iter()) {
             assert_eq!(pl, sl);
@@ -239,7 +217,7 @@ mod tests {
 
     #[test]
     fn labels_preserve_order() {
-        let out = run_sweep(grid(), 3);
+        let out = run_sweep(grid(), 3, SubstrateMode::Fast);
         let labels: Vec<&str> = out.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(
             labels,
@@ -249,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_grid_is_fine() {
-        assert!(run_sweep(Vec::new(), 4).is_empty());
+        assert!(run_sweep(Vec::new(), 4, SubstrateMode::Fast).is_empty());
     }
 
     #[test]
@@ -259,8 +237,8 @@ mod tests {
 
     #[test]
     fn keyed_sweep_matches_fast_sweep() {
-        let fast = run_sweep(grid(), 3);
-        let keyed = run_sweep_keyed(grid(), 3);
+        let fast = run_sweep(grid(), 3, SubstrateMode::Fast);
+        let keyed = run_sweep(grid(), 3, SubstrateMode::Keyed);
         for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
             assert_eq!(fl, kl);
             assert_eq!(fr, kr, "substrates diverged on {fl}");
@@ -313,8 +291,8 @@ mod tests {
 
     #[test]
     fn auto_sweep_matches_explicit_thread_count() {
-        let auto = run_sweep_auto(grid());
-        let serial = run_sweep(grid(), 1);
+        let auto = run_sweep(grid(), default_threads(), SubstrateMode::Fast);
+        let serial = run_sweep(grid(), 1, SubstrateMode::Fast);
         assert_eq!(auto, serial);
     }
 }

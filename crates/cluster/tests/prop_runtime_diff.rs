@@ -1,7 +1,7 @@
 //! Differential oracle for the simulation fast path.
 //!
 //! [`Experiment::run`] schedules one completion prediction event per device
-//! (and host) per generation; [`Experiment::run_naive_events`] is the
+//! (and host) per generation; [`Experiment::per_offload_events`] is the
 //! seed's per-offload scheme. The two must be *bit-identical* — same
 //! metrics, same trace, same audit — on arbitrary workloads, policies and
 //! cluster sizes. Any divergence means the fast path changed simulation
@@ -49,8 +49,8 @@ proptest! {
         let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
         cfg.knapsack.window = 64;
 
-        let fast = Experiment::run_traced(&cfg, &wl);
-        let naive = Experiment::run_naive_events_traced(&cfg, &wl);
+        let fast = Experiment::new(&cfg, &wl).simulate_traced();
+        let naive = Experiment::new(&cfg, &wl).per_offload_events().simulate_traced();
         match (fast, naive) {
             (Ok((fast_result, fast_trace)), Ok((naive_result, naive_trace))) => {
                 prop_assert_eq!(
@@ -90,8 +90,8 @@ proptest! {
         let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
         cfg.knapsack.window = 64;
 
-        let plain = Experiment::run_traced(&cfg, &wl);
-        let empty = Experiment::run_with_faults_traced(&cfg, &wl, &FaultPlan::empty());
+        let plain = Experiment::new(&cfg, &wl).simulate_traced();
+        let empty = Experiment::new(&cfg, &wl).faults(&FaultPlan::empty()).simulate_traced();
         match (plain, empty) {
             (Ok((pr, pt)), Ok((er, et))) => {
                 prop_assert_eq!(&pr, &er, "empty plan perturbed the metrics");
@@ -126,8 +126,11 @@ proptest! {
         cfg.faults.horizon_secs = 500.0;
         let plan = FaultPlan::generate(&cfg);
 
-        let fast = Experiment::run_with_faults_traced(&cfg, &wl, &plan);
-        let naive = Experiment::run_naive_events_with_faults_traced(&cfg, &wl, &plan);
+        let fast = Experiment::new(&cfg, &wl).faults(&plan).simulate_traced();
+        let naive = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .per_offload_events()
+            .simulate_traced();
         match (fast, naive) {
             (Ok((fr, ft)), Ok((nr, nt))) => {
                 prop_assert_eq!(&fr, &nr, "fault metrics diverged across event modes");
@@ -177,8 +180,8 @@ proptest! {
             FaultPlan::empty()
         };
 
-        let fast = Experiment::run_with_faults_traced(&fast_cfg, &wl, &plan);
-        let naive = Experiment::run_with_faults_traced(&naive_cfg, &wl, &plan);
+        let fast = Experiment::new(&fast_cfg, &wl).faults(&plan).simulate_traced();
+        let naive = Experiment::new(&naive_cfg, &wl).faults(&plan).simulate_traced();
         match (fast, naive) {
             (Ok((mut fr, ft)), Ok((mut nr, nt))) => {
                 fr.plan_cache_hits = 0;
@@ -229,10 +232,9 @@ proptest! {
             FaultPlan::empty()
         };
 
-        let fast =
-            Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Fast);
-        let keyed =
-            Experiment::run_with_substrate_faults_traced(&cfg, &wl, &plan, SubstrateMode::Keyed);
+        let run = |mode| Experiment::new(&cfg, &wl).substrate(mode).faults(&plan).simulate_traced();
+        let fast = run(SubstrateMode::Fast);
+        let keyed = run(SubstrateMode::Keyed);
         match (fast, keyed) {
             (Ok((fr, ft)), Ok((kr, kt))) => {
                 prop_assert_eq!(&fr, &kr, "metrics diverged across substrates");
@@ -265,7 +267,7 @@ proptest! {
             let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
             cfg.knapsack.window = 64;
             let fresh = Experiment::run(&cfg, &wl);
-            let recycled = Experiment::run_with_scratch(&cfg, &wl, &mut scratch);
+            let recycled = Experiment::new(&cfg, &wl).scratch(&mut scratch).simulate();
             prop_assert_eq!(fresh, recycled, "recycled scratch perturbed a cell");
         }
     }

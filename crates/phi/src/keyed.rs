@@ -7,7 +7,7 @@
 //! cluster runtime compiles against both (`SubstrateMode::Keyed`), and the
 //! differential proptests assert bit-identical `ExperimentResult`s and
 //! traces between them — the same discipline as the per-offload event
-//! oracle (`run_naive_events`) and the naive serial planner.
+//! oracle (`Experiment::per_offload_events`) and the naive serial planner.
 //!
 //! Do not optimize this module. Its cost model *is* the keyed-substrate
 //! floor the `perf_e2e` bench gate measures against.

@@ -22,7 +22,9 @@ fn main() {
 
     for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcck] {
         let config = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
-        let (result, trace) = Experiment::run_traced(&config, &workload).expect("runs");
+        let (result, trace) = Experiment::new(&config, &workload)
+            .simulate_traced()
+            .expect("runs");
 
         println!(
             "— {policy}: {} jobs on {nodes} nodes, makespan {:.0} s, core util {:.0}% —",

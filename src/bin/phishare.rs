@@ -139,26 +139,14 @@ fn build_workload(
     Ok(builder.build())
 }
 
-/// Resolve the chaos plans requested on the command line, if any.
+/// Resolve the run's fault and perturbation plans.
 ///
 /// `--fault-plan` / `--perturb-plan` load committed JSON (replaying a
-/// recorded failure); the `--dump-*` variants write the plans the config
-/// would generate so a chaotic run can be committed and replayed later.
-/// Returns `None` when no plan flag is present, keeping the plain code
-/// path untouched.
-fn chaos_plans(
-    flags: &Flags,
-    config: &ClusterConfig,
-) -> Result<Option<(FaultPlan, PerturbPlan)>, String> {
-    let keys = [
-        "fault-plan",
-        "dump-fault-plan",
-        "perturb-plan",
-        "dump-perturb-plan",
-    ];
-    if !keys.iter().any(|k| flags.has(k)) {
-        return Ok(None);
-    }
+/// recorded failure); otherwise the plans are the ones the config
+/// generates, exactly as a run without plan flags would use. The `--dump-*`
+/// variants write the plans out so a chaotic run can be committed and
+/// replayed later.
+fn chaos_plans(flags: &Flags, config: &ClusterConfig) -> Result<(FaultPlan, PerturbPlan), String> {
     let faults = match flags.get_str("fault-plan") {
         Some(path) => {
             let s =
@@ -188,7 +176,7 @@ fn chaos_plans(
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote perturb plan ({} events) to {path}", perturbs.len());
     }
-    Ok(Some((faults, perturbs)))
+    Ok((faults, perturbs))
 }
 
 fn result_row(r: &phishare::cluster::ExperimentResult) -> Vec<String> {
@@ -227,18 +215,14 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         config.perturb = PerturbConfig::from_spec(spec)?;
     }
     let substrate: SubstrateMode = flags.get("substrate", SubstrateMode::Fast)?;
-    let plans = chaos_plans(flags, &config)?;
+    let (faults, perturbs) = chaos_plans(flags, &config)?;
+    let experiment = Experiment::new(&config, &workload)
+        .substrate(substrate)
+        .faults(&faults)
+        .perturbs(&perturbs);
 
     if flags.has("gantt") {
-        if substrate != SubstrateMode::Fast {
-            return Err("--gantt only supports the default substrate".into());
-        }
-        let (result, trace) = match &plans {
-            Some((faults, perturbs)) => {
-                Experiment::run_chaos_traced(&config, &workload, faults, perturbs, substrate)?
-            }
-            None => Experiment::run_traced(&config, &workload)?,
-        };
+        let (result, trace) = experiment.simulate_traced()?;
         println!("{}", table(&RESULT_HEADER, &[result_row(&result)]));
         print!("{}", trace.node_gantt(96));
         let violations = phishare::cluster::audit(&config, &workload, &result, &trace);
@@ -252,12 +236,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         }
         return Ok(());
     }
-    let result = match &plans {
-        Some((faults, perturbs)) => {
-            Experiment::run_chaos_traced(&config, &workload, faults, perturbs, substrate)?.0
-        }
-        None => Experiment::run_with_substrate(&config, &workload, substrate)?,
-    };
+    let result = experiment.simulate()?;
     if flags.has("json") {
         println!(
             "{}",
@@ -383,7 +362,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     let workers: usize = flags.get("workers", 0)?;
     let results = if workers == 0 {
         // In-process thread sweep (the sharded path is bit-identical).
-        phishare::cluster::sweep::run_sweep_substrate_auto(grid, substrate)
+        phishare::cluster::run_sweep(grid, phishare::cluster::default_threads(), substrate)
     } else {
         let opts = ShardOptions {
             workers,

@@ -170,7 +170,9 @@ proptest! {
 
         // The runtime's own post-drain checks already fail the run on any
         // capacity leak or live job, so an Ok here is itself an invariant.
-        let (r, trace) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (r, trace) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
             .expect("chaos run must drain cleanly");
 
         // Conservation: every submitted job ends exactly one way.
@@ -222,10 +224,14 @@ proptest! {
         let plan = FaultPlan { events };
 
         cfg.negotiation = phishare::condor::MatchPath::Delta;
-        let (delta, _) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (delta, _) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
             .expect("delta run must drain cleanly");
         cfg.negotiation = phishare::condor::MatchPath::Full;
-        let (full, _) = Experiment::run_with_faults_traced(&cfg, &wl, &plan)
+        let (full, _) = Experiment::new(&cfg, &wl)
+            .faults(&plan)
+            .simulate_traced()
             .expect("full run must drain cleanly");
 
         prop_assert_eq!(delta, full, "delta and full experiments diverged");
@@ -270,15 +276,17 @@ proptest! {
         let perturb_plan = PerturbPlan::generate(&cfg);
 
         cfg.skip_quiescent = true;
-        let (skip, skip_trace) = Experiment::run_chaos_traced(
-            &cfg, &wl, &fault_plan, &perturb_plan, phishare::cluster::SubstrateMode::Fast,
-        )
-        .expect("skip-on chaos run must drain cleanly");
+        let (skip, skip_trace) = Experiment::new(&cfg, &wl)
+            .faults(&fault_plan)
+            .perturbs(&perturb_plan)
+            .simulate_traced()
+            .expect("skip-on chaos run must drain cleanly");
         cfg.skip_quiescent = false;
-        let (full, full_trace) = Experiment::run_chaos_traced(
-            &cfg, &wl, &fault_plan, &perturb_plan, phishare::cluster::SubstrateMode::Fast,
-        )
-        .expect("skip-off chaos run must drain cleanly");
+        let (full, full_trace) = Experiment::new(&cfg, &wl)
+            .faults(&fault_plan)
+            .perturbs(&perturb_plan)
+            .simulate_traced()
+            .expect("skip-off chaos run must drain cleanly");
 
         if skip != full || skip_trace.events != full_trace.events {
             dump_artifact("quiescence_bit_identity", &cfg, &fault_plan, &perturb_plan);
@@ -332,14 +340,16 @@ proptest! {
         events.sort_by_key(|f| (f.at, f.node, f.device, f.kind as u8));
         let plan = FaultPlan { events };
 
-        let (heap, heap_trace) = Experiment::run_with_substrate_faults_traced(
-            &cfg, &wl, &plan, phishare::cluster::SubstrateMode::Shared,
-        )
-        .expect("shared run must drain cleanly");
-        let (naive, naive_trace) = Experiment::run_with_substrate_faults_traced(
-            &cfg, &wl, &plan, phishare::cluster::SubstrateMode::SharedNaive,
-        )
-        .expect("naive shared run must drain cleanly");
+        let (heap, heap_trace) = Experiment::new(&cfg, &wl)
+            .substrate(phishare::cluster::SubstrateMode::Shared)
+            .faults(&plan)
+            .simulate_traced()
+            .expect("shared run must drain cleanly");
+        let (naive, naive_trace) = Experiment::new(&cfg, &wl)
+            .substrate(phishare::cluster::SubstrateMode::SharedNaive)
+            .faults(&plan)
+            .simulate_traced()
+            .expect("naive shared run must drain cleanly");
 
         prop_assert_eq!(heap, naive, "shared engines diverged under faults");
         prop_assert_eq!(
@@ -387,7 +397,11 @@ proptest! {
         let perturb_plan = PerturbPlan::generate(&cfg);
 
         let run = |mode| {
-            Experiment::run_chaos_traced(&cfg, &wl, &fault_plan, &perturb_plan, mode)
+            Experiment::new(&cfg, &wl)
+                .substrate(mode)
+                .faults(&fault_plan)
+                .perturbs(&perturb_plan)
+                .simulate_traced()
                 .expect("chaos run must drain cleanly")
         };
         let (fast, fast_trace) = run(phishare::cluster::SubstrateMode::Fast);

@@ -41,7 +41,9 @@ fn mc_never_overlaps_offloads_on_a_device() {
         .count(60)
         .seed(41)
         .build();
-    let (_, trace) = Experiment::run_traced(&cfg(ClusterPolicy::Mc, 3), &wl).unwrap();
+    let (_, trace) = Experiment::new(&cfg(ClusterPolicy::Mc, 3), &wl)
+        .simulate_traced()
+        .unwrap();
     let spans = trace.offload_spans();
     for node in 1..=3 {
         let node_spans: Vec<_> = spans.iter().filter(|s| s.node == node).collect();
@@ -72,7 +74,9 @@ fn cosmic_thread_cap_holds_under_all_sharing_policies() {
         ClusterPolicy::Mcck,
         ClusterPolicy::Oracle,
     ] {
-        let (_, trace) = Experiment::run_traced(&cfg(policy, 2), &wl).unwrap();
+        let (_, trace) = Experiment::new(&cfg(policy, 2), &wl)
+            .simulate_traced()
+            .unwrap();
         let spans = trace.offload_spans();
         for node in 1..=2 {
             let peak = max_concurrent_threads(&spans, node);
@@ -90,7 +94,9 @@ fn lifecycles_are_well_formed() {
         .count(40)
         .seed(43)
         .build();
-    let (result, trace) = Experiment::run_traced(&cfg(ClusterPolicy::Mcck, 2), &wl).unwrap();
+    let (result, trace) = Experiment::new(&cfg(ClusterPolicy::Mcck, 2), &wl)
+        .simulate_traced()
+        .unwrap();
     assert!(result.all_completed());
 
     // Per job: Submitted < Pinned ≤ Dispatched < Completed, offload
@@ -159,7 +165,9 @@ fn mc_trace_has_no_queued_offloads() {
         .count(30)
         .seed(44)
         .build();
-    let (_, trace) = Experiment::run_traced(&cfg(ClusterPolicy::Mc, 2), &wl).unwrap();
+    let (_, trace) = Experiment::new(&cfg(ClusterPolicy::Mc, 2), &wl)
+        .simulate_traced()
+        .unwrap();
     assert!(!trace
         .events
         .iter()
