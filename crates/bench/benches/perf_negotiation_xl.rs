@@ -252,10 +252,11 @@ fn gate() -> XlBench {
         speedup: full.negotiate_ms / delta.negotiate_ms,
         speedup_floor: SPEEDUP_FLOOR,
         matched: delta.matched,
-        // The measured side is the PR 6 job-sharded delta screen: one
-        // collector partition, shard fan-out from the environment. The
-        // streaming churn keeps every cycle non-quiescent, but the
-        // detector is on (as it is in production).
+        // The measured side is the unpartitioned delta screen: one
+        // collector partition, its job-chunk fan-out sized by the
+        // `PHISHARE_PARTITION_THREADS` thread budget. The streaming churn
+        // keeps every cycle non-quiescent, but the detector is on (as it
+        // is in production).
         knobs: GateKnobs {
             partitions: delta.collector.partitions(),
             threads: delta.negotiator.shard_count(),

@@ -12,8 +12,8 @@
 //! * **measured** — the partitioned delta path (8 collector partitions)
 //!   with quiescence detection on: burst/wash cycles screen per-partition
 //!   and merge, quiescent cycles short-circuit in O(1).
-//! * **baseline** — the PR 6 delta path: one partition, job-sharded
-//!   screen, quiescence off. Every quiescent cycle still walks the whole
+//! * **baseline** — the unpartitioned delta path: one partition, its
+//!   screen split into job chunks, quiescence off. Every quiescent cycle still walks the whole
 //!   pending set to rediscover that nothing changed.
 //! * **oracle** — `MatchPath::Full`, which re-evaluates every pending job
 //!   from scratch each cycle.

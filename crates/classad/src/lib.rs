@@ -10,7 +10,7 @@
 //!   ClassAd-style three-valued logic;
 //! * [`lexer`] / [`parser`] — a Pratt expression parser for the operator set
 //!   `|| && == != =?= =!= < <= > >= + - * / !` with parentheses;
-//! * [`eval`] — evaluation against a `MY` ad and an optional `TARGET` ad,
+//! * [`eval`](mod@eval) — evaluation against a `MY` ad and an optional `TARGET` ad,
 //!   with bare attribute names resolving MY-first-then-TARGET as in Condor;
 //! * [`ClassAd`] — the attribute map, plus two-sided
 //!   [`matches`](ClassAd::matches) and `Rank`-based ordering used by the

@@ -40,7 +40,11 @@ impl From<LexError> for ParseError {
 /// ```
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let expr = p.ternary()?;
     if p.pos != p.tokens.len() {
         return Err(ParseError::Unexpected(format!(
@@ -51,9 +55,16 @@ pub fn parse(input: &str) -> Result<Expr, ParseError> {
     Ok(expr)
 }
 
+/// Deepest nesting — parentheses, call arguments, conditionals and unary
+/// operators — the parser accepts. It recurses once per level, so an
+/// unbounded depth would let hostile input overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -78,9 +89,30 @@ impl Parser {
         }
     }
 
+    /// Parse one nesting level with `parse`, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Expr, ParseError>,
+    ) -> Result<Expr, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError::Unexpected(format!(
+                "expression nests deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.depth += 1;
+        let expr = parse(self);
+        self.depth -= 1;
+        expr
+    }
+
+    /// One nesting level holding a full expression.
+    fn ternary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::conditional)
+    }
+
     /// The ternary conditional sits below every binary operator and is
     /// right-associative: `a ? b : c ? d : e` = `a ? b : (c ? d : e)`.
-    fn ternary(&mut self) -> Result<Expr, ParseError> {
+    fn conditional(&mut self) -> Result<Expr, ParseError> {
         let cond = self.expression(0)?;
         if self.peek() != Some(&Token::Question) {
             return Ok(cond);
@@ -116,13 +148,12 @@ impl Parser {
             Some(Token::Int(n)) => Ok(Expr::Lit(Value::Int(n))),
             Some(Token::Float(x)) => Ok(Expr::Lit(Value::Float(x))),
             Some(Token::Str(s)) => Ok(Expr::Lit(Value::Str(s))),
+            // Unary operators bind tighter than any binop.
             Some(Token::Bang) => {
-                let e = self.expression(7)?; // binds tighter than any binop
-                Ok(Expr::Unary(UnOp::Not, Box::new(e)))
+                self.nested(|p| Ok(Expr::Unary(UnOp::Not, Box::new(p.expression(7)?))))
             }
             Some(Token::Minus) => {
-                let e = self.expression(7)?;
-                Ok(Expr::Unary(UnOp::Neg, Box::new(e)))
+                self.nested(|p| Ok(Expr::Unary(UnOp::Neg, Box::new(p.expression(7)?))))
             }
             Some(Token::LParen) => {
                 let e = self.ternary()?;
@@ -280,5 +311,19 @@ mod tests {
             s.push(')');
         }
         assert_eq!(p(&s), "1");
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let parens = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        // The outermost expression is one level; each parenthesis adds one.
+        assert_eq!(p(&parens(MAX_DEPTH - 1)), "1");
+        let err = parse(&parens(MAX_DEPTH)).unwrap_err();
+        assert!(err.to_string().contains("nests deeper than"), "{err}");
+        // Far past the limit through every recursive construct: an error.
+        for hostile in ["(", "-", "!", "f(", "1 ? 1 : "] {
+            let src = format!("{}1", hostile.repeat(200_000));
+            assert!(parse(&src).is_err(), "{hostile}");
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! resets and node churn events that the runtime folds into its event queue.
 //! Recovery behaviour is governed by [`RecoveryConfig`] and implemented in
 //! `runtime.rs`; the invariants it must uphold are checked by
-//! [`crate::audit`].
+//! [`crate::audit()`].
 //!
 //! Determinism: the plan is drawn from [`DetRng::substream`] with the
 //! dedicated `"fault-plan"` label, so enabling faults never perturbs any

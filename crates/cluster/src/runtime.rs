@@ -157,7 +157,7 @@ impl std::str::FromStr for SubstrateMode {
 }
 
 impl std::fmt::Display for SubstrateMode {
-    /// The CLI spelling; round-trips through [`SubstrateMode::from_str`]
+    /// The CLI spelling; round-trips through [`str::parse`]
     /// (the sweep manifests of [`crate::shard`] persist this form).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {

@@ -20,7 +20,7 @@
 //! 3. Each worker appends finished cells to its own `results-w<k>.jsonl`
 //!    log — one fsync'd record per line — and every record carries the
 //!    cell's grid index.
-//! 4. The parent merges all logs through the same [`OrderedSlots`]
+//! 4. The parent merges all logs through the same `OrderedSlots`
 //!    submission-order reassembly the in-process sweep uses: duplicate
 //!    indices and holes are hard errors, so a successful merge proves every
 //!    cell ran exactly once.
@@ -66,7 +66,7 @@ pub struct ManifestCell {
 }
 
 /// The sweep grid a worker process reconstructs its jobs from. On disk
-/// this splits into a small `manifest.json` ([`ManifestHeader`]) and one
+/// this splits into a small `manifest.json` (`ManifestHeader`) and one
 /// `workloads/wl-<i>.json` per distinct workload, so workers can load
 /// workloads lazily; in memory it carries everything.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@
 //! one worker and then the collector).
 //!
 //! For grids too large for one process, [`crate::shard`] fans the same
-//! cells out over worker *processes*; both paths share [`run_cell`] and
-//! the [`OrderedSlots`] merge, so the sharded output stays bit-identical
+//! cells out over worker *processes*; both paths share `run_cell` and
+//! the `OrderedSlots` merge, so the sharded output stays bit-identical
 //! to the in-process one.
 
 use crate::config::ClusterConfig;

@@ -153,11 +153,12 @@ pub(crate) fn partition_threads_override(raw: Option<&str>, parts: usize) -> usi
         .min(parts)
 }
 
-/// Worker threads partition-parallel phases should use: one per partition,
-/// capped at the host's parallelism (overridable via
+/// Worker threads partition-parallel phases and the negotiator's screen
+/// should use: the host's parallelism (overridable via
 /// `PHISHARE_PARTITION_THREADS`, mostly so tests can force the threaded
-/// path on single-core machines). A result of 1 means "stay serial".
-/// Public so benches can record the fan-out they actually measured.
+/// path on single-core machines), capped at `parts` units of work. A
+/// result of 1 means "stay serial". Public so benches can record the
+/// fan-out they actually measured.
 pub fn partition_threads(parts: usize) -> usize {
     partition_threads_override(
         std::env::var("PHISHARE_PARTITION_THREADS").ok().as_deref(),
@@ -206,13 +207,6 @@ impl SlotMeta {
     /// The slot's advertised free Phi memory, if numeric.
     pub fn free_phi_mem(&self) -> Option<f64> {
         self.indexed_vals.get(FREE_MEM_IDX).copied().flatten()
-    }
-
-    /// The slot's numeric value for registered guard attribute `idx`, if
-    /// present and numeric. Exact for guard pre-screens: a numeric guard
-    /// rejects every slot whose attribute is absent or non-numeric.
-    pub fn indexed_val(&self, idx: usize) -> Option<f64> {
-        self.indexed_vals.get(idx).copied().flatten()
     }
 }
 
@@ -482,19 +476,11 @@ impl Collector {
         merged.map(|(_, slot)| slot)
     }
 
-    /// [`Collector::dirty_since`] restricted to partition `pi` — the
-    /// partition-parallel screen's shard of a certified job's candidates.
-    pub fn partition_dirty_since(&self, pi: usize, seq: u64) -> impl Iterator<Item = SlotId> + '_ {
-        self.parts[pi]
-            .dirty
-            .range((Bound::Excluded(seq), Bound::Unbounded))
-            .map(|(_, slot)| *slot)
-    }
-
-    /// [`Collector::partition_dirty_since`] with stamps. The partitioned
-    /// screen hoists this into one per-cycle cache per partition and slices
-    /// it per job by certificate with a binary search, instead of
-    /// re-walking the dirty map once per (job, partition) pair.
+    /// [`Collector::dirty_since`] restricted to partition `pi`, with
+    /// stamps, in stamp order. The negotiator's screen hoists this into one
+    /// per-cycle cache per screen unit and slices it per job by certificate
+    /// with a binary search, instead of re-walking the dirty map once per
+    /// (job, partition) pair.
     pub fn partition_dirty_entries_since(
         &self,
         pi: usize,
@@ -1244,7 +1230,10 @@ mod tests {
         assert_eq!(c.dirty_since(s0).collect::<Vec<_>>(), touched);
         // Per-partition views shard the same set disjointly.
         let mut sharded: Vec<SlotId> = (0..c.partitions())
-            .flat_map(|pi| c.partition_dirty_since(pi, s0).collect::<Vec<_>>())
+            .flat_map(|pi| {
+                c.partition_dirty_entries_since(pi, s0)
+                    .map(|(_, slot)| slot)
+            })
             .collect();
         sharded.sort();
         let mut all: Vec<SlotId> = c.dirty_since(s0).collect();

@@ -56,7 +56,7 @@
 //! 2. **screen** (read-only): each pending job computes its best slot
 //!    against the pre-cycle snapshot — certificate holders over their dirty
 //!    set, the rest over the indexed pool. Jobs are independent here, so
-//!    the screen shards across scoped threads (see below).
+//!    the screen fans out across scoped threads (see below).
 //! 3. **commit** (serial): jobs claim in FIFO order. A job whose screened
 //!    winner is still valid (not claimed, not dirtied since the snapshot)
 //!    only re-ranks slots dirtied *during* the cycle by earlier commits and
@@ -66,34 +66,32 @@
 //!    back to a full indexed rescan; if the screen found nothing, only the
 //!    in-cycle dirty set can admit the job.
 //!
-//! # Sharding determinism
+//! # The screen and its fan-out
 //!
-//! Phase 2 is embarrassingly parallel: workers share `&JobQueue` and
-//! `&Collector` (no interior mutability anywhere below them), each owns a
-//! contiguous chunk of the pending list, and results merge back by job
-//! index. Screening is a pure function of (job, snapshot), so the shard
-//! count — [`Negotiator::with_shards`] or the `PHISHARE_NEGOTIATOR_SHARDS`
-//! env override — cannot change any result, only wall-clock time. All
-//! claims and resource decrements happen in the serial phase 3, which
-//! remains the sole author of collector mutations; match order is FIFO by
-//! construction.
+//! Every path screens through one pre-screen recipe: a job's requirement
+//! compiles to a `ScreenPlan` (never → `Name` pin → `Machine` pin →
+//! narrowest guard index → unclaimed scan) once per cycle, and one executor
+//! runs that plan against either the whole pool or one collector partition
+//! ([`Collector::with_partitions`]). The full path and the commit-phase
+//! rescan execute plans against the whole pool. A delta certificate holder
+//! re-ranks its dirt instead, unless its own plan is provably narrow (a
+//! pin, an impossible requirement, or a guard range under the selectivity
+//! probe); then that plan runs once against the whole pool.
 //!
-//! # Partitioned screen
-//!
-//! When the collector is partitioned ([`Collector::with_partitions`]), the
-//! delta path swaps the job-sharded screen for a *partition-parallel* one:
-//! each pending job first compiles a [`ScreenPlan`] — pin resolution,
-//! guard-index selection, and the selectivity probe hoisted out of the
-//! per-partition loop — and then every partition screens all jobs against
-//! only its own slots (its dirty shard, its slice of the guard index, its
-//! unclaimed slots). Certificate dirt is cached per partition as one
-//! stamp-sorted vector and sliced per job by binary search. The
-//! per-partition winners merge serially by the winner rule (highest rank,
-//! ties to the lowest slot id) — a total order, so merging the partition
-//! maxima equals evaluating the union, and the result is bit-identical to
-//! the unpartitioned screen for any partition count. Partitions screen on
-//! scoped threads when the machine has them (`PHISHARE_PARTITION_THREADS`
-//! caps the fan-out); phase 3 stays serial either way.
+//! The remaining plans fan out over (partition × job-chunk) units: one
+//! unit per partition when the collector is partitioned, and up to eight
+//! job chunks of a long pending list when it is not. Units share
+//! `&JobQueue` and `&Collector` (no interior mutability anywhere below
+//! them) and each caches its partition's dirt since its oldest certificate
+//! as one stamp-sorted vector, sliced per job by binary search. The
+//! per-unit winners merge serially by the winner rule (highest rank, ties
+//! to the lowest slot id) — a total order, so merging partition maxima
+//! equals evaluating the union, and results are independent of both the
+//! partition count and the thread count. Units run on scoped threads when
+//! the thread budget allows (`PHISHARE_PARTITION_THREADS`, else the
+//! machine's parallelism). All claims and resource decrements happen in
+//! the serial phase 3, which remains the sole author of collector
+//! mutations; match order is FIFO by construction.
 //!
 //! # Quiescent cycles
 //!
@@ -163,12 +161,12 @@ impl std::str::FromStr for MatchPath {
     }
 }
 
-/// Pending-job count below which the phase-2 screen stays serial — thread
-/// spawn overhead dwarfs the work saved on small queues.
+/// Pending-job count below which an unpartitioned screen is not split into
+/// job chunks — thread spawn overhead dwarfs the work saved on small queues.
 const PAR_SCREEN_MIN: usize = 32;
 
-/// Cap on the default shard count (explicit overrides may exceed it).
-const MAX_DEFAULT_SHARDS: usize = 8;
+/// Most job chunks an unpartitioned screen is split into.
+const MAX_SCREEN_CHUNKS: usize = 8;
 
 /// How many candidates the guard-index selectivity probe inspects per
 /// index before choosing the narrowest (see [`pick_guard_index`]).
@@ -182,9 +180,6 @@ pub struct Negotiator {
     pub interval: SimDuration,
     /// Which implementation [`Negotiator::negotiate_with_stats`] runs.
     pub path: MatchPath,
-    /// Phase-2 shard count; `None` resolves via
-    /// `PHISHARE_NEGOTIATOR_SHARDS` or the machine's parallelism.
-    shards: Option<usize>,
     /// Whether the delta path may skip provably no-op cycles (module
     /// docs). Unobservable in results; off only to measure the skip.
     quiescence: bool,
@@ -195,7 +190,6 @@ impl Default for Negotiator {
         Negotiator {
             interval: SimDuration::from_secs(60),
             path: MatchPath::default(),
-            shards: None,
             quiescence: true,
         }
     }
@@ -215,15 +209,6 @@ impl Negotiator {
         Negotiator { path, ..self }
     }
 
-    /// Pin the phase-2 shard count (1 = serial screen). Results are
-    /// shard-count independent; only wall-clock time changes.
-    pub fn with_shards(self, shards: usize) -> Self {
-        Negotiator {
-            shards: Some(shards.max(1)),
-            ..self
-        }
-    }
-
     /// Enable or disable the quiescent-cycle fast path (delta path only;
     /// on by default). Results are identical either way — disabling it
     /// exists so benchmarks can time the executed cycle.
@@ -240,11 +225,10 @@ impl Negotiator {
             .is_some_and(|floor| collector.max_watermark() <= floor)
     }
 
-    /// Job shards the P = 1 delta screen fans out over (the configured
-    /// override, else [`default_shards`]). Benches record this in their
-    /// committed knob blocks.
+    /// Job chunks an unpartitioned delta screen of a long queue fans out
+    /// over. Benches and the benchmark record this in their knob blocks.
     pub fn shard_count(&self) -> usize {
-        self.shards.unwrap_or_else(default_shards)
+        crate::collector::partition_threads(MAX_SCREEN_CHUNKS)
     }
 
     /// Run one negotiation cycle: examine pending jobs in FIFO order, match
@@ -276,9 +260,8 @@ impl Negotiator {
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
         register_guard_indexes(queue, &queue.pending(), collector);
-        let mut scratch: Vec<SlotId> = Vec::new();
         run_cycle(queue, collector, |job, collector, _| {
-            best_slot(&job.ad, job.compiled(), collector, &mut scratch).map(|(_, slot)| slot)
+            best_slot(job, collector).map(|(_, slot)| slot)
         })
     }
 
@@ -309,46 +292,29 @@ impl Negotiator {
         // Phase 1: register guard indexes while we still hold `&mut`.
         register_guard_indexes(queue, &pending, collector);
         let s0 = collector.seq();
-        // Phase 2: read-only screen against the pre-cycle snapshot —
-        // partition-parallel when the collector is partitioned, job-sharded
-        // otherwise (the P=1 path is byte-for-byte the pre-partition one).
-        let screens = if collector.partitions() > 1 {
-            screen_pending_partitioned(queue, &pending, collector)
-        } else {
-            screen_pending(queue, &pending, collector, self.shard_count())
-        };
+        // Phase 2: read-only screen against the pre-cycle snapshot.
+        let screens = screen_pending(queue, &pending, collector);
         // Phase 3: serial FIFO commit.
-        let mut scratch: Vec<SlotId> = Vec::new();
+        let in_cycle_dirt = ScreenPlan::Dirty(s0);
         run_cycle(queue, collector, |job, collector, idx| {
             let choice = match screens[idx] {
                 // Screened unmatched against the snapshot: only slots
                 // dirtied by this cycle's earlier commits can admit.
-                None => best_among(
-                    &job.ad,
-                    job.compiled(),
-                    collector,
-                    collector.dirty_since(s0),
-                ),
-                Some((rank0, winner)) => {
-                    let valid = collector.get(winner).is_some_and(|s| !s.claimed)
-                        && !collector.dirtied_after(winner, s0);
+                None => execute(&in_cycle_dirt, job, collector, Scope::Global),
+                Some(winner) => {
+                    let valid = collector.get(winner.1).is_some_and(|s| !s.claimed)
+                        && !collector.dirtied_after(winner.1, s0);
                     if valid {
                         // The snapshot winner still stands; only in-cycle
-                        // dirty slots could beat it. Winner rule: higher
-                        // rank, ties to the lowest slot id.
-                        match best_among(
-                            &job.ad,
-                            job.compiled(),
-                            collector,
-                            collector.dirty_since(s0),
-                        ) {
-                            Some((r, s)) if r > rank0 || (r == rank0 && s < winner) => Some((r, s)),
-                            _ => Some((rank0, winner)),
-                        }
+                        // dirty slots could beat it.
+                        merge(
+                            Some(winner),
+                            execute(&in_cycle_dirt, job, collector, Scope::Global),
+                        )
                     } else {
                         // Winner claimed or re-advertised mid-cycle; the
                         // snapshot's runner-up is unknown, so rescan.
-                        best_slot(&job.ad, job.compiled(), collector, &mut scratch)
+                        best_slot(job, collector)
                     }
                 }
             };
@@ -454,344 +420,236 @@ fn register_guard_indexes(queue: &JobQueue, pending: &[JobId], collector: &mut C
     }
 }
 
-/// Phase-2 screen of every pending job against the current (frozen)
-/// collector snapshot, sharded across scoped threads when the queue is
-/// long enough. Returns one entry per pending job, merged by index —
-/// bit-identical to the serial screen (module docs).
-fn screen_pending(
-    queue: &JobQueue,
-    pending: &[JobId],
-    collector: &Collector,
-    shards: usize,
-) -> Vec<Option<(f64, SlotId)>> {
-    let screen_chunk = |ids: &[JobId]| -> Vec<Option<(f64, SlotId)>> {
-        let mut scratch: Vec<SlotId> = Vec::new();
-        ids.iter()
-            .map(|&id| {
-                let job = queue.get(id).expect("pending job exists");
-                screen_job(job, collector, &mut scratch)
-            })
-            .collect()
-    };
+/// One job's screen result: the best admitting slot and its rank.
+type Screen = Option<(f64, SlotId)>;
 
-    if shards <= 1 || pending.len() < PAR_SCREEN_MIN {
-        return screen_chunk(pending);
-    }
-    let chunk = pending.len().div_ceil(shards);
-    let mut screens = Vec::with_capacity(pending.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pending
-            .chunks(chunk)
-            .map(|ids| scope.spawn(move || screen_chunk(ids)))
-            .collect();
-        for handle in handles {
-            screens.extend(handle.join().expect("screen shard panicked"));
-        }
-    });
-    screens
-}
-
-/// One job's per-cycle screening recipe, compiled once and reused by every
-/// partition: pin resolution, guard-index selection, and the selectivity
-/// probe are hoisted here instead of re-running per (job, partition).
-#[derive(Debug, Clone)]
-enum ScreenPlan {
+/// One job's per-cycle screening recipe: the pre-screen narrowing (pin
+/// resolution, guard-index selection and its selectivity probe) is
+/// compiled once by [`plan_job`] and then executed by [`execute`] against
+/// the whole pool or against each partition.
+#[derive(Debug)]
+enum ScreenPlan<'c> {
     /// Certificate holder: re-rank only slots dirtied after this sequence.
     Dirty(u64),
     /// No candidates anywhere: an impossible requirement, or a certificate
     /// no dirtying mutation has outrun.
     Never,
-    /// Screened once globally at plan-compilation time: a stale
-    /// certificate holder whose own prefilter is provably narrow (see
-    /// [`stale_narrow_plan`]) gains nothing from partition fan-out, so its
-    /// winner is computed up front and every partition skips it.
-    Resolved(Option<(f64, SlotId)>),
     /// Pinned to a slot name (resolved once; `None` = no such slot).
     Name(Option<SlotId>),
     /// Pinned to a machine; its slots, resolved once.
-    Machine(Box<[SlotId]>),
-    /// Narrowest admitting guard index and bound, probed once.
-    Guard(usize, f64),
+    Machine(&'c [SlotId]),
+    /// Narrowest admitting guard index and bound, probed once; `narrow`
+    /// when the probe proved the range holds fewer than
+    /// [`SELECTIVITY_PROBE`] slots.
+    Guard {
+        idx: usize,
+        bound: f64,
+        narrow: bool,
+    },
     /// No narrowing applies: unclaimed scan.
     Scan,
 }
 
-/// Compile one certificate-less job's [`ScreenPlan`], mirroring
-/// [`best_slot`]'s pre-screen order exactly.
-fn plan_job(req: &CompiledReq, collector: &Collector) -> ScreenPlan {
+/// Compile a requirement's pre-screen — the one place its order is
+/// written: never → `Name` pin → `Machine` pin → narrowest guard index →
+/// unclaimed scan. Each source yields a superset of the job's true
+/// matches among unclaimed slots (claimed slots are filtered in
+/// [`best_among`]), so the full re-check keeps the result exact.
+fn plan_job<'c>(req: &CompiledReq, collector: &'c Collector) -> ScreenPlan<'c> {
     if req.is_never() {
         ScreenPlan::Never
     } else if let Some(name) = req.pin(attrs::lc::NAME) {
         ScreenPlan::Name(collector.slot_by_name(name))
     } else if let Some(machine) = req.pin(attrs::lc::MACHINE) {
-        ScreenPlan::Machine(collector.slots_on_machine(machine).into())
-    } else if let Some((idx, bound)) = pick_guard_index(req, collector) {
-        ScreenPlan::Guard(idx, bound)
+        ScreenPlan::Machine(collector.slots_on_machine(machine))
+    } else if let Some((idx, bound, probe)) = pick_guard_index(req, collector) {
+        ScreenPlan::Guard {
+            idx,
+            bound,
+            narrow: probe < SELECTIVITY_PROBE,
+        }
     } else {
         ScreenPlan::Scan
     }
 }
 
-/// Phase-2 screen over a partitioned collector: every partition screens
-/// all pending jobs against only its own slots, then the per-partition
-/// winners merge serially by the winner rule. Bit-identical to
-/// [`screen_pending`] for any partition count (module docs): each plan's
-/// per-partition candidate sets union to exactly the serial candidate set,
-/// and the winner rule is a total order, so the merge of partition maxima
-/// is the global maximum.
-fn screen_pending_partitioned(
-    queue: &JobQueue,
-    pending: &[JobId],
-    collector: &Collector,
-) -> Vec<Option<(f64, SlotId)>> {
+/// Where [`execute`] draws a plan's candidates from.
+#[derive(Clone, Copy)]
+enum Scope<'d> {
+    /// The whole pool, through the collector's merged indexes.
+    Global,
+    /// One partition's slots; certificate dirt comes from that partition's
+    /// per-cycle cache (stamp-sorted, sliced per job by binary search).
+    Partition(usize, &'d [(u64, SlotId)]),
+}
+
+/// Run one plan for `job` within `scope` and return the winner.
+fn execute(plan: &ScreenPlan, job: &QueuedJob, collector: &Collector, scope: Scope) -> Screen {
+    let (ad, req) = (&job.ad, job.compiled());
+    let in_scope = |slot: &SlotId| match scope {
+        Scope::Global => true,
+        Scope::Partition(pi, _) => collector.part_of(slot.node) == pi,
+    };
+    match (plan, scope) {
+        (ScreenPlan::Never, _) => None,
+        (ScreenPlan::Name(slot), _) => best_among(ad, req, collector, slot.filter(in_scope)),
+        (ScreenPlan::Machine(slots), _) => {
+            best_among(ad, req, collector, slots.iter().copied().filter(in_scope))
+        }
+        (ScreenPlan::Dirty(seq), Scope::Global) => {
+            best_among(ad, req, collector, collector.dirty_since(*seq))
+        }
+        (ScreenPlan::Dirty(seq), Scope::Partition(_, dirt)) => {
+            let start = dirt.partition_point(|&(stamp, _)| stamp <= *seq);
+            best_among(ad, req, collector, dirt[start..].iter().map(|&(_, s)| s))
+        }
+        (ScreenPlan::Guard { idx, bound, .. }, Scope::Global) => best_among(
+            ad,
+            req,
+            collector,
+            collector.indexed_range_at_least(*idx, *bound),
+        ),
+        (ScreenPlan::Guard { idx, bound, .. }, Scope::Partition(pi, _)) => best_among(
+            ad,
+            req,
+            collector,
+            collector.partition_indexed_range_at_least(pi, *idx, *bound),
+        ),
+        (ScreenPlan::Scan, Scope::Global) => {
+            best_among(ad, req, collector, collector.unclaimed_iter())
+        }
+        (ScreenPlan::Scan, Scope::Partition(pi, _)) => {
+            best_among(ad, req, collector, collector.partition_unclaimed_iter(pi))
+        }
+    }
+}
+
+/// Find the best slot for one job over the whole pool.
+fn best_slot(job: &QueuedJob, collector: &Collector) -> Screen {
+    execute(
+        &plan_job(job.compiled(), collector),
+        job,
+        collector,
+        Scope::Global,
+    )
+}
+
+/// Phase-2 screen of every pending job against the current (frozen)
+/// collector snapshot, one entry per pending job (module docs).
+///
+/// Each job's plan is compiled once. A certificate holder re-ranks only
+/// the dirt since its certificate — unless its own prefilter is provably
+/// narrow, in which case that plan runs here, once, against the global
+/// indexes (the dirt and the prefilter both contain every admitter, and
+/// [`best_among`] is enumeration-independent over supersets). The other
+/// plans fan out over (partition × job-chunk) units; the per-unit winners
+/// merge serially, in partition order, by the winner rule.
+fn screen_pending(queue: &JobQueue, pending: &[JobId], collector: &Collector) -> Vec<Screen> {
+    let job = |id: JobId| queue.get(id).expect("pending job exists");
+    let mut screens: Vec<Screen> = Vec::with_capacity(pending.len());
     let plans: Vec<ScreenPlan> = pending
         .iter()
         .map(|&id| {
-            let job = queue.get(id).expect("pending job exists");
-            match job.eval_seq() {
+            let job = job(id);
+            let (plan, seed) = match job.eval_seq() {
                 // A certificate no dirt has outrun still covers the pool.
-                Some(seq) if collector.max_watermark() <= seq => ScreenPlan::Never,
-                // Prefer the job's own narrow prefilter over the dirty walk
-                // when it is provably smaller — and since it is at most a
-                // handful of slots, screen it right here against the global
-                // indexes instead of fanning it out to every partition.
-                Some(seq) => match stale_narrow_plan(job.compiled(), collector) {
-                    Some(plan) => ScreenPlan::Resolved(screen_narrow(job, collector, &plan)),
-                    None => ScreenPlan::Dirty(seq),
+                Some(seq) if collector.max_watermark() <= seq => (ScreenPlan::Never, None),
+                Some(seq) => match plan_job(job.compiled(), collector) {
+                    ScreenPlan::Scan | ScreenPlan::Guard { narrow: false, .. } => {
+                        (ScreenPlan::Dirty(seq), None)
+                    }
+                    narrow => (
+                        ScreenPlan::Never,
+                        execute(&narrow, job, collector, Scope::Global),
+                    ),
                 },
-                None => plan_job(job.compiled(), collector),
-            }
+                None => (plan_job(job.compiled(), collector), None),
+            };
+            screens.push(seed);
+            plan
         })
         .collect();
-    // The oldest certificate bounds the per-partition dirty cache.
-    let oldest_cert = plans
-        .iter()
-        .filter_map(|p| match p {
-            ScreenPlan::Dirty(seq) => Some(*seq),
-            _ => None,
-        })
-        .min();
 
-    let screen_partition = |pi: usize| -> Vec<Option<(f64, SlotId)>> {
-        // Per-cycle dirty cache: this partition's dirt since the oldest
-        // certificate, stamp-sorted; each job slices it by binary search.
+    // One partition splits a long queue into job chunks; several
+    // partitions fan out one unit per partition. Both read one uncapped
+    // thread budget.
+    let parts = collector.partitions();
+    let threads = crate::collector::partition_threads(usize::MAX);
+    let chunks = if parts == 1 && pending.len() >= PAR_SCREEN_MIN {
+        threads.min(MAX_SCREEN_CHUNKS)
+    } else {
+        1
+    };
+    let chunk_len = pending.len().div_ceil(chunks).max(1);
+    // Rounding can leave fewer, fuller chunks than asked for.
+    let chunks = pending.len().div_ceil(chunk_len);
+    let screen_unit = |unit: usize| -> Vec<Screen> {
+        let (pi, ci) = (unit / chunks, unit % chunks);
+        let range = ci * chunk_len..pending.len().min((ci + 1) * chunk_len);
+        let (ids, plans) = (&pending[range.clone()], &plans[range]);
+        // Per-unit dirt cache: this partition's dirt since the chunk's
+        // oldest certificate.
+        let oldest_cert = plans
+            .iter()
+            .filter_map(|p| match p {
+                ScreenPlan::Dirty(seq) => Some(*seq),
+                _ => None,
+            })
+            .min();
         let dirt: Vec<(u64, SlotId)> = match oldest_cert {
             Some(seq) => collector.partition_dirty_entries_since(pi, seq).collect(),
             None => Vec::new(),
         };
-        pending
-            .iter()
-            .zip(&plans)
-            .map(|(&id, plan)| {
-                let job = queue.get(id).expect("pending job exists");
-                match plan {
-                    ScreenPlan::Dirty(seq) => {
-                        let start = dirt.partition_point(|&(stamp, _)| stamp <= *seq);
-                        best_among(
-                            &job.ad,
-                            job.compiled(),
-                            collector,
-                            dirt[start..].iter().map(|&(_, slot)| slot),
-                        )
-                    }
-                    ScreenPlan::Never => None,
-                    // Already screened globally at compilation; the merge
-                    // seeds these directly.
-                    ScreenPlan::Resolved(_) => None,
-                    ScreenPlan::Name(slot) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        slot.filter(|s| collector.part_of(s.node) == pi),
-                    ),
-                    ScreenPlan::Machine(slots) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        slots
-                            .iter()
-                            .copied()
-                            .filter(|s| collector.part_of(s.node) == pi),
-                    ),
-                    ScreenPlan::Guard(idx, bound) => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        collector.partition_indexed_range_at_least(pi, *idx, *bound),
-                    ),
-                    ScreenPlan::Scan => best_among(
-                        &job.ad,
-                        job.compiled(),
-                        collector,
-                        collector.partition_unclaimed_iter(pi),
-                    ),
-                }
-            })
+        ids.iter()
+            .zip(plans)
+            .map(|(&id, plan)| execute(plan, job(id), collector, Scope::Partition(pi, &dirt)))
             .collect()
     };
-
-    let parts = collector.partitions();
-    let threads = crate::collector::partition_threads(parts);
-    let mut per_part: Vec<Vec<Option<(f64, SlotId)>>> = Vec::with_capacity(parts);
-    if threads > 1 && !pending.is_empty() {
-        let screen_partition = &screen_partition;
+    let units = parts * chunks;
+    let per_unit: Vec<Vec<Screen>> = if threads > 1 && units > 1 {
+        let screen_unit = &screen_unit;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..parts)
-                .map(|pi| scope.spawn(move || screen_partition(pi)))
+            let handles: Vec<_> = (0..units)
+                .map(|unit| scope.spawn(move || screen_unit(unit)))
                 .collect();
-            for handle in handles {
-                per_part.push(handle.join().expect("partition screen panicked"));
-            }
-        });
-    } else {
-        per_part.extend((0..parts).map(screen_partition));
-    }
-
-    // Serial pre-commit merge: winner rule across partitions, per job;
-    // compilation-resolved screens seed their slots directly.
-    let mut screens: Vec<Option<(f64, SlotId)>> = plans
-        .iter()
-        .map(|plan| match plan {
-            ScreenPlan::Resolved(r) => *r,
-            _ => None,
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("screen unit panicked"))
+                .collect()
         })
-        .collect();
-    for part in per_part {
-        for (best, merged) in part.into_iter().zip(screens.iter_mut()) {
-            *merged = match (*merged, best) {
-                (None, b) => b,
-                (a, None) => a,
-                (Some((ra, sa)), Some((rb, sb))) => {
-                    if rb > ra || (rb == ra && sb < sa) {
-                        Some((rb, sb))
-                    } else {
-                        Some((ra, sa))
-                    }
-                }
-            };
+    } else {
+        (0..units).map(screen_unit).collect()
+    };
+
+    // Serial pre-commit merge, in partition order.
+    for (unit, part) in per_unit.into_iter().enumerate() {
+        let offset = (unit % chunks) * chunk_len;
+        for (best, merged) in part.into_iter().zip(&mut screens[offset..]) {
+            *merged = merge(*merged, best);
         }
     }
     screens
 }
 
-/// One job's screen: certificate holders re-rank only the slots dirtied
-/// since their certificate — or their own narrowing prefilter when that is
-/// provably smaller (see [`stale_narrow_plan`]); everyone else scans the
-/// pool through the narrowest index.
-fn screen_job(
-    job: &QueuedJob,
-    collector: &Collector,
-    scratch: &mut Vec<SlotId>,
-) -> Option<(f64, SlotId)> {
-    match job.eval_seq() {
-        Some(seq) => {
-            if collector.max_watermark() <= seq {
-                // Nothing has been dirtied since the certificate; it still
-                // covers the whole pool.
-                return None;
-            }
-            match stale_narrow_plan(job.compiled(), collector) {
-                Some(plan) => screen_narrow(job, collector, &plan),
-                None => best_among(
-                    &job.ad,
-                    job.compiled(),
-                    collector,
-                    collector.dirty_since(seq),
-                ),
+/// The winner rule over two screens: higher rank, ties to the lowest slot
+/// id; `b` replaces `a` only when it is strictly better.
+fn merge(a: Screen, b: Screen) -> Screen {
+    match (a, b) {
+        (None, b) => b,
+        (a, None) => a,
+        (Some((ra, sa)), Some((rb, sb))) => {
+            if rb > ra || (rb == ra && sb < sa) {
+                b
+            } else {
+                a
             }
         }
-        None => best_slot(&job.ad, job.compiled(), collector, scratch),
     }
-}
-
-/// Execute one of [`stale_narrow_plan`]'s plans against the *global*
-/// collector indexes — at most a handful of candidates by construction.
-fn screen_narrow(
-    job: &QueuedJob,
-    collector: &Collector,
-    plan: &ScreenPlan,
-) -> Option<(f64, SlotId)> {
-    match plan {
-        ScreenPlan::Never => None,
-        ScreenPlan::Name(slot) => best_among(&job.ad, job.compiled(), collector, *slot),
-        ScreenPlan::Machine(slots) => {
-            best_among(&job.ad, job.compiled(), collector, slots.iter().copied())
-        }
-        ScreenPlan::Guard(idx, bound) => best_among(
-            &job.ad,
-            job.compiled(),
-            collector,
-            collector.indexed_range_at_least(*idx, *bound),
-        ),
-        ScreenPlan::Dirty(_) | ScreenPlan::Scan | ScreenPlan::Resolved(_) => {
-            unreachable!("stale_narrow_plan only produces narrow plans")
-        }
-    }
-}
-
-/// A stale certificate holder's candidates are contained in *both* the
-/// dirt since its certificate and its own pre-screen superset (pin, guard
-/// range) — the certificate rules out every slot unchanged since `seq`,
-/// the prefilter rules out every slot the requirement cannot admit, and
-/// [`best_among`] is enumeration-independent over any superset of the true
-/// admitters. This returns the job's narrowing plan when it is *provably*
-/// no wider than the selectivity probe (a pin, an impossible requirement,
-/// or a guard range of fewer than [`SELECTIVITY_PROBE`] slots), so
-/// re-certifying e.g. a 50 GB memory request against a pool whose index
-/// tops out at 8 GB costs O(log pool) instead of one evaluation per dirty
-/// slot. `None` means the plan is unbounded — walk the dirt instead.
-fn stale_narrow_plan(req: &CompiledReq, collector: &Collector) -> Option<ScreenPlan> {
-    if req.is_never() {
-        Some(ScreenPlan::Never)
-    } else if let Some(name) = req.pin(attrs::lc::NAME) {
-        Some(ScreenPlan::Name(collector.slot_by_name(name)))
-    } else if let Some(machine) = req.pin(attrs::lc::MACHINE) {
-        Some(ScreenPlan::Machine(
-            collector.slots_on_machine(machine).into(),
-        ))
-    } else {
-        let (idx, bound) = pick_guard_index(req, collector)?;
-        let narrow = collector
-            .indexed_range_at_least(idx, bound)
-            .take(SELECTIVITY_PROBE)
-            .count()
-            < SELECTIVITY_PROBE;
-        narrow.then_some(ScreenPlan::Guard(idx, bound))
-    }
-}
-
-/// Find the best slot for one job over the whole pool, using the compiled
-/// requirement to pick the narrowest collector index. `scratch` is
-/// caller-owned, reused across jobs to avoid per-job allocation.
-fn best_slot(
-    job_ad: &ClassAd,
-    req: &CompiledReq,
-    collector: &Collector,
-    scratch: &mut Vec<SlotId>,
-) -> Option<(f64, SlotId)> {
-    if req.is_never() {
-        return None;
-    }
-
-    // Pre-screen: pick the narrowest index the compiled guards allow. Each
-    // source yields a superset of the job's true matches among unclaimed
-    // slots (claimed slots are filtered in `best_among`), so the full
-    // re-check keeps the result exact.
-    scratch.clear();
-    if let Some(name) = req.pin(attrs::lc::NAME) {
-        scratch.extend(collector.slot_by_name(name));
-    } else if let Some(machine) = req.pin(attrs::lc::MACHINE) {
-        scratch.extend_from_slice(collector.slots_on_machine(machine));
-    } else if let Some((idx, bound)) = pick_guard_index(req, collector) {
-        scratch.extend(collector.indexed_range_at_least(idx, bound));
-    } else {
-        scratch.extend(collector.unclaimed_iter());
-    }
-    best_among(job_ad, req, collector, scratch.iter().copied())
 }
 
 /// The narrowest registered guard index covering one of the requirement's
-/// `>=`/`>` guards, with its bound, or `None` when no guard has an index.
+/// `>=`/`>` guards, with its bound and probe count, or `None` when no
+/// guard has an index.
 ///
 /// Selectivity is estimated by walking at most [`SELECTIVITY_PROBE`]
 /// candidates of each index's range — enough to tell "a handful" from
@@ -799,8 +657,8 @@ fn best_slot(
 /// first guard in requirement order; an empty range short-circuits (the
 /// guard alone proves no slot matches). Deterministic: depends only on
 /// the requirement and the snapshot.
-fn pick_guard_index(req: &CompiledReq, collector: &Collector) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, (usize, f64))> = None;
+fn pick_guard_index(req: &CompiledReq, collector: &Collector) -> Option<(usize, f64, usize)> {
+    let mut best: Option<(usize, f64, usize)> = None;
     let mut seen: Vec<&str> = Vec::new();
     for g in req.guards() {
         if !matches!(g.op, GuardOp::Ge | GuardOp::Gt) || seen.contains(&g.attr.as_str()) {
@@ -817,31 +675,31 @@ fn pick_guard_index(req: &CompiledReq, collector: &Collector) -> Option<(usize, 
             .take(SELECTIVITY_PROBE)
             .count();
         if probe == 0 {
-            return Some((idx, bound));
+            return Some((idx, bound, 0));
         }
-        if best.is_none_or(|(count, _)| probe < count) {
-            best = Some((probe, (idx, bound)));
+        if best.is_none_or(|(_, _, count)| probe < count) {
+            best = Some((idx, bound, probe));
         }
     }
-    best.map(|(_, found)| found)
+    best
 }
 
 /// Rank `candidates` against the full two-sided match predicate and return
-/// the winner: highest rank, ties to the lowest slot id. The rule is a
-/// total order over admitted slots, so the result is independent of the
-/// candidate enumeration order — any superset of the true admitters yields
-/// the same winner.
+/// the winner by [`merge`]'s rule: highest rank, ties to the lowest slot
+/// id. The rule is a total order over admitted slots, so the result is
+/// independent of the candidate enumeration order — any superset of the
+/// true admitters yields the same winner.
 fn best_among(
     job_ad: &ClassAd,
     req: &CompiledReq,
     collector: &Collector,
     candidates: impl IntoIterator<Item = SlotId>,
-) -> Option<(f64, SlotId)> {
+) -> Screen {
     if req.is_never() {
         return None;
     }
     let rank_expr = job_ad.parsed_expr(attrs::lc::RANK);
-    let mut best: Option<(f64, SlotId)> = None;
+    let mut best: Screen = None;
     for slot in candidates {
         let status = collector.get(slot).expect("candidate slot exists");
         if status.claimed || !req.matches_target(job_ad, &status.ad) {
@@ -857,36 +715,9 @@ fn best_among(
             None => 0.0,
             Some(e) => eval(e, job_ad, Some(&status.ad)).as_f64().unwrap_or(0.0),
         };
-        let better = match best {
-            None => true,
-            Some((r, s)) => rank > r || (rank == r && slot < s),
-        };
-        if better {
-            best = Some((rank, slot));
-        }
+        best = merge(best, Some((rank, slot)));
     }
     best
-}
-
-/// Resolve the phase-2 shard count: the `PHISHARE_NEGOTIATOR_SHARDS` env
-/// override when set to a positive integer, else the machine's available
-/// parallelism capped at [`MAX_DEFAULT_SHARDS`].
-fn default_shards() -> usize {
-    let raw = std::env::var("PHISHARE_NEGOTIATOR_SHARDS").ok();
-    shards_override(raw.as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get().min(MAX_DEFAULT_SHARDS))
-            .unwrap_or(1)
-    })
-}
-
-/// Parse a shard-count override (the value of `PHISHARE_NEGOTIATOR_SHARDS`).
-/// `None` for absent, non-numeric, or non-positive values — the caller
-/// falls back to machine sizing. Injectable so the parse rules are testable
-/// without mutating process-global environment state.
-fn shards_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// Decrement the node-level Phi attributes on every slot ad of `node` to
@@ -1264,55 +1095,6 @@ mod tests {
         assert!(q_delta.pending().is_empty());
     }
 
-    #[test]
-    fn sharded_and_serial_screens_are_bit_identical() {
-        let build = || {
-            let mut q = JobQueue::new();
-            for i in 0..64 {
-                let ad = if i % 3 == 0 {
-                    exclusive_job_ad(&spec(i, 1000, 240))
-                } else {
-                    sharing_job_ad(&spec(i, 500 + (i % 7) * 900, 60))
-                };
-                q.submit(JobId(i), ad, SimTime::ZERO).unwrap();
-            }
-            (q, cluster(6, 3))
-        };
-        let (mut q_serial, mut c_serial) = build();
-        let (mut q_sharded, mut c_sharded) = build();
-        let serial = Negotiator::default()
-            .with_shards(1)
-            .negotiate_delta_with_stats(&mut q_serial, &mut c_serial);
-        let sharded = Negotiator::default()
-            .with_shards(5)
-            .negotiate_delta_with_stats(&mut q_sharded, &mut c_sharded);
-        assert_eq!(serial, sharded);
-        assert_eq!(c_serial, c_sharded);
-        assert_eq!(q_serial.pending(), q_sharded.pending());
-    }
-
-    #[test]
-    fn shards_override_parses_without_env() {
-        // The parse rules, through the injectable parameter — no
-        // process-global environment mutation.
-        assert_eq!(shards_override(Some("5")), Some(5));
-        assert_eq!(shards_override(Some(" 12 ")), Some(12));
-        assert_eq!(shards_override(Some("0")), None);
-        assert_eq!(shards_override(Some("not-a-number")), None);
-        assert_eq!(shards_override(None), None);
-    }
-
-    #[test]
-    fn shard_env_override_is_honored() {
-        // The one test that really mutates the variable, serialized behind
-        // the crate-wide env lock so no concurrent test observes the write.
-        let _guard = phishare_test_util::env_lock();
-        std::env::set_var("PHISHARE_NEGOTIATOR_SHARDS", "5");
-        assert_eq!(default_shards(), 5);
-        std::env::remove_var("PHISHARE_NEGOTIATOR_SHARDS");
-        assert!(default_shards() >= 1);
-    }
-
     /// Everything observable from a churny run: per-cycle (matches,
     /// stats), the final collector, and the final pending set.
     type ChurnyRun = (Vec<(Vec<Match>, CycleStats)>, Collector, Vec<JobId>);
@@ -1375,18 +1157,41 @@ mod tests {
         }
     }
 
+    /// One delta cycle over 64 mixed jobs — long enough that a single
+    /// partition splits the queue into job chunks.
+    fn wide_cycle(parts: usize) -> ChurnyRun {
+        let mut q = JobQueue::new();
+        for i in 0..64 {
+            let ad = if i % 3 == 0 {
+                exclusive_job_ad(&spec(i, 1000, 240))
+            } else {
+                sharing_job_ad(&spec(i, 500 + (i % 7) * 900, 60))
+            };
+            q.submit(JobId(i), ad, SimTime::ZERO).unwrap();
+        }
+        let mut c = cluster_partitioned(6, 3, parts);
+        let cycle = Negotiator::default().negotiate_delta_with_stats(&mut q, &mut c);
+        (vec![cycle], c, q.pending())
+    }
+
     #[test]
     fn partitioned_screen_on_forced_threads_matches_serial() {
-        // Force the threaded partition fan-out even on a single-core
-        // machine; serialized behind the crate env lock.
+        // Force the threaded fan-out (job chunks at P = 1, partitions at
+        // P = 4) even on a single-core machine; serialized behind the
+        // crate env lock.
         let _guard = phishare_test_util::env_lock();
-        std::env::set_var("PHISHARE_PARTITION_THREADS", "4");
-        let threaded = churny_run(4);
+        let runs = |threads: &str| {
+            std::env::set_var("PHISHARE_PARTITION_THREADS", threads);
+            [1, 4].map(|parts| [churny_run(parts), wide_cycle(parts)])
+        };
+        let threaded = runs("4");
+        let serial = runs("1");
         std::env::remove_var("PHISHARE_PARTITION_THREADS");
-        let serial = churny_run(4);
-        assert_eq!(threaded.0, serial.0);
-        assert_eq!(threaded.1, serial.1);
-        assert_eq!(threaded.2, serial.2);
+        for (threaded, serial) in threaded.iter().flatten().zip(serial.iter().flatten()) {
+            assert_eq!(threaded.0, serial.0);
+            assert_eq!(threaded.1, serial.1);
+            assert_eq!(threaded.2, serial.2);
+        }
     }
 
     #[test]

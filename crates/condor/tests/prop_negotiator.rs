@@ -388,9 +388,9 @@ proptest! {
     /// Partition-count invariance: the partitioned delta screen produces
     /// bit-identical matches, cycle stats, queue state, and collector state
     /// for every partition count across arbitrary churn histories. P = 1 is
-    /// the PR 6 job-sharded screen (the bench baseline); 2, 3, and 8
-    /// exercise uneven node→partition maps, cross-partition winner merges,
-    /// and per-partition dirty watermarks. `Collector: PartialEq` is itself
+    /// the unpartitioned layout (the bench baseline); 2, 3, and 8 exercise
+    /// uneven node→partition maps, cross-partition winner merges, and
+    /// per-partition dirty watermarks. `Collector: PartialEq` is itself
     /// partition-layout-blind, so the final-state comparisons are exact.
     #[test]
     fn partition_count_is_invisible_across_random_churn(

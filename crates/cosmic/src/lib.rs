@@ -1,7 +1,7 @@
 //! # phishare-cosmic — the node-level coprocessor middleware
 //!
 //! A reimplementation of the three COSMIC behaviours the paper relies on
-//! (§IV-D2), built from COSMIC's published description (HPDC'13 [6]):
+//! (§IV-D2), built from COSMIC's published description (HPDC'13 \[6\]):
 //!
 //! 1. **Offload scheduling** — offloads from co-resident jobs are admitted
 //!    only while the active thread sum stays within the hardware's 240

@@ -6,7 +6,7 @@
 //!   and evaluate them inline (the seed's solvers, retained as differential
 //!   oracles for the planning fast path);
 //! * [`solve_prepped_2d_with`] / [`solve_prepped_1d_with`] — take a
-//!   [`Prepped`](crate::prep::Prepped) instance produced by
+//!   [`Prepped`] instance produced by
 //!   [`prep_2d`](crate::prep::prep_2d) / [`prep_1d`](crate::prep::prep_1d)
 //!   (fit-filtered, multiplicity-truncated) and return selected *positions*
 //!   into it. Because both families funnel through the same cores, a prepped

@@ -98,11 +98,6 @@ impl CoreAllocator {
         self.total_cores - self.used.count()
     }
 
-    /// Cores currently allocated.
-    pub fn used_cores(&self) -> u32 {
-        self.used.count()
-    }
-
     /// Allocate `n` cores, preferring the lowest-indexed contiguous run and
     /// falling back to scattered free cores. Returns `None` when fewer than
     /// `n` cores are free.

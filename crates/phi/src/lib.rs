@@ -13,7 +13,7 @@
 //!   (rate-rescaling discrete-event execution);
 //! * **Thread oversubscription** (§II-C) — when the active offloads' thread
 //!   sum exceeds the hardware's 240, every offload slows superlinearly
-//!   (context-switch cost of the huge vector state; [6] reports up to 800 %);
+//!   (context-switch cost of the huge vector state; \[6\] reports up to 800 %);
 //! * **Affinity conflicts** — unmanaged (raw-MPSS) offloads that overlap
 //!   interfere even without oversubscription, because their thread
 //!   placements collide; COSMIC-pinned offloads run on disjoint cores and do

@@ -1,6 +1,6 @@
 //! The coprocessor performance model.
 //!
-//! Calibration targets come from the paper and its COSMIC reference [6]:
+//! Calibration targets come from the paper and its COSMIC reference \[6\]:
 //!
 //! * thread oversubscription on the Phi costs "as much as 800 %" — we model
 //!   the slowdown as `(Σthreads / hw_threads)^κ` for loads above 1, with
@@ -27,7 +27,7 @@ pub struct PerfModel {
     /// `1 / (1 + resident_penalty × max(0, n_res − knee)²)` of its solo
     /// rate. Resident processes contend for PCIe/DMA bandwidth (host↔device
     /// transfers happen between offloads), device memory bandwidth and the
-    /// ring interconnect, and run COI daemon threads. COSMIC [6] reports
+    /// ring interconnect, and run COI daemon threads. COSMIC \[6\] reports
     /// multiprocessing gains that flatten and reverse beyond a handful of
     /// co-resident processes — the knee models that sweet spot. The term
     /// applies to COSMIC-pinned offloads too: affinitization removes *core*

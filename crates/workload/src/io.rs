@@ -1,6 +1,6 @@
 //! Workload import/export.
 //!
-//! Besides the JSON round-trip on [`Workload`](crate::Workload), this module
+//! Besides the JSON round-trip on [`Workload`], this module
 //! reads the minimal CSV schema a site would actually have on hand — one
 //! line per job with its declared envelope and coarse shape — and expands it
 //! into full segment profiles with the same generator the synthetic

@@ -105,6 +105,22 @@ fn errors_are_reported_not_panicked() {
     let out = phishare(&["run", "--policy", "mc", "--jobs", "NaNaNaN"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));
+
+    // A hostile plan file nests past the JSON parser's depth limit: a
+    // reported error and a normal exit, not a stack-overflow abort.
+    let dir = std::env::temp_dir().join("phishare-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep-fault-plan.json");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = phishare(&[
+        "run",
+        "--policy",
+        "mc",
+        "--fault-plan",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than"));
 }
 
 #[test]
