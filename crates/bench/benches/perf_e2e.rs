@@ -239,7 +239,7 @@ fn gate() -> E2eBench {
         cycles_skipped_total,
         negotiation_cycles_total,
         knobs: GateKnobs {
-            partitions: phishare_condor::collector::default_partitions(),
+            partitions: gate_config(ClusterPolicy::Mcck).partitions.max(1),
             threads,
             skip_quiescent: gate_config(ClusterPolicy::Mcck).skip_quiescent,
             match_path: "delta".into(),

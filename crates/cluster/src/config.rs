@@ -161,9 +161,8 @@ pub struct ClusterConfig {
     /// Chaos perturbation stack (all disabled by default: nothing is
     /// perturbed and every timeline is untouched).
     pub perturb: PerturbConfig,
-    /// Collector partition count for partition-parallel matchmaking.
-    /// `0` (the default) resolves at `World` construction time — the
-    /// `PHISHARE_COLLECTOR_PARTITIONS` env override when set, else 1.
+    /// Collector partition count for partition-parallel matchmaking,
+    /// clamped to `1..=16` (`0`, the default, means 1).
     /// Results are partition-count-invariant; only wall-clock changes.
     pub partitions: usize,
     /// Whether the runtime may skip provably quiescent negotiation cycles
@@ -225,11 +224,6 @@ impl ClusterConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// Total devices in the cluster.
-    pub fn total_devices(&self) -> u32 {
-        self.nodes * self.devices_per_node
     }
 
     /// The device spec node `node` carries (nodes are numbered from 1).
@@ -316,7 +310,6 @@ mod tests {
         assert_eq!(c.nodes, 8);
         assert_eq!(c.devices_per_node, 1);
         assert_eq!(c.slots_per_node, 16);
-        assert_eq!(c.total_devices(), 8);
         c.validate().unwrap();
     }
 

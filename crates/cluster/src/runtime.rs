@@ -6,6 +6,11 @@
 //! recycling, and the event mode; every combination reaches the same event
 //! loop.
 //!
+//! The world keeps one record per card and one per node in dense tables:
+//! a card holds its device, COSMIC state, in-flight reservations, down
+//! flag and open perturbation windows; a node holds its startd and host
+//! CPUs. Per-job state is keyed by [`JobId`].
+//!
 //! ## Lifecycle of a job
 //!
 //! 1. **Arrive** → submitted to the schedd queue. MC jobs carry
@@ -65,7 +70,7 @@ use phishare_phi::{
     SharedThroughputDevice,
 };
 use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary};
-use phishare_workload::{JobId, Segment, Workload};
+use phishare_workload::{JobId, JobSpec, Segment, Workload};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Key of one device: `(node, device-on-node)`.
@@ -490,7 +495,13 @@ impl<'a> Experiment<'a> {
         }
         // Post-drain leak audit: every fault must have been matched by a
         // recovery path that returned its capacity.
-        for (key, device) in &world.devices {
+        for Card {
+            key,
+            device,
+            cosmic,
+            ..
+        } in &world.cards
+        {
             if device.resident_count() != 0 || device.committed_total_mb() != 0 {
                 return Err(format!(
                     "capacity leak: device ({}, {}) drained with {} residents, {} MB committed",
@@ -500,9 +511,7 @@ impl<'a> Experiment<'a> {
                     device.committed_total_mb()
                 ));
             }
-        }
-        for (key, cos) in &world.cosmic {
-            if cos.registered_jobs() != 0 {
+            if let Some(cos) = cosmic.as_ref().filter(|c| c.registered_jobs() != 0) {
                 return Err(format!(
                     "capacity leak: COSMIC on ({}, {}) drained with {} registered jobs",
                     key.0,
@@ -511,10 +520,11 @@ impl<'a> Experiment<'a> {
                 ));
             }
         }
-        for (node, host) in &world.hosts {
+        for Node { startd, host, .. } in &world.nodes {
             if host.active_count() != 0 {
                 return Err(format!(
-                    "capacity leak: host {node} drained with {} active segments",
+                    "capacity leak: host {} drained with {} active segments",
+                    startd.node,
                     host.active_count()
                 ));
             }
@@ -582,6 +592,69 @@ impl Experiment<'_> {
     }
 }
 
+/// One coprocessor card and everything the runtime tracks about it.
+struct Card<D, C> {
+    key: DevKey,
+    device: D,
+    /// `None` when the policy runs without COSMIC.
+    cosmic: Option<C>,
+    /// Declared memory, count and threads of matched-but-not-yet-attached
+    /// jobs.
+    inflight_mem: u64,
+    inflight_jobs: u32,
+    inflight_threads: u32,
+    /// Device generation a prediction event was last scheduled for
+    /// (next-completion mode only): repeated syncs within one generation
+    /// are no-ops, so each generation costs at most one heap push.
+    synced_gen: Option<u64>,
+    /// Mid-reset on an otherwise-live node.
+    down: bool,
+    /// Open derate windows, keyed by plan index. The effective scale is
+    /// the product folded in ascending index order, so overlapping windows
+    /// compose deterministically.
+    derates: BTreeMap<usize, f64>,
+    /// Open latency-spike windows, keyed by plan index; extras of
+    /// overlapping windows add (integer ticks, order-independent).
+    latencies: BTreeMap<usize, SimDuration>,
+}
+
+impl<D: DeviceSubstrate, C> Card<D, C> {
+    /// Declared memory still free once every in-flight job attaches.
+    fn free_mb(&self) -> u64 {
+        let reserved = self.inflight_mem;
+        self.device.free_declared_mb().saturating_sub(reserved)
+    }
+
+    /// No residents and nothing in flight: open to an exclusive claim.
+    fn is_idle(&self) -> bool {
+        self.device.resident_count() == 0 && self.inflight_jobs == 0
+    }
+
+    /// Count `job` as matched to this card but not yet attached.
+    fn reserve(&mut self, job: &JobSpec) {
+        self.inflight_mem += job.mem_req_mb;
+        self.inflight_jobs += 1;
+        self.inflight_threads += job.thread_req;
+    }
+
+    /// Undo [`Card::reserve`]: `job` attached or lost its match.
+    fn unreserve(&mut self, job: &JobSpec) {
+        self.inflight_mem -= job.mem_req_mb;
+        self.inflight_jobs -= 1;
+        self.inflight_threads -= job.thread_req;
+    }
+}
+
+/// One node: its startd and host CPUs.
+struct Node {
+    startd: Startd,
+    host: HostCpu,
+    /// Host analog of [`Card::synced_gen`].
+    synced_gen: Option<u64>,
+    /// The startd vanished (churn): no ads, no dispatch, no hosts.
+    down: bool,
+}
+
 struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     cfg: &'a ClusterConfig,
     wl: &'a Workload,
@@ -590,10 +663,10 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     queue: JobQueue,
     collector: Collector,
     negotiator: Negotiator,
-    startds: Vec<Startd>,
-    devices: BTreeMap<DevKey, D>,
-    cosmic: BTreeMap<DevKey, C>,
-    hosts: BTreeMap<u32, HostCpu>,
+    /// Every card, node-major: `(node - 1) * devices_per_node + dev`.
+    cards: Vec<Card<D, C>>,
+    /// Every node, at `node - 1`.
+    nodes: Vec<Node>,
     scheduler: Option<Box<dyn ClusterScheduler>>,
     /// JobId → index into the workload.
     job_index: BTreeMap<JobId, usize>,
@@ -608,24 +681,12 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// at match time. The packing is per device (each knapsack is one
     /// coprocessor); re-placing at match time could break a feasible plan.
     pinned_dev: BTreeMap<JobId, DevKey>,
-    /// Declared memory of matched-but-not-yet-attached jobs, per device.
-    inflight_declared: BTreeMap<DevKey, u64>,
-    /// Count of matched-but-not-yet-attached jobs, per device.
-    inflight_count: BTreeMap<DevKey, u32>,
-    /// Declared threads of matched-but-not-yet-attached jobs, per device.
-    inflight_threads: BTreeMap<DevKey, u32>,
     /// Sequence number of the latest scheduled cycle; stale cycles no-op.
     cycle_seq: u64,
     /// When the next cycle is due (None once the cluster drained).
     next_cycle: Option<SimTime>,
     /// How completion predictions become events.
     mode: EventMode,
-    /// Device generation a prediction event was last scheduled for
-    /// (next-completion mode only): repeated syncs within one generation
-    /// are no-ops, so each generation costs at most one heap push.
-    synced_dev_gen: BTreeMap<DevKey, u64>,
-    /// Host analog of `synced_dev_gen`.
-    synced_host_gen: BTreeMap<u32, u64>,
     /// Events that passed the staleness guards and were actually handled.
     /// Identical across event modes (stale deliveries are a scheme
     /// artefact), so it is the mode-independent simulation-cost metric.
@@ -634,10 +695,6 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// Lifecycle trace (None unless the run is traced).
     trace: Option<Trace>,
     // --- fault state ---
-    /// Nodes whose startd vanished (churn); no ads, no dispatch, no hosts.
-    down_nodes: BTreeSet<u32>,
-    /// Devices mid-reset on otherwise-live nodes.
-    down_devs: BTreeSet<DevKey>,
     /// Times each job has been vacated by a fault and requeued.
     attempts: BTreeMap<JobId, u32>,
     /// Vacated jobs sitting out their backoff (held, invisible to the
@@ -649,13 +706,6 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// (re-dispatches after a fault must not re-count).
     wait_recorded: BTreeSet<JobId>,
     // --- perturbation state ---
-    /// Open derate windows per device, keyed by plan index. The device's
-    /// effective scale is the product folded in ascending index order, so
-    /// overlapping windows compose deterministically.
-    derate_active: BTreeMap<DevKey, BTreeMap<usize, f64>>,
-    /// Open latency-spike windows per device, keyed by plan index; extras
-    /// of overlapping windows add (integer ticks, order-independent).
-    latency_active: BTreeMap<DevKey, BTreeMap<usize, SimDuration>>,
     /// Nesting depth of open stale-ad windows; ads refresh only at 0.
     stale_ad_depth: u32,
     /// Whether any non-cycle event ran since the last *executed* cycle —
@@ -698,19 +748,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         perturbs: &'a PerturbPlan,
         mode: EventMode,
     ) -> Self {
-        let parts = if cfg.partitions > 0 {
-            cfg.partitions
-        } else {
-            phishare_condor::collector::default_partitions()
-        };
-        let mut collector = Collector::with_partitions(parts);
-        let mut startds = Vec::new();
-        let mut devices = BTreeMap::new();
-        let mut cosmic = BTreeMap::new();
-        let mut hosts = BTreeMap::new();
+        let mut collector = Collector::with_partitions(cfg.partitions);
+        let mut nodes = Vec::new();
+        let mut cards = Vec::new();
         for node in 1..=cfg.nodes {
             let spec = cfg.spec_for_node(node);
-            hosts.insert(node, HostCpu::new(cfg.host_cores_per_node, SimTime::ZERO));
             let startd = Startd::new(
                 node,
                 cfg.slots_per_node,
@@ -722,12 +764,28 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 spec.phi.usable_mem_mb() * cfg.devices_per_node as u64,
                 cfg.devices_per_node,
             );
-            startds.push(startd);
+            nodes.push(Node {
+                startd,
+                host: HostCpu::new(cfg.host_cores_per_node, SimTime::ZERO),
+                synced_gen: None,
+                down: false,
+            });
             for dev in 0..cfg.devices_per_node {
-                devices.insert((node, dev), D::create(&spec, SimTime::ZERO));
-                if cfg.policy.uses_cosmic() {
-                    cosmic.insert((node, dev), C::create(cfg.cosmic, &spec.phi));
-                }
+                cards.push(Card {
+                    key: (node, dev),
+                    device: D::create(&spec, SimTime::ZERO),
+                    cosmic: cfg
+                        .policy
+                        .uses_cosmic()
+                        .then(|| C::create(cfg.cosmic, &spec.phi)),
+                    inflight_mem: 0,
+                    inflight_jobs: 0,
+                    inflight_threads: 0,
+                    synced_gen: None,
+                    down: false,
+                    derates: BTreeMap::new(),
+                    latencies: BTreeMap::new(),
+                });
             }
         }
 
@@ -750,35 +808,24 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             negotiator: Negotiator::new(cfg.negotiation_interval)
                 .with_path(cfg.negotiation)
                 .with_quiescence(cfg.skip_quiescent),
-            startds,
-            devices,
-            cosmic,
-            hosts,
+            cards,
+            nodes,
             scheduler,
             job_index,
             running: BTreeMap::new(),
             grants_buf: Vec::new(),
             matched_dev: BTreeMap::new(),
             pinned_dev: BTreeMap::new(),
-            inflight_declared: BTreeMap::new(),
-            inflight_count: BTreeMap::new(),
-            inflight_threads: BTreeMap::new(),
             cycle_seq: 0,
             next_cycle: None,
             mode,
-            synced_dev_gen: BTreeMap::new(),
-            synced_host_gen: BTreeMap::new(),
             live_events: 0,
             rng_oom: DetRng::substream(cfg.seed, "oom-killer"),
             trace: None,
-            down_nodes: BTreeSet::new(),
-            down_devs: BTreeSet::new(),
             attempts: BTreeMap::new(),
             parked: BTreeSet::new(),
             retired: BTreeSet::new(),
             wait_recorded: BTreeSet::new(),
-            derate_active: BTreeMap::new(),
-            latency_active: BTreeMap::new(),
             stale_ad_depth: 0,
             world_dirty: true,
             waits: Summary::new(),
@@ -801,6 +848,28 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             last_terminal: SimTime::ZERO,
             plan_nanos: 0,
         }
+    }
+
+    /// Position of card `(node, dev)` in [`World::cards`].
+    fn card_index(&self, (node, dev): DevKey) -> usize {
+        (node - 1) as usize * self.cfg.devices_per_node as usize + dev as usize
+    }
+
+    fn card(&self, key: DevKey) -> &Card<D, C> {
+        &self.cards[self.card_index(key)]
+    }
+
+    fn card_mut(&mut self, key: DevKey) -> &mut Card<D, C> {
+        let i = self.card_index(key);
+        &mut self.cards[i]
+    }
+
+    fn node(&self, node: u32) -> &Node {
+        &self.nodes[(node - 1) as usize]
+    }
+
+    fn node_mut(&mut self, node: u32) -> &mut Node {
+        &mut self.nodes[(node - 1) as usize]
     }
 
     /// Record a trace event (no-op, and no allocation, unless tracing).
@@ -833,18 +902,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             Ev::Cycle(seq) => seq == self.cycle_seq,
             Ev::HostDone {
                 node, generation, ..
-            } => self
-                .hosts
-                .get(&node)
-                .map(|h| h.generation() == generation)
-                .unwrap_or(false),
+            } => self.node(node).host.generation() == generation,
             Ev::OffloadComplete {
                 key, generation, ..
-            } => self
-                .devices
-                .get(&key)
-                .map(|d| d.generation() == generation)
-                .unwrap_or(false),
+            } => self.card(key).device.generation() == generation,
         }
     }
 
@@ -1001,9 +1062,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 },
             };
             self.matched_dev.insert(m.job, key);
-            *self.inflight_declared.entry(key).or_insert(0) += spec.mem_req_mb;
-            *self.inflight_count.entry(key).or_insert(0) += 1;
-            *self.inflight_threads.entry(key).or_insert(0) += spec.thread_req;
+            self.card_mut(key).reserve(spec);
             if let Some(s) = self.scheduler.as_mut() {
                 s.on_dispatched(m.job);
             }
@@ -1028,12 +1087,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let Some(key) = self.matched_dev.remove(&job) else {
             return;
         };
-        *self
-            .inflight_declared
-            .get_mut(&key)
-            .expect("inflight entry") -= spec.mem_req_mb;
-        *self.inflight_count.get_mut(&key).expect("inflight entry") -= 1;
-        *self.inflight_threads.get_mut(&key).expect("inflight entry") -= spec.thread_req;
+        let i = self.card_index(key);
+        self.cards[i].unreserve(spec);
 
         self.queue.set_running(job).expect("matched job starts");
         let slot = match self.queue.get(job).expect("queued").state {
@@ -1057,11 +1112,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         // `running`; a job OOM-killing *itself* on attach is handled below).
         let initial_commit =
             ((spec.actual_peak_mem_mb as f64) * self.cfg.initial_commit_fraction).round() as u64;
-        let cslot = self
+        let card = &mut self.cards[i];
+        let cslot = card
             .cosmic
-            .get_mut(&key)
+            .as_mut()
             .map(|cos| cos.register(job, spec.mem_req_mb, spec.thread_req));
-        let (dslot, outcome) = self.devices.get_mut(&key).expect("device exists").attach(
+        let (dslot, outcome) = card.device.attach(
             now,
             ProcId(job.raw()),
             spec.mem_req_mb,
@@ -1094,31 +1150,23 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn on_host_done(&mut self, sim: &mut Sim<Ev>, job: JobId, node: u32, generation: u64) {
         let now = sim.now();
-        {
-            let host = self.hosts.get(&node).expect("node exists");
-            if host.generation() != generation || !host.is_active(job) {
-                return; // stale prediction, or the job was killed
-            }
+        let host = &self.node(node).host;
+        if host.generation() != generation || !host.is_active(job) {
+            return; // stale prediction, or the job was killed
         }
         let Some(run) = self.running.get_mut(&job) else {
             return;
         };
         run.seg += 1;
-        self.hosts
-            .get_mut(&node)
-            .expect("node exists")
-            .finish_segment(now, job);
+        self.node_mut(node).host.finish_segment(now, job);
         self.sync_host(sim, node);
         self.advance_segment(sim, job);
     }
 
     fn on_offload_complete(&mut self, sim: &mut Sim<Ev>, job: JobId, key: DevKey, generation: u64) {
         let now = sim.now();
-        {
-            let device = self.devices.get(&key).expect("device exists");
-            if device.generation() != generation {
-                return; // stale prediction
-            }
+        if self.card(key).device.generation() != generation {
+            return; // stale prediction
         }
         let Some(run) = self.running.get_mut(&job) else {
             return;
@@ -1127,20 +1175,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         run.seg += 1;
         run.offloads_done += 1;
 
-        self.devices
-            .get_mut(&key)
-            .expect("device exists")
-            .finish_offload(now, dslot);
+        self.card_mut(key).device.finish_offload(now, dslot);
         self.trace_ev(|| TraceEvent::OffloadFinished { job, at: now });
         if let Some(cslot) = cslot {
-            let mut grants = std::mem::take(&mut self.grants_buf);
-            self.cosmic
-                .get_mut(&key)
-                .expect("handle implies cosmic")
-                .complete_offload_into(now, cslot, &mut grants);
-            self.start_grants(sim, key, &grants);
-            grants.clear();
-            self.grants_buf = grants;
+            self.cosmic_grants(sim, key, |cos, grants| {
+                cos.complete_offload_into(now, cslot, grants)
+            });
         }
         self.sync_completions(sim, key);
         self.advance_segment(sim, job);
@@ -1161,12 +1201,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         match spec.profile.segments.get(seg) {
             None => self.complete_job(sim, job),
             Some(Segment::Host { duration }) => {
-                let node = key.0;
-                self.hosts
-                    .get_mut(&node)
-                    .expect("node exists")
-                    .start_segment(now, job, *duration);
-                self.sync_host(sim, node);
+                self.node_mut(key.0).host.start_segment(now, job, *duration);
+                self.sync_host(sim, key.0);
             }
             Some(Segment::Offload { threads, work }) => {
                 if self.running[&job].fallback {
@@ -1177,12 +1213,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     let _ = threads;
                     let slow = work.mul_f64(self.cfg.recovery.host_fallback_slowdown);
                     self.fallback_offloads += 1;
-                    let node = key.0;
-                    self.hosts
-                        .get_mut(&node)
-                        .expect("node exists")
-                        .start_segment(now, job, slow);
-                    self.sync_host(sim, node);
+                    self.node_mut(key.0).host.start_segment(now, job, slow);
+                    self.sync_host(sim, key.0);
                     return;
                 }
                 // Memory-growth model: commits approach the actual peak as
@@ -1199,12 +1231,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     let run = &self.running[&job];
                     (run.dslot, run.cslot)
                 };
-                let outcome = self.devices.get_mut(&key).expect("device exists").commit(
-                    now,
-                    dslot,
-                    grown,
-                    &mut self.rng_oom,
-                );
+                let i = self.card_index(key);
+                let outcome = self.cards[i]
+                    .device
+                    .commit(now, dslot, grown, &mut self.rng_oom);
                 self.handle_commit_outcome(sim, key, outcome);
                 if !self.running.contains_key(&job) {
                     return; // OOM-killed by its own growth
@@ -1221,13 +1251,16 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 // time (before COSMIC admission), so a queued offload keeps
                 // the inflation it was admitted with — deterministic across
                 // event modes and substrates.
-                let extra = self.latency_extra(key);
+                let card = &mut self.cards[i];
+                let extra = card
+                    .latencies
+                    .values()
+                    .fold(SimDuration::ZERO, |acc, &d| acc + d);
                 if !extra.is_zero() {
                     work += extra;
                     self.inflated_offloads += 1;
                 }
-                if let Some(cslot) = cslot {
-                    let cos = self.cosmic.get_mut(&key).expect("handle implies cosmic");
+                if let (Some(cslot), Some(cos)) = (cslot, card.cosmic.as_mut()) {
                     match cos.request_offload(now, cslot, threads, work) {
                         Admission::Started(grant) => {
                             self.start_grants(sim, key, std::slice::from_ref(&grant));
@@ -1240,9 +1273,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                         }
                     }
                 } else {
-                    self.devices
-                        .get_mut(&key)
-                        .expect("device exists")
+                    card.device
                         .start_offload(now, dslot, threads, work, Affinity::Unmanaged);
                     self.trace_ev(|| TraceEvent::OffloadStarted {
                         job,
@@ -1263,10 +1294,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let now = sim.now();
         for grant in grants {
             let dslot = self.running[&grant.job].dslot;
-            self.devices
-                .get_mut(&key)
-                .expect("device exists")
-                .start_offload(now, dslot, grant.threads, grant.work, grant.affinity);
+            self.card_mut(key).device.start_offload(
+                now,
+                dslot,
+                grant.threads,
+                grant.work,
+                grant.affinity,
+            );
             self.trace_ev(|| TraceEvent::OffloadStarted {
                 job: grant.job,
                 threads: grant.threads,
@@ -1274,6 +1308,39 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             });
         }
         self.sync_completions(sim, key);
+    }
+
+    /// Collect COSMIC grants on `key` with `collect`, then start them.
+    fn cosmic_grants(
+        &mut self,
+        sim: &mut Sim<Ev>,
+        key: DevKey,
+        collect: impl FnOnce(&mut C, &mut Vec<OffloadGrant>),
+    ) {
+        let mut grants = std::mem::take(&mut self.grants_buf);
+        if let Some(cos) = self.card_mut(key).cosmic.as_mut() {
+            collect(cos, &mut grants);
+        }
+        self.start_grants(sim, key, &grants);
+        grants.clear();
+        self.grants_buf = grants;
+    }
+
+    /// A job left its card: drop its COSMIC registration (starting any
+    /// offloads that unblocks) and resync the card's predictions.
+    fn unregister(
+        &mut self,
+        sim: &mut Sim<Ev>,
+        run: &RunningJob<D::Handle, C::Handle>,
+        job: JobId,
+    ) {
+        if run.cslot.is_some() {
+            let now = sim.now();
+            self.cosmic_grants(sim, run.key, |cos, grants| {
+                cos.unregister_into(now, job, grants)
+            });
+        }
+        self.sync_completions(sim, run.key);
     }
 
     /// (Re)schedule completion prediction events for a node's host CPUs.
@@ -1286,11 +1353,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// float-rounding tick away from the still-live issued one — re-pushed
     /// it would race the original and make the two modes diverge.
     fn sync_host(&mut self, sim: &mut Sim<Ev>, node: u32) {
-        let generation = self.hosts.get(&node).expect("node exists").generation();
-        if self.synced_host_gen.insert(node, generation) == Some(generation) {
+        let n = self.node_mut(node);
+        let generation = n.host.generation();
+        if n.synced_gen.replace(generation) == Some(generation) {
             return; // this generation's predictions are already queued
         }
-        let host = self.hosts.get(&node).expect("node exists");
+        let host = &self.node(node).host;
         match self.mode {
             EventMode::PerOffload => {
                 for (job, at) in host.completions() {
@@ -1323,11 +1391,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// [`World::sync_host`] for the per-mode and once-per-generation
     /// contract).
     fn sync_completions(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
-        let generation = self.devices.get(&key).expect("device exists").generation();
-        if self.synced_dev_gen.insert(key, generation) == Some(generation) {
+        let card = self.card_mut(key);
+        let generation = card.device.generation();
+        if card.synced_gen.replace(generation) == Some(generation) {
             return; // this generation's predictions are already queued
         }
-        let device = self.devices.get(&key).expect("device exists");
+        let device = &self.card(key).device;
         match self.mode {
             EventMode::PerOffload => {
                 device.for_each_completion(|proc, at| {
@@ -1360,21 +1429,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let now = sim.now();
         let run = self.running.remove(&job).expect("completing a live job");
         if !run.fallback {
-            self.devices
-                .get_mut(&run.key)
-                .expect("device exists")
-                .detach(now, run.dslot);
-            if run.cslot.is_some() {
-                let mut grants = std::mem::take(&mut self.grants_buf);
-                self.cosmic
-                    .get_mut(&run.key)
-                    .expect("handle implies cosmic")
-                    .unregister_into(now, job, &mut grants);
-                self.start_grants(sim, run.key, &grants);
-                grants.clear();
-                self.grants_buf = grants;
-            }
-            self.sync_completions(sim, run.key);
+            self.card_mut(run.key).device.detach(now, run.dslot);
+            self.unregister(sim, &run, job);
         }
 
         self.queue
@@ -1425,30 +1481,14 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             return;
         };
         if !run.fallback && !already_detached {
-            self.devices
-                .get_mut(&run.key)
-                .expect("device exists")
-                .detach(now, run.dslot);
+            self.card_mut(run.key).device.detach(now, run.dslot);
         }
         // The victim may have been mid-host-phase (e.g. an OOM victim whose
         // offload had not started yet).
-        self.hosts
-            .get_mut(&run.key.0)
-            .expect("node exists")
-            .abort(now, job);
+        self.node_mut(run.key.0).host.abort(now, job);
         self.sync_host(sim, run.key.0);
         if !run.fallback {
-            if run.cslot.is_some() {
-                let mut grants = std::mem::take(&mut self.grants_buf);
-                self.cosmic
-                    .get_mut(&run.key)
-                    .expect("handle implies cosmic")
-                    .unregister_into(now, job, &mut grants);
-                self.start_grants(sim, run.key, &grants);
-                grants.clear();
-                self.grants_buf = grants;
-            }
-            self.sync_completions(sim, run.key);
+            self.unregister(sim, &run, job);
         }
 
         self.queue.set_removed(job).expect("live job is removable");
@@ -1485,10 +1525,9 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         job: JobId,
         committed: u64,
     ) -> bool {
-        let Some(cslot) = self.running[&job].cslot else {
+        let (Some(cslot), Some(cos)) = (self.running[&job].cslot, &self.card(key).cosmic) else {
             return false;
         };
-        let cos = self.cosmic.get(&key).expect("handle implies cosmic");
         match cos.on_commit(cslot, committed) {
             ContainerVerdict::Allowed => false,
             ContainerVerdict::KillExceededLimit { .. } => {
@@ -1517,12 +1556,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn on_device_reset(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let f = self.plan.events[idx];
         let key = (f.node, f.device);
-        if self.down_nodes.contains(&f.node) || self.down_devs.contains(&key) {
+        if self.node(f.node).down || self.card(key).down {
             return; // target already down: the strike is absorbed silently
         }
         let now = sim.now();
         self.device_resets += 1;
-        self.down_devs.insert(key);
+        self.card_mut(key).down = true;
         self.trace_ev(|| TraceEvent::DeviceReset {
             node: f.node,
             device: f.device,
@@ -1554,16 +1593,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     // their next offload; a job whose offload the reset
                     // aborted (active or COSMIC-queued) restarts the
                     // segment host-side now.
-                    let mid_host = self.hosts.get(&f.node).expect("node exists").is_active(job);
-                    if !mid_host {
+                    if !self.node(f.node).host.is_active(job) {
                         self.advance_segment(sim, job);
                     }
                 }
                 FallbackPolicy::Requeue => {
-                    self.hosts
-                        .get_mut(&f.node)
-                        .expect("node exists")
-                        .abort(now, job);
+                    self.node_mut(f.node).host.abort(now, job);
                     self.sync_host(sim, f.node);
                     let run = self.running.remove(&job).expect("listed as running");
                     self.collector.release(run.slot);
@@ -1579,12 +1614,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// the node). Nothing on the node matches until `Recover` re-advertises.
     fn on_node_churn(&mut self, sim: &mut Sim<Ev>, idx: usize) {
         let f = self.plan.events[idx];
-        if self.down_nodes.contains(&f.node) {
+        if self.node(f.node).down {
             return; // already down
         }
         let now = sim.now();
         self.node_churns += 1;
-        self.down_nodes.insert(f.node);
+        self.node_mut(f.node).down = true;
         self.trace_ev(|| TraceEvent::NodeDown {
             node: f.node,
             at: now,
@@ -1599,10 +1634,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         }
         self.pull_back_pins(|k| k.0 == f.node);
         for job in self.running_jobs_on(|r| r.key.0 == f.node) {
-            self.hosts
-                .get_mut(&f.node)
-                .expect("node exists")
-                .abort(now, job);
+            self.node_mut(f.node).host.abort(now, job);
             self.running.remove(&job);
             self.fault_requeue(sim, job);
         }
@@ -1615,7 +1647,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         let now = sim.now();
         match f.kind {
             FaultKind::DeviceReset => {
-                self.down_devs.remove(&(f.node, f.device));
+                self.card_mut((f.node, f.device)).down = false;
                 self.trace_ev(|| TraceEvent::DeviceRecovered {
                     node: f.node,
                     device: f.device,
@@ -1623,7 +1655,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 });
             }
             FaultKind::NodeChurn => {
-                self.down_nodes.remove(&f.node);
+                self.node_mut(f.node).down = false;
                 self.trace_ev(|| TraceEvent::NodeUp {
                     node: f.node,
                     at: now,
@@ -1667,16 +1699,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         match p.kind {
             PerturbKind::DeviceDerate { factor } => {
                 let key = (p.node, p.device);
-                self.derate_active
-                    .entry(key)
-                    .or_default()
-                    .insert(idx, factor);
+                self.card_mut(key).derates.insert(idx, factor);
                 self.apply_derate(sim, key);
             }
             PerturbKind::OffloadLatency { extra } => {
-                self.latency_active
-                    .entry((p.node, p.device))
-                    .or_default()
+                self.card_mut((p.node, p.device))
+                    .latencies
                     .insert(idx, extra);
             }
             PerturbKind::StaleAds => self.stale_ad_depth += 1,
@@ -1690,15 +1718,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         match p.kind {
             PerturbKind::DeviceDerate { .. } => {
                 let key = (p.node, p.device);
-                if let Some(m) = self.derate_active.get_mut(&key) {
-                    m.remove(&idx);
-                }
+                self.card_mut(key).derates.remove(&idx);
                 self.apply_derate(sim, key);
             }
             PerturbKind::OffloadLatency { .. } => {
-                if let Some(m) = self.latency_active.get_mut(&(p.node, p.device)) {
-                    m.remove(&idx);
-                }
+                self.card_mut((p.node, p.device)).latencies.remove(&idx);
             }
             PerturbKind::StaleAds => self.stale_ad_depth -= 1,
         }
@@ -1711,35 +1735,17 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// in ascending order (`BTreeMap` iteration), so every event mode and
     /// substrate performs the same IEEE operations in the same order.
     fn apply_derate(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
-        let scale = self
-            .derate_active
-            .get(&key)
-            .filter(|m| !m.is_empty())
-            .map(|m| m.values().product())
-            .unwrap_or(1.0);
-        self.devices
-            .get_mut(&key)
-            .expect("perturbed device exists")
-            .set_rate_scale(sim.now(), scale);
+        let card = self.card_mut(key);
+        let scale = card.derates.values().product();
+        card.device.set_rate_scale(sim.now(), scale);
         self.sync_completions(sim, key);
-    }
-
-    /// Sum of the offload-latency extras currently open on `key`.
-    fn latency_extra(&self, key: DevKey) -> SimDuration {
-        self.latency_active
-            .get(&key)
-            .map(|m| m.values().fold(SimDuration::ZERO, |acc, &d| acc + d))
-            .unwrap_or(SimDuration::ZERO)
     }
 
     /// Reset one card and flush its COSMIC state.
     fn flush_device(&mut self, sim: &mut Sim<Ev>, key: DevKey) {
-        let now = sim.now();
-        self.devices
-            .get_mut(&key)
-            .expect("device exists")
-            .reset(now);
-        if let Some(cos) = self.cosmic.get_mut(&key) {
+        let card = self.card_mut(key);
+        card.device.reset(sim.now());
+        if let Some(cos) = card.cosmic.as_mut() {
             cos.reset();
         }
         // Marks the bumped generation synced (nothing is resident, so no
@@ -1755,12 +1761,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .remove(&job)
             .expect("matched job has a device");
         let spec = &self.wl.jobs[self.job_index[&job]];
-        *self
-            .inflight_declared
-            .get_mut(&key)
-            .expect("inflight entry") -= spec.mem_req_mb;
-        *self.inflight_count.get_mut(&key).expect("inflight entry") -= 1;
-        *self.inflight_threads.get_mut(&key).expect("inflight entry") -= spec.thread_req;
+        self.card_mut(key).unreserve(spec);
         if let phishare_condor::JobState::Matched(slot) = self.queue.get(job).expect("queued").state
         {
             // No-op when the node churned away (its ads were invalidated).
@@ -1838,24 +1839,22 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// Full re-advertise of a recovered node from ground truth (its ads
     /// were invalidated, so `refresh` has nothing to update).
     fn advertise_node(&mut self, node: u32) {
-        let startd = &self.startds[(node - 1) as usize];
-        debug_assert_eq!(startd.node, node, "startds are indexed by node - 1");
-        let mut free_mem = 0u64;
-        let mut devices_free = 0u32;
-        for dev in 0..self.cfg.devices_per_node {
-            let key = (node, dev);
-            if self.down_devs.contains(&key) {
-                continue; // a card still mid-reset advertises nothing
-            }
-            let device = self.devices.get(&key).expect("device exists");
-            let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-            let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
-            free_mem += device.free_declared_mb().saturating_sub(inflight_mem);
-            if device.resident_count() == 0 && inflight_n == 0 {
-                devices_free += 1;
-            }
-        }
+        let (free_mem, devices_free) = self.node_capacity(node);
+        let startd = &self.nodes[(node - 1) as usize].startd;
         startd.advertise(&mut self.collector, free_mem, devices_free);
+    }
+
+    /// A node's advertised capacity: free declared memory summed over its
+    /// up cards, and how many of those are idle. A card mid-reset
+    /// contributes nothing.
+    fn node_capacity(&self, node: u32) -> (u64, u32) {
+        let first = self.card_index((node, 0));
+        let cards = &self.cards[first..first + self.cfg.devices_per_node as usize];
+        let up = cards.iter().filter(|c| !c.down);
+        (
+            up.clone().map(Card::free_mb).sum(),
+            up.filter(|c| c.is_idle()).count() as u32,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -1885,60 +1884,32 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// Per-device free envelopes as the external scheduler sees them.
     fn device_views(&self) -> Vec<DeviceView> {
-        self.devices
+        self.cards
             .iter()
-            .filter(|(&(node, dev), _)| {
-                !self.down_nodes.contains(&node) && !self.down_devs.contains(&(node, dev))
-            })
-            .map(|(&(node, dev), device)| {
-                let inflight = self
-                    .inflight_declared
-                    .get(&(node, dev))
-                    .copied()
-                    .unwrap_or(0);
-                let inflight_threads = self
-                    .inflight_threads
-                    .get(&(node, dev))
-                    .copied()
-                    .unwrap_or(0);
-                DeviceView {
-                    node,
-                    device: dev,
-                    free_declared_mb: device.free_declared_mb().saturating_sub(inflight),
-                    // Matched-but-undispatched jobs consume thread budget
-                    // too, or successive cycles would overfill a device.
-                    resident_threads: device.declared_threads() + inflight_threads,
-                }
+            .filter(|c| !c.down && !self.node(c.key.0).down)
+            .map(|c| DeviceView {
+                node: c.key.0,
+                device: c.key.1,
+                free_declared_mb: c.free_mb(),
+                // Matched-but-undispatched jobs consume thread budget
+                // too, or successive cycles would overfill a device.
+                resident_threads: c.device.declared_threads() + c.inflight_threads,
             })
             .collect()
     }
 
     /// Refresh every node's slot ads from device ground truth.
     fn refresh_ads(&mut self) {
-        for startd in &self.startds {
-            let node = startd.node;
-            if self.down_nodes.contains(&node) {
+        for n in &self.nodes {
+            if n.down {
                 // A churned node has no ads to refresh; `refresh` would
                 // fall back to a full advertise and resurrect the dead
                 // startd. It re-advertises on recovery instead.
                 continue;
             }
-            let mut free_mem = 0u64;
-            let mut devices_free = 0u32;
-            for dev in 0..self.cfg.devices_per_node {
-                let key = (node, dev);
-                if self.down_devs.contains(&key) {
-                    continue; // a card mid-reset contributes no capacity
-                }
-                let device = self.devices.get(&key).expect("device exists");
-                let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-                let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
-                free_mem += device.free_declared_mb().saturating_sub(inflight_mem);
-                if device.resident_count() == 0 && inflight_n == 0 {
-                    devices_free += 1;
-                }
-            }
-            startd.refresh(&mut self.collector, free_mem, devices_free);
+            let (free_mem, devices_free) = self.node_capacity(n.startd.node);
+            n.startd
+                .refresh(&mut self.collector, free_mem, devices_free);
         }
     }
 
@@ -1946,25 +1917,17 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// fits `mem_mb` (and, for the exclusive policy, is entirely free).
     fn choose_device(&self, node: u32, mem_mb: u64) -> Option<DevKey> {
         let mut best: Option<(u64, DevKey)> = None;
-        if self.down_nodes.contains(&node) {
+        if self.node(node).down {
             return None; // defensive: a churned node's ads are gone anyway
         }
         for dev in 0..self.cfg.devices_per_node {
-            let key = (node, dev);
-            if self.down_devs.contains(&key) {
+            let card = self.card((node, dev));
+            if card.down || (self.cfg.policy == ClusterPolicy::Mc && !card.is_idle()) {
                 continue;
             }
-            let device = self.devices.get(&key)?;
-            let inflight_mem = self.inflight_declared.get(&key).copied().unwrap_or(0);
-            let inflight_n = self.inflight_count.get(&key).copied().unwrap_or(0);
-            if self.cfg.policy == ClusterPolicy::Mc
-                && (device.resident_count() > 0 || inflight_n > 0)
-            {
-                continue;
-            }
-            let free = device.free_declared_mb().saturating_sub(inflight_mem);
+            let free = card.free_mb();
             if free >= mem_mb && best.map(|(b, _)| free > b).unwrap_or(true) {
-                best = Some((free, key));
+                best = Some((free, card.key));
             }
         }
         best.map(|(_, key)| key)
@@ -2062,14 +2025,14 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn into_result(self, cfg: &ClusterConfig, wl: &Workload) -> ExperimentResult {
         let end = self.last_terminal;
-        let n_dev = self.devices.len() as f64;
+        let n_dev = self.cards.len() as f64;
         let mut thread_util = 0.0;
         let mut core_util = 0.0;
         let mut mem_util = 0.0;
         let mut busy = 0.0;
         let mut energy_joules = 0.0;
         let mut oom_kills_devices = 0u64;
-        for device in self.devices.values() {
+        for Card { device, .. } in &self.cards {
             let u = device.utilization(end);
             thread_util += u.thread_util;
             core_util += u.core_util;
@@ -2081,10 +2044,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         debug_assert_eq!(oom_kills_devices as usize, self.oom_kills);
 
         let mut host_util = 0.0;
-        for host in self.hosts.values() {
-            host_util += host.busy_core_average(end) / cfg.host_cores_per_node as f64;
+        for n in &self.nodes {
+            host_util += n.host.busy_core_average(end) / cfg.host_cores_per_node as f64;
         }
-        host_util /= self.hosts.len() as f64;
+        host_util /= self.nodes.len() as f64;
 
         let plan_stats = self
             .scheduler
@@ -2093,7 +2056,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .unwrap_or_default();
 
         let mut queue_waits = Summary::new();
-        for cos in self.cosmic.values() {
+        for cos in self.cards.iter().filter_map(|c| c.cosmic.as_ref()) {
             // Aggregate COSMIC queue waits across devices.
             if cos.queue_wait_count() > 0 {
                 queue_waits.record(cos.queue_wait_mean());

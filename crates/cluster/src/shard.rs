@@ -469,8 +469,7 @@ pub fn run_worker(
 /// checkpoint dir, the worker id, and the optional collector-partition
 /// override. `--partitions` is safe to vary per invocation because match
 /// results are partition-count-invariant: it changes how fast cells run,
-/// never what they report. When absent, each cell's own config decides
-/// (and a config of 0 defers to `PHISHARE_COLLECTOR_PARTITIONS`).
+/// never what they report. When absent, each cell's own config decides.
 pub fn parse_worker_args(args: &[String]) -> Result<(PathBuf, usize, Option<usize>), String> {
     let mut dir: Option<PathBuf> = None;
     let mut worker_id: Option<usize> = None;

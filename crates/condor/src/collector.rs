@@ -120,26 +120,6 @@ pub const MAX_PARTITIONS: usize = 16;
 /// Position of the pre-registered `PhiFreeMemory` guard index.
 const FREE_MEM_IDX: usize = Collector::FREE_MEM_INDEX;
 
-/// Parse a `PHISHARE_COLLECTOR_PARTITIONS`-style override. Non-numeric or
-/// zero values are ignored; values above [`MAX_PARTITIONS`] are clamped.
-pub fn partitions_override(raw: Option<&str>) -> Option<usize> {
-    raw.and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(MAX_PARTITIONS))
-}
-
-/// Partition count used when the configuration does not pin one: the
-/// `PHISHARE_COLLECTOR_PARTITIONS` environment override, else 1 (the
-/// unpartitioned layout).
-pub fn default_partitions() -> usize {
-    partitions_override(
-        std::env::var("PHISHARE_COLLECTOR_PARTITIONS")
-            .ok()
-            .as_deref(),
-    )
-    .unwrap_or(1)
-}
-
 /// Parse a `PHISHARE_PARTITION_THREADS`-style override for the number of
 /// worker threads partition-parallel phases may use.
 pub(crate) fn partition_threads_override(raw: Option<&str>, parts: usize) -> usize {
@@ -202,11 +182,6 @@ impl SlotMeta {
     /// Whether the slot advertises a machine-side `Requirements`.
     pub fn has_requirements(&self) -> bool {
         self.has_requirements
-    }
-
-    /// The slot's advertised free Phi memory, if numeric.
-    pub fn free_phi_mem(&self) -> Option<f64> {
-        self.indexed_vals.get(FREE_MEM_IDX).copied().flatten()
     }
 }
 
@@ -1015,10 +990,6 @@ mod tests {
             c.get(slot(1, 1)).unwrap().ad.get(attrs::PHI_FREE_MEMORY),
             Some(&phishare_classad::Value::Int(4000))
         );
-        assert_eq!(
-            c.get(slot(1, 1)).unwrap().meta().free_phi_mem(),
-            Some(4000.0)
-        );
         assert_eq!(c.unclaimed_with_free_mem_at_least(5000.0).count(), 0);
         assert_eq!(
             c.unclaimed_with_free_mem_at_least(4000.0)
@@ -1321,17 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_override_parses_and_clamps() {
-        assert_eq!(partitions_override(None), None);
-        assert_eq!(partitions_override(Some("")), None);
-        assert_eq!(partitions_override(Some("0")), None);
-        assert_eq!(partitions_override(Some("nope")), None);
-        assert_eq!(partitions_override(Some("4")), Some(4));
-        assert_eq!(partitions_override(Some(" 8 ")), Some(8));
-        assert_eq!(partitions_override(Some("999")), Some(MAX_PARTITIONS));
-    }
-
-    #[test]
     fn partition_threads_override_caps_at_partitions() {
         assert_eq!(partition_threads_override(Some("4"), 8), 4);
         assert_eq!(partition_threads_override(Some("16"), 8), 8);
@@ -1339,16 +1299,5 @@ mod tests {
         let fallback = partition_threads_override(Some("0"), 8);
         assert!((1..=8).contains(&fallback));
         assert!(partition_threads_override(None, 2) <= 2);
-    }
-
-    #[test]
-    fn partitions_env_override_is_honored() {
-        // The one test that really reads the variable, through the shared
-        // test-util env helper (set + restore under the process lock).
-        use phishare_test_util::with_env_var;
-        let var = "PHISHARE_COLLECTOR_PARTITIONS";
-        assert_eq!(with_env_var(var, "6", default_partitions), 6);
-        assert_eq!(with_env_var(var, "999", default_partitions), MAX_PARTITIONS);
-        assert_eq!(with_env_var(var, "junk", default_partitions), 1);
     }
 }

@@ -556,7 +556,7 @@ impl PhiDevice {
     ///
     /// # Panics
     /// Panics when the handle is stale.
-    pub fn abort_offload_slot(&mut self, now: SimTime, slot: ProcSlot) -> Result<(), DeviceError> {
+    fn abort_offload_slot(&mut self, now: SimTime, slot: ProcSlot) -> Result<(), DeviceError> {
         let id = self.entry(slot).id;
         let Some(off) = self
             .procs
@@ -594,8 +594,8 @@ impl PhiDevice {
     /// rates, in ascending [`ProcId`] order.
     ///
     /// Allocates one `Vec` per call; hot loops should use
-    /// [`PhiDevice::completions_iter`] / [`PhiDevice::for_each_completion`]
-    /// (same order, no allocation) or [`PhiDevice::next_completion`].
+    /// [`PhiDevice::for_each_completion`] (same order, no allocation) or
+    /// [`PhiDevice::next_completion`].
     pub fn completions(&self) -> Vec<(ProcId, SimTime)> {
         self.completions_iter().collect()
     }
@@ -604,7 +604,7 @@ impl PhiDevice {
     /// completion instants in ascending [`ProcId`] order — the order
     /// per-offload completion events must be scheduled in to preserve
     /// same-tick tie-breaking.
-    pub fn completions_iter(&self) -> impl Iterator<Item = (ProcId, SimTime)> + '_ {
+    fn completions_iter(&self) -> impl Iterator<Item = (ProcId, SimTime)> + '_ {
         self.index.values().filter_map(|slot| {
             let entry = self.entry(*slot);
             entry.active.as_ref().map(|off| {
@@ -615,8 +615,7 @@ impl PhiDevice {
     }
 
     /// Visit every predicted completion in ascending [`ProcId`] order
-    /// without allocating (closure form of
-    /// [`PhiDevice::completions_iter`], convenient for trait objects).
+    /// without allocating.
     pub fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
         for (proc, at) in self.completions_iter() {
             f(proc, at);
@@ -766,12 +765,6 @@ impl PhiDevice {
     /// Resident process ids in ascending order, without allocating.
     pub fn resident_ids_iter(&self) -> impl Iterator<Item = ProcId> + '_ {
         self.index.keys().copied()
-    }
-
-    /// Resident process ids in ascending order. Hot loops should prefer
-    /// [`PhiDevice::resident_ids_iter`].
-    pub fn resident_ids(&self) -> Vec<ProcId> {
-        self.resident_ids_iter().collect()
     }
 
     /// Sum of declared memory over resident processes (MB) — what schedulers
@@ -1114,18 +1107,6 @@ mod tests {
         assert_eq!(d.generation(), g);
         assert_eq!(d.next_completion(), before);
         assert_eq!(d.committed_total_mb(), 1500);
-    }
-
-    #[test]
-    fn resident_ids_iter_matches_vec_variant() {
-        let mut d = dev();
-        let mut r = rng();
-        for p in [4u64, 1, 3] {
-            d.attach(t(0), ProcId(p), 100, 60, 0, &mut r).unwrap();
-        }
-        let from_iter: Vec<ProcId> = d.resident_ids_iter().collect();
-        assert_eq!(from_iter, d.resident_ids());
-        assert_eq!(from_iter, vec![ProcId(1), ProcId(3), ProcId(4)]);
     }
 
     #[test]

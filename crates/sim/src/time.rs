@@ -67,13 +67,6 @@ impl SimTime {
                 .expect("SimTime::since: earlier instant is in the future"),
         )
     }
-
-    /// Saturating version of [`SimTime::since`]: returns zero instead of
-    /// panicking when `earlier` is later than `self`.
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -240,14 +233,6 @@ mod tests {
     #[should_panic(expected = "earlier instant is in the future")]
     fn negative_elapsed_panics() {
         let _ = SimTime::from_secs(1).since(SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        assert_eq!(
-            SimTime::from_secs(1).saturating_since(SimTime::from_secs(2)),
-            SimDuration::ZERO
-        );
     }
 
     #[test]

@@ -15,7 +15,8 @@ use std::sync::{Mutex, MutexGuard};
 /// in *any* crate of the workspace — must hold this for its whole body.
 /// All other code paths take the value through injectable parameters
 /// instead (`*_override(raw: Option<&str>)` helpers), so only the one
-/// test per variable that exercises the real `std::env` wiring needs it.
+/// test per variable that exercises the real `std::env` wiring needs it,
+/// and it restores the variable before releasing the lock.
 ///
 /// The lock is intentionally insensitive to poisoning: a panicking test
 /// must not cascade into every later env test failing on a poisoned
@@ -29,34 +30,9 @@ pub fn env_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Run `body` with `var` set to `value` under the env lock, restoring the
-/// previous state (set or unset) afterwards. If `body` panics the variable
-/// is left modified — the poison-insensitive lock keeps later env tests
-/// running, but they should not assume a clean slate after a failure.
-pub fn with_env_var<T>(var: &str, value: &str, body: impl FnOnce() -> T) -> T {
-    let _guard = env_lock();
-    let previous = std::env::var(var).ok();
-    std::env::set_var(var, value);
-    let out = body();
-    match previous {
-        Some(v) => std::env::set_var(var, v),
-        None => std::env::remove_var(var),
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_env_var_sets_and_restores() {
-        let var = "PHISHARE_TEST_UTIL_PROBE";
-        assert!(std::env::var(var).is_err());
-        let seen = with_env_var(var, "42", || std::env::var(var).ok());
-        assert_eq!(seen.as_deref(), Some("42"));
-        assert!(std::env::var(var).is_err());
-    }
 
     #[test]
     fn env_lock_recovers_from_poison() {

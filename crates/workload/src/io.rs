@@ -39,6 +39,13 @@ impl std::error::Error for CsvError {}
 
 const HEADER: &str = "name,mem_mb,threads,duration_secs,duty_cycle,offloads";
 
+/// Longest job a CSV row may declare (about 115 days).
+const MAX_DURATION_SECS: f64 = 1e7;
+
+/// Most offloads a CSV row may declare; each one becomes two profile
+/// segments.
+const MAX_OFFLOADS: usize = 10_000;
+
 /// Parse a workload from the CSV schema above. Profiles are generated
 /// deterministically from `seed` (jitter within each job's declared shape).
 pub fn workload_from_csv(csv: &str, seed: u64) -> Result<Workload, CsvError> {
@@ -105,8 +112,17 @@ pub fn workload_from_csv(csv: &str, seed: u64) -> Result<Workload, CsvError> {
         if duration_secs <= 0.0 || !duration_secs.is_finite() {
             return Err(err(format!("non-positive duration {duration_secs}")));
         }
+        if duration_secs > MAX_DURATION_SECS {
+            return Err(err(format!(
+                "duration {} s exceeds {MAX_DURATION_SECS} s",
+                fields[3]
+            )));
+        }
         if offloads == 0 {
             return Err(err("a Phi job needs at least one offload".into()));
+        }
+        if offloads > MAX_OFFLOADS {
+            return Err(err(format!("{offloads} offloads exceed {MAX_OFFLOADS}")));
         }
 
         let id = JobId(jobs.len() as u64);
@@ -239,6 +255,13 @@ defaults,500,120,20,,";
         )
         .unwrap_err();
         assert!(e.message.contains("offload"));
+
+        for row in ["x,100,60,1e300,0.5,8", "x,100,60,10,0.5,100000000000"] {
+            let csv = format!("{HEADER}\n{row}");
+            let e = workload_from_csv(&csv, 1).unwrap_err();
+            assert_eq!(e.line, 2, "{row}");
+            assert!(e.message.contains("exceed"), "{row}: {e}");
+        }
     }
 
     #[test]

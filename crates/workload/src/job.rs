@@ -149,6 +149,8 @@ pub enum JobSpecError {
     ZeroDeclaredThreads,
     /// The declared memory requirement is zero.
     ZeroDeclaredMemory,
+    /// The segments' nominal durations sum past the simulated clock's range.
+    DurationOverflow,
 }
 
 impl fmt::Display for JobSpecError {
@@ -164,6 +166,7 @@ impl fmt::Display for JobSpecError {
                 write!(f, "job offloads but declares 0 threads")
             }
             JobSpecError::ZeroDeclaredMemory => write!(f, "job declares 0 MB of device memory"),
+            JobSpecError::DurationOverflow => write!(f, "job's total duration overflows"),
         }
     }
 }
@@ -184,7 +187,14 @@ impl JobSpec {
         if offloads > 0 && self.thread_req == 0 {
             return Err(JobSpecError::ZeroDeclaredThreads);
         }
-        for s in &self.profile.segments {
+        let segments = &self.profile.segments;
+        let ticks = segments
+            .iter()
+            .try_fold(0u64, |t, s| t.checked_add(s.nominal().ticks()));
+        if ticks.is_none() {
+            return Err(JobSpecError::DurationOverflow);
+        }
+        for s in segments {
             if let Segment::Offload { threads, .. } = *s {
                 if threads == 0 {
                     return Err(JobSpecError::ZeroThreadOffload);
@@ -284,6 +294,14 @@ mod tests {
         assert_eq!(
             job(zero_thread, 500, 60).validate(),
             Err(JobSpecError::ZeroThreadOffload)
+        );
+        let endless = JobProfile::new(vec![
+            Segment::host(SimDuration::MAX),
+            Segment::offload(60, secs(1)),
+        ]);
+        assert_eq!(
+            job(endless, 500, 60).validate(),
+            Err(JobSpecError::DurationOverflow)
         );
     }
 

@@ -121,6 +121,31 @@ fn errors_are_reported_not_panicked() {
     ]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than"));
+
+    // CSV rows whose duration would overflow the simulated clock, or whose
+    // offload count would exhaust memory, are rejected on their line.
+    for (name, row) in [
+        ("huge-duration.csv", "x,900,60,1e300,0.7,8"),
+        ("huge-offloads.csv", "x,900,60,28,0.7,100000000000"),
+    ] {
+        let path = dir.join(name);
+        let csv = format!("name,mem_mb,threads,duration_secs,duty_cycle,offloads\n{row}\n");
+        std::fs::write(&path, csv).unwrap();
+        let out = phishare(&[
+            "run",
+            "--from",
+            path.to_str().unwrap(),
+            "--policy",
+            "mcck",
+            "--nodes",
+            "2",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{row}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("line 2"),
+            "{row}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end integration tests across the whole stack: workload → Condor →
 //! scheduler → COSMIC → device, on fixed seeds.
 
-use phishare::cluster::{ClusterConfig, Experiment};
+use phishare::cluster::{ClusterConfig, Experiment, ExperimentResult};
 use phishare::core::ClusterPolicy;
 use phishare::workload::{Workload, WorkloadBuilder, WorkloadKind};
 
@@ -138,4 +138,44 @@ fn empty_workload_is_a_noop() {
     let r = Experiment::run(&cfg(ClusterPolicy::Mcck, 2), &wl).unwrap();
     assert_eq!(r.completed, 0);
     assert_eq!(r.makespan_secs, 0.0);
+}
+
+/// Three two-card nodes under generated faults and the derate and latency
+/// windows: the node-major card walk, per-card in-flight accounting and
+/// per-card perturbation windows all show in the results.
+fn multi_card_config(policy: ClusterPolicy) -> ClusterConfig {
+    let mut c = cfg(policy, 3);
+    c.devices_per_node = 2;
+    c.slots_per_node = 16;
+    c.host_cores_per_node = 32;
+    c.faults.device_mtbf_secs = 300.0;
+    c.faults.node_mtbf_secs = 900.0;
+    c.faults.horizon_secs = 1500.0;
+    c.perturb.derate.mean_gap_secs = 40.0;
+    c.perturb.derate.duration_secs = 25.0;
+    c.perturb.derate.factor = 0.4;
+    c.perturb.latency.mean_gap_secs = 30.0;
+    c.perturb.latency.duration_secs = 20.0;
+    c.perturb.latency.extra_secs = 1.5;
+    c.perturb.horizon_secs = 1500.0;
+    c
+}
+
+#[test]
+fn multi_card_results_match_golden() {
+    // `plan_ms` is wall clock and excluded from equality; the golden
+    // stores it as 0.
+    let golden: Vec<ExperimentResult> =
+        serde_json::from_str(include_str!("golden/multi_card.json")).unwrap();
+    let wl = workload(120, 7);
+    let policies = [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck];
+    assert_eq!(golden.len(), policies.len());
+    for (policy, want) in policies.into_iter().zip(&golden) {
+        let r = Experiment::run(&multi_card_config(policy), &wl).unwrap();
+        assert!(
+            r.device_resets > 0 && r.node_churns > 0 && r.perturb_windows > 0,
+            "{policy}: the scenario must exercise faults and windows: {r:?}"
+        );
+        assert_eq!(&r, want, "{policy}: multi-card result drifted");
+    }
 }
