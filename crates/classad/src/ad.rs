@@ -144,31 +144,35 @@ impl ClassAd {
 // strings — so the parse cache stays an internal detail. Deserialization
 // re-validates each expression, exactly like `insert_expr`.
 impl Serialize for ClassAd {
-    fn to_value(&self) -> serde::Value {
-        let mut exprs = BTreeMap::new();
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.begin_object();
+        w.field("attrs", &self.attrs);
+        w.key("exprs");
+        w.begin_object();
         for (k, e) in &self.exprs {
-            exprs.insert(k.clone(), serde::Value::Str(e.src.clone()));
+            w.field(k, &e.src);
         }
-        let mut obj = BTreeMap::new();
-        obj.insert("attrs".to_string(), self.attrs.to_value());
-        obj.insert("exprs".to_string(), serde::Value::Object(exprs));
-        serde::Value::Object(obj)
+        w.end_object();
+        w.end_object();
     }
 }
 
 impl Deserialize for ClassAd {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("ClassAd: expected an object"))?;
-        let attrs_v = obj
-            .get("attrs")
-            .ok_or_else(|| serde::Error::custom("ClassAd: missing `attrs`"))?;
-        let attrs = BTreeMap::<String, Value>::from_value(attrs_v)?;
-        let exprs_v = obj
-            .get("exprs")
-            .ok_or_else(|| serde::Error::custom("ClassAd: missing `exprs`"))?;
-        let sources = BTreeMap::<String, String>::from_value(exprs_v)?;
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let mut attrs = None;
+        let mut sources = None;
+        r.begin_object()?;
+        while let Some(key) = r.next_key()? {
+            match &*key {
+                "attrs" => r.field(&mut attrs, "attrs", "ClassAd")?,
+                "exprs" => r.field(&mut sources, "exprs", "ClassAd")?,
+                _ => r.skip()?,
+            }
+        }
+        let attrs: BTreeMap<String, Value> =
+            attrs.ok_or_else(|| serde::Error::missing_field("attrs", "ClassAd"))?;
+        let sources: BTreeMap<String, String> =
+            sources.ok_or_else(|| serde::Error::missing_field("exprs", "ClassAd"))?;
         let mut exprs = BTreeMap::new();
         for (k, src) in sources {
             let parsed = parse(&src)

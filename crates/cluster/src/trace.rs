@@ -26,19 +26,17 @@ pub enum KillReason {
 // Hand-rolled to keep the historical lowercase wire strings (the vendored
 // derive has no `#[serde(rename_all)]` support).
 impl Serialize for KillReason {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
+    fn serialize(&self, w: &mut serde::Writer) {
+        w.str(&self.to_string());
     }
 }
 
 impl Deserialize for KillReason {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "container" => Ok(KillReason::Container),
-            serde::Value::Str(s) if s == "oom" => Ok(KillReason::Oom),
-            other => Err(serde::Error::custom(format!(
-                "invalid kill reason: {other:?}"
-            ))),
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        match &*r.str()? {
+            "container" => Ok(KillReason::Container),
+            "oom" => Ok(KillReason::Oom),
+            other => Err(r.error(format_args!("invalid kill reason: {other:?}"))),
         }
     }
 }

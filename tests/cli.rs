@@ -122,6 +122,20 @@ fn errors_are_reported_not_panicked() {
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("nesting deeper than"));
 
+    // A hand-edited plan with a repeated key is refused, not silently
+    // reduced to its last copy.
+    let path = dir.join("duplicate-key-fault-plan.json");
+    std::fs::write(&path, r#"{"events": [], "events": []}"#).unwrap();
+    let out = phishare(&[
+        "run",
+        "--policy",
+        "mc",
+        "--fault-plan",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("duplicate field `events` in FaultPlan"));
+
     // CSV rows whose duration would overflow the simulated clock, or whose
     // offload count would exhaust memory, are rejected on their line.
     for (name, row) in [
