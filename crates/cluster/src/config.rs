@@ -5,31 +5,10 @@ use crate::perturb::PerturbConfig;
 use phishare_condor::MatchPath;
 use phishare_core::{ClusterPolicy, KnapsackConfig};
 use phishare_cosmic::CosmicConfig;
-use phishare_phi::{PerfModel, PhiConfig, SharingCurve};
+use phishare_phi::{DeviceSpec, PerfModel, PhiConfig, SharingCurve};
 use phishare_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::str::FromStr;
-
-/// Everything a device substrate needs to materialize one card: hardware
-/// shape, the per-offload performance model (Phi substrates) and the
-/// fair-sharing degradation curve (shared-throughput substrates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DeviceSpec {
-    /// Hardware shape (cores, threads, memory, power).
-    pub phi: PhiConfig,
-    /// Per-offload rate model used by the Phi device substrates.
-    pub perf: PerfModel,
-    /// Degradation curve used by the shared-throughput substrates.
-    pub curve: SharingCurve,
-}
-
-impl DeviceSpec {
-    /// Validate the spec.
-    pub fn validate(&self) -> Result<(), String> {
-        self.phi.validate()?;
-        self.curve.validate()
-    }
-}
 
 /// A named accelerator SKU the pool can instantiate per node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

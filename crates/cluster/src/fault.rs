@@ -21,6 +21,7 @@
 
 use crate::config::ClusterConfig;
 use phishare_sim::{DetRng, SimDuration, SimTime};
+use phishare_workload::MAX_DURATION_SECS;
 use serde::{Deserialize, Serialize};
 
 /// What kind of failure strikes.
@@ -195,6 +196,45 @@ fn push_renewals(
     }
 }
 
+/// Most events (failures or perturbation windows) one renewal process may
+/// expect to open per target over its horizon. A plan is materialized up
+/// front, so this bounds its size — a hostile spec cannot make a run build
+/// billions of events before it starts.
+pub const MAX_EXPECTED_EVENTS: f64 = 10_000.0;
+
+/// Refuse a time that is not finite, negative, or past
+/// [`MAX_DURATION_SECS`].
+pub(crate) fn check_times(what: &str, times: &[(&str, f64)]) -> Result<(), String> {
+    for &(name, v) in times {
+        if !v.is_finite() || v < 0.0 {
+            return Err(format!("{what}: {name} must be finite and >= 0"));
+        }
+        if v > MAX_DURATION_SECS {
+            return Err(format!("{what}: {name} exceeds {MAX_DURATION_SECS} s"));
+        }
+    }
+    Ok(())
+}
+
+/// Refuse a renewal process (mean cycle `cycle_secs`: gap plus duration)
+/// expected to open more than [`MAX_EXPECTED_EVENTS`] events per target
+/// over `horizon_secs`.
+pub(crate) fn check_expected_events(
+    what: &str,
+    name: &str,
+    horizon_secs: f64,
+    cycle_secs: f64,
+) -> Result<(), String> {
+    let expected = horizon_secs / cycle_secs;
+    if expected > MAX_EXPECTED_EVENTS {
+        return Err(format!(
+            "{what}: {name} expect {expected:.3e} events per target over the horizon \
+             (limit {MAX_EXPECTED_EVENTS})"
+        ));
+    }
+    Ok(())
+}
+
 /// Failure-rate knobs. All rates default to zero: the default configuration
 /// injects nothing and leaves every timeline untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -232,24 +272,36 @@ impl FaultConfig {
         self.horizon_secs > 0.0 && (self.device_mtbf_secs > 0.0 || self.node_mtbf_secs > 0.0)
     }
 
-    /// Validate the knobs.
+    /// Validate the knobs: every time bounded by [`MAX_DURATION_SECS`], and
+    /// at most [`MAX_EXPECTED_EVENTS`] failures expected per target.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("device_mtbf_secs", self.device_mtbf_secs),
-            ("device_downtime_secs", self.device_downtime_secs),
-            ("node_mtbf_secs", self.node_mtbf_secs),
-            ("node_downtime_secs", self.node_downtime_secs),
-            ("horizon_secs", self.horizon_secs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("fault config: {name} must be finite and >= 0"));
-            }
-        }
+        check_times(
+            "fault config",
+            &[
+                ("device_mtbf_secs", self.device_mtbf_secs),
+                ("device_downtime_secs", self.device_downtime_secs),
+                ("node_mtbf_secs", self.node_mtbf_secs),
+                ("node_downtime_secs", self.node_downtime_secs),
+                ("horizon_secs", self.horizon_secs),
+            ],
+        )?;
         if self.device_mtbf_secs > 0.0 && self.device_downtime_secs <= 0.0 {
             return Err("fault config: device resets need a positive downtime".into());
         }
         if self.node_mtbf_secs > 0.0 && self.node_downtime_secs <= 0.0 {
             return Err("fault config: node churn needs a positive downtime".into());
+        }
+        for (name, mtbf, downtime) in [
+            (
+                "device resets",
+                self.device_mtbf_secs,
+                self.device_downtime_secs,
+            ),
+            ("node churn", self.node_mtbf_secs, self.node_downtime_secs),
+        ] {
+            if mtbf > 0.0 {
+                check_expected_events("fault config", name, self.horizon_secs, mtbf + downtime)?;
+            }
         }
         Ok(())
     }
@@ -449,6 +501,26 @@ mod tests {
             ..Default::default()
         };
         assert!(f.validate().is_err());
+        // Unbounded times and plans that would materialize billions of
+        // failures are refused.
+        for f in [
+            FaultConfig {
+                horizon_secs: 1e300,
+                ..Default::default()
+            },
+            FaultConfig {
+                node_mtbf_secs: 1e8,
+                ..Default::default()
+            },
+            FaultConfig {
+                device_mtbf_secs: 0.001,
+                device_downtime_secs: 0.001,
+                horizon_secs: 1e7,
+                ..Default::default()
+            },
+        ] {
+            assert!(f.validate().is_err(), "{f:?}");
+        }
 
         let mut r = RecoveryConfig::default();
         r.validate().unwrap();

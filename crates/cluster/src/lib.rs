@@ -23,7 +23,10 @@
 //!            └───────────────────────────────────┘
 //! ```
 //!
-//! driven by the deterministic event engine of `phishare-sim`.
+//! driven by the deterministic event engine of `phishare-sim`. The runtime
+//! is generic over the per-card seams [`DeviceSubstrate`] (from
+//! `phishare-phi`) and [`CosmicSubstrate`] (from `phishare-cosmic`),
+//! re-exported here with [`DeviceSpec`].
 //!
 //! * [`config`] — cluster shape and software-stack configuration;
 //! * [`fault`] — deterministic fault injection (device resets, node churn)
@@ -41,8 +44,6 @@
 //! * [`shard`] — the process-sharded sweep engine: manifest + lease-claimed
 //!   worker processes + fsync'd JSONL checkpoints with `--resume`, merged
 //!   bit-identical to [`sweep::run_sweep`];
-//! * [`substrate`] — the state-storage seam: slab-backed fast device/COSMIC
-//!   state vs. the seed's map-backed oracle, kept bit-identical;
 //! * [`report`] — plain-text table formatting for the bench harnesses.
 
 #![forbid(unsafe_code)]
@@ -58,12 +59,11 @@ pub mod perturb;
 pub mod report;
 pub mod runtime;
 pub mod shard;
-pub mod substrate;
 pub mod sweep;
 pub mod trace;
 
 pub use audit::audit;
-pub use config::{ClusterConfig, DevicePool, DeviceSku, DeviceSpec};
+pub use config::{ClusterConfig, DevicePool, DeviceSku};
 pub use fault::{FallbackPolicy, FaultConfig, FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
 pub use footprint::{footprint_search, FootprintResult, FootprintSearcher};
 pub use metrics::ExperimentResult;
@@ -71,11 +71,12 @@ pub use perturb::{
     DerateSpec, LatencySpec, PerturbConfig, PerturbEvent, PerturbKind, PerturbPlan, Perturbation,
     StaleAdsSpec,
 };
+pub use phishare_cosmic::CosmicSubstrate;
+pub use phishare_phi::{DeviceSpec, DeviceSubstrate};
 pub use runtime::{Experiment, ExperimentScratch, SubstrateMode};
 pub use shard::{
     default_workers, run_sweep_sharded, run_worker, worker_main, CellRecord, ManifestCell,
     ShardManifest, ShardOptions,
 };
-pub use substrate::{CosmicSubstrate, DeviceSubstrate};
 pub use sweep::{default_threads, run_sweep, SweepJob, SweepOutcome};
 pub use trace::{KillReason, Trace, TraceEvent};

@@ -34,6 +34,7 @@
 //! to call-order drift between event modes and substrates.
 
 use crate::config::ClusterConfig;
+use crate::fault::{check_expected_events, check_times};
 use phishare_sim::{DetRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -459,23 +460,27 @@ impl PerturbConfig {
         self.jitter_max_secs > 0.0
     }
 
-    /// Validate the knobs.
+    /// Validate the knobs: every time bounded by
+    /// [`phishare_workload::MAX_DURATION_SECS`], and at most
+    /// [`crate::fault::MAX_EXPECTED_EVENTS`] windows of each kind expected
+    /// per card (cluster-wide for stale ads) over the horizon.
     pub fn validate(&self) -> Result<(), String> {
-        for (name, v) in [
-            ("derate.mean_gap_secs", self.derate.mean_gap_secs),
-            ("derate.duration_secs", self.derate.duration_secs),
-            ("derate.factor", self.derate.factor),
-            ("latency.mean_gap_secs", self.latency.mean_gap_secs),
-            ("latency.duration_secs", self.latency.duration_secs),
-            ("latency.extra_secs", self.latency.extra_secs),
-            ("stale_ads.mean_gap_secs", self.stale_ads.mean_gap_secs),
-            ("stale_ads.duration_secs", self.stale_ads.duration_secs),
-            ("jitter_max_secs", self.jitter_max_secs),
-            ("horizon_secs", self.horizon_secs),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("perturb config: {name} must be finite and >= 0"));
-            }
+        check_times(
+            "perturb config",
+            &[
+                ("derate.mean_gap_secs", self.derate.mean_gap_secs),
+                ("derate.duration_secs", self.derate.duration_secs),
+                ("latency.mean_gap_secs", self.latency.mean_gap_secs),
+                ("latency.duration_secs", self.latency.duration_secs),
+                ("latency.extra_secs", self.latency.extra_secs),
+                ("stale_ads.mean_gap_secs", self.stale_ads.mean_gap_secs),
+                ("stale_ads.duration_secs", self.stale_ads.duration_secs),
+                ("jitter_max_secs", self.jitter_max_secs),
+                ("horizon_secs", self.horizon_secs),
+            ],
+        )?;
+        if !self.derate.factor.is_finite() || self.derate.factor < 0.0 {
+            return Err("perturb config: derate.factor must be finite and >= 0".into());
         }
         if self.derate.enabled() {
             if self.derate.duration_secs <= 0.0 {
@@ -495,6 +500,30 @@ impl PerturbConfig {
         }
         if self.stale_ads.enabled() && self.stale_ads.duration_secs <= 0.0 {
             return Err("perturb config: stale-ad windows need a positive duration".into());
+        }
+        for (name, enabled, gap, duration) in [
+            (
+                "derate windows",
+                self.derate.enabled(),
+                self.derate.mean_gap_secs,
+                self.derate.duration_secs,
+            ),
+            (
+                "latency windows",
+                self.latency.enabled(),
+                self.latency.mean_gap_secs,
+                self.latency.duration_secs,
+            ),
+            (
+                "stale-ad windows",
+                self.stale_ads.enabled(),
+                self.stale_ads.mean_gap_secs,
+                self.stale_ads.duration_secs,
+            ),
+        ] {
+            if enabled {
+                check_expected_events("perturb config", name, self.horizon_secs, gap + duration)?;
+            }
         }
         Ok(())
     }
@@ -568,7 +597,8 @@ impl PerturbConfig {
         {
             cfg.horizon_secs = 3600.0;
         }
-        cfg.validate()?;
+        cfg.validate()
+            .map_err(|e| format!("perturb spec `{spec}`: {e}"))?;
         Ok(cfg)
     }
 }
@@ -749,5 +779,23 @@ mod tests {
         assert!(PerturbConfig::from_spec("bogus:1").is_err());
         assert!(PerturbConfig::from_spec("derate:600").is_err());
         assert!(PerturbConfig::from_spec("derate:600:60:1.5").is_err());
+    }
+
+    #[test]
+    fn hostile_specs_are_refused() {
+        for bad in [
+            // Times past the bound overflow the simulated clock.
+            "latency:300:30:1e300",
+            "jitter:1e300",
+            "derate:600:60:0.5,horizon:1e12",
+            // Billions of windows per card would exhaust memory.
+            "derate:0.001:0.001:0.5,horizon:10000000",
+            "stale-ads:0.01:0.01,horizon:3600",
+        ] {
+            assert!(PerturbConfig::from_spec(bad).is_err(), "{bad} parsed");
+        }
+        // The largest legitimate stacks still parse.
+        PerturbConfig::from_spec("derate:1:1:0.5,horizon:20000").unwrap();
+        PerturbConfig::from_spec("jitter:10000000,horizon:10000000").unwrap();
     }
 }

@@ -56,7 +56,6 @@ use crate::fault::{FallbackPolicy, FaultKind, FaultPlan};
 use crate::host::HostCpu;
 use crate::metrics::ExperimentResult;
 use crate::perturb::{PerturbKind, PerturbPlan};
-use crate::substrate::{CosmicSubstrate, DeviceSubstrate};
 use crate::trace::{KillReason, Trace, TraceEvent};
 use phishare_condor::attrs;
 use phishare_condor::{Collector, JobQueue, Negotiator, SlotId, Startd};
@@ -64,9 +63,11 @@ use phishare_core::{
     ClairvoyantLpt, ClusterPolicy, ClusterScheduler, DeviceView, KnapsackScheduler, PendingJob,
     Pin, RandomScheduler,
 };
-use phishare_cosmic::{Admission, ContainerVerdict, CosmicDevice, KeyedCosmicDevice, OffloadGrant};
+use phishare_cosmic::{
+    Admission, ContainerVerdict, CosmicDevice, CosmicSubstrate, KeyedCosmicDevice, OffloadGrant,
+};
 use phishare_phi::{
-    Affinity, CommitOutcome, KeyedPhiDevice, NaiveSharedDevice, PhiDevice, ProcId,
+    Affinity, CommitOutcome, DeviceSubstrate, KeyedPhiDevice, NaiveSharedDevice, PhiDevice, ProcId,
     SharedThroughputDevice,
 };
 use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary};
@@ -121,7 +122,8 @@ enum EventMode {
     PerOffload,
 }
 
-/// Which per-device state store backs a run (see [`crate::substrate`]).
+/// Which per-device state store backs a run (see [`phishare_phi::substrate`]
+/// and [`phishare_cosmic::substrate`]).
 ///
 /// `Fast`/`Keyed` must produce bit-identical [`ExperimentResult`]s and
 /// traces, as must `Shared`/`SharedNaive`; each oracle exists to prove

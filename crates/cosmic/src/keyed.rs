@@ -10,6 +10,7 @@
 //! against.
 
 use crate::middleware::{Admission, ContainerVerdict, CosmicConfig, OffloadGrant, OffloadPolicy};
+use crate::substrate::CosmicSubstrate;
 use phishare_phi::{Affinity, CoreAllocator, CoreSet, PhiConfig};
 use phishare_sim::{SimDuration, SimTime, Summary};
 use phishare_workload::JobId;
@@ -36,8 +37,9 @@ struct Waiting {
 }
 
 /// The seed's map-backed COSMIC state for one coprocessor (differential
-/// oracle). Keyed by [`JobId`] throughout; every operation pays a
-/// `BTreeMap` lookup and the grant paths allocate a fresh `Vec` per call.
+/// oracle). Keyed by [`JobId`] throughout — its
+/// [`CosmicSubstrate::Handle`] is the id itself — so every operation pays a
+/// `BTreeMap` lookup, and the grant paths build a fresh `Vec` per call.
 #[derive(Debug)]
 pub struct KeyedCosmicDevice {
     cfg: CosmicConfig,
@@ -69,110 +71,6 @@ impl KeyedCosmicDevice {
         }
     }
 
-    /// Register a job that the cluster scheduler placed on this device.
-    ///
-    /// # Panics
-    /// Panics if the job is already registered.
-    pub fn register_job(&mut self, job: JobId, declared_mem_mb: u64, declared_threads: u32) {
-        let prior = self.registered.insert(
-            job,
-            Registered {
-                declared_mem_mb,
-                declared_threads,
-            },
-        );
-        assert!(prior.is_none(), "job {job} registered twice");
-    }
-
-    /// Remove a job (completed or killed): drops any queued offload and
-    /// frees its cores if one was active. Returns offload grants that the
-    /// departure unblocked.
-    pub fn unregister_job(&mut self, now: SimTime, job: JobId) -> Vec<OffloadGrant> {
-        self.waiting.retain(|w| w.job != job);
-        if let Some(active) = self.active.remove(&job) {
-            self.allocator.release(active.cores);
-        }
-        self.registered.remove(&job);
-        self.admit_waiters(now)
-    }
-
-    /// The card under this middleware instance reset (MPSS crash): every
-    /// registration, active offload, and queued request is flushed and all
-    /// pinned cores are released. Queue-wait statistics and the admission
-    /// counter survive.
-    pub fn reset(&mut self) {
-        for (_, active) in std::mem::take(&mut self.active) {
-            self.allocator.release(active.cores);
-        }
-        self.waiting.clear();
-        self.registered.clear();
-    }
-
-    /// A registered job wants to start an offload. Thread requests beyond
-    /// the hardware are clamped.
-    pub fn request_offload(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        threads: u32,
-        work: SimDuration,
-    ) -> Admission {
-        let threads = threads.min(self.hw_threads);
-        assert!(
-            self.registered.contains_key(&job),
-            "offload request from unregistered job {job}"
-        );
-        assert!(
-            !self.active.contains_key(&job),
-            "job {job} already has an active offload"
-        );
-        // Strict FIFO: nobody overtakes an existing queue.
-        if self.waiting.is_empty() {
-            if let Some(grant) = self.try_start(now, job, threads, work, now) {
-                return Admission::Started(grant);
-            }
-        }
-        self.waiting.push_back(Waiting {
-            job,
-            threads,
-            work,
-            enqueued: now,
-        });
-        self.queued_total += 1;
-        Admission::Queued
-    }
-
-    /// An active offload finished; free its cores and admit whatever now
-    /// fits from the queue.
-    pub fn complete_offload(&mut self, now: SimTime, job: JobId) -> Vec<OffloadGrant> {
-        let active = self
-            .active
-            .remove(&job)
-            .expect("complete_offload for a job with no active offload");
-        self.allocator.release(active.cores);
-        self.admit_waiters(now)
-    }
-
-    /// Container check on a memory commit.
-    pub fn on_commit(&self, job: JobId, committed_mb: u64) -> ContainerVerdict {
-        if !self.cfg.enforce_containers {
-            return ContainerVerdict::Allowed;
-        }
-        let declared = self
-            .registered
-            .get(&job)
-            .map(|r| r.declared_mem_mb)
-            .unwrap_or(0);
-        if committed_mb > declared {
-            ContainerVerdict::KillExceededLimit {
-                committed_mb,
-                declared_mb: declared,
-            }
-        } else {
-            ContainerVerdict::Allowed
-        }
-    }
-
     /// Thread sum of currently active offloads.
     pub fn active_threads(&self) -> u32 {
         self.active.values().map(|a| a.threads).sum()
@@ -191,11 +89,6 @@ impl KeyedCosmicDevice {
     /// Declared thread sum over registered jobs.
     pub fn registered_declared_threads(&self) -> u32 {
         self.registered.values().map(|r| r.declared_threads).sum()
-    }
-
-    /// Number of jobs registered on the device.
-    pub fn registered_jobs(&self) -> usize {
-        self.registered.len()
     }
 
     fn try_start(
@@ -221,6 +114,8 @@ impl KeyedCosmicDevice {
         })
     }
 
+    /// Admit whatever now fits from the queue, as a fresh `Vec` (the seed's
+    /// allocation).
     fn admit_waiters(&mut self, now: SimTime) -> Vec<OffloadGrant> {
         let mut granted = Vec::new();
         match self.cfg.policy {
@@ -253,6 +148,115 @@ impl KeyedCosmicDevice {
     }
 }
 
+impl CosmicSubstrate for KeyedCosmicDevice {
+    type Handle = JobId;
+
+    fn create(cfg: CosmicConfig, phi: &PhiConfig) -> Self {
+        KeyedCosmicDevice::new(cfg, phi)
+    }
+
+    fn register(&mut self, job: JobId, declared_mem_mb: u64, declared_threads: u32) -> JobId {
+        let prior = self.registered.insert(
+            job,
+            Registered {
+                declared_mem_mb,
+                declared_threads,
+            },
+        );
+        assert!(prior.is_none(), "job {job} registered twice");
+        job
+    }
+
+    fn unregister_into(&mut self, now: SimTime, job: JobId, grants: &mut Vec<OffloadGrant>) {
+        self.waiting.retain(|w| w.job != job);
+        if let Some(active) = self.active.remove(&job) {
+            self.allocator.release(active.cores);
+        }
+        self.registered.remove(&job);
+        grants.extend(self.admit_waiters(now));
+    }
+
+    fn reset(&mut self) {
+        for (_, active) in std::mem::take(&mut self.active) {
+            self.allocator.release(active.cores);
+        }
+        self.waiting.clear();
+        self.registered.clear();
+    }
+
+    fn request_offload(
+        &mut self,
+        now: SimTime,
+        job: JobId,
+        threads: u32,
+        work: SimDuration,
+    ) -> Admission {
+        let threads = threads.min(self.hw_threads);
+        assert!(
+            self.registered.contains_key(&job),
+            "offload request from unregistered job {job}"
+        );
+        assert!(
+            !self.active.contains_key(&job),
+            "job {job} already has an active offload"
+        );
+        // Strict FIFO: nobody overtakes an existing queue.
+        if self.waiting.is_empty() {
+            if let Some(grant) = self.try_start(now, job, threads, work, now) {
+                return Admission::Started(grant);
+            }
+        }
+        self.waiting.push_back(Waiting {
+            job,
+            threads,
+            work,
+            enqueued: now,
+        });
+        self.queued_total += 1;
+        Admission::Queued
+    }
+
+    fn complete_offload_into(&mut self, now: SimTime, job: JobId, grants: &mut Vec<OffloadGrant>) {
+        let active = self
+            .active
+            .remove(&job)
+            .expect("complete_offload for a job with no active offload");
+        self.allocator.release(active.cores);
+        grants.extend(self.admit_waiters(now));
+    }
+
+    fn on_commit(&self, job: JobId, committed_mb: u64) -> ContainerVerdict {
+        if !self.cfg.enforce_containers {
+            return ContainerVerdict::Allowed;
+        }
+        let declared = self
+            .registered
+            .get(&job)
+            .map(|r| r.declared_mem_mb)
+            .unwrap_or(0);
+        if committed_mb > declared {
+            ContainerVerdict::KillExceededLimit {
+                committed_mb,
+                declared_mb: declared,
+            }
+        } else {
+            ContainerVerdict::Allowed
+        }
+    }
+
+    fn registered_jobs(&self) -> usize {
+        self.registered.len()
+    }
+
+    fn queue_wait_count(&self) -> usize {
+        self.queue_wait.count()
+    }
+
+    fn queue_wait_mean(&self) -> f64 {
+        self.queue_wait.mean()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,18 +264,26 @@ mod tests {
     #[test]
     fn keyed_middleware_basic_lifecycle() {
         let mut c = KeyedCosmicDevice::new(CosmicConfig::default(), &PhiConfig::default());
-        c.register_job(JobId(1), 1000, 240);
-        c.register_job(JobId(2), 1000, 240);
+        let j1 = c.register(JobId(1), 1000, 240);
+        let j2 = c.register(JobId(2), 1000, 240);
         assert!(matches!(
-            c.request_offload(SimTime::ZERO, JobId(1), 240, SimDuration::from_secs(10)),
+            c.request_offload(SimTime::ZERO, j1, 240, SimDuration::from_secs(10)),
             Admission::Started(_)
         ));
         assert_eq!(
-            c.request_offload(SimTime::ZERO, JobId(2), 240, SimDuration::from_secs(10)),
+            c.request_offload(SimTime::ZERO, j2, 240, SimDuration::from_secs(10)),
             Admission::Queued
         );
-        let granted = c.complete_offload(SimTime::from_secs(10), JobId(1));
+        let mut granted = Vec::new();
+        c.complete_offload_into(SimTime::from_secs(10), j1, &mut granted);
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].job, JobId(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "offload request from unregistered job")]
+    fn offload_from_unregistered_job_panics() {
+        let mut c = KeyedCosmicDevice::new(CosmicConfig::default(), &PhiConfig::default());
+        c.request_offload(SimTime::ZERO, JobId(1), 60, SimDuration::from_secs(1));
     }
 }

@@ -18,14 +18,21 @@
 //! The middleware is a pure control plane: it decides *when* an offload may
 //! start and *where* its threads go; the owning runtime applies those
 //! decisions to the [`phishare_phi::PhiDevice`].
+//!
+//! Both middleware layouts — the slab-backed [`CosmicDevice`] and its keyed
+//! oracle [`KeyedCosmicDevice`] — are driven through one operation API, the
+//! [`CosmicSubstrate`] trait in [`substrate`], which the cluster runtime is
+//! generic over.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod keyed;
 pub mod middleware;
+pub mod substrate;
 
 pub use keyed::KeyedCosmicDevice;
 pub use middleware::{
     Admission, ContainerVerdict, CosmicConfig, CosmicDevice, JobSlot, OffloadGrant, OffloadPolicy,
 };
+pub use substrate::CosmicSubstrate;

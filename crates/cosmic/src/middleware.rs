@@ -5,18 +5,17 @@
 //! Registered-job and active-offload state live in one generation-stamped
 //! slab ([`phishare_sim::Slab`]): each registered job occupies a dense slot
 //! holding its declared envelope and its (optional) active offload. A
-//! [`JobSlot`] handle is resolved once at [`CosmicDevice::register_job_slot`];
+//! [`JobSlot`] handle is resolved once at [`CosmicSubstrate::register`];
 //! admission, completion and container checks are then array-indexed. A
 //! small `JobId → JobSlot` index is maintained only at register/unregister
-//! for id-keyed convenience calls, and aggregate sums (active threads,
-//! declared memory/threads) are kept incrementally — integer-exact mirrors
-//! of what the keyed oracle ([`crate::keyed::KeyedCosmicDevice`])
-//! recomputes per call.
-//!
-//! The grant paths come in two forms: `Vec`-returning (seed-compatible)
-//! and `*_into` variants that append into a caller-recycled buffer, so the
-//! runtime's offload hot loop completes/admits without allocating.
+//! (departures and queued requests are id-keyed), and aggregate sums
+//! (active threads, declared memory/threads) are kept incrementally —
+//! integer-exact mirrors of what the keyed oracle
+//! ([`crate::keyed::KeyedCosmicDevice`]) recomputes per call. Grants are
+//! appended into a caller-recycled buffer, so the runtime's offload hot
+//! loop completes/admits without allocating.
 
+use crate::substrate::CosmicSubstrate;
 use phishare_phi::{Affinity, CoreAllocator, CoreSet, PhiConfig};
 use phishare_sim::{SimDuration, SimTime, Slab, Slot, Summary};
 use phishare_workload::JobId;
@@ -59,8 +58,9 @@ impl Default for CosmicConfig {
 pub enum Admission {
     /// The offload may start now with this affinity.
     Started(OffloadGrant),
-    /// The offload is queued; it will be granted by a later
-    /// [`CosmicDevice::complete_offload`] call.
+    /// The offload is queued; a later completion or departure grants it
+    /// ([`CosmicSubstrate::complete_offload_into`],
+    /// [`CosmicSubstrate::unregister_into`]).
     Queued,
 }
 
@@ -116,7 +116,7 @@ struct Waiting {
 }
 
 /// Handle to a registered job, resolved once at
-/// [`CosmicDevice::register_job_slot`] and valid until the job unregisters
+/// [`CosmicSubstrate::register`] and valid until the job unregisters
 /// or the device resets. Generation-stamped: a handle that outlives its
 /// registration goes stale rather than aliasing the slot's next tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -128,11 +128,8 @@ impl fmt::Display for JobSlot {
     }
 }
 
-/// COSMIC's state for one coprocessor (slab-backed fast substrate).
-///
-/// Every id-keyed method has a `_slot` twin taking a [`JobSlot`]; hot loops
-/// resolve the handle once at registration and skip the map lookup
-/// thereafter.
+/// COSMIC's state for one coprocessor (slab-backed fast substrate), driven
+/// through its [`CosmicSubstrate`] impl.
 #[derive(Debug)]
 pub struct CosmicDevice {
     cfg: CosmicConfig,
@@ -174,238 +171,6 @@ impl CosmicDevice {
         }
     }
 
-    /// Register a job that the cluster scheduler placed on this device.
-    ///
-    /// # Panics
-    /// Panics if the job is already registered — the cluster scheduler must
-    /// not double-place a job.
-    pub fn register_job(&mut self, job: JobId, declared_mem_mb: u64, declared_threads: u32) {
-        let _ = self.register_job_slot(job, declared_mem_mb, declared_threads);
-    }
-
-    /// [`CosmicDevice::register_job`], returning the job's slot handle for
-    /// later array-indexed access.
-    ///
-    /// # Panics
-    /// Panics if the job is already registered.
-    pub fn register_job_slot(
-        &mut self,
-        job: JobId,
-        declared_mem_mb: u64,
-        declared_threads: u32,
-    ) -> JobSlot {
-        assert!(!self.index.contains_key(&job), "job {job} registered twice");
-        let slot = JobSlot(self.jobs.insert(JobEntry {
-            id: job,
-            declared_mem_mb,
-            declared_threads,
-            active: None,
-        }));
-        self.index.insert(job, slot);
-        self.declared_mb_total += declared_mem_mb;
-        self.declared_threads_total += declared_threads;
-        slot
-    }
-
-    /// The slot handle for a registered job, or `None` when not registered.
-    pub fn slot_of(&self, job: JobId) -> Option<JobSlot> {
-        self.index.get(&job).copied()
-    }
-
-    /// True when `slot` still names a live registration.
-    pub fn slot_is_live(&self, slot: JobSlot) -> bool {
-        self.jobs.contains(slot.0)
-    }
-
-    /// Remove a job (completed or killed): drops any queued offload and
-    /// frees its cores if one was active. Returns offload grants that the
-    /// departure unblocked (allocates; hot loops should use
-    /// [`CosmicDevice::unregister_job_into`]).
-    pub fn unregister_job(&mut self, now: SimTime, job: JobId) -> Vec<OffloadGrant> {
-        let mut grants = Vec::new();
-        self.unregister_job_into(now, job, &mut grants);
-        grants
-    }
-
-    /// Allocation-free form of [`CosmicDevice::unregister_job`]: unblocked
-    /// grants are appended to `grants` (which is not cleared first).
-    pub fn unregister_job_into(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        grants: &mut Vec<OffloadGrant>,
-    ) {
-        self.waiting.retain(|w| w.job != job);
-        if let Some(slot) = self.index.remove(&job) {
-            let entry = self.jobs.remove(slot.0);
-            self.declared_mb_total -= entry.declared_mem_mb;
-            self.declared_threads_total -= entry.declared_threads;
-            if let Some(active) = entry.active {
-                self.active_threads_total -= active.threads;
-                self.allocator.release(active.cores);
-            }
-        }
-        self.admit_waiters(now, grants);
-    }
-
-    /// The card under this middleware instance reset (MPSS crash): every
-    /// registration, active offload, and queued request is flushed and all
-    /// pinned cores are released. Queue-wait statistics and the admission
-    /// counter survive — they describe the run, not the card state. Jobs
-    /// that want back in must re-register after recovery; handles from
-    /// before the reset are all stale.
-    pub fn reset(&mut self) {
-        for (_, entry) in self.jobs.iter_mut() {
-            if let Some(active) = entry.active.take() {
-                self.allocator.release(active.cores);
-            }
-        }
-        self.jobs.clear();
-        self.index.clear();
-        self.waiting.clear();
-        self.active_threads_total = 0;
-        self.declared_mb_total = 0;
-        self.declared_threads_total = 0;
-    }
-
-    /// A registered job wants to start an offload.
-    ///
-    /// Requests for more threads than the hardware has are clamped to the
-    /// device capacity (an OpenMP region asking for more threads than exist
-    /// just timeshares; COSMIC caps the affinity mask instead) — otherwise a
-    /// 240-thread job could never be admitted on a 228-thread card and
-    /// would starve forever.
-    pub fn request_offload(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        threads: u32,
-        work: SimDuration,
-    ) -> Admission {
-        let slot = *self
-            .index
-            .get(&job)
-            .unwrap_or_else(|| panic!("offload request from unregistered job {job}"));
-        self.request_offload_slot(now, slot, threads, work)
-    }
-
-    /// [`CosmicDevice::request_offload`] through a slot handle.
-    ///
-    /// # Panics
-    /// Panics when the handle is stale or the job already has an active
-    /// offload.
-    pub fn request_offload_slot(
-        &mut self,
-        now: SimTime,
-        slot: JobSlot,
-        threads: u32,
-        work: SimDuration,
-    ) -> Admission {
-        let threads = threads.min(self.hw_threads);
-        let entry = self.entry(slot);
-        let job = entry.id;
-        assert!(
-            entry.active.is_none(),
-            "job {job} already has an active offload"
-        );
-        // Strict FIFO: nobody overtakes an existing queue.
-        if self.waiting.is_empty() {
-            if let Some(grant) = self.try_start(now, slot, threads, work, now) {
-                return Admission::Started(grant);
-            }
-        }
-        self.waiting.push_back(Waiting {
-            job,
-            threads,
-            work,
-            enqueued: now,
-        });
-        self.queued_total += 1;
-        Admission::Queued
-    }
-
-    /// An active offload finished; free its cores and admit whatever now
-    /// fits from the queue (allocates; hot loops should use
-    /// [`CosmicDevice::complete_offload_into`]).
-    pub fn complete_offload(&mut self, now: SimTime, job: JobId) -> Vec<OffloadGrant> {
-        let mut grants = Vec::new();
-        self.complete_offload_into(now, job, &mut grants);
-        grants
-    }
-
-    /// Allocation-free form of [`CosmicDevice::complete_offload`]: unblocked
-    /// grants are appended to `grants` (which is not cleared first).
-    pub fn complete_offload_into(
-        &mut self,
-        now: SimTime,
-        job: JobId,
-        grants: &mut Vec<OffloadGrant>,
-    ) {
-        let slot = *self
-            .index
-            .get(&job)
-            .expect("complete_offload for a job with no active offload");
-        self.complete_offload_slot_into(now, slot, grants);
-    }
-
-    /// [`CosmicDevice::complete_offload_into`] through a slot handle.
-    ///
-    /// # Panics
-    /// Panics when the handle is stale or the job has no active offload.
-    pub fn complete_offload_slot_into(
-        &mut self,
-        now: SimTime,
-        slot: JobSlot,
-        grants: &mut Vec<OffloadGrant>,
-    ) {
-        let entry = self
-            .jobs
-            .get_mut(slot.0)
-            .unwrap_or_else(|| panic!("complete_offload through stale handle {slot}"));
-        let active = entry
-            .active
-            .take()
-            .expect("complete_offload for a job with no active offload");
-        self.active_threads_total -= active.threads;
-        self.allocator.release(active.cores);
-        self.admit_waiters(now, grants);
-    }
-
-    /// Container check on a memory commit.
-    pub fn on_commit(&self, job: JobId, committed_mb: u64) -> ContainerVerdict {
-        if !self.cfg.enforce_containers {
-            return ContainerVerdict::Allowed;
-        }
-        let declared = self
-            .index
-            .get(&job)
-            .map(|slot| self.entry(*slot).declared_mem_mb)
-            .unwrap_or(0);
-        self.verdict(committed_mb, declared)
-    }
-
-    /// [`CosmicDevice::on_commit`] through a slot handle.
-    ///
-    /// # Panics
-    /// Panics when the handle is stale.
-    pub fn on_commit_slot(&self, slot: JobSlot, committed_mb: u64) -> ContainerVerdict {
-        if !self.cfg.enforce_containers {
-            return ContainerVerdict::Allowed;
-        }
-        self.verdict(committed_mb, self.entry(slot).declared_mem_mb)
-    }
-
-    fn verdict(&self, committed_mb: u64, declared_mb: u64) -> ContainerVerdict {
-        if committed_mb > declared_mb {
-            ContainerVerdict::KillExceededLimit {
-                committed_mb,
-                declared_mb,
-            }
-        } else {
-            ContainerVerdict::Allowed
-        }
-    }
-
     /// Thread sum of currently active offloads.
     pub fn active_threads(&self) -> u32 {
         self.active_threads_total
@@ -427,11 +192,6 @@ impl CosmicDevice {
     /// against.
     pub fn registered_declared_threads(&self) -> u32 {
         self.declared_threads_total
-    }
-
-    /// Number of jobs registered on the device.
-    pub fn registered_jobs(&self) -> usize {
-        self.jobs.len()
     }
 
     /// The live entry at `slot`, panicking on a stale handle.
@@ -499,6 +259,132 @@ impl CosmicDevice {
     }
 }
 
+impl CosmicSubstrate for CosmicDevice {
+    type Handle = JobSlot;
+
+    fn create(cfg: CosmicConfig, phi: &PhiConfig) -> Self {
+        CosmicDevice::new(cfg, phi)
+    }
+
+    fn register(&mut self, job: JobId, declared_mem_mb: u64, declared_threads: u32) -> JobSlot {
+        assert!(!self.index.contains_key(&job), "job {job} registered twice");
+        let slot = JobSlot(self.jobs.insert(JobEntry {
+            id: job,
+            declared_mem_mb,
+            declared_threads,
+            active: None,
+        }));
+        self.index.insert(job, slot);
+        self.declared_mb_total += declared_mem_mb;
+        self.declared_threads_total += declared_threads;
+        slot
+    }
+
+    fn unregister_into(&mut self, now: SimTime, job: JobId, grants: &mut Vec<OffloadGrant>) {
+        self.waiting.retain(|w| w.job != job);
+        if let Some(slot) = self.index.remove(&job) {
+            let entry = self.jobs.remove(slot.0);
+            self.declared_mb_total -= entry.declared_mem_mb;
+            self.declared_threads_total -= entry.declared_threads;
+            if let Some(active) = entry.active {
+                self.active_threads_total -= active.threads;
+                self.allocator.release(active.cores);
+            }
+        }
+        self.admit_waiters(now, grants);
+    }
+
+    fn reset(&mut self) {
+        for (_, entry) in self.jobs.iter_mut() {
+            if let Some(active) = entry.active.take() {
+                self.allocator.release(active.cores);
+            }
+        }
+        self.jobs.clear();
+        self.index.clear();
+        self.waiting.clear();
+        self.active_threads_total = 0;
+        self.declared_mb_total = 0;
+        self.declared_threads_total = 0;
+    }
+
+    fn request_offload(
+        &mut self,
+        now: SimTime,
+        slot: JobSlot,
+        threads: u32,
+        work: SimDuration,
+    ) -> Admission {
+        let threads = threads.min(self.hw_threads);
+        let entry = self.entry(slot);
+        let job = entry.id;
+        assert!(
+            entry.active.is_none(),
+            "job {job} already has an active offload"
+        );
+        // Strict FIFO: nobody overtakes an existing queue.
+        if self.waiting.is_empty() {
+            if let Some(grant) = self.try_start(now, slot, threads, work, now) {
+                return Admission::Started(grant);
+            }
+        }
+        self.waiting.push_back(Waiting {
+            job,
+            threads,
+            work,
+            enqueued: now,
+        });
+        self.queued_total += 1;
+        Admission::Queued
+    }
+
+    fn complete_offload_into(
+        &mut self,
+        now: SimTime,
+        slot: JobSlot,
+        grants: &mut Vec<OffloadGrant>,
+    ) {
+        let entry = self
+            .jobs
+            .get_mut(slot.0)
+            .unwrap_or_else(|| panic!("complete_offload through stale handle {slot}"));
+        let active = entry
+            .active
+            .take()
+            .expect("complete_offload for a job with no active offload");
+        self.active_threads_total -= active.threads;
+        self.allocator.release(active.cores);
+        self.admit_waiters(now, grants);
+    }
+
+    fn on_commit(&self, slot: JobSlot, committed_mb: u64) -> ContainerVerdict {
+        if !self.cfg.enforce_containers {
+            return ContainerVerdict::Allowed;
+        }
+        let declared_mb = self.entry(slot).declared_mem_mb;
+        if committed_mb > declared_mb {
+            ContainerVerdict::KillExceededLimit {
+                committed_mb,
+                declared_mb,
+            }
+        } else {
+            ContainerVerdict::Allowed
+        }
+    }
+
+    fn registered_jobs(&self) -> usize {
+        self.jobs.len()
+    }
+
+    fn queue_wait_count(&self) -> usize {
+        self.queue_wait.count()
+    }
+
+    fn queue_wait_mean(&self) -> f64 {
+        self.queue_wait.mean()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,16 +407,43 @@ mod tests {
         SimDuration::from_secs(secs)
     }
 
+    /// Register jobs `ids` with one envelope; their handles in order.
+    fn register(
+        c: &mut CosmicDevice,
+        ids: impl IntoIterator<Item = u64>,
+        mb: u64,
+        threads: u32,
+    ) -> Vec<JobSlot> {
+        ids.into_iter()
+            .map(|j| c.register(JobId(j), mb, threads))
+            .collect()
+    }
+
+    fn complete(c: &mut CosmicDevice, now: SimTime, slot: JobSlot) -> Vec<OffloadGrant> {
+        let mut grants = Vec::new();
+        c.complete_offload_into(now, slot, &mut grants);
+        grants
+    }
+
+    fn unregister(c: &mut CosmicDevice, now: SimTime, job: u64) -> Vec<OffloadGrant> {
+        let mut grants = Vec::new();
+        c.unregister_into(now, JobId(job), &mut grants);
+        grants
+    }
+
+    fn started(a: Admission) -> OffloadGrant {
+        match a {
+            Admission::Started(grant) => grant,
+            Admission::Queued => panic!("offload should start"),
+        }
+    }
+
     #[test]
     fn concurrent_offloads_within_limit_get_disjoint_cores() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 1000, 120);
-        c.register_job(JobId(2), 1000, 120);
-        let a = c.request_offload(t(0), JobId(1), 120, w(5));
-        let b = c.request_offload(t(0), JobId(2), 120, w(5));
-        let (Admission::Started(ga), Admission::Started(gb)) = (a, b) else {
-            panic!("both offloads should start");
-        };
+        let s = register(&mut c, 1..=2, 1000, 120);
+        let ga = started(c.request_offload(t(0), s[0], 120, w(5)));
+        let gb = started(c.request_offload(t(0), s[1], 120, w(5)));
         let (Affinity::Pinned(ca), Affinity::Pinned(cb)) = (ga.affinity, gb.affinity) else {
             panic!("COSMIC grants are always pinned");
         };
@@ -542,51 +455,41 @@ mod tests {
     #[test]
     fn reset_flushes_registrations_and_frees_cores() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        let s1 = c.register_job_slot(JobId(1), 1000, 240);
-        c.register_job(JobId(2), 1000, 240);
-        c.register_job(JobId(3), 1000, 120);
-        assert!(matches!(
-            c.request_offload(t(0), JobId(1), 240, w(10)),
-            Admission::Started(_)
-        ));
-        assert_eq!(
-            c.request_offload(t(0), JobId(2), 240, w(10)),
-            Admission::Queued
-        );
+        let s = register(&mut c, 1..=2, 1000, 240);
+        c.register(JobId(3), 1000, 120);
+        started(c.request_offload(t(0), s[0], 240, w(10)));
+        assert_eq!(c.request_offload(t(0), s[1], 240, w(10)), Admission::Queued);
         c.reset();
         assert_eq!(c.registered_jobs(), 0);
         assert_eq!(c.active_threads(), 0);
         assert_eq!(c.queue_len(), 0);
-        assert!(!c.slot_is_live(s1), "pre-reset handles are stale");
         // All cores came back: a re-registered full-width offload starts
-        // immediately, and stale jobs must re-register (register_job would
-        // panic on a survivor).
-        c.register_job(JobId(1), 1000, 240);
-        assert!(matches!(
-            c.request_offload(t(1), JobId(1), 240, w(5)),
-            Admission::Started(_)
-        ));
+        // immediately (registering a survivor would panic).
+        let s1 = c.register(JobId(1), 1000, 240);
+        started(c.request_offload(t(1), s1, 240, w(5)));
         // Admission statistics survived the reset.
         assert_eq!(c.queued_total, 1);
     }
 
     #[test]
+    #[should_panic(expected = "stale handle")]
+    fn pre_reset_handles_are_stale() {
+        let mut c = cosmic(OffloadPolicy::Fifo);
+        let s1 = c.register(JobId(1), 1000, 240);
+        c.reset();
+        c.request_offload(t(1), s1, 240, w(5));
+    }
+
+    #[test]
     fn oversubscribing_offload_is_queued_then_admitted() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 1000, 240);
-        c.register_job(JobId(2), 1000, 240);
-        assert!(matches!(
-            c.request_offload(t(0), JobId(1), 240, w(10)),
-            Admission::Started(_)
-        ));
-        assert_eq!(
-            c.request_offload(t(0), JobId(2), 240, w(10)),
-            Admission::Queued
-        );
+        let s = register(&mut c, 1..=2, 1000, 240);
+        started(c.request_offload(t(0), s[0], 240, w(10)));
+        assert_eq!(c.request_offload(t(0), s[1], 240, w(10)), Admission::Queued);
         assert_eq!(c.queue_len(), 1);
         // Never exceeds hardware.
         assert!(c.active_threads() <= 240);
-        let granted = c.complete_offload(t(10), JobId(1));
+        let granted = complete(&mut c, t(10), s[0]);
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].job, JobId(2));
         assert_eq!(c.queue_len(), 0);
@@ -597,25 +500,14 @@ mod tests {
     #[test]
     fn fifo_head_blocks_smaller_followers() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        for j in 1..=3 {
-            c.register_job(JobId(j), 500, 240);
-        }
-        assert!(matches!(
-            c.request_offload(t(0), JobId(1), 200, w(10)),
-            Admission::Started(_)
-        ));
+        let s = register(&mut c, 1..=3, 500, 240);
+        started(c.request_offload(t(0), s[0], 200, w(10)));
         // Head of queue needs 240; a 40-thread offload behind it must wait
         // under strict FIFO.
-        assert_eq!(
-            c.request_offload(t(1), JobId(2), 240, w(5)),
-            Admission::Queued
-        );
-        assert_eq!(
-            c.request_offload(t(2), JobId(3), 40, w(5)),
-            Admission::Queued
-        );
+        assert_eq!(c.request_offload(t(1), s[1], 240, w(5)), Admission::Queued);
+        assert_eq!(c.request_offload(t(2), s[2], 40, w(5)), Admission::Queued);
         assert_eq!(c.queue_len(), 2);
-        let granted = c.complete_offload(t(10), JobId(1));
+        let granted = complete(&mut c, t(10), s[0]);
         // 240-thread head admitted alone.
         assert_eq!(granted.len(), 1);
         assert_eq!(granted[0].job, JobId(2));
@@ -624,66 +516,46 @@ mod tests {
     #[test]
     fn backfill_lets_small_offloads_jump() {
         let mut c = cosmic(OffloadPolicy::Backfill);
-        for j in 1..=3 {
-            c.register_job(JobId(j), 500, 240);
-        }
-        assert!(matches!(
-            c.request_offload(t(0), JobId(1), 200, w(10)),
-            Admission::Started(_)
-        ));
-        assert_eq!(
-            c.request_offload(t(1), JobId(2), 240, w(5)),
-            Admission::Queued
-        );
-        assert_eq!(
-            c.request_offload(t(2), JobId(3), 40, w(5)),
-            Admission::Queued
-        );
+        let s = register(&mut c, 1..=3, 500, 240);
+        started(c.request_offload(t(0), s[0], 200, w(10)));
+        assert_eq!(c.request_offload(t(1), s[1], 240, w(5)), Admission::Queued);
+        assert_eq!(c.request_offload(t(2), s[2], 40, w(5)), Admission::Queued);
         // Job 3 fits alongside job 1 (200 + 40 ≤ 240); backfill admits it
         // when we next touch the queue.
-        let granted = c.complete_offload(t(3), JobId(1));
+        let granted = complete(&mut c, t(3), s[0]);
         let jobs: Vec<JobId> = granted.iter().map(|g| g.job).collect();
         assert_eq!(jobs, vec![JobId(2)]);
         // After 2 finishes, 3 runs.
-        let granted = c.complete_offload(t(8), JobId(2));
+        let granted = complete(&mut c, t(8), s[1]);
         assert_eq!(granted[0].job, JobId(3));
     }
 
     #[test]
     fn unregister_drops_queued_offloads_and_frees_cores() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 500, 240);
-        c.register_job(JobId(2), 500, 240);
-        c.register_job(JobId(3), 500, 120);
-        assert!(matches!(
-            c.request_offload(t(0), JobId(1), 240, w(10)),
-            Admission::Started(_)
-        ));
-        assert_eq!(
-            c.request_offload(t(0), JobId(2), 240, w(5)),
-            Admission::Queued
-        );
-        assert_eq!(
-            c.request_offload(t(0), JobId(3), 120, w(5)),
-            Admission::Queued
-        );
+        let s = register(&mut c, 1..=2, 500, 240);
+        let s3 = c.register(JobId(3), 500, 120);
+        started(c.request_offload(t(0), s[0], 240, w(10)));
+        assert_eq!(c.request_offload(t(0), s[1], 240, w(5)), Admission::Queued);
+        assert_eq!(c.request_offload(t(0), s3, 120, w(5)), Admission::Queued);
         // Job 2 is killed while queued; job 1 killed while active.
-        let g = c.unregister_job(t(1), JobId(2));
-        assert!(g.is_empty());
-        let g = c.unregister_job(t(2), JobId(1));
+        assert!(unregister(&mut c, t(1), 2).is_empty());
+        let g = unregister(&mut c, t(2), 1);
         // Queue head (job 3) admitted by the departure.
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].job, JobId(3));
         assert_eq!(c.registered_jobs(), 1);
+        // Departing an unknown job is a no-op.
+        assert!(unregister(&mut c, t(3), 42).is_empty());
     }
 
     #[test]
     fn container_kill_on_overrun() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 1000, 60);
-        assert_eq!(c.on_commit(JobId(1), 900), ContainerVerdict::Allowed);
+        let s1 = c.register(JobId(1), 1000, 60);
+        assert_eq!(c.on_commit(s1, 900), ContainerVerdict::Allowed);
         assert_eq!(
-            c.on_commit(JobId(1), 1100),
+            c.on_commit(s1, 1100),
             ContainerVerdict::KillExceededLimit {
                 committed_mb: 1100,
                 declared_mb: 1000
@@ -700,8 +572,8 @@ mod tests {
             },
             &PhiConfig::default(),
         );
-        c.register_job(JobId(1), 1000, 60);
-        assert_eq!(c.on_commit(JobId(1), 5000), ContainerVerdict::Allowed);
+        let s1 = c.register(JobId(1), 1000, 60);
+        assert_eq!(c.on_commit(s1, 5000), ContainerVerdict::Allowed);
     }
 
     #[test]
@@ -709,19 +581,11 @@ mod tests {
         // 1-thread offloads consume a whole core each: 60 offloads exhaust
         // cores while using only 60 of 240 threads.
         let mut c = cosmic(OffloadPolicy::Fifo);
-        for j in 0..61 {
-            c.register_job(JobId(j), 10, 1);
+        let s = register(&mut c, 0..61, 10, 1);
+        for slot in &s[..60] {
+            started(c.request_offload(t(0), *slot, 1, w(5)));
         }
-        for j in 0..60 {
-            assert!(matches!(
-                c.request_offload(t(0), JobId(j), 1, w(5)),
-                Admission::Started(_)
-            ));
-        }
-        assert_eq!(
-            c.request_offload(t(0), JobId(60), 1, w(5)),
-            Admission::Queued
-        );
+        assert_eq!(c.request_offload(t(0), s[60], 1, w(5)), Admission::Queued);
         assert_eq!(c.active_threads(), 60);
     }
 
@@ -729,15 +593,17 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn double_registration_panics() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 100, 60);
-        c.register_job(JobId(1), 100, 60);
+        c.register(JobId(1), 100, 60);
+        c.register(JobId(1), 100, 60);
     }
 
     #[test]
-    #[should_panic(expected = "unregistered job")]
-    fn offload_from_unregistered_job_panics() {
+    #[should_panic(expected = "already has an active offload")]
+    fn double_request_panics() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.request_offload(t(0), JobId(1), 60, w(1));
+        let s1 = c.register(JobId(1), 100, 60);
+        c.request_offload(t(0), s1, 60, w(1));
+        c.request_offload(t(0), s1, 60, w(1));
     }
 
     #[test]
@@ -749,71 +615,48 @@ mod tests {
             ..PhiConfig::default()
         };
         let mut c = CosmicDevice::new(CosmicConfig::default(), &small);
-        c.register_job(JobId(1), 500, 240);
-        match c.request_offload(t(0), JobId(1), 240, w(5)) {
-            Admission::Started(grant) => assert_eq!(grant.threads, 228),
-            Admission::Queued => panic!("clamped offload must start on an idle device"),
-        }
+        let s1 = c.register(JobId(1), 500, 240);
+        assert_eq!(started(c.request_offload(t(0), s1, 240, w(5))).threads, 228);
         assert_eq!(c.active_threads(), 228);
     }
 
     #[test]
     fn declared_resource_accounting() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        c.register_job(JobId(1), 1000, 60);
-        c.register_job(JobId(2), 2000, 180);
+        c.register(JobId(1), 1000, 60);
+        c.register(JobId(2), 2000, 180);
         assert_eq!(c.registered_declared_mb(), 3000);
         assert_eq!(c.registered_declared_threads(), 240);
-        c.unregister_job(t(0), JobId(1));
+        unregister(&mut c, t(0), 1);
         assert_eq!(c.registered_declared_mb(), 2000);
         assert_eq!(c.registered_declared_threads(), 180);
     }
 
     #[test]
-    fn slot_api_matches_id_api() {
+    fn grants_append_to_a_recycled_buffer() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        let s1 = c.register_job_slot(JobId(1), 1000, 240);
-        let s2 = c.register_job_slot(JobId(2), 1000, 240);
-        assert_eq!(c.slot_of(JobId(1)), Some(s1));
-        assert!(c.slot_is_live(s1));
-        assert!(matches!(
-            c.request_offload_slot(t(0), s1, 240, w(10)),
-            Admission::Started(_)
-        ));
-        assert_eq!(
-            c.request_offload_slot(t(0), s2, 240, w(10)),
-            Admission::Queued
-        );
-        assert_eq!(c.on_commit_slot(s1, 900), ContainerVerdict::Allowed);
-        assert_eq!(
-            c.on_commit_slot(s1, 1100),
-            ContainerVerdict::KillExceededLimit {
-                committed_mb: 1100,
-                declared_mb: 1000
-            }
-        );
-        // Completing through the slot hands job 2's grant into a recycled
-        // buffer without clearing it.
-        let mut grants = Vec::new();
-        c.complete_offload_slot_into(t(10), s1, &mut grants);
-        assert_eq!(grants.len(), 1);
-        assert_eq!(grants[0].job, JobId(2));
-        // Unregistering invalidates the handle.
-        let mut more = Vec::new();
-        c.unregister_job_into(t(11), JobId(1), &mut more);
-        assert!(more.is_empty());
-        assert!(!c.slot_is_live(s1));
-        assert_eq!(c.slot_of(JobId(1)), None);
-        assert_eq!(c.registered_jobs(), 1);
+        let s = register(&mut c, 1..=2, 1000, 240);
+        started(c.request_offload(t(0), s[0], 240, w(10)));
+        assert_eq!(c.request_offload(t(0), s[1], 240, w(10)), Admission::Queued);
+        let mut grants = vec![OffloadGrant {
+            job: JobId(99),
+            threads: 1,
+            work: w(1),
+            affinity: Affinity::Unmanaged,
+        }];
+        // Completing job 1 hands job 2's grant into the buffer without
+        // clearing it.
+        c.complete_offload_into(t(10), s[0], &mut grants);
+        let jobs: Vec<JobId> = grants.iter().map(|g| g.job).collect();
+        assert_eq!(jobs, vec![JobId(99), JobId(2)]);
     }
 
     #[test]
     #[should_panic(expected = "stale handle")]
     fn stale_slot_panics_on_completion() {
         let mut c = cosmic(OffloadPolicy::Fifo);
-        let s = c.register_job_slot(JobId(1), 100, 60);
-        c.unregister_job(t(0), JobId(1));
-        let mut grants = Vec::new();
-        c.complete_offload_slot_into(t(1), s, &mut grants);
+        let s = c.register(JobId(1), 100, 60);
+        unregister(&mut c, t(0), 1);
+        complete(&mut c, t(1), s);
     }
 }

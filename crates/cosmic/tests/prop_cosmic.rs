@@ -3,12 +3,29 @@
 //! than the hardware's thread or core capacity, and (under FIFO) never
 //! starves the queue head.
 
-use phishare_cosmic::{Admission, CosmicConfig, CosmicDevice, KeyedCosmicDevice, OffloadPolicy};
+use phishare_cosmic::{
+    Admission, CosmicConfig, CosmicDevice, CosmicSubstrate, KeyedCosmicDevice, OffloadGrant,
+    OffloadPolicy,
+};
 use phishare_phi::PhiConfig;
 use phishare_sim::{SimDuration, SimTime};
 use phishare_workload::JobId;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// Grants a departure unblocked.
+fn unregister<C: CosmicSubstrate>(c: &mut C, now: SimTime, job: u64) -> Vec<OffloadGrant> {
+    let mut grants = Vec::new();
+    c.unregister_into(now, JobId(job), &mut grants);
+    grants
+}
+
+/// Grants a completion unblocked.
+fn complete<C: CosmicSubstrate>(c: &mut C, now: SimTime, handle: C::Handle) -> Vec<OffloadGrant> {
+    let mut grants = Vec::new();
+    c.complete_offload_into(now, handle, &mut grants);
+    grants
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -45,9 +62,9 @@ fn drive(ops: Vec<Op>, policy: OffloadPolicy) -> Result<(), TestCaseError> {
         &phi,
     );
     // Register the whole job universe up front.
-    for j in 0..8u64 {
-        cosmic.register_job(JobId(j), 500, 240);
-    }
+    let handles: Vec<_> = (0..8u64)
+        .map(|j| cosmic.register(JobId(j), 500, 240))
+        .collect();
     let mut registered: BTreeSet<u64> = (0..8).collect();
     let mut active: BTreeSet<u64> = BTreeSet::new();
     let mut requested: BTreeSet<u64> = BTreeSet::new();
@@ -67,7 +84,7 @@ fn drive(ops: Vec<Op>, policy: OffloadPolicy) -> Result<(), TestCaseError> {
                 requested.insert(job);
                 match cosmic.request_offload(
                     now,
-                    JobId(job),
+                    handles[job as usize],
                     cores * 4,
                     SimDuration::from_secs(work_secs),
                 ) {
@@ -82,14 +99,14 @@ fn drive(ops: Vec<Op>, policy: OffloadPolicy) -> Result<(), TestCaseError> {
                 if let Some(&job) = active.iter().next() {
                     active.remove(&job);
                     requested.remove(&job);
-                    for grant in cosmic.complete_offload(now, JobId(job)) {
+                    for grant in complete(&mut cosmic, now, handles[job as usize]) {
                         active.insert(grant.job.raw());
                     }
                 }
             }
             Op::Unregister { job } => {
                 if registered.remove(&job) {
-                    for grant in cosmic.unregister_job(now, JobId(job)) {
+                    for grant in unregister(&mut cosmic, now, job) {
                         active.insert(grant.job.raw());
                     }
                     active.remove(&job);
@@ -129,6 +146,7 @@ proptest! {
         let phi = PhiConfig::default();
         let mut cosmic = CosmicDevice::new(CosmicConfig::default(), &phi);
         let mut seen = BTreeSet::new();
+        let mut handles = std::collections::BTreeMap::new();
         let mut active: Vec<JobId> = Vec::new();
         let mut granted = 0usize;
         let mut issued = 0usize;
@@ -137,9 +155,10 @@ proptest! {
             if !seen.insert(job) {
                 continue;
             }
-            cosmic.register_job(JobId(job), 100, 240);
+            let handle = cosmic.register(JobId(job), 100, 240);
+            handles.insert(JobId(job), handle);
             issued += 1;
-            match cosmic.request_offload(now, JobId(job), cores * 4, SimDuration::from_secs(1)) {
+            match cosmic.request_offload(now, handle, cores * 4, SimDuration::from_secs(1)) {
                 Admission::Started(g) => {
                     granted += 1;
                     active.push(g.job);
@@ -151,7 +170,7 @@ proptest! {
         let mut steps = 0;
         while let Some(job) = active.pop() {
             now += SimDuration::from_secs(1);
-            for g in cosmic.complete_offload(now, job) {
+            for g in complete(&mut cosmic, now, handles[&job]) {
                 granted += 1;
                 active.push(g.job);
             }
@@ -163,109 +182,130 @@ proptest! {
     }
 
     /// Differential oracle: the slab-backed fast middleware and the
-    /// map-backed keyed middleware, driven through the identical operation
-    /// sequence, must agree bit-for-bit on every admission decision, every
-    /// unblocked grant (content *and* order — grant order decides which job
-    /// starts first on the device), all aggregate accounting and the
-    /// queue-wait statistics.
+    /// map-backed keyed middleware, driven through their one operation API
+    /// by the identical operation sequence, must agree bit-for-bit on every
+    /// admission decision, every unblocked grant (content *and* order —
+    /// grant order decides which job starts first on the device), all
+    /// aggregate accounting and the queue-wait statistics.
     #[test]
     fn fast_and_keyed_middleware_are_bit_identical(
         ops in prop::collection::vec(arb_op(), 1..100),
         backfill in any::<bool>(),
     ) {
-        let phi = PhiConfig::default();
         let cfg = CosmicConfig {
             enforce_containers: true,
             policy: if backfill { OffloadPolicy::Backfill } else { OffloadPolicy::Fifo },
         };
-        let mut fast = CosmicDevice::new(cfg, &phi);
-        let mut keyed = KeyedCosmicDevice::new(cfg, &phi);
-        for j in 0..8u64 {
-            fast.register_job(JobId(j), 500 + j, 240);
-            keyed.register_job(JobId(j), 500 + j, 240);
-        }
-        let mut registered: BTreeSet<u64> = (0..8).collect();
-        let mut active: BTreeSet<u64> = BTreeSet::new();
-        let mut requested: BTreeSet<u64> = BTreeSet::new();
-        let mut now = SimTime::ZERO;
-
-        for op in ops {
-            now += SimDuration::from_secs(1);
-            match op {
-                Op::Request { job, cores, work_secs } => {
-                    if !registered.contains(&job) || requested.contains(&job) {
-                        continue;
-                    }
-                    requested.insert(job);
-                    let w = SimDuration::from_secs(work_secs);
-                    let f = fast.request_offload(now, JobId(job), cores * 4, w);
-                    let k = keyed.request_offload(now, JobId(job), cores * 4, w);
-                    prop_assert_eq!(&f, &k);
-                    if matches!(f, Admission::Started(_)) {
-                        active.insert(job);
-                    }
-                }
-                Op::CompleteOne => {
-                    if let Some(&job) = active.iter().next() {
-                        active.remove(&job);
-                        requested.remove(&job);
-                        let fg = fast.complete_offload(now, JobId(job));
-                        let kg = keyed.complete_offload(now, JobId(job));
-                        prop_assert_eq!(&fg, &kg);
-                        for grant in fg {
-                            active.insert(grant.job.raw());
-                        }
-                    }
-                }
-                Op::Unregister { job } => {
-                    if registered.remove(&job) {
-                        let fg = fast.unregister_job(now, JobId(job));
-                        let kg = keyed.unregister_job(now, JobId(job));
-                        prop_assert_eq!(&fg, &kg);
-                        for grant in fg {
-                            active.insert(grant.job.raw());
-                        }
-                        active.remove(&job);
-                        requested.remove(&job);
-                    }
-                }
-            }
-            // --- every observable agrees, bit-for-bit ---
-            prop_assert_eq!(fast.active_threads(), keyed.active_threads());
-            prop_assert_eq!(fast.queue_len(), keyed.queue_len());
-            prop_assert_eq!(fast.registered_jobs(), keyed.registered_jobs());
-            prop_assert_eq!(fast.registered_declared_mb(), keyed.registered_declared_mb());
-            prop_assert_eq!(
-                fast.registered_declared_threads(),
-                keyed.registered_declared_threads()
-            );
-            prop_assert_eq!(fast.queued_total, keyed.queued_total);
-            prop_assert_eq!(fast.queue_wait.count(), keyed.queue_wait.count());
-            if fast.queue_wait.count() > 0 {
-                prop_assert_eq!(
-                    fast.queue_wait.mean().to_bits(),
-                    keyed.queue_wait.mean().to_bits()
-                );
-                prop_assert_eq!(
-                    fast.queue_wait.max().to_bits(),
-                    keyed.queue_wait.max().to_bits()
-                );
-            }
-            // Container verdicts agree for registered and departed jobs.
-            for j in 0..8u64 {
-                prop_assert_eq!(
-                    fast.on_commit(JobId(j), 505),
-                    keyed.on_commit(JobId(j), 505)
-                );
-            }
-        }
-
-        // A reset leaves both substrates equally empty with stats intact.
-        fast.reset();
-        keyed.reset();
-        prop_assert_eq!(fast.registered_jobs(), keyed.registered_jobs());
-        prop_assert_eq!(fast.active_threads(), 0);
-        prop_assert_eq!(keyed.active_threads(), 0);
-        prop_assert_eq!(fast.queued_total, keyed.queued_total);
+        lockstep(cfg, ops)?;
     }
+}
+
+/// Drive both layouts through `ops` in lockstep via the trait; every
+/// observable must agree bit-for-bit after every step.
+fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let phi = PhiConfig::default();
+    let mut fast = CosmicDevice::create(cfg, &phi);
+    let mut keyed = KeyedCosmicDevice::create(cfg, &phi);
+    let handles: Vec<_> = (0..8u64)
+        .map(|j| {
+            (
+                fast.register(JobId(j), 500 + j, 240),
+                keyed.register(JobId(j), 500 + j, 240),
+            )
+        })
+        .collect();
+    let mut registered: BTreeSet<u64> = (0..8).collect();
+    let mut active: BTreeSet<u64> = BTreeSet::new();
+    let mut requested: BTreeSet<u64> = BTreeSet::new();
+    let mut now = SimTime::ZERO;
+
+    for op in ops {
+        now += SimDuration::from_secs(1);
+        match op {
+            Op::Request {
+                job,
+                cores,
+                work_secs,
+            } => {
+                if !registered.contains(&job) || requested.contains(&job) {
+                    continue;
+                }
+                requested.insert(job);
+                let (hf, hk) = handles[job as usize];
+                let w = SimDuration::from_secs(work_secs);
+                let f = fast.request_offload(now, hf, cores * 4, w);
+                let k = keyed.request_offload(now, hk, cores * 4, w);
+                prop_assert_eq!(&f, &k);
+                if matches!(f, Admission::Started(_)) {
+                    active.insert(job);
+                }
+            }
+            Op::CompleteOne => {
+                if let Some(&job) = active.iter().next() {
+                    active.remove(&job);
+                    requested.remove(&job);
+                    let (hf, hk) = handles[job as usize];
+                    let fg = complete(&mut fast, now, hf);
+                    prop_assert_eq!(&fg, &complete(&mut keyed, now, hk));
+                    for grant in fg {
+                        active.insert(grant.job.raw());
+                    }
+                }
+            }
+            Op::Unregister { job } => {
+                if registered.remove(&job) {
+                    let fg = unregister(&mut fast, now, job);
+                    prop_assert_eq!(&fg, &unregister(&mut keyed, now, job));
+                    for grant in fg {
+                        active.insert(grant.job.raw());
+                    }
+                    active.remove(&job);
+                    requested.remove(&job);
+                }
+            }
+        }
+        // --- every observable agrees, bit-for-bit ---
+        prop_assert_eq!(fast.registered_jobs(), keyed.registered_jobs());
+        prop_assert_eq!(fast.registered_jobs(), registered.len());
+        prop_assert_eq!(fast.active_threads(), keyed.active_threads());
+        prop_assert_eq!(fast.queue_len(), keyed.queue_len());
+        prop_assert_eq!(
+            fast.registered_declared_mb(),
+            keyed.registered_declared_mb()
+        );
+        prop_assert_eq!(
+            fast.registered_declared_threads(),
+            keyed.registered_declared_threads()
+        );
+        prop_assert_eq!(fast.queued_total, keyed.queued_total);
+        prop_assert_eq!(fast.queue_wait_count(), keyed.queue_wait_count());
+        if fast.queue_wait_count() > 0 {
+            prop_assert_eq!(
+                fast.queue_wait_mean().to_bits(),
+                keyed.queue_wait_mean().to_bits()
+            );
+            prop_assert_eq!(
+                fast.queue_wait.max().to_bits(),
+                keyed.queue_wait.max().to_bits()
+            );
+        }
+        // Container verdicts agree for every registered job.
+        for &j in &registered {
+            let (hf, hk) = handles[j as usize];
+            for mb in [505, 506, 507] {
+                prop_assert_eq!(fast.on_commit(hf, mb), keyed.on_commit(hk, mb));
+            }
+        }
+    }
+
+    // A reset leaves both substrates equally empty with stats intact.
+    fast.reset();
+    keyed.reset();
+    prop_assert_eq!(fast.registered_jobs(), 0);
+    prop_assert_eq!(keyed.registered_jobs(), 0);
+    prop_assert_eq!(fast.active_threads(), 0);
+    prop_assert_eq!(keyed.active_threads(), 0);
+    prop_assert_eq!(fast.queued_total, keyed.queued_total);
+    prop_assert_eq!(fast.queue_wait_count(), keyed.queue_wait_count());
+    Ok(())
 }

@@ -23,6 +23,11 @@
 //! * **Utilization accounting** — time-integrated busy-thread and busy-core
 //!   signals, the measurement behind the paper's "only 38–50 % of cores are
 //!   busy" motivation (§III).
+//!
+//! Every card model — the slab-backed [`PhiDevice`], its keyed oracle
+//! [`KeyedPhiDevice`] and the fair-shared [`SharedDevice`] pair — is driven
+//! through one operation API, the [`DeviceSubstrate`] trait in
+//! [`substrate`], which the cluster runtime is generic over.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +39,7 @@ pub mod keyed;
 pub mod perf;
 pub mod proc;
 pub mod sharing;
+pub mod substrate;
 
 pub use alloc::{CoreAllocator, CoreSet};
 pub use config::PhiConfig;
@@ -43,3 +49,4 @@ pub use perf::PerfModel;
 pub use phishare_throughput::SharingCurve;
 pub use proc::ProcId;
 pub use sharing::{NaiveSharedDevice, SharedDevice, SharedThroughputDevice};
+pub use substrate::{DeviceSpec, DeviceSubstrate};

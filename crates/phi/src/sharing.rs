@@ -19,9 +19,10 @@
 
 use crate::alloc::CoreSet;
 use crate::config::PhiConfig;
-use crate::device::{Affinity, CommitOutcome, DeviceError, DeviceUtilization, WORK_EPSILON};
+use crate::device::{Affinity, CommitOutcome, DeviceUtilization, UtilSignals, WORK_EPSILON};
 use crate::proc::ProcId;
-use phishare_sim::{Counter, DetRng, SimDuration, SimTime, TimeWeighted};
+use crate::substrate::{DeviceSpec, DeviceSubstrate};
+use phishare_sim::{Counter, DetRng, SimDuration, SimTime};
 use phishare_throughput::{HeapEngine, NaiveEngine, SharingCurve, SharingEngine};
 use std::collections::BTreeMap;
 
@@ -49,17 +50,20 @@ struct SharedEntry {
     active: Option<ActiveMeta>,
 }
 
-/// A fair-shared accelerator card (Phi-curve or GPU-like), driven by the
-/// same passive event-loop protocol as `PhiDevice`: mutations that can
-/// change the shared rate bump the generation, and completion predictions
-/// are valid only for the generation they were read under.
+/// A fair-shared accelerator card (Phi-curve or GPU-like), driven through
+/// its [`DeviceSubstrate`] impl by the same passive event-loop protocol as
+/// `PhiDevice`: mutations that can change the shared rate bump the
+/// generation, and completion predictions are valid only for the
+/// generation they were read under.
+///
+/// Its handle is the [`ProcId`] itself; the engine's position index makes
+/// the lookup O(log n) rather than a scan.
 #[derive(Debug)]
 pub struct SharedDevice<E: SharingEngine> {
     cfg: PhiConfig,
     curve: SharingCurve,
     engine: E,
     procs: BTreeMap<ProcId, SharedEntry>,
-    created: SimTime,
     last_update: SimTime,
     generation: u64,
     committed_total: u64,
@@ -72,10 +76,7 @@ pub struct SharedDevice<E: SharingEngine> {
     /// Environmental rate multiplier (thermal derate), applied to the
     /// curve's shared rate. `1.0` = nominal. Survives resets.
     rate_scale: f64,
-    busy_threads: TimeWeighted,
-    busy_cores: TimeWeighted,
-    committed: TimeWeighted,
-    busy_any: TimeWeighted,
+    signals: UtilSignals,
     /// Processes killed by the OOM killer over the device's lifetime.
     pub oom_kills: Counter,
     /// Offloads that ran to completion.
@@ -92,7 +93,6 @@ impl<E: SharingEngine> SharedDevice<E> {
             curve,
             engine: E::new(),
             procs: BTreeMap::new(),
-            created: start,
             last_update: start,
             generation: 0,
             committed_total: 0,
@@ -103,131 +103,9 @@ impl<E: SharingEngine> SharedDevice<E> {
             pinned_union: CoreSet::EMPTY,
             unmanaged_cores: 0,
             rate_scale: 1.0,
-            busy_threads: TimeWeighted::new(start),
-            busy_cores: TimeWeighted::new(start),
-            committed: TimeWeighted::new(start),
-            busy_any: TimeWeighted::new(start),
+            signals: UtilSignals::new(start),
             oom_kills: Counter::new(),
             offloads_completed: Counter::new(),
-        }
-    }
-
-    /// The device's static configuration.
-    pub fn config(&self) -> &PhiConfig {
-        &self.cfg
-    }
-
-    /// The degradation curve this card shares under.
-    pub fn curve(&self) -> SharingCurve {
-        self.curve
-    }
-
-    /// Monotone counter bumped whenever the shared rate may have changed.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Thermal derate: integrate progress up to `now`, then scale the
-    /// shared rate by `scale` (in `(0, 1]`; `1.0` restores nominal) from
-    /// `now` on, bumping the generation. Survives resets — throttling is
-    /// ambient, not card state. Both engines share this code, so the
-    /// heap/naive pair degrades identically.
-    pub fn set_rate_scale(&mut self, now: SimTime, scale: f64) {
-        debug_assert!(scale.is_finite() && scale > 0.0 && scale <= 1.0);
-        self.advance_to(now);
-        self.rate_scale = scale;
-        self.reschedule(now);
-    }
-
-    // ------------------------------------------------------------------
-    // Process lifecycle
-    // ------------------------------------------------------------------
-
-    /// Attach a COI process with its declared envelope and an initial
-    /// memory commit (which may already trigger the OOM killer).
-    pub fn attach(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        declared_mem_mb: u64,
-        declared_threads: u32,
-        initial_commit_mb: u64,
-        rng: &mut DetRng,
-    ) -> Result<CommitOutcome, DeviceError> {
-        if self.procs.contains_key(&proc) {
-            return Err(DeviceError::AlreadyResident(proc));
-        }
-        self.advance_to(now);
-        self.procs.insert(
-            proc,
-            SharedEntry {
-                declared_mem_mb,
-                declared_threads,
-                committed_mem_mb: 0,
-                active: None,
-            },
-        );
-        self.declared_total += declared_mem_mb;
-        self.declared_threads_total += declared_threads;
-        let outcome = self.commit_memory(now, proc, initial_commit_mb, rng)?;
-        // Residency changed either way (attach, possibly minus OOM
-        // victims): the shared rate must refresh even when the commit fit.
-        self.reschedule(now);
-        Ok(outcome)
-    }
-
-    /// Detach a process, freeing its memory and aborting any active
-    /// offload.
-    pub fn detach(&mut self, now: SimTime, proc: ProcId) -> Result<(), DeviceError> {
-        if !self.procs.contains_key(&proc) {
-            return Err(DeviceError::NotResident(proc));
-        }
-        self.advance_to(now);
-        self.remove_entry(proc);
-        self.reschedule(now);
-        Ok(())
-    }
-
-    /// Set a process's committed memory to `total_mb`. Growing past
-    /// physical memory triggers the OOM killer, which terminates uniformly
-    /// random resident processes (ascending-id draw, exactly like
-    /// `PhiDevice`) until the commit fits.
-    pub fn commit_memory(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        total_mb: u64,
-        rng: &mut DetRng,
-    ) -> Result<CommitOutcome, DeviceError> {
-        let entry = self
-            .procs
-            .get_mut(&proc)
-            .ok_or(DeviceError::NotResident(proc))?;
-        self.committed_total = self.committed_total - entry.committed_mem_mb + total_mb;
-        entry.committed_mem_mb = total_mb;
-        self.advance_to(now);
-        let mut killed = Vec::new();
-        while self.committed_total > self.cfg.usable_mem_mb() {
-            let n = self.procs.len();
-            debug_assert!(n > 0);
-            let victim = *self
-                .procs
-                .keys()
-                .nth(rng.index(n))
-                .expect("resident set is non-empty");
-            self.remove_entry(victim);
-            self.oom_kills.incr();
-            killed.push(victim);
-        }
-        if killed.is_empty() {
-            // Membership did not change, so the shared rate (and every
-            // outstanding completion prediction) stays valid: no
-            // generation bump, only the committed-memory signal moved.
-            self.record_utilization(now);
-            Ok(CommitOutcome::Fits)
-        } else {
-            self.reschedule(now);
-            Ok(CommitOutcome::OomKilled(killed))
         }
     }
 
@@ -235,7 +113,10 @@ impl<E: SharingEngine> SharedDevice<E> {
     /// aggregate. Does *not* reschedule; callers decide when the shared
     /// rate refreshes. Requires the engine already advanced to "now".
     fn remove_entry(&mut self, proc: ProcId) {
-        let entry = self.procs.remove(&proc).expect("proc is resident");
+        let entry = self
+            .procs
+            .remove(&proc)
+            .unwrap_or_else(|| panic!("{proc} is not resident"));
         self.declared_total -= entry.declared_mem_mb;
         self.declared_threads_total -= entry.declared_threads;
         self.committed_total -= entry.committed_mem_mb;
@@ -258,141 +139,6 @@ impl<E: SharingEngine> SharedDevice<E> {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Offload lifecycle
-    // ------------------------------------------------------------------
-
-    /// Begin executing an offload of `work` nominal duration using
-    /// `threads` hardware threads for process `proc`.
-    pub fn start_offload(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        threads: u32,
-        work: SimDuration,
-        affinity: Affinity,
-    ) -> Result<(), DeviceError> {
-        let Some(entry) = self.procs.get(&proc) else {
-            return Err(DeviceError::NotResident(proc));
-        };
-        if entry.active.is_some() {
-            return Err(DeviceError::OffloadInProgress(proc));
-        }
-        if let Affinity::Pinned(set) = affinity {
-            if !set.is_disjoint(self.pinned_union) {
-                return Err(DeviceError::CoreOverlap(proc));
-            }
-            self.pinned_union = self.pinned_union.union(set);
-        } else {
-            self.unmanaged_cores += self.cfg.cores_for_threads(threads);
-        }
-        self.advance_to(now);
-        self.n_active += 1;
-        self.active_threads_total += threads;
-        self.engine.join(proc.0, work.ticks() as f64);
-        self.procs
-            .get_mut(&proc)
-            .expect("entry verified resident above")
-            .active = Some(ActiveMeta { threads, affinity });
-        self.reschedule(now);
-        Ok(())
-    }
-
-    /// Complete an offload whose completion event just fired.
-    ///
-    /// # Panics
-    /// Debug-panics if the offload still has more than one tick of work
-    /// left — a stale event the generation guard should have dropped.
-    pub fn finish_offload(&mut self, now: SimTime, proc: ProcId) -> Result<(), DeviceError> {
-        self.advance_to(now);
-        let Some(entry) = self.procs.get_mut(&proc) else {
-            return Err(DeviceError::NoActiveOffload(proc));
-        };
-        let Some(meta) = entry.active.take() else {
-            return Err(DeviceError::NoActiveOffload(proc));
-        };
-        let remaining = self.engine.leave(proc.0);
-        debug_assert!(
-            remaining <= self.engine.rate() + WORK_EPSILON,
-            "finish_offload fired with {:.3} nominal ticks left (rate {:.4}): stale event?",
-            remaining,
-            self.engine.rate()
-        );
-        self.retire_active(meta);
-        self.offloads_completed.incr();
-        self.reschedule(now);
-        Ok(())
-    }
-
-    /// Abort an active offload (job killed or preempted mid-offload).
-    pub fn abort_offload(&mut self, now: SimTime, proc: ProcId) -> Result<(), DeviceError> {
-        let Some(entry) = self.procs.get_mut(&proc) else {
-            return Err(DeviceError::NoActiveOffload(proc));
-        };
-        let Some(meta) = entry.active.take() else {
-            return Err(DeviceError::NoActiveOffload(proc));
-        };
-        self.advance_to(now);
-        self.engine.leave(proc.0);
-        self.retire_active(meta);
-        self.reschedule(now);
-        Ok(())
-    }
-
-    /// MPSS crash/restart: every resident is torn down and every active
-    /// offload aborted, releasing all committed memory. Integrators and
-    /// lifetime counters survive; the generation bumps so outstanding
-    /// predictions go stale. The engine keeps its virtual-time warp — the
-    /// warp is a coordinate system, not device state.
-    pub fn reset(&mut self, now: SimTime) {
-        self.advance_to(now);
-        self.procs.clear();
-        self.engine.clear();
-        self.committed_total = 0;
-        self.declared_total = 0;
-        self.declared_threads_total = 0;
-        self.active_threads_total = 0;
-        self.n_active = 0;
-        self.pinned_union = CoreSet::EMPTY;
-        self.unmanaged_cores = 0;
-        self.reschedule(now);
-    }
-
-    // ------------------------------------------------------------------
-    // Completion predictions
-    // ------------------------------------------------------------------
-
-    /// Predicted completion instants for all active offloads under the
-    /// current shared rate, in ascending [`ProcId`] order.
-    pub fn completions(&self) -> Vec<(ProcId, SimTime)> {
-        let mut v = Vec::new();
-        self.for_each_completion(|proc, at| v.push((proc, at)));
-        v
-    }
-
-    /// Visit every predicted completion in ascending [`ProcId`] order
-    /// without allocating.
-    pub fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
-        let base = self.last_update;
-        self.engine
-            .for_each_completion(|id, ticks| f(ProcId(id), base + SimDuration::from_ticks(ticks)));
-    }
-
-    /// The earliest predicted completion, ties to the lowest [`ProcId`];
-    /// `None` when the device is idle. Valid for the current generation.
-    pub fn next_completion(&self) -> Option<(ProcId, SimTime)> {
-        self.engine.next_completion().map(|(id, ticks)| {
-            (
-                ProcId(id),
-                self.last_update + SimDuration::from_ticks(ticks),
-            )
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Execution integration
-    // ------------------------------------------------------------------
 
     /// Refresh the shared rate from the degradation curve and bump the
     /// generation. Callers must have advanced to `now` first.
@@ -426,23 +172,11 @@ impl<E: SharingEngine> SharedDevice<E> {
     }
 
     fn record_utilization(&mut self, now: SimTime) {
-        let hw = self.cfg.hw_threads();
-        let threads = self.active_threads_total.min(hw) as f64;
-        if threads != self.busy_threads.value() {
-            self.busy_threads.set(now, threads);
-        }
+        let threads = self.active_threads_total.min(self.cfg.hw_threads()) as f64;
         let cores = self.busy_core_estimate() as f64;
-        if cores != self.busy_cores.value() {
-            self.busy_cores.set(now, cores);
-        }
-        let committed = self.committed_total as f64;
-        if committed != self.committed.value() {
-            self.committed.set(now, committed);
-        }
         let busy = if self.n_active == 0 { 0.0 } else { 1.0 };
-        if busy != self.busy_any.value() {
-            self.busy_any.set(now, busy);
-        }
+        self.signals
+            .record(now, threads, cores, self.committed_total as f64, busy);
     }
 
     /// Estimated busy cores: pinned offloads occupy exactly their sets,
@@ -451,305 +185,366 @@ impl<E: SharingEngine> SharedDevice<E> {
         (self.pinned_union.count() + self.unmanaged_cores).min(self.cfg.cores)
     }
 
-    // ------------------------------------------------------------------
-    // Queries
-    // ------------------------------------------------------------------
-
-    /// Number of resident COI processes.
-    pub fn resident_count(&self) -> usize {
-        self.procs.len()
-    }
-
     /// True when `proc` is resident.
-    pub fn is_resident(&self, proc: ProcId) -> bool {
+    fn is_resident(&self, proc: ProcId) -> bool {
         self.procs.contains_key(&proc)
     }
 
-    /// True when `proc` has an active offload.
-    pub fn has_active_offload(&self, proc: ProcId) -> bool {
-        self.procs
+    /// Number of active offloads.
+    #[cfg(test)]
+    fn active_offloads(&self) -> usize {
+        self.n_active
+    }
+}
+
+/// Both engines drive this one impl: every line of device logic is shared,
+/// so a behavioral divergence between [`SharedThroughputDevice`] and
+/// [`NaiveSharedDevice`] can only come from the engine itself — the
+/// property the `perf_throughput` gate re-asserts before timing.
+impl<E: SharingEngine> DeviceSubstrate for SharedDevice<E> {
+    type Handle = ProcId;
+
+    fn create(spec: &DeviceSpec, start: SimTime) -> Self {
+        SharedDevice::new(spec.phi, spec.curve, start)
+    }
+
+    fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn attach(
+        &mut self,
+        now: SimTime,
+        proc: ProcId,
+        declared_mem_mb: u64,
+        declared_threads: u32,
+        initial_commit_mb: u64,
+        rng: &mut DetRng,
+    ) -> (ProcId, CommitOutcome) {
+        assert!(!self.is_resident(proc), "{proc} is already resident");
+        self.advance_to(now);
+        self.procs.insert(
+            proc,
+            SharedEntry {
+                declared_mem_mb,
+                declared_threads,
+                committed_mem_mb: 0,
+                active: None,
+            },
+        );
+        self.declared_total += declared_mem_mb;
+        self.declared_threads_total += declared_threads;
+        let outcome = self.commit(now, proc, initial_commit_mb, rng);
+        // Residency changed either way (attach, possibly minus OOM
+        // victims): the shared rate must refresh even when the commit fit.
+        self.reschedule(now);
+        (proc, outcome)
+    }
+
+    fn detach(&mut self, now: SimTime, proc: ProcId) {
+        self.advance_to(now);
+        self.remove_entry(proc);
+        self.reschedule(now);
+    }
+
+    fn commit(
+        &mut self,
+        now: SimTime,
+        proc: ProcId,
+        total_mb: u64,
+        rng: &mut DetRng,
+    ) -> CommitOutcome {
+        let entry = self
+            .procs
+            .get_mut(&proc)
+            .unwrap_or_else(|| panic!("{proc} is not resident"));
+        self.committed_total = self.committed_total - entry.committed_mem_mb + total_mb;
+        entry.committed_mem_mb = total_mb;
+        self.advance_to(now);
+        let mut killed = Vec::new();
+        while self.committed_total > self.cfg.usable_mem_mb() {
+            let n = self.procs.len();
+            debug_assert!(n > 0);
+            let victim = *self
+                .procs
+                .keys()
+                .nth(rng.index(n))
+                .expect("resident set is non-empty");
+            self.remove_entry(victim);
+            self.oom_kills.incr();
+            killed.push(victim);
+        }
+        if killed.is_empty() {
+            // Membership did not change, so the shared rate (and every
+            // outstanding completion prediction) stays valid: no
+            // generation bump, only the committed-memory signal moved.
+            self.record_utilization(now);
+            CommitOutcome::Fits
+        } else {
+            self.reschedule(now);
+            CommitOutcome::OomKilled(killed)
+        }
+    }
+
+    fn start_offload(
+        &mut self,
+        now: SimTime,
+        proc: ProcId,
+        threads: u32,
+        work: SimDuration,
+        affinity: Affinity,
+    ) {
+        let entry = self
+            .procs
             .get(&proc)
-            .is_some_and(|entry| entry.active.is_some())
+            .unwrap_or_else(|| panic!("{proc} is not resident"));
+        assert!(
+            entry.active.is_none(),
+            "{proc} already has an active offload"
+        );
+        if let Affinity::Pinned(set) = affinity {
+            assert!(
+                set.is_disjoint(self.pinned_union),
+                "pinned cores for {proc} overlap another offload"
+            );
+            self.pinned_union = self.pinned_union.union(set);
+        } else {
+            self.unmanaged_cores += self.cfg.cores_for_threads(threads);
+        }
+        self.advance_to(now);
+        self.n_active += 1;
+        self.active_threads_total += threads;
+        self.engine.join(proc.0, work.ticks() as f64);
+        self.procs
+            .get_mut(&proc)
+            .expect("entry verified resident above")
+            .active = Some(ActiveMeta { threads, affinity });
+        self.reschedule(now);
     }
 
-    /// Sum of declared memory over residents (MB).
-    pub fn declared_total_mb(&self) -> u64 {
-        self.declared_total
+    fn finish_offload(&mut self, now: SimTime, proc: ProcId) {
+        self.advance_to(now);
+        let meta = self
+            .procs
+            .get_mut(&proc)
+            .and_then(|entry| entry.active.take())
+            .unwrap_or_else(|| panic!("{proc} has no active offload"));
+        let remaining = self.engine.leave(proc.0);
+        debug_assert!(
+            remaining <= self.engine.rate() + WORK_EPSILON,
+            "finish_offload fired with {:.3} nominal ticks left (rate {:.4}): stale event?",
+            remaining,
+            self.engine.rate()
+        );
+        self.retire_active(meta);
+        self.offloads_completed.incr();
+        self.reschedule(now);
     }
 
-    /// Declared memory still unbudgeted (MB).
-    pub fn free_declared_mb(&self) -> u64 {
+    /// MPSS crash/restart: every resident is torn down and every active
+    /// offload aborted, releasing all committed memory. Integrators and
+    /// lifetime counters survive; the generation bumps so outstanding
+    /// predictions go stale. The engine keeps its virtual-time warp — the
+    /// warp is a coordinate system, not device state.
+    fn reset(&mut self, now: SimTime) {
+        self.advance_to(now);
+        self.procs.clear();
+        self.engine.clear();
+        self.committed_total = 0;
+        self.declared_total = 0;
+        self.declared_threads_total = 0;
+        self.active_threads_total = 0;
+        self.n_active = 0;
+        self.pinned_union = CoreSet::EMPTY;
+        self.unmanaged_cores = 0;
+        self.reschedule(now);
+    }
+
+    /// Both engines share this code, so the heap/naive pair degrades
+    /// identically.
+    fn set_rate_scale(&mut self, now: SimTime, scale: f64) {
+        debug_assert!(scale.is_finite() && scale > 0.0 && scale <= 1.0);
+        self.advance_to(now);
+        self.rate_scale = scale;
+        self.reschedule(now);
+    }
+
+    fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
+        let base = self.last_update;
+        self.engine
+            .for_each_completion(|id, ticks| f(ProcId(id), base + SimDuration::from_ticks(ticks)));
+    }
+
+    fn next_completion(&self) -> Option<(ProcId, SimTime)> {
+        self.engine.next_completion().map(|(id, ticks)| {
+            (
+                ProcId(id),
+                self.last_update + SimDuration::from_ticks(ticks),
+            )
+        })
+    }
+
+    fn resident_count(&self) -> usize {
+        self.procs.len()
+    }
+
+    fn free_declared_mb(&self) -> u64 {
         self.cfg.usable_mem_mb().saturating_sub(self.declared_total)
     }
 
-    /// Sum of committed memory over residents (MB).
-    pub fn committed_total_mb(&self) -> u64 {
+    fn committed_total_mb(&self) -> u64 {
         self.committed_total
     }
 
-    /// Sum of declared threads over residents.
-    pub fn declared_threads(&self) -> u32 {
+    fn declared_threads(&self) -> u32 {
         self.declared_threads_total
     }
 
-    /// Thread sum over active offloads.
-    pub fn active_threads(&self) -> u32 {
-        self.active_threads_total
+    fn oom_kill_count(&self) -> u64 {
+        self.oom_kills.get()
     }
 
-    /// Number of active offloads.
-    pub fn active_offloads(&self) -> usize {
-        self.n_active
+    fn energy_joules(&self, end: SimTime) -> f64 {
+        self.signals.energy_joules(&self.cfg, end)
     }
 
-    /// Energy consumed from creation through `end`, joules (same model as
-    /// `PhiDevice`: idle draw plus busy-core fraction toward max draw).
-    pub fn energy_joules(&self, end: SimTime) -> f64 {
-        let elapsed = end.since(self.created).as_secs_f64();
-        let busy_core_seconds = self.busy_cores.integral(end);
-        self.cfg.idle_watts * elapsed
-            + (self.cfg.max_watts - self.cfg.idle_watts) * busy_core_seconds / self.cfg.cores as f64
-    }
-
-    /// Time-integrated utilization from device creation through `end`.
-    pub fn utilization(&self, end: SimTime) -> DeviceUtilization {
-        let hw = self.cfg.hw_threads() as f64;
-        let cores = self.cfg.cores as f64;
-        let mem = self.cfg.usable_mem_mb() as f64;
-        DeviceUtilization {
-            thread_util: self.busy_threads.time_average(end) / hw,
-            core_util: self.busy_cores.time_average(end) / cores,
-            mem_util: self.committed.time_average(end) / mem,
-            busy_fraction: self.busy_any.time_average(end),
-        }
+    fn utilization(&self, end: SimTime) -> DeviceUtilization {
+        self.signals.utilization(&self.cfg, end)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::completions;
 
-    fn pair() -> (SharedThroughputDevice, NaiveSharedDevice) {
-        (
-            SharedDevice::new(PhiConfig::default(), SharingCurve::phi(), SimTime::ZERO),
-            SharedDevice::new(PhiConfig::default(), SharingCurve::phi(), SimTime::ZERO),
-        )
+    fn device(cfg: PhiConfig, curve: SharingCurve) -> SharedThroughputDevice {
+        SharedDevice::new(cfg, curve, SimTime::ZERO)
+    }
+
+    fn phi_device() -> SharedThroughputDevice {
+        device(PhiConfig::default(), SharingCurve::phi())
     }
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
     }
 
-    fn assert_devices_identical(h: &SharedThroughputDevice, n: &NaiveSharedDevice, end: SimTime) {
-        assert_eq!(h.generation(), n.generation());
-        assert_eq!(h.resident_count(), n.resident_count());
-        assert_eq!(h.active_offloads(), n.active_offloads());
-        assert_eq!(h.committed_total_mb(), n.committed_total_mb());
-        assert_eq!(h.next_completion(), n.next_completion());
-        assert_eq!(h.completions(), n.completions());
-        assert_eq!(
-            h.energy_joules(end).to_bits(),
-            n.energy_joules(end).to_bits()
-        );
-        let hu = h.utilization(end);
-        let nu = n.utilization(end);
-        assert_eq!(hu.thread_util.to_bits(), nu.thread_util.to_bits());
-        assert_eq!(hu.core_util.to_bits(), nu.core_util.to_bits());
-        assert_eq!(hu.mem_util.to_bits(), nu.mem_util.to_bits());
-        assert_eq!(hu.busy_fraction.to_bits(), nu.busy_fraction.to_bits());
+    fn secs(s: u64) -> SimDuration {
+        SimDuration::from_secs(s)
     }
 
     #[test]
     fn solo_offload_completes_at_nominal_time() {
-        let (mut h, mut n) = pair();
-        let mut r1 = DetRng::from_seed(1);
-        let mut r2 = DetRng::from_seed(1);
-        h.attach(t(0), ProcId(1), 1000, 240, 500, &mut r1).unwrap();
-        n.attach(t(0), ProcId(1), 1000, 240, 500, &mut r2).unwrap();
-        h.start_offload(
-            t(0),
-            ProcId(1),
-            240,
-            SimDuration::from_secs(10),
-            Affinity::Unmanaged,
-        )
-        .unwrap();
-        n.start_offload(
-            t(0),
-            ProcId(1),
-            240,
-            SimDuration::from_secs(10),
-            Affinity::Unmanaged,
-        )
-        .unwrap();
-        assert_eq!(h.next_completion(), Some((ProcId(1), t(10))));
-        assert_devices_identical(&h, &n, t(10));
-        h.finish_offload(t(10), ProcId(1)).unwrap();
-        n.finish_offload(t(10), ProcId(1)).unwrap();
-        assert_eq!(h.active_offloads(), 0);
-        assert_eq!(h.offloads_completed.get(), 1);
-        assert_devices_identical(&h, &n, t(10));
+        let mut d = phi_device();
+        let mut r = DetRng::from_seed(1);
+        let (p1, _) = d.attach(t(0), ProcId(1), 1000, 240, 500, &mut r);
+        d.start_offload(t(0), p1, 240, secs(10), Affinity::Unmanaged);
+        assert_eq!(d.next_completion(), Some((ProcId(1), t(10))));
+        d.finish_offload(t(10), p1);
+        assert_eq!(d.active_offloads(), 0);
+        assert_eq!(d.offloads_completed.get(), 1);
     }
 
     #[test]
     fn oversubscribed_offloads_share_one_degraded_rate() {
-        let mut d: SharedThroughputDevice =
-            SharedDevice::new(PhiConfig::default(), SharingCurve::phi(), SimTime::ZERO);
+        let mut d = phi_device();
         let mut r = DetRng::from_seed(1);
         for p in 1..=2 {
-            d.attach(t(0), ProcId(p), 1000, 240, 100, &mut r).unwrap();
-            d.start_offload(
-                t(0),
-                ProcId(p),
-                240,
-                SimDuration::from_secs(10),
-                Affinity::Unmanaged,
-            )
-            .unwrap();
+            let (h, _) = d.attach(t(0), ProcId(p), 1000, 240, 100, &mut r);
+            d.start_offload(t(0), h, 240, secs(10), Affinity::Unmanaged);
         }
         // 480 threads on 240 hw threads → load 2 → rate 1/8: 10 s of
         // nominal work finishes at 80 s, both offloads alike.
-        let comps = d.completions();
-        assert_eq!(comps, vec![(ProcId(1), t(80)), (ProcId(2), t(80))]);
+        assert_eq!(
+            completions(&d),
+            vec![(ProcId(1), t(80)), (ProcId(2), t(80))]
+        );
         assert_eq!(d.next_completion(), Some((ProcId(1), t(80))));
     }
 
     #[test]
     fn gpu_like_device_ignores_thread_oversubscription() {
-        let mut d: SharedThroughputDevice = SharedDevice::new(
-            PhiConfig::gpu_like(),
-            SharingCurve::gpu_like(),
-            SimTime::ZERO,
-        );
+        let mut d = device(PhiConfig::gpu_like(), SharingCurve::gpu_like());
         let mut r = DetRng::from_seed(1);
         // Two kernels whose thread sum would crush a Phi run at full rate
         // on the GPU-like card (32-kernel saturation point).
         for p in 1..=2 {
-            d.attach(t(0), ProcId(p), 1000, 2000, 100, &mut r).unwrap();
-            d.start_offload(
-                t(0),
-                ProcId(p),
-                2000,
-                SimDuration::from_secs(10),
-                Affinity::Unmanaged,
-            )
-            .unwrap();
+            let (h, _) = d.attach(t(0), ProcId(p), 1000, 2000, 100, &mut r);
+            d.start_offload(t(0), h, 2000, secs(10), Affinity::Unmanaged);
         }
         assert_eq!(d.next_completion(), Some((ProcId(1), t(10))));
     }
 
     #[test]
-    fn oom_killer_draws_ascending_id_victims_identically() {
-        let (mut h, mut n) = pair();
-        let mut r1 = DetRng::from_seed(42);
-        let mut r2 = DetRng::from_seed(42);
+    fn oom_killer_terminates_ascending_id_victims_until_fit() {
+        let mut d = phi_device();
+        let mut r = DetRng::from_seed(42);
         let usable = PhiConfig::default().usable_mem_mb();
         for p in 1..=4 {
-            h.attach(t(0), ProcId(p), 100, 60, usable / 4, &mut r1)
-                .unwrap();
-            n.attach(t(0), ProcId(p), 100, 60, usable / 4, &mut r2)
-                .unwrap();
+            d.attach(t(0), ProcId(p), 100, 60, usable / 4, &mut r);
         }
-        // Push proc 4 over the edge; both devices must kill the same
-        // victims in the same order.
-        let oh = h.commit_memory(t(1), ProcId(4), usable, &mut r1).unwrap();
-        let on = n.commit_memory(t(1), ProcId(4), usable, &mut r2).unwrap();
-        assert_eq!(oh, on);
-        assert!(matches!(oh, CommitOutcome::OomKilled(ref v) if !v.is_empty()));
-        assert_eq!(h.oom_kills.get(), n.oom_kills.get());
-        assert_devices_identical(&h, &n, t(1));
+        // Push proc 4 over the edge: someone must die.
+        let out = d.commit(t(1), ProcId(4), usable, &mut r);
+        let CommitOutcome::OomKilled(victims) = out else {
+            panic!("expected an OOM kill");
+        };
+        assert!(!victims.is_empty());
+        assert_eq!(d.oom_kills.get(), victims.len() as u64);
+        assert!(d.committed_total_mb() <= usable);
+        assert!(victims.iter().all(|v| !d.is_resident(*v)));
     }
 
     #[test]
     fn reset_aborts_everything_but_keeps_counters() {
-        let (mut h, mut n) = pair();
-        let mut r1 = DetRng::from_seed(3);
-        let mut r2 = DetRng::from_seed(3);
+        let mut d = phi_device();
+        let mut r = DetRng::from_seed(3);
         for p in 1..=3 {
-            h.attach(t(0), ProcId(p), 500, 120, 200, &mut r1).unwrap();
-            n.attach(t(0), ProcId(p), 500, 120, 200, &mut r2).unwrap();
-            h.start_offload(
-                t(0),
-                ProcId(p),
-                120,
-                SimDuration::from_secs(30),
-                Affinity::Unmanaged,
-            )
-            .unwrap();
-            n.start_offload(
-                t(0),
-                ProcId(p),
-                120,
-                SimDuration::from_secs(30),
-                Affinity::Unmanaged,
-            )
-            .unwrap();
+            let (h, _) = d.attach(t(0), ProcId(p), 500, 120, 200, &mut r);
+            d.start_offload(t(0), h, 120, secs(30), Affinity::Unmanaged);
         }
-        h.reset(t(5));
-        n.reset(t(5));
-        assert_eq!(h.resident_count(), 0);
-        assert_eq!(h.next_completion(), None);
-        assert_devices_identical(&h, &n, t(5));
+        d.reset(t(5));
+        assert_eq!(d.resident_count(), 0);
+        assert_eq!(d.committed_total_mb(), 0);
+        assert_eq!(d.next_completion(), None);
         // The card is usable again after the crash, and the virtual-time
         // warp carried across the reset does not skew new predictions.
-        h.attach(t(6), ProcId(9), 500, 120, 100, &mut r1).unwrap();
-        n.attach(t(6), ProcId(9), 500, 120, 100, &mut r2).unwrap();
-        h.start_offload(
-            t(6),
-            ProcId(9),
-            120,
-            SimDuration::from_secs(7),
-            Affinity::Unmanaged,
-        )
-        .unwrap();
-        n.start_offload(
-            t(6),
-            ProcId(9),
-            120,
-            SimDuration::from_secs(7),
-            Affinity::Unmanaged,
-        )
-        .unwrap();
-        assert_eq!(h.next_completion(), Some((ProcId(9), t(13))));
-        assert_devices_identical(&h, &n, t(13));
+        let (h, _) = d.attach(t(6), ProcId(9), 500, 120, 100, &mut r);
+        d.start_offload(t(6), h, 120, secs(7), Affinity::Unmanaged);
+        assert_eq!(d.next_completion(), Some((ProcId(9), t(13))));
     }
 
     #[test]
-    fn pinned_overlap_rejected_and_disjoint_sets_coexist() {
-        let mut d: SharedThroughputDevice =
-            SharedDevice::new(PhiConfig::default(), SharingCurve::phi(), SimTime::ZERO);
+    fn disjoint_pinned_sets_coexist() {
+        let mut d = phi_device();
         let mut r = DetRng::from_seed(1);
+        let (p1, _) = d.attach(t(0), ProcId(1), 100, 40, 0, &mut r);
+        let (p2, _) = d.attach(t(0), ProcId(2), 100, 40, 0, &mut r);
+        let a = CoreSet::contiguous(0, 10);
+        let c = CoreSet::contiguous(10, 10);
+        d.start_offload(t(0), p1, 40, secs(5), Affinity::Pinned(a));
+        d.start_offload(t(0), p2, 40, secs(5), Affinity::Pinned(c));
+        assert_eq!(d.active_offloads(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pinned cores for coi2 overlap another offload")]
+    fn overlapping_pinned_sets_panic() {
+        let mut d = phi_device();
+        let mut r = DetRng::from_seed(1);
+        let (p1, _) = d.attach(t(0), ProcId(1), 100, 40, 0, &mut r);
+        let (p2, _) = d.attach(t(0), ProcId(2), 100, 40, 0, &mut r);
         let a = CoreSet::contiguous(0, 10);
         let b = CoreSet::contiguous(5, 10);
-        let c = CoreSet::contiguous(10, 10);
-        d.attach(t(0), ProcId(1), 100, 40, 0, &mut r).unwrap();
-        d.attach(t(0), ProcId(2), 100, 40, 0, &mut r).unwrap();
-        d.start_offload(
-            t(0),
-            ProcId(1),
-            40,
-            SimDuration::from_secs(5),
-            Affinity::Pinned(a),
-        )
-        .unwrap();
-        assert_eq!(
-            d.start_offload(
-                t(0),
-                ProcId(2),
-                40,
-                SimDuration::from_secs(5),
-                Affinity::Pinned(b)
-            ),
-            Err(DeviceError::CoreOverlap(ProcId(2)))
-        );
-        d.start_offload(
-            t(0),
-            ProcId(2),
-            40,
-            SimDuration::from_secs(5),
-            Affinity::Pinned(c),
-        )
-        .unwrap();
-        assert_eq!(d.active_offloads(), 2);
+        d.start_offload(t(0), p1, 40, secs(5), Affinity::Pinned(a));
+        d.start_offload(t(0), p2, 40, secs(5), Affinity::Pinned(b));
+    }
+
+    #[test]
+    #[should_panic(expected = "coi5 has no active offload")]
+    fn finish_without_active_offload_panics() {
+        let mut d = phi_device();
+        let (p5, _) = d.attach(t(0), ProcId(5), 100, 40, 0, &mut DetRng::from_seed(1));
+        d.finish_offload(t(1), p5);
     }
 }

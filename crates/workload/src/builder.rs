@@ -1,6 +1,7 @@
 //! Workload assembly: job sets, arrival processes, (de)serialization.
 
 use crate::ids::JobId;
+use crate::io::MAX_DURATION_SECS;
 use crate::job::JobSpec;
 use crate::synthetic::{ResourceDist, SyntheticParams};
 use crate::table1::AppKind;
@@ -162,7 +163,9 @@ impl std::str::FromStr for ArrivalProcess {
 
     /// Parse CLI specs: `zero`, `poisson:GAP`, `diurnal:GAP:PERIOD:AMP`,
     /// `bursty:GAP:SIZE:BURST_GAP`, `flash:GAP:AT:FRACTION` (all times in
-    /// seconds).
+    /// seconds). Gaps and periods must round to at least one tick, and no
+    /// time — a diurnal trough's mean gap `GAP / (1 - AMP)` included — may
+    /// exceed [`MAX_DURATION_SECS`].
     fn from_str(s: &str) -> Result<Self, String> {
         let parts: Vec<&str> = s.split(':').collect();
         let nums = |want: usize| -> Result<Vec<f64>, String> {
@@ -180,11 +183,25 @@ impl std::str::FromStr for ArrivalProcess {
                 })
                 .collect()
         };
-        let positive = |name: &str, v: f64| -> Result<f64, String> {
+        let bounded = |name: &str, v: f64| -> Result<f64, String> {
+            if v > MAX_DURATION_SECS {
+                return Err(format!(
+                    "arrival spec `{s}`: {name} exceeds {MAX_DURATION_SECS} s"
+                ));
+            }
+            Ok(v)
+        };
+        let gap = |name: &str, v: f64| -> Result<SimDuration, String> {
             if !v.is_finite() || v <= 0.0 {
                 return Err(format!("arrival spec `{s}`: {name} must be positive"));
             }
-            Ok(v)
+            let d = SimDuration::from_secs_f64(bounded(name, v)?);
+            if d.is_zero() {
+                return Err(format!(
+                    "arrival spec `{s}`: {name} rounds to zero ticks (under 1 ms)"
+                ));
+            }
+            Ok(d)
         };
         match parts[0] {
             "zero" => {
@@ -194,7 +211,7 @@ impl std::str::FromStr for ArrivalProcess {
             "poisson" => {
                 let v = nums(1)?;
                 Ok(ArrivalProcess::Poisson {
-                    mean_gap: SimDuration::from_secs_f64(positive("gap", v[0])?),
+                    mean_gap: gap("gap", v[0])?,
                 })
             }
             "diurnal" => {
@@ -202,9 +219,11 @@ impl std::str::FromStr for ArrivalProcess {
                 if !(0.0..1.0).contains(&v[2]) {
                     return Err(format!("arrival spec `{s}`: amplitude must be in [0, 1)"));
                 }
+                let mean_gap = gap("gap", v[0])?;
+                bounded("trough gap", v[0] / (1.0 - v[2]))?;
                 Ok(ArrivalProcess::Diurnal {
-                    mean_gap: SimDuration::from_secs_f64(positive("gap", v[0])?),
-                    period: SimDuration::from_secs_f64(positive("period", v[1])?),
+                    mean_gap,
+                    period: gap("period", v[1])?,
                     amplitude: v[2],
                 })
             }
@@ -216,9 +235,9 @@ impl std::str::FromStr for ArrivalProcess {
                     ));
                 }
                 Ok(ArrivalProcess::Bursty {
-                    mean_gap: SimDuration::from_secs_f64(positive("gap", v[0])?),
+                    mean_gap: gap("gap", v[0])?,
                     burst_size: v[1] as u32,
-                    burst_gap: SimDuration::from_secs_f64(positive("burst gap", v[2])?),
+                    burst_gap: gap("burst gap", v[2])?,
                 })
             }
             "flash" => {
@@ -232,8 +251,8 @@ impl std::str::FromStr for ArrivalProcess {
                     ));
                 }
                 Ok(ArrivalProcess::FlashCrowd {
-                    mean_gap: SimDuration::from_secs_f64(positive("gap", v[0])?),
-                    at: SimTime::ZERO + SimDuration::from_secs_f64(v[1]),
+                    mean_gap: gap("gap", v[0])?,
+                    at: SimTime::ZERO + SimDuration::from_secs_f64(bounded("crowd instant", v[1])?),
                     crowd_fraction: v[2],
                 })
             }
@@ -657,6 +676,16 @@ mod tests {
             "flash:2:45:1.5",
             "flash:2:-1:0.3",
             "weibull:1",
+            // Gaps that round to zero ticks, and times past the bound.
+            "poisson:1e-300",
+            "poisson:0.0004",
+            "diurnal:1e-300:1:0.5",
+            "diurnal:2:1e-9:0.5",
+            "bursty:30:8:1e-9",
+            "poisson:1e300",
+            "poisson:10000001",
+            "diurnal:9000000:120:0.5",
+            "flash:1:1e12:0.5",
         ] {
             assert!(ArrivalProcess::from_str(bad).is_err(), "{bad:?} parsed");
         }

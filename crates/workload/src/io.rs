@@ -39,8 +39,11 @@ impl std::error::Error for CsvError {}
 
 const HEADER: &str = "name,mem_mb,threads,duration_secs,duty_cycle,offloads";
 
-/// Longest job a CSV row may declare (about 115 days).
-const MAX_DURATION_SECS: f64 = 1e7;
+/// Longest time any input may name, in seconds (about 115 days): a CSV
+/// row's job duration, an arrival spec's gaps, period and crowd instant,
+/// and every fault and perturbation time. It keeps every simulated instant
+/// a run can reach far below the clock's overflow.
+pub const MAX_DURATION_SECS: f64 = 1e7;
 
 /// Most offloads a CSV row may declare; each one becomes two profile
 /// segments.

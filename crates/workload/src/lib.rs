@@ -31,7 +31,7 @@ pub mod table1;
 
 pub use builder::{ArrivalProcess, Workload, WorkloadBuilder, WorkloadKind};
 pub use ids::JobId;
-pub use io::{workload_from_csv, workload_to_csv};
+pub use io::{workload_from_csv, workload_to_csv, MAX_DURATION_SECS};
 pub use job::{JobProfile, JobSpec, Segment};
 pub use synthetic::{ResourceDist, SyntheticParams};
 pub use table1::AppKind;

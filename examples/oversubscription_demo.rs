@@ -7,64 +7,50 @@
 //! cargo run --release --example oversubscription_demo
 //! ```
 
-use phishare::cosmic::{Admission, CosmicConfig, CosmicDevice};
-use phishare::phi::{Affinity, CommitOutcome, PerfModel, PhiConfig, PhiDevice, ProcId};
+use phishare::cosmic::{Admission, CosmicConfig, CosmicDevice, CosmicSubstrate};
+use phishare::phi::{
+    Affinity, CommitOutcome, DeviceSubstrate, PerfModel, PhiConfig, PhiDevice, ProcId,
+};
 use phishare::sim::{DetRng, SimDuration, SimTime};
+use phishare::workload::JobId;
 
 fn main() {
     let phi = PhiConfig::default();
     let mut rng = DetRng::from_seed(5);
+    let work = SimDuration::from_secs(10);
 
     println!("— thread oversubscription (raw MPSS) —");
     let mut device = PhiDevice::new(phi, PerfModel::default(), SimTime::ZERO);
     for p in 1..=2u64 {
-        device
-            .attach(SimTime::ZERO, ProcId(p), 1000, 240, 500, &mut rng)
-            .unwrap();
-        device
-            .start_offload(
-                SimTime::ZERO,
-                ProcId(p),
-                240,
-                SimDuration::from_secs(10),
-                Affinity::Unmanaged,
-            )
-            .unwrap();
+        let (slot, _) = device.attach(SimTime::ZERO, ProcId(p), 1000, 240, 500, &mut rng);
+        device.start_offload(SimTime::ZERO, slot, 240, work, Affinity::Unmanaged);
     }
-    for (proc, at) in device.completions() {
+    device.for_each_completion(|proc, at| {
         println!(
             "  {proc}: 10 s of nominal work completes at t={:.1} s ({:.0}% slowdown)",
             at.as_secs_f64(),
             100.0 * (at.as_secs_f64() / 10.0 - 1.0)
         );
-    }
+    });
 
     println!("\n— the same two offloads under COSMIC —");
     let mut device = PhiDevice::new(phi, PerfModel::default(), SimTime::ZERO);
     let mut cosmic = CosmicDevice::new(CosmicConfig::default(), &phi);
+    let mut handles = Vec::new();
     for p in 1..=2u64 {
-        device
-            .attach(SimTime::ZERO, ProcId(p), 1000, 240, 500, &mut rng)
-            .unwrap();
-        cosmic.register_job(phishare::workload::JobId(p), 1000, 240);
+        let (slot, _) = device.attach(SimTime::ZERO, ProcId(p), 1000, 240, 500, &mut rng);
+        handles.push((p, slot, cosmic.register(JobId(p), 1000, 240)));
     }
-    for p in 1..=2u64 {
-        match cosmic.request_offload(
-            SimTime::ZERO,
-            phishare::workload::JobId(p),
-            240,
-            SimDuration::from_secs(10),
-        ) {
+    for (p, slot, job) in handles {
+        match cosmic.request_offload(SimTime::ZERO, job, 240, work) {
             Admission::Started(grant) => {
-                device
-                    .start_offload(
-                        SimTime::ZERO,
-                        ProcId(p),
-                        grant.threads,
-                        grant.work,
-                        grant.affinity,
-                    )
-                    .unwrap();
+                device.start_offload(
+                    SimTime::ZERO,
+                    slot,
+                    grant.threads,
+                    grant.work,
+                    grant.affinity,
+                );
                 println!("  J{p}: admitted immediately, runs at full rate");
             }
             Admission::Queued => {
@@ -72,12 +58,12 @@ fn main() {
             }
         }
     }
-    for (proc, at) in device.completions() {
+    device.for_each_completion(|proc, at| {
         println!(
             "  {proc}: completes at t={:.1} s (no slowdown)",
             at.as_secs_f64()
         );
-    }
+    });
 
     println!("\n— memory oversubscription (raw MPSS) —");
     let mut device = PhiDevice::new(phi, PerfModel::default(), SimTime::ZERO);
@@ -86,7 +72,7 @@ fn main() {
     for p in 1..=4u64 {
         match device
             .attach(SimTime::ZERO, ProcId(p), 2500, 60, 2500, &mut rng)
-            .unwrap()
+            .1
         {
             CommitOutcome::Fits => {
                 attached += 1;

@@ -160,6 +160,35 @@ fn errors_are_reported_not_panicked() {
             "{row}"
         );
     }
+
+    // Arrival and perturbation specs whose gaps round to zero ticks, whose
+    // times overflow the simulated clock, or that would materialize
+    // billions of windows are refused up front — not a panic, an abort or
+    // a minutes-long run.
+    for (flag, policy, spec) in [
+        ("--arrivals", "mc", "poisson:1e-300"),
+        ("--arrivals", "mc", "diurnal:1e-300:1:0.5"),
+        ("--arrivals", "mc", "poisson:1e300"),
+        ("--arrivals", "mc", "flash:1:1e12:0.5"),
+        ("--perturb", "mcc", "latency:300:30:1e300"),
+        ("--perturb", "mcc", "jitter:1e300"),
+        ("--perturb", "mcc", "derate:600:60:0.5,horizon:1e12"),
+        (
+            "--perturb",
+            "mcc",
+            "derate:0.001:0.001:0.5,horizon:10000000",
+        ),
+    ] {
+        let out = phishare(&[
+            "run", "--policy", policy, "--jobs", "5", "--nodes", "1", flag, spec,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{flag} {spec}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(spec),
+            "{flag} {spec}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 #[test]
