@@ -137,7 +137,8 @@ impl FaultPlan {
     }
 
     /// Check the plan against a configuration: every event must target an
-    /// existing node/device and carry a positive downtime.
+    /// existing node/device and carry a positive downtime, and its strike
+    /// time and downtime must be within [`MAX_DURATION_SECS`].
     pub fn validate(&self, config: &ClusterConfig) -> Result<(), String> {
         for (i, e) in self.events.iter().enumerate() {
             if e.node == 0 || e.node > config.nodes {
@@ -155,6 +156,13 @@ impl FaultPlan {
             if e.downtime.is_zero() {
                 return Err(format!("fault plan event {i} has zero downtime"));
             }
+            check_times(
+                &format!("fault plan event {i}"),
+                &[
+                    ("at", e.at.as_secs_f64()),
+                    ("downtime", e.downtime.as_secs_f64()),
+                ],
+            )?;
         }
         Ok(())
     }
@@ -461,6 +469,7 @@ mod tests {
         assert!(mk(0, 0, 10).validate(&c).is_err());
         assert!(mk(1, 5, 10).validate(&c).is_err());
         assert!(mk(1, 0, 0).validate(&c).is_err());
+        assert!(mk(1, 0, 20_000_000).validate(&c).is_err());
         assert!(mk(2, 0, 10).validate(&c).is_ok());
     }
 

@@ -329,9 +329,12 @@ impl PerturbPlan {
 
     /// Check the plan against a configuration: every window must target an
     /// existing card (or node 0 for global kinds), stay open a positive
-    /// duration, and carry sane parameters.
+    /// duration, carry sane parameters, and keep its opening time,
+    /// duration and latency extra within
+    /// [`phishare_workload::MAX_DURATION_SECS`].
     pub fn validate(&self, config: &ClusterConfig) -> Result<(), String> {
         for (i, e) in self.events.iter().enumerate() {
+            let mut extra_secs = 0.0;
             match e.kind {
                 PerturbKind::StaleAds => {
                     if e.node != 0 || e.device != 0 {
@@ -353,11 +356,20 @@ impl PerturbPlan {
                     if extra.is_zero() {
                         return Err(format!("perturb plan event {i}: zero latency extra"));
                     }
+                    extra_secs = extra.as_secs_f64();
                 }
             }
             if e.duration.is_zero() {
                 return Err(format!("perturb plan event {i}: zero duration"));
             }
+            check_times(
+                &format!("perturb plan event {i}"),
+                &[
+                    ("at", e.at.as_secs_f64()),
+                    ("duration", e.duration.as_secs_f64()),
+                    ("extra", extra_secs),
+                ],
+            )?;
         }
         Ok(())
     }
@@ -701,6 +713,7 @@ mod tests {
         assert!(mk(derate, 0, 0, 10).validate(&c).is_err());
         assert!(mk(derate, 1, 5, 10).validate(&c).is_err());
         assert!(mk(derate, 1, 0, 0).validate(&c).is_err());
+        assert!(mk(derate, 1, 0, 20_000_000).validate(&c).is_err());
         assert!(mk(derate, 2, 0, 10).validate(&c).is_ok());
         assert!(mk(PerturbKind::DeviceDerate { factor: 0.0 }, 1, 0, 10)
             .validate(&c)

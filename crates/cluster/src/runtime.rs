@@ -6,10 +6,12 @@
 //! recycling, and the event mode; every combination reaches the same event
 //! loop.
 //!
-//! The world keeps one record per card and one per node in dense tables:
-//! a card holds its device, COSMIC state, in-flight reservations, down
-//! flag and open perturbation windows; a node holds its startd and host
-//! CPUs. Per-job state is keyed by [`JobId`].
+//! The world keeps one record per card, node and job in dense tables: a
+//! card holds its device, COSMIC state, in-flight reservations, down flag
+//! and open perturbation windows; a node its startd and host CPUs; a job
+//! its lifecycle stage, retry count and waited-once flag, at position
+//! `id − first id` (ids are consecutive, see [`Workload::validate`]). The
+//! run has drained when completed + killed + retired = jobs, an O(1) check.
 //!
 //! ## Lifecycle of a job
 //!
@@ -72,7 +74,7 @@ use phishare_phi::{
 };
 use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary};
 use phishare_workload::{JobId, JobSpec, Segment, Workload};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Key of one device: `(node, device-on-node)`.
 type DevKey = (u32, u32);
@@ -210,9 +212,8 @@ impl Default for ExperimentScratch {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RunningJob<DH, CH> {
-    idx: usize,
     slot: SlotId,
     key: DevKey,
     /// Device-substrate handle, resolved once at attach time. Stale the
@@ -231,6 +232,37 @@ struct RunningJob<DH, CH> {
     /// applies: remaining offload segments run on host cores, the device
     /// and COSMIC are never touched again.
     fallback: bool,
+}
+
+/// Where one job is in its lifecycle.
+#[derive(Debug)]
+enum Stage<DH, CH> {
+    Unarrived,
+    /// Awaiting placement: held for the external scheduler's next plan,
+    /// or idle for MC matchmaking.
+    Queued,
+    /// Pinned by the external scheduler, whose knapsacks are per card.
+    Pinned(DevKey),
+    /// Matched to this card and slot; consumed at dispatch.
+    Matched(DevKey, SlotId),
+    Running(RunningJob<DH, CH>),
+    /// Vacated by a fault; held out of planning until its `Release`.
+    Parked,
+    /// Held for good after exhausting `recovery.max_retries`.
+    Retired,
+    /// Completed or killed.
+    Done,
+}
+
+/// One job's record in [`World::jobs`].
+#[derive(Debug)]
+struct JobRecord<DH, CH> {
+    stage: Stage<DH, CH>,
+    /// Times the job has been vacated by a fault and requeued.
+    attempts: u32,
+    /// Its first dispatch recorded a queue-wait sample (re-dispatches
+    /// after a fault must not re-count).
+    waited: bool,
 }
 
 /// One experiment: a workload on a cluster, with the run options set by
@@ -487,12 +519,12 @@ impl<'a> Experiment<'a> {
         // forever (the operator must intervene); they are terminal for
         // drain purposes. Anything else still live is a scheduler bug.
         let (idle, matched, running) = world.queue.active_counts();
-        let live_idle = idle - world.retired.len();
-        if matched != 0 || running != 0 || live_idle != 0 || !world.parked.is_empty() {
+        let live_idle = idle - world.retired;
+        if matched != 0 || running != 0 || live_idle != 0 || world.parked != 0 {
             return Err(format!(
                 "simulation drained with live jobs: {live_idle} idle, {matched} matched, \
                  {running} running, {} awaiting release",
-                world.parked.len()
+                world.parked
             ));
         }
         // Post-drain leak audit: every fault must have been matched by a
@@ -670,19 +702,17 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// Every node, at `node - 1`.
     nodes: Vec<Node>,
     scheduler: Option<Box<dyn ClusterScheduler>>,
-    /// JobId → index into the workload.
-    job_index: BTreeMap<JobId, usize>,
-    running: BTreeMap<JobId, RunningJob<D::Handle, C::Handle>>,
+    /// Every job, at its workload position `id − first_id`.
+    jobs: Vec<JobRecord<D::Handle, C::Handle>>,
+    /// Id of the workload's first job.
+    first_id: u64,
+    /// How many jobs are [`Stage::Parked`] and [`Stage::Retired`].
+    parked: usize,
+    retired: usize,
     /// Reusable buffer for collecting COSMIC grants (completion, kill and
     /// unregister paths); taken/restored around each use so the hot loop
     /// never allocates. Recycled across runs via [`ExperimentScratch`].
     grants_buf: Vec<OffloadGrant>,
-    /// Device chosen at match time, consumed at dispatch.
-    matched_dev: BTreeMap<JobId, DevKey>,
-    /// Device the external scheduler planned for each pinned job, consumed
-    /// at match time. The packing is per device (each knapsack is one
-    /// coprocessor); re-placing at match time could break a feasible plan.
-    pinned_dev: BTreeMap<JobId, DevKey>,
     /// Sequence number of the latest scheduled cycle; stale cycles no-op.
     cycle_seq: u64,
     /// When the next cycle is due (None once the cluster drained).
@@ -696,17 +726,6 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     rng_oom: DetRng,
     /// Lifecycle trace (None unless the run is traced).
     trace: Option<Trace>,
-    // --- fault state ---
-    /// Times each job has been vacated by a fault and requeued.
-    attempts: BTreeMap<JobId, u32>,
-    /// Vacated jobs sitting out their backoff (held, invisible to the
-    /// scheduler until their `Release` fires).
-    parked: BTreeSet<JobId>,
-    /// Jobs held permanently after exhausting `recovery.max_retries`.
-    retired: BTreeSet<JobId>,
-    /// Jobs whose first dispatch already recorded a queue-wait sample
-    /// (re-dispatches after a fault must not re-count).
-    wait_recorded: BTreeSet<JobId>,
     // --- perturbation state ---
     /// Nesting depth of open stale-ad windows; ads refresh only at 0.
     stale_ad_depth: u32,
@@ -798,8 +817,6 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             ClusterPolicy::Oracle => Some(Box::new(ClairvoyantLpt::new(cfg.knapsack))),
         };
 
-        let job_index = wl.jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
-
         World {
             cfg,
             wl,
@@ -813,21 +830,23 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             cards,
             nodes,
             scheduler,
-            job_index,
-            running: BTreeMap::new(),
+            jobs: (0..wl.len())
+                .map(|_| JobRecord {
+                    stage: Stage::Unarrived,
+                    attempts: 0,
+                    waited: false,
+                })
+                .collect(),
+            first_id: wl.jobs.first().map_or(0, |j| j.id.raw()),
+            parked: 0,
+            retired: 0,
             grants_buf: Vec::new(),
-            matched_dev: BTreeMap::new(),
-            pinned_dev: BTreeMap::new(),
             cycle_seq: 0,
             next_cycle: None,
             mode,
             live_events: 0,
             rng_oom: DetRng::substream(cfg.seed, "oom-killer"),
             trace: None,
-            attempts: BTreeMap::new(),
-            parked: BTreeSet::new(),
-            retired: BTreeSet::new(),
-            wait_recorded: BTreeSet::new(),
             stale_ad_depth: 0,
             world_dirty: true,
             waits: Summary::new(),
@@ -872,6 +891,33 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn node_mut(&mut self, node: u32) -> &mut Node {
         &mut self.nodes[(node - 1) as usize]
+    }
+
+    fn spec(&self, job: JobId) -> &'a JobSpec {
+        &self.wl.jobs[(job.raw() - self.first_id) as usize]
+    }
+
+    fn job(&self, job: JobId) -> &JobRecord<D::Handle, C::Handle> {
+        &self.jobs[(job.raw() - self.first_id) as usize]
+    }
+
+    fn job_mut(&mut self, job: JobId) -> &mut JobRecord<D::Handle, C::Handle> {
+        &mut self.jobs[(job.raw() - self.first_id) as usize]
+    }
+
+    fn running(&self, job: JobId) -> Option<RunningJob<D::Handle, C::Handle>> {
+        match self.job(job).stage {
+            Stage::Running(run) => Some(run),
+            _ => None,
+        }
+    }
+
+    /// Ids of the jobs whose stage satisfies `pred`, in id order.
+    fn jobs_where(&self, pred: impl Fn(&Stage<D::Handle, C::Handle>) -> bool) -> Vec<JobId> {
+        (0..self.jobs.len())
+            .filter(|&i| pred(&self.jobs[i].stage))
+            .map(|i| JobId(self.first_id + i as u64))
+            .collect()
     }
 
     /// Record a trace event (no-op, and no allocation, unless tracing).
@@ -954,12 +1000,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             ClusterPolicy::Mc => self
                 .queue
                 .submit(id, attrs::exclusive_job_ad(spec), sim.now())
-                .expect("workload ids are unique"),
+                .expect("validated workload ids are unique"),
             ClusterPolicy::Mcc | ClusterPolicy::Mcck | ClusterPolicy::Oracle => self
                 .queue
                 .submit_held(id, attrs::sharing_job_ad(spec), sim.now())
-                .expect("workload ids are unique"),
+                .expect("validated workload ids are unique"),
         }
+        self.jobs[idx].stage = Stage::Queued;
         self.trace_ev(|| TraceEvent::Submitted {
             job: id,
             at: sim.now(),
@@ -1011,7 +1058,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     .qedit_expr(job, "Requirements", &attrs::pin_to_node(&node_name))
                     .expect("pinned job is queued");
                 self.queue.release(job).expect("pinned job was held");
-                self.pinned_dev.insert(job, (node, device));
+                self.job_mut(job).stage = Stage::Pinned((node, device));
                 self.pins_issued += 1;
                 self.trace_ev(|| TraceEvent::Pinned { job, node, at: now });
             }
@@ -1032,15 +1079,15 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .negotiate(&mut self.queue, &mut self.collector);
         for m in matches {
             self.world_dirty = true;
-            let spec = &self.wl.jobs[self.job_index[&m.job]];
+            let spec = self.spec(m.job);
             // Pinned jobs go to the device their packing round reserved;
             // unpinned (MC) jobs pick a free device now.
-            let key = match self.pinned_dev.remove(&m.job) {
-                Some(key) => {
+            let key = match self.job(m.job).stage {
+                Stage::Pinned(key) => {
                     debug_assert_eq!(key.0, m.slot.node, "pin/match node mismatch");
                     key
                 }
-                None => match self.choose_device(m.slot.node, spec.mem_req_mb) {
+                _ => match self.choose_device(m.slot.node, spec.mem_req_mb) {
                     Some(key) => key,
                     None => {
                         // With fresh ads exclusive matchmaking guarantees a
@@ -1063,7 +1110,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     }
                 },
             };
-            self.matched_dev.insert(m.job, key);
+            self.job_mut(m.job).stage = Stage::Matched(key, m.slot);
             self.card_mut(key).reserve(spec);
             if let Some(s) = self.scheduler.as_mut() {
                 s.on_dispatched(m.job);
@@ -1079,26 +1126,21 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn on_dispatch(&mut self, sim: &mut Sim<Ev>, job: JobId) {
         let now = sim.now();
-        let idx = self.job_index[&job];
-        let spec = &self.wl.jobs[idx];
+        let spec = self.spec(job);
         // A fault between match and dispatch revokes the match and requeues
         // the job; the in-flight Dispatch then finds nothing to start. (If
         // the job was *re*-matched before the stale event fires, the stale
         // delivery consumes the fresh match a little early — deterministic
         // and harmless, like a starter racing the shadow.)
-        let Some(key) = self.matched_dev.remove(&job) else {
+        let Stage::Matched(key, slot) = self.job(job).stage else {
             return;
         };
         let i = self.card_index(key);
         self.cards[i].unreserve(spec);
 
         self.queue.set_running(job).expect("matched job starts");
-        let slot = match self.queue.get(job).expect("queued").state {
-            phishare_condor::JobState::Running(slot) => slot,
-            _ => unreachable!("just set running"),
-        };
         let submitted = self.queue.get(job).expect("queued").submitted;
-        if self.wait_recorded.insert(job) {
+        if !std::mem::replace(&mut self.job_mut(job).waited, true) {
             self.waits.record(now.since(submitted).as_secs_f64());
         }
 
@@ -1109,9 +1151,9 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             at: now,
         });
         // Attach the COI process and make the initial memory commit. The
-        // substrate handles come back from registration/attach, so the
-        // `RunningJob` is inserted right after (attach never consults
-        // `running`; a job OOM-killing *itself* on attach is handled below).
+        // substrate handles come back from registration/attach, so the job
+        // becomes `Running` right after (attach never consults the job
+        // table; a job OOM-killing *itself* on attach is handled below).
         let initial_commit =
             ((spec.actual_peak_mem_mb as f64) * self.cfg.initial_commit_fraction).round() as u64;
         let card = &mut self.cards[i];
@@ -1127,21 +1169,17 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             initial_commit,
             &mut self.rng_oom,
         );
-        self.running.insert(
-            job,
-            RunningJob {
-                idx,
-                slot,
-                key,
-                dslot,
-                cslot,
-                seg: 0,
-                offloads_done: 0,
-                fallback: false,
-            },
-        );
+        self.job_mut(job).stage = Stage::Running(RunningJob {
+            slot,
+            key,
+            dslot,
+            cslot,
+            seg: 0,
+            offloads_done: 0,
+            fallback: false,
+        });
         self.handle_commit_outcome(sim, key, outcome);
-        if !self.running.contains_key(&job) {
+        if self.running(job).is_none() {
             return; // the job itself was an OOM victim of its own attach
         }
         if self.container_check(sim, key, job, initial_commit) {
@@ -1156,7 +1194,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         if host.generation() != generation || !host.is_active(job) {
             return; // stale prediction, or the job was killed
         }
-        let Some(run) = self.running.get_mut(&job) else {
+        let Stage::Running(run) = &mut self.job_mut(job).stage else {
             return;
         };
         run.seg += 1;
@@ -1170,7 +1208,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         if self.card(key).device.generation() != generation {
             return; // stale prediction
         }
-        let Some(run) = self.running.get_mut(&job) else {
+        let Stage::Running(run) = &mut self.job_mut(job).stage else {
             return;
         };
         let (dslot, cslot) = (run.dslot, run.cslot);
@@ -1195,19 +1233,17 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// Begin the job's current segment (or complete the job).
     fn advance_segment(&mut self, sim: &mut Sim<Ev>, job: JobId) {
         let now = sim.now();
-        let (idx, seg, key, offloads_done) = {
-            let run = self.running.get(&job).expect("advancing a live job");
-            (run.idx, run.seg, run.key, run.offloads_done)
-        };
-        let spec = &self.wl.jobs[idx];
-        match spec.profile.segments.get(seg) {
+        let run = self.running(job).expect("advancing a live job");
+        let key = run.key;
+        let spec = self.spec(job);
+        match spec.profile.segments.get(run.seg) {
             None => self.complete_job(sim, job),
             Some(Segment::Host { duration }) => {
                 self.node_mut(key.0).host.start_segment(now, job, *duration);
                 self.sync_host(sim, key.0);
             }
             Some(Segment::Offload { threads, work }) => {
-                if self.running[&job].fallback {
+                if run.fallback {
                     // Host-fallback: the card reset under this job, so the
                     // offload's work runs on host cores at the configured
                     // slowdown. No memory commit, no COSMIC admission — the
@@ -1226,19 +1262,15 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     .round() as u64;
                 let grown = initial
                     + ((spec.actual_peak_mem_mb - initial.min(spec.actual_peak_mem_mb)) as f64
-                        * (offloads_done + 1) as f64
+                        * (run.offloads_done + 1) as f64
                         / total_offloads as f64)
                         .round() as u64;
-                let (dslot, cslot) = {
-                    let run = &self.running[&job];
-                    (run.dslot, run.cslot)
-                };
                 let i = self.card_index(key);
                 let outcome = self.cards[i]
                     .device
-                    .commit(now, dslot, grown, &mut self.rng_oom);
+                    .commit(now, run.dslot, grown, &mut self.rng_oom);
                 self.handle_commit_outcome(sim, key, outcome);
-                if !self.running.contains_key(&job) {
+                if self.running(job).is_none() {
                     return; // OOM-killed by its own growth
                 }
                 if self.container_check(sim, key, job, grown) {
@@ -1262,7 +1294,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     work += extra;
                     self.inflated_offloads += 1;
                 }
-                if let (Some(cslot), Some(cos)) = (cslot, card.cosmic.as_mut()) {
+                if let (Some(cslot), Some(cos)) = (run.cslot, card.cosmic.as_mut()) {
                     match cos.request_offload(now, cslot, threads, work) {
                         Admission::Started(grant) => {
                             self.start_grants(sim, key, std::slice::from_ref(&grant));
@@ -1276,7 +1308,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     }
                 } else {
                     card.device
-                        .start_offload(now, dslot, threads, work, Affinity::Unmanaged);
+                        .start_offload(now, run.dslot, threads, work, Affinity::Unmanaged);
                     self.trace_ev(|| TraceEvent::OffloadStarted {
                         job,
                         threads,
@@ -1295,7 +1327,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn start_grants(&mut self, sim: &mut Sim<Ev>, key: DevKey, grants: &[OffloadGrant]) {
         let now = sim.now();
         for grant in grants {
-            let dslot = self.running[&grant.job].dslot;
+            let dslot = self.running(grant.job).expect("granted job runs").dslot;
             self.card_mut(key).device.start_offload(
                 now,
                 dslot,
@@ -1330,12 +1362,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// A job left its card: drop its COSMIC registration (starting any
     /// offloads that unblocks) and resync the card's predictions.
-    fn unregister(
-        &mut self,
-        sim: &mut Sim<Ev>,
-        run: &RunningJob<D::Handle, C::Handle>,
-        job: JobId,
-    ) {
+    fn unregister(&mut self, sim: &mut Sim<Ev>, run: RunningJob<D::Handle, C::Handle>, job: JobId) {
         if run.cslot.is_some() {
             let now = sim.now();
             self.cosmic_grants(sim, run.key, |cos, grants| {
@@ -1429,10 +1456,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     fn complete_job(&mut self, sim: &mut Sim<Ev>, job: JobId) {
         let now = sim.now();
-        let run = self.running.remove(&job).expect("completing a live job");
+        let run = self.running(job).expect("completing a live job");
+        self.job_mut(job).stage = Stage::Done;
         if !run.fallback {
             self.card_mut(run.key).device.detach(now, run.dslot);
-            self.unregister(sim, &run, job);
+            self.unregister(sim, run, job);
         }
 
         self.queue
@@ -1479,9 +1507,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         already_detached: bool,
     ) {
         let now = sim.now();
-        let Some(run) = self.running.remove(&job) else {
+        let Some(run) = self.running(job) else {
             return;
         };
+        self.job_mut(job).stage = Stage::Done;
         if !run.fallback && !already_detached {
             self.card_mut(run.key).device.detach(now, run.dslot);
         }
@@ -1490,7 +1519,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         self.node_mut(run.key.0).host.abort(now, job);
         self.sync_host(sim, run.key.0);
         if !run.fallback {
-            self.unregister(sim, &run, job);
+            self.unregister(sim, run, job);
         }
 
         self.queue.set_removed(job).expect("live job is removable");
@@ -1527,7 +1556,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         job: JobId,
         committed: u64,
     ) -> bool {
-        let (Some(cslot), Some(cos)) = (self.running[&job].cslot, &self.card(key).cosmic) else {
+        let cslot = self.running(job).expect("checking a live job").cslot;
+        let (Some(cslot), Some(cos)) = (cslot, &self.card(key).cosmic) else {
             return false;
         };
         match cos.on_commit(cslot, committed) {
@@ -1572,20 +1602,20 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         self.flush_device(sim, key);
         // Matched-but-undispatched jobs lose their reservation; their
         // pending Dispatch event no-ops once the match is gone.
-        for job in self.matched_jobs_on(|k| k == key) {
-            self.unmatch_for_fault(job);
+        for job in self.jobs_where(|s| matches!(s, Stage::Matched(k, _) if *k == key)) {
             self.fault_requeue(sim, job);
         }
         // Idle jobs pinned to this card go back to Held for re-planning.
         self.pull_back_pins(|k| k == key);
         // Jobs executing on the card degrade or vacate.
-        for job in self.running_jobs_on(|r| r.key == key && !r.fallback) {
+        let on_card =
+            |s: &Stage<_, _>| matches!(s, Stage::Running(r) if r.key == key && !r.fallback);
+        for job in self.jobs_where(on_card) {
             match self.cfg.recovery.fallback {
                 FallbackPolicy::HostOnly => {
-                    self.running
-                        .get_mut(&job)
-                        .expect("listed as running")
-                        .fallback = true;
+                    if let Stage::Running(run) = &mut self.job_mut(job).stage {
+                        run.fallback = true;
+                    }
                     self.trace_ev(|| TraceEvent::FallbackStarted {
                         job,
                         node: f.node,
@@ -1602,8 +1632,6 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 FallbackPolicy::Requeue => {
                     self.node_mut(f.node).host.abort(now, job);
                     self.sync_host(sim, f.node);
-                    let run = self.running.remove(&job).expect("listed as running");
-                    self.collector.release(run.slot);
                     self.fault_requeue(sim, job);
                 }
             }
@@ -1630,14 +1658,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         for dev in 0..self.cfg.devices_per_node {
             self.flush_device(sim, (f.node, dev));
         }
-        for job in self.matched_jobs_on(|k| k.0 == f.node) {
-            self.unmatch_for_fault(job); // slot release no-ops: ads are gone
+        for job in self.jobs_where(|s| matches!(s, Stage::Matched(k, _) if k.0 == f.node)) {
             self.fault_requeue(sim, job);
         }
         self.pull_back_pins(|k| k.0 == f.node);
-        for job in self.running_jobs_on(|r| r.key.0 == f.node) {
+        for job in self.jobs_where(|s| matches!(s, Stage::Running(r) if r.key.0 == f.node)) {
             self.node_mut(f.node).host.abort(now, job);
-            self.running.remove(&job);
             self.fault_requeue(sim, job);
         }
         self.sync_host(sim, f.node);
@@ -1673,9 +1699,11 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// Backoff expiry: the vacated job becomes schedulable again.
     fn on_release(&mut self, sim: &mut Sim<Ev>, job: JobId) {
-        if !self.parked.remove(&job) {
+        if !matches!(self.job(job).stage, Stage::Parked) {
             return;
         }
+        self.job_mut(job).stage = Stage::Queued;
+        self.parked -= 1;
         // MC jobs negotiate straight from Idle; scheduler-driven policies
         // leave the job Held so the next planning round re-pins it (it is
         // visible to `pending_views` again now that it is un-parked).
@@ -1755,43 +1783,41 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         self.sync_completions(sim, key);
     }
 
-    /// Revoke a match that has not dispatched yet: restore the in-flight
-    /// accounting and free the claimed slot.
-    fn unmatch_for_fault(&mut self, job: JobId) {
-        let key = self
-            .matched_dev
-            .remove(&job)
-            .expect("matched job has a device");
-        let spec = &self.wl.jobs[self.job_index[&job]];
-        self.card_mut(key).unreserve(spec);
-        if let phishare_condor::JobState::Matched(slot) = self.queue.get(job).expect("queued").state
-        {
-            // No-op when the node churned away (its ads were invalidated).
-            self.collector.release(slot);
-        }
-    }
-
-    /// Return a vacated (matched/running) job to the queue with
+    /// Vacate a matched or running job: give back its card reservation
+    /// (if matched) and its claimed slot (a no-op once its node churned
+    /// away, as the ads are gone), then return it to the queue with
     /// exponential backoff, or hold it permanently once its retry budget
     /// is exhausted — HTCondor's periodic-release / `MaxRetries` policy.
     fn fault_requeue(&mut self, sim: &mut Sim<Ev>, job: JobId) {
         let now = sim.now();
+        let slot = match self.job(job).stage {
+            Stage::Matched(key, slot) => {
+                let spec = self.spec(job);
+                self.card_mut(key).unreserve(spec);
+                slot
+            }
+            Stage::Running(run) => run.slot,
+            _ => unreachable!("vacating a job that is neither matched nor running"),
+        };
+        self.collector.release(slot);
         self.queue
             .requeue(job)
             .expect("vacated job was matched or running");
         if let Some(s) = self.scheduler.as_mut() {
             s.on_job_gone(job);
         }
-        let attempts = self.attempts.get(&job).copied().unwrap_or(0);
+        let attempts = self.job(job).attempts;
         if attempts >= self.cfg.recovery.max_retries {
-            self.retired.insert(job);
+            self.job_mut(job).stage = Stage::Retired;
+            self.retired += 1;
             self.trace_ev(|| TraceEvent::HeldMaxRetries { job, at: now });
             // Retirement is terminal: the run can end on it.
             self.last_terminal = now;
         } else {
-            self.attempts.insert(job, attempts + 1);
+            let rec = self.job_mut(job);
+            (rec.stage, rec.attempts) = (Stage::Parked, attempts + 1);
+            self.parked += 1;
             self.retries += 1;
-            self.parked.insert(job);
             self.trace_ev(|| TraceEvent::Requeued {
                 job,
                 attempt: attempts + 1,
@@ -1804,38 +1830,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     /// Jobs released+pinned but not yet matched whose target satisfies
     /// `pred` go back on hold; the scheduler re-plans them next cycle.
     fn pull_back_pins(&mut self, pred: impl Fn(DevKey) -> bool) {
-        let jobs: Vec<JobId> = self
-            .pinned_dev
-            .iter()
-            .filter(|(_, &k)| pred(k))
-            .map(|(&j, _)| j)
-            .collect();
-        for job in jobs {
-            self.pinned_dev.remove(&job);
+        for job in self.jobs_where(|s| matches!(s, Stage::Pinned(k) if pred(*k))) {
+            self.job_mut(job).stage = Stage::Queued;
             self.queue.hold(job).expect("pinned job is idle");
             if let Some(s) = self.scheduler.as_mut() {
                 s.on_job_gone(job);
             }
         }
-    }
-
-    fn matched_jobs_on(&self, pred: impl Fn(DevKey) -> bool) -> Vec<JobId> {
-        self.matched_dev
-            .iter()
-            .filter(|(_, &k)| pred(k))
-            .map(|(&j, _)| j)
-            .collect()
-    }
-
-    fn running_jobs_on(
-        &self,
-        pred: impl Fn(&RunningJob<D::Handle, C::Handle>) -> bool,
-    ) -> Vec<JobId> {
-        self.running
-            .iter()
-            .filter(|(_, r)| pred(r))
-            .map(|(&j, _)| j)
-            .collect()
     }
 
     /// Full re-advertise of a recovered node from ground truth (its ads
@@ -1871,9 +1872,9 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .into_iter()
             // Parked (backing off) and retired jobs are held too, but the
             // scheduler must not plan them.
-            .filter(|id| !self.parked.contains(id) && !self.retired.contains(id))
+            .filter(|&id| matches!(self.job(id).stage, Stage::Queued))
             .map(|id| {
-                let spec = &self.wl.jobs[self.job_index[&id]];
+                let spec = self.spec(id);
                 PendingJob {
                     id,
                     mem_mb: spec.mem_req_mb,
@@ -1981,8 +1982,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn cycle_is_quiescent(&self) -> bool {
         !self.world_dirty
             && self.stale_ad_depth == 0
-            && (self.scheduler.is_none()
-                || self.queue.held_count() == self.parked.len() + self.retired.len())
+            && (self.scheduler.is_none() || self.queue.held_count() == self.parked + self.retired)
             && Negotiator::cycle_is_quiescent(&self.queue, &self.collector)
     }
 
@@ -2004,21 +2004,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         );
     }
 
-    /// True when no job will ever need another negotiation cycle.
-    ///
-    /// Retired jobs (held after exhausting retries) count as terminal;
-    /// parked jobs do not — their pending `Release` will need a cycle.
+    /// True when no job will ever need another negotiation cycle: every
+    /// job completed, was killed, or retired (held after exhausting its
+    /// retries). Parked jobs are not terminal — their pending `Release`
+    /// will need a cycle. O(1); debug builds re-derive it from the queue.
     fn drained(&self) -> bool {
-        if !self.queue_has_all_jobs() {
-            return false;
-        }
-        let (idle, matched, running) = self.queue.active_counts();
-        matched == 0 && running == 0 && self.parked.is_empty() && idle == self.retired.len()
-    }
-
-    fn queue_has_all_jobs(&self) -> bool {
-        // All arrivals processed ⇔ every workload job has been submitted.
-        self.wl.jobs.iter().all(|j| self.queue.get(j.id).is_some())
+        let terminal = self.completed + self.container_kills + self.oom_kills + self.retired;
+        debug_assert_eq!(terminal == self.wl.len(), {
+            // Parked and retired jobs are held, so they count as idle.
+            let all_arrived = self.wl.jobs.iter().all(|j| self.queue.get(j.id).is_some());
+            all_arrived && self.queue.active_counts() == (self.retired, 0, 0)
+        });
+        terminal == self.wl.len()
     }
 
     // ------------------------------------------------------------------
@@ -2096,7 +2093,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             jittered_cycles: self.jittered_cycles,
             inflated_offloads: self.inflated_offloads,
             stale_match_rejects: self.stale_match_rejects,
-            held_after_retries: self.retired.len(),
+            held_after_retries: self.retired,
             plan_cache_hits: plan_stats.cache_hits,
             plan_cache_misses: plan_stats.cache_misses,
             plan_ms: self.plan_nanos as f64 / 1e6,

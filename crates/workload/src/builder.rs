@@ -2,7 +2,7 @@
 
 use crate::ids::JobId;
 use crate::io::MAX_DURATION_SECS;
-use crate::job::JobSpec;
+use crate::job::{JobSpec, JobSpecError};
 use crate::synthetic::{ResourceDist, SyntheticParams};
 use crate::table1::AppKind;
 use phishare_sim::{DetRng, SimDuration, SimTime};
@@ -299,14 +299,22 @@ impl Workload {
             .fold(SimDuration::ZERO, |acc, j| acc + j.nominal_duration())
     }
 
-    /// Validate every job in the workload.
-    pub fn validate(&self) -> Result<(), (JobId, crate::job::JobSpecError)> {
+    /// Validate every job in the workload, and that job ids are
+    /// consecutive in arrival order — the first job's id, then one more
+    /// per job — so a simulation can keep per-job state at each job's
+    /// position. [`WorkloadBuilder`] and CSV import number jobs this way.
+    pub fn validate(&self) -> Result<(), (JobId, JobSpecError)> {
         assert_eq!(
             self.jobs.len(),
             self.arrivals.len(),
             "arrivals must parallel jobs"
         );
-        for j in &self.jobs {
+        let first = self.jobs.first().map_or(0, |j| j.id.raw());
+        for (i, j) in self.jobs.iter().enumerate() {
+            if j.id.raw().checked_sub(first) != Some(i as u64) {
+                let expected = JobId(first.saturating_add(i as u64));
+                return Err((j.id, JobSpecError::IdOutOfSequence { expected }));
+            }
             j.validate().map_err(|e| (j.id, e))?;
         }
         Ok(())
@@ -738,6 +746,38 @@ mod tests {
             .build();
         assert_eq!(wl.jobs[0].id, JobId(100));
         assert_eq!(wl.jobs[4].id, JobId(104));
+        wl.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_requires_consecutive_ids() {
+        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(4)
+            .first_id(10)
+            .build();
+        let out_of_sequence = |job: u64, expected: u64| {
+            Err((
+                JobId(job),
+                JobSpecError::IdOutOfSequence {
+                    expected: JobId(expected),
+                },
+            ))
+        };
+        let mut duplicate = wl.clone();
+        duplicate.jobs[2].id = JobId(11);
+        assert_eq!(duplicate.validate(), out_of_sequence(11, 12));
+        let mut gapped = wl.clone();
+        gapped.jobs[3].id = JobId(14);
+        assert_eq!(gapped.validate(), out_of_sequence(14, 13));
+        let mut descending = wl;
+        descending.jobs[1].id = JobId(9);
+        assert_eq!(descending.validate(), out_of_sequence(9, 11));
+        let mut past_the_end = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(2)
+            .build();
+        past_the_end.jobs[0].id = JobId(u64::MAX);
+        past_the_end.jobs[1].id = JobId(u64::MAX);
+        assert!(past_the_end.validate().is_err());
     }
 
     #[test]

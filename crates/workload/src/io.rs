@@ -41,8 +41,10 @@ const HEADER: &str = "name,mem_mb,threads,duration_secs,duty_cycle,offloads";
 
 /// Longest time any input may name, in seconds (about 115 days): a CSV
 /// row's job duration, an arrival spec's gaps, period and crowd instant,
-/// and every fault and perturbation time. It keeps every simulated instant
-/// a run can reach far below the clock's overflow.
+/// every fault and perturbation config time, and each event's time,
+/// downtime, duration and latency extra in a loaded fault or perturbation
+/// plan file. It keeps every simulated instant a run can reach far below
+/// the clock's overflow.
 pub const MAX_DURATION_SECS: f64 = 1e7;
 
 /// Most offloads a CSV row may declare; each one becomes two profile

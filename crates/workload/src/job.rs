@@ -151,6 +151,12 @@ pub enum JobSpecError {
     ZeroDeclaredMemory,
     /// The segments' nominal durations sum past the simulated clock's range.
     DurationOverflow,
+    /// A workload's job ids are not consecutive in arrival order.
+    IdOutOfSequence {
+        /// The id this job must carry: the first job's id plus its
+        /// position.
+        expected: JobId,
+    },
 }
 
 impl fmt::Display for JobSpecError {
@@ -167,6 +173,11 @@ impl fmt::Display for JobSpecError {
             }
             JobSpecError::ZeroDeclaredMemory => write!(f, "job declares 0 MB of device memory"),
             JobSpecError::DurationOverflow => write!(f, "job's total duration overflows"),
+            JobSpecError::IdOutOfSequence { expected } => write!(
+                f,
+                "job id out of sequence: expected {expected} (ids must be consecutive \
+                 in arrival order)"
+            ),
         }
     }
 }

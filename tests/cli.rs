@@ -1,5 +1,6 @@
 //! Integration tests for the `phishare` command-line binary.
 
+use phishare::workload::Workload;
 use std::process::Command;
 
 fn phishare(args: &[&str]) -> std::process::Output {
@@ -189,6 +190,93 @@ fn errors_are_reported_not_panicked() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+
+    // Plan files whose times would overflow the simulated clock are
+    // refused on the offending event.
+    for (name, flag, plan) in [
+        (
+            "huge-downtime-fault-plan.json",
+            "--fault-plan",
+            r#"{"events": [{"kind": "DeviceReset", "node": 1, "device": 0, "at": 5000, "downtime": 18446744073709551615}]}"#,
+        ),
+        (
+            "huge-at-fault-plan.json",
+            "--fault-plan",
+            r#"{"events": [{"kind": "NodeChurn", "node": 1, "device": 0, "at": 18446744073709551000, "downtime": 1000}]}"#,
+        ),
+        (
+            "huge-duration-perturb-plan.json",
+            "--perturb-plan",
+            r#"{"events": [{"kind": "StaleAds", "node": 0, "device": 0, "at": 5000, "duration": 18446744073709551615}]}"#,
+        ),
+        (
+            "huge-extra-perturb-plan.json",
+            "--perturb-plan",
+            r#"{"events": [{"kind": {"OffloadLatency": {"extra": 18446744073709551615}}, "node": 1, "device": 0, "at": 0, "duration": 100000}]}"#,
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, plan).unwrap();
+        let out = phishare(&[
+            "run",
+            "--policy",
+            "mcc",
+            "--jobs",
+            "5",
+            "--nodes",
+            "1",
+            flag,
+            path.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("plan event 0"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn sweep_worker_records_an_invalid_workload_as_err() {
+    let dir = std::env::temp_dir().join("phishare-cli-test-duplicate-id");
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let out = phishare(&[
+        "sweep",
+        "--policies",
+        "mcc",
+        "--sizes",
+        "2",
+        "--jobs",
+        "4",
+        "--workers",
+        "1",
+        "--dir",
+        d,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Hand-edit the stored workload so two jobs share an id, then make the
+    // cell run again.
+    let wl_path = dir.join("workloads/wl-0.json");
+    let mut wl = Workload::from_json(&std::fs::read_to_string(&wl_path).unwrap()).unwrap();
+    wl.jobs[1].id = wl.jobs[0].id;
+    std::fs::write(&wl_path, wl.to_json()).unwrap();
+    std::fs::remove_file(dir.join("results-w0.jsonl")).unwrap();
+    std::fs::remove_dir_all(dir.join("leases")).unwrap();
+    std::fs::create_dir(dir.join("leases")).unwrap();
+
+    let out = phishare(&["--worker", "--dir", d, "--worker-id", "0"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let log = std::fs::read_to_string(dir.join("results-w0.jsonl")).unwrap();
+    let record: serde_json::Value = serde_json::from_str(log.trim()).unwrap();
+    let err = record["err"].as_str().expect("the cell is recorded as err");
+    assert!(
+        err.contains("invalid job J0") && err.contains("expected J1"),
+        "{err}"
+    );
 }
 
 #[test]

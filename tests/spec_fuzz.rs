@@ -1,14 +1,16 @@
-//! Spec grammars: no byte mutation of a valid command-line spec can make a
-//! parser panic or hang, and every spec a parser accepts materializes
-//! without a panic.
+//! Input grammars: no byte mutation of a valid command-line spec, workload
+//! CSV or ClassAd can make a parser panic or hang, and every input a
+//! parser accepts materializes without a panic.
 //!
 //! The grammars are the `--arrivals`, `--perturb`, `--substrate`,
-//! `--negotiation`, `--pool` and `--policy` values.
+//! `--negotiation`, `--pool` and `--policy` values, the workload CSV schema
+//! of `phishare run --from`, and ClassAd source.
 
+use phishare::classad::parse_ad;
 use phishare::cluster::{ClusterConfig, DevicePool, PerturbConfig, PerturbPlan, SubstrateMode};
 use phishare::condor::MatchPath;
 use phishare::core::ClusterPolicy;
-use phishare::workload::{ArrivalProcess, WorkloadBuilder, WorkloadKind};
+use phishare::workload::{workload_from_csv, ArrivalProcess, WorkloadBuilder, WorkloadKind};
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
@@ -29,14 +31,33 @@ const SPECS: &[(&str, &str)] = &[
     ("negotiation", "delta"),
     ("pool", "phi7120-mix"),
     ("policy", "mcck"),
+    (
+        "csv",
+        "name,mem_mb,threads,duration_secs,duty_cycle,offloads\n\
+         KM-batch-1,900,60,28.5,0.7,8\n\
+         BT-2,1200,120,40,,\n\
+         SG-3,500,240,5,0.5,2\n",
+    ),
+    (
+        "classad",
+        "[ Name = \"slot1@node3\"; PhiMemory = 7680; PhiThreads = 240; \
+         Requirements = TARGET.RequestPhiMemory <= MY.PhiMemory && \
+         (TARGET.RequestPhiThreads <= PhiThreads || Name == \"slot2@node3\"); ]",
+    ),
 ];
 
-/// Tokens a mutation may insert: the grammars' separators and the number
-/// shapes that have broken parsers before (zero-tick gaps, clock-overflowing
-/// times, non-finite values).
+/// The fixed peer that an accepted ClassAd's `Requirements` is evaluated
+/// against.
+const PEER_AD: &str = "[ Name = \"job7\"; RequestPhiMemory = 900; RequestPhiThreads = 60; \
+                       Requirements = TARGET.PhiMemory >= MY.RequestPhiMemory; ]";
+
+/// Tokens a mutation may insert: the grammars' separators (CSV lines and
+/// ClassAd statements included) and the number shapes that have broken
+/// parsers before (zero-tick gaps, clock-overflowing times, non-finite
+/// values).
 const TOKENS: &[&str] = &[
     ":", ",", ".", "-", "+", "e", "0", "1", "9", " ", "e300", "e-300", "1e12", "0.0001", "inf",
-    "NaN", "\u{ff}",
+    "NaN", "\u{ff}", "\n", ";", "[", "]", "(", "\"", "==",
 ];
 
 /// A byte-level edit: flip bits, insert a token, delete a run, or truncate.
@@ -84,8 +105,9 @@ fn mutate(spec: &str, mutations: &[Mutation]) -> Vec<u8> {
 }
 
 /// Parse `text` with the `grammar` parser; an accepted arrival or perturb
-/// spec is also materialized for a 5-job, 1-node configuration. Returns
-/// whether the spec was accepted.
+/// spec is also materialized for a 5-job, 1-node configuration, an
+/// accepted CSV workload validated, and an accepted ad matched against
+/// [`PEER_AD`]. Returns whether the input was accepted.
 fn parse_and_materialize(grammar: &str, text: &str) -> bool {
     match grammar {
         "arrivals" => match text.parse::<ArrivalProcess>() {
@@ -114,6 +136,21 @@ fn parse_and_materialize(grammar: &str, text: &str) -> bool {
         "negotiation" => text.parse::<MatchPath>().is_ok(),
         "pool" => text.parse::<DevicePool>().is_ok(),
         "policy" => text.parse::<ClusterPolicy>().is_ok(),
+        "csv" => match workload_from_csv(text, 7) {
+            Ok(wl) => {
+                assert_eq!(wl.validate(), Ok(()), "{text:?}");
+                true
+            }
+            Err(_) => false,
+        },
+        "classad" => match parse_ad(text) {
+            Ok(ad) => {
+                let peer = parse_ad(PEER_AD).expect("the peer ad parses");
+                ad.matches(&peer);
+                true
+            }
+            Err(_) => false,
+        },
         other => panic!("no parser for {other}"),
     }
 }
@@ -128,8 +165,8 @@ fn valid_specs_parse() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
-    /// Mutated specs parse or fail with an error — and accepted arrival and
-    /// perturb specs materialize — within a time bound, never panicking.
+    /// Mutated inputs parse or fail with an error — and accepted ones
+    /// materialize — within a time bound, never panicking.
     #[test]
     fn mutated_specs_never_panic_or_hang(
         spec in 0..SPECS.len(),
