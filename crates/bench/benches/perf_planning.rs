@@ -4,7 +4,7 @@
 //! 48 devices, 600 pending jobs drawn from a duplication-heavy class mix,
 //! window 256 — through the MCCK planner twice: once in [`PlannerMode::Fast`]
 //! (candidate preprocessing with multiplicity truncation, content-addressed
-//! solve memo, speculative parallel warm-up) and once in
+//! solve memo) and once in
 //! [`PlannerMode::NaiveSerial`] (the seed's full per-device DP, retained as
 //! the differential oracle). The two replays must emit **bit-identical pin
 //! sequences**; only then is the timing comparison meaningful.
@@ -19,7 +19,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use phishare_bench::{persist_json, GateKnobs};
 use phishare_core::{
-    ClusterScheduler, DeviceView, KnapsackConfig, KnapsackScheduler, PendingJob, Pin, PlanStats,
+    ClusterPolicy, ClusterScheduler, DeviceView, KnapsackConfig, PendingJob, Pin, PlanStats,
     PlannerMode,
 };
 use phishare_sim::DetRng;
@@ -56,15 +56,21 @@ struct Replay {
     stats: PlanStats,
 }
 
+/// A fresh MCCK scheduler planning in `mode` over the benchmark's window.
+fn mcck(mode: PlannerMode) -> ClusterScheduler {
+    let cfg = KnapsackConfig {
+        planner: mode,
+        window: WINDOW,
+        ..KnapsackConfig::default()
+    };
+    ClusterScheduler::new(ClusterPolicy::Mcck, &cfg, 0).expect("MCCK has a scheduler")
+}
+
 /// Drive one scheduler through the scripted lifetime. The script is a pure
 /// function of the seed and of the pins the planner emits, so two modes
 /// producing identical pins see identical worlds at every cycle.
 fn replay(mode: PlannerMode) -> Replay {
-    let mut sched = KnapsackScheduler::new(KnapsackConfig {
-        planner: mode,
-        window: WINDOW,
-        ..KnapsackConfig::default()
-    });
+    let mut sched = mcck(mode);
     let mut rng = DetRng::substream(SEED, "perf-planning");
     let mut pending: Vec<PendingJob> = (0..JOBS)
         .map(|i| {
@@ -99,7 +105,7 @@ fn replay(mode: PlannerMode) -> Replay {
         // outstanding.
         for pin in &pins {
             if rng.chance(0.7) {
-                sched.on_dispatched(pin.job);
+                sched.unpin(pin.job);
                 let at = pending.iter().position(|j| j.id == pin.job).unwrap();
                 let spec = pending.remove(at);
                 let dev = devices
@@ -231,16 +237,7 @@ fn bench_cycles(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(label, "8dev/120jobs"),
             &mode,
-            |b, &mode| {
-                b.iter(|| {
-                    let mut sched = KnapsackScheduler::new(KnapsackConfig {
-                        planner: mode,
-                        window: WINDOW,
-                        ..KnapsackConfig::default()
-                    });
-                    black_box(sched.plan(&pending, &devices))
-                })
-            },
+            |b, &mode| b.iter(|| black_box(mcck(mode).plan(&pending, &devices))),
         );
     }
     group.finish();

@@ -61,10 +61,7 @@ use crate::perturb::{PerturbKind, PerturbPlan};
 use crate::trace::{KillReason, Trace, TraceEvent};
 use phishare_condor::attrs;
 use phishare_condor::{Collector, JobQueue, Negotiator, SlotId, Startd};
-use phishare_core::{
-    ClairvoyantLpt, ClusterPolicy, ClusterScheduler, DeviceView, KnapsackScheduler, PendingJob,
-    Pin, RandomScheduler,
-};
+use phishare_core::{ClusterPolicy, ClusterScheduler, DeviceView, PendingJob, Pin};
 use phishare_cosmic::{
     Admission, ContainerVerdict, CosmicDevice, CosmicSubstrate, KeyedCosmicDevice, OffloadGrant,
 };
@@ -428,17 +425,8 @@ impl<'a> Experiment<'a> {
         // Under a knapsack-family scheduler, a job whose declared threads
         // exceed the per-device thread budget can never be packed — reject
         // it up front instead of letting it starve in the queue forever.
-        let thread_cap = match config.policy {
-            ClusterPolicy::Mcck | ClusterPolicy::Oracle
-                if config.knapsack.count_resident_threads =>
-            {
-                Some(
-                    (config.knapsack.thread_limit as f64 * config.knapsack.thread_overcommit)
-                        .round() as u32,
-                )
-            }
-            _ => None,
-        };
+        let thread_cap = matches!(config.policy, ClusterPolicy::Mcck | ClusterPolicy::Oracle)
+            .then(|| config.knapsack.thread_budget());
         for job in &workload.jobs {
             if job.mem_req_mb > usable {
                 return Err(format!(
@@ -515,6 +503,17 @@ impl<'a> Experiment<'a> {
             }
         }
 
+        // The loop also stops when its event budget runs out, say before a
+        // far-off arrival: a partial run is an error, never a result.
+        if !world.drained() {
+            return Err(format!(
+                "simulation stopped after {} events at {} with {} of {} jobs finished",
+                sim.events_processed(),
+                sim.now(),
+                world.terminal(),
+                workload.len()
+            ));
+        }
         // Jobs retired after exhausting their retry budget stay Held
         // forever (the operator must intervene); they are terminal for
         // drain purposes. Anything else still live is a scheduler bug.
@@ -701,7 +700,7 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     cards: Vec<Card<D, C>>,
     /// Every node, at `node - 1`.
     nodes: Vec<Node>,
-    scheduler: Option<Box<dyn ClusterScheduler>>,
+    scheduler: Option<ClusterScheduler>,
     /// Every job, at its workload position `id − first_id`.
     jobs: Vec<JobRecord<D::Handle, C::Handle>>,
     /// Id of the workload's first job.
@@ -810,13 +809,6 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             }
         }
 
-        let scheduler: Option<Box<dyn ClusterScheduler>> = match cfg.policy {
-            ClusterPolicy::Mc => None,
-            ClusterPolicy::Mcc => Some(Box::new(RandomScheduler::new(cfg.seed))),
-            ClusterPolicy::Mcck => Some(Box::new(KnapsackScheduler::new(cfg.knapsack))),
-            ClusterPolicy::Oracle => Some(Box::new(ClairvoyantLpt::new(cfg.knapsack))),
-        };
-
         World {
             cfg,
             wl,
@@ -829,7 +821,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 .with_quiescence(cfg.skip_quiescent),
             cards,
             nodes,
-            scheduler,
+            scheduler: ClusterScheduler::new(cfg.policy, &cfg.knapsack, cfg.seed),
             jobs: (0..wl.len())
                 .map(|_| JobRecord {
                     stage: Stage::Unarrived,
@@ -1113,7 +1105,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             self.job_mut(m.job).stage = Stage::Matched(key, m.slot);
             self.card_mut(key).reserve(spec);
             if let Some(s) = self.scheduler.as_mut() {
-                s.on_dispatched(m.job);
+                s.unpin(m.job);
             }
             sim.schedule_after(self.cfg.dispatch_delay, Ev::Dispatch(m.job));
         }
@@ -1804,7 +1796,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             .requeue(job)
             .expect("vacated job was matched or running");
         if let Some(s) = self.scheduler.as_mut() {
-            s.on_job_gone(job);
+            s.unpin(job);
         }
         let attempts = self.job(job).attempts;
         if attempts >= self.cfg.recovery.max_retries {
@@ -1834,7 +1826,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             self.job_mut(job).stage = Stage::Queued;
             self.queue.hold(job).expect("pinned job is idle");
             if let Some(s) = self.scheduler.as_mut() {
-                s.on_job_gone(job);
+                s.unpin(job);
             }
         }
     }
@@ -2004,12 +1996,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         );
     }
 
+    /// Jobs that completed, were killed, or retired (held after exhausting
+    /// their retries). Parked jobs are not terminal — their pending
+    /// `Release` will need a cycle.
+    fn terminal(&self) -> usize {
+        self.completed + self.container_kills + self.oom_kills + self.retired
+    }
+
     /// True when no job will ever need another negotiation cycle: every
-    /// job completed, was killed, or retired (held after exhausting its
-    /// retries). Parked jobs are not terminal — their pending `Release`
-    /// will need a cycle. O(1); debug builds re-derive it from the queue.
+    /// job is [terminal](World::terminal). O(1); debug builds re-derive it
+    /// from the queue.
     fn drained(&self) -> bool {
-        let terminal = self.completed + self.container_kills + self.oom_kills + self.retired;
+        let terminal = self.terminal();
         debug_assert_eq!(terminal == self.wl.len(), {
             // Parked and retired jobs are held, so they count as idle.
             let all_arrived = self.wl.jobs.iter().all(|j| self.queue.get(j.id).is_some());
@@ -2251,17 +2249,37 @@ mod tests {
 
     #[test]
     fn thread_hog_is_rejected_up_front_under_mcck() {
-        let mut wl = small_workload(3, 12);
-        wl.jobs[1].thread_req = 500;
-        // Keep the spec self-consistent (declared = profile max).
-        if let Segment::Offload { threads, .. } = &mut wl.jobs[1].profile.segments[1] {
-            *threads = 500;
+        let hog = |threads: u32| {
+            let mut wl = small_workload(3, 12);
+            wl.jobs[1].thread_req = threads;
+            // Keep the spec self-consistent (declared = profile max).
+            if let Segment::Offload { threads: t, .. } = &mut wl.jobs[1].profile.segments[1] {
+                *t = threads;
+            }
+            wl
+        };
+        let rejected = |cfg: &ClusterConfig, threads: u32, budget: u32| {
+            let err = Experiment::run(cfg, &hog(threads)).unwrap_err();
+            assert!(
+                err.contains(&format!("per-device thread budget is {budget};")),
+                "{err}"
+            );
+        };
+        for policy in [ClusterPolicy::Mcck, ClusterPolicy::Oracle] {
+            let mut cfg = fast_config(policy);
+            rejected(&cfg, 500, 360);
+            // The budget is exact: 240 × 1.25 = 300 threads fit, 301 never.
+            cfg.knapsack.thread_overcommit = 1.25;
+            assert_eq!(Experiment::run(&cfg, &hog(300)).unwrap().completed, 3);
+            rejected(&cfg, 301, 300);
+            // The lax ablation packs each round against the bare hardware
+            // limit, so no planner could ever place a 300-thread job.
+            cfg.knapsack.count_resident_threads = false;
+            rejected(&cfg, 300, 240);
         }
-        let err = Experiment::run(&fast_config(ClusterPolicy::Mcck), &wl).unwrap_err();
-        assert!(err.contains("per-device thread budget is"), "{err}");
         // MCC has no knapsack thread filter; COSMIC clamps at admission, so
         // the same workload completes there.
-        let r = Experiment::run(&fast_config(ClusterPolicy::Mcc), &wl).unwrap();
+        let r = Experiment::run(&fast_config(ClusterPolicy::Mcc), &hog(500)).unwrap();
         assert_eq!(r.completed, 3);
     }
 

@@ -247,36 +247,6 @@ pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
     })
 }
 
-/// Reconstruct the sweep jobs a manifest describes (each distinct workload
-/// is materialized once and shared across its cells, like the original
-/// grid).
-pub fn manifest_jobs(manifest: &ShardManifest) -> Result<Vec<SweepJob>, String> {
-    let workloads: Vec<Arc<Workload>> = manifest
-        .workloads
-        .iter()
-        .map(|w| Arc::new(w.clone()))
-        .collect();
-    manifest
-        .cells
-        .iter()
-        .map(|cell| {
-            let workload = workloads.get(cell.workload).ok_or_else(|| {
-                format!(
-                    "cell {:?} references workload {} but the manifest has {}",
-                    cell.label,
-                    cell.workload,
-                    workloads.len()
-                )
-            })?;
-            Ok(SweepJob {
-                label: cell.label.clone(),
-                config: cell.config,
-                workload: Arc::clone(workload),
-            })
-        })
-        .collect()
-}
-
 /// Parse one checkpoint log. Complete lines must parse as [`CellRecord`]s;
 /// a torn *final* line (a crash mid-append, or a log truncated by the
 /// recovery tests) is tolerated and reported via the second tuple element
@@ -736,7 +706,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_and_rebuilds_jobs() {
+    fn manifest_round_trips() {
         let dir = temp_dir("roundtrip");
         let jobs = grid();
         let manifest = build_manifest(&jobs, SubstrateMode::Keyed);
@@ -749,15 +719,12 @@ mod tests {
         let back = load_manifest(&dir).unwrap();
         assert_eq!(back.substrate, manifest.substrate);
         assert_eq!(back.workloads, manifest.workloads);
-        let rebuilt = manifest_jobs(&back).unwrap();
-        assert_eq!(rebuilt.len(), jobs.len());
-        for (a, b) in jobs.iter().zip(rebuilt.iter()) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.config, b.config);
-            assert_eq!(*a.workload, *b.workload);
+        assert_eq!(back.cells.len(), jobs.len());
+        for (job, cell) in jobs.iter().zip(&back.cells) {
+            assert_eq!(job.label, cell.label);
+            assert_eq!(job.config, cell.config);
+            assert_eq!(*job.workload, back.workloads[cell.workload]);
         }
-        // All rebuilt cells share one materialized workload.
-        assert!(Arc::ptr_eq(&rebuilt[0].workload, &rebuilt[3].workload));
         fs::remove_dir_all(&dir).unwrap();
     }
 

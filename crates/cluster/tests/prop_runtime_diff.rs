@@ -144,13 +144,13 @@ proptest! {
         }
     }
 
-    /// The *planner* fast path (preprocessed instances, solve memo,
-    /// speculative parallel warm-up) must be bit-identical to the retained
-    /// naive serial planner across whole simulations — including under
-    /// fault injection, where device resets and job retries churn the
-    /// scheduler's view. Cache counters legitimately differ between the
-    /// modes (the naive planner never touches the memo), so they are
-    /// normalized to zero before comparison; everything else must match.
+    /// The *planner* fast path (preprocessed instances, solve memo) must be
+    /// bit-identical to the retained naive serial planner across whole
+    /// simulations — including under fault injection, where device resets
+    /// and job retries churn the scheduler's view. Cache counters
+    /// legitimately differ between the modes (the naive planner never
+    /// touches the memo), so they are normalized to zero before comparison;
+    /// everything else must match.
     #[test]
     fn fast_and_naive_planners_are_bit_identical_end_to_end(
         policy in prop_oneof![Just(ClusterPolicy::Mcck), Just(ClusterPolicy::Oracle)],

@@ -360,11 +360,6 @@ impl JobQueue {
         (idle, matched, running)
     }
 
-    /// True when every job reached a terminal state.
-    pub fn all_terminal(&self) -> bool {
-        self.jobs.values().all(|j| j.state.is_terminal())
-    }
-
     /// Mark a job matched to `slot` (negotiator).
     pub fn set_matched(&mut self, id: JobId, slot: SlotId) -> Result<(), QueueError> {
         self.transition(id, |s| match s {
@@ -478,6 +473,10 @@ mod tests {
         q
     }
 
+    fn all_terminal(q: &JobQueue) -> bool {
+        q.jobs.values().all(|j| j.state.is_terminal())
+    }
+
     #[test]
     fn pending_is_fifo() {
         let q = queue_with(5);
@@ -517,7 +516,7 @@ mod tests {
         assert_eq!(q.held(), vec![JobId(7)]);
         q.set_removed(JobId(7)).unwrap();
         assert!(q.held().is_empty());
-        assert!(q.all_terminal());
+        assert!(all_terminal(&q));
     }
 
     #[test]
@@ -536,7 +535,7 @@ mod tests {
         assert!(q.pending().is_empty());
         q.set_running(JobId(0)).unwrap();
         q.set_completed(JobId(0)).unwrap();
-        assert!(q.all_terminal());
+        assert!(all_terminal(&q));
     }
 
     #[test]
@@ -557,7 +556,7 @@ mod tests {
         q.set_matched(JobId(0), slot(1, 1)).unwrap();
         q.set_running(JobId(0)).unwrap();
         q.set_removed(JobId(0)).unwrap();
-        assert!(q.all_terminal());
+        assert!(all_terminal(&q));
     }
 
     #[test]
@@ -669,7 +668,7 @@ mod tests {
                                                // Held jobs can be removed (condor_rm works on held jobs).
         q.hold(JobId(0)).unwrap();
         q.set_removed(JobId(0)).unwrap();
-        assert!(q.all_terminal());
+        assert!(all_terminal(&q));
     }
 
     #[test]
@@ -755,6 +754,6 @@ mod tests {
         q.set_matched(JobId(1), slot(1, 2)).unwrap();
         q.set_running(JobId(1)).unwrap();
         assert_eq!(q.active_counts(), (1, 1, 1));
-        assert!(!q.all_terminal());
+        assert!(!all_terminal(&q));
     }
 }

@@ -28,9 +28,14 @@
 //! * **MC** — exclusive device allocation (no external scheduler; jobs claim
 //!   whole cards through Condor matchmaking);
 //! * **MCC** — COSMIC sharing with *random* job selection at the cluster
-//!   level ([`RandomScheduler`]);
-//! * **MCCK** — COSMIC sharing driven by the knapsack packer
-//!   ([`KnapsackScheduler`]).
+//!   level;
+//! * **MCCK** — COSMIC sharing driven by the knapsack packer.
+//!
+//! One [`ClusterScheduler`] serves MCC, MCCK and the clairvoyant LPT
+//! comparator ([`ClusterPolicy::Oracle`]): the policies differ only in how
+//! a device is filled, so they share one ledger of outstanding pins, one
+//! device order, one FIFO candidate window and one thread budget
+//! ([`KnapsackConfig::thread_budget`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +45,6 @@ pub mod scheduler;
 
 pub use policy::ClusterPolicy;
 pub use scheduler::{
-    ClairvoyantLpt, ClusterScheduler, DeviceView, KnapsackConfig, KnapsackScheduler,
-    KnapsackVariant, PendingJob, Pin, PlanStats, PlannerMode, RandomScheduler,
+    ClusterScheduler, DeviceView, KnapsackConfig, KnapsackVariant, PendingJob, Pin, PlanStats,
+    PlannerMode,
 };

@@ -36,11 +36,6 @@ impl ClusterPolicy {
         ClusterPolicy::Oracle,
     ];
 
-    /// True when this configuration allows coprocessor sharing.
-    pub fn shares_devices(self) -> bool {
-        !matches!(self, ClusterPolicy::Mc)
-    }
-
     /// True when this configuration runs the node middleware.
     pub fn uses_cosmic(self) -> bool {
         !matches!(self, ClusterPolicy::Mc)
@@ -93,8 +88,7 @@ mod tests {
 
     #[test]
     fn capability_flags() {
-        assert!(!ClusterPolicy::Mc.shares_devices());
-        assert!(ClusterPolicy::Mcc.shares_devices());
+        assert!(ClusterPolicy::Mcc.uses_cosmic());
         assert!(ClusterPolicy::Mcck.uses_cosmic());
         assert!(ClusterPolicy::Oracle.uses_cosmic());
         assert!(!ClusterPolicy::Mc.uses_cosmic());

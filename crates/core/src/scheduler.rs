@@ -1,14 +1,16 @@
-//! Cluster-level schedulers: the knapsack packer (MCCK) and the random
-//! baseline (MCC).
+//! The cluster-level scheduler: one pin ledger and one device-round loop
+//! shared by the three packing rules — MCC's random selection, MCCK's
+//! knapsack (Fig. 4) and the clairvoyant LPT comparator.
 
+use crate::policy::ClusterPolicy;
 use phishare_knapsack::{
     prep_1d, prep_2d, solve_1d_filtered_with, solve_2d_with, solve_prepped_1d_with,
-    solve_prepped_2d_with, Capacity, DpScratch, PackItem, Prepped, ValueFunction,
+    solve_prepped_2d_with, Capacity, DpScratch, PackItem, ValueFunction,
 };
 use phishare_sim::DetRng;
 use phishare_workload::JobId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 /// A pending job as the cluster scheduler sees it: only the declared
 /// envelope (the paper's explicit assumption — no execution times, no
@@ -24,8 +26,8 @@ pub struct PendingJob {
     /// Nominal execution time in seconds. The paper's schedulers must NOT
     /// rely on this ("users usually cannot specify them accurately",
     /// §IV-B) — it exists for the clairvoyant upper-bound comparator
-    /// ([`ClairvoyantLpt`]), which quantifies how much MCCK loses by not
-    /// knowing it.
+    /// ([`ClusterPolicy::Oracle`]), which quantifies how much MCCK loses by
+    /// not knowing it.
     pub nominal_secs: f64,
 }
 
@@ -59,44 +61,13 @@ pub struct Pin {
     pub device: u32,
 }
 
-/// Common interface for cluster-level schedulers (MCC's random selection and
-/// MCCK's knapsack packing).
-pub trait ClusterScheduler {
-    /// Compute placements for `pending` jobs onto `devices`.
-    ///
-    /// The scheduler must account for its own *outstanding* pins — jobs it
-    /// placed earlier that Condor has not dispatched yet — since those jobs
-    /// still look `Idle` in the queue and the device views do not reflect
-    /// them.
-    fn plan(&mut self, pending: &[PendingJob], devices: &[DeviceView]) -> Vec<Pin>;
-
-    /// A previously pinned job was dispatched (its memory now shows up in
-    /// the device view).
-    fn on_dispatched(&mut self, job: JobId);
-
-    /// A job left the system without dispatching (killed / removed).
-    fn on_job_gone(&mut self, job: JobId);
-
-    /// Scheduler name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Planning-cache counters (all zero for schedulers without a solve
-    /// cache).
-    fn plan_stats(&self) -> PlanStats {
-        PlanStats::default()
-    }
-}
-
 /// Cumulative counters for the planning fast path, surfaced through
 /// cluster reports so sweeps expose planner cost.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanStats {
-    /// Per-device solves answered from the memo cache (including entries
-    /// pre-solved by the speculative parallel warm-up) — no DP ran on the
-    /// planning thread.
+    /// Per-device solves answered from the memo cache — no DP ran.
     pub cache_hits: u64,
-    /// Per-device solves that ran the DP serially (and populated the
-    /// cache).
+    /// Per-device solves that ran the DP (and populated the cache).
     pub cache_misses: u64,
 }
 
@@ -114,8 +85,7 @@ pub enum KnapsackVariant {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PlannerMode {
     /// The planning fast path: fit-filtered, multiplicity-truncated
-    /// instances solved through a content-addressed memo cache, with
-    /// speculative parallel pre-solves of distinct cold instances.
+    /// instances solved through a content-addressed memo cache.
     /// Bit-identical to [`PlannerMode::NaiveSerial`] by construction (and
     /// by differential proptest).
     #[default]
@@ -177,15 +147,25 @@ impl Default for KnapsackConfig {
     }
 }
 
+impl KnapsackConfig {
+    /// The per-device thread budget of MCCK and the oracle, and so the most
+    /// threads one of their jobs may declare. With `count_resident_threads`
+    /// it is the overcommitted hardware limit, shared by resident jobs and
+    /// outstanding pins; in the lax ablation it is the bare hardware limit,
+    /// applied to each round's newly packed set alone.
+    pub fn thread_budget(&self) -> u32 {
+        if self.count_resident_threads {
+            (self.thread_limit as f64 * self.thread_overcommit).round() as u32
+        } else {
+            self.thread_limit
+        }
+    }
+}
+
 /// Entries the solve cache holds before it is wholesale cleared. The cache
 /// is a pure memo (values never depend on cache state), so eviction is
 /// always safe — this only bounds memory on pathological workloads.
 const PLAN_CACHE_CAP: usize = 4096;
-
-/// Minimum estimated DP cell updates across the cold instances of a cycle
-/// before the speculative warm-up spawns worker threads; below this the
-/// serial solves are cheaper than thread startup.
-const PARALLEL_CELL_FLOOR: u64 = 2_000_000;
 
 /// Content-addressed identity of one device solve. Two solves with equal
 /// keys see byte-identical DP inputs — same capacity in memory units, same
@@ -203,575 +183,335 @@ struct SolveKey {
     items: Vec<(usize, u32)>,
 }
 
-/// The paper's knapsack-based sharing-aware scheduler (Fig. 4).
+/// The external cluster scheduler of MCC, MCCK and the oracle: it reads
+/// the pending queue and the device views each negotiation cycle and
+/// answers with device pins, keeping its own ledger of pins Condor has not
+/// dispatched yet.
 #[derive(Debug)]
-pub struct KnapsackScheduler {
+pub struct ClusterScheduler {
     cfg: KnapsackConfig,
-    /// Jobs pinned but not yet dispatched, with their destination node and
-    /// declared envelope (so per-node free capacity can be adjusted).
-    outstanding: BTreeMap<JobId, OutstandingPin>,
+    ledger: Ledger,
+    packer: Packer,
+}
+
+/// How each policy fills a device.
+#[derive(Debug)]
+enum Packer {
+    /// MCC: arbitrary selection, constrained only by declared-memory fit;
+    /// COSMIC cleans up the rest at the node level (§V: "jobs are packed
+    /// arbitrarily to Xeon Phi coprocessors").
+    Random(DetRng),
+    /// MCCK: a 0-1 knapsack per device round (Fig. 4).
+    Knapsack(Knapsack),
+    /// The oracle: longest nominal time first, under MCCK's budgets — the
+    /// execution-time knowledge the paper refuses to assume (§IV-B).
+    Lpt,
+}
+
+/// MCCK's solver state.
+#[derive(Debug, Default)]
+struct Knapsack {
     /// DP buffers reused across packing rounds (one knapsack per device per
     /// round; the table shapes repeat, so reuse eliminates the allocations).
     scratch: DpScratch,
     /// Memo of solved instances: [`SolveKey`] → selected positions into the
     /// prepped item list. Content-addressed, so it never goes stale: every
     /// invalidation event (dispatch, completion, fault reset, node churn)
-    /// reaches the scheduler as an `on_dispatched`/`on_job_gone` call or a
-    /// changed device view, both of which change the key of any affected
-    /// solve rather than requiring an eviction.
+    /// reaches the scheduler as an `unpin` call or a changed device view,
+    /// both of which change the key of any affected solve rather than
+    /// requiring an eviction.
     cache: HashMap<SolveKey, Vec<usize>>,
-    /// Hit/miss counters for reports.
     stats: PlanStats,
 }
 
+/// Jobs pinned but not yet dispatched, with their destination device and
+/// declared envelope. They still look `Idle` in the queue and the device
+/// views do not count them, so every round plans net of this ledger.
+#[derive(Debug, Default)]
+struct Ledger(BTreeMap<JobId, Booking>);
+
 #[derive(Debug, Clone, Copy)]
-struct OutstandingPin {
+struct Booking {
     node: u32,
     device: u32,
     mem_mb: u64,
     threads: u32,
 }
 
-impl KnapsackScheduler {
-    /// Create a scheduler with the given configuration.
-    pub fn new(cfg: KnapsackConfig) -> Self {
-        assert!(cfg.window > 0, "candidate window must be positive");
-        assert!(cfg.granularity_mb > 0, "granularity must be positive");
-        KnapsackScheduler {
-            cfg,
-            outstanding: BTreeMap::new(),
-            scratch: DpScratch::default(),
-            cache: HashMap::new(),
-            stats: PlanStats::default(),
+impl ClusterScheduler {
+    /// The scheduler `policy` runs, or `None` for MC, whose jobs claim
+    /// whole cards through Condor matchmaking alone. MCC draws from the
+    /// `seed`'s own substream; MCCK and the oracle pack under `cfg`.
+    pub fn new(policy: ClusterPolicy, cfg: &KnapsackConfig, seed: u64) -> Option<Self> {
+        let packer = match policy {
+            ClusterPolicy::Mc => return None,
+            ClusterPolicy::Mcc => Packer::Random(DetRng::substream(seed, "mcc-random-scheduler")),
+            ClusterPolicy::Mcck => {
+                assert!(cfg.window > 0, "candidate window must be positive");
+                assert!(cfg.granularity_mb > 0, "granularity must be positive");
+                Packer::Knapsack(Knapsack::default())
+            }
+            ClusterPolicy::Oracle => Packer::Lpt,
+        };
+        Some(ClusterScheduler {
+            cfg: *cfg,
+            ledger: Ledger::default(),
+            packer,
+        })
+    }
+
+    /// Compute placements for `pending` jobs (FIFO order) onto `devices`,
+    /// net of the outstanding pins, and book them as outstanding.
+    pub fn plan(&mut self, pending: &[PendingJob], devices: &[DeviceView]) -> Vec<Pin> {
+        let (cfg, ledger) = (&self.cfg, &mut self.ledger);
+        match &mut self.packer {
+            Packer::Random(rng) => random_round(rng, ledger, pending, devices),
+            Packer::Knapsack(k) => device_rounds(cfg, ledger, pending, devices, |jobs, cap| {
+                k.select(cfg, jobs, cap)
+            }),
+            Packer::Lpt => device_rounds(cfg, ledger, pending, devices, lpt),
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &KnapsackConfig {
-        &self.cfg
+    /// Drop `job`'s outstanding pin: Condor dispatched it (its memory now
+    /// shows up in the device view), or the job left the system or had its
+    /// pin pulled back without dispatching.
+    pub fn unpin(&mut self, job: JobId) {
+        self.ledger.0.remove(&job);
     }
 
     /// Number of pins awaiting dispatch.
     pub fn outstanding_pins(&self) -> usize {
-        self.outstanding.len()
+        self.ledger.0.len()
     }
 
-    /// Number of memoized solves currently held.
-    pub fn plan_cache_len(&self) -> usize {
-        self.cache.len()
+    /// Planning-cache counters (all zero without MCCK's solve cache).
+    pub fn plan_stats(&self) -> PlanStats {
+        match &self.packer {
+            Packer::Knapsack(k) => k.stats,
+            _ => PlanStats::default(),
+        }
+    }
+}
+
+impl Ledger {
+    fn holds(&self, job: JobId) -> bool {
+        self.0.contains_key(&job)
     }
 
-    /// Outstanding (memory, threads) already pinned to one device.
-    fn outstanding_on_device(&self, node: u32, device: u32) -> (u64, u32) {
-        self.outstanding
+    /// Outstanding (memory, threads) already pinned to `device`.
+    fn booked_on(&self, device: &DeviceView) -> (u64, u32) {
+        self.0
             .values()
-            .filter(|p| p.node == node && p.device == device)
-            .fold((0, 0), |(m, t), p| (m + p.mem_mb, t + p.threads))
+            .filter(|b| b.node == device.node && b.device == device.device)
+            .fold((0, 0), |(m, t), b| (m + b.mem_mb, t + b.threads))
     }
 
-    /// The knapsack capacity for one device this round, net of outstanding
-    /// pins; `None` when no memory is free. Shared by the naive path, the
-    /// fast path and the speculative warm-up so all three see the same
-    /// budget arithmetic.
-    fn round_capacity(&self, device: &DeviceView) -> Option<Capacity> {
-        let (out_mem, out_threads) = self.outstanding_on_device(device.node, device.device);
-        let free = device.free_declared_mb.saturating_sub(out_mem);
+    /// Declared memory on `device` not yet spoken for.
+    fn free_mb(&self, device: &DeviceView) -> u64 {
+        device
+            .free_declared_mb
+            .saturating_sub(self.booked_on(device).0)
+    }
+
+    /// This round's knapsack on `device`, net of outstanding pins; `None`
+    /// when no memory is free.
+    fn capacity(&self, cfg: &KnapsackConfig, device: &DeviceView) -> Option<Capacity> {
+        let (mem, threads) = self.booked_on(device);
+        let free = device.free_declared_mb.saturating_sub(mem);
         if free == 0 {
             return None;
         }
-        let thread_budget = if self.cfg.count_resident_threads {
-            let total = (self.cfg.thread_limit as f64 * self.cfg.thread_overcommit).round() as u32;
-            total.saturating_sub(device.resident_threads + out_threads)
+        let spoken_for = if cfg.count_resident_threads {
+            device.resident_threads + threads
         } else {
-            self.cfg.thread_limit
+            0
         };
         Some(Capacity {
             mem_mb: free,
-            granularity_mb: self.cfg.granularity_mb,
-            thread_limit: thread_budget,
+            granularity_mb: cfg.granularity_mb,
+            thread_limit: cfg.thread_budget().saturating_sub(spoken_for),
             // Eq. (1) always normalizes by the hardware thread count, even
             // when the strict ablation shrinks the packing budget.
-            value_ref_threads: self.cfg.thread_limit,
+            value_ref_threads: cfg.thread_limit,
         })
     }
 
-    /// FIFO window of candidates that are not already pinned elsewhere.
-    fn window_candidates<'p>(&self, pending: &'p [PendingJob]) -> Vec<&'p PendingJob> {
-        pending
-            .iter()
-            .filter(|j| !self.outstanding.contains_key(&j.id))
-            .take(self.cfg.window)
-            .collect()
+    fn book(&mut self, job: &PendingJob, device: &DeviceView) -> Pin {
+        self.0.insert(
+            job.id,
+            Booking {
+                node: device.node,
+                device: device.device,
+                mem_mb: job.mem_mb,
+                threads: job.threads,
+            },
+        );
+        Pin {
+            job: job.id,
+            node: device.node,
+            device: device.device,
+        }
     }
+}
 
-    fn pack_items(candidates: &[&PendingJob]) -> Vec<PackItem> {
-        candidates
+/// MCC's round: visit the pending jobs in random order, placing each on a
+/// random device whose free memory, net of outstanding pins, still holds
+/// it.
+fn random_round(
+    rng: &mut DetRng,
+    ledger: &mut Ledger,
+    pending: &[PendingJob],
+    devices: &[DeviceView],
+) -> Vec<Pin> {
+    let mut free: Vec<u64> = devices.iter().map(|d| ledger.free_mb(d)).collect();
+    let mut order: Vec<usize> = (0..pending.len()).collect();
+    rng.shuffle(&mut order);
+    let mut pins = Vec::new();
+    for job in order.into_iter().map(|i| &pending[i]) {
+        if ledger.holds(job.id) {
+            continue;
+        }
+        let fits: Vec<usize> = (0..free.len()).filter(|&d| free[d] >= job.mem_mb).collect();
+        if fits.is_empty() {
+            continue;
+        }
+        let pick = *rng.choose(&fits);
+        free[pick] -= job.mem_mb;
+        pins.push(ledger.book(job, &devices[pick]));
+    }
+    pins
+}
+
+/// Greedy at the cluster level: fill one device after another (Fig. 4).
+/// Devices with more free memory are packed first so the fullest knapsacks
+/// get the pick of the queue. Each device's round offers `select` the FIFO
+/// window of jobs not pinned yet and the device's capacity net of every
+/// pin so far; `select` answers with positions into that window, in pin
+/// order.
+fn device_rounds(
+    cfg: &KnapsackConfig,
+    ledger: &mut Ledger,
+    pending: &[PendingJob],
+    devices: &[DeviceView],
+    mut select: impl FnMut(&[&PendingJob], &Capacity) -> Vec<usize>,
+) -> Vec<Pin> {
+    let mut order: Vec<&DeviceView> = devices.iter().collect();
+    order.sort_by(|a, b| {
+        b.free_declared_mb
+            .cmp(&a.free_declared_mb)
+            .then(a.node.cmp(&b.node))
+            .then(a.device.cmp(&b.device))
+    });
+    let mut pins = Vec::new();
+    for device in order {
+        let Some(cap) = ledger.capacity(cfg, device) else {
+            continue;
+        };
+        let window: Vec<&PendingJob> = pending
+            .iter()
+            .filter(|j| !ledger.holds(j.id))
+            .take(cfg.window)
+            .collect();
+        if window.is_empty() {
+            continue;
+        }
+        for pos in select(&window, &cap) {
+            pins.push(ledger.book(window[pos], device));
+        }
+    }
+    pins
+}
+
+/// The oracle's round: longest nominal time first, each job taken while
+/// the round's memory and thread budget still hold it.
+fn lpt(window: &[&PendingJob], cap: &Capacity) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..window.len()).collect();
+    order.sort_by(|&a, &b| {
+        let (a, b) = (window[a], window[b]);
+        b.nominal_secs
+            .partial_cmp(&a.nominal_secs)
+            .expect("finite durations")
+            .then(a.id.cmp(&b.id))
+    });
+    let (mut mem, mut threads) = (cap.mem_mb, cap.thread_limit);
+    order.retain(|&pos| {
+        let job = window[pos];
+        let fits = job.mem_mb <= mem && job.threads <= threads;
+        if fits {
+            mem -= job.mem_mb;
+            threads -= job.threads;
+        }
+        fits
+    });
+    order
+}
+
+impl Knapsack {
+    /// Pack one device's knapsack from the window: the "create knapsack:
+    /// capacity = free memory in D" step of Fig. 4. [`PlannerMode::Fast`]
+    /// preprocesses the instance and answers from the memo cache when it
+    /// can; it is bit-identical to the naive solve because the prepped
+    /// solvers share their DP cores with the raw ones and the
+    /// [`SolveKey`] captures every input the solve depends on.
+    fn select(
+        &mut self,
+        cfg: &KnapsackConfig,
+        window: &[&PendingJob],
+        cap: &Capacity,
+    ) -> Vec<usize> {
+        let items: Vec<PackItem> = window
             .iter()
             .enumerate()
-            .map(|(i, j)| PackItem {
-                index: i,
+            .map(|(index, j)| PackItem {
+                index,
                 mem_mb: j.mem_mb,
                 threads: j.threads,
             })
-            .collect()
-    }
-
-    /// Record pins for the selected candidate positions and book them as
-    /// outstanding.
-    fn commit(
-        &mut self,
-        device: &DeviceView,
-        candidates: &[&PendingJob],
-        selected: &[usize],
-    ) -> Vec<Pin> {
-        selected
-            .iter()
-            .map(|&idx| {
-                let job = candidates[idx];
-                self.outstanding.insert(
-                    job.id,
-                    OutstandingPin {
-                        node: device.node,
-                        device: device.device,
-                        mem_mb: job.mem_mb,
-                        threads: job.threads,
-                    },
-                );
-                Pin {
-                    job: job.id,
-                    node: device.node,
-                    device: device.device,
+            .collect();
+        let (variant, value_fn) = (cfg.variant, cfg.value_fn);
+        if cfg.planner == PlannerMode::NaiveSerial {
+            let scratch = &mut self.scratch;
+            let packing = match variant {
+                KnapsackVariant::TwoD => solve_2d_with(&items, cap, value_fn, scratch),
+                KnapsackVariant::OneDFiltered => {
+                    solve_1d_filtered_with(&items, cap, value_fn, scratch)
                 }
-            })
-            .collect()
-    }
-
-    /// Pack one device's knapsack from the pending jobs; returns the pins.
-    /// This is the "create knapsack: capacity = free memory in D" step of
-    /// Fig. 4, invoked per device initially and per completion thereafter.
-    ///
-    /// This is the **naive** (uncached, unprepped) solve — the differential
-    /// oracle the fast path is measured and verified against.
-    pub fn plan_device(&mut self, pending: &[PendingJob], device: &DeviceView) -> Vec<Pin> {
-        let Some(cap) = self.round_capacity(device) else {
-            return Vec::new();
-        };
-        let candidates = self.window_candidates(pending);
-        if candidates.is_empty() {
-            return Vec::new();
+            };
+            return packing.selected;
         }
-        let items = Self::pack_items(&candidates);
-
-        let packing = match self.cfg.variant {
-            KnapsackVariant::TwoD => {
-                solve_2d_with(&items, &cap, self.cfg.value_fn, &mut self.scratch)
-            }
-            KnapsackVariant::OneDFiltered => {
-                solve_1d_filtered_with(&items, &cap, self.cfg.value_fn, &mut self.scratch)
-            }
-        };
-        self.commit(device, &candidates, &packing.selected)
-    }
-
-    /// Fast-path analogue of [`KnapsackScheduler::plan_device`]: preprocess
-    /// the instance, answer from the memo cache when possible, solve and
-    /// memoize otherwise. Bit-identical to the naive path because the
-    /// prepped solvers share their DP cores with the raw ones and the
-    /// [`SolveKey`] captures every input the solve depends on.
-    fn plan_device_fast(&mut self, pending: &[PendingJob], device: &DeviceView) -> Vec<Pin> {
-        let Some(cap) = self.round_capacity(device) else {
-            return Vec::new();
-        };
-        let candidates = self.window_candidates(pending);
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let items = Self::pack_items(&candidates);
-        let pre = match self.cfg.variant {
-            KnapsackVariant::TwoD => prep_2d(&items, &cap),
-            KnapsackVariant::OneDFiltered => prep_1d(&items, &cap),
+        let pre = match variant {
+            KnapsackVariant::TwoD => prep_2d(&items, cap),
+            KnapsackVariant::OneDFiltered => prep_1d(&items, cap),
         };
         if pre.items.is_empty() {
             // The raw solver would return an empty packing; skip the cache.
             return Vec::new();
         }
-        let key = solve_key(&pre);
+        let key = SolveKey {
+            w_max: pre.w_max,
+            thread_budget: pre.thread_limit,
+            items: pre.items.iter().map(|it| (it.w, it.threads)).collect(),
+        };
         let positions = if let Some(hit) = self.cache.get(&key) {
             self.stats.cache_hits += 1;
             hit.clone()
         } else {
             self.stats.cache_misses += 1;
-            let (positions, _) =
-                solve_prepped(self.cfg.variant, self.cfg.value_fn, &pre, &mut self.scratch);
-            self.insert_cached(key, positions.clone());
+            let scratch = &mut self.scratch;
+            let (positions, _) = match variant {
+                KnapsackVariant::TwoD => solve_prepped_2d_with(&pre, value_fn, scratch),
+                KnapsackVariant::OneDFiltered => solve_prepped_1d_with(&pre, value_fn, scratch),
+            };
+            if self.cache.len() >= PLAN_CACHE_CAP {
+                // Pure memo: clearing can cost recomputation, never
+                // correctness.
+                self.cache.clear();
+            }
+            self.cache.insert(key, positions.clone());
             positions
         };
-        let selected: Vec<usize> = positions.iter().map(|&p| pre.items[p].pos).collect();
-        self.commit(device, &candidates, &selected)
-    }
-
-    fn insert_cached(&mut self, key: SolveKey, positions: Vec<usize>) {
-        if self.cache.len() >= PLAN_CACHE_CAP {
-            // Pure memo: clearing can cost recomputation, never correctness.
-            self.cache.clear();
-        }
-        self.cache.insert(key, positions);
-    }
-
-    /// Speculative parallel warm-up. Devices are *not* independent within a
-    /// cycle — each device's pins shrink the candidate window of the ones
-    /// after it — so parallel solves cannot replace the serial merge.
-    /// Instead, every device's instance is prepped against the cycle-start
-    /// snapshot (pending minus outstanding, a read-only view the workers
-    /// never mutate), the distinct cold keys are solved concurrently with
-    /// one `DpScratch` per worker, and the results are memoized. The serial
-    /// merge then recomputes each device's true instance and looks it up:
-    /// a correct speculation hits the cache, a wrong one (the key changed
-    /// because an earlier device pinned jobs) falls back to a serial solve.
-    /// Either way the pins are exactly the serial loop's — the cache only
-    /// ever answers for a key it solved, wherever it was solved.
-    fn warm_cache(&mut self, pending: &[PendingJob], order: &[&DeviceView]) {
-        if order.len() < 2 {
-            return;
-        }
-        let candidates = self.window_candidates(pending);
-        if candidates.is_empty() {
-            return;
-        }
-        let items = Self::pack_items(&candidates);
-        let mut seen: HashSet<SolveKey> = HashSet::new();
-        let mut tasks: Vec<(SolveKey, Prepped)> = Vec::new();
-        let mut est_cells: u64 = 0;
-        for device in order {
-            let Some(cap) = self.round_capacity(device) else {
-                continue;
-            };
-            let pre = match self.cfg.variant {
-                KnapsackVariant::TwoD => prep_2d(&items, &cap),
-                KnapsackVariant::OneDFiltered => prep_1d(&items, &cap),
-            };
-            if pre.items.is_empty() {
-                continue;
-            }
-            let key = solve_key(&pre);
-            if self.cache.contains_key(&key) || !seen.insert(key.clone()) {
-                continue;
-            }
-            est_cells += solve_cells(self.cfg.variant, &pre);
-            tasks.push((key, pre));
-        }
-        if tasks.len() < 2 || est_cells < PARALLEL_CELL_FLOOR {
-            return;
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1)
-            .min(tasks.len());
-        if workers < 2 {
-            return;
-        }
-
-        // sweep.rs's (index, result) channel pattern: scoped workers drain a
-        // task channel, results reassemble by index.
-        let variant = self.cfg.variant;
-        let value_fn = self.cfg.value_fn;
-        let (task_tx, task_rx) = crossbeam::channel::unbounded::<(usize, &Prepped)>();
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<(usize, Vec<usize>)>();
-        for (i, (_, pre)) in tasks.iter().enumerate() {
-            let _ = task_tx.send((i, pre));
-        }
-        drop(task_tx);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let task_rx = task_rx.clone();
-                let res_tx = res_tx.clone();
-                scope.spawn(move || {
-                    let mut scratch = DpScratch::default();
-                    while let Ok((i, pre)) = task_rx.recv() {
-                        let (positions, _) = solve_prepped(variant, value_fn, pre, &mut scratch);
-                        let _ = res_tx.send((i, positions));
-                    }
-                });
-            }
-        });
-        drop(res_tx);
-        let mut solved: Vec<Option<Vec<usize>>> = (0..tasks.len()).map(|_| None).collect();
-        while let Ok((i, positions)) = res_rx.recv() {
-            solved[i] = Some(positions);
-        }
-        for ((key, _), positions) in tasks.into_iter().zip(solved) {
-            if let Some(positions) = positions {
-                self.insert_cached(key, positions);
-            }
-        }
-    }
-}
-
-fn solve_key(pre: &Prepped) -> SolveKey {
-    SolveKey {
-        w_max: pre.w_max,
-        thread_budget: pre.thread_limit,
-        items: pre.items.iter().map(|it| (it.w, it.threads)).collect(),
-    }
-}
-
-fn solve_prepped(
-    variant: KnapsackVariant,
-    value_fn: ValueFunction,
-    pre: &Prepped,
-    scratch: &mut DpScratch,
-) -> (Vec<usize>, f64) {
-    match variant {
-        KnapsackVariant::TwoD => solve_prepped_2d_with(pre, value_fn, scratch),
-        KnapsackVariant::OneDFiltered => solve_prepped_1d_with(pre, value_fn, scratch),
-    }
-}
-
-/// Estimated DP cell updates for one prepped solve (the warm-up's
-/// is-it-worth-spawning-threads heuristic).
-fn solve_cells(variant: KnapsackVariant, pre: &Prepped) -> u64 {
-    let dims = match variant {
-        KnapsackVariant::TwoD => (pre.w_max as u64 + 1) * (pre.t_max as u64 + 1),
-        KnapsackVariant::OneDFiltered => pre.w_max as u64 + 1,
-    };
-    pre.items.len() as u64 * dims
-}
-
-impl ClusterScheduler for KnapsackScheduler {
-    fn plan(&mut self, pending: &[PendingJob], devices: &[DeviceView]) -> Vec<Pin> {
-        // Greedy at the cluster level: fill one knapsack after another
-        // (Fig. 4). Devices with more free memory are packed first so the
-        // fullest knapsacks get the pick of the queue.
-        let mut order: Vec<&DeviceView> = devices.iter().collect();
-        order.sort_by(|a, b| {
-            b.free_declared_mb
-                .cmp(&a.free_declared_mb)
-                .then(a.node.cmp(&b.node))
-                .then(a.device.cmp(&b.device))
-        });
-        if self.cfg.planner == PlannerMode::Fast {
-            self.warm_cache(pending, &order);
-        }
-        let mut pins = Vec::new();
-        for device in order {
-            let device_pins = match self.cfg.planner {
-                PlannerMode::Fast => self.plan_device_fast(pending, device),
-                PlannerMode::NaiveSerial => self.plan_device(pending, device),
-            };
-            pins.extend(device_pins);
-        }
-        pins
-    }
-
-    fn on_dispatched(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn on_job_gone(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn name(&self) -> &'static str {
-        "knapsack"
-    }
-
-    fn plan_stats(&self) -> PlanStats {
-        self.stats
-    }
-}
-
-/// The MCC baseline: arbitrary (random) job selection at the cluster level,
-/// constrained only by declared-memory fit; COSMIC cleans up the rest at the
-/// node level (§V: "jobs are packed arbitrarily to Xeon Phi coprocessors").
-#[derive(Debug)]
-pub struct RandomScheduler {
-    rng: DetRng,
-    outstanding: BTreeMap<JobId, (u32, u32, u64)>, // node, device, declared memory
-}
-
-impl RandomScheduler {
-    /// Create the random scheduler with its own RNG substream.
-    pub fn new(seed: u64) -> Self {
-        RandomScheduler {
-            rng: DetRng::substream(seed, "mcc-random-scheduler"),
-            outstanding: BTreeMap::new(),
-        }
-    }
-
-    fn outstanding_on_device(&self, node: u32, device: u32) -> u64 {
-        self.outstanding
-            .values()
-            .filter(|(n, d, _)| *n == node && *d == device)
-            .map(|(_, _, mem)| mem)
-            .sum()
-    }
-}
-
-impl ClusterScheduler for RandomScheduler {
-    fn plan(&mut self, pending: &[PendingJob], devices: &[DeviceView]) -> Vec<Pin> {
-        // Remaining free capacity per device, net of outstanding pins.
-        let mut free: Vec<(u32, u32, u64)> = devices
-            .iter()
-            .map(|d| {
-                (
-                    d.node,
-                    d.device,
-                    d.free_declared_mb
-                        .saturating_sub(self.outstanding_on_device(d.node, d.device)),
-                )
-            })
-            .collect();
-
-        // Visit pending jobs in random order, placing each on a random
-        // device with room.
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        self.rng.shuffle(&mut order);
-        let mut pins = Vec::new();
-        for idx in order {
-            let job = &pending[idx];
-            if self.outstanding.contains_key(&job.id) {
-                continue;
-            }
-            let fits: Vec<usize> = free
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, _, f))| *f >= job.mem_mb)
-                .map(|(i, _)| i)
-                .collect();
-            if fits.is_empty() {
-                continue;
-            }
-            let pick = *self.rng.choose(&fits);
-            free[pick].2 -= job.mem_mb;
-            let (node, device, _) = free[pick];
-            self.outstanding.insert(job.id, (node, device, job.mem_mb));
-            pins.push(Pin {
-                job: job.id,
-                node,
-                device,
-            });
-        }
-        pins
-    }
-
-    fn on_dispatched(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn on_job_gone(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn name(&self) -> &'static str {
-        "random"
-    }
-}
-
-/// A clairvoyant comparator that *does* know job execution times — the
-/// information the paper explicitly refuses to assume (§IV-B). It packs
-/// longest-processing-time-first (LPT) into each device round, subject to
-/// the same memory and thread budgets as MCCK. Comparing MCCK against this
-/// upper-bound heuristic quantifies the cost of scheduling blind.
-#[derive(Debug)]
-pub struct ClairvoyantLpt {
-    cfg: KnapsackConfig,
-    outstanding: BTreeMap<JobId, OutstandingPin>,
-}
-
-impl ClairvoyantLpt {
-    /// Create the clairvoyant scheduler (shares MCCK's budget config).
-    pub fn new(cfg: KnapsackConfig) -> Self {
-        ClairvoyantLpt {
-            cfg,
-            outstanding: BTreeMap::new(),
-        }
-    }
-
-    fn outstanding_on_device(&self, node: u32, device: u32) -> (u64, u32) {
-        self.outstanding
-            .values()
-            .filter(|p| p.node == node && p.device == device)
-            .fold((0, 0), |(m, t), p| (m + p.mem_mb, t + p.threads))
-    }
-
-    /// Greedy LPT packing of one device round.
-    pub fn plan_device(&mut self, pending: &[PendingJob], device: &DeviceView) -> Vec<Pin> {
-        let (out_mem, out_threads) = self.outstanding_on_device(device.node, device.device);
-        let mut free = device.free_declared_mb.saturating_sub(out_mem);
-        if free == 0 {
-            return Vec::new();
-        }
-        let total = (self.cfg.thread_limit as f64 * self.cfg.thread_overcommit).round() as u32;
-        let mut threads_left = if self.cfg.count_resident_threads {
-            total.saturating_sub(device.resident_threads + out_threads)
-        } else {
-            self.cfg.thread_limit
-        };
-
-        let mut candidates: Vec<&PendingJob> = pending
-            .iter()
-            .filter(|j| !self.outstanding.contains_key(&j.id))
-            .take(self.cfg.window)
-            .collect();
-        candidates.sort_by(|a, b| {
-            b.nominal_secs
-                .partial_cmp(&a.nominal_secs)
-                .expect("finite durations")
-                .then(a.id.cmp(&b.id))
-        });
-
-        let mut pins = Vec::new();
-        for job in candidates {
-            if job.mem_mb <= free && job.threads <= threads_left {
-                free -= job.mem_mb;
-                threads_left -= job.threads;
-                self.outstanding.insert(
-                    job.id,
-                    OutstandingPin {
-                        node: device.node,
-                        device: device.device,
-                        mem_mb: job.mem_mb,
-                        threads: job.threads,
-                    },
-                );
-                pins.push(Pin {
-                    job: job.id,
-                    node: device.node,
-                    device: device.device,
-                });
-            }
-        }
-        pins
-    }
-}
-
-impl ClusterScheduler for ClairvoyantLpt {
-    fn plan(&mut self, pending: &[PendingJob], devices: &[DeviceView]) -> Vec<Pin> {
-        let mut order: Vec<&DeviceView> = devices.iter().collect();
-        order.sort_by(|a, b| {
-            b.free_declared_mb
-                .cmp(&a.free_declared_mb)
-                .then(a.node.cmp(&b.node))
-                .then(a.device.cmp(&b.device))
-        });
-        let mut pins = Vec::new();
-        for device in order {
-            pins.extend(self.plan_device(pending, device));
-        }
-        pins
-    }
-
-    fn on_dispatched(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn on_job_gone(&mut self, job: JobId) {
-        self.outstanding.remove(&job);
-    }
-
-    fn name(&self) -> &'static str {
-        "clairvoyant-lpt"
+        positions.iter().map(|&p| pre.items[p].pos).collect()
     }
 }
 
@@ -806,9 +546,21 @@ mod tests {
         }
     }
 
+    fn mcck(cfg: KnapsackConfig) -> ClusterScheduler {
+        ClusterScheduler::new(ClusterPolicy::Mcck, &cfg, 0).unwrap()
+    }
+
+    fn mcc(seed: u64) -> ClusterScheduler {
+        ClusterScheduler::new(ClusterPolicy::Mcc, &KnapsackConfig::default(), seed).unwrap()
+    }
+
+    fn oracle() -> ClusterScheduler {
+        ClusterScheduler::new(ClusterPolicy::Oracle, &KnapsackConfig::default(), 0).unwrap()
+    }
+
     #[test]
     fn knapsack_packs_for_concurrency() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         let pending = vec![
             job(0, 4000, 240),
             job(1, 2000, 80),
@@ -823,7 +575,7 @@ mod tests {
 
     #[test]
     fn no_job_is_pinned_twice_across_devices() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         let pending: Vec<PendingJob> = (0..6).map(|i| job(i, 3000, 60)).collect();
         let pins = s.plan(&pending, &[dev(1, 7680), dev(2, 7680)]);
         let mut ids: Vec<u64> = pins.iter().map(|p| p.job.raw()).collect();
@@ -837,7 +589,7 @@ mod tests {
 
     #[test]
     fn outstanding_pins_shrink_capacity_until_dispatch() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         let pending = vec![job(0, 4000, 60)];
         let pins = s.plan(&pending, &[dev(1, 7680)]);
         assert_eq!(pins.len(), 1);
@@ -847,7 +599,7 @@ mod tests {
         let pins2 = s.plan(&pending2, &[dev(1, 7680)]);
         assert!(pins2.is_empty(), "overcommitted: {pins2:?}");
         // After dispatch the view itself accounts for job 0.
-        s.on_dispatched(JobId(0));
+        s.unpin(JobId(0));
         let pins3 = s.plan(&[job(1, 4000, 60)], &[dev(1, 3680)]);
         assert!(pins3.is_empty()); // 4000 > 3680
         let pins4 = s.plan(&[job(1, 3000, 60)], &[dev(1, 3680)]);
@@ -856,7 +608,7 @@ mod tests {
 
     #[test]
     fn fullest_devices_pack_first() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         let pending = vec![job(0, 5000, 60)];
         let pins = s.plan(&pending, &[dev(1, 2000), dev(2, 7680)]);
         assert_eq!(
@@ -875,10 +627,10 @@ mod tests {
             window: 2,
             ..KnapsackConfig::default()
         };
-        let mut s = KnapsackScheduler::new(cfg);
+        let mut s = mcck(cfg);
         // Jobs beyond the window are invisible even though they'd fit.
         let pending: Vec<PendingJob> = (0..10).map(|i| job(i, 100, 4)).collect();
-        let pins = s.plan_device(&pending, &dev(1, 7680));
+        let pins = s.plan(&pending, &[dev(1, 7680)]);
         assert_eq!(pins.len(), 2);
     }
 
@@ -888,7 +640,7 @@ mod tests {
             thread_overcommit: 1.0,
             ..KnapsackConfig::default()
         };
-        let mut s = KnapsackScheduler::new(cfg);
+        let mut s = mcck(cfg);
         let view = DeviceView {
             node: 1,
             device: 0,
@@ -897,8 +649,8 @@ mod tests {
         };
         // Only 40 threads of budget remain: the 60-thread job is refused,
         // a 40-thread job packs.
-        assert!(s.plan_device(&[job(0, 1000, 60)], &view).is_empty());
-        assert_eq!(s.plan_device(&[job(1, 1000, 40)], &view).len(), 1);
+        assert!(s.plan(&[job(0, 1000, 60)], &[view]).is_empty());
+        assert_eq!(s.plan(&[job(1, 1000, 40)], &[view]).len(), 1);
     }
 
     #[test]
@@ -907,7 +659,7 @@ mod tests {
             count_resident_threads: false,
             ..KnapsackConfig::default()
         };
-        let mut s = KnapsackScheduler::new(cfg);
+        let mut s = mcck(cfg);
         let view = DeviceView {
             node: 1,
             device: 0,
@@ -916,22 +668,22 @@ mod tests {
         };
         // Ablation behaviour: freed memory is repacked regardless of
         // resident threads; COSMIC serializes at run time.
-        assert_eq!(s.plan_device(&[job(0, 1000, 240)], &view).len(), 1);
+        assert_eq!(s.plan(&[job(0, 1000, 240)], &[view]).len(), 1);
     }
 
     #[test]
     fn job_gone_releases_outstanding_capacity() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         s.plan(&[job(0, 7000, 60)], &[dev(1, 7680)]);
         assert_eq!(s.outstanding_pins(), 1);
-        s.on_job_gone(JobId(0));
+        s.unpin(JobId(0));
         let pins = s.plan(&[job(1, 7000, 60)], &[dev(1, 7680)]);
         assert_eq!(pins.len(), 1);
     }
 
     #[test]
     fn random_scheduler_respects_memory() {
-        let mut s = RandomScheduler::new(42);
+        let mut s = mcc(42);
         let pending: Vec<PendingJob> = (0..20).map(|i| job(i, 3000, 240)).collect();
         let pins = s.plan(&pending, &[dev(1, 7680), dev(2, 7680)]);
         // 2 jobs of 3000 MB fit per device.
@@ -946,16 +698,16 @@ mod tests {
     fn random_scheduler_is_seed_deterministic_but_random() {
         let pending: Vec<PendingJob> = (0..30).map(|i| job(i, 2000, 120)).collect();
         let devs = [dev(1, 7680), dev(2, 7680)];
-        let a = RandomScheduler::new(1).plan(&pending, &devs);
-        let b = RandomScheduler::new(1).plan(&pending, &devs);
+        let a = mcc(1).plan(&pending, &devs);
+        let b = mcc(1).plan(&pending, &devs);
         assert_eq!(a, b);
-        let c = RandomScheduler::new(2).plan(&pending, &devs);
+        let c = mcc(2).plan(&pending, &devs);
         assert_ne!(a, c, "different seeds should pick different jobs");
     }
 
     #[test]
     fn clairvoyant_prefers_longest_jobs() {
-        let mut s = ClairvoyantLpt::new(KnapsackConfig::default());
+        let mut s = oracle();
         let pending = vec![
             timed_job(0, 3000, 60, 10.0),
             timed_job(1, 3000, 60, 50.0),
@@ -969,7 +721,7 @@ mod tests {
 
     #[test]
     fn clairvoyant_respects_budgets_and_outstanding() {
-        let mut s = ClairvoyantLpt::new(KnapsackConfig::default());
+        let mut s = oracle();
         let pins = s.plan(&[timed_job(0, 7000, 240, 9.0)], &[dev(1, 7680)]);
         assert_eq!(pins.len(), 1);
         // Capacity is spoken for until dispatch.
@@ -978,13 +730,13 @@ mod tests {
             &[dev(1, 7680)],
         );
         assert!(pins2.is_empty());
-        s.on_dispatched(JobId(0));
-        assert_eq!(s.name(), "clairvoyant-lpt");
+        s.unpin(JobId(0));
+        assert_eq!(s.outstanding_pins(), 0);
     }
 
     #[test]
     fn identical_devices_and_recurring_states_hit_the_plan_cache() {
-        let mut s = KnapsackScheduler::new(KnapsackConfig::default());
+        let mut s = mcck(KnapsackConfig::default());
         // Duplication-heavy queue: all candidates share one class, so after
         // multiplicity truncation every fresh device solves the *same*
         // 3-copy instance (⌊153 units / 40 units⌋ = 3 by memory).
@@ -1005,7 +757,7 @@ mod tests {
         // their initial state, the shrunken queue preps to the same 3-copy
         // instance, and the whole cycle is answered from cache.
         for pin in &pins {
-            s.on_dispatched(pin.job);
+            s.unpin(pin.job);
         }
         let remaining: Vec<PendingJob> = pending
             .iter()
@@ -1015,8 +767,13 @@ mod tests {
         let pins2 = s.plan(&remaining, &devs);
         assert_eq!(pins2.len(), 12);
         assert_eq!(s.plan_stats().cache_misses, 1, "recurring state re-solved");
-        assert_eq!(s.plan_stats().cache_hits, 3 + 4);
-        assert_eq!(s.plan_cache_len(), 1);
+        assert_eq!(
+            s.plan_stats(),
+            PlanStats {
+                cache_hits: 3 + 4,
+                cache_misses: 1
+            }
+        );
     }
 
     #[test]
@@ -1028,8 +785,8 @@ mod tests {
             planner: PlannerMode::NaiveSerial,
             ..KnapsackConfig::default()
         };
-        let mut fast = KnapsackScheduler::new(KnapsackConfig::default());
-        let mut naive = KnapsackScheduler::new(naive_cfg);
+        let mut fast = mcck(KnapsackConfig::default());
+        let mut naive = mcck(naive_cfg);
         let mut pending: Vec<PendingJob> = (0..60)
             .map(|i| job(i, 500 + 250 * (i % 12), 20 + 20 * (i % 6) as u32))
             .collect();
@@ -1041,8 +798,8 @@ mod tests {
             // Dispatch every other pin; the rest stay outstanding.
             for (i, pin) in p_fast.iter().enumerate() {
                 if i % 2 == 0 {
-                    fast.on_dispatched(pin.job);
-                    naive.on_dispatched(pin.job);
+                    fast.unpin(pin.job);
+                    naive.unpin(pin.job);
                     let d = devs
                         .iter_mut()
                         .find(|d| d.node == pin.node && d.device == pin.device)
@@ -1060,8 +817,8 @@ mod tests {
                 let reset_at = (cycle as usize / 3) % devs.len();
                 devs[reset_at].free_declared_mb = 7680;
                 if let Some(pin) = p_fast.get(1) {
-                    fast.on_job_gone(pin.job);
-                    naive.on_job_gone(pin.job);
+                    fast.unpin(pin.job);
+                    naive.unpin(pin.job);
                     let id = pin.job;
                     pending.retain(|j| j.id != id);
                 }
@@ -1076,8 +833,8 @@ mod tests {
             variant: KnapsackVariant::OneDFiltered,
             ..KnapsackConfig::default()
         };
-        let mut fast = KnapsackScheduler::new(base);
-        let mut naive = KnapsackScheduler::new(KnapsackConfig {
+        let mut fast = mcck(base);
+        let mut naive = mcck(KnapsackConfig {
             planner: PlannerMode::NaiveSerial,
             ..base
         });
@@ -1090,11 +847,37 @@ mod tests {
 
     #[test]
     fn random_scheduler_tracks_outstanding() {
-        let mut s = RandomScheduler::new(3);
+        let mut s = mcc(3);
         let pins = s.plan(&[job(0, 7000, 60)], &[dev(1, 7680)]);
         assert_eq!(pins.len(), 1);
         // Without dispatch, capacity is spoken for.
         let pins2 = s.plan(&[job(0, 7000, 60), job(1, 7000, 60)], &[dev(1, 7680)]);
         assert!(pins2.is_empty());
+    }
+
+    #[test]
+    fn mc_runs_without_a_scheduler() {
+        assert!(ClusterScheduler::new(ClusterPolicy::Mc, &KnapsackConfig::default(), 0).is_none());
+    }
+
+    #[test]
+    fn thread_budget_overcommits_only_when_resident_threads_count() {
+        let strict = |thread_overcommit| KnapsackConfig {
+            thread_overcommit,
+            ..KnapsackConfig::default()
+        };
+        assert_eq!(strict(1.0).thread_budget(), 240);
+        assert_eq!(strict(1.25).thread_budget(), 300);
+        assert_eq!(KnapsackConfig::default().thread_budget(), 360);
+        let lax = KnapsackConfig {
+            count_resident_threads: false,
+            ..strict(1.25)
+        };
+        assert_eq!(lax.thread_budget(), 240);
+        // The oracle packs against the same budget: a 300-thread job fits
+        // an empty card at 1.25 overcommit, a 301-thread one never does.
+        let mut s = ClusterScheduler::new(ClusterPolicy::Oracle, &strict(1.25), 0).unwrap();
+        assert!(s.plan(&[job(0, 1000, 301)], &[dev(1, 7680)]).is_empty());
+        assert_eq!(s.plan(&[job(1, 1000, 300)], &[dev(1, 7680)]).len(), 1);
     }
 }

@@ -1,15 +1,15 @@
 //! Differential oracle for the planning fast path (`prop_plan_cache`).
 //!
-//! [`KnapsackScheduler`] in [`PlannerMode::Fast`] (preprocessed instances,
-//! content-addressed solve memo, speculative parallel warm-up) must emit
-//! **bit-identical pins** to [`PlannerMode::NaiveSerial`] (the seed's serial
-//! per-device DP) on arbitrary multi-cycle scheduler lifetimes: plans,
-//! partial dispatches, completions freeing capacity, jobs vanishing
-//! (`on_job_gone`) and device resets snapping views back — the PR 3 fault
-//! layer's footprint on the scheduler interface.
+//! MCCK's [`ClusterScheduler`] in [`PlannerMode::Fast`] (preprocessed
+//! instances, content-addressed solve memo) must emit **bit-identical
+//! pins** to [`PlannerMode::NaiveSerial`] (the seed's serial per-device DP)
+//! on arbitrary multi-cycle scheduler lifetimes: plans, partial
+//! dispatches, completions freeing capacity, jobs vanishing (`unpin`) and
+//! device resets snapping views back — the PR 3 fault layer's footprint on
+//! the scheduler interface.
 
 use phishare_core::{
-    ClusterScheduler, DeviceView, KnapsackConfig, KnapsackScheduler, KnapsackVariant, PendingJob,
+    ClusterPolicy, ClusterScheduler, DeviceView, KnapsackConfig, KnapsackVariant, PendingJob,
     PlannerMode,
 };
 use phishare_sim::DetRng;
@@ -63,8 +63,9 @@ proptest! {
             thread_overcommit: overcommit,
             ..KnapsackConfig::default()
         };
-        let mut fast = KnapsackScheduler::new(base);
-        let mut naive = KnapsackScheduler::new(KnapsackConfig {
+        let mcck = |cfg| ClusterScheduler::new(ClusterPolicy::Mcck, &cfg, 0).unwrap();
+        let mut fast = mcck(base);
+        let mut naive = mcck(KnapsackConfig {
             planner: PlannerMode::NaiveSerial,
             ..base
         });
@@ -107,8 +108,8 @@ proptest! {
             // outstanding (Condor hasn't matched them yet).
             for pin in &p_fast {
                 if rng.chance(0.6) {
-                    fast.on_dispatched(pin.job);
-                    naive.on_dispatched(pin.job);
+                    fast.unpin(pin.job);
+                    naive.unpin(pin.job);
                     let at = pending.iter().position(|j| j.id == pin.job).unwrap();
                     let spec = pending.remove(at);
                     let dev = devices
@@ -140,13 +141,13 @@ proptest! {
             // Occasionally a job evaporates entirely (removal / retirement).
             if !pending.is_empty() && rng.chance(0.2) {
                 let gone = pending.swap_remove(rng.index(pending.len()));
-                fast.on_job_gone(gone.id);
-                naive.on_job_gone(gone.id);
+                fast.unpin(gone.id);
+                naive.unpin(gone.id);
             }
 
             // Device reset (PR 3 fault layer): the card flushes — residents
             // die, the view snaps back to full, and the runtime pulls
-            // not-yet-dispatched pins back via on_job_gone.
+            // not-yet-dispatched pins back via unpin.
             if rng.chance(0.15) {
                 let victim = rng.index(devices.len());
                 let (node, device) = (devices[victim].node, devices[victim].device);
@@ -154,8 +155,8 @@ proptest! {
                 devices[victim].resident_threads = 0;
                 residents.retain(|r| !(r.node == node && r.device == device));
                 for pin in p_fast.iter().filter(|p| p.node == node && p.device == device) {
-                    fast.on_job_gone(pin.job);
-                    naive.on_job_gone(pin.job);
+                    fast.unpin(pin.job);
+                    naive.unpin(pin.job);
                     if let Some(at) = pending.iter().position(|j| j.id == pin.job) {
                         pending.remove(at);
                     }

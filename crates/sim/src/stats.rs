@@ -260,12 +260,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-
-    /// The `[lo, hi)` boundaries of bin `i` (the last bin is closed).
-    pub fn bin_range(&self, i: usize) -> (f64, f64) {
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
-        (self.lo + width * i as f64, self.lo + width * (i + 1) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -347,8 +341,6 @@ mod tests {
         assert_eq!(h.counts(), &[2, 1, 1, 0, 2]);
         assert_eq!(h.outliers(), 2);
         assert_eq!(h.total(), 6);
-        assert_eq!(h.bin_range(0), (0.0, 2.0));
-        assert_eq!(h.bin_range(4), (8.0, 10.0));
     }
 
     #[test]

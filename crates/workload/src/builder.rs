@@ -299,21 +299,26 @@ impl Workload {
             .fold(SimDuration::ZERO, |acc, j| acc + j.nominal_duration())
     }
 
-    /// Validate every job in the workload, and that job ids are
+    /// Validate every job in the workload, that each job has one arrival
+    /// time no later than [`MAX_DURATION_SECS`], and that job ids are
     /// consecutive in arrival order — the first job's id, then one more
     /// per job — so a simulation can keep per-job state at each job's
     /// position. [`WorkloadBuilder`] and CSV import number jobs this way.
+    /// A count mismatch names the first job id without a partner.
     pub fn validate(&self) -> Result<(), (JobId, JobSpecError)> {
-        assert_eq!(
-            self.jobs.len(),
-            self.arrivals.len(),
-            "arrivals must parallel jobs"
-        );
         let first = self.jobs.first().map_or(0, |j| j.id.raw());
-        for (i, j) in self.jobs.iter().enumerate() {
+        let (jobs, arrivals) = (self.jobs.len(), self.arrivals.len());
+        if jobs != arrivals {
+            let unpaired = JobId(first.saturating_add(jobs.min(arrivals) as u64));
+            return Err((unpaired, JobSpecError::ArrivalCount { jobs, arrivals }));
+        }
+        for (i, (j, &at)) in self.jobs.iter().zip(&self.arrivals).enumerate() {
             if j.id.raw().checked_sub(first) != Some(i as u64) {
                 let expected = JobId(first.saturating_add(i as u64));
                 return Err((j.id, JobSpecError::IdOutOfSequence { expected }));
+            }
+            if at.as_secs_f64() > MAX_DURATION_SECS {
+                return Err((j.id, JobSpecError::ArrivalTooLate { at }));
             }
             j.validate().map_err(|e| (j.id, e))?;
         }
@@ -778,6 +783,40 @@ mod tests {
         past_the_end.jobs[0].id = JobId(u64::MAX);
         past_the_end.jobs[1].id = JobId(u64::MAX);
         assert!(past_the_end.validate().is_err());
+    }
+
+    #[test]
+    fn validate_pairs_every_job_with_a_bounded_arrival() {
+        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(4)
+            .first_id(10)
+            .build();
+        let count_mismatch = |job: u64, jobs: usize, arrivals: usize| {
+            Err((JobId(job), JobSpecError::ArrivalCount { jobs, arrivals }))
+        };
+        let mut missing = wl.clone();
+        missing.arrivals.pop();
+        assert_eq!(missing.validate(), count_mismatch(13, 4, 3));
+        let mut extra = wl.clone();
+        extra.arrivals.push(SimTime::ZERO);
+        assert_eq!(extra.validate(), count_mismatch(14, 4, 5));
+        let mut no_jobs = wl.clone();
+        no_jobs.jobs.clear();
+        assert_eq!(no_jobs.validate(), count_mismatch(0, 0, 4));
+
+        let limit = SimTime::from_secs(MAX_DURATION_SECS as u64);
+        let mut at_limit = wl.clone();
+        at_limit.arrivals[3] = limit;
+        assert_eq!(at_limit.validate(), Ok(()));
+        for (job, at) in [(12, limit.ticks() + 1), (10, 18_446_744_073_709_551_000)] {
+            let mut late = wl.clone();
+            let at = SimTime::from_ticks(at);
+            late.arrivals[(job - 10) as usize] = at;
+            assert_eq!(
+                late.validate(),
+                Err((JobId(job), JobSpecError::ArrivalTooLate { at }))
+            );
+        }
     }
 
     #[test]

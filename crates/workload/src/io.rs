@@ -41,7 +41,7 @@ const HEADER: &str = "name,mem_mb,threads,duration_secs,duty_cycle,offloads";
 
 /// Longest time any input may name, in seconds (about 115 days): a CSV
 /// row's job duration, an arrival spec's gaps, period and crowd instant,
-/// every fault and perturbation config time, and each event's time,
+/// each arrival time in a workload, every fault and perturbation config time, and each event's time,
 /// downtime, duration and latency extra in a loaded fault or perturbation
 /// plan file. It keeps every simulated instant a run can reach far below
 /// the clock's overflow.

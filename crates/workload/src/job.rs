@@ -2,7 +2,7 @@
 
 use crate::ids::JobId;
 use crate::table1::AppKind;
-use phishare_sim::SimDuration;
+use phishare_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -157,6 +157,18 @@ pub enum JobSpecError {
         /// position.
         expected: JobId,
     },
+    /// A workload's arrival times do not pair one-to-one with its jobs.
+    ArrivalCount {
+        /// Jobs in the workload.
+        jobs: usize,
+        /// Arrival times in the workload.
+        arrivals: usize,
+    },
+    /// The job arrives past [`MAX_DURATION_SECS`](crate::MAX_DURATION_SECS).
+    ArrivalTooLate {
+        /// The job's arrival time.
+        at: SimTime,
+    },
 }
 
 impl fmt::Display for JobSpecError {
@@ -177,6 +189,14 @@ impl fmt::Display for JobSpecError {
                 f,
                 "job id out of sequence: expected {expected} (ids must be consecutive \
                  in arrival order)"
+            ),
+            JobSpecError::ArrivalCount { jobs, arrivals } => {
+                write!(f, "workload lists {arrivals} arrival times for {jobs} jobs")
+            }
+            JobSpecError::ArrivalTooLate { at } => write!(
+                f,
+                "job arrives at {at}, past the {} s limit",
+                crate::MAX_DURATION_SECS
             ),
         }
     }

@@ -1,5 +1,6 @@
 //! Integration tests for the `phishare` command-line binary.
 
+use phishare::sim::SimTime;
 use phishare::workload::Workload;
 use std::process::Command;
 
@@ -234,9 +235,11 @@ fn errors_are_reported_not_panicked() {
     }
 }
 
-#[test]
-fn sweep_worker_records_an_invalid_workload_as_err() {
-    let dir = std::env::temp_dir().join("phishare-cli-test-duplicate-id");
+/// Build a one-cell MCC checkpoint, hand-edit its stored workload with
+/// `edit`, make the cell run again in a worker, and return the error the
+/// worker records for it.
+fn worker_err_after_editing(name: &str, edit: impl FnOnce(&mut Workload)) -> String {
+    let dir = std::env::temp_dir().join(format!("phishare-cli-test-{name}"));
     let _ = std::fs::remove_dir_all(&dir);
     let d = dir.to_str().unwrap();
     let out = phishare(&[
@@ -257,11 +260,9 @@ fn sweep_worker_records_an_invalid_workload_as_err() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // Hand-edit the stored workload so two jobs share an id, then make the
-    // cell run again.
     let wl_path = dir.join("workloads/wl-0.json");
     let mut wl = Workload::from_json(&std::fs::read_to_string(&wl_path).unwrap()).unwrap();
-    wl.jobs[1].id = wl.jobs[0].id;
+    edit(&mut wl);
     std::fs::write(&wl_path, wl.to_json()).unwrap();
     std::fs::remove_file(dir.join("results-w0.jsonl")).unwrap();
     std::fs::remove_dir_all(dir.join("leases")).unwrap();
@@ -272,9 +273,41 @@ fn sweep_worker_records_an_invalid_workload_as_err() {
     assert!(out.status.success(), "{stderr}");
     let log = std::fs::read_to_string(dir.join("results-w0.jsonl")).unwrap();
     let record: serde_json::Value = serde_json::from_str(log.trim()).unwrap();
-    let err = record["err"].as_str().expect("the cell is recorded as err");
+    let _ = std::fs::remove_dir_all(&dir);
+    record["err"]
+        .as_str()
+        .expect("the cell is recorded as err")
+        .to_string()
+}
+
+#[test]
+fn sweep_worker_records_an_invalid_workload_as_err() {
+    // Two jobs share an id.
+    let err = worker_err_after_editing("duplicate-id", |wl| wl.jobs[1].id = wl.jobs[0].id);
     assert!(
         err.contains("invalid job J0") && err.contains("expected J1"),
+        "{err}"
+    );
+}
+
+#[test]
+fn sweep_worker_records_a_missing_arrival_as_err() {
+    let err = worker_err_after_editing("missing-arrival", |wl| {
+        wl.arrivals.pop();
+    });
+    assert!(
+        err.contains("invalid job J3") && err.contains("3 arrival times for 4 jobs"),
+        "{err}"
+    );
+}
+
+#[test]
+fn sweep_worker_records_a_far_arrival_as_err() {
+    let err = worker_err_after_editing("far-arrival", |wl| {
+        wl.arrivals[2] = SimTime::from_ticks(18_446_744_073_709_551_000);
+    });
+    assert!(
+        err.contains("invalid job J2") && err.contains("past the"),
         "{err}"
     );
 }
