@@ -1,7 +1,9 @@
 //! End-to-end integration tests across the whole stack: workload → Condor →
 //! scheduler → COSMIC → device, on fixed seeds.
 
-use phishare::cluster::{ClusterConfig, Experiment, ExperimentResult};
+use phishare::cluster::{
+    ClusterConfig, DevicePool, DeviceSku, Experiment, ExperimentResult, SubstrateMode,
+};
 use phishare::core::ClusterPolicy;
 use phishare::workload::{Workload, WorkloadBuilder, WorkloadKind};
 
@@ -178,4 +180,41 @@ fn multi_card_results_match_golden() {
         );
         assert_eq!(&r, want, "{policy}: multi-card result drifted");
     }
+}
+
+/// The multi-card scenario on the shared-throughput substrate, with GPU-like
+/// cards on alternate nodes and misbehaving jobs: resets, churn and windows
+/// run through the fair-shared card model, and MCC/MCCK's containers kill
+/// the overrunning jobs.
+fn shared_pool_results() -> Vec<ExperimentResult> {
+    let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+        .count(120)
+        .seed(7)
+        .misbehaving_fraction(0.1)
+        .build();
+    [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck]
+        .into_iter()
+        .map(|policy| {
+            let mut c = multi_card_config(policy);
+            c.pool = DevicePool::Alternate(DeviceSku::GpuLike);
+            let r = Experiment::new(&c, &wl)
+                .substrate(SubstrateMode::Shared)
+                .simulate()
+                .unwrap();
+            assert!(
+                r.device_resets > 0 && r.node_churns > 0 && r.perturb_windows > 0,
+                "{policy}: the scenario must exercise faults and windows: {r:?}"
+            );
+            r
+        })
+        .collect()
+}
+
+#[test]
+fn shared_pool_results_match_golden() {
+    // `plan_ms` is wall clock and excluded from equality; the golden
+    // stores it as 0.
+    let golden: Vec<ExperimentResult> =
+        serde_json::from_str(include_str!("golden/shared_pool.json")).unwrap();
+    assert_eq!(shared_pool_results(), golden, "shared-pool result drifted");
 }

@@ -62,10 +62,14 @@ fn committed_goldens_reserialize_to_their_own_bytes() {
         let again = serde_json::to_string_pretty(&records).unwrap() + "\n";
         assert!(again == text, "{name}: re-serialized bytes differ");
     }
-    let text = include_str!("golden/multi_card.json");
-    let results: Vec<ExperimentResult> = serde_json::from_str(text).unwrap();
-    let again = serde_json::to_string_pretty(&results).unwrap() + "\n";
-    assert!(again == text, "multi_card: re-serialized bytes differ");
+    for (name, text) in [
+        ("multi_card", include_str!("golden/multi_card.json")),
+        ("shared_pool", include_str!("golden/shared_pool.json")),
+    ] {
+        let results: Vec<ExperimentResult> = serde_json::from_str(text).unwrap();
+        let again = serde_json::to_string_pretty(&results).unwrap() + "\n";
+        assert!(again == text, "{name}: re-serialized bytes differ");
+    }
 }
 
 #[test]
