@@ -1,23 +1,27 @@
-//! The device model: resident processes, active offloads, rate-rescaled
+//! The card model: resident processes, active offloads, rate-rescaled
 //! execution, oversubscription effects and utilization accounting.
 //!
-//! ## Storage layout (the substrate fast path)
+//! One generic [`Card`] is every slab-backed card model. It owns what they
+//! all share — residency and the declared/committed/thread totals, the OOM
+//! killer's victim draw, pinned-union and unmanaged-core accounting, the
+//! thermal derate, the generation counter, utilization and energy, and the
+//! lifetime counters — and implements [`DeviceSubstrate`] once. The models
+//! differ only in how the card's load becomes execution rates, a sealed
+//! rate-model trait with two implementations: [`PerfModel`]'s per-offload
+//! rates, each active offload keeping its remaining work and rate in its
+//! slab entry ([`PhiDevice`]), and [`crate::sharing`]'s one shared rate
+//! set on a throughput engine. Every operation integrates execution up to
+//! `now`, then changes membership, then reshares the rates.
 //!
-//! Resident-process and active-offload state live in one generation-stamped
-//! slab ([`phishare_sim::Slab`]): each resident occupies a dense slot
-//! holding its envelope, its committed memory and its (optional) active
-//! offload. A [`ProcSlot`] handle is resolved once at
-//! [`DeviceSubstrate::attach`]; every later operation — admission, rate
-//! updates, completion scans — is then an array index instead of a
-//! `BTreeMap` walk. A small `ProcId → ProcSlot` index is maintained *only*
-//! at attach/detach so OOM victim selection sees residents in ascending-id
-//! order, exactly like the keyed oracle.
-//!
-//! Aggregate signals the keyed substrate recomputed by iteration
-//! (committed/declared totals, thread sums, busy-core estimate) are kept
-//! incrementally; they are integer-valued, so the incremental values are
-//! *identical* — not merely close — to the recomputed ones, which is what
-//! lets the differential proptests demand bit-equal results against
+//! Per-resident state lives in one generation-stamped slab
+//! ([`phishare_sim::Slab`]): a [`ProcSlot`] handle is resolved once at
+//! [`DeviceSubstrate::attach`], and every later operation is an array index.
+//! A small `ProcId → ProcSlot` index, touched only when membership changes,
+//! gives OOM victim draws and completion visits the keyed oracle's
+//! ascending-id order. The aggregates the keyed oracle recomputes by
+//! iteration are kept incrementally; they are integer-valued, so they are
+//! *identical* to the recomputed ones, which is what lets the differential
+//! proptests demand bit-equal results against
 //! [`KeyedPhiDevice`](crate::keyed::KeyedPhiDevice).
 
 use crate::alloc::CoreSet;
@@ -28,6 +32,8 @@ use crate::substrate::{DeviceSpec, DeviceSubstrate};
 use phishare_sim::{Counter, DetRng, SimDuration, SimTime, Slab, Slot, TimeWeighted};
 use std::collections::BTreeMap;
 use std::fmt;
+
+pub(crate) use rule::RateModel;
 
 /// How an offload's threads are placed on cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,25 +57,23 @@ pub enum CommitOutcome {
     OomKilled(Vec<ProcId>),
 }
 
-/// One active (currently executing) offload.
-#[derive(Debug, Clone)]
-struct ActiveOffload {
+/// One active (currently executing) offload: its placement and whatever
+/// the rate model tracks for it.
+#[derive(Debug)]
+struct ActiveOffload<W> {
     threads: u32,
-    /// Nominal work remaining, in ticks at rate 1.
-    remaining: f64,
-    /// Current execution rate (nominal ticks per wall tick).
-    rate: f64,
     affinity: Affinity,
+    work: W,
 }
 
 /// One resident process's slab entry: envelope, commit, optional offload.
-#[derive(Debug, Clone)]
-struct ProcEntry {
+#[derive(Debug)]
+struct ProcEntry<W> {
     id: ProcId,
     declared_mem_mb: u64,
     declared_threads: u32,
     committed_mem_mb: u64,
-    active: Option<ActiveOffload>,
+    active: Option<ActiveOffload<W>>,
 }
 
 /// Handle to a resident process, resolved once at
@@ -172,14 +176,78 @@ impl UtilSignals {
     }
 }
 
-/// A simulated Xeon Phi card (slab-backed fast substrate), driven through
-/// its [`DeviceSubstrate`] impl.
+/// Tolerance (in nominal ticks) below which remaining work counts as done.
+pub(crate) const WORK_EPSILON: f64 = 1e-6;
+
+/// A private module seals the trait: the crate can name it, no one else.
+mod rule {
+    use super::*;
+
+    /// How a card's load becomes execution rates: the one thing the card
+    /// models differ in. Its two implementations are [`PerfModel`]'s
+    /// per-offload rates and [`FairShare`](crate::FairShare)'s one shared
+    /// rate.
+    pub trait RateModel: fmt::Debug {
+        /// What an active offload keeps in its slab entry.
+        type Work: fmt::Debug + 'static;
+
+        /// The rule `spec` asks for.
+        fn from_spec(spec: &DeviceSpec) -> Self;
+
+        /// Start tracking `proc`'s offload of `work` nominal ticks.
+        fn join(&mut self, proc: ProcId, work: f64) -> Self::Work;
+
+        /// Stop tracking `proc`'s offload; returns its remaining work and
+        /// its rate.
+        fn leave(&mut self, proc: ProcId, work: Self::Work) -> (f64, f64);
+
+        /// Drop every tracked offload (device reset).
+        fn clear(&mut self) {}
+
+        /// Integrate `dt` wall ticks of execution at the current rates.
+        fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = &'a mut Self::Work>);
+
+        /// Recompute the rates for `(n_active, n_resident)` offloads and
+        /// residents running `(active_threads, hw_threads)`, then derate
+        /// them by `scale`. `active` yields each offload's pinned flag and
+        /// work.
+        fn reshare<'a>(
+            &mut self,
+            load: (usize, usize),
+            threads: (u32, u32),
+            scale: f64,
+            active: impl Iterator<Item = (bool, &'a mut Self::Work)>,
+        );
+
+        /// Visit every predicted completion, as ticks after the last
+        /// update, in ascending proc order (`by_id` yields the active
+        /// offloads in that order).
+        fn for_each_completion<'a>(
+            &self,
+            by_id: impl Iterator<Item = (ProcId, &'a Self::Work)>,
+            f: impl FnMut(ProcId, u64),
+        );
+
+        /// The earliest predicted completion, ties to the lowest proc.
+        fn next_completion<'a>(
+            &self,
+            active: impl Iterator<Item = (ProcId, &'a Self::Work)>,
+        ) -> Option<(ProcId, u64)>;
+    }
+}
+
+/// The slab-backed Xeon Phi card under the paper's per-offload
+/// [`PerfModel`].
+pub type PhiDevice = Card<PerfModel>;
+
+/// A simulated coprocessor card under rate model `R`, driven through its
+/// [`DeviceSubstrate`] impl.
 #[derive(Debug)]
-pub struct PhiDevice {
+pub struct Card<R: RateModel> {
     cfg: PhiConfig,
-    perf: PerfModel,
+    rates: R,
     /// Dense per-resident state; the only per-process storage.
-    procs: Slab<ProcEntry>,
+    procs: Slab<ProcEntry<R::Work>>,
     /// `ProcId → slot`, touched only at attach/detach/OOM/reset. Keeps
     /// ascending-id iteration (OOM victim order, completion visits).
     index: BTreeMap<ProcId, ProcSlot>,
@@ -199,7 +267,7 @@ pub struct PhiDevice {
     /// Core estimate contributed by unmanaged active offloads.
     unmanaged_cores: u32,
     /// Environmental rate multiplier (thermal derate), applied to every
-    /// execution rate after the sharing model. `1.0` = nominal. Survives
+    /// execution rate after the rate model. `1.0` = nominal. Survives
     /// [`DeviceSubstrate::reset`]: throttling is ambient, not card state.
     rate_scale: f64,
     signals: UtilSignals,
@@ -209,16 +277,13 @@ pub struct PhiDevice {
     pub offloads_completed: Counter,
 }
 
-/// Tolerance (in nominal ticks) below which remaining work counts as done.
-pub(crate) const WORK_EPSILON: f64 = 1e-6;
-
-impl PhiDevice {
+impl<R: RateModel> Card<R> {
     /// Create a device at simulation time `start`.
-    pub fn new(cfg: PhiConfig, perf: PerfModel, start: SimTime) -> Self {
+    pub fn new(cfg: PhiConfig, rates: R, start: SimTime) -> Self {
         cfg.validate().expect("invalid device configuration");
-        PhiDevice {
+        Card {
             cfg,
-            perf,
+            rates,
             procs: Slab::with_capacity(8),
             index: BTreeMap::new(),
             last_update: start,
@@ -242,8 +307,18 @@ impl PhiDevice {
         &self.cfg
     }
 
-    /// Remove `proc` from the slab, the id index and every aggregate.
-    /// Does *not* reschedule; callers decide when rates refresh.
+    /// True when `proc` is resident.
+    pub fn is_resident(&self, proc: ProcId) -> bool {
+        self.index.contains_key(&proc)
+    }
+
+    /// Number of active offloads.
+    pub fn active_offloads(&self) -> usize {
+        self.n_active
+    }
+
+    /// Remove `proc` from the slab, the id index, the rate model and every
+    /// aggregate. Does *not* reshare; callers decide when rates refresh.
     fn remove_entry(&mut self, proc: ProcId) {
         let slot = self.index.remove(&proc).expect("proc is indexed");
         let entry = self.procs.remove(slot.0);
@@ -251,12 +326,13 @@ impl PhiDevice {
         self.declared_threads_total -= entry.declared_threads;
         self.committed_total -= entry.committed_mem_mb;
         if let Some(off) = entry.active {
-            self.retire_active(&off);
+            self.retire_active(proc, off);
         }
     }
 
-    /// Deduct one active offload from the incremental aggregates.
-    fn retire_active(&mut self, off: &ActiveOffload) {
+    /// Stop tracking one active offload and deduct it from the incremental
+    /// aggregates; returns its remaining work and rate.
+    fn retire_active(&mut self, proc: ProcId, off: ActiveOffload<R::Work>) -> (f64, f64) {
         self.n_active -= 1;
         self.active_threads_total -= off.threads;
         match off.affinity {
@@ -269,98 +345,63 @@ impl PhiDevice {
                 self.unmanaged_cores -= self.cfg.cores_for_threads(off.threads);
             }
         }
+        self.rates.leave(proc, off.work)
     }
 
     /// The live entry at `slot`, panicking on a stale handle.
-    fn entry(&self, slot: ProcSlot) -> &ProcEntry {
+    fn entry(&self, slot: ProcSlot) -> &ProcEntry<R::Work> {
         self.procs
             .get(slot.0)
             .unwrap_or_else(|| panic!("device access through stale handle {slot}"))
     }
 
     /// The live entry at `slot`, mutably, panicking on a stale handle.
-    fn entry_mut(&mut self, slot: ProcSlot) -> &mut ProcEntry {
+    fn entry_mut(&mut self, slot: ProcSlot) -> &mut ProcEntry<R::Work> {
         self.procs
             .get_mut(slot.0)
             .unwrap_or_else(|| panic!("device access through stale handle {slot}"))
     }
 
-    /// Integrate execution progress up to `now` and refresh all rates,
-    /// bumping the generation.
-    fn reschedule(&mut self, now: SimTime) {
-        self.advance_to(now);
-        let n_active = self.n_active;
-        let n_resident = self.procs.len();
-        let active_threads = self.active_threads_total;
-        let hw = self.cfg.hw_threads();
-        let perf = self.perf;
-        perf.reshare_rates(
-            n_active,
-            n_resident,
-            active_threads,
-            hw,
-            self.procs.iter_mut().filter_map(|(_, entry)| {
-                entry
-                    .active
-                    .as_mut()
-                    .map(|off| (matches!(off.affinity, Affinity::Pinned(_)), &mut off.rate))
-            }),
-        );
-        if self.rate_scale != 1.0 {
-            for (_, entry) in self.procs.iter_mut() {
-                if let Some(off) = &mut entry.active {
-                    off.rate *= self.rate_scale;
-                }
-            }
-        }
-        self.generation += 1;
-        self.record_utilization(now);
-    }
-
-    /// Integrate remaining work at current rates from `last_update` to `now`.
+    /// Integrate execution progress at the current rates from
+    /// `last_update` to `now`.
     fn advance_to(&mut self, now: SimTime) {
         let dt = now.since(self.last_update).ticks() as f64;
         if dt > 0.0 {
-            for (_, entry) in self.procs.iter_mut() {
-                if let Some(off) = &mut entry.active {
-                    off.remaining = (off.remaining - off.rate * dt).max(0.0);
-                }
-            }
+            let active = self.procs.iter_mut().filter_map(|(_, e)| e.active.as_mut());
+            self.rates.advance(dt, active.map(|off| &mut off.work));
             self.last_update = now;
         }
     }
 
+    /// Refresh every rate from the new membership and bump the
+    /// generation. Callers must have advanced to `now` first.
+    fn reschedule(&mut self, now: SimTime) {
+        debug_assert_eq!(self.last_update, now);
+        let load = (self.n_active, self.procs.len());
+        let threads = (self.active_threads_total, self.cfg.hw_threads());
+        let active = self.procs.iter_mut().filter_map(|(_, e)| e.active.as_mut());
+        let active = active.map(|off| (matches!(off.affinity, Affinity::Pinned(_)), &mut off.work));
+        self.rates.reshare(load, threads, self.rate_scale, active);
+        self.generation += 1;
+        self.record_utilization(now);
+    }
+
     fn record_utilization(&mut self, now: SimTime) {
         let threads = self.active_threads_total.min(self.cfg.hw_threads()) as f64;
-        let cores = self.busy_core_estimate() as f64;
+        // Pinned offloads occupy exactly their core sets; unmanaged ones
+        // spread over `ceil(threads/4)` cores. Capped at the core count.
+        let cores = (self.pinned_union.count() + self.unmanaged_cores).min(self.cfg.cores) as f64;
         let busy = if self.n_active == 0 { 0.0 } else { 1.0 };
         self.signals
             .record(now, threads, cores, self.committed_total as f64, busy);
     }
-
-    /// Estimated number of busy cores: pinned offloads occupy exactly their
-    /// core sets; unmanaged offloads spread over `ceil(threads/4)` cores.
-    /// Capped at the core count. O(1) from the incremental aggregates.
-    fn busy_core_estimate(&self) -> u32 {
-        (self.pinned_union.count() + self.unmanaged_cores).min(self.cfg.cores)
-    }
-
-    /// True when `proc` is resident.
-    pub fn is_resident(&self, proc: ProcId) -> bool {
-        self.index.contains_key(&proc)
-    }
-
-    /// Number of active offloads.
-    pub fn active_offloads(&self) -> usize {
-        self.n_active
-    }
 }
 
-impl DeviceSubstrate for PhiDevice {
+impl<R: RateModel> DeviceSubstrate for Card<R> {
     type Handle = ProcSlot;
 
     fn create(spec: &DeviceSpec, start: SimTime) -> Self {
-        PhiDevice::new(spec.phi, spec.perf, start)
+        Card::new(spec.phi, R::from_spec(spec), start)
     }
 
     fn generation(&self) -> u64 {
@@ -377,6 +418,7 @@ impl DeviceSubstrate for PhiDevice {
         rng: &mut DetRng,
     ) -> (ProcSlot, CommitOutcome) {
         assert!(!self.is_resident(proc), "{proc} is already resident");
+        self.advance_to(now);
         let slot = ProcSlot(self.procs.insert(ProcEntry {
             id: proc,
             declared_mem_mb,
@@ -395,6 +437,7 @@ impl DeviceSubstrate for PhiDevice {
     }
 
     fn detach(&mut self, now: SimTime, slot: ProcSlot) {
+        self.advance_to(now);
         let proc = self.entry(slot).id;
         self.remove_entry(proc);
         self.reschedule(now);
@@ -407,15 +450,15 @@ impl DeviceSubstrate for PhiDevice {
         total_mb: u64,
         rng: &mut DetRng,
     ) -> CommitOutcome {
+        self.advance_to(now);
         let entry = self.entry_mut(slot);
         let prior = std::mem::replace(&mut entry.committed_mem_mb, total_mb);
         self.committed_total = self.committed_total - prior + total_mb;
         let mut killed = Vec::new();
         while self.committed_total > self.cfg.usable_mem_mb() {
-            let n = self.index.len();
-            debug_assert!(n > 0);
             // Uniform victim over residents in ascending-id order — the
             // exact index stream the keyed oracle draws.
+            let n = self.index.len();
             let victim = *self
                 .index
                 .keys()
@@ -426,16 +469,11 @@ impl DeviceSubstrate for PhiDevice {
             killed.push(victim);
         }
         if killed.is_empty() {
-            // Execution rates depend only on membership (active offloads,
-            // residents, thread sums), which an in-bounds commit leaves
-            // untouched: pending completion predictions stay valid, so no
-            // generation bump and no rate recompute — only the
-            // committed-memory signal moved. (The advance re-anchors
-            // `last_update`, so *recomputing* a prediction after it can
-            // land a float-rounding tick away from the still-live issued
-            // one — which is why the runtime never re-syncs within a
-            // generation.)
-            self.advance_to(now);
+            // Rates depend only on membership, which an in-bounds commit
+            // leaves untouched: issued predictions stay valid, so no
+            // generation bump. (The advance re-anchors `last_update`, so a
+            // prediction *recomputed* now can land a rounding tick away from
+            // the issued one — the runtime never re-syncs in a generation.)
             self.record_utilization(now);
             CommitOutcome::Fits
         } else {
@@ -470,13 +508,16 @@ impl DeviceSubstrate for PhiDevice {
         } else {
             self.unmanaged_cores += self.cfg.cores_for_threads(threads);
         }
+        // Integrate first: the idle gap since the last update is not the
+        // new offload's progress.
+        self.advance_to(now);
         self.n_active += 1;
         self.active_threads_total += threads;
+        let work = self.rates.join(proc, work.ticks() as f64);
         self.entry_mut(slot).active = Some(ActiveOffload {
             threads,
-            remaining: work.ticks() as f64,
-            rate: 1.0,
             affinity,
+            work,
         });
         self.reschedule(now);
     }
@@ -489,13 +530,11 @@ impl DeviceSubstrate for PhiDevice {
             .active
             .take()
             .unwrap_or_else(|| panic!("{proc} has no active offload"));
+        let (remaining, rate) = self.retire_active(proc, off);
         debug_assert!(
-            off.remaining <= off.rate + WORK_EPSILON,
-            "finish_offload fired with {:.3} nominal ticks left (rate {:.4}): stale event?",
-            off.remaining,
-            off.rate
+            remaining <= rate + WORK_EPSILON,
+            "finish_offload fired with {remaining:.3} nominal ticks left (rate {rate:.4}): stale event?"
         );
-        self.retire_active(&off);
         self.offloads_completed.incr();
         self.reschedule(now);
     }
@@ -506,8 +545,10 @@ impl DeviceSubstrate for PhiDevice {
     /// the card is the same card after the reboot — and the generation
     /// bumps so every outstanding completion prediction goes stale.
     fn reset(&mut self, now: SimTime) {
+        self.advance_to(now);
         self.procs.clear();
         self.index.clear();
+        self.rates.clear();
         self.committed_total = 0;
         self.declared_total = 0;
         self.declared_threads_total = 0;
@@ -520,38 +561,29 @@ impl DeviceSubstrate for PhiDevice {
 
     fn set_rate_scale(&mut self, now: SimTime, scale: f64) {
         debug_assert!(scale.is_finite() && scale > 0.0 && scale <= 1.0);
+        self.advance_to(now);
         self.rate_scale = scale;
         self.reschedule(now);
     }
 
     fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
-        for slot in self.index.values() {
+        let by_id = self.index.values().filter_map(|slot| {
             let entry = self.entry(*slot);
-            if let Some(off) = &entry.active {
-                let dt = (off.remaining / off.rate).ceil().max(0.0) as u64;
-                f(entry.id, self.last_update + SimDuration::from_ticks(dt));
-            }
-        }
+            entry.active.as_ref().map(|off| (entry.id, &off.work))
+        });
+        self.rates.for_each_completion(by_id, |proc, ticks| {
+            f(proc, self.last_update + SimDuration::from_ticks(ticks))
+        });
     }
 
     fn next_completion(&self) -> Option<(ProcId, SimTime)> {
-        // Scans the dense slab (cache-friendly); min by (instant, id) is
-        // iteration-order independent, so slot order here and ascending-id
-        // order in the keyed oracle pick the same winner.
-        let mut best: Option<(ProcId, SimTime)> = None;
-        for (_, entry) in self.procs.iter() {
-            if let Some(off) = &entry.active {
-                let dt = (off.remaining / off.rate).ceil().max(0.0) as u64;
-                let at = self.last_update + SimDuration::from_ticks(dt);
-                if best
-                    .map(|(bp, bt)| (at, entry.id) < (bt, bp))
-                    .unwrap_or(true)
-                {
-                    best = Some((entry.id, at));
-                }
-            }
-        }
-        best
+        let active = self
+            .procs
+            .iter()
+            .filter_map(|(_, entry)| entry.active.as_ref().map(|off| (entry.id, &off.work)));
+        self.rates
+            .next_completion(active)
+            .map(|(proc, ticks)| (proc, self.last_update + SimDuration::from_ticks(ticks)))
     }
 
     fn resident_count(&self) -> usize {

@@ -255,6 +255,9 @@ impl DeviceSubstrate for KeyedPhiDevice {
                 }
             }
         }
+        // Integrate first: the idle gap since the last update is not the
+        // new offload's progress.
+        self.advance_to(now);
         self.active.insert(
             proc,
             ActiveOffload {

@@ -24,10 +24,17 @@
 //!   signals, the measurement behind the paper's "only 38–50 % of cores are
 //!   busy" motivation (§III).
 //!
-//! Every card model — the slab-backed [`PhiDevice`], its keyed oracle
-//! [`KeyedPhiDevice`] and the fair-shared [`SharedDevice`] pair — is driven
-//! through one operation API, the [`DeviceSubstrate`] trait in
-//! [`substrate`], which the cluster runtime is generic over.
+//! There is one card model, the generic [`Card`]: residency, memory
+//! commits and the OOM killer, pinned-core accounting, the thermal derate,
+//! utilization and energy are written once, and only the rate rule differs.
+//! [`PhiDevice`] runs the paper's per-offload [`PerfModel`] rates;
+//! [`SharedThroughputDevice`] and [`NaiveSharedDevice`] run one fair-shared
+//! [`SharingCurve`] rate ([`FairShare`]) on the heap engine and on its
+//! recompute-all oracle. [`KeyedPhiDevice`] is an independent map-backed
+//! specification of the per-offload model, kept as a differential oracle.
+//! Every model is driven through one operation API, the
+//! [`DeviceSubstrate`] trait in [`substrate`], which the cluster runtime is
+//! generic over.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +50,10 @@ pub mod substrate;
 
 pub use alloc::{CoreAllocator, CoreSet};
 pub use config::PhiConfig;
-pub use device::{Affinity, CommitOutcome, DeviceUtilization, PhiDevice, ProcSlot};
+pub use device::{Affinity, Card, CommitOutcome, DeviceUtilization, PhiDevice, ProcSlot};
 pub use keyed::KeyedPhiDevice;
 pub use perf::PerfModel;
 pub use phishare_throughput::SharingCurve;
 pub use proc::ProcId;
-pub use sharing::{NaiveSharedDevice, SharedDevice, SharedThroughputDevice};
+pub use sharing::{FairShare, NaiveSharedDevice, SharedThroughputDevice};
 pub use substrate::{DeviceSpec, DeviceSubstrate};

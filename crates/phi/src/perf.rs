@@ -11,6 +11,9 @@
 //!   modelled as a per-extra-offload conflict penalty;
 //! * COSMIC-pinned offloads on disjoint cores run at full rate.
 
+use crate::device::RateModel;
+use crate::proc::ProcId;
+use crate::substrate::DeviceSpec;
 use serde::{Deserialize, Serialize};
 
 /// Tunable performance-model parameters.
@@ -121,12 +124,11 @@ impl PerfModel {
     }
 
     /// Rewrite every active offload's rate from device-wide aggregates —
-    /// the shared reschedule body of both device implementations.
+    /// the keyed oracle's reschedule body.
     ///
     /// `offloads` yields `(is_pinned, rate_slot)` per active offload; a
-    /// no-op when `n_active == 0` (idle devices keep stale rates, exactly
-    /// as the previous per-device copies did). This is the single entry
-    /// point any degradation-function plumbing must go through.
+    /// no-op when `n_active == 0` (idle devices keep stale rates, as the
+    /// slab card's rate rule below does).
     pub fn reshare_rates<'a>(
         &self,
         n_active: usize,
@@ -143,6 +145,96 @@ impl PerfModel {
         for (pinned, rate) in offloads {
             *rate = if pinned { rate_pinned } else { rate_unmanaged };
         }
+    }
+}
+
+/// What an active offload keeps in a [`PhiDevice`](crate::PhiDevice)'s
+/// slab entry.
+#[derive(Debug)]
+pub struct Progress {
+    /// Nominal work remaining, in ticks at rate 1.
+    remaining: f64,
+    /// Current execution rate (nominal ticks per wall tick).
+    rate: f64,
+}
+
+impl Progress {
+    /// Wall ticks until this offload completes at its current rate.
+    fn ticks_left(&self) -> u64 {
+        (self.remaining / self.rate).ceil().max(0.0) as u64
+    }
+}
+
+/// The paper's two-rate affinity model: every active offload carries its
+/// own remaining work and rate, and a reshare rewrites each rate from the
+/// device-wide aggregates.
+impl RateModel for PerfModel {
+    type Work = Progress;
+
+    fn from_spec(spec: &DeviceSpec) -> Self {
+        spec.perf
+    }
+
+    fn join(&mut self, _: ProcId, work: f64) -> Progress {
+        Progress {
+            remaining: work,
+            rate: 1.0,
+        }
+    }
+
+    fn leave(&mut self, _: ProcId, work: Progress) -> (f64, f64) {
+        (work.remaining, work.rate)
+    }
+
+    fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = &'a mut Progress>) {
+        for off in active {
+            off.remaining = (off.remaining - off.rate * dt).max(0.0);
+        }
+    }
+
+    /// An idle card keeps its stale rates; they are rewritten before any
+    /// offload runs on them.
+    fn reshare<'a>(
+        &mut self,
+        (n_active, n_resident): (usize, usize),
+        (active_threads, hw_threads): (u32, u32),
+        scale: f64,
+        active: impl Iterator<Item = (bool, &'a mut Progress)>,
+    ) {
+        if n_active == 0 {
+            return;
+        }
+        let (pinned, unmanaged) =
+            self.offload_rates(n_active, n_resident, active_threads, hw_threads);
+        for (is_pinned, off) in active {
+            off.rate = if is_pinned { pinned } else { unmanaged };
+            if scale != 1.0 {
+                off.rate *= scale;
+            }
+        }
+    }
+
+    fn for_each_completion<'a>(
+        &self,
+        by_id: impl Iterator<Item = (ProcId, &'a Progress)>,
+        mut f: impl FnMut(ProcId, u64),
+    ) {
+        for (proc, off) in by_id {
+            f(proc, off.ticks_left());
+        }
+    }
+
+    /// Scans the dense slab (cache-friendly); min by (ticks, id) is
+    /// iteration-order independent, so slot order here and ascending-id
+    /// order in the keyed oracle pick the same winner.
+    fn next_completion<'a>(
+        &self,
+        active: impl Iterator<Item = (ProcId, &'a Progress)>,
+    ) -> Option<(ProcId, u64)> {
+        active
+            .map(|(proc, off)| (off.ticks_left(), proc))
+            .min()
+            .map(|(ticks, proc)| (proc, ticks))
     }
 }
 

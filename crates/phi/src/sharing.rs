@@ -1,425 +1,116 @@
-//! The shared-throughput device: fair sharing under a pluggable
-//! degradation curve, generic over the completion-tracking engine.
+//! The fair-share rate rule: every active offload runs at one rate from a
+//! pluggable degradation curve, so a membership change re-warps the whole
+//! population at once instead of rewriting per-offload state. A
+//! shared-throughput device is the one card model of [`crate::device`]
+//! under [`FairShare`] instead of the per-offload
+//! [`PerfModel`](crate::PerfModel).
 //!
-//! [`SharedDevice`] mirrors [`PhiDevice`](crate::device::PhiDevice)'s
-//! resident/offload lifecycle — declared envelopes, memory commits with
-//! the ascending-id uniform OOM killer, pinned-core disjointness,
-//! time-weighted utilization and the energy model — but replaces the
-//! per-offload rate vector with one *shared* rate from a
-//! [`SharingCurve`]: every active offload runs at the same speed, so a
-//! membership change re-warps the whole population at once instead of
-//! rewriting per-offload state.
-//!
-//! The device is generic over [`SharingEngine`], which is the whole point:
-//! [`SharedThroughputDevice`] (heap-scheduled, O(log n) churn) and
-//! [`NaiveSharedDevice`] (recompute-all oracle) share every line of device
-//! logic, so any observable divergence between them is the engine's fault
-//! — exactly what the differential proptests and the `perf_throughput`
-//! bench gate rely on.
+//! The rule is generic over [`SharingEngine`]: [`SharedThroughputDevice`]
+//! (heap-scheduled, O(log n) churn) and [`NaiveSharedDevice`]
+//! (recompute-all oracle) share every line of device logic, so any
+//! observable divergence between them is the engine's fault — what the
+//! differential proptests and the `perf_throughput` bench gate rely on.
 
-use crate::alloc::CoreSet;
-use crate::config::PhiConfig;
-use crate::device::{Affinity, CommitOutcome, DeviceUtilization, UtilSignals, WORK_EPSILON};
+use crate::device::{Card, RateModel};
 use crate::proc::ProcId;
-use crate::substrate::{DeviceSpec, DeviceSubstrate};
-use phishare_sim::{Counter, DetRng, SimDuration, SimTime};
+use crate::substrate::DeviceSpec;
 use phishare_throughput::{HeapEngine, NaiveEngine, SharingCurve, SharingEngine};
-use std::collections::BTreeMap;
 
 /// The production shared-throughput device: heap-scheduled engine,
 /// O(log n) join/leave/next-completion.
-pub type SharedThroughputDevice = SharedDevice<HeapEngine>;
+pub type SharedThroughputDevice = Card<FairShare<HeapEngine>>;
 
 /// The differential oracle: same device logic over the naive
 /// recompute-all-residents engine.
-pub type NaiveSharedDevice = SharedDevice<NaiveEngine>;
+pub type NaiveSharedDevice = Card<FairShare<NaiveEngine>>;
 
-/// Non-work metadata of one active offload (the engine owns the work).
-#[derive(Debug, Clone, Copy)]
-struct ActiveMeta {
-    threads: u32,
-    affinity: Affinity,
-}
-
-/// One resident process.
-#[derive(Debug, Clone)]
-struct SharedEntry {
-    declared_mem_mb: u64,
-    declared_threads: u32,
-    committed_mem_mb: u64,
-    active: Option<ActiveMeta>,
-}
-
-/// A fair-shared accelerator card (Phi-curve or GPU-like), driven through
-/// its [`DeviceSubstrate`] impl by the same passive event-loop protocol as
-/// `PhiDevice`: mutations that can change the shared rate bump the
-/// generation, and completion predictions are valid only for the
-/// generation they were read under.
-///
-/// Its handle is the [`ProcId`] itself; the engine's position index makes
-/// the lookup O(log n) rather than a scan.
+/// Fair sharing under a [`SharingCurve`]: the engine tracks every active
+/// offload's work by proc id against one shared rate, so an active offload
+/// keeps nothing in its slab entry.
 #[derive(Debug)]
-pub struct SharedDevice<E: SharingEngine> {
-    cfg: PhiConfig,
+pub struct FairShare<E> {
     curve: SharingCurve,
     engine: E,
-    procs: BTreeMap<ProcId, SharedEntry>,
-    last_update: SimTime,
-    generation: u64,
-    committed_total: u64,
-    declared_total: u64,
-    declared_threads_total: u32,
-    active_threads_total: u32,
-    n_active: usize,
-    pinned_union: CoreSet,
-    unmanaged_cores: u32,
-    /// Environmental rate multiplier (thermal derate), applied to the
-    /// curve's shared rate. `1.0` = nominal. Survives resets.
-    rate_scale: f64,
-    signals: UtilSignals,
-    /// Processes killed by the OOM killer over the device's lifetime.
-    pub oom_kills: Counter,
-    /// Offloads that ran to completion.
-    pub offloads_completed: Counter,
 }
 
-impl<E: SharingEngine> SharedDevice<E> {
-    /// Create a device at simulation time `start`.
-    pub fn new(cfg: PhiConfig, curve: SharingCurve, start: SimTime) -> Self {
-        cfg.validate().expect("invalid device configuration");
-        curve.validate().expect("invalid sharing curve");
-        SharedDevice {
-            cfg,
-            curve,
+impl<E: SharingEngine> RateModel for FairShare<E> {
+    type Work = ();
+
+    fn from_spec(spec: &DeviceSpec) -> Self {
+        spec.curve.validate().expect("invalid sharing curve");
+        FairShare {
+            curve: spec.curve,
             engine: E::new(),
-            procs: BTreeMap::new(),
-            last_update: start,
-            generation: 0,
-            committed_total: 0,
-            declared_total: 0,
-            declared_threads_total: 0,
-            active_threads_total: 0,
-            n_active: 0,
-            pinned_union: CoreSet::EMPTY,
-            unmanaged_cores: 0,
-            rate_scale: 1.0,
-            signals: UtilSignals::new(start),
-            oom_kills: Counter::new(),
-            offloads_completed: Counter::new(),
         }
     }
 
-    /// Remove `proc` from the resident set, the engine and every
-    /// aggregate. Does *not* reschedule; callers decide when the shared
-    /// rate refreshes. Requires the engine already advanced to "now".
-    fn remove_entry(&mut self, proc: ProcId) {
-        let entry = self
-            .procs
-            .remove(&proc)
-            .unwrap_or_else(|| panic!("{proc} is not resident"));
-        self.declared_total -= entry.declared_mem_mb;
-        self.declared_threads_total -= entry.declared_threads;
-        self.committed_total -= entry.committed_mem_mb;
-        if let Some(meta) = entry.active {
-            self.engine.leave(proc.0);
-            self.retire_active(meta);
-        }
+    fn join(&mut self, proc: ProcId, work: f64) {
+        self.engine.join(proc.0, work);
     }
 
-    /// Deduct one active offload's metadata from the aggregates.
-    fn retire_active(&mut self, meta: ActiveMeta) {
-        self.n_active -= 1;
-        self.active_threads_total -= meta.threads;
-        match meta.affinity {
-            Affinity::Pinned(set) => {
-                self.pinned_union = CoreSet::from_mask(self.pinned_union.mask() & !set.mask());
-            }
-            Affinity::Unmanaged => {
-                self.unmanaged_cores -= self.cfg.cores_for_threads(meta.threads);
-            }
-        }
+    fn leave(&mut self, proc: ProcId, _: ()) -> (f64, f64) {
+        (self.engine.leave(proc.0), self.engine.rate())
     }
 
-    /// Refresh the shared rate from the degradation curve and bump the
-    /// generation. Callers must have advanced to `now` first.
-    fn reschedule(&mut self, now: SimTime) {
-        debug_assert_eq!(self.last_update, now);
-        if self.n_active > 0 {
-            let mut rate = self.curve.per_activity_rate(
-                self.n_active,
-                self.procs.len(),
-                self.active_threads_total,
-                self.cfg.hw_threads(),
-            );
-            if self.rate_scale != 1.0 {
-                rate *= self.rate_scale;
+    /// The engine keeps its virtual-time warp — the warp is a coordinate
+    /// system, not device state.
+    fn clear(&mut self) {
+        self.engine.clear();
+    }
+
+    /// One O(1) virtual-clock update regardless of how many offloads are
+    /// active.
+    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = &'a mut ()>) {
+        self.engine.advance(dt);
+    }
+
+    fn reshare<'a>(
+        &mut self,
+        (n_active, n_resident): (usize, usize),
+        (active_threads, hw_threads): (u32, u32),
+        scale: f64,
+        _: impl Iterator<Item = (bool, &'a mut ())>,
+    ) {
+        if n_active > 0 {
+            let mut rate =
+                self.curve
+                    .per_activity_rate(n_active, n_resident, active_threads, hw_threads);
+            if scale != 1.0 {
+                rate *= scale;
             }
             self.engine.set_rate(rate);
         }
-        self.generation += 1;
-        self.record_utilization(now);
     }
 
-    /// Integrate execution progress at the current shared rate from
-    /// `last_update` to `now` — one O(1) virtual-clock update regardless
-    /// of how many offloads are active.
-    fn advance_to(&mut self, now: SimTime) {
-        let dt = now.since(self.last_update).ticks() as f64;
-        if dt > 0.0 {
-            self.engine.advance(dt);
-            self.last_update = now;
-        }
-    }
-
-    fn record_utilization(&mut self, now: SimTime) {
-        let threads = self.active_threads_total.min(self.cfg.hw_threads()) as f64;
-        let cores = self.busy_core_estimate() as f64;
-        let busy = if self.n_active == 0 { 0.0 } else { 1.0 };
-        self.signals
-            .record(now, threads, cores, self.committed_total as f64, busy);
-    }
-
-    /// Estimated busy cores: pinned offloads occupy exactly their sets,
-    /// unmanaged offloads spread over `ceil(threads/threads_per_core)`.
-    fn busy_core_estimate(&self) -> u32 {
-        (self.pinned_union.count() + self.unmanaged_cores).min(self.cfg.cores)
-    }
-
-    /// True when `proc` is resident.
-    fn is_resident(&self, proc: ProcId) -> bool {
-        self.procs.contains_key(&proc)
-    }
-
-    /// Number of active offloads.
-    #[cfg(test)]
-    fn active_offloads(&self) -> usize {
-        self.n_active
-    }
-}
-
-/// Both engines drive this one impl: every line of device logic is shared,
-/// so a behavioral divergence between [`SharedThroughputDevice`] and
-/// [`NaiveSharedDevice`] can only come from the engine itself — the
-/// property the `perf_throughput` gate re-asserts before timing.
-impl<E: SharingEngine> DeviceSubstrate for SharedDevice<E> {
-    type Handle = ProcId;
-
-    fn create(spec: &DeviceSpec, start: SimTime) -> Self {
-        SharedDevice::new(spec.phi, spec.curve, start)
-    }
-
-    fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    fn attach(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        declared_mem_mb: u64,
-        declared_threads: u32,
-        initial_commit_mb: u64,
-        rng: &mut DetRng,
-    ) -> (ProcId, CommitOutcome) {
-        assert!(!self.is_resident(proc), "{proc} is already resident");
-        self.advance_to(now);
-        self.procs.insert(
-            proc,
-            SharedEntry {
-                declared_mem_mb,
-                declared_threads,
-                committed_mem_mb: 0,
-                active: None,
-            },
-        );
-        self.declared_total += declared_mem_mb;
-        self.declared_threads_total += declared_threads;
-        let outcome = self.commit(now, proc, initial_commit_mb, rng);
-        // Residency changed either way (attach, possibly minus OOM
-        // victims): the shared rate must refresh even when the commit fit.
-        self.reschedule(now);
-        (proc, outcome)
-    }
-
-    fn detach(&mut self, now: SimTime, proc: ProcId) {
-        self.advance_to(now);
-        self.remove_entry(proc);
-        self.reschedule(now);
-    }
-
-    fn commit(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        total_mb: u64,
-        rng: &mut DetRng,
-    ) -> CommitOutcome {
-        let entry = self
-            .procs
-            .get_mut(&proc)
-            .unwrap_or_else(|| panic!("{proc} is not resident"));
-        self.committed_total = self.committed_total - entry.committed_mem_mb + total_mb;
-        entry.committed_mem_mb = total_mb;
-        self.advance_to(now);
-        let mut killed = Vec::new();
-        while self.committed_total > self.cfg.usable_mem_mb() {
-            let n = self.procs.len();
-            debug_assert!(n > 0);
-            let victim = *self
-                .procs
-                .keys()
-                .nth(rng.index(n))
-                .expect("resident set is non-empty");
-            self.remove_entry(victim);
-            self.oom_kills.incr();
-            killed.push(victim);
-        }
-        if killed.is_empty() {
-            // Membership did not change, so the shared rate (and every
-            // outstanding completion prediction) stays valid: no
-            // generation bump, only the committed-memory signal moved.
-            self.record_utilization(now);
-            CommitOutcome::Fits
-        } else {
-            self.reschedule(now);
-            CommitOutcome::OomKilled(killed)
-        }
-    }
-
-    fn start_offload(
-        &mut self,
-        now: SimTime,
-        proc: ProcId,
-        threads: u32,
-        work: SimDuration,
-        affinity: Affinity,
+    fn for_each_completion<'a>(
+        &self,
+        _: impl Iterator<Item = (ProcId, &'a ())>,
+        mut f: impl FnMut(ProcId, u64),
     ) {
-        let entry = self
-            .procs
-            .get(&proc)
-            .unwrap_or_else(|| panic!("{proc} is not resident"));
-        assert!(
-            entry.active.is_none(),
-            "{proc} already has an active offload"
-        );
-        if let Affinity::Pinned(set) = affinity {
-            assert!(
-                set.is_disjoint(self.pinned_union),
-                "pinned cores for {proc} overlap another offload"
-            );
-            self.pinned_union = self.pinned_union.union(set);
-        } else {
-            self.unmanaged_cores += self.cfg.cores_for_threads(threads);
-        }
-        self.advance_to(now);
-        self.n_active += 1;
-        self.active_threads_total += threads;
-        self.engine.join(proc.0, work.ticks() as f64);
-        self.procs
-            .get_mut(&proc)
-            .expect("entry verified resident above")
-            .active = Some(ActiveMeta { threads, affinity });
-        self.reschedule(now);
-    }
-
-    fn finish_offload(&mut self, now: SimTime, proc: ProcId) {
-        self.advance_to(now);
-        let meta = self
-            .procs
-            .get_mut(&proc)
-            .and_then(|entry| entry.active.take())
-            .unwrap_or_else(|| panic!("{proc} has no active offload"));
-        let remaining = self.engine.leave(proc.0);
-        debug_assert!(
-            remaining <= self.engine.rate() + WORK_EPSILON,
-            "finish_offload fired with {:.3} nominal ticks left (rate {:.4}): stale event?",
-            remaining,
-            self.engine.rate()
-        );
-        self.retire_active(meta);
-        self.offloads_completed.incr();
-        self.reschedule(now);
-    }
-
-    /// MPSS crash/restart: every resident is torn down and every active
-    /// offload aborted, releasing all committed memory. Integrators and
-    /// lifetime counters survive; the generation bumps so outstanding
-    /// predictions go stale. The engine keeps its virtual-time warp — the
-    /// warp is a coordinate system, not device state.
-    fn reset(&mut self, now: SimTime) {
-        self.advance_to(now);
-        self.procs.clear();
-        self.engine.clear();
-        self.committed_total = 0;
-        self.declared_total = 0;
-        self.declared_threads_total = 0;
-        self.active_threads_total = 0;
-        self.n_active = 0;
-        self.pinned_union = CoreSet::EMPTY;
-        self.unmanaged_cores = 0;
-        self.reschedule(now);
-    }
-
-    /// Both engines share this code, so the heap/naive pair degrades
-    /// identically.
-    fn set_rate_scale(&mut self, now: SimTime, scale: f64) {
-        debug_assert!(scale.is_finite() && scale > 0.0 && scale <= 1.0);
-        self.advance_to(now);
-        self.rate_scale = scale;
-        self.reschedule(now);
-    }
-
-    fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
-        let base = self.last_update;
         self.engine
-            .for_each_completion(|id, ticks| f(ProcId(id), base + SimDuration::from_ticks(ticks)));
+            .for_each_completion(|id, ticks| f(ProcId(id), ticks));
     }
 
-    fn next_completion(&self) -> Option<(ProcId, SimTime)> {
-        self.engine.next_completion().map(|(id, ticks)| {
-            (
-                ProcId(id),
-                self.last_update + SimDuration::from_ticks(ticks),
-            )
-        })
-    }
-
-    fn resident_count(&self) -> usize {
-        self.procs.len()
-    }
-
-    fn free_declared_mb(&self) -> u64 {
-        self.cfg.usable_mem_mb().saturating_sub(self.declared_total)
-    }
-
-    fn committed_total_mb(&self) -> u64 {
-        self.committed_total
-    }
-
-    fn declared_threads(&self) -> u32 {
-        self.declared_threads_total
-    }
-
-    fn oom_kill_count(&self) -> u64 {
-        self.oom_kills.get()
-    }
-
-    fn energy_joules(&self, end: SimTime) -> f64 {
-        self.signals.energy_joules(&self.cfg, end)
-    }
-
-    fn utilization(&self, end: SimTime) -> DeviceUtilization {
-        self.signals.utilization(&self.cfg, end)
+    fn next_completion<'a>(
+        &self,
+        _: impl Iterator<Item = (ProcId, &'a ())>,
+    ) -> Option<(ProcId, u64)> {
+        self.engine
+            .next_completion()
+            .map(|(id, ticks)| (ProcId(id), ticks))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::completions;
+    use crate::device::{completions, Affinity, CommitOutcome};
+    use crate::{CoreSet, DeviceSubstrate, PerfModel, PhiConfig};
+    use phishare_sim::{DetRng, SimDuration, SimTime};
 
-    fn device(cfg: PhiConfig, curve: SharingCurve) -> SharedThroughputDevice {
-        SharedDevice::new(cfg, curve, SimTime::ZERO)
+    fn device(phi: PhiConfig, curve: SharingCurve) -> SharedThroughputDevice {
+        let perf = PerfModel::default();
+        SharedThroughputDevice::create(&DeviceSpec { phi, perf, curve }, SimTime::ZERO)
     }
 
     fn phi_device() -> SharedThroughputDevice {
@@ -481,11 +172,12 @@ mod tests {
         let mut d = phi_device();
         let mut r = DetRng::from_seed(42);
         let usable = PhiConfig::default().usable_mem_mb();
+        let mut last = None;
         for p in 1..=4 {
-            d.attach(t(0), ProcId(p), 100, 60, usable / 4, &mut r);
+            last = Some(d.attach(t(0), ProcId(p), 100, 60, usable / 4, &mut r).0);
         }
         // Push proc 4 over the edge: someone must die.
-        let out = d.commit(t(1), ProcId(4), usable, &mut r);
+        let out = d.commit(t(1), last.unwrap(), usable, &mut r);
         let CommitOutcome::OomKilled(victims) = out else {
             panic!("expected an OOM kill");
         };

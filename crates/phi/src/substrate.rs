@@ -2,24 +2,26 @@
 //! implements.
 //!
 //! The cluster runtime drives each coprocessor through [`DeviceSubstrate`]
-//! and is generic over it. Four card models implement it, each in its own
-//! module, and the trait impl is the only way to mutate any of them:
+//! and is generic over it. Two implementations exist, and the trait impl
+//! is the only way to mutate either:
 //!
-//! * [`PhiDevice`](crate::PhiDevice) — the paper's two-rate affinity
-//!   model on generation-stamped slab storage. A job's [`ProcSlot`] is
-//!   resolved once, at attach; every later touch is an array index plus a
-//!   stamp check.
+//! * [`Card`](crate::Card) — the one card model, on generation-stamped slab
+//!   storage: a job's [`ProcSlot`] is resolved once, at attach, and every
+//!   later touch is an array index plus a stamp check. Its rate rule makes
+//!   three substrates: [`PhiDevice`](crate::PhiDevice), the paper's
+//!   two-rate affinity model, and
+//!   [`SharedThroughputDevice`](crate::SharedThroughputDevice) /
+//!   [`NaiveSharedDevice`](crate::NaiveSharedDevice), fair sharing under a
+//!   [`SharingCurve`] over the heap engine and its recompute-all oracle.
 //! * [`KeyedPhiDevice`](crate::KeyedPhiDevice) — the seed's
-//!   `BTreeMap`-keyed copy of the same model, retained as a differential
-//!   oracle. Every operation pays a map lookup, aggregates are recomputed
-//!   by iteration and the completion scan collects a fresh `Vec` — the
-//!   honest pre-optimization cost model the `perf_e2e` gate measures
-//!   against.
-//! * [`SharedThroughputDevice`](crate::SharedThroughputDevice) and
-//!   [`NaiveSharedDevice`](crate::NaiveSharedDevice) — fair sharing under
-//!   a [`SharingCurve`], over the heap engine and its recompute-all oracle.
+//!   `BTreeMap`-keyed copy of the per-offload model, retained as an
+//!   independent differential oracle of `PhiDevice`. Every operation pays
+//!   a map lookup, aggregates are recomputed by iteration and the
+//!   completion scan collects a fresh `Vec` — the honest pre-optimization
+//!   cost model the `perf_e2e` gate measures against.
 //!
-//! Each pair must produce **bit-identical** observables. The lockstep
+//! Each oracle pair — `PhiDevice`/`KeyedPhiDevice` and the heap/naive
+//! shared devices — must produce **bit-identical** observables. The lockstep
 //! differential in `phi/tests/prop_device.rs` drives both members of a pair
 //! through one model-checked operation sequence, and the runtime-level
 //! proptests (`cluster/tests/prop_runtime_diff.rs`, `tests/prop_chaos.rs`)
@@ -73,7 +75,8 @@ impl DeviceSpec {
 /// carrying a stale generation must be ignored by the caller.
 ///
 /// `Handle` is the substrate's name for a resident process: a dense
-/// [`ProcSlot`] on the slab device, the [`ProcId`] itself on the others.
+/// [`ProcSlot`] on the slab card, the [`ProcId`] itself on the keyed
+/// oracle.
 /// Handles are obtained from [`DeviceSubstrate::attach`] and stay valid
 /// until the process departs (detach, OOM kill, or device reset); using one
 /// after that is a runtime bug and panics.

@@ -369,28 +369,47 @@ proptest! {
         prop_assert_eq!(device.offloads_completed.get(), survivors as u64);
     }
 
-    /// Work conservation for a solo offload: completion time equals nominal
-    /// work exactly, regardless of when progress is sampled.
+    /// Work conservation for a solo offload on every card model: completion
+    /// lands exactly the nominal work after the start, however long the
+    /// card sat idle before it and whenever progress is sampled.
     #[test]
     fn solo_offload_conserves_work(
         work_secs in 1u64..100,
+        idle_secs in 0u64..100,
         sample_points in prop::collection::vec(1u64..100, 0..5),
     ) {
-        let cfg = PhiConfig::default();
-        let mut device = PhiDevice::new(cfg, PerfModel::default(), SimTime::ZERO);
-        let mut rng = DetRng::from_seed(1);
-        let (slot, _) = device.attach(SimTime::ZERO, ProcId(1), 500, 240, 100, &mut rng);
-        let work = SimDuration::from_secs(work_secs);
-        device.start_offload(SimTime::ZERO, slot, 240, work, Affinity::Unmanaged);
-        // Sampling (queries) between start and completion must not change
-        // the prediction.
-        let mut sorted = sample_points;
-        sorted.sort_unstable();
-        for s in sorted.iter().filter(|s| **s < work_secs) {
-            let _ = device.utilization(SimTime::from_secs(*s));
-            prop_assert_eq!(completions(&device)[0].1, SimTime::from_secs(work_secs));
-        }
-        device.finish_offload(SimTime::from_secs(work_secs), slot);
-        prop_assert_eq!(device.offloads_completed.get(), 1);
+        let spec = phi_spec();
+        solo_offload::<PhiDevice>(&spec, work_secs, idle_secs, &sample_points)?;
+        solo_offload::<KeyedPhiDevice>(&spec, work_secs, idle_secs, &sample_points)?;
+        solo_offload::<SharedThroughputDevice>(&spec, work_secs, idle_secs, &sample_points)?;
+        solo_offload::<NaiveSharedDevice>(&spec, work_secs, idle_secs, &sample_points)?;
     }
+}
+
+/// One solo offload of `work_secs` started `idle_secs` after attach on a
+/// fresh `D`; sampling (queries) before it completes must not move the
+/// prediction.
+fn solo_offload<D: DeviceSubstrate>(
+    spec: &DeviceSpec,
+    work_secs: u64,
+    idle_secs: u64,
+    sample_points: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut device = D::create(spec, SimTime::ZERO);
+    let mut rng = DetRng::from_seed(1);
+    let (handle, _) = device.attach(SimTime::ZERO, ProcId(1), 500, 240, 100, &mut rng);
+    let start = SimTime::from_secs(idle_secs);
+    let done = start + SimDuration::from_secs(work_secs);
+    device.start_offload(start, handle, 240, done.since(start), Affinity::Unmanaged);
+    let mut sorted = sample_points.to_vec();
+    sorted.sort_unstable();
+    for s in sorted.iter().filter(|s| **s < work_secs) {
+        let _ = device.utilization(start + SimDuration::from_secs(*s));
+        prop_assert_eq!(completions(&device), vec![(ProcId(1), done)]);
+    }
+    prop_assert_eq!(device.next_completion(), Some((ProcId(1), done)));
+    device.finish_offload(done, handle);
+    prop_assert_eq!(device.next_completion(), None);
+    prop_assert_eq!(device.resident_count(), 1);
+    Ok(())
 }
