@@ -11,7 +11,8 @@
 //!
 //! Every command accepts `--seed N` (default 7). Workloads can also be
 //! loaded from a CSV file with `--from FILE` (schema: see
-//! `phishare_workload::io`).
+//! `phishare_workload::io`). A flag the command does not read exits 1
+//! with a message naming it.
 
 use phishare::cluster::report::{pct, secs, table};
 use phishare::cluster::{
@@ -59,6 +60,9 @@ USAGE:
                       Worker mode (spawned by sharded sweeps): claim and run
                       cells from DIR's manifest, checkpoint, exit.
   phishare help
+
+Every command also reads the workload flags --seed, --dist, --arrivals and
+--from; a flag a command does not read is an error.
 ";
 
 /// Parsed `--key value` flags (and bare `--key` booleans).
@@ -105,7 +109,67 @@ impl Flags {
     fn has(&self, key: &str) -> bool {
         self.0.contains_key(key)
     }
+
+    /// Refuse any flag `command` does not read: besides `reads`, only the
+    /// workload flags every command reads through [`build_workload`].
+    fn check(&self, command: &str, reads: &[&str]) -> Result<(), String> {
+        let known = |key: &str| reads.contains(&key) || WORKLOAD_FLAGS.contains(&key);
+        match self.0.keys().find(|key| !known(key)) {
+            Some(key) => Err(format!("{command} does not take --{key}")),
+            None => Ok(()),
+        }
+    }
 }
+
+/// The flags [`build_workload`] reads (its count flag aside).
+const WORKLOAD_FLAGS: [&str; 4] = ["seed", "from", "dist", "arrivals"];
+
+type Command = fn(&Flags) -> Result<(), String>;
+
+/// Each command and the other flags it reads.
+const COMMANDS: [(&str, Command, &[&str]); 5] = [
+    (
+        "run",
+        cmd_run,
+        &[
+            "policy",
+            "jobs",
+            "nodes",
+            "negotiation",
+            "substrate",
+            "pool",
+            "perturb",
+            "fault-plan",
+            "dump-fault-plan",
+            "perturb-plan",
+            "dump-perturb-plan",
+            "json",
+            "gantt",
+        ],
+    ),
+    ("compare", cmd_compare, &["jobs", "nodes", "oracle"]),
+    (
+        "footprint",
+        cmd_footprint,
+        &["jobs", "max-nodes", "tolerance"],
+    ),
+    ("workload", cmd_workload, &["count", "format", "out"]),
+    (
+        "sweep",
+        cmd_sweep,
+        &[
+            "policies",
+            "sizes",
+            "jobs",
+            "substrate",
+            "pool",
+            "workers",
+            "dir",
+            "resume",
+            "json",
+        ],
+    ),
+];
 
 fn build_workload(
     flags: &Flags,
@@ -451,16 +515,18 @@ fn main() -> ExitCode {
         };
     }
     let outcome = Flags::parse(rest).and_then(|flags| match command.as_str() {
-        "run" => cmd_run(&flags),
-        "compare" => cmd_compare(&flags),
-        "footprint" => cmd_footprint(&flags),
-        "workload" => cmd_workload(&flags),
-        "sweep" => cmd_sweep(&flags),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        name => {
+            let (_, run, reads) = COMMANDS
+                .iter()
+                .find(|(known, ..)| *known == name)
+                .ok_or_else(|| format!("unknown command {name:?}\n\n{USAGE}"))?;
+            flags.check(name, reads)?;
+            run(&flags)
+        }
     });
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

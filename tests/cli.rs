@@ -108,6 +108,28 @@ fn errors_are_reported_not_panicked() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--jobs"));
 
+    // A flag the command does not read — a typo, or one that belongs to
+    // another command — is refused by name, not silently ignored.
+    for (args, flag) in [
+        (
+            &["run", "--policy", "mcck", "--jobz", "10", "--nodes", "2"][..],
+            "--jobz",
+        ),
+        (
+            &["run", "--policy", "mcck", "--substrat", "shared"],
+            "--substrat",
+        ),
+        (&["compare", "--substrate", "shared"], "--substrate"),
+        (&["compare", "--pool", "gpu-mix"], "--pool"),
+        (&["sweep", "--perturb", "derate:600:60:0.5"], "--perturb"),
+    ] {
+        let out = phishare(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let message = format!("{} does not take {flag}", args[0]);
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+    }
+
     // A hostile plan file nests past the JSON parser's depth limit: a
     // reported error and a normal exit, not a stack-overflow abort.
     let dir = std::env::temp_dir().join("phishare-cli-test");
