@@ -231,6 +231,12 @@ impl ClusterConfig {
         }
     }
 
+    /// Every card as `(node, device)`, node-major.
+    pub(crate) fn cards(&self) -> impl Iterator<Item = (u32, u32)> {
+        let devices = self.devices_per_node;
+        (1..=self.nodes).flat_map(move |node| (0..devices).map(move |device| (node, device)))
+    }
+
     /// The largest per-device usable memory any node offers — the up-front
     /// admission bound: a job is only hopeless when *no* card in the pool
     /// could ever hold it.

@@ -92,35 +92,32 @@ impl FaultPlan {
         }
         let mut rng = DetRng::substream(config.seed, "fault-plan");
         let mut events = Vec::new();
-        if f.node_mtbf_secs > 0.0 {
-            for node in 1..=config.nodes {
-                push_renewals(
-                    &mut events,
-                    &mut rng,
-                    FaultKind::NodeChurn,
-                    node,
-                    0,
-                    f.node_mtbf_secs,
-                    f.node_downtime_secs,
-                    f.horizon_secs,
-                );
+        let strike = |kind| {
+            move |node, device, at, downtime| FaultEvent {
+                kind,
+                node,
+                device,
+                at,
+                downtime,
             }
+        };
+        if f.node_mtbf_secs > 0.0 {
+            push_renewals(
+                &mut events,
+                &mut rng,
+                (1..=config.nodes).map(|node| (node, 0)),
+                (f.node_mtbf_secs, f.node_downtime_secs, f.horizon_secs),
+                strike(FaultKind::NodeChurn),
+            );
         }
         if f.device_mtbf_secs > 0.0 {
-            for node in 1..=config.nodes {
-                for device in 0..config.devices_per_node {
-                    push_renewals(
-                        &mut events,
-                        &mut rng,
-                        FaultKind::DeviceReset,
-                        node,
-                        device,
-                        f.device_mtbf_secs,
-                        f.device_downtime_secs,
-                        f.horizon_secs,
-                    );
-                }
-            }
+            push_renewals(
+                &mut events,
+                &mut rng,
+                config.cards(),
+                (f.device_mtbf_secs, f.device_downtime_secs, f.horizon_secs),
+                strike(FaultKind::DeviceReset),
+            );
         }
         events.sort_by_key(|e| {
             (
@@ -179,28 +176,27 @@ impl FaultPlan {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_renewals(
-    events: &mut Vec<FaultEvent>,
+/// Draw one renewal process per `(node, device)` target over
+/// `[0, horizon_secs]`, pushing `event(node, device, at, span)` for each
+/// event: the first opens after an exponential gap with mean
+/// `mean_gap_secs`, each later one that long after the previous event's
+/// `span_secs` ends, so one target's events never overlap. Fault plans
+/// (failures and their downtime) and perturbation plans (windows) share it.
+pub(crate) fn push_renewals<E>(
+    events: &mut Vec<E>,
     rng: &mut DetRng,
-    kind: FaultKind,
-    node: u32,
-    device: u32,
-    mtbf_secs: f64,
-    downtime_secs: f64,
-    horizon_secs: f64,
+    targets: impl IntoIterator<Item = (u32, u32)>,
+    (mean_gap_secs, span_secs, horizon_secs): (f64, f64, f64),
+    event: impl Fn(u32, u32, SimTime, SimDuration) -> E,
 ) {
-    let downtime = SimDuration::from_secs_f64(downtime_secs);
-    let mut t = rng.exponential(mtbf_secs);
-    while t <= horizon_secs {
-        events.push(FaultEvent {
-            kind,
-            node,
-            device,
-            at: SimTime::ZERO + SimDuration::from_secs_f64(t),
-            downtime,
-        });
-        t += downtime_secs + rng.exponential(mtbf_secs);
+    for (node, device) in targets {
+        let span = SimDuration::from_secs_f64(span_secs);
+        let mut t = rng.exponential(mean_gap_secs);
+        while t <= horizon_secs {
+            let at = SimTime::ZERO + SimDuration::from_secs_f64(t);
+            events.push(event(node, device, at, span));
+            t += span_secs + rng.exponential(mean_gap_secs);
+        }
     }
 }
 

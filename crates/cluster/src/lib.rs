@@ -68,8 +68,7 @@ pub use fault::{FallbackPolicy, FaultConfig, FaultEvent, FaultKind, FaultPlan, R
 pub use footprint::{footprint_search, FootprintResult, FootprintSearcher};
 pub use metrics::ExperimentResult;
 pub use perturb::{
-    DerateSpec, LatencySpec, PerturbConfig, PerturbEvent, PerturbKind, PerturbPlan, Perturbation,
-    StaleAdsSpec,
+    DerateSpec, LatencySpec, PerturbConfig, PerturbEvent, PerturbKind, PerturbPlan, StaleAdsSpec,
 };
 pub use phishare_cosmic::CosmicSubstrate;
 pub use phishare_phi::{DeviceSpec, DeviceSubstrate};

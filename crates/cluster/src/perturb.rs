@@ -5,9 +5,10 @@
 //! before anything dies: cards throttle thermally, collector ads go stale,
 //! offloads stall on a congested PCIe bus, and negotiation cycles jitter
 //! under daemon load. This module models that *soft* degradation as a stack
-//! of composable [`Perturbation`]s, each materialized into a
-//! pre-computed, seed-deterministic [`PerturbPlan`] of bounded windows that
-//! the runtime folds into its event queue exactly like fault events.
+//! of perturbation kinds ([`DerateSpec`], [`LatencySpec`], [`StaleAdsSpec`]),
+//! materialized into a pre-computed, seed-deterministic [`PerturbPlan`] of
+//! bounded windows that the runtime folds into its event queue exactly like
+//! fault events.
 //!
 //! Determinism contract (mirrors the fault plan's):
 //!
@@ -34,38 +35,15 @@
 //! to call-order drift between event modes and substrates.
 
 use crate::config::ClusterConfig;
-use crate::fault::{check_expected_events, check_times};
+use crate::fault::{check_expected_events, check_times, push_renewals};
 use phishare_sim::{DetRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// One composable source of soft degradation. Implementations are
-/// materialized into [`PerturbEvent`] windows by [`PerturbPlan::generate`],
-/// each from its own seed substream.
-pub trait Perturbation {
-    /// The [`DetRng::substream`] label this perturbation draws from.
-    /// Labels must be unique across the stack.
-    fn label(&self) -> &'static str;
-
-    /// True when this perturbation will emit at least one window for some
-    /// horizon. Disabled perturbations must not touch any RNG.
-    fn enabled(&self) -> bool;
-
-    /// Append this perturbation's windows for `[0, horizon_secs]` to `out`,
-    /// drawing only from `rng` (a fresh substream for [`Self::label`]).
-    fn materialize(
-        &self,
-        config: &ClusterConfig,
-        horizon_secs: f64,
-        rng: &mut DetRng,
-        out: &mut Vec<PerturbEvent>,
-    );
-}
-
 /// Thermal throttling: while a window is open, every execution rate on the
-/// struck card is multiplied by `factor` — after `PerfModel::reshare_rates`
-/// on the slab/keyed substrates and on the `SharingCurve` output on the
-/// shared substrates, so all oracle pairs degrade through identical IEEE
-/// operations.
+/// struck card is multiplied by `factor` — after the per-offload
+/// `PerfModel` rates on the Phi substrates and on the `SharingCurve` output
+/// on the shared substrates, so both members of each oracle pair degrade
+/// through identical IEEE operations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DerateSpec {
     /// Mean gap between windows per card, in seconds. `0` disables.
@@ -86,39 +64,11 @@ impl Default for DerateSpec {
     }
 }
 
-impl Perturbation for DerateSpec {
-    fn label(&self) -> &'static str {
-        "perturb-derate"
-    }
-
-    fn enabled(&self) -> bool {
+impl DerateSpec {
+    /// True when throttling windows open at all (a positive mean gap). A
+    /// disabled kind draws nothing from its substream.
+    pub fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
-    }
-
-    fn materialize(
-        &self,
-        config: &ClusterConfig,
-        horizon_secs: f64,
-        rng: &mut DetRng,
-        out: &mut Vec<PerturbEvent>,
-    ) {
-        let kind = PerturbKind::DeviceDerate {
-            factor: self.factor,
-        };
-        for node in 1..=config.nodes {
-            for device in 0..config.devices_per_node {
-                push_windows(
-                    out,
-                    rng,
-                    kind,
-                    node,
-                    device,
-                    self.mean_gap_secs,
-                    self.duration_secs,
-                    horizon_secs,
-                );
-            }
-        }
     }
 }
 
@@ -146,39 +96,11 @@ impl Default for LatencySpec {
     }
 }
 
-impl Perturbation for LatencySpec {
-    fn label(&self) -> &'static str {
-        "perturb-latency"
-    }
-
-    fn enabled(&self) -> bool {
+impl LatencySpec {
+    /// True when spike windows open at all (a positive mean gap). A
+    /// disabled kind draws nothing from its substream.
+    pub fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
-    }
-
-    fn materialize(
-        &self,
-        config: &ClusterConfig,
-        horizon_secs: f64,
-        rng: &mut DetRng,
-        out: &mut Vec<PerturbEvent>,
-    ) {
-        let kind = PerturbKind::OffloadLatency {
-            extra: SimDuration::from_secs_f64(self.extra_secs),
-        };
-        for node in 1..=config.nodes {
-            for device in 0..config.devices_per_node {
-                push_windows(
-                    out,
-                    rng,
-                    kind,
-                    node,
-                    device,
-                    self.mean_gap_secs,
-                    self.duration_secs,
-                    horizon_secs,
-                );
-            }
-        }
     }
 }
 
@@ -207,34 +129,11 @@ impl Default for StaleAdsSpec {
     }
 }
 
-impl Perturbation for StaleAdsSpec {
-    fn label(&self) -> &'static str {
-        "perturb-stale-ads"
-    }
-
-    fn enabled(&self) -> bool {
+impl StaleAdsSpec {
+    /// True when stale windows open at all (a positive mean gap). A
+    /// disabled kind draws nothing from its substream.
+    pub fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
-    }
-
-    fn materialize(
-        &self,
-        _config: &ClusterConfig,
-        horizon_secs: f64,
-        rng: &mut DetRng,
-        out: &mut Vec<PerturbEvent>,
-    ) {
-        // The collector is cluster-global; stale windows target node 0 by
-        // convention (no real node is 0 — they are 1-based everywhere).
-        push_windows(
-            out,
-            rng,
-            PerturbKind::StaleAds,
-            0,
-            0,
-            self.mean_gap_secs,
-            self.duration_secs,
-            horizon_secs,
-        );
     }
 }
 
@@ -305,23 +204,75 @@ impl PerturbPlan {
         self.events.is_empty()
     }
 
-    /// Materialize the stack described by `config.perturb`. Each enabled
-    /// [`Perturbation`] draws from a fresh substream for its own label, so
-    /// any sub-stack reproduces the exact windows it contributes to the
-    /// full stack.
+    /// Materialize the stack described by `config.perturb`: one renewal
+    /// process of windows per card for derates and latency spikes, one
+    /// cluster-wide for stale ads. Each enabled kind draws from a fresh
+    /// substream for its own label, so any sub-stack reproduces the exact
+    /// windows it contributes to the full stack; a disabled kind draws
+    /// nothing.
     pub fn generate(config: &ClusterConfig) -> Self {
         let p = config.perturb;
         if !p.enabled() {
             return PerturbPlan::empty();
         }
         let mut events = Vec::new();
-        let stack: [&dyn Perturbation; 3] = [&p.derate, &p.latency, &p.stale_ads];
-        for pert in stack {
-            if !pert.enabled() {
-                continue;
+        let window = |kind| {
+            move |node, device, at, duration| PerturbEvent {
+                kind,
+                node,
+                device,
+                at,
+                duration,
             }
-            let mut rng = DetRng::substream(config.seed, pert.label());
-            pert.materialize(config, p.horizon_secs, &mut rng, &mut events);
+        };
+        let rng = |label| DetRng::substream(config.seed, label);
+        if p.derate.enabled() {
+            let kind = PerturbKind::DeviceDerate {
+                factor: p.derate.factor,
+            };
+            push_renewals(
+                &mut events,
+                &mut rng("perturb-derate"),
+                config.cards(),
+                (
+                    p.derate.mean_gap_secs,
+                    p.derate.duration_secs,
+                    p.horizon_secs,
+                ),
+                window(kind),
+            );
+        }
+        if p.latency.enabled() {
+            let kind = PerturbKind::OffloadLatency {
+                extra: SimDuration::from_secs_f64(p.latency.extra_secs),
+            };
+            push_renewals(
+                &mut events,
+                &mut rng("perturb-latency"),
+                config.cards(),
+                (
+                    p.latency.mean_gap_secs,
+                    p.latency.duration_secs,
+                    p.horizon_secs,
+                ),
+                window(kind),
+            );
+        }
+        if p.stale_ads.enabled() {
+            // The collector is cluster-global; stale windows target node 0
+            // by convention (no real node is 0 — they are 1-based
+            // everywhere).
+            push_renewals(
+                &mut events,
+                &mut rng("perturb-stale-ads"),
+                [(0, 0)],
+                (
+                    p.stale_ads.mean_gap_secs,
+                    p.stale_ads.duration_secs,
+                    p.horizon_secs,
+                ),
+                window(PerturbKind::StaleAds),
+            );
         }
         events.sort_by_key(|e| (e.at, e.node, e.device, e.kind.rank()));
         PerturbPlan { events }
@@ -399,31 +350,6 @@ fn check_card_target(config: &ClusterConfig, i: usize, e: &PerturbEvent) -> Resu
         ));
     }
     Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn push_windows(
-    events: &mut Vec<PerturbEvent>,
-    rng: &mut DetRng,
-    kind: PerturbKind,
-    node: u32,
-    device: u32,
-    mean_gap_secs: f64,
-    duration_secs: f64,
-    horizon_secs: f64,
-) {
-    let duration = SimDuration::from_secs_f64(duration_secs);
-    let mut t = rng.exponential(mean_gap_secs);
-    while t <= horizon_secs {
-        events.push(PerturbEvent {
-            kind,
-            node,
-            device,
-            at: SimTime::ZERO + SimDuration::from_secs_f64(t),
-            duration,
-        });
-        t += duration_secs + rng.exponential(mean_gap_secs);
-    }
 }
 
 /// Knobs for the whole perturbation stack. Everything defaults to
