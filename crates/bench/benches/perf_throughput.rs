@@ -13,11 +13,11 @@
 //! bit pattern compared exactly.
 //!
 //! The rate fed to both engines comes from the calibrated Phi
-//! [`SharingCurve`] at the live population, exactly as
-//! `SharedDevice::reschedule` does — so the script measures the engine
-//! under the access pattern the substrate actually generates: one
-//! `advance`, O(1) membership ops, one `set_rate`, one completion query
-//! per device event.
+//! [`SharingCurve`] at the live population, exactly as the shared devices'
+//! fair-share rate rule (`phi::FairShare`) sets it — so the script
+//! measures the engine under the access pattern the substrate actually
+//! generates: one `advance`, O(1) membership ops, one `set_rate`, one
+//! completion query per device event.
 //!
 //! Emits `BENCH_throughput.json` (under `target/experiments/` and at the
 //! repo root) and **fails** below the floor — a regression gate, not just
