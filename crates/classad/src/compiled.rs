@@ -171,6 +171,26 @@ impl CompiledReq {
         self.residual.as_ref()
     }
 
+    /// A hash of the guards and pins (bounds by bit pattern), or `None`
+    /// when a residual expression remains. Two requirements with equal
+    /// keys are candidates for one matchmaking class; callers confirm with
+    /// `==`, so a hash collision costs only the sharing, never exactness.
+    pub fn class_key(&self) -> Option<u64> {
+        use std::hash::{Hash, Hasher};
+        if self.residual.is_some() {
+            return None;
+        }
+        let mut h = std::hash::DefaultHasher::new();
+        (self.never, self.guards.len()).hash(&mut h);
+        for g in &self.guards {
+            (&g.attr, g.op as u8, g.bound.to_bits()).hash(&mut h);
+        }
+        for p in &self.pins {
+            (&p.attr, &p.value).hash(&mut h);
+        }
+        Some(h.finish())
+    }
+
     /// The pinned value for `attr` (case-insensitive), if this requirement
     /// pins it.
     pub fn pin(&self, attr: &str) -> Option<&str> {
@@ -512,6 +532,23 @@ mod tests {
         let req = CompiledReq::compile(&ClassAd::new());
         assert!(req.matches_target(&ClassAd::new(), &machine(0, 0)));
         assert!(req.fully_compiled());
+    }
+
+    #[test]
+    fn class_keys_follow_the_folded_requirement() {
+        let src = "TARGET.PhiFreeMemory >= MY.RequestPhiMemory";
+        let key = |src: &str, mem: i64| compile(src, &job(mem)).class_key();
+        // The MY-side request folds into the bound, so it is part of the key.
+        assert_eq!(key(src, 1024), key("TARGET.PhiFreeMemory >= 1024", 0));
+        assert_ne!(key(src, 1024), key(src, 2048));
+        assert_ne!(key(src, 1024), key("TARGET.PhiFreeMemory > 1024", 0));
+        assert_ne!(
+            key("TARGET.Name == \"slot1@node1\"", 0),
+            key("TARGET.Name == \"slot1@node2\"", 0)
+        );
+        assert_eq!(key("false", 0), key("1 == 2", 0));
+        // A residual expression never gets a key.
+        assert_eq!(key("TARGET.PhiFreeMemory >= 1 || false", 0), None);
     }
 
     #[test]

@@ -338,6 +338,10 @@ pub struct Collector {
     /// index id used by [`Collector::indexed_range_at_least`]. Shared by
     /// all partitions, so index ids mean the same thing everywhere.
     indexed_attrs: Vec<String>,
+    /// How many slots advertise a machine-side `Requirements`; kept by
+    /// `index`/`unindex`. While it is zero, a job's slot choice cannot
+    /// depend on its own ad beyond its compiled requirements.
+    with_requirements: usize,
     /// Monotone mutation sequence; bumped by every match-relevant change.
     /// Global across partitions, so dirty stamps are totally ordered.
     seq: u64,
@@ -380,6 +384,7 @@ impl Collector {
             by_name: BTreeMap::new(),
             by_machine: BTreeMap::new(),
             indexed_attrs: Vec::new(),
+            with_requirements: 0,
             seq: 0,
         };
         let fm = c.ensure_attr_index(attrs::lc::PHI_FREE_MEMORY);
@@ -526,6 +531,7 @@ impl Collector {
                 }
             }
         }
+        self.with_requirements -= usize::from(status.meta.has_requirements);
         let pi = self.part_of(slot.node);
         self.parts[pi].unindex_attrs(slot, status);
     }
@@ -541,6 +547,7 @@ impl Collector {
                 ids.insert(pos, slot);
             }
         }
+        self.with_requirements += usize::from(status.meta.has_requirements);
         let pi = self.part_of(slot.node);
         self.parts[pi].index_attrs(slot, status);
     }
@@ -565,6 +572,11 @@ impl Collector {
         self.index(slot, &status);
         self.parts[pi].slots.insert(slot, status);
         self.mark_dirty(slot);
+    }
+
+    /// How many slots advertise a machine-side `Requirements`. O(1).
+    pub fn slots_with_requirements(&self) -> usize {
+        self.with_requirements
     }
 
     /// Look up a slot.
@@ -1120,6 +1132,34 @@ mod tests {
         // Invalidation clears the node's dirty entries outright.
         c.invalidate_node(1);
         assert_eq!(c.dirty_since(s0).count(), 0);
+    }
+
+    #[test]
+    fn machine_requirements_are_counted_through_every_mutation() {
+        let mut c = Collector::with_partitions(2);
+        let guarded = |id: SlotId| {
+            let mut ad = slot_ad(id, 4096);
+            ad.insert_expr("Requirements", "TARGET.RequestPhiMemory <= 3000")
+                .unwrap();
+            ad
+        };
+        c.advertise(slot(1, 1), guarded(slot(1, 1)));
+        c.advertise(slot(1, 2), guarded(slot(1, 2)));
+        c.advertise(slot(2, 1), slot_ad(slot(2, 1), 4096));
+        assert_eq!(c.slots_with_requirements(), 2);
+        // Claims, releases and attribute writes leave the count alone.
+        c.claim(slot(1, 1));
+        c.release(slot(1, 1));
+        c.set_int_attr(slot(1, 2), attrs::PHI_FREE_MEMORY, 100);
+        assert_eq!(c.slots_with_requirements(), 2);
+        // Re-advertising replaces the old ad's contribution.
+        c.advertise(slot(1, 2), slot_ad(slot(1, 2), 4096));
+        c.advertise(slot(2, 1), guarded(slot(2, 1)));
+        assert_eq!(c.slots_with_requirements(), 2);
+        c.invalidate_node(1);
+        assert_eq!(c.slots_with_requirements(), 1);
+        c.invalidate_node(2);
+        assert_eq!(c.slots_with_requirements(), 0);
     }
 
     #[test]

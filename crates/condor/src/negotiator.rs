@@ -48,23 +48,62 @@
 //!
 //! The cycle runs in three phases:
 //!
-//! 1. **index registration** (`&mut Collector`): every pending job's
+//! 1. **index registration** (`&mut Collector`): each job class's
 //!    `>=`-shaped guards register their attribute with the collector's
 //!    guard indexes (idempotent, capped), so phases 2–3 are pure reads plus
 //!    the serial commit. This also resolves the well-known attributes once
 //!    per cycle instead of per (job, slot) evaluation.
-//! 2. **screen** (read-only): each pending job computes its best slot
-//!    against the pre-cycle snapshot — certificate holders over their dirty
-//!    set, the rest over the indexed pool. Jobs are independent here, so
-//!    the screen fans out across scoped threads (see below).
-//! 3. **commit** (serial): jobs claim in FIFO order. A job whose screened
-//!    winner is still valid (not claimed, not dirtied since the snapshot)
-//!    only re-ranks slots dirtied *during* the cycle by earlier commits and
-//!    takes the better of the two — the winner rule is a total order, so
-//!    this combination equals a full re-evaluation. If the screened winner
-//!    was invalidated (claimed or re-advertised mid-cycle), the job falls
-//!    back to a full indexed rescan; if the screen found nothing, only the
-//!    in-cycle dirty set can admit the job.
+//! 2. **screen** (read-only): one job per (class, certificate) computes
+//!    its best slot against the pre-cycle snapshot — certificate holders
+//!    over their dirty set, the rest over the indexed pool — and the rest
+//!    of the group copies the result. Screens are independent, so they fan
+//!    out across scoped threads (see below).
+//! 3. **commit** (serial): jobs claim in FIFO order. A job whose class
+//!    was already rejected this cycle at sequence `s` only re-ranks the
+//!    slots dirtied since `s` — nothing at all while the collector still
+//!    stands at `s`. Otherwise, a job whose screened winner is still valid
+//!    (not claimed, not dirtied since the snapshot) only re-ranks slots
+//!    dirtied *during* the cycle by earlier commits and takes the better
+//!    of the two — the winner rule is a total order, so this combination
+//!    equals a full re-evaluation. If the screened winner was invalidated
+//!    (claimed or re-advertised mid-cycle), the job falls back to a full
+//!    indexed rescan; if the screen found nothing, only the in-cycle dirty
+//!    set can admit the job.
+//!
+//! # Autoclusters
+//!
+//! HTCondor groups idle jobs with identical matchmaking attributes into
+//! *autoclusters* and, once one member is rejected, skips the rest of its
+//! autocluster for the cycle. The delta path does the same with job
+//! classes. Two pending jobs share a class when:
+//!
+//! * their compiled requirements are equal and fully compiled — guards and
+//!   pins only (or `never`), no residual expression;
+//! * neither ad has a `Rank`;
+//! * no slot in the pool carries a machine-side `Requirements`
+//!   ([`Collector::slots_with_requirements`] is zero).
+//!
+//! Every other job is a class of one and runs through the same code.
+//! [`QueuedJob::class_key`] hashes the requirement when it is compiled;
+//! membership is confirmed with `==` against the class's first job, so a
+//! hash collision only costs the sharing.
+//!
+//! Under these conditions the predicate and the winner rule read nothing
+//! of the job ad: a compiled guard or pin tests only the slot ad, the rank
+//! is 0, and no slot reads the job back. Which slot wins is therefore a
+//! function of the requirement and the pool alone. `RequestPhiMemory` and
+//! the exclusive flag are read only by the commit, so they may differ
+//! within a class. Two consequences make the cycle exact:
+//!
+//! * classmates holding the same certificate screen to the same winner, so
+//!   one screen serves them all;
+//! * a member rejected at sequence `s` certifies, for the whole class,
+//!   that no slot admitted it at `s`. By the certificate argument above, a
+//!   later member can only be admitted by a slot dirtied after `s`, and
+//!   when the collector is still at `s` there is none.
+//!
+//! [`MatchPath::Full`] keeps screening and rejecting each job on its own,
+//! and stays the oracle the class path is checked against.
 //!
 //! # The screen and its fan-out
 //!
@@ -116,6 +155,7 @@ use phishare_classad::{eval, parse, ClassAd, CompiledReq, Value};
 use phishare_sim::SimDuration;
 use phishare_workload::JobId;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 
 /// Summary of one negotiation cycle (what the negotiator logs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -259,8 +299,9 @@ impl Negotiator {
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
-        register_guard_indexes(queue, &queue.pending(), collector);
-        run_cycle(queue, collector, |job, collector, _| {
+        let pending = queue.pending();
+        register_guard_indexes(queue, &pending, collector);
+        run_cycle(queue, collector, &pending, |job, collector, _| {
             best_slot(job, collector).map(|(_, slot)| slot)
         })
     }
@@ -289,19 +330,42 @@ impl Negotiator {
             );
         }
         let pending = queue.pending();
-        // Phase 1: register guard indexes while we still hold `&mut`.
-        register_guard_indexes(queue, &pending, collector);
+        let groups = job_classes(queue, &pending, collector);
+        // One screen per (class, certificate): `screen_of` maps each
+        // pending job to its group's entry in `screened`.
+        let mut reps: HashMap<(usize, Option<u64>), usize> = HashMap::new();
+        let mut screened: Vec<JobId> = Vec::new();
+        let screen_of: Vec<usize> = pending
+            .iter()
+            .zip(&groups)
+            .map(|(&id, &group)| {
+                *reps.entry(group).or_insert_with(|| {
+                    screened.push(id);
+                    screened.len() - 1
+                })
+            })
+            .collect();
+        // Phase 1: register guard indexes while we still hold `&mut`. A
+        // skipped classmate repeats its group's guards, so the capped
+        // registry still sees attributes in first-come FIFO order.
+        register_guard_indexes(queue, &screened, collector);
         let s0 = collector.seq();
         // Phase 2: read-only screen against the pre-cycle snapshot.
-        let screens = screen_pending(queue, &pending, collector);
-        // Phase 3: serial FIFO commit.
+        let screens = screen_pending(queue, &screened, collector);
+        // Phase 3: serial FIFO commit. `rejected[class]` is the sequence at
+        // which a member of the class last found no slot in the whole pool.
+        let mut rejected: Vec<Option<u64>> = vec![None; pending.len()];
         let in_cycle_dirt = ScreenPlan::Dirty(s0);
-        run_cycle(queue, collector, |job, collector, idx| {
-            let choice = match screens[idx] {
+        run_cycle(queue, collector, &pending, |job, collector, idx| {
+            let class = groups[idx].0;
+            let choice = match (rejected[class], screens[screen_of[idx]]) {
+                // A classmate was rejected at `s`: by the certificate
+                // argument only slots dirtied since can admit this job.
+                (Some(s), _) => execute(&ScreenPlan::Dirty(s), job, collector, Scope::Global),
                 // Screened unmatched against the snapshot: only slots
                 // dirtied by this cycle's earlier commits can admit.
-                None => execute(&in_cycle_dirt, job, collector, Scope::Global),
-                Some(winner) => {
+                (None, None) => execute(&in_cycle_dirt, job, collector, Scope::Global),
+                (None, Some(winner)) => {
                     let valid = collector.get(winner.1).is_some_and(|s| !s.claimed)
                         && !collector.dirtied_after(winner.1, s0);
                     if valid {
@@ -318,6 +382,9 @@ impl Negotiator {
                     }
                 }
             };
+            if choice.is_none() {
+                rejected[class] = Some(collector.seq());
+            }
             choice.map(|(_, slot)| slot)
         })
     }
@@ -332,7 +399,8 @@ impl Negotiator {
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
-        run_cycle(queue, collector, |job, collector, _| {
+        let pending = queue.pending();
+        run_cycle(queue, collector, &pending, |job, collector, _| {
             let mut best: Option<(f64, SlotId)> = None;
             for slot in collector.unclaimed() {
                 let status = collector.get(slot).expect("listed slot exists");
@@ -354,18 +422,20 @@ impl Negotiator {
     }
 }
 
-/// The shared cycle driver: FIFO over pending jobs, delegating *selection*
-/// to the match path and owning the commit — claim, state transition,
-/// same-cycle resource decrement — plus the unmatched certificate. Every
-/// path funnels through here, so commit semantics cannot drift.
+/// The shared cycle driver: FIFO over the cycle's pending list (built once
+/// by the caller, before any commit), delegating *selection* to the match
+/// path and owning the commit — claim, state transition, same-cycle
+/// resource decrement — plus the unmatched certificate. Every path funnels
+/// through here, so commit semantics cannot drift.
 fn run_cycle(
     queue: &mut JobQueue,
     collector: &mut Collector,
+    pending: &[JobId],
     mut select: impl FnMut(&QueuedJob, &Collector, usize) -> Option<SlotId>,
 ) -> (Vec<Match>, CycleStats) {
     let mut stats = CycleStats::default();
     let mut matches = Vec::new();
-    for (idx, job_id) in queue.pending().into_iter().enumerate() {
+    for (idx, &job_id) in pending.iter().enumerate() {
         stats.considered += 1;
         // Select under an immutable borrow; copy out the commit parameters
         // so the mutations below need no clone of the ad.
@@ -405,8 +475,42 @@ fn run_cycle(
     (matches, stats)
 }
 
+/// Each pending job's class and certificate. The class is the pending
+/// index of the class's first job in FIFO order. Jobs share a class when
+/// their class keys are equal and their compiled requirements compare
+/// equal, and no slot carries a machine-side `Requirements`; every other
+/// job is a class of one (module docs, "Autoclusters").
+fn job_classes(
+    queue: &JobQueue,
+    pending: &[JobId],
+    collector: &Collector,
+) -> Vec<(usize, Option<u64>)> {
+    let shareable = collector.slots_with_requirements() == 0;
+    let mut reps: HashMap<u64, (usize, &CompiledReq)> = HashMap::new();
+    pending
+        .iter()
+        .enumerate()
+        .map(|(idx, &id)| {
+            let job = queue.get(id).expect("pending job exists");
+            let class = match job.class_key().filter(|_| shareable) {
+                None => idx,
+                Some(key) => {
+                    let (rep, req) = *reps.entry(key).or_insert((idx, job.compiled()));
+                    // A hash collision leaves the job a class of one.
+                    if req == job.compiled() {
+                        rep
+                    } else {
+                        idx
+                    }
+                }
+            };
+            (class, job.eval_seq())
+        })
+        .collect()
+}
+
 /// Ensure a guard index exists for every `>=`/`>`-shaped guard attribute of
-/// the pending jobs. Idempotent and capped (the collector refuses past
+/// the given jobs. Idempotent and capped (the collector refuses past
 /// [`crate::collector::MAX_ATTR_INDEXES`]; those guards fall back to the
 /// unclaimed scan); steady state is a handful of string compares per job.
 fn register_guard_indexes(queue: &JobQueue, pending: &[JobId], collector: &mut Collector) {
@@ -496,6 +600,8 @@ fn execute(plan: &ScreenPlan, job: &QueuedJob, collector: &Collector, scope: Sco
         (ScreenPlan::Machine(slots), _) => {
             best_among(ad, req, collector, slots.iter().copied().filter(in_scope))
         }
+        // Nothing is stamped after the current sequence: O(1).
+        (ScreenPlan::Dirty(seq), Scope::Global) if *seq >= collector.seq() => None,
         (ScreenPlan::Dirty(seq), Scope::Global) => {
             best_among(ad, req, collector, collector.dirty_since(*seq))
         }
@@ -534,8 +640,9 @@ fn best_slot(job: &QueuedJob, collector: &Collector) -> Screen {
     )
 }
 
-/// Phase-2 screen of every pending job against the current (frozen)
-/// collector snapshot, one entry per pending job (module docs).
+/// Phase-2 screen of the given jobs (one per class and certificate on the
+/// delta path) against the current (frozen) collector snapshot, one entry
+/// per job (module docs).
 ///
 /// Each job's plan is compiled once. A certificate holder re-ranks only
 /// the dirt since its certificate — unless its own prefilter is provably
@@ -1267,6 +1374,96 @@ mod tests {
         q.qedit_value(JobId(0), attrs::REQUEST_PHI_MEMORY, 100u64)
             .unwrap();
         assert!(!Negotiator::cycle_is_quiescent(&q, &c));
+    }
+
+    /// A sharing job whose `Requirements` is replaced by `req`.
+    fn job_with_req(q: &mut JobQueue, id: u64, mem: u64, req: &str) {
+        q.submit(JobId(id), sharing_job_ad(&spec(id, mem, 60)), SimTime::ZERO)
+            .unwrap();
+        q.qedit_expr(JobId(id), "Requirements", req).unwrap();
+    }
+
+    #[test]
+    fn classes_group_identical_requirements_only() {
+        let mut q = JobQueue::new();
+        let free = "TARGET.PhiDevicesFree >= 1";
+        // 0, 1: one class although their memory requests differ.
+        for (i, mem) in [(0, 1000), (1, 3000)] {
+            q.submit(
+                JobId(i),
+                exclusive_job_ad(&spec(i, mem, 240)),
+                SimTime::ZERO,
+            )
+            .unwrap();
+        }
+        // 2: same requirements, but ranked. 3: a residual. 4: a bound
+        // folded from its own ad. 5: a classmate of 0 again.
+        job_with_req(&mut q, 2, 1000, free);
+        q.qedit_expr(JobId(2), "Rank", "TARGET.PhiFreeMemory")
+            .unwrap();
+        job_with_req(&mut q, 3, 1000, "TARGET.PhiDevicesFree >= 1 || false");
+        job_with_req(
+            &mut q,
+            4,
+            1000,
+            "TARGET.PhiFreeMemory >= MY.RequestPhiMemory",
+        );
+        job_with_req(&mut q, 5, 1000, free);
+        let mut c = cluster(2, 2);
+        let pending = q.pending();
+        let classes = |c: &Collector| -> Vec<usize> {
+            job_classes(&q, &pending, c)
+                .into_iter()
+                .map(|(class, _)| class)
+                .collect()
+        };
+        assert_eq!(classes(&c), [0, 0, 2, 3, 4, 0]);
+
+        // One slot with a machine-side Requirements makes every job a class
+        // of one; invalidating its node restores the classes.
+        let mut ad = attrs::machine_ad("slot1@node3", "node3", 1, 8192, 7680, 1);
+        ad.insert_expr("Requirements", "TARGET.RequestPhiMemory <= 3000")
+            .unwrap();
+        c.advertise(SlotId { node: 3, slot: 1 }, ad);
+        assert_eq!(c.slots_with_requirements(), 1);
+        assert_eq!(classes(&c), [0, 1, 2, 3, 4, 5]);
+        c.invalidate_node(3);
+        assert_eq!(c.slots_with_requirements(), 0);
+        assert_eq!(classes(&c), [0, 0, 2, 3, 4, 0]);
+    }
+
+    #[test]
+    fn a_ranked_job_never_inherits_a_classmates_screen() {
+        // Job 1 (unranked) screens slot1@node2 but takes slot2@node1, which
+        // job 0's commit brought under the `<=` bound; slot1@node2 stays
+        // valid. Job 2 has the same requirements but ranks by free memory:
+        // its best slot is on node3, not job 1's screened winner.
+        let build = || {
+            let mut c = Collector::new();
+            for (n, mem) in [(1, 7680), (2, 3000), (3, 4000)] {
+                Startd::new(n, 2, 1, 8192).advertise(&mut c, mem, 1);
+            }
+            let mut q = JobQueue::new();
+            job_with_req(&mut q, 0, 3000, &attrs::pin_requirements("slot1@node1"));
+            let capped = "TARGET.PhiFreeMemory <= 5000";
+            job_with_req(&mut q, 1, 100, capped);
+            job_with_req(&mut q, 2, 100, capped);
+            q.qedit_expr(JobId(2), "Rank", "TARGET.PhiFreeMemory")
+                .unwrap();
+            (q, c)
+        };
+        let n = Negotiator::default();
+        let (mut q_delta, mut c_delta) = build();
+        let (mut q_naive, mut c_naive) = build();
+        let delta = n.negotiate_delta_with_stats(&mut q_delta, &mut c_delta);
+        let naive = n.negotiate_naive_with_stats(&mut q_naive, &mut c_naive);
+        assert_eq!(delta, naive);
+        assert_eq!(c_delta, c_naive);
+        let slots: Vec<SlotId> = delta.0.iter().map(|m| m.slot).collect();
+        assert_eq!(
+            slots,
+            [(1, 1), (1, 2), (3, 1)].map(|(node, slot)| SlotId { node, slot })
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The schedd's job queue.
 
 use crate::collector::SlotId;
+use phishare_classad::ad::RANK;
 use phishare_classad::parser::ParseError;
 use phishare_classad::{ClassAd, CompiledReq, Value};
 use phishare_sim::SimTime;
@@ -54,6 +55,11 @@ pub struct QueuedJob {
     /// every qedit (expression *or* value — value edits change the MY-side
     /// constants folded into the compilation).
     compiled: CompiledReq,
+    /// Matchmaking class key: [`CompiledReq::class_key`] for a job whose
+    /// ad has no `Rank`, else `None`. Rebuilt with `compiled`; the
+    /// negotiator groups jobs with equal keys and equal requirements into
+    /// one class (its module docs, "Autoclusters").
+    class_key: Option<u64>,
     /// Queue position keying the per-state indexes. Assigned at submission
     /// and re-assigned fresh on every entry into `Idle`/`Held`: a released
     /// or requeued job goes to the back of the line, it does not retake its
@@ -74,6 +80,11 @@ impl QueuedJob {
     /// The job's compiled `Requirements`.
     pub fn compiled(&self) -> &CompiledReq {
         &self.compiled
+    }
+
+    /// The job's matchmaking class key (see the field docs).
+    pub fn class_key(&self) -> Option<u64> {
+        self.class_key
     }
 
     /// The collector sequence at which this job was last certified
@@ -154,6 +165,17 @@ impl std::fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
+/// Compile `ad`'s `Requirements` and derive its class key: a ranked job
+/// orders candidates by its own ad, so it never shares a class.
+fn compile(ad: &ClassAd) -> (CompiledReq, Option<u64>) {
+    let compiled = CompiledReq::compile(ad);
+    let class_key = match ad.parsed_expr(RANK) {
+        Some(_) => None,
+        None => compiled.class_key(),
+    };
+    (compiled, class_key)
+}
+
 impl JobQueue {
     /// Create an empty queue.
     pub fn new() -> Self {
@@ -181,7 +203,7 @@ impl JobQueue {
         if self.jobs.contains_key(&id) {
             return Err(QueueError::Duplicate(id));
         }
-        let compiled = CompiledReq::compile(&ad);
+        let (compiled, class_key) = compile(&ad);
         let pos = self.next_pos;
         self.next_pos += 1;
         self.jobs.insert(
@@ -192,6 +214,7 @@ impl JobQueue {
                 state,
                 submitted: now,
                 compiled,
+                class_key,
                 pos,
                 eval_seq: None,
             },
@@ -252,7 +275,7 @@ impl JobQueue {
         job.ad
             .insert_expr(attr, expr)
             .map_err(QueueError::BadExpression)?;
-        job.compiled = CompiledReq::compile(&job.ad);
+        (job.compiled, job.class_key) = compile(&job.ad);
         self.drop_certificate(id);
         Ok(())
     }
@@ -266,7 +289,7 @@ impl JobQueue {
     ) -> Result<(), QueueError> {
         let job = self.jobs.get_mut(&id).ok_or(QueueError::Unknown(id))?;
         job.ad.insert(attr, value);
-        job.compiled = CompiledReq::compile(&job.ad);
+        (job.compiled, job.class_key) = compile(&job.ad);
         self.drop_certificate(id);
         Ok(())
     }

@@ -9,6 +9,11 @@
 //! *identical* results: same matches in the same order, same cycle stats,
 //! same final collector state (including the in-cycle resource decrements
 //! and every index), and same queue state.
+//!
+//! Some generated nodes advertise a machine-side `Requirements` that reads
+//! the job's ad, and some queues hold many copies of a few job kinds: the
+//! delta path's job classes (one screen and one rejection per class of
+//! identical requirements) must stay exact with and without such slots.
 
 use phishare_classad::ad::{RANK, REQUIREMENTS};
 use phishare_condor::attrs;
@@ -23,6 +28,34 @@ struct NodeDesc {
     slots: u32,
     free_mem: i64,
     devices_free: i64,
+    /// Whether the node's slot ads carry [`MACHINE_REQUIREMENTS`].
+    guarded: bool,
+}
+
+/// A machine-side `Requirements` that reads the job ad, so two jobs with
+/// identical requirements but different requests can see different pools.
+const MACHINE_REQUIREMENTS: &str = "TARGET.RequestPhiMemory <= 3000";
+
+/// A slot ad of the generated cluster, with the machine-side
+/// `Requirements` when `guarded`.
+fn slot_ad(
+    id: SlotId,
+    free_mem: i64,
+    devices_free: i64,
+    guarded: bool,
+) -> phishare_classad::ClassAd {
+    let mut ad = attrs::machine_ad(
+        &id.name(),
+        &format!("node{}", id.node),
+        1,
+        8192,
+        free_mem.max(0) as u64,
+        devices_free.max(0) as u32,
+    );
+    if guarded {
+        ad.insert_expr(REQUIREMENTS, MACHINE_REQUIREMENTS).unwrap();
+    }
+    ad
 }
 
 /// The matchmaking personality of one generated job.
@@ -44,6 +77,9 @@ enum JobKind {
     ResidualOr { mem: i64 },
     /// Guard on an attribute machines do not advertise.
     MissingAttr,
+    /// An upper bound on free memory: a same-cycle decrement can turn a
+    /// rejecting slot into an admitting one.
+    Capped,
 }
 
 fn arb_node() -> impl Strategy<Value = NodeDesc> {
@@ -51,11 +87,13 @@ fn arb_node() -> impl Strategy<Value = NodeDesc> {
         1u32..=3,
         prop_oneof![Just(0i64), Just(512), Just(1024), Just(3000), Just(7680)],
         0i64..=2,
+        prop_oneof![3 => Just(false), 1 => Just(true)],
     )
-        .prop_map(|(slots, free_mem, devices_free)| NodeDesc {
+        .prop_map(|(slots, free_mem, devices_free, guarded)| NodeDesc {
             slots,
             free_mem,
             devices_free,
+            guarded,
         })
 }
 
@@ -77,6 +115,7 @@ fn arb_job_kind() -> impl Strategy<Value = JobKind> {
         Just(JobKind::Always),
         mem.prop_map(|mem| JobKind::ResidualOr { mem }),
         Just(JobKind::MissingAttr),
+        Just(JobKind::Capped),
     ]
 }
 
@@ -125,11 +164,47 @@ fn job_ad(kind: &JobKind, ranked: bool) -> phishare_classad::ClassAd {
             ad.insert_expr(REQUIREMENTS, "TARGET.NoSuchAttribute >= 1")
                 .unwrap();
         }
+        JobKind::Capped => {
+            ad.insert(attrs::REQUEST_PHI_MEMORY, 100i64);
+            ad.insert_expr(REQUIREMENTS, "TARGET.PhiFreeMemory <= 5000")
+                .unwrap();
+        }
     }
     if ranked {
         ad.insert_expr(RANK, "TARGET.PhiFreeMemory").unwrap();
     }
     ad
+}
+
+/// A duplicate-heavy queue: 20–60 jobs drawn from at most three kinds,
+/// each ranked or not. An exclusive job's memory request is drawn per job:
+/// only the commit reads it, so such jobs still share one class.
+fn arb_duplicate_jobs() -> impl Strategy<Value = Vec<(JobKind, bool)>> {
+    (
+        prop::collection::vec((arb_job_kind(), any::<bool>()), 1..=3),
+        prop::collection::vec(
+            (0usize..3, prop_oneof![Just(100i64), Just(3000), Just(6000)]),
+            20..=60,
+        ),
+    )
+        .prop_map(|(kinds, picks)| {
+            picks
+                .into_iter()
+                .map(|(i, mem)| match kinds[i % kinds.len()].clone() {
+                    (JobKind::Exclusive { .. }, ranked) => (JobKind::Exclusive { mem }, ranked),
+                    other => other,
+                })
+                .collect()
+        })
+}
+
+/// The pool's count of slots with machine-side `Requirements`, recounted
+/// from the ads.
+fn recount_guarded(collector: &Collector) -> usize {
+    collector
+        .slots()
+        .filter(|(_, s)| s.meta().has_requirements())
+        .count()
 }
 
 /// Build the identical (queue, collector) pair twice from the generated
@@ -154,15 +229,10 @@ fn build_parts(
                 node: node_idx,
                 slot: s,
             };
-            let ad = attrs::machine_ad(
-                &id.name(),
-                &format!("node{node_idx}"),
-                1,
-                8192,
-                node.free_mem.max(0) as u64,
-                node.devices_free.max(0) as u32,
+            collector.advertise(
+                id,
+                slot_ad(id, node.free_mem, node.devices_free, node.guarded),
             );
-            collector.advertise(id, ad);
             all_slots.push(id);
         }
     }
@@ -196,6 +266,10 @@ enum ChurnOp {
     InvalidateNode(u32),
     /// Node (re)join: advertise two fresh slots on the node.
     Advertise { node: u32, mem: i64 },
+    /// Toggle a node with machine-side `Requirements`: invalidate the node
+    /// when any of its slots carries them, else advertise two slots that
+    /// do — so the pool's count of such slots goes to zero and back.
+    ToggleGuarded { node: u32, mem: i64 },
     /// Rewrite a job's requested memory (folds into its compiled guards).
     QeditMem { job: usize, mem: i64 },
     /// An open-arrival submission mid-stream.
@@ -214,6 +288,7 @@ fn arb_churn() -> impl Strategy<Value = ChurnOp> {
         }),
         (1u32..=4).prop_map(ChurnOp::InvalidateNode),
         (1u32..=4, mem.clone()).prop_map(|(node, mem)| ChurnOp::Advertise { node, mem }),
+        (1u32..=4, mem.clone()).prop_map(|(node, mem)| ChurnOp::ToggleGuarded { node, mem }),
         (0usize..12, mem).prop_map(|(job, mem)| ChurnOp::QeditMem { job, mem }),
         arb_job_kind().prop_map(ChurnOp::Submit),
     ]
@@ -258,9 +333,25 @@ fn apply_churn(op: &ChurnOp, queue: &mut JobQueue, collector: &mut Collector, ne
                     node: *node,
                     slot: s,
                 };
-                let ad =
-                    attrs::machine_ad(&id.name(), &format!("node{node}"), 1, 8192, *mem as u64, 1);
-                collector.advertise(id, ad);
+                collector.advertise(id, slot_ad(id, *mem, 1, false));
+            }
+        }
+        ChurnOp::ToggleGuarded { node, mem } => {
+            let guarded = collector.node_slots(*node).iter().any(|&id| {
+                collector
+                    .get(id)
+                    .is_some_and(|s| s.meta().has_requirements())
+            });
+            if guarded {
+                collector.invalidate_node(*node);
+            } else {
+                for s in 1..=2u32 {
+                    let id = SlotId {
+                        node: *node,
+                        slot: s,
+                    };
+                    collector.advertise(id, slot_ad(id, *mem, 1, true));
+                }
             }
         }
         ChurnOp::QeditMem { job, mem } => {
@@ -374,6 +465,7 @@ proptest! {
             for op in ops {
                 apply_churn(op, &mut q_delta, &mut c_delta, &mut next_delta);
                 apply_churn(op, &mut q_full, &mut c_full, &mut next_full);
+                prop_assert_eq!(c_delta.slots_with_requirements(), recount_guarded(&c_delta));
             }
             prop_assert_eq!(&c_delta, &c_full, "churn diverged before round {}", r);
 
@@ -430,6 +522,47 @@ proptest! {
                     "round {}: P={} pending diverged from P=1", r, PARTS[i]
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Duplicate-heavy queues, where the delta path screens and rejects
+    /// once per class: across churn that includes nodes with machine-side
+    /// `Requirements` coming and going, delta, full and naive stay
+    /// identical in every cycle.
+    #[test]
+    fn duplicate_heavy_queues_match_naive_across_churn(
+        nodes in prop::collection::vec(arb_node(), 1..=4),
+        jobs in arb_duplicate_jobs(),
+        rounds in prop::collection::vec(prop::collection::vec(arb_churn(), 0..=4), 1..=4),
+    ) {
+        let mut twins: Vec<(JobQueue, Collector, u64)> = (0..3)
+            .map(|_| {
+                let (q, c) = build(&nodes, &jobs, &[]);
+                (q, c, jobs.len() as u64)
+            })
+            .collect();
+        let negotiator = Negotiator::default();
+        for (r, ops) in rounds.iter().enumerate() {
+            for (queue, collector, next_id) in twins.iter_mut() {
+                for op in ops {
+                    apply_churn(op, queue, collector, next_id);
+                }
+            }
+            prop_assert_eq!(twins[0].1.slots_with_requirements(), recount_guarded(&twins[0].1));
+            let [delta, full, naive] = &mut twins[..] else { unreachable!() };
+            let d = negotiator.negotiate_delta_with_stats(&mut delta.0, &mut delta.1);
+            let f = negotiator.negotiate_full_with_stats(&mut full.0, &mut full.1);
+            let n = negotiator.negotiate_naive_with_stats(&mut naive.0, &mut naive.1);
+            prop_assert_eq!(&d, &f, "round {}: delta diverged from full", r);
+            prop_assert_eq!(&f, &n, "round {}: full diverged from naive", r);
+            prop_assert_eq!(&delta.1, &naive.1, "round {} collectors diverged", r);
+            prop_assert_eq!(&full.1, &naive.1, "round {} collectors diverged", r);
+            prop_assert_eq!(delta.0.pending(), naive.0.pending(), "round {} pending diverged", r);
+            prop_assert_eq!(delta.0.active_counts(), naive.0.active_counts());
         }
     }
 }

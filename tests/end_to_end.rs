@@ -2,7 +2,7 @@
 //! scheduler → COSMIC → device, on fixed seeds.
 
 use phishare::cluster::{
-    ClusterConfig, DevicePool, DeviceSku, Experiment, ExperimentResult, SubstrateMode,
+    CellRecord, ClusterConfig, DevicePool, DeviceSku, Experiment, ExperimentResult, SubstrateMode,
 };
 use phishare::core::ClusterPolicy;
 use phishare::workload::{Workload, WorkloadBuilder, WorkloadKind};
@@ -180,6 +180,27 @@ fn multi_card_results_match_golden() {
         );
         assert_eq!(&r, want, "{policy}: multi-card result drifted");
     }
+}
+
+#[test]
+fn full_size_mc_table2_cell_matches_benchmark_golden() {
+    // The paper's Table II MC cell at full size: 1000 exclusive jobs whose
+    // identical requirements form one negotiation class. The benchmark's
+    // seed-7 golden pins it (read-only here; `plan_ms` is excluded from
+    // equality).
+    let golden: Vec<CellRecord> =
+        serde_json::from_str(include_str!("../phibench/golden/table2.json")).unwrap();
+    let want = golden
+        .iter()
+        .find(|cell| cell.label == "MC/s7")
+        .and_then(|cell| cell.ok.as_ref())
+        .expect("table2 golden has an MC/s7 result");
+    let config = ClusterConfig::paper_cluster(ClusterPolicy::Mc).with_seed(7);
+    let r = Experiment::run(&config, &workload(1000, 7)).unwrap();
+    assert_eq!(
+        &r, want,
+        "MC Table II cell drifted from the benchmark golden"
+    );
 }
 
 /// The multi-card scenario on the shared-throughput substrate, with GPU-like
