@@ -1,11 +1,12 @@
 //! PERF-10 — the 10⁵-slot partitioned-matchmaking gate.
 //!
 //! Runs a long steady-state schedule over a 100 000-slot pool
-//! (25 000 nodes × 4 slots): a permanent 2000-job backlog whose compiled
-//! guard (`PhiFreeMemory >= 50 GB`) no node can ever satisfy, periodic
-//! arrival bursts whose placements complete and wash out two cycles
-//! later, and then a long quiescent tail in which nothing changes at all
-//! — the regime long `perf_e2e`-style runs spend most of their cycles in.
+//! (25 000 nodes × 4 slots): a permanent 2000-job backlog of distinct
+//! job classes whose compiled guards (`PhiFreeMemory >= 50 GB + i MB`)
+//! no node can ever satisfy, periodic arrival bursts whose placements
+//! complete and wash out two cycles later, and then a long quiescent tail
+//! in which nothing changes at all — the regime long `perf_e2e`-style
+//! runs spend most of their cycles in.
 //!
 //! Three twins replay the identical schedule:
 //!
@@ -13,8 +14,9 @@
 //!   with quiescence detection on: burst/wash cycles screen per-partition
 //!   and merge, quiescent cycles short-circuit in O(1).
 //! * **baseline** — the unpartitioned delta path: one partition, its
-//!   screen split into job chunks, quiescence off. Every quiescent cycle still walks the whole
-//!   pending set to rediscover that nothing changed.
+//!   screen split into job chunks, quiescence off. Every quiescent cycle
+//!   still walks every pending class — here one per backlog job — to
+//!   rediscover that nothing changed.
 //! * **oracle** — `MatchPath::Full`, which re-evaluates every pending job
 //!   from scratch each cycle.
 //!
@@ -40,8 +42,8 @@ const NODES: u32 = 25_000;
 const SLOTS_PER_NODE: u32 = 4;
 /// Collector partitions on the measured twin.
 const PARTITIONS: usize = 8;
-/// Permanently-pending jobs with a never-satisfiable compiled guard — the
-/// per-cycle cost the quiescence fast path deletes.
+/// Permanently-pending jobs, each with its own never-satisfiable compiled
+/// guard — the per-cycle cost the quiescence fast path deletes.
 const BACKLOG: u64 = 2_000;
 /// Arrival bursts land every `BURST_EVERY` cycles during the active phase.
 const BURSTS: u64 = 8;
@@ -62,12 +64,15 @@ const SPEEDUP_FLOOR: f64 = 4.0;
 /// A backlog job: a plain indexable guard asking for more card memory
 /// than any node advertises. The guard prefilter answers it from an empty
 /// index range — the cost driver is not evaluation but the *per-job walk*
-/// every non-quiescent-aware cycle repeats.
+/// every non-quiescent-aware cycle repeats. Each job asks for a different
+/// amount, which folds into its guard's bound, so every backlog job is an
+/// autocluster of its own and the skipless path cannot reject the backlog
+/// as one class.
 fn backlog_ad(i: u64) -> ClassAd {
     let mut ad = ClassAd::new();
     ad.insert(attrs::JOB_ID, i);
     ad.insert(attrs::REQUEST_EXCLUSIVE_PHI, false);
-    ad.insert(attrs::REQUEST_PHI_MEMORY, 50_000i64);
+    ad.insert(attrs::REQUEST_PHI_MEMORY, 50_000 + i as i64);
     ad.insert_expr(
         REQUIREMENTS,
         "TARGET.PhiDevices >= 1 && TARGET.PhiFreeMemory >= MY.RequestPhiMemory",
