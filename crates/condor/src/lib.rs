@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod attrs;
+mod autocluster;
 pub mod collector;
 pub mod negotiator;
 pub mod queue;

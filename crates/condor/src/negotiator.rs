@@ -42,68 +42,91 @@
 //! full predicate is therefore exact, and when it finds nothing the cycle
 //! re-certifies J at the current sequence ([`JobQueue::note_unmatched`]).
 //!
-//! Jobs without a standing certificate (fresh arrivals, qedited jobs,
-//! hold/release round trips) are screened against the whole pool, exactly
-//! like the full path.
+//! A cohort (below) whose members hold no standing certificate (fresh
+//! arrivals, qedited jobs, hold/release round trips) is screened against
+//! the whole pool, exactly like the full path.
 //!
-//! The cycle runs in three phases:
+//! The cycle runs in three phases over *cohorts*: a whole autocluster, or
+//! one member of it when the cycle must work per job (see
+//! "Autoclusters").
 //!
-//! 1. **index registration** (`&mut Collector`): each job class's
+//! 1. **index registration** (`&mut Collector`): each cohort's
 //!    `>=`-shaped guards register their attribute with the collector's
-//!    guard indexes (idempotent, capped), so phases 2–3 are pure reads plus
-//!    the serial commit. This also resolves the well-known attributes once
-//!    per cycle instead of per (job, slot) evaluation.
-//! 2. **screen** (read-only): one job per (class, certificate) computes
-//!    its best slot against the pre-cycle snapshot — certificate holders
-//!    over their dirty set, the rest over the indexed pool — and the rest
-//!    of the group copies the result. Screens are independent, so they fan
-//!    out across scoped threads (see below).
-//! 3. **commit** (serial): jobs claim in FIFO order. A job whose class
-//!    was already rejected this cycle at sequence `s` only re-ranks the
-//!    slots dirtied since `s` — nothing at all while the collector still
-//!    stands at `s`. Otherwise, a job whose screened winner is still valid
-//!    (not claimed, not dirtied since the snapshot) only re-ranks slots
-//!    dirtied *during* the cycle by earlier commits and takes the better
-//!    of the two — the winner rule is a total order, so this combination
-//!    equals a full re-evaluation. If the screened winner was invalidated
-//!    (claimed or re-advertised mid-cycle), the job falls back to a full
-//!    indexed rescan; if the screen found nothing, only the in-cycle dirty
-//!    set can admit the job.
+//!    guard indexes (idempotent, capped), in the order of the cohorts'
+//!    first members, so phases 2–3 are pure reads plus the serial commit.
+//!    This also resolves the well-known attributes once per cycle instead
+//!    of per (job, slot) evaluation.
+//! 2. **screen** (read-only): each cohort's first member computes its best
+//!    slot against the pre-cycle snapshot — over the dirt since the
+//!    cohort's newest certificate, or over the indexed pool when it holds
+//!    none. Screens are independent, so they fan out across scoped
+//!    threads (see below).
+//! 3. **commit** (serial): members claim in FIFO order, drawn from an
+//!    ordered set of cursors that holds each awake cohort's next member by
+//!    queue position. A member whose screened winner is still valid (not
+//!    claimed, not dirtied since the snapshot) only re-ranks slots dirtied
+//!    *during* the cycle by earlier commits and takes the better of the
+//!    two — the winner rule is a total order, so this combination equals a
+//!    full re-evaluation. If the screened winner was invalidated (claimed
+//!    or re-advertised mid-cycle), the member falls back to a full indexed
+//!    rescan; if the screen found nothing, only the in-cycle dirty set can
+//!    admit it.
+//!
+//!    A class rejected at sequence `s` leaves the cursor set and sleeps:
+//!    the rejected member and every later one become one certificate run
+//!    at `s`, and no per-job state is touched. After each commit, each
+//!    sleeping class re-ranks `dirty_since(s)` once, for its first member
+//!    after the commit. An admitter wakes the class at that member, which
+//!    re-ranks the dirt since `s` again when its turn comes. Otherwise the
+//!    members from there on become a run at the current sequence — the
+//!    certificate a per-job cycle would have given each of them.
+//!
+//! So a cycle does O(cohorts × (matches + 1)) visits, not O(pending jobs).
+//! `considered` is the idle count, and `unmatched` is the idle count minus
+//! `matched`.
 //!
 //! # Autoclusters
 //!
 //! HTCondor groups idle jobs with identical matchmaking attributes into
 //! *autoclusters* and, once one member is rejected, skips the rest of its
-//! autocluster for the cycle. The delta path does the same with job
-//! classes. Two pending jobs share a class when:
+//! autocluster for the cycle. The queue keeps such classes persistently
+//! ([`JobQueue::autoclusters`]). Two idle jobs share a class when:
 //!
 //! * their compiled requirements are equal and fully compiled — guards and
 //!   pins only (or `never`), no residual expression;
-//! * neither ad has a `Rank`;
-//! * no slot in the pool carries a machine-side `Requirements`
-//!   ([`Collector::slots_with_requirements`] is zero).
+//! * neither ad has a `Rank`.
 //!
-//! Every other job is a class of one and runs through the same code.
-//! [`QueuedJob::class_key`] hashes the requirement when it is compiled;
-//! membership is confirmed with `==` against the class's first job, so a
-//! hash collision only costs the sharing.
+//! Every other job is a class of one. [`QueuedJob::class_key`] hashes the
+//! requirement when it is compiled; the table confirms membership with
+//! `==` against the requirement the class stores, so a hash collision
+//! only costs the sharing. The table changes on submission, both qedits,
+//! and every transition into or out of `Idle`, and it keeps each member's
+//! certificate in runs of queue positions.
 //!
-//! Under these conditions the predicate and the winner rule read nothing
-//! of the job ad: a compiled guard or pin tests only the slot ad, the rank
-//! is 0, and no slot reads the job back. Which slot wins is therefore a
-//! function of the requirement and the pool alone. `RequestPhiMemory` and
-//! the exclusive flag are read only by the commit, so they may differ
-//! within a class. Two consequences make the cycle exact:
+//! A cycle treats a class as one cohort when no slot in the pool carries a
+//! machine-side `Requirements` ([`Collector::slots_with_requirements`] is
+//! zero). Then the predicate and the winner rule read nothing of the job
+//! ad: a compiled guard or pin tests only the slot ad, the rank is 0, and
+//! no slot reads the job back. Which slot wins is therefore a function of
+//! the requirement and the pool alone. `RequestPhiMemory` and the
+//! exclusive flag are read only by the commit, so they may differ within a
+//! class. Two consequences make the cycle exact:
 //!
-//! * classmates holding the same certificate screen to the same winner, so
-//!   one screen serves them all;
+//! * any member's certificate covers the whole class. A slot unchanged
+//!   since the certificate carries no machine-side `Requirements` now, so
+//!   it had none then, and it rejected the member on the class's shared
+//!   predicate. One screen with the class's newest certificate serves
+//!   every member;
 //! * a member rejected at sequence `s` certifies, for the whole class,
 //!   that no slot admitted it at `s`. By the certificate argument above, a
 //!   later member can only be admitted by a slot dirtied after `s`, and
 //!   when the collector is still at `s` there is none.
 //!
-//! [`MatchPath::Full`] keeps screening and rejecting each job on its own,
-//! and stays the oracle the class path is checked against.
+//! When some slot does carry a machine-side `Requirements`, it may read
+//! the job ad, so every member is a cohort of its own: screened with its
+//! own certificate and certified alone ([`JobQueue::note_unmatched`]),
+//! runs of one member each. [`MatchPath::Full`] and the naive path always
+//! work per job, and stay the oracles the class path is checked against.
 //!
 //! # The screen and its fan-out
 //!
@@ -119,10 +142,10 @@
 //!
 //! The remaining plans fan out over (partition × job-chunk) units: one
 //! unit per partition when the collector is partitioned, and up to eight
-//! job chunks of a long pending list when it is not. Units share
-//! `&JobQueue` and `&Collector` (no interior mutability anywhere below
-//! them) and each caches its partition's dirt since its oldest certificate
-//! as one stamp-sorted vector, sliced per job by binary search. The
+//! chunks of a long cohort list when it is not. Units share `&JobQueue`
+//! and `&Collector` (no interior mutability anywhere below them) and each
+//! caches its partition's dirt since its oldest certificate as one
+//! stamp-sorted vector, sliced per cohort by binary search. The
 //! per-unit winners merge serially by the winner rule (highest rank, ties
 //! to the lowest slot id) — a total order, so merging partition maxima
 //! equals evaluating the union, and results are independent of both the
@@ -147,6 +170,7 @@
 //! short-circuits and stays the differential oracle.
 
 use crate::attrs;
+use crate::autocluster::ClassId;
 use crate::collector::{Collector, SlotId};
 use crate::queue::{JobQueue, QueuedJob};
 use phishare_classad::ad::REQUIREMENTS;
@@ -155,7 +179,7 @@ use phishare_classad::{eval, parse, ClassAd, CompiledReq, Value};
 use phishare_sim::SimDuration;
 use phishare_workload::JobId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Summary of one negotiation cycle (what the negotiator logs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -301,92 +325,39 @@ impl Negotiator {
     ) -> (Vec<Match>, CycleStats) {
         let pending = queue.pending();
         register_guard_indexes(queue, &pending, collector);
-        run_cycle(queue, collector, &pending, |job, collector, _| {
+        run_cycle(queue, collector, &pending, |job, collector| {
             best_slot(job, collector).map(|(_, slot)| slot)
         })
     }
 
-    /// The incremental delta path (see module docs for the three phases
-    /// and the exactness argument).
+    /// The incremental delta path (see module docs for the phases and the
+    /// exactness argument). It visits classes, not pending jobs: a class
+    /// rejected at sequence `s` skips its remaining members in one
+    /// certificate run, and wakes only when a later commit dirties a slot
+    /// that admits it.
     pub fn negotiate_delta_with_stats(
         &self,
         queue: &mut JobQueue,
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
-        // Quiescence fast path, checked before the pending list is even
-        // materialized: when every idle certificate covers the newest
-        // watermark, the executed cycle would re-screen empty dirty sets,
-        // match nothing, and re-stamp each certificate at its unchanged
-        // sequence — a pure no-op whose stats we can emit directly.
-        if self.quiescence && Self::cycle_is_quiescent(queue, collector) {
-            let idle = queue.idle_count();
-            return (
-                Vec::new(),
-                CycleStats {
-                    considered: idle,
-                    matched: 0,
-                    unmatched: idle,
-                },
-            );
-        }
-        let pending = queue.pending();
-        let groups = job_classes(queue, &pending, collector);
-        // One screen per (class, certificate): `screen_of` maps each
-        // pending job to its group's entry in `screened`.
-        let mut reps: HashMap<(usize, Option<u64>), usize> = HashMap::new();
-        let mut screened: Vec<JobId> = Vec::new();
-        let screen_of: Vec<usize> = pending
-            .iter()
-            .zip(&groups)
-            .map(|(&id, &group)| {
-                *reps.entry(group).or_insert_with(|| {
-                    screened.push(id);
-                    screened.len() - 1
-                })
-            })
-            .collect();
-        // Phase 1: register guard indexes while we still hold `&mut`. A
-        // skipped classmate repeats its group's guards, so the capped
-        // registry still sees attributes in first-come FIFO order.
-        register_guard_indexes(queue, &screened, collector);
-        let s0 = collector.seq();
-        // Phase 2: read-only screen against the pre-cycle snapshot.
-        let screens = screen_pending(queue, &screened, collector);
-        // Phase 3: serial FIFO commit. `rejected[class]` is the sequence at
-        // which a member of the class last found no slot in the whole pool.
-        let mut rejected: Vec<Option<u64>> = vec![None; pending.len()];
-        let in_cycle_dirt = ScreenPlan::Dirty(s0);
-        run_cycle(queue, collector, &pending, |job, collector, idx| {
-            let class = groups[idx].0;
-            let choice = match (rejected[class], screens[screen_of[idx]]) {
-                // A classmate was rejected at `s`: by the certificate
-                // argument only slots dirtied since can admit this job.
-                (Some(s), _) => execute(&ScreenPlan::Dirty(s), job, collector, Scope::Global),
-                // Screened unmatched against the snapshot: only slots
-                // dirtied by this cycle's earlier commits can admit.
-                (None, None) => execute(&in_cycle_dirt, job, collector, Scope::Global),
-                (None, Some(winner)) => {
-                    let valid = collector.get(winner.1).is_some_and(|s| !s.claimed)
-                        && !collector.dirtied_after(winner.1, s0);
-                    if valid {
-                        // The snapshot winner still stands; only in-cycle
-                        // dirty slots could beat it.
-                        merge(
-                            Some(winner),
-                            execute(&in_cycle_dirt, job, collector, Scope::Global),
-                        )
-                    } else {
-                        // Winner claimed or re-advertised mid-cycle; the
-                        // snapshot's runner-up is unknown, so rescan.
-                        best_slot(job, collector)
-                    }
-                }
-            };
-            if choice.is_none() {
-                rejected[class] = Some(collector.seq());
-            }
-            choice.map(|(_, slot)| slot)
-        })
+        let considered = queue.idle_count();
+        // Quiescence fast path: when every idle certificate covers the
+        // newest watermark, the executed cycle would re-screen empty dirty
+        // sets, match nothing, and re-stamp each certificate at its
+        // unchanged sequence — a pure no-op whose stats we can emit
+        // directly.
+        let matches = if self.quiescence && Self::cycle_is_quiescent(queue, collector) {
+            Vec::new()
+        } else {
+            negotiate_cohorts(queue, collector)
+        };
+        let matched = matches.len();
+        let stats = CycleStats {
+            considered,
+            matched,
+            unmatched: considered - matched,
+        };
+        (matches, stats)
     }
 
     /// The pre-optimization negotiation cycle, kept verbatim as the
@@ -400,7 +371,7 @@ impl Negotiator {
         collector: &mut Collector,
     ) -> (Vec<Match>, CycleStats) {
         let pending = queue.pending();
-        run_cycle(queue, collector, &pending, |job, collector, _| {
+        run_cycle(queue, collector, &pending, |job, collector| {
             let mut best: Option<(f64, SlotId)> = None;
             for slot in collector.unclaimed() {
                 let status = collector.get(slot).expect("listed slot exists");
@@ -422,91 +393,215 @@ impl Negotiator {
     }
 }
 
-/// The shared cycle driver: FIFO over the cycle's pending list (built once
-/// by the caller, before any commit), delegating *selection* to the match
-/// path and owning the commit — claim, state transition, same-cycle
-/// resource decrement — plus the unmatched certificate. Every path funnels
-/// through here, so commit semantics cannot drift.
+/// The shared per-job cycle loop of the full and naive paths: FIFO over
+/// the pending list (built once, before any commit), delegating
+/// *selection* to the path and certifying every job it leaves unmatched.
 fn run_cycle(
     queue: &mut JobQueue,
     collector: &mut Collector,
     pending: &[JobId],
-    mut select: impl FnMut(&QueuedJob, &Collector, usize) -> Option<SlotId>,
+    mut select: impl FnMut(&QueuedJob, &Collector) -> Option<SlotId>,
 ) -> (Vec<Match>, CycleStats) {
-    let mut stats = CycleStats::default();
     let mut matches = Vec::new();
-    for (idx, &job_id) in pending.iter().enumerate() {
-        stats.considered += 1;
-        // Select under an immutable borrow; copy out the commit parameters
-        // so the mutations below need no clone of the ad.
-        let decision = {
-            let job = queue.get(job_id).expect("pending job exists");
-            select(job, collector, idx).map(|slot| {
-                (
-                    slot,
-                    int_attr(&job.ad, attrs::lc::REQUEST_PHI_MEMORY).unwrap_or(0),
-                    matches!(
-                        job.ad.get(attrs::lc::REQUEST_EXCLUSIVE_PHI),
-                        Some(Value::Bool(true))
-                    ),
-                )
-            })
-        };
-        match decision {
-            Some((slot, mem, exclusive)) => {
-                let claimed = collector.claim(slot);
-                debug_assert!(claimed, "selected slot failed to claim");
-                queue
-                    .set_matched(job_id, slot)
-                    .expect("pending job transitions to matched");
-                commit_phi_resources(collector, slot.node, mem, exclusive);
-                matches.push(Match { job: job_id, slot });
-                stats.matched += 1;
-            }
-            None => {
-                stats.unmatched += 1;
-                // The path just established that no slot in the current
-                // pool admits this job — a whole-pool certificate the next
-                // delta cycle builds on.
-                queue.note_unmatched(job_id, collector.seq());
-            }
+    for &job_id in pending {
+        let job = queue.get(job_id).expect("pending job exists");
+        match select(job, collector) {
+            Some(slot) => matches.push(commit(queue, collector, job_id, slot)),
+            // The path just established that no slot in the current pool
+            // admits this job — a whole-pool certificate the next delta
+            // cycle builds on.
+            None => queue.note_unmatched(job_id, collector.seq()),
         }
     }
+    let stats = CycleStats {
+        considered: pending.len(),
+        matched: matches.len(),
+        unmatched: pending.len() - matches.len(),
+    };
     (matches, stats)
 }
 
-/// Each pending job's class and certificate. The class is the pending
-/// index of the class's first job in FIFO order. Jobs share a class when
-/// their class keys are equal and their compiled requirements compare
-/// equal, and no slot carries a machine-side `Requirements`; every other
-/// job is a class of one (module docs, "Autoclusters").
-fn job_classes(
-    queue: &JobQueue,
-    pending: &[JobId],
-    collector: &Collector,
-) -> Vec<(usize, Option<u64>)> {
-    let shareable = collector.slots_with_requirements() == 0;
-    let mut reps: HashMap<u64, (usize, &CompiledReq)> = HashMap::new();
-    pending
+/// Commit one match — claim, state transition, same-cycle resource
+/// decrement. Every path funnels through here, so commit semantics cannot
+/// drift.
+fn commit(queue: &mut JobQueue, collector: &mut Collector, job_id: JobId, slot: SlotId) -> Match {
+    let job = queue.get(job_id).expect("matched job exists");
+    let mem = int_attr(&job.ad, attrs::lc::REQUEST_PHI_MEMORY).unwrap_or(0);
+    let exclusive = matches!(
+        job.ad.get(attrs::lc::REQUEST_EXCLUSIVE_PHI),
+        Some(Value::Bool(true))
+    );
+    let claimed = collector.claim(slot);
+    debug_assert!(claimed, "selected slot failed to claim");
+    queue
+        .set_matched(job_id, slot)
+        .expect("pending job transitions to matched");
+    commit_phi_resources(collector, slot.node, mem, exclusive);
+    Match { job: job_id, slot }
+}
+
+/// What a delta cycle knows about one cohort's admitters.
+#[derive(Clone, Copy)]
+enum Standing {
+    /// Not rejected this cycle; the phase-2 screen against the snapshot.
+    Screened(Screen),
+    /// Rejected at this sequence: only slots dirtied since can admit.
+    Rejected(u64),
+}
+
+/// One cohort of a delta cycle: a class, or one member of it when the
+/// cycle must work per job (module docs, "Autoclusters").
+struct Cohort {
+    class: ClassId,
+    /// Whether the cohort is the whole class rather than a single member.
+    shared: bool,
+    /// The cohort's first member `(position, id)`.
+    head: (usize, JobId),
+    /// The certificate the cohort is screened with.
+    cert: Option<u64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Counts the delta cycle's member visits and class re-ranks.
+    static VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+fn visit() {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + 1));
+}
+
+/// The executed delta cycle: phases 1–3 over the queue's cohorts (module
+/// docs). Returns the matches in commit order.
+fn negotiate_cohorts(queue: &mut JobQueue, collector: &mut Collector) -> Vec<Match> {
+    let cohorts = cycle_cohorts(queue, collector);
+    let reps: Vec<JobId> = cohorts.iter().map(|c| c.head.1).collect();
+    // Phase 1: register guard indexes while we still hold `&mut`. Cohorts
+    // come in order of their first member, so the capped registry sees
+    // attributes in first-come FIFO order.
+    register_guard_indexes(queue, &reps, collector);
+    let s0 = collector.seq();
+    // Phase 2: read-only screen against the pre-cycle snapshot.
+    let screened: Vec<(JobId, Option<u64>)> = cohorts.iter().map(|c| (c.head.1, c.cert)).collect();
+    let mut standing: Vec<Standing> = screen_pending(queue, &screened, collector)
+        .into_iter()
+        .map(Standing::Screened)
+        .collect();
+    // Phase 3: serial commit. `cursors` holds each awake cohort's next
+    // member by queue position, so members are visited in FIFO order;
+    // `sleeping` holds classes rejected at a sequence.
+    let mut cursors: BTreeMap<usize, (usize, JobId)> = cohorts
         .iter()
         .enumerate()
-        .map(|(idx, &id)| {
-            let job = queue.get(id).expect("pending job exists");
-            let class = match job.class_key().filter(|_| shareable) {
-                None => idx,
-                Some(key) => {
-                    let (rep, req) = *reps.entry(key).or_insert((idx, job.compiled()));
-                    // A hash collision leaves the job a class of one.
-                    if req == job.compiled() {
-                        rep
-                    } else {
-                        idx
-                    }
+        .map(|(c, cohort)| (cohort.head.0, (c, cohort.head.1)))
+        .collect();
+    let mut sleeping: Vec<(usize, u64)> = Vec::new();
+    let mut matches = Vec::new();
+    let in_cycle_dirt = ScreenPlan::Dirty(s0);
+    while let Some((pos, (c, id))) = cursors.pop_first() {
+        visit();
+        let job = queue.get(id).expect("idle member exists");
+        let choice = match standing[c] {
+            // Rejected at `s`: by the certificate argument only slots
+            // dirtied since can admit this member.
+            Standing::Rejected(s) => execute(&ScreenPlan::Dirty(s), job, collector, Scope::Global),
+            // Screened unmatched against the snapshot: only slots dirtied
+            // by this cycle's earlier commits can admit.
+            Standing::Screened(None) => execute(&in_cycle_dirt, job, collector, Scope::Global),
+            Standing::Screened(Some(winner)) => {
+                let valid = collector.get(winner.1).is_some_and(|s| !s.claimed)
+                    && !collector.dirtied_after(winner.1, s0);
+                if valid {
+                    // The snapshot winner still stands; only in-cycle
+                    // dirty slots could beat it.
+                    merge(
+                        Some(winner),
+                        execute(&in_cycle_dirt, job, collector, Scope::Global),
+                    )
+                } else {
+                    // Winner claimed or re-advertised mid-cycle; the
+                    // snapshot's runner-up is unknown, so rescan.
+                    best_slot(job, collector)
                 }
+            }
+        };
+        let cohort = &cohorts[c];
+        let Some((_, slot)) = choice else {
+            // No slot admits the cohort at `seq`: certify the member — and,
+            // for a class, every later member in one run — and sleep.
+            let seq = collector.seq();
+            if cohort.shared {
+                queue.certify_from(cohort.class, pos, seq);
+                standing[c] = Standing::Rejected(seq);
+                sleeping.push((c, seq));
+            } else {
+                queue.note_unmatched(id, seq);
+            }
+            continue;
+        };
+        matches.push(commit(queue, collector, id, slot));
+        if cohort.shared {
+            if let Some(next) = queue.classes().next_member(cohort.class, pos) {
+                cursors.insert(next.0, (c, next.1));
+            }
+        }
+        // The commit dirtied slots: each sleeping class re-ranks them once
+        // for its next member. An admitter wakes the class there; else the
+        // members from there on are certified at the new sequence.
+        sleeping.retain_mut(|(v, s)| {
+            let class = cohorts[*v].class;
+            let Some((next, next_id)) = queue.classes().next_member(class, pos) else {
+                return false;
             };
-            (class, job.eval_seq())
-        })
-        .collect()
+            visit();
+            let rep = queue.get(next_id).expect("idle member exists");
+            if execute(&ScreenPlan::Dirty(*s), rep, collector, Scope::Global).is_some() {
+                standing[*v] = Standing::Rejected(*s);
+                cursors.insert(next, (*v, next_id));
+                return false;
+            }
+            let seq = collector.seq();
+            if seq != *s {
+                queue.certify_from(class, next, seq);
+                *s = seq;
+            }
+            true
+        });
+    }
+    matches
+}
+
+/// The cycle's cohorts in order of their first member. Each class is one
+/// cohort screened with its newest certificate, unless a slot carries a
+/// machine-side `Requirements`: then every member is a cohort of its own
+/// with its own certificate (module docs, "Autoclusters").
+fn cycle_cohorts(queue: &JobQueue, collector: &Collector) -> Vec<Cohort> {
+    let table = queue.classes();
+    let mut cohorts: Vec<Cohort> = if collector.slots_with_requirements() == 0 {
+        table
+            .heads()
+            .map(|(class, pos, id)| Cohort {
+                class,
+                shared: true,
+                head: (pos, id),
+                cert: table.newest_cert(class),
+            })
+            .collect()
+    } else {
+        table
+            .heads()
+            .flat_map(|(class, _, _)| table.members(class).map(move |head| (class, head)))
+            .map(|(class, head)| Cohort {
+                class,
+                shared: false,
+                head,
+                cert: table.cert(class, head.0),
+            })
+            .collect()
+    };
+    cohorts.sort_unstable_by_key(|c| c.head.0);
+    cohorts
 }
 
 /// Ensure a guard index exists for every `>=`/`>`-shaped guard attribute of
@@ -640,9 +735,9 @@ fn best_slot(job: &QueuedJob, collector: &Collector) -> Screen {
     )
 }
 
-/// Phase-2 screen of the given jobs (one per class and certificate on the
-/// delta path) against the current (frozen) collector snapshot, one entry
-/// per job (module docs).
+/// Phase-2 screen of the given `(job, certificate)` pairs — one per
+/// cohort — against the current (frozen) collector snapshot, one entry per
+/// pair (module docs).
 ///
 /// Each job's plan is compiled once. A certificate holder re-ranks only
 /// the dirt since its certificate — unless its own prefilter is provably
@@ -651,14 +746,18 @@ fn best_slot(job: &QueuedJob, collector: &Collector) -> Screen {
 /// [`best_among`] is enumeration-independent over supersets). The other
 /// plans fan out over (partition × job-chunk) units; the per-unit winners
 /// merge serially, in partition order, by the winner rule.
-fn screen_pending(queue: &JobQueue, pending: &[JobId], collector: &Collector) -> Vec<Screen> {
+fn screen_pending(
+    queue: &JobQueue,
+    pending: &[(JobId, Option<u64>)],
+    collector: &Collector,
+) -> Vec<Screen> {
     let job = |id: JobId| queue.get(id).expect("pending job exists");
     let mut screens: Vec<Screen> = Vec::with_capacity(pending.len());
     let plans: Vec<ScreenPlan> = pending
         .iter()
-        .map(|&id| {
+        .map(|&(id, cert)| {
             let job = job(id);
-            let (plan, seed) = match job.eval_seq() {
+            let (plan, seed) = match cert {
                 // A certificate no dirt has outrun still covers the pool.
                 Some(seq) if collector.max_watermark() <= seq => (ScreenPlan::Never, None),
                 Some(seq) => match plan_job(job.compiled(), collector) {
@@ -709,7 +808,7 @@ fn screen_pending(queue: &JobQueue, pending: &[JobId], collector: &Collector) ->
         };
         ids.iter()
             .zip(plans)
-            .map(|(&id, plan)| execute(plan, job(id), collector, Scope::Partition(pi, &dirt)))
+            .map(|(&(id, _), plan)| execute(plan, job(id), collector, Scope::Partition(pi, &dirt)))
             .collect()
     };
     let units = parts * chunks;
@@ -1092,12 +1191,12 @@ mod tests {
         let n = Negotiator::default();
         assert_eq!(n.negotiate(&mut q, &mut c).len(), 1);
         // Job 1 is certified unmatched at the post-cycle sequence.
-        let seq = q.get(JobId(1)).unwrap().eval_seq().unwrap();
+        let seq = q.eval_seq(JobId(1)).unwrap();
         assert_eq!(seq, c.seq());
         // A no-churn cycle re-screens only the (empty) dirty set and keeps
         // the certificate standing.
         assert!(n.negotiate(&mut q, &mut c).is_empty());
-        assert_eq!(q.get(JobId(1)).unwrap().eval_seq(), Some(seq));
+        assert_eq!(q.eval_seq(JobId(1)), Some(seq));
         // A release dirties the slot; the next delta cycle sees it.
         c.release(SlotId { node: 1, slot: 1 });
         c.refresh_phi_availability(SlotId { node: 1, slot: 1 }, 7680, 1);
@@ -1333,10 +1432,7 @@ mod tests {
         assert_eq!(second_fast.1.unmatched, 2);
         assert_eq!(c_fast, c_slow);
         for i in [2u64, 3] {
-            assert_eq!(
-                q_fast.get(JobId(i)).unwrap().eval_seq(),
-                q_slow.get(JobId(i)).unwrap().eval_seq(),
-            );
+            assert_eq!(q_fast.eval_seq(JobId(i)), q_slow.eval_seq(JobId(i)));
         }
 
         // A release dirties the pool: no longer quiescent, and both twins
@@ -1402,34 +1498,211 @@ mod tests {
         q.qedit_expr(JobId(2), "Rank", "TARGET.PhiFreeMemory")
             .unwrap();
         job_with_req(&mut q, 3, 1000, "TARGET.PhiDevicesFree >= 1 || false");
-        job_with_req(
-            &mut q,
-            4,
-            1000,
-            "TARGET.PhiFreeMemory >= MY.RequestPhiMemory",
-        );
+        let folded = "TARGET.PhiFreeMemory >= MY.RequestPhiMemory";
+        job_with_req(&mut q, 4, 1000, folded);
         job_with_req(&mut q, 5, 1000, free);
-        let mut c = cluster(2, 2);
-        let pending = q.pending();
-        let classes = |c: &Collector| -> Vec<usize> {
-            job_classes(&q, &pending, c)
+        let ids = |q: &JobQueue| -> Vec<Vec<u64>> {
+            q.autoclusters()
                 .into_iter()
-                .map(|(class, _)| class)
+                .map(|class| class.into_iter().map(|id| id.0).collect())
                 .collect()
         };
-        assert_eq!(classes(&c), [0, 0, 2, 3, 4, 0]);
+        assert_eq!(ids(&q), [vec![0, 1, 5], vec![2], vec![3], vec![4]]);
 
-        // One slot with a machine-side Requirements makes every job a class
-        // of one; invalidating its node restores the classes.
-        let mut ad = attrs::machine_ad("slot1@node3", "node3", 1, 8192, 7680, 1);
-        ad.insert_expr("Requirements", "TARGET.RequestPhiMemory <= 3000")
+        // Two qedits move job 1 into job 4's class at its old position;
+        // a hold takes job 0 out.
+        q.qedit_expr(JobId(1), "Requirements", folded).unwrap();
+        assert_eq!(ids(&q), [vec![0, 5], vec![1], vec![2], vec![3], vec![4]]);
+        q.qedit_value(JobId(1), attrs::REQUEST_PHI_MEMORY, 1000u64)
             .unwrap();
-        c.advertise(SlotId { node: 3, slot: 1 }, ad);
-        assert_eq!(c.slots_with_requirements(), 1);
-        assert_eq!(classes(&c), [0, 1, 2, 3, 4, 5]);
-        c.invalidate_node(3);
-        assert_eq!(c.slots_with_requirements(), 0);
-        assert_eq!(classes(&c), [0, 0, 2, 3, 4, 0]);
+        assert_eq!(ids(&q), [vec![0, 5], vec![1, 4], vec![2], vec![3]]);
+        q.hold(JobId(0)).unwrap();
+        assert_eq!(ids(&q), [vec![1, 4], vec![2], vec![3], vec![5]]);
+    }
+
+    /// Both twins hold the same idle jobs with the same certificates.
+    fn assert_same_certs(delta: &JobQueue, full: &JobQueue) {
+        assert_eq!(delta.pending(), full.pending());
+        assert_eq!(delta.idle_cert_floor(), full.idle_cert_floor());
+        for id in delta.pending() {
+            assert_eq!(delta.eval_seq(id), full.eval_seq(id), "{id}");
+        }
+    }
+
+    /// Run one cycle on each twin: `MatchPath::Delta` on the first,
+    /// `MatchPath::Full` on the second. Results, pools and certificates
+    /// must agree.
+    fn lockstep(
+        delta: &mut (JobQueue, Collector),
+        full: &mut (JobQueue, Collector),
+    ) -> (Vec<Match>, CycleStats) {
+        let n = Negotiator::default();
+        let d = n.negotiate_delta_with_stats(&mut delta.0, &mut delta.1);
+        let f = n.negotiate_full_with_stats(&mut full.0, &mut full.1);
+        assert_eq!(d, f);
+        assert_eq!(delta.1, full.1);
+        assert_same_certs(&delta.0, &full.0);
+        d
+    }
+
+    #[test]
+    fn a_fresh_classmate_leaves_the_floor_uncertified() {
+        let build = || {
+            let mut q = JobQueue::new();
+            for i in 0..3 {
+                q.submit(
+                    JobId(i),
+                    exclusive_job_ad(&spec(i, 1000, 240)),
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            }
+            (q, cluster(1, 1))
+        };
+        let (mut delta, mut full) = (build(), build());
+        // One card: job 0 matches, jobs 1 and 2 share one certificate run.
+        assert_eq!(lockstep(&mut delta, &mut full).0.len(), 1);
+        let seq = delta.1.seq();
+        assert_eq!(delta.0.idle_cert_floor(), Some(seq));
+        for twin in [&mut delta, &mut full] {
+            twin.0
+                .submit(
+                    JobId(3),
+                    exclusive_job_ad(&spec(3, 1000, 240)),
+                    SimTime::ZERO,
+                )
+                .unwrap();
+        }
+        // The arrival joins the certified class but not its certificate.
+        assert_eq!(delta.0.autoclusters(), [[JobId(1), JobId(2), JobId(3)]]);
+        assert_eq!(delta.0.eval_seq(JobId(3)), None);
+        assert_eq!(delta.0.eval_seq(JobId(2)), Some(seq));
+        assert_same_certs(&delta.0, &full.0);
+        assert_eq!(delta.0.idle_cert_floor(), None);
+        assert!(!Negotiator::cycle_is_quiescent(&delta.0, &delta.1));
+        assert!(lockstep(&mut delta, &mut full).0.is_empty());
+        assert_eq!(delta.0.idle_cert_floor(), Some(seq));
+    }
+
+    #[test]
+    fn a_class_certified_in_two_runs_floors_at_the_survivor() {
+        // Class A (`PhiFreeMemory <= 5000`) is rejected at `s` by the
+        // node's 7680 MB. Job 2's commit brings the node under the cap,
+        // which wakes A at job 3; job 3 takes the last slot and job 4 is
+        // rejected at `s'`.
+        let build = || {
+            let mut q = JobQueue::new();
+            let capped = "TARGET.PhiFreeMemory <= 5000";
+            job_with_req(&mut q, 0, 100, capped);
+            job_with_req(&mut q, 1, 100, capped);
+            q.submit(JobId(2), sharing_job_ad(&spec(2, 3000, 60)), SimTime::ZERO)
+                .unwrap();
+            job_with_req(&mut q, 3, 100, capped);
+            job_with_req(&mut q, 4, 100, capped);
+            (q, cluster(1, 2))
+        };
+        let (mut delta, mut full) = (build(), build());
+        let s = delta.1.seq();
+        let matches = lockstep(&mut delta, &mut full).0;
+        let matched: Vec<JobId> = matches.iter().map(|m| m.job).collect();
+        assert_eq!(matched, [JobId(2), JobId(3)]);
+        let s_prime = delta.1.seq();
+        assert!(s < s_prime);
+        assert_eq!(delta.0.eval_seq(JobId(0)), Some(s));
+        assert_eq!(delta.0.eval_seq(JobId(1)), Some(s));
+        assert_eq!(delta.0.eval_seq(JobId(4)), Some(s_prime));
+        assert_eq!(delta.0.idle_cert_floor(), Some(s));
+        // Retire the older run member by member: the floor holds at `s`
+        // until its last member leaves, then is exactly `s'`.
+        for twin in [&mut delta, &mut full] {
+            twin.0.hold(JobId(0)).unwrap();
+        }
+        assert_same_certs(&delta.0, &full.0);
+        assert_eq!(delta.0.idle_cert_floor(), Some(s));
+        for twin in [&mut delta, &mut full] {
+            twin.0.set_removed(JobId(1)).unwrap();
+        }
+        assert_same_certs(&delta.0, &full.0);
+        assert_eq!(delta.0.idle_cert_floor(), Some(s_prime));
+        assert!(Negotiator::cycle_is_quiescent(&delta.0, &delta.1));
+    }
+
+    #[test]
+    fn a_machine_requirements_slot_degrades_one_cycle_to_single_members() {
+        // Nodes 1-2 have no free card. Node 3's one slot admits jobs that
+        // ask for at most 3000 MB, so the class's members differ there.
+        let build = || {
+            let mut c = Collector::new();
+            for n in 1..=2 {
+                Startd::new(n, 2, 1, 8192).advertise(&mut c, 7680, 0);
+            }
+            let mut ad = attrs::machine_ad("slot1@node3", "node3", 1, 8192, 7680, 1);
+            ad.insert_expr("Requirements", "TARGET.RequestPhiMemory <= 3000")
+                .unwrap();
+            c.advertise(SlotId { node: 3, slot: 1 }, ad);
+            let mut q = JobQueue::new();
+            for (i, mem) in [(0, 6000), (1, 6000), (2, 1000), (3, 6000)] {
+                q.submit(
+                    JobId(i),
+                    exclusive_job_ad(&spec(i, mem, 240)),
+                    SimTime::ZERO,
+                )
+                .unwrap();
+            }
+            (q, c)
+        };
+        let (mut delta, mut full) = (build(), build());
+        // Job 2 matches behind its rejected classmates.
+        let matches = lockstep(&mut delta, &mut full).0;
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].job, JobId(2));
+        assert_eq!(delta.0.autoclusters(), [[JobId(0), JobId(1), JobId(3)]]);
+        // Between cycles the guarded node leaves and a plain one joins:
+        // the class shares certificates again.
+        for twin in [&mut delta, &mut full] {
+            twin.1.invalidate_node(3);
+            Startd::new(4, 1, 1, 8192).advertise(&mut twin.1, 7680, 1);
+            assert_eq!(twin.1.slots_with_requirements(), 0);
+        }
+        let matches = lockstep(&mut delta, &mut full).0;
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].job, JobId(0));
+        assert!(lockstep(&mut delta, &mut full).0.is_empty());
+        assert!(Negotiator::cycle_is_quiescent(&delta.0, &delta.1));
+    }
+
+    #[test]
+    fn a_rejected_class_costs_visits_per_match_not_per_job() {
+        // 10 000 capped jobs no slot admits, and one job of another class
+        // halfway down the queue whose commit brings the node under the
+        // cap: the class wakes once and fills the node's other slots.
+        const JOBS: u64 = 10_000;
+        let build = || {
+            let mut q = JobQueue::new();
+            for i in 0..=JOBS {
+                if i == JOBS / 2 {
+                    q.submit(JobId(i), sharing_job_ad(&spec(i, 3000, 60)), SimTime::ZERO)
+                        .unwrap();
+                } else {
+                    job_with_req(&mut q, i, 100, "TARGET.PhiFreeMemory <= 5000");
+                }
+            }
+            (q, cluster(1, 4))
+        };
+        let (mut delta, mut full) = (build(), build());
+        let classes = delta.0.autoclusters().len();
+        assert_eq!(classes, 2);
+        VISITS.with(|v| v.set(0));
+        let (matches, stats) = lockstep(&mut delta, &mut full);
+        let visits = VISITS.with(|v| v.get());
+        assert_eq!(stats.considered, JOBS as usize + 1);
+        assert_eq!(matches.len(), 4);
+        assert_eq!(matches[1].job, JobId(JOBS / 2 + 1));
+        assert!(
+            visits <= 2 * classes * (matches.len() + 1),
+            "{visits} visits for {classes} classes and {} matches",
+            matches.len()
+        );
     }
 
     #[test]

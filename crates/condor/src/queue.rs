@@ -1,5 +1,6 @@
 //! The schedd's job queue.
 
+use crate::autocluster::{ClassId, ClassTable};
 use crate::collector::SlotId;
 use phishare_classad::ad::RANK;
 use phishare_classad::parser::ParseError;
@@ -56,24 +57,17 @@ pub struct QueuedJob {
     /// constants folded into the compilation).
     compiled: CompiledReq,
     /// Matchmaking class key: [`CompiledReq::class_key`] for a job whose
-    /// ad has no `Rank`, else `None`. Rebuilt with `compiled`; the
-    /// negotiator groups jobs with equal keys and equal requirements into
-    /// one class (its module docs, "Autoclusters").
+    /// ad has no `Rank`, else `None`. Rebuilt with `compiled`; the queue's
+    /// class table groups idle jobs with equal keys and equal requirements
+    /// into one autocluster.
     class_key: Option<u64>,
     /// Queue position keying the per-state indexes. Assigned at submission
     /// and re-assigned fresh on every entry into `Idle`/`Held`: a released
     /// or requeued job goes to the back of the line, it does not retake its
     /// original submission slot.
     pos: usize,
-    /// Delta-negotiation cache: the collector sequence number at which a
-    /// negotiation cycle last evaluated this job against the *whole* pool
-    /// and found no match ([`JobQueue::note_unmatched`]). `None` means the
-    /// job has no such certificate and must be screened against every slot.
-    /// Cleared whenever the certificate could be invalidated: any qedit
-    /// (the job ad — and hence its compiled requirements — changed) and
-    /// every entry into `Idle` (conservative; a fresh arrival in the pool
-    /// has never been evaluated at all).
-    eval_seq: Option<u64>,
+    /// The job's autocluster while it is idle.
+    class: Option<ClassId>,
 }
 
 impl QueuedJob {
@@ -85,13 +79,6 @@ impl QueuedJob {
     /// The job's matchmaking class key (see the field docs).
     pub fn class_key(&self) -> Option<u64> {
         self.class_key
-    }
-
-    /// The collector sequence at which this job was last certified
-    /// unmatched, if that certificate is still standing (see the field
-    /// docs — this is what the negotiator's delta path keys on).
-    pub fn eval_seq(&self) -> Option<u64> {
-        self.eval_seq
     }
 }
 
@@ -110,6 +97,21 @@ impl QueuedJob {
 /// hold — or requeued after its startd died — waits behind jobs that were
 /// already schedulable, matching HTCondor's behaviour where a vacated job
 /// re-enters negotiation order at the back of its priority class.
+///
+/// Idle jobs are also grouped into persistent *autoclusters*, HTCondor's
+/// `condor_q -autocluster`: jobs whose compiled `Requirements` are equal
+/// and fully compiled and whose ads carry no `Rank` share a class, and any
+/// other job is a class of one. The class table stores each class's
+/// requirement once, its members in queue order, and their unmatched
+/// certificates as runs over queue positions. Submission, both qedits and
+/// every transition into or out of `Idle` keep it current, so the delta
+/// negotiator visits classes, not pending jobs.
+///
+/// A job's *unmatched certificate* is the collector sequence at which a
+/// negotiation cycle last evaluated it against the whole pool and found no
+/// match ([`JobQueue::note_unmatched`]). Every entry into `Idle` and every
+/// qedit leaves the job uncertified: a fresh member never inherits its
+/// class's certificate.
 #[derive(Debug, Default, Clone)]
 pub struct JobQueue {
     jobs: BTreeMap<JobId, QueuedJob>,
@@ -119,15 +121,8 @@ pub struct JobQueue {
     /// Held jobs as `(queue position, id)` — what external schedulers plan
     /// over.
     held: BTreeSet<(usize, JobId)>,
-    /// Standing unmatched certificates of *idle* jobs, as
-    /// `(certified sequence, id)` — the quiescence check reads the minimum
-    /// in O(log n). Maintained alongside `eval_seq` by every path that
-    /// grants, renews or invalidates a certificate.
-    certs: BTreeSet<(u64, JobId)>,
-    /// Idle jobs with no standing certificate. Together with `certs` this
-    /// partitions the idle pool: `idle.len() == idle_uncertified +
-    /// certs.len()` always.
-    idle_uncertified: usize,
+    /// The idle jobs' autoclusters and certificates (see the struct docs).
+    classes: ClassTable,
     /// Next queue position to hand out (see the struct docs).
     next_pos: usize,
 }
@@ -216,20 +211,11 @@ impl JobQueue {
                 compiled,
                 class_key,
                 pos,
-                eval_seq: None,
+                class: None,
             },
         );
         self.fifo.push(id);
-        match state {
-            JobState::Idle => {
-                self.idle.insert((pos, id));
-                self.idle_uncertified += 1;
-            }
-            JobState::Held => {
-                self.held.insert((pos, id));
-            }
-            _ => {}
-        }
+        self.enter(id, state);
         Ok(())
     }
 
@@ -275,8 +261,7 @@ impl JobQueue {
         job.ad
             .insert_expr(attr, expr)
             .map_err(QueueError::BadExpression)?;
-        (job.compiled, job.class_key) = compile(&job.ad);
-        self.drop_certificate(id);
+        self.recompile(id);
         Ok(())
     }
 
@@ -289,40 +274,98 @@ impl JobQueue {
     ) -> Result<(), QueueError> {
         let job = self.jobs.get_mut(&id).ok_or(QueueError::Unknown(id))?;
         job.ad.insert(attr, value);
-        (job.compiled, job.class_key) = compile(&job.ad);
-        self.drop_certificate(id);
+        self.recompile(id);
         Ok(())
     }
 
-    /// Invalidate `id`'s unmatched certificate (after a qedit), keeping the
-    /// certificate index in step when the job is idle.
-    fn drop_certificate(&mut self, id: JobId) {
+    /// Recompile `id`'s requirement after a qedit. An idle job moves to
+    /// the class of its new requirement, uncertified, at its old position.
+    fn recompile(&mut self, id: JobId) {
+        let state = self.leave(id);
         let job = self.jobs.get_mut(&id).expect("caller looked the job up");
-        if let Some(old) = job.eval_seq.take() {
-            if job.state.is_idle() {
-                self.certs.remove(&(old, id));
-                self.idle_uncertified += 1;
+        (job.compiled, job.class_key) = compile(&job.ad);
+        self.enter(id, state);
+    }
+
+    /// Take `id` out of its state's index (and its class, when idle);
+    /// returns the state it was in.
+    fn leave(&mut self, id: JobId) -> JobState {
+        let job = self.jobs.get_mut(&id).expect("caller looked the job up");
+        match job.state {
+            JobState::Idle => {
+                self.idle.remove(&(job.pos, id));
+                let class = job.class.take().expect("idle jobs have a class");
+                self.classes.leave(class, job.pos);
             }
+            JobState::Held => {
+                self.held.remove(&(job.pos, id));
+            }
+            _ => {}
+        }
+        job.state
+    }
+
+    /// Put `id` into `state` and that state's index at its current
+    /// position. An idle job joins its class uncertified.
+    fn enter(&mut self, id: JobId, state: JobState) {
+        let job = self.jobs.get_mut(&id).expect("caller looked the job up");
+        job.state = state;
+        match state {
+            JobState::Idle => {
+                self.idle.insert((job.pos, id));
+                job.class = Some(self.classes.join(job.class_key, &job.compiled, job.pos, id));
+            }
+            JobState::Held => {
+                self.held.insert((job.pos, id));
+            }
+            _ => {}
         }
     }
 
     /// Record that a negotiation cycle evaluated `id` against the whole
     /// pool at collector sequence `seq` and found no admitting slot. The
     /// delta path then only re-screens the job against slots dirtied after
-    /// `seq`. No-op for unknown jobs.
+    /// `seq`. No-op unless the job is idle.
     pub fn note_unmatched(&mut self, id: JobId, seq: u64) {
-        if let Some(job) = self.jobs.get_mut(&id) {
-            let old = job.eval_seq.replace(seq);
-            if job.state.is_idle() {
-                match old {
-                    Some(s) => {
-                        self.certs.remove(&(s, id));
-                    }
-                    None => self.idle_uncertified -= 1,
-                }
-                self.certs.insert((seq, id));
-            }
+        if let Some(&QueuedJob {
+            class: Some(class),
+            pos,
+            ..
+        }) = self.jobs.get(&id)
+        {
+            self.classes.certify(class, pos, seq);
         }
+    }
+
+    /// Certify the idle member of `class` at `pos`, and every later member
+    /// of that class, unmatched at `seq` (the delta path's class
+    /// rejection).
+    pub(crate) fn certify_from(&mut self, class: ClassId, pos: usize, seq: u64) {
+        self.classes.certify_from(class, pos, seq);
+    }
+
+    /// The class table, for the negotiator.
+    pub(crate) fn classes(&self) -> &ClassTable {
+        &self.classes
+    }
+
+    /// The collector sequence at which idle job `id` was last certified
+    /// unmatched, if that certificate still stands; `None` for an
+    /// uncertified or non-idle job.
+    pub fn eval_seq(&self, id: JobId) -> Option<u64> {
+        let job = self.jobs.get(&id)?;
+        self.classes.cert(job.class?, job.pos)
+    }
+
+    /// The idle jobs' autoclusters: each class's members in queue order,
+    /// classes ordered by their first member.
+    pub fn autoclusters(&self) -> Vec<Vec<JobId>> {
+        let mut heads: Vec<_> = self.classes.heads().collect();
+        heads.sort_unstable_by_key(|&(_, pos, _)| pos);
+        heads
+            .into_iter()
+            .map(|(class, _, _)| self.classes.members(class).map(|(_, id)| id).collect())
+            .collect()
     }
 
     /// The oldest standing unmatched certificate across the idle pool, or
@@ -334,11 +377,7 @@ impl JobQueue {
     /// job is certified unmatched at or after the collector's newest
     /// watermark, a negotiation cycle provably matches nothing.
     pub fn idle_cert_floor(&self) -> Option<u64> {
-        debug_assert_eq!(self.idle.len(), self.idle_uncertified + self.certs.len());
-        if self.idle_uncertified > 0 {
-            return None;
-        }
-        Some(self.certs.first().map_or(u64::MAX, |&(s, _)| s))
+        self.classes.floor()
     }
 
     /// Number of idle jobs — [`JobQueue::pending`] without the allocation.
@@ -424,59 +463,19 @@ impl JobQueue {
         f: impl FnOnce(JobState) -> Result<JobState, String>,
     ) -> Result<(), QueueError> {
         let job = self.jobs.get(&id).ok_or(QueueError::Unknown(id))?;
-        let (prev, old_pos) = (job.state, job.pos);
-        match f(prev) {
-            Ok(next) => {
-                // Entering the schedulable pool always takes a fresh tail
-                // position (see the struct docs).
-                let pos = match next {
-                    JobState::Idle | JobState::Held => {
-                        let p = self.next_pos;
-                        self.next_pos += 1;
-                        p
-                    }
-                    _ => old_pos,
-                };
-                let job = self.jobs.get_mut(&id).expect("looked up above");
-                let old_cert = job.eval_seq;
-                job.state = next;
-                job.pos = pos;
-                // Re-entering the idle pool drops any unmatched
-                // certificate: the job may have spent cycles invisible to
-                // matchmaking, so its last full evaluation says nothing
-                // about the pool it now faces.
-                if next == JobState::Idle {
-                    job.eval_seq = None;
-                }
-                match prev {
-                    JobState::Idle => {
-                        self.idle.remove(&(old_pos, id));
-                        match old_cert {
-                            Some(s) => {
-                                self.certs.remove(&(s, id));
-                            }
-                            None => self.idle_uncertified -= 1,
-                        }
-                    }
-                    JobState::Held => {
-                        self.held.remove(&(old_pos, id));
-                    }
-                    _ => {}
-                }
-                match next {
-                    JobState::Idle => {
-                        self.idle.insert((pos, id));
-                        self.idle_uncertified += 1;
-                    }
-                    JobState::Held => {
-                        self.held.insert((pos, id));
-                    }
-                    _ => {}
-                }
-                Ok(())
-            }
-            Err(detail) => Err(QueueError::BadTransition { job: id, detail }),
+        let next = f(job.state).map_err(|detail| QueueError::BadTransition { job: id, detail })?;
+        self.leave(id);
+        // Entering the schedulable pool always takes a fresh tail position
+        // (see the struct docs). Re-entering the idle pool joins the class
+        // uncertified: the job may have spent cycles invisible to
+        // matchmaking, so its last full evaluation says nothing about the
+        // pool it now faces.
+        if matches!(next, JobState::Idle | JobState::Held) {
+            self.jobs.get_mut(&id).expect("looked up above").pos = self.next_pos;
+            self.next_pos += 1;
         }
+        self.enter(id, next);
+        Ok(())
     }
 }
 
@@ -704,29 +703,29 @@ mod tests {
     #[test]
     fn unmatched_certificates_follow_the_delta_invalidation_rules() {
         let mut q = queue_with(2);
-        assert_eq!(q.get(JobId(0)).unwrap().eval_seq(), None);
+        assert_eq!(q.eval_seq(JobId(0)), None);
         q.note_unmatched(JobId(0), 17);
         q.note_unmatched(JobId(1), 17);
-        assert_eq!(q.get(JobId(0)).unwrap().eval_seq(), Some(17));
+        assert_eq!(q.eval_seq(JobId(0)), Some(17));
         // Unknown jobs are ignored.
         q.note_unmatched(JobId(9), 17);
 
         // Any qedit — expression or value — drops the certificate.
         q.qedit_expr(JobId(0), "Requirements", "TARGET.PhiDevices >= 1")
             .unwrap();
-        assert_eq!(q.get(JobId(0)).unwrap().eval_seq(), None);
+        assert_eq!(q.eval_seq(JobId(0)), None);
         q.note_unmatched(JobId(0), 18);
         q.qedit_value(JobId(0), "RequestPhiMemory", 512u64).unwrap();
-        assert_eq!(q.get(JobId(0)).unwrap().eval_seq(), None);
+        assert_eq!(q.eval_seq(JobId(0)), None);
 
         // Every entry into Idle drops it too (hold + release round trip)...
         q.hold(JobId(1)).unwrap();
         q.release(JobId(1)).unwrap();
-        assert_eq!(q.get(JobId(1)).unwrap().eval_seq(), None);
+        assert_eq!(q.eval_seq(JobId(1)), None);
         // ...while a job that simply stays idle keeps its certificate.
         q.note_unmatched(JobId(1), 19);
         q.hold(JobId(0)).unwrap();
-        assert_eq!(q.get(JobId(1)).unwrap().eval_seq(), Some(19));
+        assert_eq!(q.eval_seq(JobId(1)), Some(19));
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! the job's ad, and some queues hold many copies of a few job kinds: the
 //! delta path's job classes (one screen and one rejection per class of
 //! identical requirements) must stay exact with and without such slots.
+//! The delta path certifies a rejected class's members in runs; every
+//! pending job's certificate and the queue's certificate floor must still
+//! equal what the per-job paths record.
 
 use phishare_classad::ad::{RANK, REQUIREMENTS};
 use phishare_condor::attrs;
@@ -205,6 +208,15 @@ fn recount_guarded(collector: &Collector) -> usize {
         .slots()
         .filter(|(_, s)| s.meta().has_requirements())
         .count()
+}
+
+/// The queue's certificate state: the floor, and each pending job's
+/// certificate in FIFO order. The delta path certifies whole classes in
+/// runs; this must equal what the per-job paths record.
+fn certs(queue: &JobQueue) -> (Option<u64>, Vec<(JobId, Option<u64>)>) {
+    let pending = queue.pending();
+    let each = pending.iter().map(|&id| (id, queue.eval_seq(id))).collect();
+    (queue.idle_cert_floor(), each)
 }
 
 /// Build the identical (queue, collector) pair twice from the generated
@@ -401,6 +413,8 @@ proptest! {
         prop_assert_eq!(q_delta.pending(), q_naive.pending());
         prop_assert_eq!(q_full.pending(), q_naive.pending());
         prop_assert_eq!(q_delta.active_counts(), q_naive.active_counts());
+        prop_assert_eq!(certs(&q_delta), certs(&q_naive));
+        prop_assert_eq!(certs(&q_full), certs(&q_naive));
     }
 
     /// Two consecutive cycles stay identical too — the second cycle starts
@@ -474,6 +488,7 @@ proptest! {
             prop_assert_eq!(&delta, &full, "round {} matches diverged", r);
             prop_assert_eq!(&c_delta, &c_full, "round {} collectors diverged", r);
             prop_assert_eq!(q_delta.pending(), q_full.pending(), "round {} pending diverged", r);
+            prop_assert_eq!(certs(&q_delta), certs(&q_full), "round {} certificates diverged", r);
         }
     }
 
@@ -521,6 +536,10 @@ proptest! {
                     twins[0].0.pending(), twins[i].0.pending(),
                     "round {}: P={} pending diverged from P=1", r, PARTS[i]
                 );
+                prop_assert_eq!(
+                    certs(&twins[0].0), certs(&twins[i].0),
+                    "round {}: P={} certificates diverged from P=1", r, PARTS[i]
+                );
             }
         }
     }
@@ -563,6 +582,8 @@ proptest! {
             prop_assert_eq!(&full.1, &naive.1, "round {} collectors diverged", r);
             prop_assert_eq!(delta.0.pending(), naive.0.pending(), "round {} pending diverged", r);
             prop_assert_eq!(delta.0.active_counts(), naive.0.active_counts());
+            prop_assert_eq!(certs(&delta.0), certs(&full.0), "round {} certificates diverged", r);
+            prop_assert_eq!(certs(&full.0), certs(&naive.0), "round {} certificates diverged", r);
         }
     }
 }
