@@ -1,21 +1,18 @@
 //! # phishare-bench — experiment harnesses
 //!
-//! One bench target per table/figure in the paper's evaluation (§V), plus
-//! ablations and Criterion microbenches. Each harness prints a paper-style
-//! table or ASCII figure and persists its raw rows as JSON under
-//! `target/experiments/` so EXPERIMENTS.md numbers are regenerable.
+//! The paper's evaluation (§III, §V) and the ablations of the same shape
+//! live in one [`registry`]: each artifact is a grid, a reducer, the paper's
+//! expectation and its checks, run by `phishare-bench reproduce <name|all>`,
+//! which prints the table, writes `target/experiments/<name>.json` and
+//! regenerates the artifact's block of EXPERIMENTS.md.
 //!
-//! | Target | Paper artifact |
+//! The bench targets that remain are the ones a table cannot express:
+//!
+//! | Target | Kind |
 //! |---|---|
-//! | `motivation_util` | §III core-utilization measurement |
-//! | `table2_makespan_footprint` | Table II |
-//! | `fig7_distributions` | Fig. 7 |
-//! | `fig8_makespan_by_distribution` | Fig. 8 |
-//! | `fig9_cluster_size_sweep` | Fig. 9 |
-//! | `table3_footprint` | Table III |
-//! | `fig10_job_pressure` | Fig. 10 |
-//! | `abl_*` | design-choice ablations (DESIGN.md) |
-//! | `perf_*` | Criterion microbenches (§IV-C complexity claim) |
+//! | `perf_negotiation`, `perf_negotiation_xl`, `perf_negotiation_xxl`, `perf_planning`, `perf_sim`, `perf_e2e`, `perf_throughput`, `perf_scale` | regression gates: each asserts bit-identity against an oracle, then a speedup floor, and writes `BENCH_*.json` |
+//! | `perf_knapsack`, `perf_substrate` | Criterion microbenches (§IV-C complexity claim, card models) |
+//! | `ext_fault_mtbf`, `ext_chaos_robustness` | self-asserting fault and chaos sweeps (CI smoke runs) |
 
 // `deny` rather than `forbid`: the opt-in `alloc_count` module needs one
 // `unsafe impl GlobalAlloc` and locally allows it; everything else stays
@@ -23,12 +20,9 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use phishare_cluster::{
-    default_workers, run_sweep_sharded, ClusterConfig, Experiment, ExperimentResult, ShardOptions,
-    SubstrateMode, SweepJob, SweepOutcome,
-};
-use phishare_core::ClusterPolicy;
-use phishare_workload::{ResourceDist, SyntheticParams, Workload, WorkloadBuilder, WorkloadKind};
+pub mod registry;
+
+use phishare_workload::{Workload, WorkloadBuilder, WorkloadKind};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -36,9 +30,6 @@ use std::sync::Arc;
 /// Seed used by every headline experiment (fixed for reproducibility; the
 /// sensitivity of results to the seed is itself checked in `tests/`).
 pub const EXPERIMENT_SEED: u64 = 7;
-
-/// The paper's real-workload job count (§V-A).
-pub const TABLE1_JOBS: usize = 1000;
 
 /// The paper's synthetic job count per distribution (§V-B).
 pub const SYNTHETIC_JOBS: usize = 400;
@@ -51,44 +42,6 @@ pub fn table1_workload(count: usize, seed: u64) -> Arc<Workload> {
             .seed(seed)
             .build(),
     )
-}
-
-/// Build one of the four synthetic workloads of §V-B.
-pub fn synthetic_workload(dist: ResourceDist, count: usize, seed: u64) -> Arc<Workload> {
-    Arc::new(
-        WorkloadBuilder::new(WorkloadKind::Synthetic(dist, SyntheticParams::default()))
-            .count(count)
-            .seed(seed)
-            .build(),
-    )
-}
-
-/// Run one (policy, nodes) cell on a workload.
-pub fn run_cell(policy: ClusterPolicy, nodes: u32, workload: &Workload) -> ExperimentResult {
-    let config = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
-    Experiment::run(&config, workload).expect("experiment runs")
-}
-
-/// Run a sweep grid through the process-sharded engine, sized to the
-/// machine (`PHISHARE_SWEEP_WORKERS` / [`default_workers`]), with workers
-/// spawned from `worker_exe` — benches pass
-/// `env!("CARGO_BIN_EXE_phishare-bench")`. Bit-identical to
-/// [`phishare_cluster::run_sweep`] on the same grid; panics if the sharded
-/// run fails (a bench has no resume story).
-pub fn run_sweep_sharded_auto(
-    jobs: Vec<SweepJob>,
-    substrate: SubstrateMode,
-    worker_exe: &str,
-) -> Vec<SweepOutcome> {
-    let opts = ShardOptions {
-        workers: default_workers(),
-        worker_exe: PathBuf::from(worker_exe),
-        dir: None,
-        resume: false,
-        keep_dir: false,
-        substrate,
-    };
-    run_sweep_sharded(jobs, &opts).expect("sharded sweep runs")
 }
 
 /// Where experiment JSON lands (`target/experiments/`).
@@ -104,23 +57,23 @@ pub fn experiments_dir() -> PathBuf {
     target.join("experiments")
 }
 
-/// Persist an experiment's raw rows as pretty JSON.
-pub fn persist_json<T: Serialize>(name: &str, value: &T) {
+/// Write an experiment's raw rows as pretty JSON to
+/// `target/experiments/<name>.json`, returning the path.
+pub fn save_json<T: Serialize>(name: &str, value: &T) -> Result<PathBuf, String> {
     let dir = experiments_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: cannot write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+    let json =
+        serde_json::to_string_pretty(value).map_err(|e| format!("cannot serialize {name}: {e}"))?;
+    std::fs::write(&path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// [`save_json`], warning instead of failing (the bench gates' policy).
+pub fn persist_json<T: Serialize>(name: &str, value: &T) {
+    match save_json(name, value) {
+        Ok(path) => println!("[saved {}]", path.display()),
+        Err(e) => eprintln!("warning: {e}"),
     }
 }
 
@@ -211,22 +164,6 @@ pub mod alloc_count {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn workload_builders_are_consistent() {
-        let wl = table1_workload(50, 1);
-        assert_eq!(wl.len(), 50);
-        let syn = synthetic_workload(ResourceDist::Normal, 40, 1);
-        assert_eq!(syn.len(), 40);
-        assert!(syn.label.contains("normal"));
-    }
-
-    #[test]
-    fn run_cell_smoke() {
-        let wl = table1_workload(10, 2);
-        let r = run_cell(ClusterPolicy::Mcck, 2, &wl);
-        assert!(r.all_completed());
-    }
 
     #[test]
     fn experiments_dir_is_under_target() {

@@ -78,16 +78,18 @@ impl Flags {
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected a --flag, got {arg:?}"))?;
             let takes_value = !matches!(key, "json" | "gantt" | "oracle" | "resume");
-            if takes_value {
-                let value = args
-                    .get(i + 1)
-                    .ok_or_else(|| format!("--{key} needs a value"))?;
-                map.insert(key.to_string(), value.clone());
-                i += 2;
-            } else {
-                map.insert(key.to_string(), "true".into());
+            let value = if takes_value {
                 i += 1;
+                args.get(i)
+                    .ok_or_else(|| format!("--{key} needs a value"))?
+                    .clone()
+            } else {
+                "true".into()
+            };
+            if map.insert(key.to_string(), value).is_some() {
+                return Err(format!("--{key} is given more than once"));
             }
+            i += 1;
         }
         Ok(Flags(map))
     }

@@ -130,6 +130,25 @@ fn errors_are_reported_not_panicked() {
         assert!(stderr.contains(&message), "{args:?}: {stderr}");
     }
 
+    // A repeated flag is refused by name, not silently last-wins.
+    for (args, flag) in [
+        (
+            &["run", "--policy", "mc", "--policy", "mcck"][..],
+            "--policy",
+        ),
+        (
+            &["run", "--policy", "mc", "--seed", "1", "--seed", "3"],
+            "--seed",
+        ),
+        (&["run", "--policy", "mc", "--json", "--json"], "--json"),
+    ] {
+        let out = phishare(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let message = format!("{flag} is given more than once");
+        assert!(stderr.contains(&message), "{args:?}: {stderr}");
+    }
+
     // A hostile plan file nests past the JSON parser's depth limit: a
     // reported error and a normal exit, not a stack-overflow abort.
     let dir = std::env::temp_dir().join("phishare-cli-test");
