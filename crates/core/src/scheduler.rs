@@ -10,6 +10,7 @@ use phishare_knapsack::{
 use phishare_sim::DetRng;
 use phishare_workload::JobId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 
 /// A pending job as the cluster scheduler sees it: only the declared
@@ -389,6 +390,12 @@ fn random_round(
 /// window of jobs not pinned yet and the device's capacity net of every
 /// pin so far; `select` answers with positions into that window, in pin
 /// order.
+///
+/// A device whose capacity is below the component-wise smallest
+/// `(mem_mb, threads)` of the unpinned jobs is skipped: no window job fits
+/// it alone, so its round would pack nothing (every packer drops such jobs
+/// before it solves or consults the plan cache). Pinning only shrinks the
+/// unpinned set, so the minimum taken once per call stays a lower bound.
 fn device_rounds(
     cfg: &KnapsackConfig,
     ledger: &mut Ledger,
@@ -396,6 +403,14 @@ fn device_rounds(
     devices: &[DeviceView],
     mut select: impl FnMut(&[&PendingJob], &Capacity) -> Vec<usize>,
 ) -> Vec<Pin> {
+    let Some((min_mem, min_threads)) = pending
+        .iter()
+        .filter(|j| !ledger.holds(j.id))
+        .map(|j| (j.mem_mb, j.threads))
+        .reduce(|(m, t), (jm, jt)| (m.min(jm), t.min(jt)))
+    else {
+        return Vec::new();
+    };
     let mut order: Vec<&DeviceView> = devices.iter().collect();
     order.sort_by(|a, b| {
         b.free_declared_mb
@@ -408,6 +423,9 @@ fn device_rounds(
         let Some(cap) = ledger.capacity(cfg, device) else {
             continue;
         };
+        if cap.mem_mb < min_mem || cap.thread_limit < min_threads {
+            continue;
+        }
         let window: Vec<&PendingJob> = pending
             .iter()
             .filter(|j| !ledger.holds(j.id))
@@ -423,28 +441,36 @@ fn device_rounds(
     pins
 }
 
-/// The oracle's round: longest nominal time first, each job taken while
-/// the round's memory and thread budget still hold it.
+/// The oracle's round: longest nominal time first (ties by id), each job
+/// taken while the round's memory and thread budget still hold it. Jobs
+/// that cannot fit alone are dropped before the sort, which orders by the
+/// bits of the duration: non-negative finite `f64`s order like their bits.
 fn lpt(window: &[&PendingJob], cap: &Capacity) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..window.len()).collect();
-    order.sort_by(|&a, &b| {
-        let (a, b) = (window[a], window[b]);
-        b.nominal_secs
-            .partial_cmp(&a.nominal_secs)
-            .expect("finite durations")
-            .then(a.id.cmp(&b.id))
-    });
+    let mut order: Vec<(Reverse<u64>, JobId, usize)> = window
+        .iter()
+        .enumerate()
+        .filter(|(_, job)| {
+            let secs = job.nominal_secs;
+            assert!(secs.is_finite() && secs >= 0.0, "finite durations: {secs}");
+            job.mem_mb <= cap.mem_mb && job.threads <= cap.thread_limit
+        })
+        // `abs` folds -0.0 into 0.0, which the value order ties.
+        .map(|(pos, job)| (Reverse(job.nominal_secs.abs().to_bits()), job.id, pos))
+        .collect();
+    order.sort_unstable();
     let (mut mem, mut threads) = (cap.mem_mb, cap.thread_limit);
-    order.retain(|&pos| {
-        let job = window[pos];
-        let fits = job.mem_mb <= mem && job.threads <= threads;
-        if fits {
-            mem -= job.mem_mb;
-            threads -= job.threads;
-        }
-        fits
-    });
     order
+        .into_iter()
+        .filter_map(|(_, _, pos)| {
+            let job = window[pos];
+            let fits = job.mem_mb <= mem && job.threads <= threads;
+            if fits {
+                mem -= job.mem_mb;
+                threads -= job.threads;
+            }
+            fits.then_some(pos)
+        })
+        .collect()
 }
 
 impl Knapsack {
@@ -732,6 +758,108 @@ mod tests {
         assert!(pins2.is_empty());
         s.unpin(JobId(0));
         assert_eq!(s.outstanding_pins(), 0);
+    }
+
+    #[test]
+    fn devices_that_fit_no_unpinned_job_are_skipped() {
+        let cfg = KnapsackConfig::default();
+        let pending: Vec<PendingJob> = (0..6).map(|i| job(i, 3000, 60)).collect();
+        // Below every job's memory, and below every job's threads (360 −
+        // 320 = 40 < 60); the roomy card still packs in the same plan.
+        let thread_starved = DeviceView {
+            node: 3,
+            device: 0,
+            free_declared_mb: 7680,
+            resident_threads: 320,
+        };
+        let devices = [dev(1, 7680), dev(2, 2999), thread_starved];
+        let mut rounds = 0;
+        device_rounds(&cfg, &mut Ledger::default(), &pending, &devices, |_, _| {
+            rounds += 1;
+            Vec::new()
+        });
+        assert_eq!(rounds, 1, "only the roomy card gets a round");
+
+        let mut s = mcck(cfg);
+        let pins = s.plan(&pending, &devices);
+        assert_eq!(pins.len(), 2);
+        assert!(pins.iter().all(|p| p.node == 1));
+        assert_eq!(
+            s.plan_stats(),
+            PlanStats {
+                cache_hits: 0,
+                cache_misses: 1
+            }
+        );
+    }
+
+    /// The oracle's order as first written: a comparison sort on the
+    /// durations, then the greedy fill.
+    fn lpt_by_partial_cmp(window: &[&PendingJob], cap: &Capacity) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..window.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (window[a], window[b]);
+            b.nominal_secs
+                .partial_cmp(&a.nominal_secs)
+                .unwrap()
+                .then(a.id.cmp(&b.id))
+        });
+        let (mut mem, mut threads) = (cap.mem_mb, cap.thread_limit);
+        order.retain(|&pos| {
+            let job = window[pos];
+            let fits = job.mem_mb <= mem && job.threads <= threads;
+            if fits {
+                mem -= job.mem_mb;
+                threads -= job.threads;
+            }
+            fits
+        });
+        order
+    }
+
+    #[test]
+    fn lpt_orders_like_the_comparison_sort() {
+        // Descending ids, repeated durations (ties go to the lower id), a
+        // zero duration, and jobs too big for some capacities.
+        let durations = [30.0, 12.5, 30.0, 0.0, 7.25, 12.5, 1e6, 30.0, 0.5, 7.25];
+        let jobs: Vec<PendingJob> = durations
+            .iter()
+            .enumerate()
+            .map(|(i, &secs)| {
+                let i = i as u64;
+                timed_job(
+                    100 - i,
+                    500 + 700 * (i % 4),
+                    30 * (1 + (i % 5) as u32),
+                    secs,
+                )
+            })
+            .collect();
+        let window: Vec<&PendingJob> = jobs.iter().collect();
+        for (mem_mb, thread_limit) in [(7680, 360), (4000, 240), (2500, 90), (1800, 60), (400, 360)]
+        {
+            let cap = Capacity {
+                mem_mb,
+                thread_limit,
+                ..Capacity::phi(0)
+            };
+            assert_eq!(
+                lpt(&window, &cap),
+                lpt_by_partial_cmp(&window, &cap),
+                "{cap:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite durations")]
+    fn lpt_refuses_nan_durations() {
+        let mut s = oracle();
+        let pending = [
+            timed_job(0, 1000, 60, 10.0),
+            timed_job(1, 1000, 60, f64::NAN),
+        ];
+        s.plan(&pending, &[dev(1, 7680)]);
     }
 
     #[test]

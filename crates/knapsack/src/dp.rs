@@ -28,8 +28,9 @@ pub(crate) const THREADS_PER_UNIT: u32 = 4;
 /// bit grid) into buffer reuses.
 #[derive(Debug, Default, Clone)]
 pub struct DpScratch {
-    /// DP value table, `(w_max+1) × (t_max+1)` cells (or `w_max+1` for the
-    /// 1-D variant).
+    /// DP value table: at least `(w_max+1) × (t_max+1)` cells for the 2-D
+    /// variant, which reads only cells the current solve wrote, and exactly
+    /// `w_max+1` zeroed cells for the 1-D variant.
     dp: Vec<f64>,
     /// Backing words of the backtracking [`BitGrid`].
     words: Vec<u64>,
@@ -41,7 +42,8 @@ pub struct DpScratch {
 
 /// A dense bit grid recording, per item layer, which DP cells were improved
 /// by taking the item — the backtracking information for reconstruction.
-/// Borrows its storage from a [`DpScratch`].
+/// Borrows its storage from a [`DpScratch`]. The 2-D core pads each memory
+/// row to whole words, so cell `(w, t)` is bit `w · row_bits + t`.
 struct BitGrid<'a> {
     words: &'a mut Vec<u64>,
     cells_per_item: usize,
@@ -79,6 +81,14 @@ impl<'a> BitGrid<'a> {
         self.words[bit / 64] |= 1u64 << (bit % 64);
     }
 
+    /// OR `mask` into the word that starts at `cell` (word-aligned).
+    #[inline]
+    fn or_word(&mut self, item: usize, cell: usize, mask: u64) {
+        let bit = item * self.cells_per_item + cell;
+        debug_assert_eq!(bit % 64, 0, "unaligned word");
+        self.words[bit / 64] |= mask;
+    }
+
     #[inline]
     fn get(&self, item: usize, cell: usize) -> bool {
         let bit = item * self.cells_per_item + cell;
@@ -98,6 +108,31 @@ struct Layer2 {
 /// reconstruction order (descending) and the optimum at the full-capacity
 /// cell. Both the raw and the prepped entry points call this, which is what
 /// makes them bit-identical on equal effective instances.
+///
+/// It computes exactly the classic in-place table `dp[w][t]` (best value of
+/// the processed layers within `w` memory and `t` thread units) and the
+/// classic backtracking bits, but only where they can matter. Layer `k` is
+/// clamped, per dimension, to `[max(w_k, min(lo, hi)), hi]` with
+/// `hi = min(w_max, Σ_{j≤k} w_j)` and `lo = w_max − Σ_{j>k} w_j`:
+///
+/// * **Above the prefix sum** the constraint cannot bind, so every row
+///   `w > hi` (column `t > hi`) is a bitwise copy of row `hi` (column
+///   `hi`) — values and bits alike, since each is computed by the same
+///   operations on equal inputs. Before layer `k` the previous edge row and
+///   column are copied outward to the new `hi`; reconstruction reads bits
+///   at `(min(w, hi), min(t, hi))`.
+/// * **Below the suffix floor** nothing is read again: later layers read
+///   layer `k` at `w − w_{k+1} ≥ lo_{k+1} − w_{k+1} = lo_k`, and
+///   reconstruction stands at `w_max` minus the weights it took from the
+///   later layers, which is at least `lo_k`. Clamping the floor to
+///   `min(lo, hi)` keeps the edge row `hi` current for the copies.
+///
+/// Cells outside the live rectangle are never read, so the table is not
+/// cleared between solves. For `w_k ≥ 1` the descending sweep has not yet
+/// touched row `w − w_k`, so each row update is one branch-free
+/// element-wise maximum with a strict-`>` mask; rows start on a word
+/// boundary of the bit grid, so the mask is ORed in whole words. A
+/// memory-free item (`w_k = 0`) reads its own row and keeps the cell loop.
 fn dp_core_2d(
     layers: &[Layer2],
     w_max: usize,
@@ -105,44 +140,94 @@ fn dp_core_2d(
     scratch: &mut DpScratch,
 ) -> (Vec<usize>, f64) {
     let stride = t_max + 1;
-    let cells = (w_max + 1) * stride;
+    let row_bits = stride.div_ceil(64) * 64;
     let DpScratch {
         dp,
         words,
         words_hot,
     } = scratch;
-    dp.clear();
-    dp.resize(cells, 0.0);
-    let mut taken = BitGrid::reset(words, words_hot, layers.len(), cells);
+    if dp.len() < (w_max + 1) * stride {
+        dp.resize((w_max + 1) * stride, 0.0);
+    }
+    dp[0] = 0.0;
+    let mut taken = BitGrid::reset(words, words_hot, layers.len(), (w_max + 1) * row_bits);
 
+    let (sum_w, sum_t) = layers
+        .iter()
+        .fold((0, 0), |(w, t), it| (w + it.w, t + it.t));
+    // The live rectangle `[lo_w, hi_w] × [lo_t, hi_t]` and the weight the
+    // layers after the current one can still take.
+    let (mut lo_w, mut hi_w, mut rest_w) = (0, 0, sum_w);
+    let (mut lo_t, mut hi_t, mut rest_t) = (0, 0, sum_t);
     for (k, it) in layers.iter().enumerate() {
-        // In-place 0-1 update: iterate capacities downward so each item is
-        // used at most once.
-        for w in (it.w..=w_max).rev() {
-            for t in (it.t..=t_max).rev() {
-                let from = (w - it.w) * stride + (t - it.t);
-                let here = w * stride + t;
-                let candidate = dp[from] + it.v;
-                if candidate > dp[here] {
-                    dp[here] = candidate;
-                    taken.set(k, here);
+        let (next_w, next_t) = ((hi_w + it.w).min(w_max), (hi_t + it.t).min(t_max));
+        for w in lo_w..=hi_w {
+            let row = &mut dp[w * stride..][..stride];
+            let edge = row[hi_t];
+            row[hi_t + 1..=next_t].fill(edge);
+        }
+        for w in hi_w + 1..=next_w {
+            dp.copy_within(
+                hi_w * stride + lo_t..=hi_w * stride + next_t,
+                w * stride + lo_t,
+            );
+        }
+        (hi_w, hi_t) = (next_w, next_t);
+        (rest_w, rest_t) = (rest_w - it.w, rest_t - it.t);
+        lo_w = w_max.saturating_sub(rest_w).min(hi_w);
+        lo_t = t_max.saturating_sub(rest_t).min(hi_t);
+
+        let t_from = it.t.max(lo_t);
+        if it.w == 0 {
+            for w in (lo_w..=hi_w).rev() {
+                for t in (t_from..=hi_t).rev() {
+                    let candidate = dp[w * stride + t - it.t] + it.v;
+                    if candidate > dp[w * stride + t] {
+                        dp[w * stride + t] = candidate;
+                        taken.set(k, w * row_bits + t);
+                    }
                 }
+            }
+            continue;
+        }
+        for w in (it.w.max(lo_w)..=hi_w).rev() {
+            let (below, row) = dp.split_at_mut(w * stride);
+            let src = &below[(w - it.w) * stride..][..stride];
+            for word in t_from / 64..=hi_t / 64 {
+                let from = t_from.max(word * 64);
+                let to = hi_t.min(word * 64 + 63);
+                let mut mask = 0u64;
+                for (i, (here, &there)) in row[from..=to]
+                    .iter_mut()
+                    .zip(&src[from - it.t..=to - it.t])
+                    .enumerate()
+                {
+                    let candidate = there + it.v;
+                    let better = candidate > *here;
+                    *here = if better { candidate } else { *here };
+                    mask |= u64::from(better) << i;
+                }
+                taken.or_word(k, w * row_bits + word * 64, mask << (from - word * 64));
             }
         }
     }
 
-    // Reconstruct from the full-capacity cell.
-    let mut w = w_max;
-    let mut t = t_max;
+    // Reconstruct from the full-capacity cell, reading each layer's bits
+    // at the capacity clamped to that layer's prefix sums.
+    let (mut w, mut t) = (w_max, t_max);
+    let (mut prefix_w, mut prefix_t) = (sum_w, sum_t);
     let mut selected = Vec::new();
     for (k, it) in layers.iter().enumerate().rev() {
-        if taken.get(k, w * stride + t) {
+        let cell = w.min(prefix_w) * row_bits + t.min(prefix_t);
+        if taken.get(k, cell) {
             selected.push(k);
             w -= it.w;
             t -= it.t;
         }
+        prefix_w -= it.w;
+        prefix_t -= it.t;
     }
-    (selected, dp[cells - 1])
+    (selected, dp[hi_w * stride + hi_t])
 }
 
 /// One effective item layer for the 1-D core.
@@ -209,7 +294,8 @@ fn repair_threads(chosen: &mut Vec<usize>, threads_of: impl Fn(usize) -> u32, li
 ///
 /// Complexity `O(n · W · T)` with `W = capacity/granularity` memory units
 /// (153 for a 7.5 GB-usable card at 50 MB) and `T = thread_limit/4` thread
-/// units (60 on the Phi) — the 2-D analogue of the paper's `O(n·w)` claim.
+/// units — 60 for [`Capacity::phi`]'s 240 threads, 90 under MCCK's default
+/// 1.5× thread budget — the 2-D analogue of the paper's `O(n·w)` claim.
 ///
 /// ```
 /// use phishare_knapsack::{solve_2d, Capacity, PackItem, ValueFunction};

@@ -1,12 +1,13 @@
-//! Property tests: the 2-D DP is optimal (vs the exhaustive oracle) and all
-//! solvers respect feasibility on arbitrary instances.
+//! Property tests: the 2-D DP is optimal (vs the exhaustive oracle), its
+//! kernel computes exactly the classic cell-by-cell DP, and all solvers
+//! respect feasibility on arbitrary instances.
 
 use phishare_knapsack::baseline::Packer;
 use phishare_knapsack::bb::solve_branch_and_bound_bounded;
 use phishare_knapsack::exhaustive::solve_exhaustive;
 use phishare_knapsack::{
-    solve_1d_filtered, solve_2d, BestFitDecreasing, Capacity, FirstFit, PackItem, Packing,
-    RandomFit, ValueFunction,
+    prep_2d, solve_1d_filtered, solve_2d, solve_2d_with, solve_prepped_2d_with, BestFitDecreasing,
+    Capacity, DpScratch, FirstFit, PackItem, Packing, RandomFit, ValueFunction,
 };
 use phishare_sim::DetRng;
 use proptest::prelude::*;
@@ -39,6 +40,98 @@ fn arb_capacity() -> impl Strategy<Value = Capacity> {
             thread_limit: 240,
             value_ref_threads: 0,
         })
+}
+
+/// Instances for the kernel reference: zero-memory and zero-thread items,
+/// thread limits whose `t_max + 1` lies on both sides of 64 and 128, and
+/// memory either drawn at random or roomy enough for every item at once
+/// (with small thread counts, every item then fits in both dimensions).
+fn arb_kernel_instance() -> impl Strategy<Value = (Vec<PackItem>, Capacity)> {
+    (
+        prop::sample::select(vec![252u32, 256, 260, 508, 512]),
+        prop::sample::select(vec![50u64, 100]),
+        any::<bool>(),
+        1usize..=16,
+    )
+        .prop_flat_map(|(thread_limit, granularity_mb, small, n)| {
+            let threads = if small {
+                (0..=thread_limit / 64).prop_map(|cores| cores * 4).boxed()
+            } else {
+                prop_oneof![1 => Just(0u32), 4 => 1..=thread_limit].boxed()
+            };
+            let item = (prop_oneof![1 => Just(0u64), 4 => 1u64..1500], threads);
+            (
+                prop::collection::vec(item, 1..=n),
+                prop_oneof![Just(None), (0u64..8000).prop_map(Some)],
+                Just((thread_limit, granularity_mb)),
+            )
+        })
+        .prop_map(|(raw, mem_mb, (thread_limit, granularity_mb))| {
+            let items: Vec<PackItem> = raw
+                .into_iter()
+                .enumerate()
+                .map(|(index, (mem_mb, threads))| PackItem {
+                    index,
+                    mem_mb,
+                    threads,
+                })
+                .collect();
+            let roomy = items
+                .iter()
+                .map(|it| it.mem_mb.div_ceil(granularity_mb) * granularity_mb)
+                .sum();
+            let cap = Capacity {
+                mem_mb: mem_mb.unwrap_or(roomy),
+                granularity_mb,
+                thread_limit,
+                value_ref_threads: 240,
+            };
+            (items, cap)
+        })
+}
+
+/// The classic 2-D knapsack DP, cell by cell over the whole table, with
+/// `solve_2d`'s fit filter and reconstruction: the specification the
+/// solver's clamped row kernel must reproduce bit for bit. Returns the
+/// selected `index` fields (ascending) and the optimum.
+fn reference_2d(items: &[PackItem], cap: &Capacity, vf: ValueFunction) -> (Vec<usize>, f64) {
+    let (w_max, t_max) = (cap.units(), (cap.thread_limit / 4) as usize);
+    if w_max == 0 || t_max == 0 {
+        return (Vec::new(), 0.0);
+    }
+    let layers: Vec<(usize, usize, f64, usize)> = items
+        .iter()
+        .filter_map(|it| {
+            let (w, t) = (cap.item_units(it.mem_mb), it.threads.div_ceil(4) as usize);
+            let fits = w <= w_max && t <= t_max && it.threads <= cap.thread_limit;
+            fits.then(|| (w, t, vf.value(it.threads, cap.value_threads()), it.index))
+        })
+        .collect();
+    let stride = t_max + 1;
+    let mut dp = vec![0.0f64; (w_max + 1) * stride];
+    let mut taken = vec![vec![false; dp.len()]; layers.len()];
+    for (k, &(wk, tk, v, _)) in layers.iter().enumerate() {
+        for w in (wk..=w_max).rev() {
+            for t in (tk..=t_max).rev() {
+                let candidate = dp[(w - wk) * stride + t - tk] + v;
+                if candidate > dp[w * stride + t] {
+                    dp[w * stride + t] = candidate;
+                    taken[k][w * stride + t] = true;
+                }
+            }
+        }
+    }
+    let (mut w, mut t) = (w_max, t_max);
+    let mut selected = Vec::new();
+    for (k, &(wk, tk, _, index)) in layers.iter().enumerate().rev() {
+        if taken[k][w * stride + t] {
+            selected.push(index);
+            w -= wk;
+            t -= tk;
+        }
+    }
+    selected.sort_unstable();
+    (selected, dp[dp.len() - 1])
 }
 
 fn assert_feasible(p: &Packing, cap: &Capacity, check_threads: bool) {
@@ -77,6 +170,43 @@ proptest! {
                 "{vf}: oracle {} vs dp {} on {} items",
                 oracle.total_value, dp.total_value, items.len()
             );
+        }
+    }
+
+    /// The solver's selection and optimum equal the cell-by-cell reference
+    /// bit for bit, for every value function.
+    #[test]
+    fn dp_2d_matches_cell_by_cell_reference(inst in arb_kernel_instance()) {
+        let (items, cap) = inst;
+        for vf in ValueFunction::ALL {
+            let (selected, total) = reference_2d(&items, &cap, vf);
+            let p = solve_2d(&items, &cap, vf);
+            prop_assert_eq!(&p.selected, &selected, "{} on {:?}", vf, cap);
+            prop_assert_eq!(p.total_value.to_bits(), total.to_bits());
+        }
+    }
+
+    /// One scratch carried across instances that grow and shrink in both
+    /// dimensions: stale table cells and bits never leak into a later
+    /// solve, raw or prepped.
+    #[test]
+    fn reused_scratch_matches_reference(
+        instances in prop::collection::vec(arb_kernel_instance(), 1..=6)
+    ) {
+        let mut scratch = DpScratch::default();
+        let vf = ValueFunction::PaperQuadratic;
+        for (items, cap) in &instances {
+            let (selected, total) = reference_2d(items, cap, vf);
+            let raw = solve_2d_with(items, cap, vf, &mut scratch);
+            prop_assert_eq!(&raw.selected, &selected);
+            prop_assert_eq!(raw.total_value.to_bits(), total.to_bits());
+            let pre = prep_2d(items, cap);
+            let (positions, prepped_total) = solve_prepped_2d_with(&pre, vf, &mut scratch);
+            let mut prepped: Vec<usize> =
+                positions.iter().map(|&p| items[pre.items[p].pos].index).collect();
+            prepped.sort_unstable();
+            prop_assert_eq!(prepped, selected);
+            prop_assert_eq!(prepped_total.to_bits(), total.to_bits());
         }
     }
 

@@ -182,25 +182,46 @@ fn multi_card_results_match_golden() {
     }
 }
 
-#[test]
-fn full_size_mc_table2_cell_matches_benchmark_golden() {
-    // The paper's Table II MC cell at full size: 1000 exclusive jobs whose
-    // identical requirements form one negotiation class. The benchmark's
-    // seed-7 golden pins it (read-only here; `plan_ms` is excluded from
-    // equality).
+/// Run the paper's Table II cell for `policy` at full size (1000 jobs,
+/// seed 7) and compare it with the benchmark's golden record `label`
+/// (read-only here; `plan_ms` is excluded from equality).
+fn assert_full_size_table2_cell(policy: ClusterPolicy, label: &str) {
     let golden: Vec<CellRecord> =
         serde_json::from_str(include_str!("../phibench/golden/table2.json")).unwrap();
     let want = golden
         .iter()
-        .find(|cell| cell.label == "MC/s7")
+        .find(|cell| cell.label == label)
         .and_then(|cell| cell.ok.as_ref())
-        .expect("table2 golden has an MC/s7 result");
-    let config = ClusterConfig::paper_cluster(ClusterPolicy::Mc).with_seed(7);
+        .unwrap_or_else(|| panic!("table2 golden has a {label} result"));
+    let config = ClusterConfig::paper_cluster(policy).with_seed(7);
     let r = Experiment::run(&config, &workload(1000, 7)).unwrap();
     assert_eq!(
         &r, want,
-        "MC Table II cell drifted from the benchmark golden"
+        "{label} Table II cell drifted from the benchmark golden"
     );
+}
+
+#[test]
+fn full_size_mc_table2_cell_matches_benchmark_golden() {
+    // 1000 exclusive jobs whose identical requirements form one
+    // negotiation class.
+    assert_full_size_table2_cell(ClusterPolicy::Mc, "MC/s7");
+}
+
+#[test]
+fn full_size_mcc_table2_cell_matches_benchmark_golden() {
+    assert_full_size_table2_cell(ClusterPolicy::Mcc, "MCC/s7");
+}
+
+#[test]
+fn full_size_mcck_table2_cell_matches_benchmark_golden() {
+    // Every packing round of the knapsack planner, at the default window.
+    assert_full_size_table2_cell(ClusterPolicy::Mcck, "MCCK/s7");
+}
+
+#[test]
+fn full_size_oracle_table2_cell_matches_benchmark_golden() {
+    assert_full_size_table2_cell(ClusterPolicy::Oracle, "ORACLE/s7");
 }
 
 /// The multi-card scenario on the shared-throughput substrate, with GPU-like
