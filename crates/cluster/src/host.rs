@@ -12,7 +12,7 @@
 //! proceed at the fair-share rate `cores / n_active` (a processor-sharing
 //! queue — the right model for timeslice-scheduled CPU-bound phases).
 
-use phishare_sim::{SimDuration, SimTime, TimeWeighted};
+use phishare_sim::{ceil_ticks, SimDuration, SimTime, TimeWeighted};
 use phishare_workload::JobId;
 use std::collections::BTreeMap;
 
@@ -112,7 +112,7 @@ impl HostCpu {
         self.active
             .iter()
             .map(|(job, seg)| {
-                let dt = (seg.remaining / self.rate).ceil().max(0.0) as u64;
+                let dt = ceil_ticks(seg.remaining / self.rate);
                 (*job, self.last_update + SimDuration::from_ticks(dt))
             })
             .collect()
@@ -128,7 +128,7 @@ impl HostCpu {
     pub fn next_completion(&self) -> Option<(JobId, SimTime)> {
         let mut best: Option<(JobId, SimTime)> = None;
         for (job, seg) in &self.active {
-            let dt = (seg.remaining / self.rate).ceil().max(0.0) as u64;
+            let dt = ceil_ticks(seg.remaining / self.rate);
             let at = self.last_update + SimDuration::from_ticks(dt);
             if best.map(|(_, b)| at < b).unwrap_or(true) {
                 best = Some((*job, at));

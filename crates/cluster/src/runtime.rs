@@ -225,6 +225,9 @@ struct RunningJob<DH, CH> {
     seg: usize,
     /// Offload segments completed so far (drives the memory-growth model).
     offloads_done: usize,
+    /// The job's offload segment count (at least 1), counted once at
+    /// placement: the memory-growth model's denominator.
+    offloads_total: usize,
     /// The job's card reset under it and [`FallbackPolicy::HostOnly`]
     /// applies: remaining offload segments run on host cores, the device
     /// and COSMIC are never touched again.
@@ -1168,6 +1171,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             cslot,
             seg: 0,
             offloads_done: 0,
+            offloads_total: spec.profile.offload_count().max(1),
             fallback: false,
         });
         self.handle_commit_outcome(sim, key, outcome);
@@ -1249,13 +1253,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 }
                 // Memory-growth model: commits approach the actual peak as
                 // offloads execute.
-                let total_offloads = spec.profile.offload_count().max(1);
                 let initial = ((spec.actual_peak_mem_mb as f64) * self.cfg.initial_commit_fraction)
                     .round() as u64;
                 let grown = initial
                     + ((spec.actual_peak_mem_mb - initial.min(spec.actual_peak_mem_mb)) as f64
                         * (run.offloads_done + 1) as f64
-                        / total_offloads as f64)
+                        / run.offloads_total as f64)
                         .round() as u64;
                 let i = self.card_index(key);
                 let outcome = self.cards[i]

@@ -67,6 +67,36 @@ impl CoreSet {
     }
 }
 
+/// Start of the lowest run of `n ≥ 1` consecutive set bits in `free`.
+///
+/// Bit `i` of `runs` is set while bits `i .. i + covered` of `free` all
+/// are. ANDing `runs` with itself shifted right by `step ≤ covered` joins
+/// the run at `i` to the one at `i + step`, extending `covered` by `step`;
+/// doubling the step reaches `n` in ⌈log₂ n⌉ rounds. The shift fills with
+/// zeros, so no run crosses the top of the mask.
+fn first_run(free: u64, n: u32) -> Option<u32> {
+    let mut runs = free;
+    let mut covered = 1;
+    while covered < n {
+        let step = covered.min(n - covered);
+        runs &= runs >> step;
+        covered += step;
+    }
+    (runs != 0).then(|| runs.trailing_zeros())
+}
+
+/// The lowest `n` set bits of `free`, which must have at least `n`.
+fn lowest_bits(mut free: u64, n: u32) -> CoreSet {
+    let mut mask = 0;
+    for _ in 0..n {
+        debug_assert!(free != 0, "fewer than {n} free cores");
+        let low = free & free.wrapping_neg();
+        mask |= low;
+        free ^= low;
+    }
+    CoreSet::from_mask(mask)
+}
+
 impl fmt::Display for CoreSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "cores[{}]", self.count())
@@ -108,29 +138,13 @@ impl CoreAllocator {
         if n > self.free_cores() {
             return None;
         }
-        // First fit: lowest contiguous run of n free cores.
-        for start in 0..=(self.total_cores - n) {
-            let candidate = CoreSet::contiguous(start, n);
-            if candidate.is_disjoint(self.used) {
-                self.used = self.used.union(candidate);
-                return Some(candidate);
-            }
-        }
-        // Fragmented: gather the lowest n free cores individually.
-        let mut mask = 0u64;
-        let mut got = 0;
-        for core in 0..self.total_cores {
-            let bit = 1u64 << core;
-            if self.used.mask() & bit == 0 {
-                mask |= bit;
-                got += 1;
-                if got == n {
-                    break;
-                }
-            }
-        }
-        debug_assert_eq!(got, n, "free_cores() said {n} cores were available");
-        let set = CoreSet::from_mask(mask);
+        let free = CoreSet::contiguous(0, self.total_cores).mask() & !self.used.mask();
+        let set = match first_run(free, n) {
+            // First fit: lowest contiguous run of n free cores.
+            Some(start) => CoreSet::contiguous(start, n),
+            // Fragmented: the lowest n free cores individually.
+            None => lowest_bits(free, n),
+        };
         self.used = self.used.union(set);
         Some(set)
     }
@@ -152,6 +166,76 @@ impl CoreAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scan `allocate` replaced: every start position's mask in turn,
+    /// then the lowest free cores one by one.
+    fn allocate_by_scan(alloc: &mut CoreAllocator, n: u32) -> Option<CoreSet> {
+        if n == 0 {
+            return Some(CoreSet::EMPTY);
+        }
+        if n > alloc.free_cores() {
+            return None;
+        }
+        for start in 0..=(alloc.total_cores - n) {
+            let candidate = CoreSet::contiguous(start, n);
+            if candidate.is_disjoint(alloc.used) {
+                alloc.used = alloc.used.union(candidate);
+                return Some(candidate);
+            }
+        }
+        let mut mask = 0u64;
+        let mut got = 0;
+        for core in 0..alloc.total_cores {
+            let bit = 1u64 << core;
+            if alloc.used.mask() & bit == 0 {
+                mask |= bit;
+                got += 1;
+                if got == n {
+                    break;
+                }
+            }
+        }
+        let set = CoreSet::from_mask(mask);
+        alloc.used = alloc.used.union(set);
+        Some(set)
+    }
+
+    /// A used mask: uniform bits, sparse or dense bits, or every other
+    /// core (free cores but no run longer than one).
+    fn arb_used() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            any::<u64>(),
+            (any::<u64>(), any::<u64>()).prop_map(|(a, b)| a & b),
+            (any::<u64>(), any::<u64>()).prop_map(|(a, b)| a | b),
+            (0u32..2).prop_map(|phase| 0x5555_5555_5555_5555u64 << phase),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn run_mask_first_fit_equals_the_scan(
+            total in 1u32..=64,
+            used in arb_used(),
+            n in 0u32..=64,
+        ) {
+            let used = CoreSet::from_mask(used & CoreSet::contiguous(0, total).mask());
+            let mut fast = CoreAllocator { total_cores: total, used };
+            let mut scan = fast.clone();
+            prop_assert_eq!(fast.allocate(n), allocate_by_scan(&mut scan, n));
+            prop_assert_eq!(fast.used, scan.used);
+        }
+    }
+
+    #[test]
+    fn run_mask_finds_runs_at_the_mask_edges() {
+        assert_eq!(first_run(u64::MAX, 64), Some(0));
+        assert_eq!(first_run(u64::MAX << 1, 64), None);
+        assert_eq!(first_run(u64::MAX << 1, 63), Some(1));
+        assert_eq!(first_run(0b1110_1101, 3), Some(5));
+        assert_eq!(first_run(0b1110_1101, 4), None);
+        assert_eq!(lowest_bits(0b1110_1101, 4), CoreSet::from_mask(0b0010_1101));
+    }
 
     #[test]
     fn coreset_basics() {

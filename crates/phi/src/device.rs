@@ -7,11 +7,12 @@
 //! thermal derate, the generation counter, utilization and energy, and the
 //! lifetime counters — and implements [`DeviceSubstrate`] once. The models
 //! differ only in how the card's load becomes execution rates, a sealed
-//! rate-model trait with two implementations: [`PerfModel`]'s per-offload
-//! rates, each active offload keeping its remaining work and rate in its
-//! slab entry ([`PhiDevice`]), and [`crate::sharing`]'s one shared rate
-//! set on a throughput engine. Every operation integrates execution up to
-//! `now`, then changes membership, then reshares the rates.
+//! rate-model trait with two implementations: [`PerfRates`], the paper's
+//! pinned/unmanaged rate pair kept once per card while each active offload
+//! keeps only its remaining work in its slab entry ([`PhiDevice`]), and
+//! [`crate::sharing`]'s one shared rate set on a throughput engine. Every
+//! operation integrates execution up to `now`, then changes membership,
+//! then reshares the rates.
 //!
 //! Per-resident state lives in one generation-stamped slab
 //! ([`phishare_sim::Slab`]): a [`ProcSlot`] handle is resolved once at
@@ -26,7 +27,7 @@
 
 use crate::alloc::CoreSet;
 use crate::config::PhiConfig;
-use crate::perf::PerfModel;
+use crate::perf::PerfRates;
 use crate::proc::ProcId;
 use crate::substrate::{DeviceSpec, DeviceSubstrate};
 use phishare_sim::{Counter, DetRng, SimDuration, SimTime, Slab, Slot, TimeWeighted};
@@ -64,6 +65,12 @@ struct ActiveOffload<W> {
     threads: u32,
     affinity: Affinity,
     work: W,
+}
+
+impl<W> ActiveOffload<W> {
+    fn pinned(&self) -> bool {
+        matches!(self.affinity, Affinity::Pinned(_))
+    }
 }
 
 /// One resident process's slab entry: envelope, commit, optional offload.
@@ -184,9 +191,9 @@ mod rule {
     use super::*;
 
     /// How a card's load becomes execution rates: the one thing the card
-    /// models differ in. Its two implementations are [`PerfModel`]'s
-    /// per-offload rates and [`FairShare`](crate::FairShare)'s one shared
-    /// rate.
+    /// models differ in. Its two implementations are [`PerfRates`], one
+    /// pinned/unmanaged rate pair per card, and
+    /// [`FairShare`](crate::FairShare)'s one shared rate.
     pub trait RateModel: fmt::Debug {
         /// What an active offload keeps in its slab entry.
         type Work: fmt::Debug + 'static;
@@ -197,48 +204,45 @@ mod rule {
         /// Start tracking `proc`'s offload of `work` nominal ticks.
         fn join(&mut self, proc: ProcId, work: f64) -> Self::Work;
 
-        /// Stop tracking `proc`'s offload; returns its remaining work and
-        /// its rate.
-        fn leave(&mut self, proc: ProcId, work: Self::Work) -> (f64, f64);
+        /// Stop tracking `proc`'s offload (pinned or not); returns its
+        /// remaining work and its rate.
+        fn leave(&mut self, proc: ProcId, pinned: bool, work: Self::Work) -> (f64, f64);
 
         /// Drop every tracked offload (device reset).
         fn clear(&mut self) {}
 
         /// Integrate `dt` wall ticks of execution at the current rates.
-        fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = &'a mut Self::Work>);
-
-        /// Recompute the rates for `(n_active, n_resident)` offloads and
-        /// residents running `(active_threads, hw_threads)`, then derate
-        /// them by `scale`. `active` yields each offload's pinned flag and
-        /// work.
-        fn reshare<'a>(
+        /// `active` yields each offload's pinned flag and work.
+        fn advance<'a>(
             &mut self,
-            load: (usize, usize),
-            threads: (u32, u32),
-            scale: f64,
+            dt: f64,
             active: impl Iterator<Item = (bool, &'a mut Self::Work)>,
         );
 
+        /// Recompute the rates for `(n_active, n_resident)` offloads and
+        /// residents running `(active_threads, hw_threads)`, then derate
+        /// them by `scale`.
+        fn reshare(&mut self, load: (usize, usize), threads: (u32, u32), scale: f64);
+
         /// Visit every predicted completion, as ticks after the last
-        /// update, in ascending proc order (`by_id` yields the active
-        /// offloads in that order).
+        /// update, in ascending proc order (`by_id` yields each active
+        /// offload's proc, pinned flag and work in that order).
         fn for_each_completion<'a>(
             &self,
-            by_id: impl Iterator<Item = (ProcId, &'a Self::Work)>,
+            by_id: impl Iterator<Item = (ProcId, bool, &'a Self::Work)>,
             f: impl FnMut(ProcId, u64),
         );
 
         /// The earliest predicted completion, ties to the lowest proc.
         fn next_completion<'a>(
             &self,
-            active: impl Iterator<Item = (ProcId, &'a Self::Work)>,
+            active: impl Iterator<Item = (ProcId, bool, &'a Self::Work)>,
         ) -> Option<(ProcId, u64)>;
     }
 }
 
-/// The slab-backed Xeon Phi card under the paper's per-offload
-/// [`PerfModel`].
-pub type PhiDevice = Card<PerfModel>;
+/// The slab-backed Xeon Phi card under the paper's [`PerfModel`](crate::PerfModel).
+pub type PhiDevice = Card<PerfRates>;
 
 /// A simulated coprocessor card under rate model `R`, driven through its
 /// [`DeviceSubstrate`] impl.
@@ -279,11 +283,11 @@ pub struct Card<R: RateModel> {
 
 impl<R: RateModel> Card<R> {
     /// Create a device at simulation time `start`.
-    pub fn new(cfg: PhiConfig, rates: R, start: SimTime) -> Self {
+    pub fn new(cfg: PhiConfig, rates: impl Into<R>, start: SimTime) -> Self {
         cfg.validate().expect("invalid device configuration");
         Card {
             cfg,
-            rates,
+            rates: rates.into(),
             procs: Slab::with_capacity(8),
             index: BTreeMap::new(),
             last_update: start,
@@ -345,7 +349,7 @@ impl<R: RateModel> Card<R> {
                 self.unmanaged_cores -= self.cfg.cores_for_threads(off.threads);
             }
         }
-        self.rates.leave(proc, off.work)
+        self.rates.leave(proc, off.pinned(), off.work)
     }
 
     /// The live entry at `slot`, panicking on a stale handle.
@@ -368,7 +372,8 @@ impl<R: RateModel> Card<R> {
         let dt = now.since(self.last_update).ticks() as f64;
         if dt > 0.0 {
             let active = self.procs.iter_mut().filter_map(|(_, e)| e.active.as_mut());
-            self.rates.advance(dt, active.map(|off| &mut off.work));
+            self.rates
+                .advance(dt, active.map(|off| (off.pinned(), &mut off.work)));
             self.last_update = now;
         }
     }
@@ -379,9 +384,7 @@ impl<R: RateModel> Card<R> {
         debug_assert_eq!(self.last_update, now);
         let load = (self.n_active, self.procs.len());
         let threads = (self.active_threads_total, self.cfg.hw_threads());
-        let active = self.procs.iter_mut().filter_map(|(_, e)| e.active.as_mut());
-        let active = active.map(|off| (matches!(off.affinity, Affinity::Pinned(_)), &mut off.work));
-        self.rates.reshare(load, threads, self.rate_scale, active);
+        self.rates.reshare(load, threads, self.rate_scale);
         self.generation += 1;
         self.record_utilization(now);
     }
@@ -569,7 +572,8 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
     fn for_each_completion(&self, mut f: impl FnMut(ProcId, SimTime)) {
         let by_id = self.index.values().filter_map(|slot| {
             let entry = self.entry(*slot);
-            entry.active.as_ref().map(|off| (entry.id, &off.work))
+            let off = entry.active.as_ref()?;
+            Some((entry.id, off.pinned(), &off.work))
         });
         self.rates.for_each_completion(by_id, |proc, ticks| {
             f(proc, self.last_update + SimDuration::from_ticks(ticks))
@@ -577,10 +581,10 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
     }
 
     fn next_completion(&self) -> Option<(ProcId, SimTime)> {
-        let active = self
-            .procs
-            .iter()
-            .filter_map(|(_, entry)| entry.active.as_ref().map(|off| (entry.id, &off.work)));
+        let active = self.procs.iter().filter_map(|(_, entry)| {
+            let off = entry.active.as_ref()?;
+            Some((entry.id, off.pinned(), &off.work))
+        });
         self.rates
             .next_completion(active)
             .map(|(proc, ticks)| (proc, self.last_update + SimDuration::from_ticks(ticks)))
@@ -626,6 +630,7 @@ pub(crate) fn completions<D: DeviceSubstrate>(d: &D) -> Vec<(ProcId, SimTime)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PerfModel;
 
     fn dev() -> PhiDevice {
         PhiDevice::new(PhiConfig::default(), PerfModel::default(), SimTime::ZERO)

@@ -14,6 +14,7 @@
 use crate::device::RateModel;
 use crate::proc::ProcId;
 use crate::substrate::DeviceSpec;
+use phishare_sim::ceil_ticks;
 use serde::{Deserialize, Serialize};
 
 /// Tunable performance-model parameters.
@@ -148,99 +149,158 @@ impl PerfModel {
     }
 }
 
-/// What an active offload keeps in a [`PhiDevice`](crate::PhiDevice)'s
-/// slab entry.
+/// [`PhiDevice`](crate::PhiDevice)'s rate rule: the paper's two-rate
+/// affinity model, with the two rates kept once per card.
+///
+/// Every factor of [`PerfModel::offload_rate`] depends only on card-wide
+/// aggregates, so all COSMIC-pinned offloads share one rate and all
+/// unmanaged ones another. The card keeps that `(pinned, unmanaged)` pair,
+/// already multiplied by the derate scale; an active offload keeps only its
+/// remaining nominal work, and a reshare writes two numbers.
 #[derive(Debug)]
-pub struct Progress {
-    /// Nominal work remaining, in ticks at rate 1.
-    remaining: f64,
-    /// Current execution rate (nominal ticks per wall tick).
-    rate: f64,
+pub struct PerfRates {
+    model: PerfModel,
+    pinned: f64,
+    unmanaged: f64,
 }
 
-impl Progress {
-    /// Wall ticks until this offload completes at its current rate.
-    fn ticks_left(&self) -> u64 {
-        (self.remaining / self.rate).ceil().max(0.0) as u64
+impl From<PerfModel> for PerfRates {
+    fn from(model: PerfModel) -> Self {
+        PerfRates {
+            model,
+            pinned: 1.0,
+            unmanaged: 1.0,
+        }
     }
 }
 
-/// The paper's two-rate affinity model: every active offload carries its
-/// own remaining work and rate, and a reshare rewrites each rate from the
-/// device-wide aggregates.
-impl RateModel for PerfModel {
-    type Work = Progress;
+impl PerfRates {
+    /// The current rate of an offload in class `pinned`.
+    #[inline]
+    fn rate(&self, pinned: bool) -> f64 {
+        if pinned {
+            self.pinned
+        } else {
+            self.unmanaged
+        }
+    }
+
+    /// Wall ticks until `remaining` nominal work completes in class `pinned`.
+    #[inline]
+    fn ticks_left(&self, pinned: bool, remaining: f64) -> u64 {
+        ceil_ticks(remaining / self.rate(pinned))
+    }
+}
+
+/// Remaining work above which an offload at `rate` needs more than `ticks`
+/// wall ticks, so it can neither beat nor tie a best of `ticks`.
+///
+/// Let `T = max(ticks, 1)` and `X = fl(T·(1 + 10⁻¹²))·rate`, so the bound
+/// is `fl(X)`. A float above `fl(X)` is above `X` itself: round-to-nearest
+/// leaves `X` within half a step of `fl(X)`, subnormal or not. So
+/// `remaining / rate > fl(T·(1 + 10⁻¹²))`, and as the cast, the constant,
+/// the product and the quotient each round by at most a factor
+/// `1 − 2⁻⁵³`, the quotient is above `T·(1 + 10⁻¹²)·(1 − 2⁻⁵³)⁴ > T`: more
+/// than `T` ticks. The clamp to 1 keeps a tiny remainder at a rate above 1
+/// from dividing to 0 ticks when the best is 0. A saturated best is tied
+/// by every larger remainder, so its bound is `∞`.
+#[inline]
+fn work_bound(ticks: u64, rate: f64) -> f64 {
+    if ticks == u64::MAX {
+        return f64::INFINITY;
+    }
+    ticks.max(1) as f64 * (1.0 + 1e-12) * rate
+}
+
+/// Work is the offload's remaining nominal ticks; its rate is its class's.
+impl RateModel for PerfRates {
+    type Work = f64;
 
     fn from_spec(spec: &DeviceSpec) -> Self {
-        spec.perf
+        spec.perf.into()
     }
 
-    fn join(&mut self, _: ProcId, work: f64) -> Progress {
-        Progress {
-            remaining: work,
-            rate: 1.0,
+    fn join(&mut self, _: ProcId, work: f64) -> f64 {
+        work
+    }
+
+    fn leave(&mut self, _: ProcId, pinned: bool, remaining: f64) -> (f64, f64) {
+        (remaining, self.rate(pinned))
+    }
+
+    fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = (bool, &'a mut f64)>) {
+        let (pinned, unmanaged) = (self.pinned * dt, self.unmanaged * dt);
+        for (is_pinned, remaining) in active {
+            let done = if is_pinned { pinned } else { unmanaged };
+            *remaining = (*remaining - done).max(0.0);
         }
     }
 
-    fn leave(&mut self, _: ProcId, work: Progress) -> (f64, f64) {
-        (work.remaining, work.rate)
-    }
-
-    fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = &'a mut Progress>) {
-        for off in active {
-            off.remaining = (off.remaining - off.rate * dt).max(0.0);
-        }
-    }
-
-    /// An idle card keeps its stale rates; they are rewritten before any
-    /// offload runs on them.
-    fn reshare<'a>(
+    /// An idle card keeps its stale pair; it is rewritten before any
+    /// offload runs on it.
+    fn reshare(
         &mut self,
         (n_active, n_resident): (usize, usize),
         (active_threads, hw_threads): (u32, u32),
         scale: f64,
-        active: impl Iterator<Item = (bool, &'a mut Progress)>,
     ) {
         if n_active == 0 {
             return;
         }
         let (pinned, unmanaged) =
-            self.offload_rates(n_active, n_resident, active_threads, hw_threads);
-        for (is_pinned, off) in active {
-            off.rate = if is_pinned { pinned } else { unmanaged };
-            if scale != 1.0 {
-                off.rate *= scale;
-            }
-        }
+            self.model
+                .offload_rates(n_active, n_resident, active_threads, hw_threads);
+        self.pinned = pinned * scale;
+        self.unmanaged = unmanaged * scale;
     }
 
     fn for_each_completion<'a>(
         &self,
-        by_id: impl Iterator<Item = (ProcId, &'a Progress)>,
+        by_id: impl Iterator<Item = (ProcId, bool, &'a f64)>,
         mut f: impl FnMut(ProcId, u64),
     ) {
-        for (proc, off) in by_id {
-            f(proc, off.ticks_left());
+        for (proc, pinned, &remaining) in by_id {
+            f(proc, self.ticks_left(pinned, remaining));
         }
     }
 
     /// Scans the dense slab (cache-friendly); min by (ticks, id) is
     /// iteration-order independent, so slot order here and ascending-id
     /// order in the keyed oracle pick the same winner.
+    ///
+    /// Within one class the rate is shared and `⌈fl(x / rate)⌉` is
+    /// monotone in `x`, so an offload whose remaining work exceeds its
+    /// class's [`work_bound`] for the best so far would lose: it is
+    /// skipped without a division. The result is exactly the exhaustive
+    /// `min (ticks, proc)`, ties to the lowest proc included.
     fn next_completion<'a>(
         &self,
-        active: impl Iterator<Item = (ProcId, &'a Progress)>,
+        active: impl Iterator<Item = (ProcId, bool, &'a f64)>,
     ) -> Option<(ProcId, u64)> {
-        active
-            .map(|(proc, off)| (off.ticks_left(), proc))
-            .min()
-            .map(|(ticks, proc)| (proc, ticks))
+        let mut best: Option<(u64, ProcId)> = None;
+        // Indexed by the pinned flag.
+        let mut bound = [f64::INFINITY; 2];
+        for (proc, pinned, &remaining) in active {
+            if remaining > bound[pinned as usize] {
+                continue;
+            }
+            let candidate = (self.ticks_left(pinned, remaining), proc);
+            if best.is_none_or(|b| candidate < b) {
+                best = Some(candidate);
+                bound = [
+                    work_bound(candidate.0, self.unmanaged),
+                    work_bound(candidate.0, self.pinned),
+                ];
+            }
+        }
+        best.map(|(ticks, proc)| (proc, ticks))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn no_oversubscription_runs_at_full_rate() {
@@ -331,5 +391,111 @@ mod tests {
         let m = PerfModel::default();
         let r = m.offload_rate(false, 100, 100, 24_000, 240);
         assert!(r >= m.min_rate);
+    }
+
+    /// How one offload's remaining work is drawn from its class's rate `r`
+    /// and the case's base tick count `k`.
+    #[derive(Debug, Clone, Copy)]
+    enum Remaining {
+        /// `fl((k + dk)·r)` moved by a few ulps: remainders that divide to
+        /// a whole tick count or one ulp either side of it, clustered so
+        /// that offloads of one class tie at the minimum.
+        NearMultiple { dk: u64, ulps: i64 },
+        /// Anywhere in `[0, 10⁷)` nominal ticks.
+        Uniform(f64),
+        /// Up to `f64::MAX`, mostly past the 2⁶⁴-tick saturation point.
+        Huge(f64),
+    }
+
+    impl Remaining {
+        fn value(self, k: f64, r: f64) -> f64 {
+            match self {
+                Remaining::NearMultiple { dk, ulps } => {
+                    let x = (k + dk as f64) * r;
+                    f64::from_bits((x.to_bits() as i64 + ulps).max(0) as u64)
+                }
+                Remaining::Uniform(frac) => frac * 1e7,
+                Remaining::Huge(frac) => f64::MAX * frac,
+            }
+        }
+    }
+
+    fn arb_remaining() -> impl Strategy<Value = Remaining> {
+        prop_oneof![
+            6 => (0u64..2, -2i64..=2).prop_map(|(dk, ulps)| Remaining::NearMultiple { dk, ulps }),
+            1 => (0.0..1.0f64).prop_map(Remaining::Uniform),
+            1 => (0.0..=1.0f64).prop_map(Remaining::Huge),
+        ]
+    }
+
+    /// The base tick count: small, a power of two (where a tick count's
+    /// ulp is widest relative to it) or near the 2⁶⁴ saturation point.
+    fn arb_base_ticks() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u64..64).prop_map(|k| k as f64),
+            (0i32..=70).prop_map(|e| 2f64.powi(e)),
+        ]
+    }
+
+    /// A card's rate pair after a reshare: the default model or a rate
+    /// floor above 1, loads up to 100× oversubscription (rates at
+    /// `min_rate`), and derate scales of 1, below 1 and subnormal.
+    fn arb_rates() -> impl Strategy<Value = PerfRates> {
+        (
+            prop_oneof![Just(1e-3), Just(0.25), Just(3.0)],
+            1usize..=12,
+            0usize..=8,
+            prop_oneof![Just(240u32), 1u32..=24_000],
+            prop_oneof![
+                Just(1.0),
+                Just(0.4),
+                1e-6..1.0f64,
+                Just(1e-310),
+                Just(1e-318)
+            ],
+        )
+            .prop_map(|(min_rate, n_active, extra, threads, scale)| {
+                let mut rates = PerfRates::from(PerfModel {
+                    min_rate,
+                    ..PerfModel::default()
+                });
+                rates.reshare((n_active, n_active + extra), (threads, 240), scale);
+                rates
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16_384))]
+
+        /// The bounded scan equals the exhaustive `min (⌈rem/rate⌉, proc)`
+        /// with libm's ceil, and every visited completion is that
+        /// offload's own tick count, whatever the slot order.
+        #[test]
+        fn bounded_scan_equals_exhaustive_min(
+            rates in arb_rates(),
+            k in arb_base_ticks(),
+            offloads in prop::collection::vec((0u64..6, any::<bool>(), arb_remaining()), 1..12),
+        ) {
+            // Proc ids in random order relative to the visit order.
+            let active: Vec<(ProcId, bool, f64)> = offloads
+                .iter()
+                .enumerate()
+                .map(|(i, &(key, pinned, rem))| {
+                    (ProcId(key << 8 | i as u64), pinned, rem.value(k, rates.rate(pinned)))
+                })
+                .collect();
+            let ticks = |pinned: bool, rem: f64| (rem / rates.rate(pinned)).ceil().max(0.0) as u64;
+            let exhaustive = active
+                .iter()
+                .map(|&(proc, pinned, rem)| (ticks(pinned, rem), proc))
+                .min()
+                .map(|(t, proc)| (proc, t));
+            let iter = || active.iter().map(|(proc, pinned, rem)| (*proc, *pinned, rem));
+            prop_assert_eq!(rates.next_completion(iter()), exhaustive);
+            let mut visited = Vec::new();
+            rates.for_each_completion(iter(), |proc, t| visited.push((proc, t)));
+            let expected: Vec<_> = active.iter().map(|&(proc, pinned, rem)| (proc, ticks(pinned, rem))).collect();
+            prop_assert_eq!(visited, expected);
+        }
     }
 }

@@ -48,7 +48,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
         self.engine.join(proc.0, work);
     }
 
-    fn leave(&mut self, proc: ProcId, _: ()) -> (f64, f64) {
+    fn leave(&mut self, proc: ProcId, _: bool, _: ()) -> (f64, f64) {
         (self.engine.leave(proc.0), self.engine.rate())
     }
 
@@ -60,16 +60,15 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     /// One O(1) virtual-clock update regardless of how many offloads are
     /// active.
-    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = &'a mut ()>) {
+    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = (bool, &'a mut ())>) {
         self.engine.advance(dt);
     }
 
-    fn reshare<'a>(
+    fn reshare(
         &mut self,
         (n_active, n_resident): (usize, usize),
         (active_threads, hw_threads): (u32, u32),
         scale: f64,
-        _: impl Iterator<Item = (bool, &'a mut ())>,
     ) {
         if n_active > 0 {
             let mut rate =
@@ -84,7 +83,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     fn for_each_completion<'a>(
         &self,
-        _: impl Iterator<Item = (ProcId, &'a ())>,
+        _: impl Iterator<Item = (ProcId, bool, &'a ())>,
         mut f: impl FnMut(ProcId, u64),
     ) {
         self.engine
@@ -93,7 +92,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     fn next_completion<'a>(
         &self,
-        _: impl Iterator<Item = (ProcId, &'a ())>,
+        _: impl Iterator<Item = (ProcId, bool, &'a ())>,
     ) -> Option<(ProcId, u64)> {
         self.engine
             .next_completion()

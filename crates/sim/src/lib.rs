@@ -38,4 +38,4 @@ pub use queue::EventQueue;
 pub use rng::DetRng;
 pub use slab::{Slab, Slot};
 pub use stats::{Counter, Histogram, Summary, TimeWeighted};
-pub use time::{SimDuration, SimTime};
+pub use time::{ceil_ticks, SimDuration, SimTime};

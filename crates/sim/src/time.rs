@@ -138,6 +138,19 @@ impl SimDuration {
     }
 }
 
+/// Whole ticks to cover `q` fractional ticks: `q` rounded up, clamped to
+/// `[0, u64::MAX]`, with NaN mapping to 0.
+///
+/// Equal to `q.ceil().max(0.0) as u64` for every input, without the libm
+/// `ceil` call: the saturating cast truncates, and one comparison adds the
+/// missing tick. The add saturates, since above 2⁶⁴ the cast already
+/// returns `u64::MAX`.
+#[inline]
+pub fn ceil_ticks(q: f64) -> u64 {
+    let t = q as u64;
+    t.saturating_add(((t as f64) < q) as u64)
+}
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
@@ -218,6 +231,66 @@ mod tests {
         assert_eq!(SimDuration::from_secs(2).as_secs_f64(), 2.0);
         assert_eq!(SimDuration::from_millis(1500).as_secs_f64(), 1.5);
         assert_eq!(SimDuration::from_secs_f64(0.25).ticks(), 250);
+    }
+
+    #[test]
+    fn ceil_ticks_equals_libm_ceil() {
+        let two53 = 2f64.powi(53);
+        let two64 = 2f64.powi(64);
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            -1e300,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            5e-324,
+            0.5,
+            1.0,
+            1.5,
+            7.0,
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // One ulp either side of each case, and of 2^53 ± 1 (which round
+        // to even neighbours of 2^53).
+        for x in cases.clone().into_iter().chain([two53 - 1.0, two53 + 1.0]) {
+            if x.is_finite() && x > 0.0 {
+                cases.push(f64::from_bits(x.to_bits() + 1));
+                cases.push(f64::from_bits(x.to_bits() - 1));
+            }
+        }
+        for k in [1u64, 2, 3, 1000, 86_400_000, u64::MAX >> 12] {
+            let x = k as f64;
+            cases.extend([
+                x,
+                f64::from_bits(x.to_bits() + 1),
+                f64::from_bits(x.to_bits() - 1),
+            ]);
+        }
+        for q in cases {
+            assert_eq!(ceil_ticks(q), q.ceil().max(0.0) as u64, "ceil_ticks({q:e})");
+        }
+        assert_eq!(ceil_ticks(two64), u64::MAX);
+        assert_eq!(
+            ceil_ticks(f64::from_bits(two64.to_bits() - 1)),
+            u64::MAX - 2047
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn ceil_ticks_equals_libm_ceil_on_any_bits(bits in proptest::prelude::any::<u64>()) {
+            let q = f64::from_bits(bits);
+            proptest::prop_assert_eq!(ceil_ticks(q), q.ceil().max(0.0) as u64);
+        }
     }
 
     #[test]
