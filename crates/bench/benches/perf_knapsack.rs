@@ -1,19 +1,25 @@
-//! PERF-1 — Criterion microbench of the knapsack solvers.
+//! PERF-1 — best-of-N timing table of the knapsack solvers.
 //!
 //! The paper's §IV-C claims complexity `O(n·w)`, "nearly linear with the
 //! number of jobs" at the 50 MB granularity (`w = 160` columns for 8 GB).
-//! This bench measures the 2-D DP, the 1-D+repair variant and the baseline
-//! packers across job counts so the scaling claim is visible in the
-//! Criterion report.
+//! This bench times the 2-D DP, the 1-D+repair variant and, on the small
+//! instances, branch-and-bound across job counts, then the 2-D DP across
+//! weight granularities, so the scaling claim reads off one table. Each
+//! row is the best of [`RUNS`] readings of a batch of solves; nothing is
+//! asserted. The rows also land in `target/experiments/perf_knapsack.json`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use phishare_knapsack::baseline::Packer;
+use phishare_bench::{banner, best_of_ms, persist_json};
 use phishare_knapsack::{
-    solve_1d_filtered, solve_2d, solve_branch_and_bound, BestFitDecreasing, Capacity, FirstFit,
-    PackItem, RandomFit, ValueFunction,
+    solve_1d_filtered, solve_2d, solve_branch_and_bound, Capacity, PackItem, Packing, ValueFunction,
 };
 use phishare_sim::DetRng;
-use std::hint::black_box;
+use serde::Serialize;
+
+/// Readings per row; the row reports the fastest.
+const RUNS: usize = 5;
+/// Items solved per reading: small instances are solved many times over,
+/// so every reading spans enough work for the clock to resolve it.
+const ITEMS_PER_READING: usize = 16_384;
 
 fn items(n: usize, seed: u64) -> Vec<PackItem> {
     let mut rng = DetRng::from_seed(seed);
@@ -26,49 +32,82 @@ fn items(n: usize, seed: u64) -> Vec<PackItem> {
         .collect()
 }
 
-fn bench_solvers(c: &mut Criterion) {
-    let cap = Capacity::phi(7680);
-    let mut group = c.benchmark_group("knapsack");
-    for n in [64usize, 256, 1024, 4096] {
-        let set = items(n, 42);
-        group.throughput(Throughput::Elements(n as u64));
-        group.bench_with_input(BenchmarkId::new("solve_2d", n), &set, |b, set| {
-            b.iter(|| solve_2d(black_box(set), &cap, ValueFunction::PaperQuadratic))
-        });
-        group.bench_with_input(BenchmarkId::new("solve_1d_filtered", n), &set, |b, set| {
-            b.iter(|| solve_1d_filtered(black_box(set), &cap, ValueFunction::PaperQuadratic))
-        });
-        if n <= 256 {
-            // Exponential worst case: keep B&B to the small instances.
-            group.bench_with_input(BenchmarkId::new("branch_and_bound", n), &set, |b, set| {
-                b.iter(|| {
-                    solve_branch_and_bound(black_box(set), &cap, ValueFunction::PaperQuadratic)
-                })
-            });
-        }
-        group.bench_with_input(BenchmarkId::new("first_fit", n), &set, |b, set| {
-            let mut rng = DetRng::from_seed(1);
-            b.iter(|| FirstFit.pack(black_box(set), &cap, &mut rng))
-        });
-        group.bench_with_input(BenchmarkId::new("random_fit", n), &set, |b, set| {
-            let mut rng = DetRng::from_seed(1);
-            b.iter(|| RandomFit.pack(black_box(set), &cap, &mut rng))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("best_fit_decreasing", n),
-            &set,
-            |b, set| {
-                let mut rng = DetRng::from_seed(1);
-                b.iter(|| BestFitDecreasing.pack(black_box(set), &cap, &mut rng))
-            },
-        );
-    }
-    group.finish();
+#[derive(Serialize)]
+struct Row {
+    solver: &'static str,
+    jobs: usize,
+    granularity_mb: u64,
+    /// Best-of-runs wall time of one solve, µs.
+    us_per_solve: f64,
+    /// `us_per_solve` per job, ns: flat across `jobs` when the cost is
+    /// linear in `n`.
+    ns_per_job: f64,
 }
 
-fn bench_granularity(c: &mut Criterion) {
+fn time_row(
+    solver: &'static str,
+    set: &[PackItem],
+    cap: &Capacity,
+    solve: fn(&[PackItem], &Capacity, ValueFunction) -> Packing,
+) -> Row {
+    let reps = (ITEMS_PER_READING / set.len()).max(1);
+    let ms = best_of_ms(
+        RUNS,
+        || (),
+        |()| {
+            (0..reps)
+                .map(|_| {
+                    solve(set, cap, ValueFunction::PaperQuadratic)
+                        .selected
+                        .len()
+                })
+                .sum::<usize>()
+        },
+    );
+    let us_per_solve = ms * 1e3 / reps as f64;
+    let row = Row {
+        solver,
+        jobs: set.len(),
+        granularity_mb: cap.granularity_mb,
+        us_per_solve,
+        ns_per_job: us_per_solve * 1e3 / set.len() as f64,
+    };
+    println!(
+        "{:<18} {:>5} {:>6} {:>12.1} {:>10.1}",
+        row.solver, row.jobs, row.granularity_mb, row.us_per_solve, row.ns_per_job
+    );
+    row
+}
+
+fn main() {
+    banner(
+        "perf_knapsack",
+        "§IV-C knapsack complexity",
+        "the 2-D DP's cost grows nearly linearly in the number of jobs at 50 MB granularity",
+    );
+    println!(
+        "{:<18} {:>5} {:>6} {:>12} {:>10}",
+        "solver", "jobs", "MB", "µs/solve", "ns/job"
+    );
+
+    let cap = Capacity::phi(7680);
+    let mut rows = Vec::new();
+    for n in [64usize, 256, 1024, 4096] {
+        let set = items(n, 42);
+        rows.push(time_row("solve_2d", &set, &cap, solve_2d));
+        rows.push(time_row("solve_1d_filtered", &set, &cap, solve_1d_filtered));
+        if n <= 256 {
+            // Exponential worst case: keep B&B to the small instances.
+            rows.push(time_row(
+                "branch_and_bound",
+                &set,
+                &cap,
+                solve_branch_and_bound,
+            ));
+        }
+    }
+
     let set = items(1024, 7);
-    let mut group = c.benchmark_group("knapsack_granularity");
     for granularity_mb in [25u64, 50, 100, 200] {
         let cap = Capacity {
             mem_mb: 7680,
@@ -76,14 +115,7 @@ fn bench_granularity(c: &mut Criterion) {
             thread_limit: 240,
             value_ref_threads: 240,
         };
-        group.bench_with_input(
-            BenchmarkId::from_parameter(granularity_mb),
-            &cap,
-            |b, cap| b.iter(|| solve_2d(black_box(&set), cap, ValueFunction::PaperQuadratic)),
-        );
+        rows.push(time_row("solve_2d", &set, &cap, solve_2d));
     }
-    group.finish();
+    persist_json("perf_knapsack", &rows);
 }
-
-criterion_group!(benches, bench_solvers, bench_granularity);
-criterion_main!(benches);

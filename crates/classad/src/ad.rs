@@ -98,20 +98,10 @@ impl ClassAd {
         canonical_get(&self.exprs, name).map(|e| &e.parsed)
     }
 
-    /// Remove an attribute (value or expression). Returns true if present.
-    pub fn remove(&mut self, name: &str) -> bool {
-        let k = name.to_ascii_lowercase();
-        self.attrs.remove(&k).is_some() | self.exprs.remove(&k).is_some()
-    }
-
     /// Number of attributes (values + expressions).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.attrs.len() + self.exprs.len()
-    }
-
-    /// True when the ad has no attributes.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty() && self.exprs.is_empty()
     }
 
     /// Evaluate this ad's `Requirements` against `target`. An absent
@@ -128,15 +118,6 @@ impl ClassAd {
     /// about jobs).
     pub fn matches(&self, other: &ClassAd) -> bool {
         self.requirements_satisfied(other) && other.requirements_satisfied(self)
-    }
-
-    /// Evaluate this ad's `Rank` against `target`; higher is better.
-    /// Missing or non-numeric ranks count as 0 (HTCondor's default).
-    pub fn rank(&self, target: &ClassAd) -> f64 {
-        match self.parsed_expr(RANK) {
-            None => 0.0,
-            Some(e) => eval(e, self, Some(target)).as_f64().unwrap_or(0.0),
-        }
     }
 }
 
@@ -272,29 +253,6 @@ mod tests {
         let mut ad = ClassAd::new();
         assert!(ad.insert_expr(REQUIREMENTS, "1 +").is_err());
         assert!(ad.get_expr(REQUIREMENTS).is_none());
-    }
-
-    #[test]
-    fn rank_orders_candidates() {
-        let mut ad = ClassAd::new();
-        ad.insert_expr(RANK, "TARGET.PhiMemory").unwrap();
-        let mut small = ClassAd::new();
-        small.insert("PhiMemory", 1000u64);
-        let mut big = ClassAd::new();
-        big.insert("PhiMemory", 7680u64);
-        assert!(ad.rank(&big) > ad.rank(&small));
-        assert_eq!(ClassAd::new().rank(&big), 0.0);
-    }
-
-    #[test]
-    fn remove_and_len() {
-        let mut ad = machine();
-        let n = ad.len();
-        assert!(ad.remove("Name"));
-        assert!(!ad.remove("Name"));
-        assert_eq!(ad.len(), n - 1);
-        assert!(ad.remove(REQUIREMENTS));
-        assert!(!ad.is_empty());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Binding power (higher binds tighter); used by the Pratt parser.
-    pub fn precedence(self) -> u8 {
+    pub(crate) fn precedence(self) -> u8 {
         match self {
             BinOp::Or => 1,
             BinOp::And => 2,
@@ -51,7 +51,7 @@ impl BinOp {
     }
 
     /// Surface syntax of the operator.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             BinOp::Or => "||",
             BinOp::And => "&&",

@@ -8,7 +8,7 @@ use crate::value::Value;
 
 /// Evaluate builtin `name` (case-insensitive) over already-evaluated
 /// arguments. Unknown names yield `UNDEFINED`.
-pub fn call(name: &str, args: &[Value]) -> Value {
+pub(crate) fn call(name: &str, args: &[Value]) -> Value {
     match name.to_ascii_lowercase().as_str() {
         "isundefined" => match args {
             [v] => Value::Bool(v.is_undefined()),

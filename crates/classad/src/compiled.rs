@@ -12,7 +12,7 @@
 //!    conjunction evaluates to `true` iff every conjunct does, so clause
 //!    outcomes compose exactly.
 //! 3. **Guard extraction** — clauses of the shape `TARGET.attr <cmp> number`
-//!    become [`Guard`]s and `TARGET.attr == "string"` become [`PinEq`]s:
+//!    become [`Guard`]s and `TARGET.attr == "string"` become `PinEq`s:
 //!    compact predicates a negotiator can check against cached slot state
 //!    (or use to pre-screen candidates via a collector index) without
 //!    touching the evaluator. Everything else stays in a residual
@@ -58,7 +58,7 @@ pub struct Guard {
 
 impl Guard {
     /// Does a target attribute value satisfy this guard?
-    pub fn admits(&self, value: Option<&Value>) -> bool {
+    pub(crate) fn admits(&self, value: Option<&Value>) -> bool {
         match value.and_then(Value::as_f64) {
             None => false,
             Some(x) => match self.op {
@@ -76,7 +76,7 @@ impl Guard {
 /// the shape `condor_qedit` pinning produces (`Name == "slot1@node3"`,
 /// `Machine == "node3"`).
 #[derive(Debug, Clone, PartialEq)]
-pub struct PinEq {
+pub(crate) struct PinEq {
     /// Target attribute name, lower-cased.
     pub attr: String,
     /// Required string value (original case; compared case-insensitively).
@@ -85,7 +85,7 @@ pub struct PinEq {
 
 impl PinEq {
     /// Does a target attribute value satisfy this pin?
-    pub fn admits(&self, value: Option<&Value>) -> bool {
+    pub(crate) fn admits(&self, value: Option<&Value>) -> bool {
         match value {
             Some(Value::Str(s)) => s.eq_ignore_ascii_case(&self.value),
             // Non-string targets make `==` against a string literal
@@ -118,7 +118,7 @@ impl CompiledReq {
 
     /// Compile an arbitrary requirements expression with `my` as the
     /// owning ad.
-    pub fn compile_expr(expr: &Expr, my: &ClassAd) -> Self {
+    pub(crate) fn compile_expr(expr: &Expr, my: &ClassAd) -> Self {
         let folded = fold(expr, my);
         let mut clauses = Vec::new();
         split_conjunction(folded, &mut clauses);
@@ -159,16 +159,6 @@ impl CompiledReq {
     /// The extracted numeric guards.
     pub fn guards(&self) -> &[Guard] {
         &self.guards
-    }
-
-    /// The extracted string equality pins.
-    pub fn pins(&self) -> &[PinEq] {
-        &self.pins
-    }
-
-    /// The residual expression, if any clause resisted extraction.
-    pub fn residual(&self) -> Option<&Expr> {
-        self.residual.as_ref()
     }
 
     /// A hash of the guards and pins (bounds by bit pattern), or `None`
@@ -468,7 +458,7 @@ mod tests {
         for src in ["true", "1 < 2", "MY.RequestPhiMemory <= 7680"] {
             let req = compile(src, &my);
             assert!(req.fully_compiled());
-            assert!(req.guards().is_empty() && req.pins().is_empty());
+            assert!(req.guards().is_empty() && req.pins.is_empty());
             assert!(req.matches_target(&my, &ClassAd::new()), "{src}");
         }
     }

@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub(crate) enum Token {
     /// Integer literal.
     Int(i64),
     /// Float literal.
@@ -76,7 +76,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize an expression string.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;

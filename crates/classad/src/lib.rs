@@ -33,8 +33,7 @@ pub mod value;
 
 pub use ad::ClassAd;
 pub use adparse::parse_ad;
-pub use ast::{BinOp, Expr, UnOp};
-pub use compiled::{CompiledReq, Guard, GuardOp, PinEq};
+pub use compiled::{CompiledReq, Guard, GuardOp};
 pub use eval::eval;
 pub use parser::{parse, ParseError};
 pub use value::Value;

@@ -39,14 +39,14 @@ impl Value {
     }
 
     /// True when this is [`Value::Undefined`].
-    pub fn is_undefined(&self) -> bool {
+    pub(crate) fn is_undefined(&self) -> bool {
         matches!(self, Value::Undefined)
     }
 
     /// ClassAd equality (`==`): numeric comparison across Int/Float,
     /// case-insensitive string comparison, `Undefined` if types mismatch or
     /// either side is undefined.
-    pub fn classad_eq(&self, other: &Value) -> Value {
+    pub(crate) fn classad_eq(&self, other: &Value) -> Value {
         match (self, other) {
             (Value::Undefined, _) | (_, Value::Undefined) => Value::Undefined,
             (Value::Bool(a), Value::Bool(b)) => Value::Bool(a == b),
@@ -61,7 +61,7 @@ impl Value {
     /// The `=?=` ("is") operator: total, never UNDEFINED; `UNDEFINED =?=
     /// UNDEFINED` is true; mismatched types are false; strings compare
     /// case-sensitively.
-    pub fn identical(&self, other: &Value) -> bool {
+    pub(crate) fn identical(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Undefined, Value::Undefined) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,

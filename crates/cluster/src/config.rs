@@ -26,7 +26,7 @@ pub enum DeviceSku {
 
 impl DeviceSku {
     /// The full device spec for this SKU under the given perf model.
-    pub fn spec(&self, perf: PerfModel) -> DeviceSpec {
+    pub(crate) fn spec(&self, perf: PerfModel) -> DeviceSpec {
         match self {
             DeviceSku::Phi5110p => DeviceSpec {
                 phi: PhiConfig::phi_5110p(),
@@ -240,7 +240,7 @@ impl ClusterConfig {
     /// The largest per-device usable memory any node offers — the up-front
     /// admission bound: a job is only hopeless when *no* card in the pool
     /// could ever hold it.
-    pub fn max_usable_mem_mb(&self) -> u64 {
+    pub(crate) fn max_usable_mem_mb(&self) -> u64 {
         (1..=self.nodes)
             .map(|node| self.spec_for_node(node).phi.usable_mem_mb())
             .max()

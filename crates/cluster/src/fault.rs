@@ -204,7 +204,7 @@ pub(crate) fn push_renewals<E>(
 /// expect to open per target over its horizon. A plan is materialized up
 /// front, so this bounds its size — a hostile spec cannot make a run build
 /// billions of events before it starts.
-pub const MAX_EXPECTED_EVENTS: f64 = 10_000.0;
+pub(crate) const MAX_EXPECTED_EVENTS: f64 = 10_000.0;
 
 /// Refuse a time that is not finite, negative, or past
 /// [`MAX_DURATION_SECS`].
@@ -272,13 +272,13 @@ impl Default for FaultConfig {
 
 impl FaultConfig {
     /// True when this configuration can inject at least one failure.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.horizon_secs > 0.0 && (self.device_mtbf_secs > 0.0 || self.node_mtbf_secs > 0.0)
     }
 
     /// Validate the knobs: every time bounded by [`MAX_DURATION_SECS`], and
     /// at most [`MAX_EXPECTED_EVENTS`] failures expected per target.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         check_times(
             "fault config",
             &[
@@ -345,7 +345,7 @@ impl Default for RecoveryConfig {
 
 impl RecoveryConfig {
     /// Release delay after the k-th vacate: `min(base·2^k, cap)`.
-    pub fn backoff(&self, prior_attempts: u32) -> SimDuration {
+    pub(crate) fn backoff(&self, prior_attempts: u32) -> SimDuration {
         let shift = prior_attempts.min(32);
         let ticks = self
             .retry_base
@@ -356,7 +356,7 @@ impl RecoveryConfig {
     }
 
     /// Validate the knobs.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.retry_base.is_zero() {
             return Err("recovery config: retry_base must be positive".into());
         }

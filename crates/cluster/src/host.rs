@@ -24,7 +24,7 @@ struct ActiveSegment {
 
 /// The host CPUs of one node, executing jobs' host phases.
 #[derive(Debug)]
-pub struct HostCpu {
+pub(crate) struct HostCpu {
     cores: u32,
     active: BTreeMap<JobId, ActiveSegment>,
     rate: f64,
@@ -35,7 +35,7 @@ pub struct HostCpu {
 
 impl HostCpu {
     /// Create a host with `cores` cores at simulation time `start`.
-    pub fn new(cores: u32, start: SimTime) -> Self {
+    pub(crate) fn new(cores: u32, start: SimTime) -> Self {
         assert!(cores > 0, "a node needs at least one host core");
         HostCpu {
             cores,
@@ -49,17 +49,17 @@ impl HostCpu {
 
     /// Monotone counter bumped whenever rates change; completion events
     /// carrying an older generation are stale.
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Number of host phases currently executing.
-    pub fn active_count(&self) -> usize {
+    pub(crate) fn active_count(&self) -> usize {
         self.active.len()
     }
 
     /// True when `job` has an active host phase here.
-    pub fn is_active(&self, job: JobId) -> bool {
+    pub(crate) fn is_active(&self, job: JobId) -> bool {
         self.active.contains_key(&job)
     }
 
@@ -67,7 +67,7 @@ impl HostCpu {
     ///
     /// # Panics
     /// Panics if the job already has an active host phase.
-    pub fn start_segment(&mut self, now: SimTime, job: JobId, duration: SimDuration) {
+    pub(crate) fn start_segment(&mut self, now: SimTime, job: JobId, duration: SimDuration) {
         self.advance_to(now);
         let prior = self.active.insert(
             job,
@@ -84,7 +84,7 @@ impl HostCpu {
     /// # Panics
     /// Panics (debug) if called with more than one tick of work left —
     /// the caller fired a stale event the generation guard should drop.
-    pub fn finish_segment(&mut self, now: SimTime, job: JobId) {
+    pub(crate) fn finish_segment(&mut self, now: SimTime, job: JobId) {
         self.advance_to(now);
         let seg = self
             .active
@@ -99,7 +99,7 @@ impl HostCpu {
     }
 
     /// Abort a host phase (job killed mid-phase). No-op if absent.
-    pub fn abort(&mut self, now: SimTime, job: JobId) {
+    pub(crate) fn abort(&mut self, now: SimTime, job: JobId) {
         self.advance_to(now);
         if self.active.remove(&job).is_some() {
             self.reschedule(now);
@@ -108,7 +108,7 @@ impl HostCpu {
 
     /// Predicted completion instants under the current fair-share rate,
     /// valid for the current generation.
-    pub fn completions(&self) -> Vec<(JobId, SimTime)> {
+    pub(crate) fn completions(&self) -> Vec<(JobId, SimTime)> {
         self.active
             .iter()
             .map(|(job, seg)| {
@@ -125,7 +125,7 @@ impl HostCpu {
     /// of [`HostCpu::completions`] would fire in (they are pushed in
     /// ascending-id order), so a single-event driver sees the same phase
     /// finish first as a per-phase one.
-    pub fn next_completion(&self) -> Option<(JobId, SimTime)> {
+    pub(crate) fn next_completion(&self) -> Option<(JobId, SimTime)> {
         let mut best: Option<(JobId, SimTime)> = None;
         for (job, seg) in &self.active {
             let dt = ceil_ticks(seg.remaining / self.rate);
@@ -138,7 +138,7 @@ impl HostCpu {
     }
 
     /// Time-average number of busy host cores through `end`.
-    pub fn busy_core_average(&self, end: SimTime) -> f64 {
+    pub(crate) fn busy_core_average(&self, end: SimTime) -> f64 {
         self.busy.time_average(end)
     }
 

@@ -64,18 +64,13 @@ pub mod trace;
 
 pub use audit::audit;
 pub use config::{ClusterConfig, DevicePool, DeviceSku};
-pub use fault::{FallbackPolicy, FaultConfig, FaultEvent, FaultKind, FaultPlan, RecoveryConfig};
-pub use footprint::{footprint_search, FootprintResult, FootprintSearcher};
+pub use fault::{FallbackPolicy, FaultEvent, FaultKind, FaultPlan};
+pub use footprint::footprint_search;
 pub use metrics::ExperimentResult;
-pub use perturb::{
-    DerateSpec, LatencySpec, PerturbConfig, PerturbEvent, PerturbKind, PerturbPlan, StaleAdsSpec,
-};
+pub use perturb::{PerturbConfig, PerturbPlan};
 pub use phishare_cosmic::CosmicSubstrate;
 pub use phishare_phi::{DeviceSpec, DeviceSubstrate};
 pub use runtime::{Experiment, ExperimentScratch, SubstrateMode};
-pub use shard::{
-    default_workers, run_sweep_sharded, run_worker, worker_main, CellRecord, ManifestCell,
-    ShardManifest, ShardOptions,
-};
+pub use shard::{run_sweep_sharded, worker_main, CellRecord, ShardOptions};
 pub use sweep::{default_threads, run_sweep, SweepJob, SweepOutcome};
-pub use trace::{KillReason, Trace, TraceEvent};
+pub use trace::{Trace, TraceEvent};

@@ -1,7 +1,6 @@
 //! Experiment measurements.
 
 use phishare_core::ClusterPolicy;
-use phishare_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Everything one simulation run reports — the quantities behind the paper's
@@ -181,11 +180,6 @@ impl PartialEq for ExperimentResult {
 }
 
 impl ExperimentResult {
-    /// Makespan as a [`SimTime`] (for footprint comparisons).
-    pub fn makespan(&self) -> SimTime {
-        SimTime::from_ticks((self.makespan_secs * 1000.0).round() as u64)
-    }
-
     /// Percentage reduction of this run's makespan relative to `baseline`.
     pub fn makespan_reduction_vs(&self, baseline: &ExperimentResult) -> f64 {
         if baseline.makespan_secs == 0.0 {
@@ -270,12 +264,6 @@ mod tests {
         let better = result(610.0);
         assert!((better.makespan_reduction_vs(&base) - 39.0).abs() < 1e-9);
         assert_eq!(base.makespan_reduction_vs(&base), 0.0);
-    }
-
-    #[test]
-    fn makespan_round_trip() {
-        let r = result(12.345);
-        assert_eq!(r.makespan().as_secs_f64(), 12.345);
     }
 
     #[test]

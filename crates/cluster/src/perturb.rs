@@ -67,7 +67,7 @@ impl Default for DerateSpec {
 impl DerateSpec {
     /// True when throttling windows open at all (a positive mean gap). A
     /// disabled kind draws nothing from its substream.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
     }
 }
@@ -99,7 +99,7 @@ impl Default for LatencySpec {
 impl LatencySpec {
     /// True when spike windows open at all (a positive mean gap). A
     /// disabled kind draws nothing from its substream.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
     }
 }
@@ -132,7 +132,7 @@ impl Default for StaleAdsSpec {
 impl StaleAdsSpec {
     /// True when stale windows open at all (a positive mean gap). A
     /// disabled kind draws nothing from its substream.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.mean_gap_secs > 0.0
     }
 }
@@ -190,7 +190,7 @@ impl PerturbPlan {
     /// A plan with no windows. Running with this plan is bit-identical to
     /// running without perturbation support at all (asserted by
     /// `empty_perturb_plan_is_bit_identical_to_plain_run`).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         PerturbPlan::default()
     }
 
@@ -388,13 +388,13 @@ impl Default for PerturbConfig {
 
 impl PerturbConfig {
     /// True when this configuration can open at least one window.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.horizon_secs > 0.0
             && (self.derate.enabled() || self.latency.enabled() || self.stale_ads.enabled())
     }
 
     /// True when negotiation cycles are jittered.
-    pub fn jitter_enabled(&self) -> bool {
+    pub(crate) fn jitter_enabled(&self) -> bool {
         self.jitter_max_secs > 0.0
     }
 
@@ -402,7 +402,7 @@ impl PerturbConfig {
     /// [`phishare_workload::MAX_DURATION_SECS`], and at most
     /// [`crate::fault::MAX_EXPECTED_EVENTS`] windows of each kind expected
     /// per card (cluster-wide for stale ads) over the horizon.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         check_times(
             "perturb config",
             &[

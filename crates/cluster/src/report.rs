@@ -54,30 +54,6 @@ pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Render a horizontal ASCII bar chart (one bar per labelled value), the
-/// bench-harness stand-in for the paper's figures.
-pub fn bar_chart(title: &str, series: &[(String, f64)], width: usize) -> String {
-    let max = series.iter().map(|(_, v)| *v).fold(0.0f64, f64::max);
-    let label_w = series
-        .iter()
-        .map(|(l, _)| l.chars().count())
-        .max()
-        .unwrap_or(0);
-    let mut out = format!("{title}\n");
-    for (label, value) in series {
-        let bar_len = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "  {label:<label_w$} | {} {value:.1}\n",
-            "#".repeat(bar_len)
-        ));
-    }
-    out
-}
-
 /// Format a percentage with one decimal, e.g. `39.0%`.
 pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
@@ -113,23 +89,6 @@ mod tests {
     #[should_panic(expected = "row width mismatch")]
     fn mismatched_rows_panic() {
         let _ = table(&["A", "B"], &[vec!["only one".into()]]);
-    }
-
-    #[test]
-    fn bar_chart_scales_to_max() {
-        let c = bar_chart(
-            "Makespan",
-            &[("MC".into(), 100.0), ("MCCK".into(), 50.0)],
-            20,
-        );
-        assert!(c.contains("MC   | #################### 100.0"));
-        assert!(c.contains("MCCK | ########## 50.0"));
-    }
-
-    #[test]
-    fn bar_chart_handles_zero_series() {
-        let c = bar_chart("Empty", &[("x".into(), 0.0)], 10);
-        assert!(c.contains("x |  0.0"));
     }
 
     #[test]

@@ -132,14 +132,6 @@ pub struct ShardOptions {
     pub substrate: SubstrateMode,
 }
 
-/// Default worker-process count: the `PHISHARE_SWEEP_WORKERS` environment
-/// variable when set to a positive integer, otherwise the thread-sweep
-/// default ([`crate::sweep::default_threads`]).
-pub fn default_workers() -> usize {
-    let raw = std::env::var("PHISHARE_SWEEP_WORKERS").ok();
-    crate::sweep::threads_override(raw.as_deref()).unwrap_or_else(crate::sweep::default_threads)
-}
-
 fn manifest_path(dir: &Path) -> PathBuf {
     dir.join("manifest.json")
 }
@@ -356,7 +348,7 @@ fn scan_all_logs(dir: &Path) -> Result<Vec<CellRecord>, String> {
 /// may use different values without corrupting the merge.
 ///
 /// This is the body behind `--worker --dir <dir> --worker-id <k>`.
-pub fn run_worker(
+pub(crate) fn run_worker(
     dir: &Path,
     worker_id: usize,
     partitions: Option<usize>,
@@ -445,7 +437,9 @@ pub fn run_worker(
 /// override. `--partitions` is safe to vary per invocation because match
 /// results are partition-count-invariant: it changes how fast cells run,
 /// never what they report. When absent, each cell's own config decides.
-pub fn parse_worker_args(args: &[String]) -> Result<(PathBuf, usize, Option<usize>), String> {
+pub(crate) fn parse_worker_args(
+    args: &[String],
+) -> Result<(PathBuf, usize, Option<usize>), String> {
     let mut dir: Option<PathBuf> = None;
     let mut worker_id: Option<usize> = None;
     let mut partitions: Option<usize> = None;
@@ -883,11 +877,5 @@ mod tests {
             .unwrap_err()
             .contains("cell 1"));
         assert!(verify_manifest(&manifest, &manifest.clone()).is_ok());
-    }
-
-    #[test]
-    fn workers_override_env_is_injectable() {
-        assert_eq!(crate::sweep::threads_override(Some("6")), Some(6));
-        assert!(default_workers() >= 1);
     }
 }

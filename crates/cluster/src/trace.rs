@@ -249,12 +249,12 @@ pub struct Trace {
 
 impl Trace {
     /// Create an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Trace::default()
     }
 
     /// Append an event. Events must be recorded in simulation order.
-    pub fn record(&mut self, event: TraceEvent) {
+    pub(crate) fn record(&mut self, event: TraceEvent) {
         debug_assert!(
             self.events
                 .last()
@@ -352,7 +352,7 @@ impl Trace {
     /// Peak concurrent offload thread sum observed on `node` (an event
     /// sweep over the extracted spans). The COSMIC safety property is
     /// `max_concurrent_threads(node) ≤ 240` for every node.
-    pub fn max_concurrent_threads(&self, node: u32) -> u32 {
+    pub(crate) fn max_concurrent_threads(&self, node: u32) -> u32 {
         let mut deltas: Vec<(u64, i64)> = Vec::new();
         for s in self.offload_spans().iter().filter(|s| s.node == node) {
             deltas.push((s.start.ticks(), s.threads as i64));
@@ -371,7 +371,7 @@ impl Trace {
     }
 
     /// Nodes that executed at least one offload.
-    pub fn nodes(&self) -> Vec<u32> {
+    pub(crate) fn nodes(&self) -> Vec<u32> {
         let set: std::collections::BTreeSet<u32> =
             self.offload_spans().iter().map(|s| s.node).collect();
         set.into_iter().collect()

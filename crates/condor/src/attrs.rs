@@ -11,22 +11,22 @@ use phishare_classad::ClassAd;
 use phishare_workload::JobSpec;
 
 /// Machine ad: slot name, e.g. `"slot2@node3"`.
-pub const NAME: &str = "Name";
+pub(crate) const NAME: &str = "Name";
 /// Machine ad: node name, e.g. `"node3"` (shared by all its slots).
-pub const MACHINE: &str = "Machine";
+pub(crate) const MACHINE: &str = "Machine";
 /// Machine ad: number of Xeon Phi cards on the node.
-pub const PHI_DEVICES: &str = "PhiDevices";
+pub(crate) const PHI_DEVICES: &str = "PhiDevices";
 /// Machine ad: unallocated (declared) Phi memory on the node, MB.
 pub const PHI_FREE_MEMORY: &str = "PhiFreeMemory";
 /// Machine ad: Phi cards not exclusively claimed (used by the MC policy).
 pub const PHI_DEVICES_FREE: &str = "PhiDevicesFree";
 /// Machine ad: total Phi memory per card, MB.
-pub const PHI_CARD_MEMORY: &str = "PhiCardMemory";
+pub(crate) const PHI_CARD_MEMORY: &str = "PhiCardMemory";
 
 /// Job ad: requested Phi memory, MB.
 pub const REQUEST_PHI_MEMORY: &str = "RequestPhiMemory";
 /// Job ad: requested Phi threads.
-pub const REQUEST_PHI_THREADS: &str = "RequestPhiThreads";
+pub(crate) const REQUEST_PHI_THREADS: &str = "RequestPhiThreads";
 /// Job ad: set when the job demands a whole card for its lifetime (the
 /// exclusive-allocation policy of stock deployments).
 pub const REQUEST_EXCLUSIVE_PHI: &str = "RequestExclusivePhi";
@@ -42,25 +42,21 @@ pub const JOB_ID: &str = "ClusterId";
 /// pins each handle to the lowercase of its display-cased sibling.
 pub mod lc {
     /// [`super::NAME`], canonical.
-    pub const NAME: &str = "name";
+    pub(crate) const NAME: &str = "name";
     /// [`super::MACHINE`], canonical.
-    pub const MACHINE: &str = "machine";
-    /// [`super::PHI_DEVICES`], canonical.
-    pub const PHI_DEVICES: &str = "phidevices";
+    pub(crate) const MACHINE: &str = "machine";
     /// [`super::PHI_FREE_MEMORY`], canonical.
-    pub const PHI_FREE_MEMORY: &str = "phifreememory";
+    pub(crate) const PHI_FREE_MEMORY: &str = "phifreememory";
     /// [`super::PHI_DEVICES_FREE`], canonical.
-    pub const PHI_DEVICES_FREE: &str = "phidevicesfree";
-    /// [`super::PHI_CARD_MEMORY`], canonical.
-    pub const PHI_CARD_MEMORY: &str = "phicardmemory";
+    pub(crate) const PHI_DEVICES_FREE: &str = "phidevicesfree";
     /// [`super::REQUEST_PHI_MEMORY`], canonical.
-    pub const REQUEST_PHI_MEMORY: &str = "requestphimemory";
+    pub(crate) const REQUEST_PHI_MEMORY: &str = "requestphimemory";
     /// [`super::REQUEST_EXCLUSIVE_PHI`], canonical.
-    pub const REQUEST_EXCLUSIVE_PHI: &str = "requestexclusivephi";
+    pub(crate) const REQUEST_EXCLUSIVE_PHI: &str = "requestexclusivephi";
     /// [`phishare_classad::ad::RANK`], canonical.
-    pub const RANK: &str = "rank";
+    pub(crate) const RANK: &str = "rank";
     /// [`phishare_classad::ad::REQUIREMENTS`], canonical.
-    pub const REQUIREMENTS: &str = "requirements";
+    pub(crate) const REQUIREMENTS: &str = "requirements";
 }
 
 /// Build a machine ad for one slot.
@@ -152,10 +148,8 @@ mod tests {
         for (lc, display) in [
             (lc::NAME, NAME),
             (lc::MACHINE, MACHINE),
-            (lc::PHI_DEVICES, PHI_DEVICES),
             (lc::PHI_FREE_MEMORY, PHI_FREE_MEMORY),
             (lc::PHI_DEVICES_FREE, PHI_DEVICES_FREE),
-            (lc::PHI_CARD_MEMORY, PHI_CARD_MEMORY),
             (lc::REQUEST_PHI_MEMORY, REQUEST_PHI_MEMORY),
             (lc::REQUEST_EXCLUSIVE_PHI, REQUEST_EXCLUSIVE_PHI),
             (lc::RANK, phishare_classad::ad::RANK),

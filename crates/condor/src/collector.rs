@@ -9,7 +9,7 @@
 //! * **machine index** — advertised `Machine` (lower-cased) → slots on that
 //!   node, for jobs pinned to a node;
 //! * **guard indexes** — one ordered index per *registered attribute*
-//!   (see [`Collector::ensure_attr_index`]): unclaimed slots ordered by the
+//!   (see `Collector::ensure_attr_index`): unclaimed slots ordered by the
 //!   attribute's advertised numeric value, so any compiled
 //!   `TARGET.attr >= c` guard becomes a range query instead of a scan.
 //!   `PhiFreeMemory` and `PhiDevicesFree` are pre-registered; the
@@ -39,8 +39,8 @@
 //! # Dirty tracking
 //!
 //! The collector also stamps every *match-relevant* mutation with a
-//! monotone sequence number ([`Collector::seq`]) and remembers, per slot,
-//! the latest stamp ([`Collector::dirty_since`]). This is what the
+//! monotone sequence number (`Collector::seq`) and remembers, per slot,
+//! the latest stamp (`Collector::dirty_since`). This is what the
 //! negotiator's delta path builds on: a job certified unmatched against the
 //! pool at sequence `s` can only have gained a match through a slot dirtied
 //! *after* `s`, because the match predicate depends on nothing but the job
@@ -63,7 +63,7 @@
 //! Each partition additionally tracks a **watermark**: the sequence number
 //! of its latest dirtying mutation (including invalidations). A cycle is
 //! provably match-free when every idle job holds an unmatched certificate
-//! at least as new as [`Collector::max_watermark`] — the O(1) quiescence
+//! at least as new as `Collector::max_watermark` — the O(1) quiescence
 //! check the negotiator and runtime build on.
 //!
 //! Equality ([`PartialEq`]) deliberately compares only the authoritative
@@ -97,7 +97,7 @@ impl SlotId {
     }
 
     /// The smallest possible slot id — the origin of index range scans.
-    pub const MIN: SlotId = SlotId { node: 0, slot: 0 };
+    pub(crate) const MIN: SlotId = SlotId { node: 0, slot: 0 };
 }
 
 impl fmt::Display for SlotId {
@@ -110,7 +110,7 @@ impl fmt::Display for SlotId {
 /// attributes lazily from job guards; a hostile mix of requirements must
 /// not grow an index per distinct attribute name, so registration beyond
 /// the cap is refused and those guards fall back to the unclaimed scan.
-pub const MAX_ATTR_INDEXES: usize = 12;
+pub(crate) const MAX_ATTR_INDEXES: usize = 12;
 
 /// Most partitions a collector will split into. Partitions beyond the host's
 /// core count only add merge overhead, and a small fixed cap keeps the merge
@@ -364,9 +364,9 @@ impl Default for Collector {
 
 impl Collector {
     /// Position of the pre-registered `PhiFreeMemory` guard index.
-    pub const FREE_MEM_INDEX: usize = 0;
+    pub(crate) const FREE_MEM_INDEX: usize = 0;
     /// Position of the pre-registered `PhiDevicesFree` guard index.
-    pub const DEVICES_FREE_INDEX: usize = 1;
+    pub(crate) const DEVICES_FREE_INDEX: usize = 1;
 
     /// Create an empty unpartitioned collector (`P = 1`) with the two
     /// standard Phi guard indexes pre-registered.
@@ -400,7 +400,7 @@ impl Collector {
     }
 
     /// The partition that owns slots of `node`.
-    pub fn part_of(&self, node: u32) -> usize {
+    pub(crate) fn part_of(&self, node: u32) -> usize {
         node as usize % self.parts.len()
     }
 
@@ -419,7 +419,7 @@ impl Collector {
 
     /// The current mutation sequence number. A later call never returns a
     /// smaller value; every match-relevant mutation strictly increases it.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         self.seq
     }
 
@@ -427,7 +427,7 @@ impl Collector {
     /// the latest dirtying mutation anywhere in the pool. A job certified
     /// unmatched at sequence `s >= max_watermark()` provably still has no
     /// match — the O(1) quiescence predicate.
-    pub fn max_watermark(&self) -> u64 {
+    pub(crate) fn max_watermark(&self) -> u64 {
         self.parts.iter().map(|p| p.watermark).max().unwrap_or(0)
     }
 
@@ -435,7 +435,7 @@ impl Collector {
     /// partitions. Together with the claim-flag check this is exactly the
     /// candidate set a job certified unmatched at `seq` needs to re-examine
     /// (module docs).
-    pub fn dirty_since(&self, seq: u64) -> impl Iterator<Item = SlotId> + '_ {
+    pub(crate) fn dirty_since(&self, seq: u64) -> impl Iterator<Item = SlotId> + '_ {
         let mut ranges = self
             .parts
             .iter()
@@ -461,7 +461,7 @@ impl Collector {
     /// per-cycle cache per screen unit and slices it per job by certificate
     /// with a binary search, instead of re-walking the dirty map once per
     /// (job, partition) pair.
-    pub fn partition_dirty_entries_since(
+    pub(crate) fn partition_dirty_entries_since(
         &self,
         pi: usize,
         seq: u64,
@@ -473,7 +473,7 @@ impl Collector {
     }
 
     /// Whether `slot` was dirtied strictly after `seq`.
-    pub fn dirtied_after(&self, slot: SlotId, seq: u64) -> bool {
+    pub(crate) fn dirtied_after(&self, slot: SlotId, seq: u64) -> bool {
         self.parts[slot.node as usize % self.parts.len()]
             .stamp
             .get(&slot)
@@ -495,7 +495,7 @@ impl Collector {
     /// An attribute no slot advertises yields an *empty* index, which is
     /// still exact as a pre-screen: a numeric guard rejects every slot
     /// missing the attribute, so the guard's true matches are empty too.
-    pub fn ensure_attr_index(&mut self, attr: &str) -> Option<usize> {
+    pub(crate) fn ensure_attr_index(&mut self, attr: &str) -> Option<usize> {
         if let Some(idx) = self.attr_index(attr) {
             return Some(idx);
         }
@@ -599,7 +599,7 @@ impl Collector {
     /// position is already known (e.g. [`Collector::FREE_MEM_INDEX`]) —
     /// the commit path's hoisted handle, skipping the per-write scan of
     /// the registered-attribute table.
-    pub fn set_int_attr_at(&mut self, slot: SlotId, idx: usize, attr: &str, value: i64) {
+    pub(crate) fn set_int_attr_at(&mut self, slot: SlotId, idx: usize, attr: &str, value: i64) {
         debug_assert_eq!(
             self.attr_index(attr),
             Some(idx),
@@ -730,13 +730,13 @@ impl Collector {
     }
 
     /// [`Collector::unclaimed`] without the allocation.
-    pub fn unclaimed_iter(&self) -> impl Iterator<Item = SlotId> + '_ {
+    pub(crate) fn unclaimed_iter(&self) -> impl Iterator<Item = SlotId> + '_ {
         self.slots().filter(|(_, s)| !s.claimed).map(|(id, _)| *id)
     }
 
     /// Unclaimed slots owned by partition `pi`, in slot order — the
     /// partition-parallel screen's shard of a full scan.
-    pub fn partition_unclaimed_iter(&self, pi: usize) -> impl Iterator<Item = SlotId> + '_ {
+    pub(crate) fn partition_unclaimed_iter(&self, pi: usize) -> impl Iterator<Item = SlotId> + '_ {
         self.parts[pi]
             .slots
             .iter()
@@ -745,13 +745,13 @@ impl Collector {
     }
 
     /// The slot advertising `Name == name` (case-insensitive), if any.
-    pub fn slot_by_name(&self, name: &str) -> Option<SlotId> {
+    pub(crate) fn slot_by_name(&self, name: &str) -> Option<SlotId> {
         self.by_name.get(&name.to_ascii_lowercase()).copied()
     }
 
     /// Slots advertising `Machine == machine` (case-insensitive), in
     /// SlotId order.
-    pub fn slots_on_machine(&self, machine: &str) -> &[SlotId] {
+    pub(crate) fn slots_on_machine(&self, machine: &str) -> &[SlotId] {
         self.by_machine
             .get(&machine.to_ascii_lowercase())
             .map(Vec::as_slice)
@@ -785,7 +785,7 @@ impl Collector {
     }
 
     /// [`Collector::indexed_range_at_least`] restricted to partition `pi`.
-    pub fn partition_indexed_range_at_least(
+    pub(crate) fn partition_indexed_range_at_least(
         &self,
         pi: usize,
         idx: usize,
@@ -845,13 +845,8 @@ impl Collector {
     }
 
     /// Number of registered slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parts.iter().map(|p| p.slots.len()).sum()
-    }
-
-    /// True when no slots are registered.
-    pub fn is_empty(&self) -> bool {
-        self.parts.iter().all(|p| p.slots.is_empty())
     }
 }
 

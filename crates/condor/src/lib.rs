@@ -34,6 +34,6 @@ pub mod status;
 
 pub use collector::{Collector, SlotId};
 pub use negotiator::{CycleStats, Match, MatchPath, Negotiator};
-pub use queue::{JobQueue, JobState, QueuedJob};
+pub use queue::{JobQueue, JobState};
 pub use startd::Startd;
-pub use status::{pool_status, NodeStatus, QueueTotals};
+pub use status::QueueTotals;

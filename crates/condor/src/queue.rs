@@ -36,7 +36,7 @@ impl JobState {
     }
 
     /// True for terminal states.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, JobState::Completed | JobState::Removed)
     }
 }
@@ -381,7 +381,7 @@ impl JobQueue {
     }
 
     /// Number of idle jobs — [`JobQueue::pending`] without the allocation.
-    pub fn idle_count(&self) -> usize {
+    pub(crate) fn idle_count(&self) -> usize {
         self.idle.len()
     }
 

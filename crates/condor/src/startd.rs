@@ -34,12 +34,12 @@ impl Startd {
     }
 
     /// The node's Condor name, e.g. `node3`.
-    pub fn node_name(&self) -> String {
+    pub(crate) fn node_name(&self) -> String {
         format!("node{}", self.node)
     }
 
     /// Slot ids in ascending order (1-based).
-    pub fn slot_ids(&self) -> Vec<SlotId> {
+    pub(crate) fn slot_ids(&self) -> Vec<SlotId> {
         (1..=self.slots)
             .map(|slot| SlotId {
                 node: self.node,

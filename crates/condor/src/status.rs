@@ -1,9 +1,7 @@
-//! `condor_q` / `condor_status`-style reporting over the queue and the
-//! collector — the operator's view of the cluster.
+//! `condor_q`-style reporting over the queue — the operator's view of
+//! the cluster.
 
-use crate::collector::Collector;
 use crate::queue::{JobQueue, JobState};
-use phishare_classad::Value;
 use std::fmt;
 
 /// Snapshot of queue occupancy by state (what `condor_q -totals` prints).
@@ -62,53 +60,10 @@ impl fmt::Display for QueueTotals {
     }
 }
 
-/// Per-node pool summary (what `condor_status` prints, Phi-flavoured).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeStatus {
-    /// Node index.
-    pub node: u32,
-    /// Total slots.
-    pub slots: usize,
-    /// Claimed slots.
-    pub claimed: usize,
-    /// Advertised free Phi memory, MB (node-level).
-    pub phi_free_mb: i64,
-    /// Advertised free (unclaimed) Phi cards.
-    pub phi_devices_free: i64,
-}
-
-/// Summarize the pool per node.
-pub fn pool_status(collector: &Collector) -> Vec<NodeStatus> {
-    let mut nodes: std::collections::BTreeMap<u32, NodeStatus> = std::collections::BTreeMap::new();
-    for (slot, status) in collector.slots() {
-        let entry = nodes.entry(slot.node).or_insert(NodeStatus {
-            node: slot.node,
-            slots: 0,
-            claimed: 0,
-            phi_free_mb: 0,
-            phi_devices_free: 0,
-        });
-        entry.slots += 1;
-        if status.claimed {
-            entry.claimed += 1;
-        }
-        // Node-level attributes are replicated on every slot ad; take them
-        // from any slot.
-        if let Some(Value::Int(free)) = status.ad.get(crate::attrs::PHI_FREE_MEMORY) {
-            entry.phi_free_mb = *free;
-        }
-        if let Some(Value::Int(free)) = status.ad.get(crate::attrs::PHI_DEVICES_FREE) {
-            entry.phi_devices_free = *free;
-        }
-    }
-    nodes.into_values().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collector::SlotId;
-    use crate::startd::Startd;
     use phishare_classad::ClassAd;
     use phishare_sim::SimTime;
     use phishare_workload::JobId;
@@ -144,21 +99,5 @@ mod tests {
         );
         assert_eq!(t.total(), 6);
         assert!(t.to_string().contains("6 jobs"));
-    }
-
-    #[test]
-    fn pool_status_summarizes_nodes() {
-        let mut c = Collector::new();
-        Startd::new(1, 4, 1, 8192).advertise(&mut c, 7680, 1);
-        Startd::new(2, 4, 1, 8192).advertise(&mut c, 1024, 0);
-        c.claim(SlotId { node: 2, slot: 3 });
-        let status = pool_status(&c);
-        assert_eq!(status.len(), 2);
-        assert_eq!(status[0].node, 1);
-        assert_eq!(status[0].slots, 4);
-        assert_eq!(status[0].claimed, 0);
-        assert_eq!(status[0].phi_free_mb, 7680);
-        assert_eq!(status[1].claimed, 1);
-        assert_eq!(status[1].phi_devices_free, 0);
     }
 }

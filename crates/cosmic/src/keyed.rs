@@ -57,7 +57,7 @@ pub struct KeyedCosmicDevice {
 
 impl KeyedCosmicDevice {
     /// Create middleware state for a device with the given hardware shape.
-    pub fn new(cfg: CosmicConfig, phi: &PhiConfig) -> Self {
+    pub(crate) fn new(cfg: CosmicConfig, phi: &PhiConfig) -> Self {
         KeyedCosmicDevice {
             cfg,
             hw_threads: phi.hw_threads(),

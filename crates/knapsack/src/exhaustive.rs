@@ -9,7 +9,7 @@ use crate::item::{Capacity, PackItem, Packing};
 use crate::value::ValueFunction;
 
 /// Maximum instance size the oracle accepts (2^22 subsets ≈ 4 M).
-pub const MAX_ITEMS: usize = 22;
+pub(crate) const MAX_ITEMS: usize = 22;
 
 /// Solve by exhaustive subset enumeration.
 ///

@@ -81,7 +81,11 @@ pub struct Packing {
 
 impl Packing {
     /// Build a packing from the selected subset of `items`.
-    pub fn from_selection(items: &[PackItem], mut selected: Vec<usize>, total_value: f64) -> Self {
+    pub(crate) fn from_selection(
+        items: &[PackItem],
+        mut selected: Vec<usize>,
+        total_value: f64,
+    ) -> Self {
         selected.sort_unstable();
         let total_mem_mb = selected.iter().map(|&i| lookup(items, i).mem_mb).sum();
         let total_threads = selected.iter().map(|&i| lookup(items, i).threads).sum();
@@ -92,20 +96,24 @@ impl Packing {
             total_threads,
         }
     }
+}
 
+/// Assertion helpers of the solver tests.
+#[cfg(test)]
+impl Packing {
     /// Number of items packed — the paper's *job concurrency* objective.
-    pub fn concurrency(&self) -> usize {
+    pub(crate) fn concurrency(&self) -> usize {
         self.selected.len()
     }
 
     /// True when the packing respects both the memory capacity and the
     /// thread limit.
-    pub fn is_feasible(&self, cap: &Capacity) -> bool {
+    pub(crate) fn is_feasible(&self, cap: &Capacity) -> bool {
         self.total_mem_mb <= cap.mem_mb && self.total_threads <= cap.thread_limit
     }
 
     /// True when nothing was packed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.selected.is_empty()
     }
 }

@@ -20,9 +20,6 @@
 //!   is satisfied (kept for the ablation study);
 //! * [`value::ValueFunction`] — the paper's quadratic value plus linear /
 //!   unit / inverse alternatives for the value-function ablation;
-//! * [`baseline`] — the packers the paper compares against implicitly:
-//!   random selection (the MCC configuration), FIFO first-fit and
-//!   best-fit-decreasing;
 //! * [`bb::solve_branch_and_bound`] — an exact branch-and-bound solver with
 //!   fractional-bound pruning, a second independent oracle and a solver
 //!   comparison point;
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod bb;
 pub mod dp;
 pub mod exhaustive;
@@ -44,12 +40,11 @@ pub mod item;
 pub mod prep;
 pub mod value;
 
-pub use baseline::{BestFitDecreasing, FirstFit, RandomFit};
 pub use bb::solve_branch_and_bound;
 pub use dp::{
     solve_1d_filtered, solve_1d_filtered_with, solve_2d, solve_2d_with, solve_prepped_1d_with,
     solve_prepped_2d_with, DpScratch,
 };
 pub use item::{Capacity, PackItem, Packing};
-pub use prep::{prep_1d, prep_2d, PrepItem, Prepped};
+pub use prep::{prep_1d, prep_2d};
 pub use value::ValueFunction;

@@ -29,7 +29,7 @@ impl ValueFunction {
     /// chosen by a value-maximizing DP — full-width jobs (e.g. the BT
     /// workload) would starve forever. The floor keeps the paper's ordering
     /// while guaranteeing every job is eventually packable.
-    pub const FLOOR: f64 = 1e-3;
+    pub(crate) const FLOOR: f64 = 1e-3;
 
     /// The value of a job requesting `threads` on hardware with
     /// `thread_limit` total threads.

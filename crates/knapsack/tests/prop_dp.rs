@@ -2,14 +2,12 @@
 //! kernel computes exactly the classic cell-by-cell DP, and all solvers
 //! respect feasibility on arbitrary instances.
 
-use phishare_knapsack::baseline::Packer;
 use phishare_knapsack::bb::solve_branch_and_bound_bounded;
 use phishare_knapsack::exhaustive::solve_exhaustive;
 use phishare_knapsack::{
-    prep_2d, solve_1d_filtered, solve_2d, solve_2d_with, solve_prepped_2d_with, BestFitDecreasing,
-    Capacity, DpScratch, FirstFit, PackItem, Packing, RandomFit, ValueFunction,
+    prep_2d, solve_1d_filtered, solve_2d, solve_2d_with, solve_prepped_2d_with, Capacity,
+    DpScratch, PackItem, Packing, ValueFunction,
 };
-use phishare_sim::DetRng;
 use proptest::prelude::*;
 
 fn arb_item(index: usize) -> impl Strategy<Value = PackItem> {
@@ -134,21 +132,19 @@ fn reference_2d(items: &[PackItem], cap: &Capacity, vf: ValueFunction) -> (Vec<u
     (selected, dp[dp.len() - 1])
 }
 
-fn assert_feasible(p: &Packing, cap: &Capacity, check_threads: bool) {
+fn assert_feasible(p: &Packing, cap: &Capacity) {
     assert!(
         p.total_mem_mb <= cap.mem_mb,
         "memory overpacked: {} > {}",
         p.total_mem_mb,
         cap.mem_mb
     );
-    if check_threads {
-        assert!(
-            p.total_threads <= cap.thread_limit,
-            "threads overpacked: {} > {}",
-            p.total_threads,
-            cap.thread_limit
-        );
-    }
+    assert!(
+        p.total_threads <= cap.thread_limit,
+        "threads overpacked: {} > {}",
+        p.total_threads,
+        cap.thread_limit
+    );
     // No duplicate selections.
     let mut seen = p.selected.clone();
     seen.dedup();
@@ -215,7 +211,7 @@ proptest! {
     #[test]
     fn dp_2d_is_feasible_and_consistent(items in arb_items(40), cap in arb_capacity()) {
         let p = solve_2d(&items, &cap, ValueFunction::PaperQuadratic);
-        assert_feasible(&p, &cap, true);
+        assert_feasible(&p, &cap);
         let recomputed: f64 = p.selected.iter().map(|&idx| {
             let it = items.iter().find(|i| i.index == idx).unwrap();
             ValueFunction::PaperQuadratic.value(it.threads, cap.thread_limit)
@@ -228,18 +224,9 @@ proptest! {
     #[test]
     fn dp_1d_filtered_is_feasible_and_dominated(items in arb_items(30), cap in arb_capacity()) {
         let p1 = solve_1d_filtered(&items, &cap, ValueFunction::PaperQuadratic);
-        assert_feasible(&p1, &cap, true);
+        assert_feasible(&p1, &cap);
         let p2 = solve_2d(&items, &cap, ValueFunction::PaperQuadratic);
         prop_assert!(p2.total_value >= p1.total_value - 1e-9);
-    }
-
-    /// Baseline packers respect their stated constraints.
-    #[test]
-    fn baselines_are_feasible(items in arb_items(30), cap in arb_capacity(), seed in any::<u64>()) {
-        let mut rng = DetRng::from_seed(seed);
-        assert_feasible(&RandomFit.pack(&items, &cap, &mut rng), &cap, false);
-        assert_feasible(&FirstFit.pack(&items, &cap, &mut rng), &cap, true);
-        assert_feasible(&BestFitDecreasing.pack(&items, &cap, &mut rng), &cap, true);
     }
 
     /// Branch-and-bound agrees with the DP whenever its search completes,
@@ -249,7 +236,7 @@ proptest! {
         let dp = solve_2d(&items, &cap, ValueFunction::PaperQuadratic);
         let (bb, complete) =
             solve_branch_and_bound_bounded(&items, &cap, ValueFunction::PaperQuadratic, 2_000_000);
-        assert_feasible(&bb, &cap, true);
+        assert_feasible(&bb, &cap);
         if complete {
             prop_assert!(
                 (dp.total_value - bb.total_value).abs() < 1e-9,

@@ -16,17 +16,17 @@ pub struct CoreSet(u64);
 
 impl CoreSet {
     /// The empty set.
-    pub const EMPTY: CoreSet = CoreSet(0);
+    pub(crate) const EMPTY: CoreSet = CoreSet(0);
 
     /// Build from a raw mask.
     #[inline]
-    pub const fn from_mask(mask: u64) -> Self {
+    pub(crate) const fn from_mask(mask: u64) -> Self {
         CoreSet(mask)
     }
 
     /// The raw mask.
     #[inline]
-    pub const fn mask(self) -> u64 {
+    pub(crate) const fn mask(self) -> u64 {
         self.0
     }
 
@@ -34,12 +34,6 @@ impl CoreSet {
     #[inline]
     pub const fn count(self) -> u32 {
         self.0.count_ones()
-    }
-
-    /// True when no cores are in the set.
-    #[inline]
-    pub const fn is_empty(self) -> bool {
-        self.0 == 0
     }
 
     /// True when the two sets share no core.
@@ -50,7 +44,7 @@ impl CoreSet {
 
     /// Set union.
     #[inline]
-    pub const fn union(self, other: CoreSet) -> CoreSet {
+    pub(crate) const fn union(self, other: CoreSet) -> CoreSet {
         CoreSet(self.0 | other.0)
     }
 
@@ -124,7 +118,7 @@ impl CoreAllocator {
     }
 
     /// Cores currently free.
-    pub fn free_cores(&self) -> u32 {
+    pub(crate) fn free_cores(&self) -> u32 {
         self.total_cores - self.used.count()
     }
 
@@ -244,7 +238,7 @@ mod tests {
         assert_eq!(a.count(), 4);
         assert!(a.is_disjoint(b));
         assert_eq!(a.union(b).count(), 8);
-        assert!(CoreSet::EMPTY.is_empty());
+        assert_eq!(CoreSet::EMPTY.count(), 0);
         assert_eq!(CoreSet::contiguous(0, 64).count(), 64);
         assert_eq!(a.to_string(), "cores[4]");
     }

@@ -102,7 +102,7 @@ impl PhiConfig {
     /// Cores needed to host `threads` hardware threads (one core runs up to
     /// `threads_per_core`).
     #[inline]
-    pub fn cores_for_threads(&self, threads: u32) -> u32 {
+    pub(crate) fn cores_for_threads(&self, threads: u32) -> u32 {
         threads.div_ceil(self.threads_per_core)
     }
 

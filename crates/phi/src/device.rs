@@ -306,13 +306,8 @@ impl<R: RateModel> Card<R> {
         }
     }
 
-    /// The device's static configuration.
-    pub fn config(&self) -> &PhiConfig {
-        &self.cfg
-    }
-
     /// True when `proc` is resident.
-    pub fn is_resident(&self, proc: ProcId) -> bool {
+    pub(crate) fn is_resident(&self, proc: ProcId) -> bool {
         self.index.contains_key(&proc)
     }
 
@@ -857,7 +852,7 @@ mod tests {
             CommitOutcome::OomKilled(victims) => {
                 assert_eq!(victims.len(), 1);
                 assert_eq!(d.resident_count(), 2);
-                assert!(d.committed_total_mb() <= d.config().usable_mem_mb());
+                assert!(d.committed_total_mb() <= PhiConfig::default().usable_mem_mb());
                 assert_eq!(d.oom_kills.get(), 1);
             }
             CommitOutcome::Fits => panic!("expected an OOM kill"),

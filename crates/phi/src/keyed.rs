@@ -56,7 +56,7 @@ pub struct KeyedPhiDevice {
 
 impl KeyedPhiDevice {
     /// Create a device at simulation time `start`.
-    pub fn new(cfg: PhiConfig, perf: PerfModel, start: SimTime) -> Self {
+    pub(crate) fn new(cfg: PhiConfig, perf: PerfModel, start: SimTime) -> Self {
         cfg.validate().expect("invalid device configuration");
         KeyedPhiDevice {
             cfg,

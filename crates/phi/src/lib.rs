@@ -27,7 +27,7 @@
 //! There is one card model, the generic [`Card`]: residency, memory
 //! commits and the OOM killer, pinned-core accounting, the thermal derate,
 //! utilization and energy are written once, and only the rate rule differs.
-//! [`PhiDevice`] runs the paper's two-rate [`PerfModel`] ([`PerfRates`]);
+//! [`PhiDevice`] runs the paper's two-rate [`PerfModel`] ([`PerfRates`](perf::PerfRates));
 //! [`SharedThroughputDevice`] and [`NaiveSharedDevice`] run one fair-shared
 //! [`SharingCurve`] rate ([`FairShare`]) on the heap engine and on its
 //! recompute-all oracle. [`KeyedPhiDevice`] is an independent map-backed
@@ -50,9 +50,9 @@ pub mod substrate;
 
 pub use alloc::{CoreAllocator, CoreSet};
 pub use config::PhiConfig;
-pub use device::{Affinity, Card, CommitOutcome, DeviceUtilization, PhiDevice, ProcSlot};
+pub use device::{Affinity, Card, CommitOutcome, PhiDevice, ProcSlot};
 pub use keyed::KeyedPhiDevice;
-pub use perf::{PerfModel, PerfRates};
+pub use perf::PerfModel;
 pub use phishare_throughput::SharingCurve;
 pub use proc::ProcId;
 pub use sharing::{FairShare, NaiveSharedDevice, SharedThroughputDevice};

@@ -62,7 +62,7 @@ impl PerfModel {
     ///
     /// `1.0` when the active thread sum fits in hardware; grows as
     /// `load^κ` beyond that.
-    pub fn oversub_factor(&self, active_threads: u32, hw_threads: u32) -> f64 {
+    pub(crate) fn oversub_factor(&self, active_threads: u32, hw_threads: u32) -> f64 {
         debug_assert!(hw_threads > 0);
         let load = active_threads as f64 / hw_threads as f64;
         if load <= 1.0 {
@@ -78,7 +78,8 @@ impl PerfModel {
     /// * `n_active` — number of offloads currently active on the device;
     /// * `n_resident` — number of COI processes resident on the device;
     /// * `active_threads` — the active offloads' thread sum.
-    pub fn offload_rate(
+    #[cfg(test)]
+    pub(crate) fn offload_rate(
         &self,
         pinned: bool,
         n_active: usize,
@@ -107,7 +108,7 @@ impl PerfModel {
     /// needs two rate computations, not one per offload. Bit-identical to
     /// calling `offload_rate` twice (the factor products are evaluated in
     /// the same order).
-    pub fn offload_rates(
+    pub(crate) fn offload_rates(
         &self,
         n_active: usize,
         n_resident: usize,
@@ -130,7 +131,7 @@ impl PerfModel {
     /// `offloads` yields `(is_pinned, rate_slot)` per active offload; a
     /// no-op when `n_active == 0` (idle devices keep stale rates, as the
     /// slab card's rate rule below does).
-    pub fn reshare_rates<'a>(
+    pub(crate) fn reshare_rates<'a>(
         &self,
         n_active: usize,
         n_resident: usize,
@@ -152,9 +153,9 @@ impl PerfModel {
 /// [`PhiDevice`](crate::PhiDevice)'s rate rule: the paper's two-rate
 /// affinity model, with the two rates kept once per card.
 ///
-/// Every factor of [`PerfModel::offload_rate`] depends only on card-wide
-/// aggregates, so all COSMIC-pinned offloads share one rate and all
-/// unmanaged ones another. The card keeps that `(pinned, unmanaged)` pair,
+/// Every factor of the per-offload rate (`PerfModel::offload_rate`)
+/// depends only on card-wide aggregates, so all COSMIC-pinned offloads
+/// share one rate and all unmanaged ones another. The card keeps that `(pinned, unmanaged)` pair,
 /// already multiplied by the derate scale; an active offload keeps only its
 /// remaining nominal work, and a reshare writes two numbers.
 #[derive(Debug)]

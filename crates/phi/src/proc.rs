@@ -29,7 +29,7 @@ impl fmt::Display for ProcId {
 
 /// A process resident on the device.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Resident {
+pub(crate) struct Resident {
     /// Memory the job *declared* it may use at most (MB). Schedulers budget
     /// against this.
     pub declared_mem_mb: u64,

@@ -11,7 +11,7 @@
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
-/// Outcome of driving a simulation with [`Sim::run_until`].
+/// Outcome of driving a simulation with `Sim::run_until`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The event queue drained completely.
@@ -87,7 +87,7 @@ impl<E> Sim<E> {
     }
 
     /// Create a simulator on a recycled event queue: the queue is
-    /// [`EventQueue::reset`] (dropping any leftovers, restarting sequence
+    /// `EventQueue::reset` (dropping any leftovers, restarting sequence
     /// numbering, keeping the heap allocation) and the clock starts at
     /// [`SimTime::ZERO`]. Behaviour is bit-identical to [`Sim::new`]; only
     /// the allocation is reused. The queue can be reclaimed afterwards with
@@ -114,7 +114,8 @@ impl<E> Sim<E> {
     }
 
     /// Replace the runaway-guard event budget.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_event_budget(mut self, budget: u64) -> Self {
         self.event_budget = budget;
         self
     }
@@ -129,12 +130,6 @@ impl<E> Sim<E> {
     #[inline]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Number of events still pending.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Schedule `event` at the absolute instant `at`.
@@ -159,7 +154,7 @@ impl<E> Sim<E> {
     /// Pop the earliest event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty. Most callers should prefer
-    /// [`Sim::run`] / [`Sim::run_until`].
+    /// [`Sim::run`] / `Sim::run_until`.
     pub fn step(&mut self) -> Option<E> {
         let (time, event) = self.queue.pop()?;
         debug_assert!(time >= self.now, "event queue produced a past event");
@@ -184,7 +179,8 @@ impl<E> Sim<E> {
     }
 
     /// Stale entries lazily discarded by [`Sim::step_live`].
-    pub fn stale_drained(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn stale_drained(&self) -> u64 {
         self.queue.stale_drained()
     }
 
@@ -204,7 +200,7 @@ impl<E> Sim<E> {
 
     /// Drive the simulation until the queue drains or the clock would pass
     /// `horizon` (events at exactly `horizon` still fire).
-    pub fn run_until<F>(&mut self, horizon: SimTime, handler: &mut F) -> RunOutcome
+    pub(crate) fn run_until<F>(&mut self, horizon: SimTime, handler: &mut F) -> RunOutcome
     where
         F: FnMut(&mut Self, E),
     {
@@ -274,8 +270,10 @@ mod tests {
         let outcome = sim.run_until(SimTime::from_secs(4), &mut |_, _| count += 1);
         assert_eq!(outcome, RunOutcome::HorizonReached);
         assert_eq!(count, 4); // events at exactly the horizon still fire
-        assert_eq!(sim.pending(), 6);
         assert_eq!(sim.now(), SimTime::from_secs(4));
+        // The six later events are still queued.
+        assert_eq!(sim.run(|_, _| count += 1), RunOutcome::QueueEmpty);
+        assert_eq!(count, 10);
     }
 
     #[test]

@@ -114,7 +114,7 @@ impl DetRng {
     }
 
     /// Standard normal sample via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
@@ -129,7 +129,7 @@ impl DetRng {
 
     /// Normal sample with the given mean and standard deviation.
     #[inline]
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    pub(crate) fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "normal: negative std_dev");
         mean + std_dev * self.standard_normal()
     }

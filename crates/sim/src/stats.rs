@@ -27,7 +27,6 @@ pub struct TimeWeighted {
     last_change: SimTime,
     value: f64,
     integral: f64, // value × seconds
-    peak: f64,
 }
 
 impl TimeWeighted {
@@ -38,7 +37,6 @@ impl TimeWeighted {
             last_change: start,
             value: 0.0,
             integral: 0.0,
-            peak: 0.0,
         }
     }
 
@@ -46,12 +44,6 @@ impl TimeWeighted {
     #[inline]
     pub fn value(&self) -> f64 {
         self.value
-    }
-
-    /// The largest value the signal has taken.
-    #[inline]
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 
     /// Set the signal to `value` at time `now`.
@@ -63,13 +55,6 @@ impl TimeWeighted {
         assert!(value.is_finite(), "TimeWeighted::set: non-finite value");
         self.accumulate_to(now);
         self.value = value;
-        self.peak = self.peak.max(value);
-    }
-
-    /// Add `delta` (which may be negative) to the signal at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.value + delta;
-        self.set(now, v);
     }
 
     fn accumulate_to(&mut self, now: SimTime) {
@@ -111,12 +96,6 @@ impl Counter {
     #[inline]
     pub fn incr(&mut self) {
         self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
     }
 
     /// The current count.
@@ -255,11 +234,6 @@ impl Histogram {
     pub fn outliers(&self) -> u64 {
         self.outliers
     }
-
-    /// Total in-range samples.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -275,16 +249,6 @@ mod tests {
         // 10×4 + 20×2 + 0×4 = 80 over 10 s → average 8.
         assert_eq!(tw.integral(SimTime::from_secs(10)), 80.0);
         assert_eq!(tw.time_average(SimTime::from_secs(10)), 8.0);
-        assert_eq!(tw.peak(), 20.0);
-    }
-
-    #[test]
-    fn add_is_relative() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO);
-        tw.add(SimTime::from_secs(0), 3.0);
-        tw.add(SimTime::from_secs(2), -1.0);
-        assert_eq!(tw.value(), 2.0);
-        assert_eq!(tw.integral(SimTime::from_secs(4)), 3.0 * 2.0 + 2.0 * 2.0);
     }
 
     #[test]
@@ -313,8 +277,8 @@ mod tests {
     fn counter_counts() {
         let mut c = Counter::new();
         c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
+        c.incr();
+        assert_eq!(c.get(), 2);
     }
 
     #[test]
@@ -340,7 +304,6 @@ mod tests {
         }
         assert_eq!(h.counts(), &[2, 1, 1, 0, 2]);
         assert_eq!(h.outliers(), 2);
-        assert_eq!(h.total(), 6);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// Number of ticks per simulated second.
-pub const TICKS_PER_SEC: u64 = 1_000;
+pub(crate) const TICKS_PER_SEC: u64 = 1_000;
 
 /// An absolute instant on the simulation clock, in ticks since time zero.
 #[derive(
@@ -28,7 +28,7 @@ impl SimTime {
     /// The origin of the simulation clock.
     pub const ZERO: SimTime = SimTime(0);
     /// The maximum representable instant (used as an "infinitely far" sentinel).
-    pub const MAX: SimTime = SimTime(u64::MAX);
+    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw ticks (milliseconds).
     #[inline]
@@ -119,12 +119,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Multiply by an integer factor.
-    #[inline]
-    pub const fn saturating_mul(self, factor: u64) -> Self {
-        SimDuration(self.0.saturating_mul(factor))
     }
 
     /// Scale by a non-negative float factor, rounding to the nearest tick.
@@ -312,7 +306,6 @@ mod tests {
     fn duration_scaling() {
         let d = SimDuration::from_secs(10);
         assert_eq!(d.mul_f64(0.5), SimDuration::from_secs(5));
-        assert_eq!(d.saturating_mul(3), SimDuration::from_secs(30));
         // Rounding, not truncation.
         assert_eq!(SimDuration::from_ticks(3).mul_f64(0.5).ticks(), 2);
     }

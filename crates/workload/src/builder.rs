@@ -77,7 +77,7 @@ impl ArrivalProcess {
     /// Every stochastic family draws from the `"workload-arrivals"`
     /// substream; `AllAtZero` draws nothing, so workloads that never asked
     /// for arrivals stay bit-identical to historical ones.
-    pub fn generate(&self, seed: u64, count: usize) -> Vec<SimTime> {
+    pub(crate) fn generate(&self, seed: u64, count: usize) -> Vec<SimTime> {
         let mut arrivals = Vec::with_capacity(count);
         match *self {
             ArrivalProcess::AllAtZero => {
@@ -358,11 +358,6 @@ pub struct WorkloadBuilder {
     /// Fraction of jobs whose actual peak memory exceeds their declaration
     /// (failure injection; exercises container kills / OOM paths).
     misbehaving_fraction: f64,
-    /// Starting job id (lets several workloads coexist in one simulation).
-    first_id: u64,
-    /// Mid-run mix shift: jobs from this fraction point onward draw from
-    /// the alternate kind instead (trace replay of a job-size-mix change).
-    mix_shift: Option<(f64, WorkloadKind)>,
 }
 
 impl WorkloadBuilder {
@@ -374,8 +369,6 @@ impl WorkloadBuilder {
             seed: 0,
             arrivals: ArrivalProcess::AllAtZero,
             misbehaving_fraction: 0.0,
-            first_id: 0,
-            mix_shift: None,
         }
     }
 
@@ -404,40 +397,15 @@ impl WorkloadBuilder {
         self
     }
 
-    /// Set the first job id.
-    pub fn first_id(mut self, first: u64) -> Self {
-        self.first_id = first;
-        self
-    }
-
-    /// Switch the job mix at a fraction point: jobs with index
-    /// `>= fraction * count` draw from `kind` instead of the primary kind.
-    ///
-    /// Per-job substreams are untouched, so the pre-shift prefix is
-    /// bit-identical to the unshifted workload.
-    pub fn mix_shift(mut self, fraction: f64, kind: WorkloadKind) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        self.mix_shift = Some((fraction, kind));
-        self
-    }
-
     /// Generate the workload.
     pub fn build(&self) -> Workload {
-        let shift_at = self
-            .mix_shift
-            .as_ref()
-            .map(|(fraction, _)| ((self.count as f64) * fraction).ceil() as usize);
         let mut jobs = Vec::with_capacity(self.count);
         for i in 0..self.count {
-            let id = JobId(self.first_id + i as u64);
+            let id = JobId(i as u64);
             // Per-job substream: adding/removing jobs never shifts the
             // randomness of other jobs.
             let mut rng = DetRng::substream_indexed(self.seed, "workload-job", id.raw());
-            let kind = match (&self.mix_shift, shift_at) {
-                (Some((_, shifted)), Some(at)) if i >= at => shifted,
-                _ => &self.kind,
-            };
-            let mut job = match kind {
+            let mut job = match &self.kind {
                 WorkloadKind::Table1Mix => {
                     let app = *rng.choose(&AppKind::TABLE1);
                     app.generate(id, &mut rng)
@@ -459,12 +427,8 @@ impl WorkloadBuilder {
             WorkloadKind::Table1Single(app) => format!("{app}"),
             WorkloadKind::Synthetic(dist, _) => format!("syn-{dist}"),
         };
-        let mut label = format!("{}×{}", kind_label(&self.kind), self.count);
-        if let Some((fraction, shifted)) = &self.mix_shift {
-            label = format!("{label}→{}@{fraction}", kind_label(shifted));
-        }
         Workload {
-            label,
+            label: format!("{}×{}", kind_label(&self.kind), self.count),
             jobs,
             arrivals,
             seed: self.seed,
@@ -623,25 +587,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_shift_changes_the_tail_and_preserves_the_prefix() {
-        let plain = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(40)
-            .seed(17)
-            .build();
-        let shifted = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(40)
-            .seed(17)
-            .mix_shift(0.5, WorkloadKind::Table1Single(AppKind::TABLE1[0]))
-            .build();
-        shifted.validate().unwrap();
-        assert_eq!(&shifted.jobs[..20], &plain.jobs[..20]);
-        assert!(shifted.jobs[20..]
-            .iter()
-            .all(|j| j.app == AppKind::TABLE1[0]));
-        assert!(shifted.label.contains('→'), "{}", shifted.label);
-    }
-
-    #[test]
     fn arrival_specs_parse() {
         use std::str::FromStr;
         assert_eq!(
@@ -743,23 +688,20 @@ mod tests {
         assert_eq!(wl, back);
     }
 
-    #[test]
-    fn first_id_offsets_ids() {
-        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(5)
-            .first_id(100)
+    /// Four Table I jobs numbered from 10.
+    fn jobs_from_ten() -> Workload {
+        let mut wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
+            .count(4)
             .build();
-        assert_eq!(wl.jobs[0].id, JobId(100));
-        assert_eq!(wl.jobs[4].id, JobId(104));
-        wl.validate().unwrap();
+        for (k, job) in wl.jobs.iter_mut().enumerate() {
+            job.id = JobId(10 + k as u64);
+        }
+        wl
     }
 
     #[test]
     fn validate_requires_consecutive_ids() {
-        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(4)
-            .first_id(10)
-            .build();
+        let wl = jobs_from_ten();
         let out_of_sequence = |job: u64, expected: u64| {
             Err((
                 JobId(job),
@@ -787,10 +729,7 @@ mod tests {
 
     #[test]
     fn validate_pairs_every_job_with_a_bounded_arrival() {
-        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(4)
-            .first_id(10)
-            .build();
+        let wl = jobs_from_ten();
         let count_mismatch = |job: u64, jobs: usize, arrivals: usize| {
             Err((JobId(job), JobSpecError::ArrivalCount { jobs, arrivals }))
         };

@@ -47,7 +47,7 @@ impl Segment {
     }
 
     /// The nominal duration of the segment (host duration or offload work).
-    pub fn nominal(&self) -> SimDuration {
+    pub(crate) fn nominal(&self) -> SimDuration {
         match *self {
             Segment::Host { duration } => duration,
             Segment::Offload { work, .. } => work,
@@ -76,7 +76,7 @@ impl JobProfile {
     }
 
     /// Fraction of the nominal duration spent in offloads, in `[0, 1]`.
-    pub fn offload_fraction(&self) -> f64 {
+    pub(crate) fn offload_fraction(&self) -> f64 {
         let total = self.total_nominal();
         if total.is_zero() {
             return 0.0;
@@ -207,7 +207,7 @@ impl std::error::Error for JobSpecError {}
 impl JobSpec {
     /// Check internal consistency: the declared envelope must cover the
     /// profile (the paper assumes users declare *maximums*, §IV-B).
-    pub fn validate(&self) -> Result<(), JobSpecError> {
+    pub(crate) fn validate(&self) -> Result<(), JobSpecError> {
         if self.profile.segments.is_empty() {
             return Err(JobSpecError::EmptyProfile);
         }

@@ -46,7 +46,7 @@ impl ResourceDist {
     const SIGMA: f64 = 0.18;
 
     /// Draw a latent resource level in `[0, 1]`.
-    pub fn sample_level(self, rng: &mut DetRng) -> f64 {
+    pub(crate) fn sample_level(self, rng: &mut DetRng) -> f64 {
         match self {
             ResourceDist::Uniform => rng.uniform_f64(),
             ResourceDist::Normal => rng.truncated_normal(0.5, Self::SIGMA, 0.0, 1.0),
@@ -106,7 +106,7 @@ impl Default for SyntheticParams {
 
 impl SyntheticParams {
     /// Generate one synthetic job whose resources follow `dist`.
-    pub fn generate(&self, dist: ResourceDist, id: JobId, rng: &mut DetRng) -> JobSpec {
+    pub(crate) fn generate(&self, dist: ResourceDist, id: JobId, rng: &mut DetRng) -> JobSpec {
         let level = dist.sample_level(rng);
         let mem_req_mb = lerp_u64(self.mem_mb, level);
         let t_level =

@@ -74,7 +74,7 @@ impl AppKind {
 
 /// Generation parameters for one Table I application.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AppParams {
+pub(crate) struct AppParams {
     /// Declared thread requirement (Table I "Threads" column).
     pub threads: u32,
     /// Declared memory request range in MB (Table I "Memory" column);
@@ -94,7 +94,7 @@ impl AppKind {
     /// # Panics
     /// Panics for [`AppKind::Synthetic`]; synthetic jobs are parameterized by
     /// [`crate::synthetic::SyntheticParams`] instead.
-    pub fn params(self) -> AppParams {
+    pub(crate) fn params(self) -> AppParams {
         match self {
             AppKind::KM => AppParams {
                 threads: 60,
@@ -158,7 +158,7 @@ impl AppKind {
     /// uses the full declared thread count (the declaration is a *maximum*)
     /// while others may use fewer threads — the paper's footnote 1 notes many
     /// kernels saturate below 60 cores.
-    pub fn generate(self, id: JobId, rng: &mut DetRng) -> JobSpec {
+    pub(crate) fn generate(self, id: JobId, rng: &mut DetRng) -> JobSpec {
         let p = self.params();
         let mem_req_mb = rng.uniform_u64(p.mem_mb.0, p.mem_mb.1);
         let total_secs = rng.uniform_range(p.duration_secs.0, p.duration_secs.1);
