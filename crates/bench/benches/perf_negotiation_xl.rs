@@ -253,10 +253,9 @@ fn gate() -> XlBench {
         speedup_floor: SPEEDUP_FLOOR,
         matched: delta.matched,
         // The measured side is the unpartitioned delta screen: one
-        // collector partition, its job-chunk fan-out sized by the
-        // `PHISHARE_PARTITION_THREADS` thread budget. The streaming churn
-        // keeps every cycle non-quiescent, but the detector is on (as it
-        // is in production).
+        // collector partition, its job-chunk fan-out pinned to one thread
+        // by `main`. The streaming churn keeps every cycle non-quiescent,
+        // but the detector is on (as it is in production).
         knobs: GateKnobs {
             partitions: delta.collector.partitions(),
             threads: delta.negotiator.shard_count(),
@@ -267,6 +266,10 @@ fn gate() -> XlBench {
 }
 
 fn main() {
+    // Pin the delta screen's fan-out to one thread before any negotiator
+    // reads the budget: `Negotiator::shard_count` otherwise follows the
+    // host's core count, and the speedup moves with it.
+    std::env::set_var("PHISHARE_PARTITION_THREADS", "1");
     phishare_bench::banner(
         "perf_negotiation_xl",
         "delta-driven matchmaking at 10^4 slots",

@@ -12,7 +12,6 @@
 //! |---|---|
 //! | `perf_negotiation`, `perf_negotiation_xl`, `perf_negotiation_xxl`, `perf_planning`, `perf_sim`, `perf_e2e`, `perf_throughput`, `perf_scale` | regression gates: each asserts bit-identity against an oracle, then a speedup floor, through [`commit_gate`] |
 //! | `perf_knapsack` | best-of-N timing table of the knapsack solvers (§IV-C complexity claim) |
-//! | `ext_fault_mtbf`, `ext_chaos_robustness` | self-asserting fault and chaos sweeps (CI smoke runs) |
 
 // `deny` rather than `forbid`: the opt-in `alloc_count` module needs one
 // `unsafe impl GlobalAlloc` and locally allows it; everything else stays
@@ -22,11 +21,9 @@
 
 pub mod registry;
 
-use phishare_workload::{Workload, WorkloadBuilder, WorkloadKind};
 use serde::Serialize;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Seed used by every headline experiment (fixed for reproducibility; the
@@ -35,16 +32,6 @@ pub const EXPERIMENT_SEED: u64 = 7;
 
 /// The paper's synthetic job count per distribution (§V-B).
 pub const SYNTHETIC_JOBS: usize = 400;
-
-/// Build the 1000-instance Table I workload of §V-A.
-pub fn table1_workload(count: usize, seed: u64) -> Arc<Workload> {
-    Arc::new(
-        WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(count)
-            .seed(seed)
-            .build(),
-    )
-}
 
 /// Where experiment JSON lands (`target/experiments/`).
 pub fn experiments_dir() -> PathBuf {

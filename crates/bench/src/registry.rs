@@ -16,7 +16,7 @@
 use crate::{EXPERIMENT_SEED, SYNTHETIC_JOBS};
 use phishare_cluster::report::{pct, secs};
 use phishare_cluster::{default_threads, run_sweep, ClusterConfig, DevicePool, DeviceSku};
-use phishare_cluster::{ExperimentResult, SubstrateMode, SweepJob};
+use phishare_cluster::{ExperimentResult, FallbackPolicy, SubstrateMode, SweepJob};
 use phishare_core::{ClusterPolicy, KnapsackVariant};
 use phishare_knapsack::ValueFunction;
 use phishare_phi::PhiConfig;
@@ -117,6 +117,15 @@ enum Metric {
     ThreadUtil,
     DeviceBusy,
     HostUtil,
+    Completion,
+    Resets,
+    Retries,
+    HostRuns,
+    Held,
+    Windows,
+    Inflated,
+    StaleSkips,
+    Jittered,
 }
 
 impl Metric {
@@ -129,6 +138,15 @@ impl Metric {
             Metric::ThreadUtil => (100.0 * r.thread_utilization, "thread util", Unit::Pct),
             Metric::DeviceBusy => (100.0 * r.device_busy_fraction, "device busy", Unit::Pct),
             Metric::HostUtil => (100.0 * r.host_core_utilization, "host util", Unit::Pct),
+            Metric::Completion => (100.0 * r.completion_rate(), "completed", Unit::Pct),
+            Metric::Resets => (r.device_resets as f64, "resets", Unit::Count),
+            Metric::Retries => (r.retries as f64, "retries", Unit::Count),
+            Metric::HostRuns => (r.fallback_offloads as f64, "host runs", Unit::Count),
+            Metric::Held => (r.held_after_retries as f64, "held", Unit::Count),
+            Metric::Windows => (r.perturb_windows as f64, "windows", Unit::Count),
+            Metric::Inflated => (r.inflated_offloads as f64, "inflated", Unit::Count),
+            Metric::StaleSkips => (r.stale_ad_skips as f64, "stale skips", Unit::Count),
+            Metric::Jittered => (r.jittered_cycles as f64, "jittered", Unit::Count),
         };
         (value, format!("{col} {suffix}"), unit)
     }
@@ -162,6 +180,23 @@ impl Table {
     fn values(&self, col: &str) -> Result<Vec<f64>, String> {
         let i = self.column(col)?;
         Ok(self.rows.iter().filter_map(|(_, v)| v[i]).collect())
+    }
+
+    /// Every value in a row whose label contains `rows` and a column whose
+    /// name contains `cols`, with its row and column; an `Err` if none.
+    fn matching(&self, rows: &str, cols: &str) -> Result<Vec<(&str, &str, f64)>, String> {
+        let mut hits = Vec::new();
+        for (label, values) in self.rows.iter().filter(|(l, _)| l.contains(rows)) {
+            for ((name, _), value) in self.columns.iter().zip(values) {
+                if let (true, Some(x)) = (name.contains(cols), value) {
+                    hits.push((label.as_str(), name.as_str(), *x));
+                }
+            }
+        }
+        match hits.is_empty() {
+            true => Err(format!("no value at rows {rows:?}, columns {cols:?}")),
+            false => Ok(hits),
+        }
     }
 
     fn value(&self, row: &str, col: &str) -> Result<f64, String> {
@@ -240,22 +275,23 @@ enum Reducer {
 /// A column-level assertion over a reduced table.
 #[derive(Clone, Copy, Debug)]
 enum Check {
-    /// The column is zero in every row.
-    Zero(&'static str),
     /// In a column, the first row is strictly below the second.
     Below(&'static str, &'static str, &'static str),
     /// The first column's minimum exceeds the second's maximum less the
     /// slack: the two bands do not overlap.
     Apart(&'static str, &'static str, f64),
+    /// Every value in a row whose label contains the first pattern and a
+    /// column whose name contains the second lies in `[min, max]`; at least
+    /// one such value exists.
+    Within(&'static str, &'static str, f64, f64),
+    /// In every column whose name contains the first pattern, each row whose
+    /// label contains the second is at least `factor` times the third row.
+    AtLeast(&'static str, &'static str, &'static str, f64),
 }
 
 impl Check {
     fn verify(self, t: &Table) -> Result<(), String> {
         match self {
-            Check::Zero(col) => match t.values(col)?.into_iter().find(|&x| x != 0.0) {
-                Some(x) => Err(format!("{col} is {x}, not 0")),
-                None => Ok(()),
-            },
             Check::Below(col, low, high) => match (t.value(low, col)?, t.value(high, col)?) {
                 (a, b) if a < b => Ok(()),
                 (a, b) => Err(format!("{col}: {low} {a:.1} is not below {high} {b:.1}")),
@@ -267,6 +303,25 @@ impl Check {
                     return Ok(());
                 }
                 Err(format!("{hi} (min {min:.1}) overlaps {lo} (max {max:.1})"))
+            }
+            Check::Within(rows, cols, min, max) => {
+                for (row, col, x) in t.matching(rows, cols)? {
+                    if !(min..=max).contains(&x) {
+                        return Err(format!("{row}/{col} is {x}, not in [{min}, {max}]"));
+                    }
+                }
+                Ok(())
+            }
+            Check::AtLeast(cols, row, base, factor) => {
+                for (_, col, x) in t.matching(row, cols)? {
+                    let b = t.value(base, col)?;
+                    if x < factor * b {
+                        return Err(format!(
+                            "{col}: {row} {x:.1} is below {factor} × {base} {b:.1}"
+                        ));
+                    }
+                }
+                Ok(())
             }
         }
     }
@@ -334,6 +389,15 @@ impl Artifact {
             let outcomes = run_sweep(jobs.collect(), default_threads(), self.substrate);
             for (run, (label, outcome)) in runs.iter_mut().zip(outcomes) {
                 let result = outcome.map_err(|e| format!("{}: cell {label}: {e}", self.name))?;
+                let r = &result;
+                let accounted =
+                    r.completed + r.container_kills + r.oom_kills + r.held_after_retries;
+                if accounted != r.jobs {
+                    return Err(format!(
+                        "{}: cell {label}: {accounted} of {} jobs accounted for",
+                        self.name, r.jobs
+                    ));
+                }
                 run.result = Some(result);
             }
         }
@@ -683,6 +747,76 @@ fn ext_topology() -> Vec<Cell> {
     cells
 }
 
+/// Horizon of EXT-6's fault plans and EXT-8's perturbation plans: long
+/// enough to cover every run of either grid.
+const CHAOS_HORIZON_SECS: f64 = 6000.0;
+
+/// Per-device MTBF (off, 600, 300 or 150 s) under both recovery postures,
+/// on the uniform and the GPU-like mixed pool, 300 Table I jobs.
+fn ext_fault_mtbf() -> Vec<Cell> {
+    let pools = [
+        ("uniform", DevicePool::Uniform),
+        ("gpu-mix", DevicePool::Alternate(DeviceSku::GpuLike)),
+    ];
+    let mut cells = Vec::new();
+    for (name, pool) in pools {
+        for fallback in [FallbackPolicy::HostOnly, FallbackPolicy::Requeue] {
+            for (mtbf, label) in [(0.0, "off"), (600.0, "600"), (300.0, "300"), (150.0, "150")] {
+                let row = format!("{name} / {fallback:?} / {label}");
+                cells.extend(POLICIES.map(|p| {
+                    Cell::new(&row, Table1, 300, p).with(|c| {
+                        c.pool = pool;
+                        c.recovery.fallback = fallback;
+                        // An MTBF of 0 draws no faults over any horizon.
+                        c.faults.device_mtbf_secs = mtbf;
+                        c.faults.horizon_secs = CHAOS_HORIZON_SECS;
+                    })
+                }));
+            }
+        }
+    }
+    cells
+}
+
+/// MCC and MCCK under each perturbation stack, 300 Table I jobs; `all`
+/// stacks every kind on top of EXT-6's 600 s device MTBF.
+fn ext_chaos_robustness() -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for stack in ["none", "derate", "latency", "stale-ads", "jitter", "all"] {
+        let on = |kind| stack == kind || stack == "all";
+        cells.extend([Mcc, Mcck].map(|policy| {
+            Cell::new(stack, Table1, 300, policy).with(|c| {
+                let p = &mut c.perturb;
+                p.horizon_secs = CHAOS_HORIZON_SECS;
+                if on("derate") {
+                    p.derate.mean_gap_secs = 120.0;
+                    p.derate.duration_secs = 60.0;
+                    p.derate.factor = 0.4;
+                }
+                if on("latency") {
+                    p.latency.mean_gap_secs = 90.0;
+                    p.latency.duration_secs = 45.0;
+                    p.latency.extra_secs = 2.0;
+                }
+                if on("stale-ads") {
+                    p.stale_ads.mean_gap_secs = 90.0;
+                    p.stale_ads.duration_secs = 60.0;
+                }
+                if on("jitter") {
+                    p.jitter_max_secs = 5.0;
+                }
+                if stack == "all" {
+                    // Chaos on top of faults: the stack composes with the
+                    // EXT-6 failure model rather than replacing it.
+                    c.faults.device_mtbf_secs = 600.0;
+                    c.faults.horizon_secs = CHAOS_HORIZON_SECS;
+                }
+            })
+        }));
+    }
+    cells
+}
+
 // The registry.
 
 const MAKESPAN: &[Metric] = &[Metric::Makespan];
@@ -722,8 +856,11 @@ const fn entry(
     }
 }
 
+/// No upper bound for [`Check::Within`].
+const ANY: f64 = f64::INFINITY;
+
 /// Every artifact, in EXPERIMENTS.md order.
-pub static ARTIFACTS: [Artifact; 17] = [
+pub static ARTIFACTS: [Artifact; 19] = [
     entry(
         "motivation_util",
         motivation_util,
@@ -744,7 +881,7 @@ pub static ARTIFACTS: [Artifact; 17] = [
     ),
     Artifact {
         checks: &[
-            Check::Zero("outliers"),
+            Check::Within("", "outliers", 0.0, 0.0),
             Check::Below("mean MB", "low-skew", "normal"),
             Check::Below("mean MB", "normal", "high-skew"),
         ],
@@ -888,6 +1025,79 @@ pub static ARTIFACTS: [Artifact; 17] = [
         "not measured (the formulation allows D > 1 cards per node, the testbed has 1); \
          expected: 8 cards behave near-identically as 8×1, 4×2 or 2×4",
     ),
+    Artifact {
+        checks: &[
+            Check::Within("/ off", "completed", 100.0, 100.0),
+            Check::Within("HostOnly / 150", "resets", 1.0, ANY),
+            Check::Within("HostOnly / 150", "host runs", 1.0, ANY),
+            Check::Within("HostOnly / 150", "completed", 95.0, 100.0),
+            // Requeue always wastes completed work, so its makespan must not
+            // beat the fault-free baseline. Not on gpu-mix MCC, whose
+            // fault-free makespan spreads wider across draws than a requeue
+            // stretches it (EXPERIMENTS.md, EXT-6). HostOnly makespan is
+            // deliberately NOT asserted monotone: under MCC's random
+            // packing, spilling offloads to otherwise-idle host cores acts
+            // as accidental load-balancing and can *shorten* the run — a
+            // real finding, reported in EXPERIMENTS.md rather than asserted
+            // away.
+            Check::AtLeast(" (s)", "uniform / Requeue / 150", "uniform / HostOnly / off", 0.98),
+            Check::AtLeast("MC (s)", "gpu-mix / Requeue / 150", "gpu-mix / HostOnly / off", 0.98),
+            Check::AtLeast("MCCK (s)", "gpu-mix / Requeue / 150", "gpu-mix / HostOnly / off", 0.98),
+        ],
+        ..entry(
+            "ext_fault_mtbf",
+            ext_fault_mtbf,
+            pivot(
+                &[
+                    Metric::Makespan,
+                    Metric::Completion,
+                    Metric::Resets,
+                    Metric::Retries,
+                    Metric::HostRuns,
+                    Metric::Held,
+                ],
+                &[],
+            ),
+            "Pool / fallback / MTBF (s)",
+            "EXT-6: degradation vs per-device MTBF, 300 Table I jobs, 8 nodes",
+            "not measured (the testbed is healthy); expected: HostOnly keeps completion \
+             at 100 % while makespan grows, Requeue's completion dips as retries run out",
+        )
+    },
+    Artifact {
+        checks: &[
+            Check::Within("none", "completed", 100.0, 100.0),
+            Check::Within("none", "windows", 0.0, 0.0),
+            Check::Below("MCC (s)", "none", "derate"),
+            Check::Below("MCCK (s)", "none", "derate"),
+            Check::Within("latency", "inflated", 1.0, ANY),
+            Check::Within("stale-ads", "stale skips", 1.0, ANY),
+            Check::Within("jitter", "jittered", 1.0, ANY),
+            Check::Within("all", "completed", 95.0, 100.0),
+            Check::Within("all", "windows", 1.0, ANY),
+        ],
+        ..entry(
+            "ext_chaos_robustness",
+            ext_chaos_robustness,
+            pivot(
+                &[
+                    Metric::Makespan,
+                    Metric::Completion,
+                    Metric::Windows,
+                    Metric::Inflated,
+                    Metric::StaleSkips,
+                    Metric::Jittered,
+                    Metric::Retries,
+                    Metric::Held,
+                ],
+                &[],
+            ),
+            "Stack",
+            "EXT-8: MCC and MCCK under chaos perturbation stacks, 300 Table I jobs, 8 nodes",
+            "not measured (the testbed is calm); expected: derates and latency spikes \
+             stretch makespan, stale ads defer matches, jitter is noise, nothing is stranded",
+        )
+    },
 ];
 
 /// The artifact named `name`.
@@ -1004,12 +1214,15 @@ mod tests {
             ],
         };
         for (check, holds) in [
-            (Check::Zero("a"), false),
-            (Check::Zero("c"), false),
             (Check::Below("a", "y", "x"), true),
             (Check::Below("a", "x", "y"), false),
             (Check::Apart("b", "a", 0.0), true),
             (Check::Apart("a", "b", 1.0), false),
+            (Check::Within("x", "a", 0.0, 2.0), true),
+            (Check::Within("", "b", 4.0, 6.0), false),
+            (Check::Within("z", "a", 0.0, 9.0), false),
+            (Check::AtLeast("b", "y", "x", 0.5), true),
+            (Check::AtLeast("", "y", "x", 0.5), false),
         ] {
             assert_eq!(check.verify(&t).is_ok(), holds, "{check:?}");
         }
