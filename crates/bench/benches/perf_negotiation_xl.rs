@@ -18,8 +18,10 @@
 //! unmatched certificate, which is what keeps per-cycle work proportional
 //! to churn instead of (backlog × pool).
 //!
-//! Emits `BENCH_negotiation_xl.json` (under `target/experiments/` and at
-//! the repo root) and **fails** below the 5× acceptance floor.
+//! Each side's time is its fastest of three whole passes, every cycle of a
+//! pass on fresh twins. Emits `BENCH_negotiation_xl.json` (under
+//! `target/experiments/` and at the repo root) and **fails** below the 5×
+//! acceptance floor.
 
 use phishare_bench::{commit_gate, GateKnobs};
 use phishare_classad::ad::REQUIREMENTS;
@@ -39,6 +41,8 @@ const CYCLES: u64 = 14;
 const ARRIVALS_PER_CYCLE: u64 = 30;
 /// Cycles a placed job holds its claim before completing.
 const LIFETIME: u64 = 3;
+/// Whole streaming passes per side; each side keeps its fastest.
+const PASSES: usize = 3;
 const SPEEDUP_FLOOR: f64 = 5.0;
 
 /// A backlog job: the top-level `||` resists guard extraction, so the full
@@ -201,9 +205,12 @@ struct XlBench {
     cycles: u64,
     arrivals_per_cycle: u64,
     lifetime_cycles: u64,
-    /// Total negotiate wall time across all cycles, delta path, ms.
+    passes: usize,
+    /// Negotiate wall time summed over one pass's cycles, delta path, ms:
+    /// the fastest of `passes` whole passes.
     delta_ms: f64,
-    /// Total negotiate wall time across all cycles, full-rematch path, ms.
+    /// Negotiate wall time summed over one pass's cycles, full-rematch
+    /// path, ms: the fastest of `passes` whole passes.
     full_ms: f64,
     speedup: f64,
     speedup_floor: f64,
@@ -211,10 +218,8 @@ struct XlBench {
     knobs: GateKnobs,
 }
 
-fn gate() -> XlBench {
-    let slots = NODES * SLOTS_PER_NODE;
-    assert!(slots >= 10_000, "XL gate must cover at least 10^4 slots");
-
+/// One whole streaming pass on fresh twins, checked cycle by cycle.
+fn pass() -> (Twin, Twin) {
     let mut delta = Twin::new(MatchPath::Delta);
     let mut full = Twin::new(MatchPath::Full);
     for cycle in 0..CYCLES {
@@ -238,6 +243,25 @@ fn gate() -> XlBench {
         delta.queue.pending().len() as u64 >= BACKLOG,
         "the residual backlog must persist (it is the full path's cost driver)"
     );
+    (delta, full)
+}
+
+fn gate() -> XlBench {
+    let slots = NODES * SLOTS_PER_NODE;
+    assert!(slots >= 10_000, "XL gate must cover at least 10^4 slots");
+
+    // One pass times each cycle once, so host noise during it can sink the
+    // ratio; the fastest of several whole passes is slowed only by noise
+    // that hits every pass. The last pass's twins report the placements
+    // and knobs, which every pass repeats exactly.
+    let (mut delta, full) = pass();
+    let (mut delta_ms, mut full_ms) = (delta.negotiate_ms, full.negotiate_ms);
+    for _ in 1..PASSES {
+        let (d, f) = pass();
+        delta_ms = delta_ms.min(d.negotiate_ms);
+        full_ms = full_ms.min(f.negotiate_ms);
+        delta = d;
+    }
 
     XlBench {
         nodes: NODES,
@@ -247,9 +271,10 @@ fn gate() -> XlBench {
         cycles: CYCLES,
         arrivals_per_cycle: ARRIVALS_PER_CYCLE,
         lifetime_cycles: LIFETIME,
-        delta_ms: delta.negotiate_ms,
-        full_ms: full.negotiate_ms,
-        speedup: full.negotiate_ms / delta.negotiate_ms,
+        passes: PASSES,
+        delta_ms,
+        full_ms,
+        speedup: full_ms / delta_ms,
         speedup_floor: SPEEDUP_FLOOR,
         matched: delta.matched,
         // The measured side is the unpartitioned delta screen: one
@@ -288,8 +313,8 @@ fn main() {
         result.matched
     );
     println!(
-        "full rematch: {:.1} ms   delta: {:.1} ms   speedup: {:.1}x (floor {:.1}x)",
-        result.full_ms, result.delta_ms, result.speedup, result.speedup_floor
+        "best of {} passes — full rematch: {:.1} ms   delta: {:.1} ms   speedup: {:.1}x (floor {:.1}x)",
+        result.passes, result.full_ms, result.delta_ms, result.speedup, result.speedup_floor
     );
     commit_gate("negotiation_xl", &result, "delta negotiation regressed");
 }

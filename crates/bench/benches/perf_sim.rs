@@ -2,8 +2,8 @@
 //!
 //! Runs a full 8-node × 1600-job experiment end to end under both event
 //! schemes: the next-completion fast path (`Experiment::run` — one
-//! prediction event per device per generation, lazily drained when stale)
-//! against the retained per-offload scheme (`.per_offload_events()`
+//! prediction per device per generation, replaced in place in the device's
+//! event slot) against the retained per-offload scheme (`.per_offload_events()`
 //! — one event per active offload per generation, the pre-optimization
 //! cost model).
 //!

@@ -41,15 +41,21 @@
 //!
 //! * **Next-completion (the default)** — exactly one prediction event per
 //!   device per generation, chosen by the allocation-free
-//!   `next_completion()`. Stale entries are drained lazily at pop time
-//!   ([`phishare_sim::Sim::step_live`]); handling the winner bumps the
-//!   generation and schedules the next winner. O(1) heap entries per device.
+//!   `next_completion()` and held in the device's (or host's) event slot
+//!   ([`phishare_sim::Sim::schedule_slot`]): a new generation's prediction
+//!   replaces the stale one in place, so a card or host never has more
+//!   than one pending prediction and a superseded one is overwritten
+//!   rather than left in the heap. A prediction that goes stale while it
+//!   waits (its generation bumped with no re-sync before it surfaces) is
+//!   drained at pop time ([`phishare_sim::Sim::step_live`]); handling the
+//!   winner bumps the generation and schedules the next winner.
 //! * **Per-offload ([`Experiment::per_offload_events`])** — the seed's
 //!   original scheme: one event per active offload per generation, stale
 //!   ones dropped by the generation guard as they fire. O(n) heap churn per
 //!   membership change; retained as the differential oracle — both modes
 //!   must produce bit-identical metrics, traces, and audits (the fast
-//!   path's event pushes are a subsequence of the naive ones, and `(time,
+//!   path's pushes and slot updates are a subsequence of the naive pushes,
+//!   a slot update takes its sequence number as a push would, and `(time,
 //!   insertion-seq)` ordering makes the surviving live events fire in the
 //!   same order).
 
@@ -186,7 +192,8 @@ impl std::fmt::Display for SubstrateMode {
 /// the runtime tests and the substrate proptests.
 #[derive(Debug)]
 pub struct ExperimentScratch {
-    /// Drained event heap from the previous cell (capacity retained).
+    /// Drained event queue from the previous cell (heap and slot-table
+    /// capacity retained).
     events: EventQueue<Ev>,
     /// Grant-collection buffer (empty between uses, capacity retained).
     grants: Vec<OffloadGrant>,
@@ -452,23 +459,27 @@ impl<'a> Experiment<'a> {
         if traced {
             world.trace = Some(Trace::new());
         }
-        // Pending events are dominated by jobs × lifecycle stages (arrive,
-        // cycle, dispatch, one live prediction per device/host); pre-size
-        // the heap so large experiments never pay growth reallocations.
-        // With scratch, the previous cell's (drained, capacity-retaining)
-        // heap and grant buffer are recycled instead.
+        // The plain heap holds what is scheduled up front (every arrival,
+        // fault strike and perturbation window) plus a few cycles,
+        // dispatches, recoveries and releases; next-completion predictions
+        // live in one event slot per card and per host. Pre-size both so
+        // large experiments never pay growth reallocations. With scratch,
+        // the previous cell's (drained, capacity-retaining) queue and
+        // grant buffer are recycled instead.
+        let pending = workload.len() + plan.events.len() + perturbs.events.len() + 64;
         let mut sim: Sim<Ev> = if let Some(s) = scratch.as_deref_mut() {
             world.grants_buf = std::mem::take(&mut s.grants);
             let queue = std::mem::replace(&mut s.events, EventQueue::new());
             let mut sim = Sim::from_recycled(queue);
-            sim.reserve(workload.len() * 4 + 64);
+            sim.reserve(pending);
             sim
         } else {
             match mode {
-                EventMode::NextCompletion => Sim::with_capacity(workload.len() * 4 + 64),
+                EventMode::NextCompletion => Sim::with_capacity(pending),
                 EventMode::PerOffload => Sim::new(),
             }
         };
+        sim.reserve_slots(world.cards.len() + world.nodes.len());
         for (idx, at) in workload.arrivals.iter().enumerate() {
             sim.schedule_at(*at, Ev::Arrive(idx));
         }
@@ -639,9 +650,9 @@ struct Card<D, C> {
     inflight_mem: u64,
     inflight_jobs: u32,
     inflight_threads: u32,
-    /// Device generation a prediction event was last scheduled for
-    /// (next-completion mode only): repeated syncs within one generation
-    /// are no-ops, so each generation costs at most one heap push.
+    /// Device generation a prediction event was last scheduled for:
+    /// repeated syncs within one generation are no-ops, so each generation
+    /// costs at most one slot update (or one round of per-offload pushes).
     synced_gen: Option<u64>,
     /// Mid-reset on an otherwise-live node.
     down: bool,
@@ -878,6 +889,13 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     fn card_mut(&mut self, key: DevKey) -> &mut Card<D, C> {
         let i = self.card_index(key);
         &mut self.cards[i]
+    }
+
+    /// The event-queue slot of `node`'s host prediction: slots
+    /// `0..cards.len()` are the cards' (by [`World::card_index`]), the
+    /// nodes' follow.
+    fn host_slot(&self, node: u32) -> usize {
+        self.cards.len() + (node - 1) as usize
     }
 
     fn node(&self, node: u32) -> &Node {
@@ -1369,8 +1387,10 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
 
     /// (Re)schedule completion prediction events for a node's host CPUs.
     ///
-    /// Next-completion mode pushes the single earliest prediction;
-    /// per-offload mode pushes one event per active phase. Both push at
+    /// Next-completion mode sets the node's event slot to the single
+    /// earliest prediction, or clears it when no phase is active; the
+    /// entry it replaces belongs to an older generation and is stale.
+    /// Per-offload mode pushes one event per active phase. Both act at
     /// most once per generation: an in-bounds memory commit re-anchors the
     /// progress integrator without bumping the generation, and a
     /// prediction *recomputed* from the new anchor can land a
@@ -1397,15 +1417,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 }
             }
             EventMode::NextCompletion => {
-                if let Some((job, at)) = host.next_completion() {
-                    sim.schedule_at(
+                let slot = self.host_slot(node);
+                match host.next_completion() {
+                    Some((job, at)) => sim.schedule_slot(
+                        slot,
                         at,
                         Ev::HostDone {
                             job,
                             node,
                             generation,
                         },
-                    );
+                    ),
+                    None => sim.clear_slot(slot),
                 }
             }
         }
@@ -1435,15 +1458,18 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 });
             }
             EventMode::NextCompletion => {
-                if let Some((proc, at)) = device.next_completion() {
-                    sim.schedule_at(
+                let slot = self.card_index(key);
+                match device.next_completion() {
+                    Some((proc, at)) => sim.schedule_slot(
+                        slot,
                         at,
                         Ev::OffloadComplete {
                             job: JobId(proc.raw()),
                             key,
                             generation,
                         },
-                    );
+                    ),
+                    None => sim.clear_slot(slot),
                 }
             }
         }

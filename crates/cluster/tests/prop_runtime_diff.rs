@@ -8,12 +8,19 @@
 //! semantics, not just simulation cost.
 
 use phishare_cluster::{
-    audit, ClusterConfig, Experiment, ExperimentScratch, FaultPlan, SubstrateMode,
+    audit, ClusterConfig, DevicePool, DeviceSku, Experiment, ExperimentScratch, FaultPlan,
+    PerturbConfig, SubstrateMode,
 };
 use phishare_core::{ClusterPolicy, PlannerMode};
 use phishare_sim::SimDuration;
-use phishare_workload::{ArrivalProcess, WorkloadBuilder, WorkloadKind};
+use phishare_workload::{
+    ArrivalProcess, ResourceDist, SyntheticParams, WorkloadBuilder, WorkloadKind,
+};
 use proptest::prelude::*;
+
+/// The `chaos_sweep` benchmark's perturbation stack, with windows and a
+/// horizon scaled to runs of a few dozen jobs.
+const CHAOS_PERTURB: &str = "derate:60:30:0.4,latency:45:20:2,stale-ads:45:30,jitter:3,horizon:900";
 
 fn arb_policy() -> impl Strategy<Value = ClusterPolicy> {
     prop_oneof![
@@ -137,6 +144,69 @@ proptest! {
                 prop_assert_eq!(&ft.events, &nt.events, "fault traces diverged across event modes");
                 let fa = audit(&cfg, &wl, &fr, &ft);
                 prop_assert!(fa.is_empty(), "fault run failed its audit: {:?}", fa);
+            }
+            (fast, naive) => {
+                prop_assert_eq!(fast.map(|(r, _)| r), naive.map(|(r, _)| r));
+            }
+        }
+    }
+
+    /// The event-mode identity holds in the `chaos_sweep` configuration
+    /// too: offload-dense jobs in bursts, a derate/latency/stale-ads/jitter
+    /// stack and device and node faults, on the per-offload (`Fast`) and
+    /// the shared-throughput (`Shared`) substrate, with the paper's pool
+    /// or the gpu-mix pool. Perturbation windows re-rate cards and resets
+    /// bump generations outside the offload handlers, so every prediction
+    /// slot gets replaced and cleared from those paths as well.
+    #[test]
+    fn chaos_stack_event_paths_are_bit_identical(
+        policy in arb_policy(),
+        substrate in prop_oneof![Just(SubstrateMode::Fast), Just(SubstrateMode::Shared)],
+        gpu_mix in any::<bool>(),
+        dist in prop_oneof![Just(ResourceDist::Normal), Just(ResourceDist::HighSkew)],
+        nodes in 2u32..=4,
+        jobs in 8usize..=24,
+        seed in 0u64..500,
+    ) {
+        let params = SyntheticParams {
+            mem_mb: (64, 160),
+            threads: (4, 16),
+            thread_jitter: 0.08,
+            duty_cycle: (0.92, 0.97),
+            offloads: (16, 48),
+            duration_secs: (40.0, 100.0),
+        };
+        let wl = WorkloadBuilder::new(WorkloadKind::Synthetic(dist, params))
+            .count(jobs)
+            .seed(seed)
+            .arrivals("bursty:10:5:0.2".parse().expect("arrival spec parses"))
+            .build();
+        let mut cfg = ClusterConfig::paper_cluster(policy)
+            .with_nodes(nodes)
+            .with_seed(seed);
+        cfg.knapsack.window = 64;
+        if gpu_mix {
+            cfg.pool = DevicePool::Alternate(DeviceSku::GpuLike);
+        }
+        cfg.perturb = PerturbConfig::from_spec(CHAOS_PERTURB).expect("perturb spec parses");
+        cfg.faults.device_mtbf_secs = 300.0;
+        cfg.faults.node_mtbf_secs = 900.0;
+        cfg.faults.horizon_secs = 900.0;
+
+        let run = |per_offload: bool| {
+            let experiment = Experiment::new(&cfg, &wl).substrate(substrate);
+            if per_offload {
+                experiment.per_offload_events().simulate_traced()
+            } else {
+                experiment.simulate_traced()
+            }
+        };
+        match (run(false), run(true)) {
+            (Ok((fr, ft)), Ok((nr, nt))) => {
+                prop_assert_eq!(&fr, &nr, "chaos metrics diverged across event modes");
+                prop_assert_eq!(&ft.events, &nt.events, "chaos traces diverged across event modes");
+                let fa = audit(&cfg, &wl, &fr, &ft);
+                prop_assert!(fa.is_empty(), "chaos run failed its audit: {:?}", fa);
             }
             (fast, naive) => {
                 prop_assert_eq!(fast.map(|(r, _)| r), naive.map(|(r, _)| r));

@@ -74,9 +74,9 @@ impl<E> Sim<E> {
     }
 
     /// Create a simulator whose event queue is pre-sized for `cap` pending
-    /// events. Workload-scale drivers know a good bound up front (events
-    /// are dominated by jobs × lifecycle stages), so pre-sizing avoids the
-    /// heap's growth reallocations on large experiments.
+    /// plain events. Workload-scale drivers know a good bound up front
+    /// (the events they schedule ahead, such as arrivals), so pre-sizing
+    /// avoids the heap's growth reallocations on large experiments.
     pub fn with_capacity(cap: usize) -> Self {
         Sim {
             now: SimTime::ZERO,
@@ -88,7 +88,7 @@ impl<E> Sim<E> {
 
     /// Create a simulator on a recycled event queue: the queue is
     /// `EventQueue::reset` (dropping any leftovers, restarting sequence
-    /// numbering, keeping the heap allocation) and the clock starts at
+    /// numbering, keeping the queue's allocations) and the clock starts at
     /// [`SimTime::ZERO`]. Behaviour is bit-identical to [`Sim::new`]; only
     /// the allocation is reused. The queue can be reclaimed afterwards with
     /// [`Sim::into_queue`].
@@ -108,9 +108,16 @@ impl<E> Sim<E> {
         self.queue
     }
 
-    /// Grow the event queue for at least `additional` more pending events.
+    /// Grow the event queue for at least `additional` more pending plain
+    /// events.
     pub fn reserve(&mut self, additional: usize) {
         self.queue.reserve(additional);
+    }
+
+    /// Size the event queue's slot table for slot ids `0..slots` (see
+    /// [`Sim::schedule_slot`]).
+    pub fn reserve_slots(&mut self, slots: usize) {
+        self.queue.reserve_slots(slots);
     }
 
     /// Replace the runaway-guard event budget.
@@ -146,6 +153,27 @@ impl<E> Sim<E> {
         self.queue.push(at, event);
     }
 
+    /// Make `event` at the absolute instant `at` the one pending event of
+    /// `slot`, replacing the slot's previous event if it has one (see
+    /// [`EventQueue`]'s slots). It fires in the order a
+    /// [`Sim::schedule_at`] made now would give it.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, as [`Sim::schedule_at`] does.
+    pub fn schedule_slot(&mut self, slot: usize, at: SimTime, event: E) {
+        assert!(
+            at >= self.now,
+            "schedule_slot: attempted to schedule at {at} but the clock is already at {}",
+            self.now
+        );
+        self.queue.set_slot(slot, at, event);
+    }
+
+    /// Withdraw `slot`'s pending event, if it has one.
+    pub fn clear_slot(&mut self, slot: usize) {
+        self.queue.clear_slot(slot);
+    }
+
     /// Schedule `event` to fire `after` from now.
     pub fn schedule_after(&mut self, after: SimDuration, event: E) {
         self.queue.push(self.now + after, event);
@@ -164,7 +192,7 @@ impl<E> Sim<E> {
     }
 
     /// Pop the earliest event for which `is_live` holds, lazily draining
-    /// stale (abandoned-prediction) entries without dispatching them.
+    /// stale entries without dispatching them.
     ///
     /// Drained entries advance neither the clock nor the processed-event
     /// count — only the returned live event does. This is the fast-path
@@ -295,6 +323,29 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(3), Ev::Tick(3));
         sim.step();
         sim.schedule_at(SimTime::from_secs(1), Ev::Tick(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_slot")]
+    fn scheduling_a_slot_in_the_past_panics() {
+        let mut sim: Sim<Ev> = Sim::new();
+        sim.schedule_at(SimTime::from_secs(3), Ev::Tick(3));
+        sim.step();
+        sim.schedule_slot(0, SimTime::from_secs(1), Ev::Tick(1));
+    }
+
+    #[test]
+    fn run_drives_slot_events_with_plain_ones() {
+        let mut sim = Sim::new();
+        sim.schedule_at(SimTime::from_secs(2), Ev::Tick(2));
+        sim.schedule_slot(0, SimTime::from_secs(9), Ev::Tick(9));
+        sim.schedule_slot(0, SimTime::from_secs(1), Ev::Tick(1));
+        sim.schedule_slot(1, SimTime::from_secs(4), Ev::Tick(4));
+        sim.clear_slot(1);
+        let mut seen = Vec::new();
+        assert_eq!(sim.run(|_, ev| seen.push(ev)), RunOutcome::QueueEmpty);
+        assert_eq!(seen, vec![Ev::Tick(1), Ev::Tick(2)]);
+        assert_eq!(sim.now(), SimTime::from_secs(2));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //!   arithmetic;
 //! * [`queue`] — a stable-priority event queue ([`EventQueue`]) ordered by
 //!   `(time, insertion sequence)`, so two runs with the same seed produce
-//!   byte-identical traces;
+//!   byte-identical traces, with slots that hold one in-place entry each
+//!   for predictions that supersede one another;
 //! * [`engine`] — a minimal driver ([`Sim`]) that owns the clock and the
 //!   queue and hands events to a caller-supplied handler;
 //! * [`stats`] — time-weighted integrators used for utilization accounting

@@ -1,8 +1,82 @@
 //! Property tests for the simulation engine: causal ordering under
-//! arbitrary schedules, and statistics consistency.
+//! arbitrary schedules, slot entries against a single-heap specification,
+//! and statistics consistency.
 
 use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary, TimeWeighted};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
+
+/// One operation on an [`EventQueue`] in the two-queue order property.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    Push(u64),
+    SetSlot(usize, u64),
+    ClearSlot(usize),
+    Pop,
+    Reset,
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    // Few ticks and few slots, so same-tick ties and replacements of an
+    // occupied slot are common.
+    prop_oneof![
+        3 => (0u64..12).prop_map(QueueOp::Push),
+        4 => (0usize..12, 0u64..12).prop_map(|(slot, t)| QueueOp::SetSlot(slot, t)),
+        2 => (0usize..12).prop_map(QueueOp::ClearSlot),
+        3 => Just(QueueOp::Pop),
+        1 => Just(QueueOp::Reset),
+    ]
+}
+
+/// The specification of a slotted queue: one plain heap on `(time, seq)`
+/// in which setting a slot marks the slot's previous entry dead and pushes
+/// a new one, and dead entries are skipped as they surface.
+#[derive(Default)]
+struct ReferenceQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    next_seq: u64,
+    /// The seq of each slot's pending entry.
+    slots: Vec<Option<u64>>,
+    dead: BTreeSet<u64>,
+}
+
+impl ReferenceQueue {
+    fn push(&mut self, time: u64, payload: u64) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((time, seq, payload)));
+        seq
+    }
+
+    fn clear_slot(&mut self, slot: usize) {
+        if let Some(seq) = self.slots.get_mut(slot).and_then(Option::take) {
+            self.dead.insert(seq);
+        }
+    }
+
+    fn set_slot(&mut self, slot: usize, time: u64, payload: u64) {
+        self.clear_slot(slot);
+        let seq = self.push(time, payload);
+        if slot >= self.slots.len() {
+            self.slots.resize(slot + 1, None);
+        }
+        self.slots[slot] = Some(seq);
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64)> {
+        while let Some(Reverse((time, seq, payload))) = self.heap.pop() {
+            if self.dead.remove(&seq) {
+                continue;
+            }
+            for s in self.slots.iter_mut().filter(|s| **s == Some(seq)) {
+                *s = None;
+            }
+            return Some((time, payload));
+        }
+        None
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -24,6 +98,52 @@ proptest! {
                 }
             }
             last = Some((t, seq));
+        }
+    }
+
+    /// Plain and slot entries pop in one `(time, seq)` order, the order a
+    /// single heap gives when a slot's replaced or cleared entry is merely
+    /// marked dead — same-tick ties between slot and plain entries
+    /// included — across arbitrary push/set/clear/pop/reset streams.
+    #[test]
+    fn slotted_queue_pops_in_single_heap_order(
+        ops in prop::collection::vec(arb_queue_op(), 1..120),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = ReferenceQueue::default();
+        let tick = SimTime::from_ticks;
+        for (payload, op) in ops.iter().enumerate() {
+            let payload = payload as u64;
+            match *op {
+                QueueOp::Push(t) => {
+                    q.push(tick(t), payload);
+                    reference.push(t, payload);
+                }
+                QueueOp::SetSlot(slot, t) => {
+                    q.set_slot(slot, tick(t), payload);
+                    reference.set_slot(slot, t, payload);
+                }
+                QueueOp::ClearSlot(slot) => {
+                    q.clear_slot(slot);
+                    reference.clear_slot(slot);
+                }
+                QueueOp::Pop => {
+                    let expected = reference.pop().map(|(t, p)| (tick(t), p));
+                    prop_assert_eq!(q.pop(), expected);
+                }
+                QueueOp::Reset => {
+                    q.reset();
+                    reference = ReferenceQueue::default();
+                }
+            }
+        }
+        // Whatever is left drains in the same order too.
+        loop {
+            let expected = reference.pop().map(|(t, p)| (tick(t), p));
+            prop_assert_eq!(q.pop(), expected);
+            if expected.is_none() {
+                break;
+            }
         }
     }
 
