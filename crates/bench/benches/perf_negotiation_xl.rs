@@ -115,12 +115,12 @@ fn complete(collector: &mut Collector, slot: SlotId, ad: &ClassAd) {
         ad.get(attrs::REQUEST_EXCLUSIVE_PHI),
         Some(Value::Bool(true))
     );
-    for s in collector.node_slots(slot.node) {
-        let status = collector.get(s).expect("listed slot exists");
-        let free = int_attr(&status.ad, attrs::PHI_FREE_MEMORY) + mem;
-        let devs = int_attr(&status.ad, attrs::PHI_DEVICES_FREE) + i64::from(exclusive);
-        collector.refresh_phi_availability(s, free.max(0) as u64, devs.max(0) as u32);
-    }
+    collector.update_node_phi(slot.node, |[free, devs]| {
+        [
+            Some((free.unwrap_or(0) + mem).max(0)),
+            Some((devs.unwrap_or(0) + i64::from(exclusive)).max(0)),
+        ]
+    });
     collector.release(slot);
 }
 

@@ -270,6 +270,10 @@ struct JobRecord<DH, CH> {
     /// Its first dispatch recorded a queue-wait sample (re-dispatches
     /// after a fault must not re-count).
     waited: bool,
+    /// The spec's nominal duration in seconds, computed once per run: the
+    /// planner reads it for every held job on every executed cycle, and
+    /// [`JobSpec::nominal_duration`] walks the whole segment list.
+    nominal_secs: f64,
 }
 
 /// One experiment: a workload on a cluster, with the run options set by
@@ -836,11 +840,14 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             cards,
             nodes,
             scheduler: ClusterScheduler::new(cfg.policy, &cfg.knapsack, cfg.seed),
-            jobs: (0..wl.len())
-                .map(|_| JobRecord {
+            jobs: wl
+                .jobs
+                .iter()
+                .map(|spec| JobRecord {
                     stage: Stage::Unarrived,
                     attempts: 0,
                     waited: false,
+                    nominal_secs: spec.nominal_duration().as_secs_f64(),
                 })
                 .collect(),
             first_id: wl.jobs.first().map_or(0, |j| j.id.raw()),
@@ -1900,7 +1907,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                     id,
                     mem_mb: spec.mem_req_mb,
                     threads: spec.thread_req,
-                    nominal_secs: spec.nominal_duration().as_secs_f64(),
+                    nominal_secs: self.job(id).nominal_secs,
                 }
             })
             .collect()

@@ -19,8 +19,9 @@
 //! Indexes are over-approximate by design: a candidate pulled from an index
 //! is always re-checked against the full match predicate, so the indexes
 //! only need to never *miss* a true match. They are kept coherent by every
-//! mutation (`advertise`, `claim`, `release`, `set_int_attr`) — same-cycle
-//! resource decrements are visible to the next range query immediately.
+//! mutation (`advertise`, `claim`, `release`, the node write
+//! `update_node_phi`) — same-cycle resource decrements are visible to the
+//! next range query immediately.
 //!
 //! # Partitions
 //!
@@ -60,6 +61,17 @@
 //! predicate is arbitrary (a requirement may test `TARGET.attr < c` or hide
 //! inverted logic in a residual expression), so no monotonicity is assumed.
 //!
+//! A node's Phi availability (`PhiFreeMemory`, `PhiDevicesFree`) is repeated
+//! on every slot ad of the node, so it is written node-granularly:
+//! [`Collector::update_node_phi`] walks the node's slots once, compares
+//! each slot's two current values against the cached guard-index keys (no
+//! ad lookup when those are exact), rewrites only the attributes that
+//! change and stamps each changed slot dirty **once**, however many of its
+//! attributes changed. Stamps are only ever compared with each other, and
+//! every slot's final stamp keeps its order relative to all other
+//! mutations, so certificates and watermarks decide exactly as they would
+//! under one stamp per attribute write.
+//!
 //! Each partition additionally tracks a **watermark**: the sequence number
 //! of its latest dirtying mutation (including invalidations). A cycle is
 //! provably match-free when every idle job holds an unmatched certificate
@@ -79,7 +91,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::iter::Peekable;
-use std::ops::Bound;
+use std::ops::{Bound, RangeInclusive};
 
 /// Identifies one execution slot: `slot<slot>@node<node>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -119,6 +131,11 @@ pub const MAX_PARTITIONS: usize = 16;
 
 /// Position of the pre-registered `PhiFreeMemory` guard index.
 const FREE_MEM_IDX: usize = Collector::FREE_MEM_INDEX;
+
+/// The node-level Phi availability attributes, canonical, at their
+/// pre-registered guard-index positions ([`Collector::FREE_MEM_INDEX`],
+/// [`Collector::DEVICES_FREE_INDEX`]).
+const PHI_ATTRS: [&str; 2] = [attrs::lc::PHI_FREE_MEMORY, attrs::lc::PHI_DEVICES_FREE];
 
 /// Parse a `PHISHARE_PARTITION_THREADS`-style override for the number of
 /// worker threads partition-parallel phases may use.
@@ -163,6 +180,12 @@ pub struct SlotMeta {
     /// (most machine ads do not, letting the negotiator skip that half of
     /// the two-sided match entirely).
     has_requirements: bool,
+    /// Per [`PHI_ATTRS`] entry: whether `indexed_vals` at that position
+    /// decodes to the ad's `Int` value exactly, so the node write can read
+    /// it without an ad lookup. False for `Float` or absent values and for
+    /// integers an f64 does not round-trip. Fits in the padding after
+    /// `has_requirements`, so `SlotStatus` does not grow.
+    phi_exact: [bool; 2],
 }
 
 impl SlotMeta {
@@ -171,11 +194,26 @@ impl SlotMeta {
             Some(Value::Str(s)) => Some(s.to_ascii_lowercase()),
             _ => None,
         };
+        // The Phi attributes are the first two registered, so their flags
+        // come from the same lookups as their guard-index keys.
+        let mut phi_exact = [false; 2];
+        let indexed_vals = indexed_attrs
+            .iter()
+            .enumerate()
+            .map(|(i, a)| {
+                let val = ad.get(a);
+                if let (Some(flag), Some(Value::Int(v))) = (phi_exact.get_mut(i), val) {
+                    *flag = int_key(*v).1;
+                }
+                val.and_then(Value::as_f64).filter(|v| !v.is_nan())
+            })
+            .collect();
         SlotMeta {
             name_lc: str_attr(attrs::lc::NAME),
             machine_lc: str_attr(attrs::lc::MACHINE),
-            indexed_vals: indexed_attrs.iter().map(|a| numeric_attr(ad, a)).collect(),
+            indexed_vals,
             has_requirements: ad.get_expr(attrs::lc::REQUIREMENTS).is_some(),
+            phi_exact,
         }
     }
 
@@ -187,6 +225,13 @@ impl SlotMeta {
 
 fn numeric_attr(ad: &ClassAd, attr: &str) -> Option<f64> {
     ad.get(attr).and_then(Value::as_f64).filter(|v| !v.is_nan())
+}
+
+/// The guard-index key of integer `v`, and whether it decodes back to
+/// exactly `v` (false for integers beyond f64's 53-bit mantissa).
+fn int_key(v: i64) -> (f64, bool) {
+    let key = v as f64;
+    (key, key as i64 == v)
 }
 
 /// A slot's entry in the collector.
@@ -203,6 +248,48 @@ impl SlotStatus {
     /// Cached facts about the slot ad.
     pub fn meta(&self) -> &SlotMeta {
         &self.meta
+    }
+
+    /// The ad's `Int` value of [`PHI_ATTRS`]`[i]`: the cached guard-index
+    /// key when it is exact, else an ad lookup.
+    fn phi_int(&self, i: usize) -> Option<i64> {
+        if self.meta.phi_exact[i] {
+            self.meta.indexed_vals[i].map(|v| v as i64)
+        } else {
+            match self.ad.get(PHI_ATTRS[i]) {
+                Some(Value::Int(v)) => Some(*v),
+                _ => None,
+            }
+        }
+    }
+
+    /// Write `value` as integer attribute `attr` (guard index `idx`, if
+    /// registered), keeping the cached meta and the owning partition's
+    /// guard index `by_attr` coherent. The caller has established that the
+    /// value changes, and stamps the slot.
+    fn store_int(
+        &mut self,
+        id: SlotId,
+        by_attr: &mut [BTreeSet<(u64, SlotId)>],
+        attr: &str,
+        idx: Option<usize>,
+        value: i64,
+    ) {
+        self.ad.insert(attr, value);
+        let Some(i) = idx else {
+            return;
+        };
+        let (key, exact) = int_key(value);
+        let old = self.meta.indexed_vals[i].replace(key);
+        if let Some(flag) = self.meta.phi_exact.get_mut(i) {
+            *flag = exact;
+        }
+        if !self.claimed {
+            if let Some(v) = old {
+                by_attr[i].remove(&(ord_f64(v), id));
+            }
+            by_attr[i].insert((ord_f64(key), id));
+        }
     }
 }
 
@@ -284,6 +371,19 @@ struct Partition {
     /// (including node invalidations, which leave no dirty entry). Zero
     /// until something dirties the partition.
     watermark: u64,
+}
+
+/// Stamp `slot` dirty at `seq`, dropping its previous dirty entry.
+fn restamp(
+    stamp: &mut BTreeMap<SlotId, u64>,
+    dirty: &mut BTreeMap<u64, SlotId>,
+    slot: SlotId,
+    seq: u64,
+) {
+    if let Some(old) = stamp.insert(slot, seq) {
+        dirty.remove(&old);
+    }
+    dirty.insert(seq, slot);
 }
 
 impl Partition {
@@ -407,14 +507,10 @@ impl Collector {
     /// Stamp `slot` as changed at a fresh sequence number.
     fn mark_dirty(&mut self, slot: SlotId) {
         self.seq += 1;
-        let seq = self.seq;
         let pi = self.part_of(slot.node);
         let part = &mut self.parts[pi];
-        if let Some(old) = part.stamp.insert(slot, seq) {
-            part.dirty.remove(&old);
-        }
-        part.dirty.insert(seq, slot);
-        part.watermark = seq;
+        restamp(&mut part.stamp, &mut part.dirty, slot, self.seq);
+        part.watermark = self.seq;
     }
 
     /// The current mutation sequence number. A later call never returns a
@@ -586,29 +682,13 @@ impl Collector {
             .get(&slot)
     }
 
-    /// Overwrite one integer attribute of a slot's ad (the negotiator's
-    /// in-cycle resource decrements), keeping the cached meta and every
-    /// guard index coherent and marking the slot dirty. Writes that change
-    /// nothing are skipped entirely — the slot stays clean.
-    pub fn set_int_attr(&mut self, slot: SlotId, attr: &str, value: i64) {
+    /// Overwrite one integer attribute of a slot's ad, keeping the cached
+    /// meta and every guard index coherent and marking the slot dirty.
+    /// Writes that change nothing are skipped entirely — the slot stays
+    /// clean. The per-slot specification of [`Collector::update_node_phi`].
+    #[cfg(test)]
+    pub(crate) fn set_int_attr(&mut self, slot: SlotId, attr: &str, value: i64) {
         let idx = self.attr_index(attr);
-        self.set_int_attr_inner(slot, attr, idx, value);
-    }
-
-    /// [`Collector::set_int_attr`] for an attribute whose guard-index
-    /// position is already known (e.g. [`Collector::FREE_MEM_INDEX`]) —
-    /// the commit path's hoisted handle, skipping the per-write scan of
-    /// the registered-attribute table.
-    pub(crate) fn set_int_attr_at(&mut self, slot: SlotId, idx: usize, attr: &str, value: i64) {
-        debug_assert_eq!(
-            self.attr_index(attr),
-            Some(idx),
-            "hoisted attr handle out of date"
-        );
-        self.set_int_attr_inner(slot, attr, Some(idx), value);
-    }
-
-    fn set_int_attr_inner(&mut self, slot: SlotId, attr: &str, idx: Option<usize>, value: i64) {
         let pi = self.part_of(slot.node);
         let part = &mut self.parts[pi];
         let Some(status) = part.slots.get_mut(&slot) else {
@@ -617,23 +697,73 @@ impl Collector {
         if status.ad.get(attr) == Some(&Value::Int(value)) {
             return;
         }
-        status.ad.insert(attr, value);
-        if let Some(i) = idx {
-            let old = status.meta.indexed_vals[i];
-            let new = value as f64;
-            status.meta.indexed_vals[i] = Some(new);
-            if !status.claimed {
-                if let Some(v) = old {
-                    part.by_attr[i].remove(&(ord_f64(v), slot));
-                }
-                part.by_attr[i].insert((ord_f64(new), slot));
-            }
-        }
+        status.store_int(slot, &mut part.by_attr, attr, idx, value);
         self.mark_dirty(slot);
     }
 
-    /// Refresh the node-level Phi availability attributes of an existing
-    /// slot ad in place (`PhiFreeMemory`, `PhiDevicesFree`). Equivalent to
+    /// Rewrite the node-level Phi availability (`PhiFreeMemory`,
+    /// `PhiDevicesFree`) on every slot ad of `node` in one pass — startd
+    /// refreshes, the negotiator's in-cycle decrements, and the benches'
+    /// completions. `f` maps each slot's current `Int` values (`None` when
+    /// a value is absent or not an `Int`) to the values to write; `None`
+    /// leaves a value alone. Only values that change are rewritten, with
+    /// their guard indexes, and each changed slot is stamped dirty once
+    /// (module docs, "Dirty tracking"). Equivalent, slot by slot, to
+    /// writing each attribute on its own and skipping values it already
+    /// holds. Returns how many slots the node has; 0 means it must publish
+    /// full ads first.
+    pub fn update_node_phi(
+        &mut self,
+        node: u32,
+        f: impl FnMut([Option<i64>; 2]) -> [Option<i64>; 2],
+    ) -> usize {
+        self.update_phi(
+            SlotId { node, slot: 0 }..=SlotId {
+                node,
+                slot: u32::MAX,
+            },
+            f,
+        )
+    }
+
+    /// [`Collector::update_node_phi`] over the slots of `range`, all of
+    /// which lie on one node.
+    fn update_phi(
+        &mut self,
+        range: RangeInclusive<SlotId>,
+        mut f: impl FnMut([Option<i64>; 2]) -> [Option<i64>; 2],
+    ) -> usize {
+        let pi = self.part_of(range.start().node);
+        let Partition {
+            slots,
+            by_attr,
+            stamp,
+            dirty,
+            watermark,
+        } = &mut self.parts[pi];
+        let mut visited = 0;
+        for (&id, status) in slots.range_mut(range) {
+            visited += 1;
+            let current = [status.phi_int(0), status.phi_int(1)];
+            let mut changed = false;
+            for (i, new) in f(current).into_iter().enumerate() {
+                if let Some(v) = new.filter(|&v| current[i] != Some(v)) {
+                    status.store_int(id, by_attr, PHI_ATTRS[i], Some(i), v);
+                    changed = true;
+                }
+            }
+            if changed {
+                self.seq += 1;
+                restamp(stamp, dirty, id, self.seq);
+                *watermark = self.seq;
+            }
+        }
+        visited
+    }
+
+    /// Refresh the node-level Phi availability attributes of one existing
+    /// slot ad in place (`PhiFreeMemory`, `PhiDevicesFree`): the
+    /// single-slot [`Collector::update_node_phi`]. Equivalent to
     /// re-advertising the same machine ad with new availability numbers,
     /// but skips rebuilding the ad's fixed attributes — and skips the
     /// write (and the dirty mark) entirely for values that already match.
@@ -645,22 +775,8 @@ impl Collector {
         free_mem_mb: u64,
         devices_free: u32,
     ) -> bool {
-        if self.get(slot).is_none() {
-            return false;
-        }
-        self.set_int_attr_at(
-            slot,
-            Self::FREE_MEM_INDEX,
-            attrs::lc::PHI_FREE_MEMORY,
-            free_mem_mb as i64,
-        );
-        self.set_int_attr_at(
-            slot,
-            Self::DEVICES_FREE_INDEX,
-            attrs::lc::PHI_DEVICES_FREE,
-            devices_free as i64,
-        );
-        true
+        let values = [Some(free_mem_mb as i64), Some(i64::from(devices_free))];
+        self.update_phi(slot..=slot, |_| values) > 0
     }
 
     /// Mark a slot claimed. Returns false if it was already claimed.
@@ -1294,36 +1410,379 @@ mod tests {
     }
 
     #[test]
-    fn indexed_attr_writes_match_the_scanning_path() {
-        let mut a = Collector::new();
-        let mut b = Collector::new();
-        for c in [&mut a, &mut b] {
-            c.advertise(slot(1, 1), slot_ad(slot(1, 1), 7680));
+    #[cfg(target_pointer_width = "64")]
+    fn slot_status_does_not_grow() {
+        // The 10^5-slot pool holds one per slot; the Phi exactness flags
+        // live in existing padding.
+        assert!(std::mem::size_of::<SlotStatus>() <= 136);
+    }
+
+    #[test]
+    fn node_write_stamps_each_changed_slot_once() {
+        let mut c = Collector::with_partitions(2);
+        for s in 1..=3 {
+            c.advertise(
+                slot(1, s),
+                attrs::machine_ad(&slot(1, s).name(), "node1", 1, 8192, 7680, 1),
+            );
         }
-        a.set_int_attr(slot(1, 1), attrs::lc::PHI_FREE_MEMORY, 1234);
-        b.set_int_attr_at(
-            slot(1, 1),
-            Collector::FREE_MEM_INDEX,
-            attrs::lc::PHI_FREE_MEMORY,
-            1234,
-        );
-        assert_eq!(a, b);
+        c.advertise(slot(2, 1), slot_ad(slot(2, 1), 7680));
+        c.set_int_attr(slot(1, 2), attrs::PHI_FREE_MEMORY, 512);
+        // Slot 2 already holds 512, so only slots 1 and 3 change — each in
+        // both attributes, each stamped once.
+        let s0 = c.seq();
+        let mut seen = Vec::new();
+        let n = c.update_node_phi(1, |cur| {
+            seen.push(cur);
+            [Some(512), cur[1].map(|d| d - 1)]
+        });
+        assert_eq!(n, 3);
         assert_eq!(
-            a.unclaimed_with_free_mem_at_least(1234.0)
-                .collect::<Vec<_>>(),
-            b.unclaimed_with_free_mem_at_least(1234.0)
-                .collect::<Vec<_>>(),
+            seen,
+            [
+                [Some(7680), Some(1)],
+                [Some(512), Some(1)],
+                [Some(7680), Some(1)]
+            ]
         );
-        // The indexed write is still a no-op (and stays clean) for
-        // unchanged values.
-        let s = b.seq();
-        b.set_int_attr_at(
-            slot(1, 1),
-            Collector::FREE_MEM_INDEX,
-            attrs::lc::PHI_FREE_MEMORY,
-            1234,
+        assert_eq!(c.seq(), s0 + 3);
+        assert_eq!(
+            c.dirty_since(s0).collect::<Vec<_>>(),
+            [slot(1, 1), slot(1, 2), slot(1, 3)]
         );
-        assert_eq!(b.seq(), s);
+        assert_eq!(c.max_watermark(), c.seq());
+        // A write that changes nothing is no write at all.
+        let s1 = c.seq();
+        assert_eq!(c.update_node_phi(1, |_| [Some(512), None]), 3);
+        assert_eq!(c.seq(), s1);
+        // A node without slots reports none.
+        assert_eq!(c.update_node_phi(9, |_| [Some(1), Some(1)]), 0);
+        assert_eq!(c.seq(), s1);
+    }
+
+    #[test]
+    fn node_write_reads_non_int_and_huge_values_exactly() {
+        let huge = (1i64 << 53) + 1;
+        let mut c = Collector::new();
+        let mut real = ClassAd::new();
+        real.insert(attrs::PHI_FREE_MEMORY, 512.0);
+        c.advertise(slot(1, 1), real);
+        c.advertise(slot(1, 2), ClassAd::new());
+        c.advertise(slot(1, 3), slot_ad(slot(1, 3), huge));
+        let mut seen = Vec::new();
+        c.update_node_phi(1, |cur| {
+            seen.push(cur[0]);
+            [cur[0].map(|v| v - 1), None]
+        });
+        assert_eq!(seen, [None, None, Some(huge)]);
+        let ad = |s| &c.get(slot(1, s)).unwrap().ad;
+        assert_eq!(
+            ad(1).get(attrs::PHI_FREE_MEMORY),
+            Some(&Value::Float(512.0))
+        );
+        assert_eq!(ad(2).get(attrs::PHI_FREE_MEMORY), None);
+        assert_eq!(
+            ad(3).get(attrs::PHI_FREE_MEMORY),
+            Some(&Value::Int(huge - 1))
+        );
+        // The written value's f64 key is inexact too; the next read still
+        // sees the ad's integer.
+        let mut after = Vec::new();
+        c.update_node_phi(1, |cur| {
+            after.push(cur[0]);
+            [None, None]
+        });
+        assert_eq!(after[2], Some(huge - 1));
+    }
+
+    /// The node write against its specification: a plain per-slot loop
+    /// with [`Collector::set_int_attr`]'s semantics, one write per
+    /// attribute, reading each slot's current values from the ad. The
+    /// spec's write re-advertises the edited ad, so its meta and guard
+    /// indexes are rebuilt from scratch rather than by the code under test.
+    mod node_write_spec {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A Phi attribute value as advertised: small or huge `Int`s,
+        /// `Float`s, or absent.
+        fn arb_value() -> impl Strategy<Value = Option<Value>> {
+            prop_oneof![
+                4 => prop::sample::select(vec![0i64, 1, 2, 512, 3000, 7680])
+                    .prop_map(|v| Some(Value::Int(v))),
+                1 => prop::sample::select(vec![
+                    (1i64 << 53) + 1,
+                    (1 << 60) + 3,
+                    -(1 << 53) - 1,
+                    i64::MAX,
+                ])
+                .prop_map(|v| Some(Value::Int(v))),
+                1 => prop::sample::select(vec![512.0, 0.5, -3.0, 1e300])
+                    .prop_map(|v| Some(Value::Float(v))),
+                1 => Just(None),
+            ]
+        }
+
+        fn arb_written() -> impl Strategy<Value = Option<i64>> {
+            prop_oneof![
+                3 => prop::sample::select(vec![0i64, 1, 512, 3000, 7680]).prop_map(Some),
+                1 => prop::sample::select(vec![(1i64 << 53) + 1, (1 << 60) + 3, i64::MAX])
+                    .prop_map(Some),
+                1 => Just(None),
+            ]
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// A startd refresh: absolute values (`None` leaves one alone).
+            Set {
+                node: u32,
+                values: [Option<i64>; 2],
+            },
+            /// The negotiator's commit: decrement by `mem`, and a device
+            /// when `exclusive`.
+            Commit {
+                node: u32,
+                mem: i64,
+                exclusive: bool,
+            },
+            /// A completion handing resources back.
+            Give {
+                node: u32,
+                mem: i64,
+                exclusive: bool,
+            },
+            /// One slot refreshed on its own (non-uniform nodes).
+            RefreshSlot {
+                node: u32,
+                slot: u32,
+                mem: u64,
+                devs: u32,
+            },
+            Claim {
+                node: u32,
+                slot: u32,
+            },
+            Release {
+                node: u32,
+                slot: u32,
+            },
+        }
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let node = 1u32..=6;
+            let mem = prop::sample::select(vec![0i64, 512, 3000]);
+            prop_oneof![
+                (node.clone(), arb_written(), arb_written()).prop_map(|(node, a, b)| Op::Set {
+                    node,
+                    values: [a, b]
+                }),
+                (node.clone(), mem.clone(), any::<bool>()).prop_map(|(node, mem, exclusive)| {
+                    Op::Commit {
+                        node,
+                        mem,
+                        exclusive,
+                    }
+                }),
+                (node.clone(), mem, any::<bool>()).prop_map(|(node, mem, exclusive)| Op::Give {
+                    node,
+                    mem,
+                    exclusive
+                }),
+                (
+                    node.clone(),
+                    1u32..=4,
+                    prop::sample::select(vec![0u64, 512, 7680]),
+                    0u32..=2
+                )
+                    .prop_map(|(node, slot, mem, devs)| Op::RefreshSlot {
+                        node,
+                        slot,
+                        mem,
+                        devs
+                    }),
+                (node.clone(), 1u32..=4).prop_map(|(node, slot)| Op::Claim { node, slot }),
+                (node, 1u32..=4).prop_map(|(node, slot)| Op::Release { node, slot }),
+            ]
+        }
+
+        /// The `f` each node-write op applies to a slot's current values.
+        fn op_values(op: &Op, cur: [Option<i64>; 2]) -> [Option<i64>; 2] {
+            match *op {
+                Op::Set { values, .. } => values,
+                Op::Commit { mem, exclusive, .. } => [
+                    cur[0].map(|v| (v - mem).max(0)),
+                    cur[1].filter(|_| exclusive).map(|v| (v - 1).max(0)),
+                ],
+                Op::Give { mem, exclusive, .. } => [
+                    Some(cur[0].unwrap_or(0).saturating_add(mem).max(0)),
+                    Some(cur[1].unwrap_or(0).saturating_add(i64::from(exclusive))),
+                ],
+                _ => unreachable!("not a node write"),
+            }
+        }
+
+        fn ad_int(ad: &ClassAd, name: &str) -> Option<i64> {
+            match ad.get(name) {
+                Some(Value::Int(v)) => Some(*v),
+                _ => None,
+            }
+        }
+
+        /// [`Collector::set_int_attr`] by re-advertisement: a no-op when
+        /// the ad already holds `Int(value)`, else one dirty stamp.
+        fn spec_set(spec: &mut Collector, id: SlotId, name: &str, value: i64) {
+            let Some(status) = spec.get(id) else {
+                return;
+            };
+            if status.ad.get(name) == Some(&Value::Int(value)) {
+                return;
+            }
+            let mut ad = status.ad.clone();
+            ad.insert(name, value);
+            spec.advertise(id, ad);
+        }
+
+        /// Apply `op` to the pair: `fast` through the node write, `spec`
+        /// through per-slot [`spec_set`] calls.
+        fn apply(op: &Op, fast: &mut Collector, spec: &mut Collector) {
+            match *op {
+                Op::Set { node, .. } | Op::Commit { node, .. } | Op::Give { node, .. } => {
+                    let visited = fast.update_node_phi(node, |cur| op_values(op, cur));
+                    let ids = spec.node_slots(node);
+                    assert_eq!(visited, ids.len());
+                    for id in ids {
+                        let ad = &spec.get(id).expect("listed slot").ad;
+                        let cur = [
+                            ad_int(ad, attrs::PHI_FREE_MEMORY),
+                            ad_int(ad, attrs::PHI_DEVICES_FREE),
+                        ];
+                        let names = [attrs::PHI_FREE_MEMORY, attrs::PHI_DEVICES_FREE];
+                        for (name, new) in names.into_iter().zip(op_values(op, cur)) {
+                            if let Some(v) = new {
+                                spec_set(spec, id, name, v);
+                            }
+                        }
+                    }
+                }
+                Op::RefreshSlot {
+                    node,
+                    slot: s,
+                    mem,
+                    devs,
+                } => {
+                    let id = slot(node, s);
+                    let known = fast.refresh_phi_availability(id, mem, devs);
+                    assert_eq!(known, spec.get(id).is_some());
+                    spec_set(spec, id, attrs::PHI_FREE_MEMORY, mem as i64);
+                    spec_set(spec, id, attrs::PHI_DEVICES_FREE, i64::from(devs));
+                }
+                Op::Claim { node, slot: s } => {
+                    assert_eq!(fast.claim(slot(node, s)), spec.claim(slot(node, s)));
+                }
+                Op::Release { node, slot: s } => {
+                    fast.release(slot(node, s));
+                    spec.release(slot(node, s));
+                }
+            }
+        }
+
+        /// Everything observable about the pair agrees, and every
+        /// certificate taken so far (`certs`, one sequence number per
+        /// collector) decides the same way on both.
+        fn assert_agree(fast: &Collector, spec: &Collector, certs: &[(u64, u64)]) {
+            assert!(fast == spec, "authoritative state differs");
+            assert_eq!(fast.indexed_attrs, spec.indexed_attrs);
+            for (pf, ps) in fast.parts.iter().zip(&spec.parts) {
+                assert_eq!(pf.by_attr, ps.by_attr, "guard indexes differ");
+            }
+            for (id, status) in fast.slots() {
+                let fresh = SlotMeta::from_ad(&status.ad, &fast.indexed_attrs);
+                assert_eq!(status.meta.indexed_vals, fresh.indexed_vals, "{id}");
+                assert_eq!(status.meta.phi_exact, fresh.phi_exact, "{id}");
+            }
+            let order = |c: &Collector| c.dirty_since(0).collect::<Vec<_>>();
+            assert_eq!(order(fast), order(spec), "dirty order differs");
+            for &(cf, cs) in certs {
+                assert_eq!(cf >= fast.seq(), cs >= spec.seq());
+                assert_eq!(fast.max_watermark() <= cf, spec.max_watermark() <= cs);
+                assert_eq!(
+                    fast.dirty_since(cf).collect::<Vec<_>>(),
+                    spec.dirty_since(cs).collect::<Vec<_>>()
+                );
+                for (pi, (pf, ps)) in fast.parts.iter().zip(&spec.parts).enumerate() {
+                    assert_eq!(pf.watermark <= cf, ps.watermark <= cs, "partition {pi}");
+                    assert_eq!(
+                        fast.partition_dirty_entries_since(pi, cf)
+                            .map(|(_, id)| id)
+                            .collect::<Vec<_>>(),
+                        spec.partition_dirty_entries_since(pi, cs)
+                            .map(|(_, id)| id)
+                            .collect::<Vec<_>>()
+                    );
+                }
+                for (id, _) in fast.slots() {
+                    assert_eq!(fast.dirtied_after(*id, cf), spec.dirtied_after(*id, cs));
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn node_write_equals_per_slot_reference(
+                parts in 1usize..=4,
+                nodes in prop::collection::vec(
+                    prop::collection::vec(
+                        (arb_value(), arb_value(), 0i64..4, any::<bool>()),
+                        1..=4,
+                    ),
+                    1..=6,
+                ),
+                extra_indexes in prop::sample::select(vec![0usize, 1, 2]),
+                ops in prop::collection::vec(arb_op(), 1..=24),
+            ) {
+                let build = || {
+                    let mut c = Collector::with_partitions(parts);
+                    for (n, slots) in nodes.iter().enumerate() {
+                        let n = n as u32 + 1;
+                        // Per slot: its two Phi values, an extra
+                        // guard-indexed attribute, and whether it starts
+                        // claimed.
+                        for (s, (mem, devs, drives, claimed)) in slots.iter().enumerate() {
+                            let id = slot(n, s as u32 + 1);
+                            let mut ad = ClassAd::new();
+                            ad.insert(attrs::NAME, id.name());
+                            ad.insert(attrs::MACHINE, format!("node{n}"));
+                            ad.insert("TapeDrives", *drives);
+                            for (name, v) in [(attrs::PHI_FREE_MEMORY, mem), (attrs::PHI_DEVICES_FREE, devs)] {
+                                if let Some(v) = v {
+                                    ad.insert(name, v.clone());
+                                }
+                            }
+                            c.advertise(id, ad);
+                            if *claimed {
+                                c.claim(id);
+                            }
+                        }
+                    }
+                    // Guards registered over the Phi values' neighbours
+                    // (and one no slot advertises) shift nothing.
+                    for attr in ["TapeDrives", "NoSuchAttribute"].iter().take(extra_indexes) {
+                        c.ensure_attr_index(attr).expect("below the cap");
+                    }
+                    c
+                };
+                let (mut fast, mut spec) = (build(), build());
+                let mut certs = vec![(fast.seq(), spec.seq())];
+                for op in &ops {
+                    apply(op, &mut fast, &mut spec);
+                    assert_agree(&fast, &spec, &certs);
+                    certs.push((fast.seq(), spec.seq()));
+                }
+            }
+        }
     }
 
     #[test]

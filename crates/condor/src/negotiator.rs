@@ -927,39 +927,19 @@ fn best_among(
 }
 
 /// Decrement the node-level Phi attributes on every slot ad of `node` to
-/// reflect a new placement for the remainder of this cycle. Routed through
-/// [`Collector::set_int_attr_at`] so the guard indexes stay coherent — a
+/// reflect a new placement for the remainder of this cycle. One node write
+/// ([`Collector::update_node_phi`]) keeps the guard indexes coherent — a
 /// later job in the *same cycle* sees the reduced capacity in its range
-/// query — and the slots are stamped dirty for the delta path. The two
-/// well-known attributes live at fixed pre-registered index positions
-/// ([`Collector::FREE_MEM_INDEX`], [`Collector::DEVICES_FREE_INDEX`]), so
-/// the commit pays no per-write attribute-name resolution.
+/// query — and stamps the changed slots dirty for the delta path. Each
+/// slot is decremented from its own current value: nodes need not be
+/// uniform (a slot refreshed on its own may differ from its siblings).
 fn commit_phi_resources(collector: &mut Collector, node: u32, mem: i64, exclusive: bool) {
-    for slot in collector.node_slots(node) {
-        let status = collector.get(slot).expect("listed slot exists");
-        let free = int_attr(&status.ad, attrs::lc::PHI_FREE_MEMORY);
-        let devs = if exclusive {
-            int_attr(&status.ad, attrs::lc::PHI_DEVICES_FREE)
-        } else {
-            None
-        };
-        if let Some(free) = free {
-            collector.set_int_attr_at(
-                slot,
-                Collector::FREE_MEM_INDEX,
-                attrs::lc::PHI_FREE_MEMORY,
-                (free - mem).max(0),
-            );
-        }
-        if let Some(devs) = devs {
-            collector.set_int_attr_at(
-                slot,
-                Collector::DEVICES_FREE_INDEX,
-                attrs::lc::PHI_DEVICES_FREE,
-                (devs - 1).max(0),
-            );
-        }
-    }
+    collector.update_node_phi(node, |[free, devs]| {
+        [
+            free.map(|free| (free - mem).max(0)),
+            devs.filter(|_| exclusive).map(|devs| (devs - 1).max(0)),
+        ]
+    });
 }
 
 fn int_attr(ad: &ClassAd, name: &str) -> Option<i64> {

@@ -38,23 +38,15 @@ impl Startd {
         format!("node{}", self.node)
     }
 
-    /// Slot ids in ascending order (1-based).
-    pub(crate) fn slot_ids(&self) -> Vec<SlotId> {
-        (1..=self.slots)
-            .map(|slot| SlotId {
-                node: self.node,
-                slot,
-            })
-            .collect()
-    }
-
     /// Refresh this node's slot ads in place with current Phi availability.
     ///
     /// A slot ad is a fixed machine description plus two mutable
     /// availability numbers; rebuilding the whole ad for every slot on
-    /// every negotiation cycle dominated experiment wall time, so this
-    /// touches only the two numbers (publishing a full ad the first time a
-    /// slot is seen). The resulting collector state is identical to a full
+    /// every negotiation cycle dominated experiment wall time, so this is
+    /// one node write of the two numbers ([`Collector::update_node_phi`]),
+    /// falling back to [`Startd::advertise`] when the node has no slots
+    /// yet (a node's slots are published and invalidated together). The
+    /// resulting collector state is identical to a full
     /// [`Startd::advertise`].
     pub fn refresh(
         &self,
@@ -62,18 +54,12 @@ impl Startd {
         phi_free_memory_mb: u64,
         phi_devices_free: u32,
     ) {
-        for slot in self.slot_ids() {
-            if !collector.refresh_phi_availability(slot, phi_free_memory_mb, phi_devices_free) {
-                let ad = attrs::machine_ad(
-                    &slot.name(),
-                    &self.node_name(),
-                    self.phi_devices,
-                    self.phi_card_memory_mb,
-                    phi_free_memory_mb,
-                    phi_devices_free,
-                );
-                collector.advertise(slot, ad);
-            }
+        let values = [
+            Some(phi_free_memory_mb as i64),
+            Some(i64::from(phi_devices_free)),
+        ];
+        if collector.update_node_phi(self.node, |_| values) == 0 {
+            self.advertise(collector, phi_free_memory_mb, phi_devices_free);
         }
     }
 
@@ -86,7 +72,10 @@ impl Startd {
         phi_devices_free: u32,
     ) {
         let node_name = self.node_name();
-        for slot in self.slot_ids() {
+        for slot in (1..=self.slots).map(|slot| SlotId {
+            node: self.node,
+            slot,
+        }) {
             let ad = attrs::machine_ad(
                 &slot.name(),
                 &node_name,

@@ -274,6 +274,13 @@ enum ChurnOp {
     Claim(usize),
     /// Refresh a slot's Phi availability in place.
     Refresh { slot: usize, mem: i64, devs: i64 },
+    /// Refresh a whole node's Phi availability with one node write, as a
+    /// startd does; `devs: None` leaves `PhiDevicesFree` alone.
+    RefreshNode {
+        node: u32,
+        mem: i64,
+        devs: Option<i64>,
+    },
     /// Node churn: every ad the node ever advertised is invalidated.
     InvalidateNode(u32),
     /// Node (re)join: advertise two fresh slots on the node.
@@ -298,6 +305,12 @@ fn arb_churn() -> impl Strategy<Value = ChurnOp> {
             mem,
             devs
         }),
+        (
+            1u32..=4,
+            mem.clone(),
+            prop_oneof![Just(None), (0i64..=2).prop_map(Some)]
+        )
+            .prop_map(|(node, mem, devs)| ChurnOp::RefreshNode { node, mem, devs }),
         (1u32..=4).prop_map(ChurnOp::InvalidateNode),
         (1u32..=4, mem.clone()).prop_map(|(node, mem)| ChurnOp::Advertise { node, mem }),
         (1u32..=4, mem.clone()).prop_map(|(node, mem)| ChurnOp::ToggleGuarded { node, mem }),
@@ -335,6 +348,9 @@ fn apply_churn(op: &ChurnOp, queue: &mut JobQueue, collector: &mut Collector, ne
                     *devs as u32,
                 );
             }
+        }
+        ChurnOp::RefreshNode { node, mem, devs } => {
+            collector.update_node_phi(*node, |_| [Some(*mem), *devs]);
         }
         ChurnOp::InvalidateNode(node) => {
             collector.invalidate_node(*node);
@@ -635,9 +651,9 @@ fn same_cycle_decrement_is_visible_in_free_mem_index() {
 
 /// Generalization of the regression above to an *arbitrary* guard-indexed
 /// attribute: the negotiation cycle registers an index for whatever numeric
-/// guard the jobs carry (here a made-up `TapeDrives`), and mid-cycle
-/// mutations — a claim taking the only qualifying slot, then an in-place
-/// decrement — must be visible to later range scans in the same way
+/// guard the jobs carry (here a made-up `TapeDrives`), and mutations — a
+/// claim taking the only qualifying slot, then a re-advertisement with
+/// fewer drives — must be visible to later range scans in the same way
 /// `PhiFreeMemory` decrements are. Delta and full paths must agree on all
 /// of it.
 #[test]
@@ -683,13 +699,16 @@ fn same_cycle_coherence_holds_for_arbitrary_guard_indexed_attrs() {
         assert_eq!(queue.pending(), vec![JobId(1)], "{path:?}");
 
         // The cycle registered the index; it answers range queries with
-        // the claims applied, and in-place edits keep it coherent.
+        // the claims applied, and re-advertisements keep it coherent.
         let idx = collector
             .attr_index("tapedrives")
             .expect("registered by the cycle");
         assert_eq!(collector.indexed_range_at_least(idx, 2.0).count(), 0);
         collector.release(SlotId { node: 1, slot: 1 });
-        collector.set_int_attr(SlotId { node: 1, slot: 1 }, "TapeDrives", 2);
+        let id = SlotId { node: 1, slot: 1 };
+        let mut ad = collector.get(id).expect("slot 1 exists").ad.clone();
+        ad.insert("TapeDrives", 2i64);
+        collector.advertise(id, ad);
         assert_eq!(
             collector
                 .indexed_range_at_least(idx, 2.0)
