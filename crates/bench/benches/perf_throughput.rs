@@ -17,7 +17,9 @@
 //! fair-share rate rule (`phi::FairShare`) sets it — so the script
 //! measures the engine under the access pattern the substrate actually
 //! generates: one `advance`, O(1) membership ops, one `set_rate`, one
-//! completion query per device event.
+//! completion query per device event. Like the shared devices, the replay
+//! keeps each live activity's engine handle beside it and leaves through
+//! that handle, so freed heap handles are reissued to later joins.
 //!
 //! Emits `BENCH_throughput.json` (under `target/experiments/` and at the
 //! repo root) and **fails** below the floor — a regression gate, not just
@@ -39,10 +41,12 @@ const SPEEDUP_FLOOR: f64 = 3.0;
 enum Op {
     /// Advance the shared clock by `dt` ticks' worth of progress.
     Advance(f64),
-    /// Join activity `id` with `work` normalized units remaining.
+    /// Join activity `id` with `work` normalized units remaining; its
+    /// handle goes to the end of the live list.
     Join(u64, f64),
-    /// Remove activity `id` (completion or kill — engines don't care).
-    Leave(u64),
+    /// Remove the activity at this position of the live list, which then
+    /// `swap_remove`s it (completion or kill — engines don't care).
+    Leave(usize),
     /// Re-share: set the common rate for the current population.
     SetRate(f64),
 }
@@ -91,7 +95,8 @@ fn script(seed: u64) -> Vec<Op> {
     }
     for _ in 0..CHURN_STEPS {
         ops.push(Op::Advance(rng.f64(0.0, 20.0)));
-        let victim = live.swap_remove(rng.index(live.len()));
+        let victim = rng.index(live.len());
+        live.swap_remove(victim);
         ops.push(Op::Leave(victim));
         ops.push(Op::Join(next_id, rng.f64(1.0, 50_000.0)));
         live.push(next_id);
@@ -106,13 +111,14 @@ fn script(seed: u64) -> Vec<Op> {
 /// fold of the answers so the optimizer cannot elide the queries.
 fn replay<E: SharingEngine>(ops: &[Op]) -> u64 {
     let mut e = E::new();
+    let mut live = Vec::with_capacity(ACTIVITIES + 1);
     let mut acc = 0u64;
     for &op in ops {
         match op {
             Op::Advance(dt) => e.advance(dt),
-            Op::Join(id, work) => e.join(id, work),
-            Op::Leave(id) => {
-                e.leave(id);
+            Op::Join(id, work) => live.push(e.join(id, work)),
+            Op::Leave(k) => {
+                e.leave(live.swap_remove(k));
             }
             Op::SetRate(r) => e.set_rate(r),
         }
@@ -147,18 +153,18 @@ struct ThroughputBench {
 fn assert_bit_identical(ops: &[Op]) -> usize {
     let mut h = HeapEngine::new();
     let mut n = NaiveEngine::new();
+    // Each live activity's heap handle and naive handle (its id).
+    let mut live = Vec::with_capacity(ACTIVITIES + 1);
     for (step, &op) in ops.iter().enumerate() {
         match op {
             Op::Advance(dt) => {
                 h.advance(dt);
                 n.advance(dt);
             }
-            Op::Join(id, work) => {
-                h.join(id, work);
-                n.join(id, work);
-            }
-            Op::Leave(id) => {
-                let (hr, nr) = (h.leave(id), n.leave(id));
+            Op::Join(id, work) => live.push((h.join(id, work), n.join(id, work))),
+            Op::Leave(k) => {
+                let (hh, nh) = live.swap_remove(k);
+                let (hr, nr) = (h.leave(hh), n.leave(nh));
                 assert_eq!(hr.to_bits(), nr.to_bits(), "residual diverged @ {step}");
             }
             Op::SetRate(r) => {
@@ -174,16 +180,16 @@ fn assert_bit_identical(ops: &[Op]) -> usize {
         );
     }
     // Full final tables: every activity, same tick, same residual bits.
-    let mut heap_table = Vec::new();
-    h.for_each_completion(|id, ticks| heap_table.push((id, ticks)));
-    let mut naive_table = Vec::new();
-    n.for_each_completion(|id, ticks| naive_table.push((id, ticks)));
-    assert_eq!(heap_table, naive_table, "final completion tables diverged");
-    for &(id, _) in &heap_table {
-        let (hr, nr) = (h.remaining(id).unwrap(), n.remaining(id).unwrap());
+    for &(hh, id) in &live {
+        assert_eq!(
+            h.completion_ticks(hh),
+            n.completion_ticks(id),
+            "final completion diverged for {id}"
+        );
+        let (hr, nr) = (h.remaining(hh), n.remaining(id));
         assert_eq!(hr.to_bits(), nr.to_bits(), "remaining diverged for {id}");
     }
-    heap_table.len()
+    live.len()
 }
 
 fn gate() -> ThroughputBench {

@@ -167,9 +167,9 @@ pub(crate) fn threads_override(raw: Option<&str>) -> Option<usize> {
 }
 
 fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(1)
+    phishare_condor::collector::host_parallelism()
+        .saturating_sub(1)
+        .max(1)
 }
 
 #[cfg(test)]

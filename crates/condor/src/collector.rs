@@ -92,6 +92,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::iter::Peekable;
 use std::ops::{Bound, RangeInclusive};
+use std::sync::OnceLock;
 
 /// Identifies one execution slot: `slot<slot>@node<node>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -137,16 +138,24 @@ const FREE_MEM_IDX: usize = Collector::FREE_MEM_INDEX;
 /// [`Collector::DEVICES_FREE_INDEX`]).
 const PHI_ATTRS: [&str; 2] = [attrs::lc::PHI_FREE_MEMORY, attrs::lc::PHI_DEVICES_FREE];
 
+/// The host's available parallelism, at least 1. Read once per process:
+/// `std::thread::available_parallelism` re-reads the cgroup quota files on
+/// every call, and the negotiator asks once per cycle.
+pub fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Parse a `PHISHARE_PARTITION_THREADS`-style override for the number of
 /// worker threads partition-parallel phases may use.
 pub(crate) fn partition_threads_override(raw: Option<&str>, parts: usize) -> usize {
     raw.and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+        .unwrap_or_else(host_parallelism)
         .min(parts)
 }
 
@@ -154,8 +163,10 @@ pub(crate) fn partition_threads_override(raw: Option<&str>, parts: usize) -> usi
 /// should use: the host's parallelism (overridable via
 /// `PHISHARE_PARTITION_THREADS`, mostly so tests can force the threaded
 /// path on single-core machines), capped at `parts` units of work. A
-/// result of 1 means "stay serial". Public so benches can record the
-/// fan-out they actually measured.
+/// result of 1 means "stay serial". The variable is read on every call, so
+/// setting it at run time takes effect; the host's parallelism is cached
+/// ([`host_parallelism`]). Public so benches can record the fan-out they
+/// actually measured.
 pub fn partition_threads(parts: usize) -> usize {
     partition_threads_override(
         std::env::var("PHISHARE_PARTITION_THREADS").ok().as_deref(),
@@ -1793,5 +1804,10 @@ mod tests {
         let fallback = partition_threads_override(Some("0"), 8);
         assert!((1..=8).contains(&fallback));
         assert!(partition_threads_override(None, 2) <= 2);
+        // Unset, the fallback is the cached host parallelism.
+        let host = host_parallelism();
+        assert!(host >= 1);
+        assert_eq!(partition_threads_override(None, usize::MAX), host);
+        assert_eq!(host_parallelism(), host);
     }
 }

@@ -107,9 +107,12 @@ struct ActiveOffload {
     cores: CoreSet,
 }
 
-#[derive(Debug, Clone)]
+/// A queued offload request. Its job's slot stays live while the entry
+/// exists: unregistering drops the job's entries before freeing the slot,
+/// and a reset clears both.
+#[derive(Debug, Clone, Copy)]
 struct Waiting {
-    job: JobId,
+    slot: JobSlot,
     threads: u32,
     work: SimDuration,
     enqueued: SimTime,
@@ -230,9 +233,8 @@ impl CosmicDevice {
     fn admit_waiters(&mut self, now: SimTime, granted: &mut Vec<OffloadGrant>) {
         match self.cfg.policy {
             OffloadPolicy::Fifo => {
-                while let Some(head) = self.waiting.front().cloned() {
-                    let slot = self.index[&head.job];
-                    match self.try_start(now, slot, head.threads, head.work, head.enqueued) {
+                while let Some(&head) = self.waiting.front() {
+                    match self.try_start(now, head.slot, head.threads, head.work, head.enqueued) {
                         Some(grant) => {
                             self.waiting.pop_front();
                             granted.push(grant);
@@ -244,9 +246,8 @@ impl CosmicDevice {
             OffloadPolicy::Backfill => {
                 let mut i = 0;
                 while i < self.waiting.len() {
-                    let w = self.waiting[i].clone();
-                    let slot = self.index[&w.job];
-                    match self.try_start(now, slot, w.threads, w.work, w.enqueued) {
+                    let w = self.waiting[i];
+                    match self.try_start(now, w.slot, w.threads, w.work, w.enqueued) {
                         Some(grant) => {
                             self.waiting.remove(i);
                             granted.push(grant);
@@ -281,8 +282,9 @@ impl CosmicSubstrate for CosmicDevice {
     }
 
     fn unregister_into(&mut self, now: SimTime, job: JobId, grants: &mut Vec<OffloadGrant>) {
-        self.waiting.retain(|w| w.job != job);
         if let Some(slot) = self.index.remove(&job) {
+            // Only a registered job can have queued requests.
+            self.waiting.retain(|w| w.slot != slot);
             let entry = self.jobs.remove(slot.0);
             self.declared_mb_total -= entry.declared_mem_mb;
             self.declared_threads_total -= entry.declared_threads;
@@ -329,7 +331,7 @@ impl CosmicSubstrate for CosmicDevice {
             }
         }
         self.waiting.push_back(Waiting {
-            job,
+            slot,
             threads,
             work,
             enqueued: now,

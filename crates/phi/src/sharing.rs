@@ -25,8 +25,8 @@ pub type SharedThroughputDevice = Card<FairShare<HeapEngine>>;
 pub type NaiveSharedDevice = Card<FairShare<NaiveEngine>>;
 
 /// Fair sharing under a [`SharingCurve`]: the engine tracks every active
-/// offload's work by proc id against one shared rate, so an active offload
-/// keeps nothing in its slab entry.
+/// offload's work against one shared rate, and an active offload keeps
+/// only the engine handle its join issued in its slab entry.
 #[derive(Debug)]
 pub struct FairShare<E> {
     curve: SharingCurve,
@@ -34,7 +34,7 @@ pub struct FairShare<E> {
 }
 
 impl<E: SharingEngine> RateModel for FairShare<E> {
-    type Work = ();
+    type Work = E::Handle;
 
     fn from_spec(spec: &DeviceSpec) -> Self {
         spec.curve.validate().expect("invalid sharing curve");
@@ -44,12 +44,12 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
         }
     }
 
-    fn join(&mut self, proc: ProcId, work: f64) {
-        self.engine.join(proc.0, work);
+    fn join(&mut self, proc: ProcId, work: f64) -> E::Handle {
+        self.engine.join(proc.0, work)
     }
 
-    fn leave(&mut self, proc: ProcId, _: bool, _: ()) -> (f64, f64) {
-        (self.engine.leave(proc.0), self.engine.rate())
+    fn leave(&mut self, _: ProcId, _: bool, handle: E::Handle) -> (f64, f64) {
+        (self.engine.leave(handle), self.engine.rate())
     }
 
     /// The engine keeps its virtual-time warp — the warp is a coordinate
@@ -60,7 +60,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     /// One O(1) virtual-clock update regardless of how many offloads are
     /// active.
-    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = (bool, &'a mut ())>) {
+    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = (bool, &'a mut E::Handle)>) {
         self.engine.advance(dt);
     }
 
@@ -83,16 +83,17 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     fn for_each_completion<'a>(
         &self,
-        _: impl Iterator<Item = (ProcId, bool, &'a ())>,
+        by_id: impl Iterator<Item = (ProcId, bool, &'a E::Handle)>,
         mut f: impl FnMut(ProcId, u64),
     ) {
-        self.engine
-            .for_each_completion(|id, ticks| f(ProcId(id), ticks));
+        for (proc, _, &handle) in by_id {
+            f(proc, self.engine.completion_ticks(handle));
+        }
     }
 
     fn next_completion<'a>(
         &self,
-        _: impl Iterator<Item = (ProcId, bool, &'a ())>,
+        _: impl Iterator<Item = (ProcId, bool, &'a E::Handle)>,
     ) -> Option<(ProcId, u64)> {
         self.engine
             .next_completion()

@@ -6,16 +6,20 @@
 //! per activity — and one tick formula ([`ticks_until`]). They differ
 //! *only* in bookkeeping:
 //!
-//! * [`HeapEngine`] keeps activities in an indexed binary min-heap keyed
-//!   by `(fin, id)`. `advance` is O(1) (the time warp), `join`/`leave`
-//!   are O(log n), `next_completion` reads the root and resolves
-//!   same-tick ties with a pruned DFS over the (downward-closed) tie
-//!   region.
-//! * [`NaiveEngine`] rematerializes every activity's predicted completion
-//!   tick on **every mutation** — join, leave, rate change and advance
-//!   all pay O(n), exactly the recompute-all-residents cost the fast
-//!   algorithm removes. Do not optimize it: its cost model *is* the
-//!   `perf_throughput` gate's floor.
+//! * [`HeapEngine`] keeps activities in a binary min-heap ordered by
+//!   `(fin, id)`. `join` issues a [`HeapHandle`] from a free list; a dense
+//!   handle → heap-position table, bounded by the peak live population
+//!   rather than by id values, makes `leave` and per-activity lookups
+//!   O(1) to locate. Sifts move a hole and write each moved entry's
+//!   position once. `advance` is O(1) (the time warp), `join`/`leave` are
+//!   O(log n), `next_completion` reads the root and resolves same-tick
+//!   ties with a pruned DFS over the (downward-closed) tie region.
+//! * [`NaiveEngine`] is keyed by the activity id itself and
+//!   rematerializes every activity's predicted completion tick on **every
+//!   mutation** — join, leave, rate change and advance all pay O(n),
+//!   exactly the recompute-all-residents cost the fast algorithm removes.
+//!   Do not optimize it: its cost model *is* the `perf_throughput` gate's
+//!   floor.
 //!
 //! The identical-expression discipline makes the two engines
 //! bit-identical, which the crate's differential proptests assert over
@@ -40,8 +44,13 @@ pub fn ticks_until(fin: f64, v: f64, rate: f64) -> u64 {
 /// The owner (a shared device model) is responsible for ordering:
 /// `advance` to the current instant *before* any `set_rate`, `join` or
 /// `leave`, mirroring the device models' advance-then-reschedule
-/// discipline. Activity ids must be unique while joined.
+/// discipline. Activity ids must be unique while joined; they order the
+/// completion ties. Each joined activity is addressed by the handle its
+/// `join` returned, valid until it leaves or the engine is cleared.
 pub trait SharingEngine: std::fmt::Debug {
+    /// What `join` issues to address one activity afterwards.
+    type Handle: Copy + std::fmt::Debug + 'static;
+
     /// Fresh, empty engine at virtual time zero with unit rate.
     fn new() -> Self;
 
@@ -55,23 +64,20 @@ pub trait SharingEngine: std::fmt::Debug {
     /// The current shared per-activity rate.
     fn rate(&self) -> f64;
 
-    /// Add an activity with `work` nominal ticks of remaining work.
-    ///
-    /// # Panics
-    /// Panics if `id` is already joined.
-    fn join(&mut self, id: u64, work: f64);
+    /// Add activity `id` with `work` nominal ticks of remaining work.
+    fn join(&mut self, id: u64, work: f64) -> Self::Handle;
 
     /// Remove an activity, returning its remaining work (≥ 0).
     ///
     /// # Panics
-    /// Panics if `id` is not joined.
-    fn leave(&mut self, id: u64) -> f64;
+    /// Panics if the handle addresses no joined activity.
+    fn leave(&mut self, handle: Self::Handle) -> f64;
 
-    /// Remaining work of a joined activity (≥ 0), `None` otherwise.
-    fn remaining(&self, id: u64) -> Option<f64>;
+    /// Remaining work of a joined activity (≥ 0).
+    fn remaining(&self, handle: Self::Handle) -> f64;
 
-    /// Whether `id` is currently joined.
-    fn contains(&self, id: u64) -> bool;
+    /// Predicted ticks from now until a joined activity completes.
+    fn completion_ticks(&self, handle: Self::Handle) -> u64;
 
     /// Number of joined activities.
     fn len(&self) -> usize;
@@ -81,23 +87,21 @@ pub trait SharingEngine: std::fmt::Debug {
         self.len() == 0
     }
 
-    /// Drop every activity (device reset). The virtual clock and rate are
-    /// left untouched — the warp continues for future tenants.
+    /// Drop every activity (device reset), invalidating every handle. The
+    /// virtual clock and rate are left untouched — the warp continues for
+    /// future tenants.
     fn clear(&mut self);
 
     /// The earliest predicted completion as `(id, ticks-from-now)`; ties
     /// on the tick go to the smallest id. `None` when empty.
     fn next_completion(&self) -> Option<(u64, u64)>;
-
-    /// Visit every activity's predicted completion in ascending-id order.
-    fn for_each_completion(&self, f: impl FnMut(u64, u64));
 }
 
 // ---------------------------------------------------------------------
 // Naive oracle
 // ---------------------------------------------------------------------
 
-/// The recompute-all-residents oracle.
+/// The recompute-all-residents oracle, addressed by activity id.
 ///
 /// Every mutation rebuilds the full prediction table — the O(n) cost a
 /// per-resident rate rewrite pays in a conventional sharing model. Kept
@@ -126,6 +130,9 @@ impl NaiveEngine {
 }
 
 impl SharingEngine for NaiveEngine {
+    /// The activity id itself.
+    type Handle = u64;
+
     fn new() -> Self {
         NaiveEngine {
             v: 0.0,
@@ -149,13 +156,14 @@ impl SharingEngine for NaiveEngine {
         self.rate
     }
 
-    fn join(&mut self, id: u64, work: f64) {
+    fn join(&mut self, id: u64, work: f64) -> u64 {
         let fin = self.v + work;
         assert!(
             self.fins.insert(id, fin).is_none(),
             "activity {id} joined twice"
         );
         self.rematerialize();
+        id
     }
 
     fn leave(&mut self, id: u64) -> f64 {
@@ -164,12 +172,16 @@ impl SharingEngine for NaiveEngine {
         (fin - self.v).max(0.0)
     }
 
-    fn remaining(&self, id: u64) -> Option<f64> {
-        self.fins.get(&id).map(|fin| (fin - self.v).max(0.0))
+    fn remaining(&self, id: u64) -> f64 {
+        (self.fins[&id] - self.v).max(0.0)
     }
 
-    fn contains(&self, id: u64) -> bool {
-        self.fins.contains_key(&id)
+    fn completion_ticks(&self, id: u64) -> u64 {
+        let i = self
+            .predicted
+            .binary_search_by_key(&id, |&(id, _)| id)
+            .expect("activity is joined");
+        self.predicted[i].1
     }
 
     fn len(&self) -> usize {
@@ -192,23 +204,28 @@ impl SharingEngine for NaiveEngine {
         }
         best
     }
-
-    fn for_each_completion(&self, mut f: impl FnMut(u64, u64)) {
-        for &(id, ticks) in &self.predicted {
-            f(id, ticks);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
 // Heap-scheduled fast engine
 // ---------------------------------------------------------------------
 
-/// One heap slot: an activity's fixed finish mark and id.
+/// A [`HeapEngine`] activity: a slot of the engine's dense position
+/// table. Issued by `join` from a free list, so a freed handle is reissued
+/// to a later activity; it must not be used after its activity leaves or
+/// the engine is cleared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HeapHandle(u32);
+
+/// Position-table mark of a handle that addresses no activity.
+const VACANT: u32 = u32::MAX;
+
+/// One heap slot: an activity's fixed finish mark, id and handle.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     fin: f64,
     id: u64,
+    handle: u32,
 }
 
 impl Entry {
@@ -222,55 +239,76 @@ impl Entry {
 
 /// The heap-scheduled fast engine.
 ///
-/// An indexed binary min-heap over `(fin, id)` plus an id → slot position
-/// map. Rescaling on membership change is the global time warp (`v`,
+/// A binary min-heap over `(fin, id)` plus a dense handle → heap-position
+/// table. Rescaling on membership change is the global time warp (`v`,
 /// `rate`) — no per-activity state is ever rewritten after join.
 #[derive(Debug)]
 pub struct HeapEngine {
     v: f64,
     rate: f64,
     heap: Vec<Entry>,
-    /// id → current heap index; also serves ascending-id iteration for
-    /// [`SharingEngine::for_each_completion`].
-    pos: BTreeMap<u64, usize>,
+    /// Handle → current heap index, [`VACANT`] for a free handle. One
+    /// slot per handle ever issued since the last clear, so its length is
+    /// the peak live population.
+    pos: Vec<u32>,
+    /// Vacant handles, reissued last-freed first.
+    free: Vec<u32>,
 }
 
 impl HeapEngine {
-    /// Move the entry at `i` toward the root while it precedes its parent.
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[i].before(&self.heap[parent]) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
+    /// Heap index of the activity `handle` addresses.
+    fn index(&self, HeapHandle(h): HeapHandle) -> usize {
+        match self.pos.get(h as usize) {
+            Some(&i) if i != VACANT => i as usize,
+            _ => panic!("activity handle {h} is not joined"),
         }
     }
 
-    /// Move the entry at `i` toward the leaves while a child precedes it.
-    fn sift_down(&mut self, mut i: usize) {
+    /// Write `e` into heap slot `i` and record its position.
+    #[inline]
+    fn place(&mut self, i: usize, e: Entry) {
+        self.pos[e.handle as usize] = i as u32;
+        self.heap[i] = e;
+    }
+
+    /// Fill the hole at `hole` with `e`, moving the hole toward the root
+    /// while `e` precedes its parent.
+    fn sift_up(&mut self, mut hole: usize, e: Entry) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            let p = self.heap[parent];
+            if !e.before(&p) {
+                break;
+            }
+            self.place(hole, p);
+            hole = parent;
+        }
+        self.place(hole, e);
+    }
+
+    /// Fill the hole at `hole` with `e`, moving the hole toward the
+    /// leaves while a child precedes `e`.
+    fn sift_down(&mut self, mut hole: usize, e: Entry) {
+        let n = self.heap.len();
         loop {
-            let mut smallest = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < self.heap.len() && self.heap[child].before(&self.heap[smallest]) {
-                    smallest = child;
-                }
-            }
-            if smallest == i {
+            let left = 2 * hole + 1;
+            if left >= n {
                 break;
             }
-            self.swap(i, smallest);
-            i = smallest;
+            let right = left + 1;
+            let child = if right < n && self.heap[right].before(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !c.before(&e) {
+                break;
+            }
+            self.place(hole, c);
+            hole = child;
         }
-    }
-
-    /// Swap two heap slots, keeping the position index coherent.
-    fn swap(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.pos.insert(self.heap[a].id, a);
-        self.pos.insert(self.heap[b].id, b);
+        self.place(hole, e);
     }
 
     /// Min-id within the same-tick tie region containing the root.
@@ -298,12 +336,15 @@ impl HeapEngine {
 }
 
 impl SharingEngine for HeapEngine {
+    type Handle = HeapHandle;
+
     fn new() -> Self {
         HeapEngine {
             v: 0.0,
             rate: 1.0,
             heap: Vec::new(),
-            pos: BTreeMap::new(),
+            pos: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -321,42 +362,49 @@ impl SharingEngine for HeapEngine {
         self.rate
     }
 
-    fn join(&mut self, id: u64, work: f64) {
-        let fin = self.v + work;
-        let i = self.heap.len();
-        self.heap.push(Entry { fin, id });
-        assert!(
-            self.pos.insert(id, i).is_none(),
-            "activity {id} joined twice"
-        );
-        self.sift_up(i);
+    fn join(&mut self, id: u64, work: f64) -> HeapHandle {
+        let handle = self.free.pop().unwrap_or_else(|| {
+            let h = u32::try_from(self.pos.len())
+                .ok()
+                .filter(|&h| h != VACANT)
+                .expect("too many live activities for a u32 handle");
+            self.pos.push(VACANT);
+            h
+        });
+        let e = Entry {
+            fin: self.v + work,
+            id,
+            handle,
+        };
+        self.heap.push(e);
+        self.sift_up(self.heap.len() - 1, e);
+        HeapHandle(handle)
     }
 
-    fn leave(&mut self, id: u64) -> f64 {
-        let i = self.pos.remove(&id).expect("leaving activity is joined");
+    fn leave(&mut self, handle: HeapHandle) -> f64 {
+        let i = self.index(handle);
         let fin = self.heap[i].fin;
-        let last = self.heap.len() - 1;
-        if i != last {
-            self.heap.swap(i, last);
-            self.pos.insert(self.heap[i].id, i);
-        }
-        self.heap.pop();
+        self.pos[handle.0 as usize] = VACANT;
+        self.free.push(handle.0);
+        let last = self.heap.pop().expect("a joined activity is in the heap");
         if i < self.heap.len() {
-            // The transplanted entry may violate either direction.
-            self.sift_down(i);
-            self.sift_up(i);
+            // The last entry fills the hole; it may belong either above
+            // or below it.
+            if i > 0 && last.before(&self.heap[(i - 1) / 2]) {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
         }
         (fin - self.v).max(0.0)
     }
 
-    fn remaining(&self, id: u64) -> Option<f64> {
-        self.pos
-            .get(&id)
-            .map(|&i| (self.heap[i].fin - self.v).max(0.0))
+    fn remaining(&self, handle: HeapHandle) -> f64 {
+        (self.heap[self.index(handle)].fin - self.v).max(0.0)
     }
 
-    fn contains(&self, id: u64) -> bool {
-        self.pos.contains_key(&id)
+    fn completion_ticks(&self, handle: HeapHandle) -> u64 {
+        ticks_until(self.heap[self.index(handle)].fin, self.v, self.rate)
     }
 
     fn len(&self) -> usize {
@@ -366,6 +414,7 @@ impl SharingEngine for HeapEngine {
     fn clear(&mut self) {
         self.heap.clear();
         self.pos.clear();
+        self.free.clear();
     }
 
     fn next_completion(&self) -> Option<(u64, u64)> {
@@ -378,155 +427,215 @@ impl SharingEngine for HeapEngine {
         self.tie_min_id(0, tick, &mut best);
         Some((best, tick))
     }
-
-    fn for_each_completion(&self, mut f: impl FnMut(u64, u64)) {
-        for (&id, &i) in &self.pos {
-            f(id, ticks_until(self.heap[i].fin, self.v, self.rate));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn both() -> (HeapEngine, NaiveEngine) {
-        (HeapEngine::new(), NaiveEngine::new())
+    /// Both engines, with each live activity's id and its two handles.
+    struct Pair {
+        h: HeapEngine,
+        n: NaiveEngine,
+        live: BTreeMap<u64, HeapHandle>,
     }
 
-    /// Assert the two engines agree bit-for-bit on every observable.
-    fn assert_identical(h: &HeapEngine, n: &NaiveEngine, ids: &[u64]) {
-        assert_eq!(h.len(), n.len());
-        assert_eq!(h.next_completion(), n.next_completion());
-        let mut hv = Vec::new();
-        let mut nv = Vec::new();
-        h.for_each_completion(|id, t| hv.push((id, t)));
-        n.for_each_completion(|id, t| nv.push((id, t)));
-        assert_eq!(hv, nv);
-        for &id in ids {
-            match (h.remaining(id), n.remaining(id)) {
-                (Some(a), Some(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                (a, b) => assert_eq!(a, b),
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                h: HeapEngine::new(),
+                n: NaiveEngine::new(),
+                live: BTreeMap::new(),
+            }
+        }
+
+        fn join(&mut self, id: u64, work: f64) {
+            let handle = self.h.join(id, work);
+            self.n.join(id, work);
+            self.live.insert(id, handle);
+        }
+
+        /// Leave on both engines, asserting equal residual bits.
+        fn leave(&mut self, id: u64) -> f64 {
+            let a = self.h.leave(self.live.remove(&id).unwrap());
+            assert_eq!(a.to_bits(), self.n.leave(id).to_bits());
+            a
+        }
+
+        fn advance(&mut self, dt: f64) {
+            self.h.advance(dt);
+            self.n.advance(dt);
+        }
+
+        fn set_rate(&mut self, rate: f64) {
+            self.h.set_rate(rate);
+            self.n.set_rate(rate);
+        }
+
+        fn clear(&mut self) {
+            self.h.clear();
+            self.n.clear();
+            self.live.clear();
+        }
+
+        fn next_completion(&self) -> Option<(u64, u64)> {
+            let next = self.h.next_completion();
+            assert_eq!(next, self.n.next_completion());
+            next
+        }
+
+        fn remaining(&self, id: u64) -> f64 {
+            self.h.remaining(self.live[&id])
+        }
+
+        /// Assert the two engines agree bit-for-bit on every observable.
+        fn assert_identical(&self) {
+            assert_eq!(self.h.len(), self.n.len());
+            self.next_completion();
+            for (&id, &handle) in &self.live {
+                assert_eq!(self.h.completion_ticks(handle), self.n.completion_ticks(id));
+                assert_eq!(
+                    self.h.remaining(handle).to_bits(),
+                    self.n.remaining(id).to_bits()
+                );
             }
         }
     }
 
     #[test]
     fn solo_activity_completes_at_nominal_ticks() {
-        let (mut h, mut n) = both();
-        h.join(7, 1000.0);
-        n.join(7, 1000.0);
-        assert_eq!(h.next_completion(), Some((7, 1000)));
-        assert_eq!(n.next_completion(), Some((7, 1000)));
-        h.advance(1000.0);
-        n.advance(1000.0);
-        assert_eq!(h.leave(7).to_bits(), 0.0f64.to_bits());
-        assert_eq!(n.leave(7).to_bits(), 0.0f64.to_bits());
+        let mut p = Pair::new();
+        p.join(7, 1000.0);
+        assert_eq!(p.next_completion(), Some((7, 1000)));
+        p.advance(1000.0);
+        assert_eq!(p.leave(7).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn rate_change_warps_everyone_at_once() {
-        let (mut h, mut n) = both();
+        let mut p = Pair::new();
         for id in 0..4u64 {
-            h.join(id, 100.0 * (id + 1) as f64);
-            n.join(id, 100.0 * (id + 1) as f64);
+            p.join(id, 100.0 * (id + 1) as f64);
         }
-        h.advance(50.0);
-        n.advance(50.0);
-        h.set_rate(0.5);
-        n.set_rate(0.5);
+        p.advance(50.0);
+        p.set_rate(0.5);
         // Activity 0: 50 nominal ticks left at rate ½ → 100 wall ticks.
-        assert_eq!(h.next_completion(), Some((0, 100)));
-        assert_identical(&h, &n, &[0, 1, 2, 3]);
+        assert_eq!(p.next_completion(), Some((0, 100)));
+        p.assert_identical();
     }
 
     #[test]
     fn ties_resolve_to_smallest_id() {
-        let (mut h, mut n) = both();
+        let mut p = Pair::new();
         // Joined in descending id order so heap structure can't cheat.
         for id in (0..8u64).rev() {
-            h.join(id, 100.0);
-            n.join(id, 100.0);
+            p.join(id, 100.0);
         }
-        assert_eq!(h.next_completion(), Some((0, 100)));
-        assert_eq!(n.next_completion(), Some((0, 100)));
+        assert_eq!(p.next_completion(), Some((0, 100)));
         // Distinct fins rounding to the same tick still tie on the tick.
-        let (mut h2, mut n2) = both();
-        h2.set_rate(1.0);
-        n2.set_rate(1.0);
-        h2.join(5, 99.2);
-        n2.join(5, 99.2);
-        h2.join(2, 99.7);
-        n2.join(2, 99.7);
+        let mut p2 = Pair::new();
+        p2.join(5, 99.2);
+        p2.join(2, 99.7);
         // Both ceil to 100 ticks → id 2 wins.
-        assert_eq!(h2.next_completion(), Some((2, 100)));
-        assert_eq!(n2.next_completion(), Some((2, 100)));
+        assert_eq!(p2.next_completion(), Some((2, 100)));
     }
 
     #[test]
     fn leave_from_the_middle_keeps_heap_coherent() {
-        let (mut h, mut n) = both();
+        let mut p = Pair::new();
         let works = [500.0, 100.0, 300.0, 200.0, 400.0, 50.0, 250.0];
         for (id, &w) in works.iter().enumerate() {
-            h.join(id as u64, w);
-            n.join(id as u64, w);
+            p.join(id as u64, w);
         }
-        let gone = h.leave(2);
-        assert_eq!(gone.to_bits(), n.leave(2).to_bits());
-        assert_identical(&h, &n, &[0, 1, 3, 4, 5, 6]);
-        h.advance(60.0);
-        n.advance(60.0);
-        assert_eq!(h.next_completion(), n.next_completion());
+        p.leave(2);
+        p.assert_identical();
+        p.advance(60.0);
         // 5 had 50 ticks of work; it is done (and clamped, not negative).
-        assert_eq!(h.next_completion().unwrap().0, 5);
-        assert_eq!(h.remaining(5), Some(0.0));
+        assert_eq!(p.next_completion().unwrap().0, 5);
+        assert_eq!(p.remaining(5), 0.0);
     }
 
     #[test]
     fn clear_drops_activities_but_keeps_the_warp() {
-        let (mut h, mut n) = both();
-        h.join(1, 100.0);
-        n.join(1, 100.0);
-        h.advance(40.0);
-        n.advance(40.0);
+        let mut p = Pair::new();
+        p.join(1, 100.0);
+        p.advance(40.0);
+        p.clear();
+        assert!(p.h.is_empty() && p.n.is_empty());
+        assert_eq!(p.next_completion(), None);
+        p.join(2, 10.0);
+        assert_eq!(p.next_completion(), Some((2, 10)));
+        p.assert_identical();
+    }
+
+    #[test]
+    fn freed_handles_are_reissued_and_the_table_stays_at_peak_population() {
+        let mut h = HeapEngine::new();
+        let mut live: Vec<HeapHandle> = (0..4).map(|id| h.join(id, 10.0 * id as f64)).collect();
+        for id in 4..1_000u64 {
+            // Leave one, join one: the population never exceeds 4.
+            let gone = live.remove((id % 4) as usize);
+            h.leave(gone);
+            let handle = h.join(id, id as f64);
+            assert_eq!(handle, gone, "the freed handle is reissued");
+            live.push(handle);
+            assert_eq!(h.pos.len(), 4);
+        }
         h.clear();
-        n.clear();
-        assert!(h.is_empty() && n.is_empty());
-        assert_eq!(h.next_completion(), None);
-        assert_eq!(n.next_completion(), None);
-        h.join(2, 10.0);
-        n.join(2, 10.0);
-        assert_eq!(h.next_completion(), Some((2, 10)));
-        assert_identical(&h, &n, &[2]);
+        assert!(h.pos.is_empty() && h.free.is_empty());
+        assert_eq!(h.join(5_000, 1.0), HeapHandle(0));
+    }
+
+    #[test]
+    fn huge_ids_do_not_size_the_position_table() {
+        let mut h = HeapEngine::new();
+        let a = h.join(u64::MAX - 1, 5.0);
+        let b = h.join(u64::MAX, 5.0);
+        assert_eq!((a, b), (HeapHandle(0), HeapHandle(1)));
+        assert_eq!(h.pos.len(), 2);
+        assert!(h.pos.capacity() < 64);
+        // Equal fins tie to the smaller id.
+        assert_eq!(h.next_completion(), Some((u64::MAX - 1, 5)));
+        assert_eq!(h.leave(a), 5.0);
+        assert_eq!(h.next_completion(), Some((u64::MAX, 5)));
     }
 
     #[test]
     #[should_panic(expected = "joined twice")]
-    fn double_join_panics() {
-        let mut h = HeapEngine::new();
-        h.join(1, 10.0);
-        h.join(1, 20.0);
+    fn naive_double_join_panics() {
+        let mut n = NaiveEngine::new();
+        n.join(1, 10.0);
+        n.join(1, 20.0);
     }
 
     #[test]
-    #[should_panic(expected = "is joined")]
-    fn leaving_unknown_activity_panics() {
+    #[should_panic(expected = "is not joined")]
+    fn leaving_through_a_freed_handle_panics() {
         let mut h = HeapEngine::new();
-        h.leave(9);
+        let a = h.join(1, 10.0);
+        h.join(2, 10.0);
+        h.leave(a);
+        h.leave(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not joined")]
+    fn handles_do_not_survive_clear() {
+        let mut h = HeapEngine::new();
+        let a = h.join(1, 10.0);
+        h.clear();
+        h.remaining(a);
     }
 
     #[test]
     fn remaining_is_never_negative_after_overshoot() {
-        let (mut h, mut n) = both();
-        h.join(3, 10.4);
-        n.join(3, 10.4);
+        let mut p = Pair::new();
+        p.join(3, 10.4);
         // Completion fires at ceil(10.4) = 11 ticks; the clock overshoots
         // the finish mark by 0.6 nominal ticks.
-        h.advance(11.0);
-        n.advance(11.0);
-        assert_eq!(h.remaining(3), Some(0.0));
-        assert_eq!(n.remaining(3), Some(0.0));
-        assert_eq!(h.leave(3), 0.0);
-        assert_eq!(n.leave(3), 0.0);
+        p.advance(11.0);
+        assert_eq!(p.remaining(3), 0.0);
+        assert_eq!(p.n.remaining(3), 0.0);
+        assert_eq!(p.leave(3), 0.0);
     }
 }

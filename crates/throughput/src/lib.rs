@@ -16,9 +16,10 @@
 //!   virtual finish mark `fin = v + work`; its remaining work at any later
 //!   instant is `fin − v`, so a rate change *re-warps every activity at
 //!   once* without rewriting any per-activity state;
-//! * a binary min-heap keyed by `(fin, id)` (with an id → slot position
-//!   index for O(log n) removal) yields the next completion from the
-//!   root. Join, leave and next-completion are all O(log n).
+//! * a binary min-heap ordered by `(fin, id)` yields the next completion
+//!   from the root; `join` issues a handle whose dense position-table
+//!   slot locates the activity for O(log n) removal. Join, leave and
+//!   next-completion are all O(log n).
 //!
 //! [`NaiveEngine`] is the retained differential oracle: it stores the
 //! *same* `(v, rate, fin)` representation and evaluates the *same*
@@ -37,4 +38,4 @@ pub mod curve;
 pub mod engine;
 
 pub use curve::SharingCurve;
-pub use engine::{ticks_until, HeapEngine, NaiveEngine, SharingEngine};
+pub use engine::{ticks_until, HeapEngine, HeapHandle, NaiveEngine, SharingEngine};
