@@ -1,13 +1,11 @@
 //! PERF-6 — the end-to-end substrate benchmark gate.
 //!
 //! Runs a figure-scale sweep (3 policies × 3 synthetic distributions ×
-//! 3 seeds, 8-node cells) twice through the same parallel sweep harness:
-//! once on the slab-indexed substrate fast path with per-worker scratch
-//! recycling (`SubstrateMode::Fast`), once on the seed's map-keyed
-//! substrate (`SubstrateMode::Keyed` — `BTreeMap` lookups per event, Vec-allocating
-//! completion scans, aggregates recomputed by iteration). The keyed sweep
-//! is the honest pre-optimization cost floor; the fast sweep must beat it
-//! by ≥ 1.5× while staying **pin-for-pin identical** across every cell.
+//! 3 seeds, 8-node cells) through the parallel sweep harness on the
+//! slab-indexed substrate with per-worker scratch recycling
+//! (`SubstrateMode::Fast`) on one worker, and gates its **absolute**
+//! throughput: profiled offloads per second of wall time must stay at or
+//! above a fixed floor.
 //!
 //! The grid covers the three sharing-family policies (MCC, MCCK, and the
 //! clairvoyant oracle) on offload-dense jobs crammed ~20 deep per device
@@ -16,16 +14,15 @@
 //! keeps one resident per device, so its cells measure matchmaking (gated
 //! by `perf_negotiation`), not substrate state.
 //!
-//! Each side's time is its best of three sweeps, keyed and fast sweeps
-//! interleaved. Emits `BENCH_e2e.json` (under `target/experiments/` and at
-//! the repo root) and **fails** below the floor — a regression gate, not just a
-//! report. With `--features alloc-count` the gate also reports heap
-//! allocations per executed offload for the fast sweep (counted by the
-//! `phishare_bench::alloc_count` global allocator; the randomized
-//! fast/keyed bit-identity lives in `cluster/tests/prop_runtime_diff.rs`).
+//! The best of three sweeps counts. Emits `BENCH_e2e.json` (under `target/experiments/` and at the repo root) and
+//! **fails** below the floor — a regression gate, not just a report. With
+//! `--features alloc-count` the gate also reports heap allocations per
+//! executed offload (counted by the `phishare_bench::alloc_count` global
+//! allocator). The card itself is checked against a reference
+//! specification in `phi/tests/prop_device.rs`.
 
-use phishare_bench::{banner, best_of_ms, commit_gate, GateKnobs, EXPERIMENT_SEED, SYNTHETIC_JOBS};
-use phishare_cluster::{default_threads, run_sweep, ClusterConfig, SubstrateMode, SweepJob};
+use phishare_bench::{banner, commit_gate, GateKnobs, EXPERIMENT_SEED, SYNTHETIC_JOBS};
+use phishare_cluster::{run_sweep, ClusterConfig, SubstrateMode, SweepJob};
 use phishare_core::ClusterPolicy;
 use phishare_sim::SimDuration;
 use phishare_workload::{
@@ -33,6 +30,7 @@ use phishare_workload::{
 };
 use serde::Serialize;
 use std::sync::Arc;
+use std::time::Instant;
 
 const NODES: u32 = 8;
 const SEEDS: [u64; 3] = [EXPERIMENT_SEED, EXPERIMENT_SEED + 1, EXPERIMENT_SEED + 2];
@@ -46,7 +44,17 @@ const DISTS: [ResourceDist; 3] = [
     ResourceDist::Normal,
     ResourceDist::HighSkew,
 ];
-const SPEEDUP_FLOOR: f64 = 1.5;
+/// Sweep workers. The floor was measured with one, and a throughput
+/// floor only means something at the worker count it was measured at.
+const THREADS: usize = 1;
+/// Sweeps timed; the best reading counts.
+const RUNS: usize = 3;
+/// Profiled offloads per second of wall time on [`THREADS`] workers. The
+/// gate used to require 1.5× over a map-keyed copy of the substrate, whose
+/// last committed ratio was 2.675×: the floor keeps that margin, 1.5 /
+/// 2.675 of the 692 773 offloads/s measured (median of eight gate runs on
+/// a 2-core x86-64 host) when the copy was retired.
+const OFFLOADS_PER_S_FLOOR: f64 = 388_000.0;
 
 /// Offload-dense synthetic jobs: small footprints so sharing policies
 /// stack devices deep, 92–97% offload duty, and 256–512 kernel launches
@@ -66,8 +74,7 @@ fn gate_workload(dist: ResourceDist, count: usize, seed: u64) -> Arc<Workload> {
         WorkloadBuilder::new(WorkloadKind::Synthetic(dist, params))
             .count(count)
             .seed(seed)
-            // Brisk steady-state arrivals keep many jobs co-resident, so
-            // keyed aggregate recomputation pays its full O(residents).
+            // Brisk steady-state arrivals keep many jobs co-resident.
             .arrivals(ArrivalProcess::Poisson {
                 mean_gap: SimDuration::from_millis(400),
             })
@@ -77,7 +84,7 @@ fn gate_workload(dist: ResourceDist, count: usize, seed: u64) -> Arc<Workload> {
 
 /// Paper cluster with wider nodes (24 host slots) so devices actually run
 /// deep, and arrival-triggered negotiations batched at 10 s so cycle
-/// count — identical across substrates — stays a small share of the cell.
+/// count stays a small share of the cell.
 fn gate_config(policy: ClusterPolicy) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(NODES);
     cfg.slots_per_node = 24;
@@ -117,14 +124,12 @@ struct E2eBench {
     cells: usize,
     jobs_per_cell: usize,
     threads: usize,
-    keyed_runs: usize,
     fast_runs: usize,
-    /// Best-of-runs wall time of one keyed-substrate sweep, ms ("before").
-    keyed_ms: f64,
-    /// Best-of-runs wall time of one fast-substrate sweep, ms ("after").
+    /// Best-of-runs wall time of one sweep, ms.
     fast_ms: f64,
-    speedup: f64,
-    speedup_floor: f64,
+    /// `total_offloads` per second of `fast_ms`.
+    offloads_per_s: f64,
+    offloads_per_s_floor: f64,
     completed_total: usize,
     /// Profiled offload segments across all cells (upper bound on executed
     /// offloads; kills and host fallback can only reduce it).
@@ -153,16 +158,14 @@ fn allocation_count() -> Option<u64> {
 
 fn gate() -> E2eBench {
     let wls = workloads();
-    let threads = default_threads();
-
-    // Sanity first: every cell must agree pin-for-pin across substrates
-    // before timing means anything.
-    let fast = run_sweep(grid(&wls), threads, SubstrateMode::Fast);
-    let keyed = run_sweep(grid(&wls), threads, SubstrateMode::Keyed);
-    assert_eq!(fast.len(), keyed.len());
-    for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
-        assert_eq!(fl, kl, "cell order diverged");
-        assert_eq!(fr, kr, "substrates diverged on {fl}");
+    // Every sweep is deterministic, so the last one's results stand for all.
+    let (mut fast, mut fast_ms) = (Vec::new(), f64::INFINITY);
+    for _ in 0..RUNS {
+        let jobs = grid(&wls);
+        let start = Instant::now();
+        let results = run_sweep(jobs, THREADS, SubstrateMode::Fast);
+        fast_ms = fast_ms.min(start.elapsed().as_secs_f64() * 1e3);
+        fast = results;
     }
 
     let total_offloads: usize = POLICIES.len()
@@ -188,19 +191,9 @@ fn gate() -> E2eBench {
         .map(|(_, r)| r.as_ref().map(|r| r.negotiation_cycles).unwrap_or(0))
         .sum();
 
-    // Best of three on each side, keyed and fast runs interleaved, so a
-    // spell of host noise lands on both sides instead of one.
-    let runs = 3;
-    let (mut keyed_ms, mut fast_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..runs {
-        let sweep = |mode| best_of_ms(1, || (), |()| run_sweep(grid(&wls), threads, mode));
-        keyed_ms = keyed_ms.min(sweep(SubstrateMode::Keyed));
-        fast_ms = fast_ms.min(sweep(SubstrateMode::Fast));
-    }
-
     // Allocation census over one fast sweep (feature-gated).
     let allocs_per_offload = allocation_count().map(|before| {
-        run_sweep(grid(&wls), threads, SubstrateMode::Fast);
+        run_sweep(grid(&wls), THREADS, SubstrateMode::Fast);
         let delta = allocation_count().expect("feature on") - before;
         delta as f64 / total_offloads as f64
     });
@@ -209,13 +202,11 @@ fn gate() -> E2eBench {
         nodes: NODES,
         cells: fast.len(),
         jobs_per_cell: SYNTHETIC_JOBS,
-        threads,
-        keyed_runs: runs,
-        fast_runs: runs,
-        keyed_ms,
+        threads: THREADS,
+        fast_runs: RUNS,
         fast_ms,
-        speedup: keyed_ms / fast_ms,
-        speedup_floor: SPEEDUP_FLOOR,
+        offloads_per_s: total_offloads as f64 / (fast_ms / 1e3),
+        offloads_per_s_floor: OFFLOADS_PER_S_FLOOR,
         completed_total,
         total_offloads,
         allocs_per_offload,
@@ -223,7 +214,7 @@ fn gate() -> E2eBench {
         negotiation_cycles_total,
         knobs: GateKnobs {
             partitions: gate_config(ClusterPolicy::Mcck).partitions.max(1),
-            threads,
+            threads: THREADS,
             skip_quiescent: gate_config(ClusterPolicy::Mcck).skip_quiescent,
             match_path: "delta".into(),
         },
@@ -234,8 +225,10 @@ fn main() {
     banner(
         "perf_e2e",
         "the figure-scale sweeps behind §V (policies × distributions × seeds)",
-        "slab substrate + scratch recycling ≥ 1.5× faster than the keyed substrate, \
-         pin-for-pin identical sweeps",
+        &format!(
+            "the slab substrate sweeps at least {OFFLOADS_PER_S_FLOOR:.0} profiled \
+             offloads/s on {THREADS} worker"
+        ),
     );
 
     let result = gate();
@@ -244,8 +237,8 @@ fn main() {
         result.cells, result.nodes, result.jobs_per_cell, result.threads, result.completed_total
     );
     println!(
-        "keyed (best of {}): {:.1} ms   fast (best of {}): {:.1} ms   speedup: {:.2}x",
-        result.keyed_runs, result.keyed_ms, result.fast_runs, result.fast_ms, result.speedup
+        "fast (best of {}): {:.1} ms, {:.0} offloads/s",
+        result.fast_runs, result.fast_ms, result.offloads_per_s
     );
     if let Some(a) = result.allocs_per_offload {
         println!("allocations per profiled offload: {a:.2}");

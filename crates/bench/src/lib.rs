@@ -10,7 +10,8 @@
 //!
 //! | Target | Kind |
 //! |---|---|
-//! | `perf_negotiation`, `perf_negotiation_xl`, `perf_negotiation_xxl`, `perf_planning`, `perf_sim`, `perf_e2e`, `perf_throughput`, `perf_scale` | regression gates: each asserts bit-identity against an oracle, then a speedup floor, through [`commit_gate`] |
+//! | `perf_negotiation`, `perf_negotiation_xl`, `perf_negotiation_xxl`, `perf_planning`, `perf_sim`, `perf_throughput`, `perf_scale` | regression gates: each asserts bit-identity against an oracle, then a speedup floor, through [`commit_gate`] |
+//! | `perf_e2e` | regression gate: an absolute single-worker offloads/s floor, through [`commit_gate`] |
 //! | `perf_knapsack` | best-of-N timing table of the knapsack solvers (§IV-C complexity claim) |
 
 // `deny` rather than `forbid`: the opt-in `alloc_count` module needs one
@@ -86,10 +87,30 @@ pub fn best_of_ms<S, R>(
     best
 }
 
+/// A gate result's headline metric as `(name, value, floor)`: its one
+/// numeric `<name>_floor` field and the `<name>` field beside it —
+/// `speedup` on the ratio gates, `offloads_per_s` on `perf_e2e`.
+fn gate_metric(json: &serde_json::Value) -> Result<(String, f64, f64), String> {
+    let fields = json.as_object().ok_or("not a JSON object")?;
+    let mut floors = fields
+        .iter()
+        .filter_map(|(key, v)| Some((key.strip_suffix("_floor")?, v.as_f64()?)));
+    let (name, floor) = floors.next().ok_or("no numeric `<metric>_floor`")?;
+    if floors.next().is_some() {
+        return Err("more than one `<metric>_floor`".into());
+    }
+    let value = json
+        .get(name)
+        .and_then(serde_json::Value::as_f64)
+        .ok_or_else(|| format!("no numeric `{name}` beside `{name}_floor`"))?;
+    Ok((name.to_string(), value, floor))
+}
+
 /// Commit a perf gate's result: write `target/experiments/BENCH_<name>.json`
 /// and the repo-root `BENCH_<name>.json` (the copy committed alongside the
 /// code it measures, which the floor lint reads), then fail the gate with
-/// `regressed` if the result's `speedup` is below its `speedup_floor`.
+/// `regressed` if the result's metric is below its floor: its one
+/// numeric `<metric>_floor` field against the `<metric>` field beside it.
 pub fn commit_gate<T: Serialize>(name: &str, result: &T, regressed: &str) {
     let file = format!("BENCH_{name}");
     persist_json(&file, result);
@@ -101,15 +122,10 @@ pub fn commit_gate<T: Serialize>(name: &str, result: &T, regressed: &str) {
         Err(e) => eprintln!("warning: cannot write {path}: {e}"),
     }
     let json: serde_json::Value = serde_json::from_str(&pretty).expect("serialized JSON parses");
-    let field = |key: &str| {
-        json.get(key)
-            .and_then(serde_json::Value::as_f64)
-            .unwrap_or_else(|| panic!("{file} has no numeric `{key}`"))
-    };
-    let (speedup, floor) = (field("speedup"), field("speedup_floor"));
+    let (metric, value, floor) = gate_metric(&json).unwrap_or_else(|e| panic!("{file}: {e}"));
     assert!(
-        speedup >= floor,
-        "{regressed}: {speedup:.2}x < {floor:.1}x floor"
+        value >= floor,
+        "{regressed}: {metric} {value:.2} < {floor:.2} floor"
     );
 }
 
@@ -208,8 +224,8 @@ mod tests {
     }
 
     /// Committed bench results must clear their own floors. Every perf gate
-    /// writes a `BENCH_*.json` copy at the repo root with `speedup` and
-    /// `speedup_floor` fields through [`commit_gate`]; a stale file whose
+    /// writes a `BENCH_*.json` copy at the repo root with a metric and its
+    /// floor through [`commit_gate`]; a stale file whose
     /// numbers no longer clear the floor fails here without re-running the
     /// (slow) gate itself, and so does a gate whose file is missing.
     #[test]
@@ -230,17 +246,12 @@ mod tests {
                 .unwrap_or_else(|e| panic!("cannot read {name}: {e}"));
             let json: serde_json::Value = serde_json::from_str(&text)
                 .unwrap_or_else(|e| panic!("{name} is not valid JSON: {e}"));
-            let (Some(speedup), Some(floor)) = (
-                json.get("speedup").and_then(serde_json::Value::as_f64),
-                json.get("speedup_floor")
-                    .and_then(serde_json::Value::as_f64),
-            ) else {
-                panic!("{name} has no numeric `speedup` and `speedup_floor`");
-            };
+            let (metric, value, floor) =
+                gate_metric(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(
-                speedup >= floor,
-                "{name} is stale: committed speedup {speedup:.2}x \
-                 is below its own floor {floor:.2}x — re-run the gate"
+                value >= floor,
+                "{name} is stale: committed {metric} {value:.2} \
+                 is below its own floor {floor:.2} — re-run the gate"
             );
             // Gated results must also record what they ran with: floors
             // are only comparable against a known knob configuration.

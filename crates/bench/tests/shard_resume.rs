@@ -133,10 +133,10 @@ fn sharded_sweep_matches_in_process() {
 }
 
 #[test]
-fn sharded_sweep_matches_in_process_on_keyed_substrate() {
+fn sharded_sweep_matches_in_process_on_shared_substrate() {
     let jobs = grid(30, 3, &[2, 4]);
-    let sharded = run_sweep_sharded(jobs, &opts(3, SubstrateMode::Keyed, None)).unwrap();
-    let in_process = run_sweep(grid(30, 3, &[2, 4]), 1, SubstrateMode::Keyed);
+    let sharded = run_sweep_sharded(jobs, &opts(3, SubstrateMode::Shared, None)).unwrap();
+    let in_process = run_sweep(grid(30, 3, &[2, 4]), 1, SubstrateMode::Shared);
     assert_identical(&sharded, &in_process);
 }
 
@@ -222,7 +222,11 @@ proptest! {
         jobs in prop::sample::select(vec![15usize, 25, 40]),
         seed in 1u64..50,
         workers in 1usize..4,
-        substrate in prop::sample::select(vec![SubstrateMode::Fast, SubstrateMode::Keyed]),
+        substrate in prop::sample::select(vec![
+            SubstrateMode::Fast,
+            SubstrateMode::Shared,
+            SubstrateMode::SharedNaive,
+        ]),
     ) {
         let sizes = [2u32, 3];
         let sharded =

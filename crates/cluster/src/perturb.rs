@@ -41,9 +41,10 @@ use serde::{Deserialize, Serialize};
 
 /// Thermal throttling: while a window is open, every execution rate on the
 /// struck card is multiplied by `factor` — after the per-offload
-/// `PerfModel` rates on the Phi substrates and on the `SharingCurve` output
-/// on the shared substrates, so both members of each oracle pair degrade
-/// through identical IEEE operations.
+/// `PerfModel` rates on the Phi substrate and on the `SharingCurve` output
+/// on the shared substrates, so the shared oracle pair, and the Phi card
+/// and its reference specification, degrade through identical IEEE
+/// operations.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DerateSpec {
     /// Mean gap between windows per card, in seconds. `0` disables.

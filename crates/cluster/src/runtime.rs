@@ -68,11 +68,9 @@ use crate::trace::{KillReason, Trace, TraceEvent};
 use phishare_condor::attrs;
 use phishare_condor::{Collector, JobQueue, Negotiator, SlotId, Startd};
 use phishare_core::{ClusterPolicy, ClusterScheduler, DeviceView, PendingJob, Pin};
-use phishare_cosmic::{
-    Admission, ContainerVerdict, CosmicDevice, CosmicSubstrate, KeyedCosmicDevice, OffloadGrant,
-};
+use phishare_cosmic::{Admission, ContainerVerdict, CosmicDevice, CosmicSubstrate, OffloadGrant};
 use phishare_phi::{
-    Affinity, CommitOutcome, DeviceSubstrate, KeyedPhiDevice, NaiveSharedDevice, PhiDevice, ProcId,
+    Affinity, CommitOutcome, DeviceSubstrate, NaiveSharedDevice, PhiDevice, ProcId,
     SharedThroughputDevice,
 };
 use phishare_sim::{DetRng, EventQueue, Sim, SimDuration, SimTime, Summary};
@@ -130,19 +128,18 @@ enum EventMode {
 /// Which per-device state store backs a run (see [`phishare_phi::substrate`]
 /// and [`phishare_cosmic::substrate`]).
 ///
-/// `Fast`/`Keyed` must produce bit-identical [`ExperimentResult`]s and
-/// traces, as must `Shared`/`SharedNaive`; each oracle exists to prove
-/// that and to serve as the cost floor for its bench gate (`perf_e2e`,
-/// `perf_throughput`). The per-offload pair and the shared-throughput
-/// pair model *different physics* (two-rate affinity model vs one
-/// fair-shared curve rate), so results are only comparable within a pair.
+/// `Shared`/`SharedNaive` must produce bit-identical [`ExperimentResult`]s
+/// and traces; the naive engine exists to prove that and to serve as the
+/// cost floor of the `perf_throughput` gate. `Fast`'s card is checked
+/// against a test-only reference specification at the device layer
+/// (`phi/tests/prop_device.rs`). `Fast` and the shared pair model
+/// *different physics* (two-rate affinity model vs one fair-shared curve
+/// rate), so their results are not comparable with each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubstrateMode {
     /// Generation-stamped slab storage with handle-indexed hot paths
     /// (production).
     Fast,
-    /// The seed's `BTreeMap`-keyed storage (differential oracle).
-    Keyed,
     /// Fair-shared throughput devices on the heap-scheduled O(log n)
     /// engine, with the node pool's degradation curves (production for
     /// heterogeneous SKU runs).
@@ -158,11 +155,10 @@ impl std::str::FromStr for SubstrateMode {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "fast" => Ok(SubstrateMode::Fast),
-            "keyed" => Ok(SubstrateMode::Keyed),
             "shared" => Ok(SubstrateMode::Shared),
             "shared-naive" => Ok(SubstrateMode::SharedNaive),
             other => Err(format!(
-                "unknown substrate '{other}' (expected fast, keyed, shared or shared-naive)"
+                "unknown substrate '{other}' (expected fast, shared or shared-naive)"
             )),
         }
     }
@@ -174,7 +170,6 @@ impl std::fmt::Display for SubstrateMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             SubstrateMode::Fast => "fast",
-            SubstrateMode::Keyed => "keyed",
             SubstrateMode::Shared => "shared",
             SubstrateMode::SharedNaive => "shared-naive",
         })
@@ -288,7 +283,7 @@ struct JobRecord<DH, CH> {
 /// let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix).count(40).build();
 /// let plan = FaultPlan::empty();
 /// let (result, trace) = Experiment::new(&cfg, &wl)
-///     .substrate(SubstrateMode::Keyed)
+///     .substrate(SubstrateMode::Shared)
 ///     .faults(&plan)
 ///     .simulate_traced()?;
 /// # Ok::<(), String>(())
@@ -319,8 +314,8 @@ impl<'a> Experiment<'a> {
         }
     }
 
-    /// Run on an explicitly chosen device/COSMIC substrate. The oracle
-    /// pairs (`Fast`/`Keyed`, `Shared`/`SharedNaive`) are bit-identical.
+    /// Run on an explicitly chosen device substrate. The oracle pair
+    /// `Shared`/`SharedNaive` is bit-identical.
     pub fn substrate(mut self, substrate: SubstrateMode) -> Self {
         self.substrate = substrate;
         self
@@ -402,9 +397,6 @@ impl<'a> Experiment<'a> {
         };
         match substrate {
             SubstrateMode::Fast => Self::run_inner::<PhiDevice, CosmicDevice>(
-                config, workload, plan, perturbs, traced, mode, scratch,
-            ),
-            SubstrateMode::Keyed => Self::run_inner::<KeyedPhiDevice, KeyedCosmicDevice>(
                 config, workload, plan, perturbs, traced, mode, scratch,
             ),
             SubstrateMode::Shared => Self::run_inner::<SharedThroughputDevice, CosmicDevice>(
@@ -2552,61 +2544,6 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn keyed_substrate_matches_fast_substrate() {
-        let wl = small_workload(40, 31);
-        for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
-            let cfg = fast_config(policy);
-            let fast = Experiment::run(&cfg, &wl).unwrap();
-            let keyed = Experiment::new(&cfg, &wl)
-                .substrate(SubstrateMode::Keyed)
-                .simulate()
-                .unwrap();
-            assert_eq!(fast, keyed, "{policy}: substrates diverged");
-        }
-    }
-
-    #[test]
-    fn keyed_substrate_matches_fast_substrate_under_faults() {
-        let wl = small_workload(25, 33);
-        let plan = FaultPlan {
-            events: vec![
-                FaultEvent {
-                    kind: FaultKind::DeviceReset,
-                    node: 2,
-                    device: 0,
-                    at: SimTime::from_secs(4),
-                    downtime: SimDuration::from_secs(25),
-                },
-                FaultEvent {
-                    kind: FaultKind::NodeChurn,
-                    node: 1,
-                    device: 0,
-                    at: SimTime::from_secs(9),
-                    downtime: SimDuration::from_secs(45),
-                },
-            ],
-        };
-        for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
-            let cfg = fast_config(policy);
-            let (fast, fast_trace) = Experiment::new(&cfg, &wl)
-                .faults(&plan)
-                .substrate(SubstrateMode::Fast)
-                .simulate_traced()
-                .unwrap();
-            let (keyed, keyed_trace) = Experiment::new(&cfg, &wl)
-                .faults(&plan)
-                .substrate(SubstrateMode::Keyed)
-                .simulate_traced()
-                .unwrap();
-            assert_eq!(fast, keyed, "{policy}: fault metrics diverged");
-            assert_eq!(
-                fast_trace.events, keyed_trace.events,
-                "{policy}: fault traces diverged"
-            );
-        }
-    }
-
-    #[test]
     fn shared_substrate_matches_naive_shared_oracle() {
         let wl = small_workload(40, 31);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
@@ -2833,7 +2770,7 @@ mod tests {
     }
 
     #[test]
-    fn perturbed_runs_match_across_substrate_pairs() {
+    fn perturbed_runs_match_across_shared_engines() {
         let wl = small_workload(25, 47);
         for policy in [ClusterPolicy::Mc, ClusterPolicy::Mcc, ClusterPolicy::Mcck] {
             let cfg = chaos_config(policy);
@@ -2846,13 +2783,6 @@ mod tests {
                     .perturbs(&perturbs)
                     .simulate_traced()
             };
-            let (fast, fast_trace) = run(SubstrateMode::Fast).unwrap();
-            let (keyed, keyed_trace) = run(SubstrateMode::Keyed).unwrap();
-            assert_eq!(fast, keyed, "{policy}: fast/keyed diverged under chaos");
-            assert_eq!(
-                fast_trace.events, keyed_trace.events,
-                "{policy}: fast/keyed traces diverged under chaos"
-            );
             let (shared, shared_trace) = run(SubstrateMode::Shared).unwrap();
             let (naive, naive_trace) = run(SubstrateMode::SharedNaive).unwrap();
             assert_eq!(

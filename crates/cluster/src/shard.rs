@@ -210,11 +210,17 @@ pub fn write_manifest(dir: &Path, manifest: &ShardManifest) -> Result<(), String
     write_json_file(&path, &header)
 }
 
-fn load_header(dir: &Path) -> Result<ManifestHeader, String> {
+/// Read `manifest.json` and parse its substrate, refusing one this build
+/// cannot run (a checkpoint written by an older build may name a retired
+/// one).
+fn load_header(dir: &Path) -> Result<(ManifestHeader, SubstrateMode), String> {
     let path = manifest_path(dir);
     let text =
         fs::read_to_string(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("bad manifest {}: {e}", path.display()))
+    let header: ManifestHeader =
+        serde_json::from_str(&text).map_err(|e| format!("bad manifest {}: {e}", path.display()))?;
+    let substrate = SubstrateMode::from_str(&header.substrate)?;
+    Ok((header, substrate))
 }
 
 fn load_workload(dir: &Path, index: usize) -> Result<Workload, String> {
@@ -228,7 +234,7 @@ fn load_workload(dir: &Path, index: usize) -> Result<Workload, String> {
 /// bodies included. Workers don't use this — they load the header and then
 /// only the workloads behind cells they claim.
 pub fn load_manifest(dir: &Path) -> Result<ShardManifest, String> {
-    let header = load_header(dir)?;
+    let (header, _) = load_header(dir)?;
     let workloads = (0..header.workloads)
         .map(|idx| load_workload(dir, idx))
         .collect::<Result<Vec<_>, _>>()?;
@@ -353,8 +359,7 @@ pub(crate) fn run_worker(
     worker_id: usize,
     partitions: Option<usize>,
 ) -> Result<usize, String> {
-    let header = load_header(dir)?;
-    let substrate = SubstrateMode::from_str(&header.substrate)?;
+    let (header, substrate) = load_header(dir)?;
 
     let own_log = log_path(dir, worker_id);
     repair_log(&own_log)?;
@@ -495,7 +500,7 @@ pub fn worker_main(args: &[String]) -> Result<usize, String> {
 /// collector — a duplicate index or a missing cell is a hard error, so a
 /// successful merge proves each cell ran exactly once.
 pub fn merge_results(dir: &Path) -> Result<Vec<SweepOutcome>, String> {
-    let header = load_header(dir)?;
+    let (header, _) = load_header(dir)?;
     let mut slots = OrderedSlots::new(header.cells.len());
     for record in scan_all_logs(dir)? {
         let (idx, outcome) = record_outcome(record)?;
@@ -703,8 +708,8 @@ mod tests {
     fn manifest_round_trips() {
         let dir = temp_dir("roundtrip");
         let jobs = grid();
-        let manifest = build_manifest(&jobs, SubstrateMode::Keyed);
-        assert_eq!(manifest.substrate, "keyed");
+        let manifest = build_manifest(&jobs, SubstrateMode::Shared);
+        assert_eq!(manifest.substrate, "shared");
         assert_eq!(manifest.workloads.len(), 1, "shared workload deduped");
         write_manifest(&dir, &manifest).unwrap();
         // The on-disk layout splits workload bodies out of the cell
@@ -862,7 +867,7 @@ mod tests {
     fn resume_verifies_grid_shape() {
         let manifest = build_manifest(&grid(), SubstrateMode::Fast);
         let mut other = manifest.clone();
-        other.substrate = "keyed".to_string();
+        other.substrate = "shared".to_string();
         assert!(verify_manifest(&manifest, &other)
             .unwrap_err()
             .contains("substrate"));
@@ -877,5 +882,27 @@ mod tests {
             .unwrap_err()
             .contains("cell 1"));
         assert!(verify_manifest(&manifest, &manifest.clone()).is_ok());
+    }
+
+    #[test]
+    fn retired_substrate_in_manifest_is_refused() {
+        let dir = temp_dir("retired");
+        write_manifest(&dir, &build_manifest(&grid(), SubstrateMode::Fast)).unwrap();
+        let path = manifest_path(&dir);
+        let text = fs::read_to_string(&path).unwrap();
+        let text = text.replacen("\"substrate\":\"fast\"", "\"substrate\":\"keyed\"", 1);
+        fs::write(&path, text).unwrap();
+        let expected = "unknown substrate 'keyed' (expected fast, shared or shared-naive)";
+        assert_eq!(run_worker(&dir, 0, None).unwrap_err(), expected);
+        let resume = ShardOptions {
+            workers: 1,
+            worker_exe: PathBuf::from("never-spawned"),
+            dir: Some(dir.clone()),
+            resume: true,
+            keep_dir: true,
+            substrate: SubstrateMode::Fast,
+        };
+        assert_eq!(run_sweep_sharded(grid(), &resume).unwrap_err(), expected);
+        fs::remove_dir_all(&dir).unwrap();
     }
 }

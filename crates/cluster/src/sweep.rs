@@ -236,12 +236,12 @@ mod tests {
     }
 
     #[test]
-    fn keyed_sweep_matches_fast_sweep() {
-        let fast = run_sweep(grid(), 3, SubstrateMode::Fast);
-        let keyed = run_sweep(grid(), 3, SubstrateMode::Keyed);
-        for ((fl, fr), (kl, kr)) in fast.iter().zip(keyed.iter()) {
-            assert_eq!(fl, kl);
-            assert_eq!(fr, kr, "substrates diverged on {fl}");
+    fn naive_shared_sweep_matches_shared_sweep() {
+        let shared = run_sweep(grid(), 3, SubstrateMode::Shared);
+        let naive = run_sweep(grid(), 3, SubstrateMode::SharedNaive);
+        for ((sl, sr), (nl, nr)) in shared.iter().zip(naive.iter()) {
+            assert_eq!(sl, nl);
+            assert_eq!(sr, nr, "substrates diverged on {sl}");
         }
     }
 

@@ -272,52 +272,6 @@ proptest! {
         }
     }
 
-    /// The slab-backed state substrate (generation-stamped handles, dense
-    /// slots) must be bit-identical to the seed's map-keyed substrate over
-    /// whole simulations — metrics, traces and audits — including under
-    /// fault injection, where device resets invalidate every handle on the
-    /// card and OOM kills remove processes out from under the runtime.
-    #[test]
-    fn fast_and_keyed_substrates_are_bit_identical_end_to_end(
-        policy in arb_policy(),
-        nodes in 2u32..=4,
-        jobs in 8usize..=24,
-        seed in 0u64..500,
-        misbehaving in prop_oneof![Just(0.0f64), Just(0.3)],
-        with_faults in any::<bool>(),
-    ) {
-        let wl = WorkloadBuilder::new(WorkloadKind::Table1Mix)
-            .count(jobs)
-            .seed(seed)
-            .misbehaving_fraction(misbehaving)
-            .build();
-        let mut cfg = ClusterConfig::paper_cluster(policy).with_nodes(nodes);
-        cfg.knapsack.window = 64;
-        let plan = if with_faults {
-            cfg.faults.device_mtbf_secs = 120.0;
-            cfg.faults.node_mtbf_secs = 400.0;
-            cfg.faults.horizon_secs = 500.0;
-            FaultPlan::generate(&cfg)
-        } else {
-            FaultPlan::empty()
-        };
-
-        let run = |mode| Experiment::new(&cfg, &wl).substrate(mode).faults(&plan).simulate_traced();
-        let fast = run(SubstrateMode::Fast);
-        let keyed = run(SubstrateMode::Keyed);
-        match (fast, keyed) {
-            (Ok((fr, ft)), Ok((kr, kt))) => {
-                prop_assert_eq!(&fr, &kr, "metrics diverged across substrates");
-                prop_assert_eq!(&ft.events, &kt.events, "traces diverged across substrates");
-                let fa = audit(&cfg, &wl, &fr, &ft);
-                prop_assert!(fa.is_empty(), "fast-substrate run failed its audit: {:?}", fa);
-            }
-            (fast, keyed) => {
-                prop_assert_eq!(fast.map(|(r, _)| r), keyed.map(|(r, _)| r));
-            }
-        }
-    }
-
     /// Recycling one worker's scratch buffers across an arbitrary sequence
     /// of cells never perturbs any cell's result: each run through a dirty
     /// scratch equals a fresh run of the same cell.

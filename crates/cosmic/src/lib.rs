@@ -19,19 +19,18 @@
 //! start and *where* its threads go; the owning runtime applies those
 //! decisions to the [`phishare_phi::PhiDevice`].
 //!
-//! Both middleware layouts — the slab-backed [`CosmicDevice`] and its keyed
-//! oracle [`KeyedCosmicDevice`] — are driven through one operation API, the
-//! [`CosmicSubstrate`] trait in [`substrate`], which the cluster runtime is
-//! generic over.
+//! The slab-backed [`CosmicDevice`] is driven through one operation API,
+//! the [`CosmicSubstrate`] trait in [`substrate`], which the cluster
+//! runtime is generic over. It is checked against `ReferenceCosmic`
+//! (`tests/reference/`), a test-only restatement of the admission rules
+//! written against the public API alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod keyed;
 pub mod middleware;
 pub mod substrate;
 
-pub use keyed::KeyedCosmicDevice;
 pub use middleware::{
     Admission, ContainerVerdict, CosmicConfig, CosmicDevice, JobSlot, OffloadGrant, OffloadPolicy,
 };

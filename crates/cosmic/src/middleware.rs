@@ -10,8 +10,8 @@
 //! small `JobId → JobSlot` index is maintained only at register/unregister
 //! (departures and queued requests are id-keyed), and aggregate sums
 //! (active threads, declared memory/threads) are kept incrementally —
-//! integer-exact mirrors of what the keyed oracle
-//! ([`crate::keyed::KeyedCosmicDevice`]) recomputes per call. Grants are
+//! integer-exact mirrors of what the reference specification
+//! (`tests/reference/`) recomputes per call. Grants are
 //! appended into a caller-recycled buffer, so the runtime's offload hot
 //! loop completes/admits without allocating.
 
@@ -145,7 +145,7 @@ pub struct CosmicDevice {
     index: BTreeMap<JobId, JobSlot>,
     waiting: VecDeque<Waiting>,
     // Incrementally-maintained aggregates (integer-exact mirrors of the
-    // keyed substrate's per-call recomputations).
+    // reference specification's per-call recomputations).
     active_threads_total: u32,
     declared_mb_total: u64,
     declared_threads_total: u32,

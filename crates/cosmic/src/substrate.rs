@@ -2,21 +2,17 @@
 //! layouts implement.
 //!
 //! The cluster runtime drives each card's middleware through
-//! [`CosmicSubstrate`] and is generic over it. Two layouts implement it,
-//! each in its own module, and the trait impl is the only way to mutate
-//! either:
+//! [`CosmicSubstrate`] and is generic over it. The slab-backed
+//! [`CosmicDevice`](crate::CosmicDevice) implements it, and the trait impl
+//! is the only way to mutate it: a job's [`JobSlot`](crate::JobSlot) is
+//! resolved once, at registration; admission, completion and container
+//! checks are then array-indexed, and grants go into a caller-recycled
+//! buffer.
 //!
-//! * [`CosmicDevice`](crate::CosmicDevice) — generation-stamped slab
-//!   storage. A job's [`JobSlot`](crate::JobSlot) is resolved once, at
-//!   registration; admission, completion and container checks are then
-//!   array-indexed, and grants go into a caller-recycled buffer.
-//! * [`KeyedCosmicDevice`](crate::KeyedCosmicDevice) — the seed's
-//!   `BTreeMap`-keyed copy, retained as a differential oracle: every
-//!   operation pays a map lookup and the grant paths build a fresh `Vec`.
-//!
-//! Both must agree bit-for-bit on every admission decision and grant
-//! (`cosmic/tests/prop_cosmic.rs`, plus the runtime-level differential
-//! proptests).
+//! `cosmic/tests/prop_cosmic.rs` runs it in lockstep against
+//! `ReferenceCosmic` (`cosmic/tests/reference/`), a test-only restatement
+//! of the admission rules on plain maps, and both must agree bit-for-bit
+//! on every admission decision and grant.
 
 use crate::middleware::{Admission, ContainerVerdict, CosmicConfig, OffloadGrant};
 use phishare_phi::PhiConfig;

@@ -1,16 +1,19 @@
 //! Property tests for COSMIC admission control: under arbitrary offload
 //! request/complete/unregister sequences, the middleware never admits more
 //! than the hardware's thread or core capacity, and (under FIFO) never
-//! starves the queue head.
+//! starves the queue head; and it agrees bit-for-bit with
+//! [`ReferenceCosmic`], the specification in `reference/`.
+
+mod reference;
 
 use phishare_cosmic::{
-    Admission, CosmicConfig, CosmicDevice, CosmicSubstrate, KeyedCosmicDevice, OffloadGrant,
-    OffloadPolicy,
+    Admission, CosmicConfig, CosmicDevice, CosmicSubstrate, OffloadGrant, OffloadPolicy,
 };
 use phishare_phi::PhiConfig;
 use phishare_sim::{SimDuration, SimTime};
 use phishare_workload::JobId;
 use proptest::prelude::*;
+use reference::ReferenceCosmic;
 use std::collections::BTreeSet;
 
 /// Grants a departure unblocked.
@@ -181,14 +184,14 @@ proptest! {
         prop_assert_eq!(cosmic.queue_len(), 0);
     }
 
-    /// Differential oracle: the slab-backed fast middleware and the
-    /// map-backed keyed middleware, driven through their one operation API
-    /// by the identical operation sequence, must agree bit-for-bit on every
+    /// Differential check: the slab-backed middleware and the reference
+    /// specification, driven through their one operation API by the
+    /// identical operation sequence, must agree bit-for-bit on every
     /// admission decision, every unblocked grant (content *and* order —
     /// grant order decides which job starts first on the device), all
     /// aggregate accounting and the queue-wait statistics.
     #[test]
-    fn fast_and_keyed_middleware_are_bit_identical(
+    fn middleware_matches_the_reference_specification(
         ops in prop::collection::vec(arb_op(), 1..100),
         backfill in any::<bool>(),
     ) {
@@ -200,17 +203,18 @@ proptest! {
     }
 }
 
-/// Drive both layouts through `ops` in lockstep via the trait; every
-/// observable must agree bit-for-bit after every step.
+/// Drive the middleware and the specification through `ops` in lockstep
+/// via the trait; every observable must agree bit-for-bit after every
+/// step.
 fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
     let phi = PhiConfig::default();
     let mut fast = CosmicDevice::create(cfg, &phi);
-    let mut keyed = KeyedCosmicDevice::create(cfg, &phi);
+    let mut spec = ReferenceCosmic::create(cfg, &phi);
     let handles: Vec<_> = (0..8u64)
         .map(|j| {
             (
                 fast.register(JobId(j), 500 + j, 240),
-                keyed.register(JobId(j), 500 + j, 240),
+                spec.register(JobId(j), 500 + j, 240),
             )
         })
         .collect();
@@ -231,11 +235,11 @@ fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
                     continue;
                 }
                 requested.insert(job);
-                let (hf, hk) = handles[job as usize];
+                let (hf, hs) = handles[job as usize];
                 let w = SimDuration::from_secs(work_secs);
                 let f = fast.request_offload(now, hf, cores * 4, w);
-                let k = keyed.request_offload(now, hk, cores * 4, w);
-                prop_assert_eq!(&f, &k);
+                let r = spec.request_offload(now, hs, cores * 4, w);
+                prop_assert_eq!(&f, &r);
                 if matches!(f, Admission::Started(_)) {
                     active.insert(job);
                 }
@@ -244,9 +248,9 @@ fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
                 if let Some(&job) = active.iter().next() {
                     active.remove(&job);
                     requested.remove(&job);
-                    let (hf, hk) = handles[job as usize];
+                    let (hf, hs) = handles[job as usize];
                     let fg = complete(&mut fast, now, hf);
-                    prop_assert_eq!(&fg, &complete(&mut keyed, now, hk));
+                    prop_assert_eq!(&fg, &complete(&mut spec, now, hs));
                     for grant in fg {
                         active.insert(grant.job.raw());
                     }
@@ -255,7 +259,7 @@ fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
             Op::Unregister { job } => {
                 if registered.remove(&job) {
                     let fg = unregister(&mut fast, now, job);
-                    prop_assert_eq!(&fg, &unregister(&mut keyed, now, job));
+                    prop_assert_eq!(&fg, &unregister(&mut spec, now, job));
                     for grant in fg {
                         active.insert(grant.job.raw());
                     }
@@ -265,47 +269,44 @@ fn lockstep(cfg: CosmicConfig, ops: Vec<Op>) -> Result<(), TestCaseError> {
             }
         }
         // --- every observable agrees, bit-for-bit ---
-        prop_assert_eq!(fast.registered_jobs(), keyed.registered_jobs());
+        prop_assert_eq!(fast.registered_jobs(), spec.registered_jobs());
         prop_assert_eq!(fast.registered_jobs(), registered.len());
-        prop_assert_eq!(fast.active_threads(), keyed.active_threads());
-        prop_assert_eq!(fast.queue_len(), keyed.queue_len());
-        prop_assert_eq!(
-            fast.registered_declared_mb(),
-            keyed.registered_declared_mb()
-        );
+        prop_assert_eq!(fast.active_threads(), spec.active_threads());
+        prop_assert_eq!(fast.queue_len(), spec.queue_len());
+        prop_assert_eq!(fast.registered_declared_mb(), spec.registered_declared_mb());
         prop_assert_eq!(
             fast.registered_declared_threads(),
-            keyed.registered_declared_threads()
+            spec.registered_declared_threads()
         );
-        prop_assert_eq!(fast.queued_total, keyed.queued_total);
-        prop_assert_eq!(fast.queue_wait_count(), keyed.queue_wait_count());
+        prop_assert_eq!(fast.queued_total, spec.queued_total);
+        prop_assert_eq!(fast.queue_wait_count(), spec.queue_wait_count());
         if fast.queue_wait_count() > 0 {
             prop_assert_eq!(
                 fast.queue_wait_mean().to_bits(),
-                keyed.queue_wait_mean().to_bits()
+                spec.queue_wait_mean().to_bits()
             );
             prop_assert_eq!(
                 fast.queue_wait.max().to_bits(),
-                keyed.queue_wait.max().to_bits()
+                spec.queue_wait.max().to_bits()
             );
         }
         // Container verdicts agree for every registered job.
         for &j in &registered {
-            let (hf, hk) = handles[j as usize];
+            let (hf, hs) = handles[j as usize];
             for mb in [505, 506, 507] {
-                prop_assert_eq!(fast.on_commit(hf, mb), keyed.on_commit(hk, mb));
+                prop_assert_eq!(fast.on_commit(hf, mb), spec.on_commit(hs, mb));
             }
         }
     }
 
-    // A reset leaves both substrates equally empty with stats intact.
+    // A reset leaves both equally empty with stats intact.
     fast.reset();
-    keyed.reset();
+    spec.reset();
     prop_assert_eq!(fast.registered_jobs(), 0);
-    prop_assert_eq!(keyed.registered_jobs(), 0);
+    prop_assert_eq!(spec.registered_jobs(), 0);
     prop_assert_eq!(fast.active_threads(), 0);
-    prop_assert_eq!(keyed.active_threads(), 0);
-    prop_assert_eq!(fast.queued_total, keyed.queued_total);
-    prop_assert_eq!(fast.queue_wait_count(), keyed.queue_wait_count());
+    prop_assert_eq!(spec.active_threads(), 0);
+    prop_assert_eq!(fast.queued_total, spec.queued_total);
+    prop_assert_eq!(fast.queue_wait_count(), spec.queue_wait_count());
     Ok(())
 }

@@ -18,12 +18,13 @@
 //! ([`phishare_sim::Slab`]): a [`ProcSlot`] handle is resolved once at
 //! [`DeviceSubstrate::attach`], and every later operation is an array index.
 //! A small `ProcId → ProcSlot` index, touched only when membership changes,
-//! gives OOM victim draws and completion visits the keyed oracle's
-//! ascending-id order. The aggregates the keyed oracle recomputes by
-//! iteration are kept incrementally; they are integer-valued, so they are
-//! *identical* to the recomputed ones, which is what lets the differential
-//! proptests demand bit-equal results against
-//! [`KeyedPhiDevice`](crate::keyed::KeyedPhiDevice).
+//! gives OOM victim draws and completion visits ascending-id order. The
+//! aggregates a map-backed card would recompute by iteration are kept
+//! incrementally; they are integer-valued, so they are *identical* to the
+//! recomputed ones, which is what lets the lockstep proptest demand
+//! bit-equal results against `ReferenceCard` (`tests/reference/`), the
+//! test-only specification that recomputes every offload's rate at each
+//! step.
 
 use crate::alloc::CoreSet;
 use crate::config::PhiConfig;
@@ -258,7 +259,7 @@ pub struct Card<R: RateModel> {
     last_update: SimTime,
     generation: u64,
     // Incrementally-maintained aggregates (integer-exact mirrors of the
-    // keyed substrate's per-call recomputations).
+    // reference specification's per-call recomputations).
     committed_total: u64,
     declared_total: u64,
     declared_threads_total: u32,
@@ -455,7 +456,7 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
         let mut killed = Vec::new();
         while self.committed_total > self.cfg.usable_mem_mb() {
             // Uniform victim over residents in ascending-id order — the
-            // exact index stream the keyed oracle draws.
+            // exact index stream the reference specification draws.
             let n = self.index.len();
             let victim = *self
                 .index
@@ -497,7 +498,7 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
         if let Affinity::Pinned(set) = affinity {
             // Active pinned sets are pairwise disjoint, so overlapping any
             // of them is overlapping their union: one mask test replaces
-            // the keyed substrate's scan over every active offload.
+            // a scan over every active offload.
             assert!(
                 set.is_disjoint(self.pinned_union),
                 "pinned cores for {proc} overlap another offload"

@@ -30,11 +30,11 @@
 //! [`PhiDevice`] runs the paper's two-rate [`PerfModel`] ([`PerfRates`](perf::PerfRates));
 //! [`SharedThroughputDevice`] and [`NaiveSharedDevice`] run one fair-shared
 //! [`SharingCurve`] rate ([`FairShare`]) on the heap engine and on its
-//! recompute-all oracle. [`KeyedPhiDevice`] is an independent map-backed
-//! specification of the per-offload model, kept as a differential oracle.
-//! Every model is driven through one operation API, the
+//! recompute-all oracle. Every model is driven through one operation API, the
 //! [`DeviceSubstrate`] trait in [`substrate`], which the cluster runtime is
-//! generic over.
+//! generic over. `PhiDevice` is checked against `ReferenceCard`
+//! (`tests/reference/`), a test-only restatement of the paper's rate rule
+//! written against the public API alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,6 @@
 pub mod alloc;
 pub mod config;
 pub mod device;
-pub mod keyed;
 pub mod perf;
 pub mod proc;
 pub mod sharing;
@@ -51,7 +50,6 @@ pub mod substrate;
 pub use alloc::{CoreAllocator, CoreSet};
 pub use config::PhiConfig;
 pub use device::{Affinity, Card, CommitOutcome, PhiDevice, ProcSlot};
-pub use keyed::KeyedPhiDevice;
 pub use perf::PerfModel;
 pub use phishare_throughput::SharingCurve;
 pub use proc::ProcId;

@@ -124,30 +124,6 @@ impl PerfModel {
         let unmanaged = (1.0 / (oversub * conflict * sharing)).max(self.min_rate);
         (pinned, unmanaged)
     }
-
-    /// Rewrite every active offload's rate from device-wide aggregates —
-    /// the keyed oracle's reschedule body.
-    ///
-    /// `offloads` yields `(is_pinned, rate_slot)` per active offload; a
-    /// no-op when `n_active == 0` (idle devices keep stale rates, as the
-    /// slab card's rate rule below does).
-    pub(crate) fn reshare_rates<'a>(
-        &self,
-        n_active: usize,
-        n_resident: usize,
-        active_threads: u32,
-        hw_threads: u32,
-        offloads: impl Iterator<Item = (bool, &'a mut f64)>,
-    ) {
-        if n_active == 0 {
-            return;
-        }
-        let (rate_pinned, rate_unmanaged) =
-            self.offload_rates(n_active, n_resident, active_threads, hw_threads);
-        for (pinned, rate) in offloads {
-            *rate = if pinned { rate_pinned } else { rate_unmanaged };
-        }
-    }
 }
 
 /// [`PhiDevice`](crate::PhiDevice)'s rate rule: the paper's two-rate
@@ -266,8 +242,9 @@ impl RateModel for PerfRates {
     }
 
     /// Scans the dense slab (cache-friendly); min by (ticks, id) is
-    /// iteration-order independent, so slot order here and ascending-id
-    /// order in the keyed oracle pick the same winner.
+    /// iteration-order independent, so slot order here and the
+    /// ascending-id order of the reference specification pick the same
+    /// winner.
     ///
     /// Within one class the rate is shared and `⌈fl(x / rate)⌉` is
     /// monotone in `x`, so an offload whose remaining work exceeds its

@@ -27,20 +27,6 @@ impl fmt::Display for ProcId {
     }
 }
 
-/// A process resident on the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct Resident {
-    /// Memory the job *declared* it may use at most (MB). Schedulers budget
-    /// against this.
-    pub declared_mem_mb: u64,
-    /// Threads the job declared it may spawn at most.
-    pub declared_threads: u32,
-    /// Memory the process has actually committed so far (MB). Grows over the
-    /// process lifetime (§II-C: stacks and commits grow late); the *physical*
-    /// constraint applies to this.
-    pub committed_mem_mb: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,15 +35,5 @@ mod tests {
     fn display() {
         assert_eq!(ProcId(3).to_string(), "coi3");
         assert_eq!(ProcId(3).raw(), 3);
-    }
-
-    #[test]
-    fn resident_is_plain_data() {
-        let r = Resident {
-            declared_mem_mb: 1000,
-            declared_threads: 120,
-            committed_mem_mb: 400,
-        };
-        assert!(r.committed_mem_mb <= r.declared_mem_mb);
     }
 }

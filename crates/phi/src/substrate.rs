@@ -2,8 +2,8 @@
 //! implements.
 //!
 //! The cluster runtime drives each coprocessor through [`DeviceSubstrate`]
-//! and is generic over it. Two implementations exist, and the trait impl
-//! is the only way to mutate either:
+//! and is generic over it. One card model implements it, and the trait
+//! impl is the only way to mutate it:
 //!
 //! * [`Card`](crate::Card) — the one card model, on generation-stamped slab
 //!   storage: a job's [`ProcSlot`] is resolved once, at attach, and every
@@ -13,19 +13,16 @@
 //!   [`SharedThroughputDevice`](crate::SharedThroughputDevice) /
 //!   [`NaiveSharedDevice`](crate::NaiveSharedDevice), fair sharing under a
 //!   [`SharingCurve`] over the heap engine and its recompute-all oracle.
-//! * [`KeyedPhiDevice`](crate::KeyedPhiDevice) — the seed's
-//!   `BTreeMap`-keyed copy of the per-offload model, retained as an
-//!   independent differential oracle of `PhiDevice`. Every operation pays
-//!   a map lookup, aggregates are recomputed by iteration and the
-//!   completion scan collects a fresh `Vec` — the honest pre-optimization
-//!   cost model the `perf_e2e` gate measures against.
 //!
-//! Each oracle pair — `PhiDevice`/`KeyedPhiDevice` and the heap/naive
-//! shared devices — must produce **bit-identical** observables. The lockstep
-//! differential in `phi/tests/prop_device.rs` drives both members of a pair
-//! through one model-checked operation sequence, and the runtime-level
-//! proptests (`cluster/tests/prop_runtime_diff.rs`, `tests/prop_chaos.rs`)
-//! assert identical experiment results and traces.
+//! Each checked pair must produce **bit-identical** observables. The
+//! lockstep differential in `phi/tests/prop_device.rs` drives both members
+//! of a pair through one model-checked operation sequence: `PhiDevice`
+//! against `ReferenceCard` (`phi/tests/reference/`), a test-only
+//! specification that recomputes every offload's rate from the public
+//! [`PerfModel`] fields at each step, and the heap shared device against
+//! the naive one. The runtime-level proptests
+//! (`cluster/tests/prop_runtime_diff.rs`, `tests/prop_chaos.rs`) assert
+//! identical experiment results and traces for the shared pair.
 //!
 //! Trait methods panic, rather than return `Result`, on contract
 //! violations: attaching a resident twice, acting on a departed process,
@@ -75,11 +72,10 @@ impl DeviceSpec {
 /// carrying a stale generation must be ignored by the caller.
 ///
 /// `Handle` is the substrate's name for a resident process: a dense
-/// [`ProcSlot`] on the slab card, the [`ProcId`] itself on the keyed
-/// oracle.
-/// Handles are obtained from [`DeviceSubstrate::attach`] and stay valid
-/// until the process departs (detach, OOM kill, or device reset); using one
-/// after that is a runtime bug and panics.
+/// [`ProcSlot`] on the slab card. Handles are obtained from
+/// [`DeviceSubstrate::attach`] and stay valid until the process departs
+/// (detach, OOM kill, or device reset); using one after that is a runtime
+/// bug and panics.
 pub trait DeviceSubstrate {
     /// Per-resident handle resolved once at attach time.
     type Handle: Copy + std::fmt::Debug;

@@ -5,17 +5,19 @@
 //! two substrates through the same model-checked random operation
 //! sequence and demands that every trait observable agrees bit-for-bit
 //! after every step, while also checking the physical invariants. It runs
-//! on both oracle pairs — the slab [`PhiDevice`] against the map-backed
-//! [`KeyedPhiDevice`], and the heap-scheduled [`SharedThroughputDevice`]
-//! against the recompute-all [`NaiveSharedDevice`].
+//! the slab [`PhiDevice`] against [`ReferenceCard`], the specification in
+//! `reference/`, and the heap-scheduled [`SharedThroughputDevice`] against
+//! the recompute-all [`NaiveSharedDevice`].
+
+mod reference;
 
 use phishare_phi::{
-    Affinity, CommitOutcome, CoreSet, DeviceSpec, DeviceSubstrate, KeyedPhiDevice,
-    NaiveSharedDevice, PerfModel, PhiConfig, PhiDevice, ProcId, SharedThroughputDevice,
-    SharingCurve,
+    Affinity, CommitOutcome, CoreSet, DeviceSpec, DeviceSubstrate, NaiveSharedDevice, PerfModel,
+    PhiConfig, PhiDevice, ProcId, SharedThroughputDevice, SharingCurve,
 };
 use phishare_sim::{DetRng, SimDuration, SimTime};
 use proptest::prelude::*;
+use reference::ReferenceCard;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Proc ids the random workouts draw from. Each id owns a private block of
@@ -276,17 +278,17 @@ fn phi_spec() -> DeviceSpec {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The slab-backed fast device and the map-backed keyed device agree on
-    /// every outcome (OOM victim lists included), prediction, aggregate,
-    /// utilization integral and energy reading. Pinned affinities are mixed
-    /// in so the incremental pinned-union bookkeeping is exercised across
-    /// slot reuse.
+    /// The slab-backed device and the reference specification agree on
+    /// every outcome (OOM victim lists included), generation, prediction,
+    /// aggregate, utilization integral and energy reading. Pinned
+    /// affinities are mixed in so the incremental pinned-union bookkeeping
+    /// is exercised across slot reuse.
     #[test]
-    fn phi_and_keyed_devices_run_in_lockstep(
+    fn phi_device_runs_in_lockstep_with_the_reference_card(
         ops in prop::collection::vec(arb_op(), 1..80),
         seed in 0u64..1000,
     ) {
-        lockstep::<PhiDevice, KeyedPhiDevice>(&phi_spec(), ops, seed)?;
+        lockstep::<PhiDevice, ReferenceCard>(&phi_spec(), ops, seed)?;
     }
 
     /// The heap-scheduled and the recompute-all shared-throughput devices
@@ -380,7 +382,7 @@ proptest! {
     ) {
         let spec = phi_spec();
         solo_offload::<PhiDevice>(&spec, work_secs, idle_secs, &sample_points)?;
-        solo_offload::<KeyedPhiDevice>(&spec, work_secs, idle_secs, &sample_points)?;
+        solo_offload::<ReferenceCard>(&spec, work_secs, idle_secs, &sample_points)?;
         solo_offload::<SharedThroughputDevice>(&spec, work_secs, idle_secs, &sample_points)?;
         solo_offload::<NaiveSharedDevice>(&spec, work_secs, idle_secs, &sample_points)?;
     }

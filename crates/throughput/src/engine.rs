@@ -311,26 +311,22 @@ impl HeapEngine {
         self.place(hole, e);
     }
 
-    /// Min-id within the same-tick tie region containing the root.
+    /// Lower `best` to the min id among `i`'s descendants in the
+    /// same-tick tie region containing the root.
     ///
     /// `ticks_until` is monotone in `fin`, so the set of entries whose
     /// tick equals the root's is downward-closed toward the root: a DFS
     /// can prune every subtree whose head already ticks later. O(ties).
     fn tie_min_id(&self, i: usize, tick: u64, best: &mut u64) {
-        let e = &self.heap[i];
-        if ticks_until(e.fin, self.v, self.rate) > tick {
-            return;
-        }
-        if e.id < *best {
-            *best = e.id;
-        }
-        let left = 2 * i + 1;
-        if left < self.heap.len() {
-            self.tie_min_id(left, tick, best);
-        }
-        let right = 2 * i + 2;
-        if right < self.heap.len() {
-            self.tie_min_id(right, tick, best);
+        for child in [2 * i + 1, 2 * i + 2] {
+            let Some(e) = self.heap.get(child) else {
+                break;
+            };
+            if ticks_until(e.fin, self.v, self.rate) > tick {
+                continue;
+            }
+            *best = (*best).min(e.id);
+            self.tie_min_id(child, tick, best);
         }
     }
 }
@@ -422,7 +418,8 @@ impl SharingEngine for HeapEngine {
         let tick = ticks_until(root.fin, self.v, self.rate);
         // Distinct fins can round to the same tick; resolve the tie to
         // the smallest id so both engines (and both event-scheduling
-        // schemes upstream) pick the same winner.
+        // schemes upstream) pick the same winner. The root is the first
+        // candidate, so the search starts from its children.
         let mut best = root.id;
         self.tie_min_id(0, tick, &mut best);
         Some((best, tick))

@@ -35,7 +35,7 @@ USAGE:
   phishare run        --policy <mc|mcc|mcck|oracle> [--jobs N] [--nodes N]
                       [--dist <table1|uniform|normal|low|high>] [--seed N]
                       [--negotiation <delta|full>]
-                      [--substrate <fast|keyed|shared|shared-naive>]
+                      [--substrate <fast|shared|shared-naive>]
                       [--pool <uniform|gpu-mix|phi-mix|phi7120-mix>]
                       [--arrivals <zero|poisson:GAP|diurnal:GAP:PERIOD:AMP
                                   |bursty:GAP:SIZE:BGAP|flash:GAP:AT:FRAC>]

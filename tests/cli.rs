@@ -92,6 +92,22 @@ fn footprint_reports_nodes_needed() {
 }
 
 #[test]
+fn retired_keyed_substrate_is_refused() {
+    for args in [
+        &["run", "--policy", "mcc", "--substrate", "keyed"][..],
+        &["sweep", "--substrate", "keyed"],
+    ] {
+        let out = phishare(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown substrate 'keyed' (expected fast, shared or shared-naive)"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     let out = phishare(&["run"]); // missing --policy
     assert!(!out.status.success());

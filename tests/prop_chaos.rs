@@ -361,12 +361,11 @@ proptest! {
     }
 
     /// Perturbation stack × fault plan × trace-replay arrivals: for every
-    /// random triple, the substrate oracle pairs stay bit-identical —
-    /// fast ≡ keyed on the per-offload reshare model, shared ≡ naive on
-    /// the throughput-engine model — and the surviving timeline still
-    /// satisfies conservation and the full audit. This is the PR's
-    /// acceptance property: chaos must never open daylight between an
-    /// engine and its oracle.
+    /// random triple, the shared throughput engine stays bit-identical to
+    /// its recompute-all oracle, and the surviving timelines on both the
+    /// per-offload and the shared substrate still satisfy conservation and
+    /// the full audit: chaos must never open daylight between an engine
+    /// and its oracle.
     #[test]
     fn chaos_stacks_preserve_substrate_bit_identity(
         policy in arb_policy(),
@@ -405,14 +404,10 @@ proptest! {
                 .expect("chaos run must drain cleanly")
         };
         let (fast, fast_trace) = run(phishare::cluster::SubstrateMode::Fast);
-        let (keyed, keyed_trace) = run(phishare::cluster::SubstrateMode::Keyed);
         let (shared, shared_trace) = run(phishare::cluster::SubstrateMode::Shared);
         let (naive, naive_trace) = run(phishare::cluster::SubstrateMode::SharedNaive);
 
-        let pair_ok = fast == keyed
-            && fast_trace.events == keyed_trace.events
-            && shared == naive
-            && shared_trace.events == naive_trace.events;
+        let pair_ok = shared == naive && shared_trace.events == naive_trace.events;
         let conservation_ok = fast.completed
             + fast.container_kills
             + fast.oom_kills
@@ -425,11 +420,6 @@ proptest! {
         {
             dump_artifact("substrate_bit_identity", &cfg, &fault_plan, &perturb_plan);
         }
-        prop_assert_eq!(fast, keyed, "fast/keyed diverged under chaos");
-        prop_assert_eq!(
-            fast_trace.events, keyed_trace.events,
-            "fast/keyed traces diverged under chaos"
-        );
         prop_assert_eq!(shared, naive, "shared engines diverged under chaos");
         prop_assert_eq!(
             shared_trace.events, naive_trace.events,
