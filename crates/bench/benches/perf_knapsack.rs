@@ -4,9 +4,12 @@
 //! number of jobs" at the 50 MB granularity (`w = 160` columns for 8 GB).
 //! This bench times the 2-D DP, the 1-D+repair variant and, on the small
 //! instances, branch-and-bound across job counts, then the 2-D DP across
-//! weight granularities, so the scaling claim reads off one table. Each
-//! row is the best of [`RUNS`] readings of a batch of solves; nothing is
-//! asserted. The rows also land in `target/experiments/perf_knapsack.json`.
+//! weight granularities, so the scaling claim reads off one table. The
+//! `solve_2d_table1` rows draw threads from Table I's classes {60, 180,
+//! 240} instead of 60–240 by whole cores; their shared factor lets the DP
+//! solve on a scaled thread grid. Each row is the best of [`RUNS`]
+//! readings of a batch of solves; nothing is asserted. The rows also land
+//! in `target/experiments/perf_knapsack.json`.
 
 use phishare_bench::{banner, best_of_ms, persist_json};
 use phishare_knapsack::{
@@ -21,15 +24,29 @@ const RUNS: usize = 5;
 /// so every reading spans enough work for the clock to resolve it.
 const ITEMS_PER_READING: usize = 16_384;
 
-fn items(n: usize, seed: u64) -> Vec<PackItem> {
+/// `n` jobs with memory uniform in Table I's 300–3400 MB and threads from
+/// `threads`.
+fn items(n: usize, seed: u64, threads: fn(&mut DetRng) -> u32) -> Vec<PackItem> {
     let mut rng = DetRng::from_seed(seed);
     (0..n)
         .map(|index| PackItem {
             index,
             mem_mb: rng.uniform_u64(300, 3400),
-            threads: rng.uniform_u64(15, 60) as u32 * 4,
+            threads: threads(&mut rng),
         })
         .collect()
+}
+
+/// Threads uniform in 60–240 by whole cores: their thread units share no
+/// factor, so the DP runs on the unit grid.
+fn any_cores(rng: &mut DetRng) -> u32 {
+    rng.uniform_u64(15, 60) as u32 * 4
+}
+
+/// Table I's thread classes: 15, 45 and 60 thread units share the factor
+/// 15, so the DP runs on a scaled grid of at most 5 thread rows.
+fn table1_threads(rng: &mut DetRng) -> u32 {
+    *rng.choose(&[60, 180, 240])
 }
 
 #[derive(Serialize)]
@@ -93,8 +110,10 @@ fn main() {
     let cap = Capacity::phi(7680);
     let mut rows = Vec::new();
     for n in [64usize, 256, 1024, 4096] {
-        let set = items(n, 42);
+        let set = items(n, 42, any_cores);
         rows.push(time_row("solve_2d", &set, &cap, solve_2d));
+        let table1 = items(n, 42, table1_threads);
+        rows.push(time_row("solve_2d_table1", &table1, &cap, solve_2d));
         rows.push(time_row("solve_1d_filtered", &set, &cap, solve_1d_filtered));
         if n <= 256 {
             // Exponential worst case: keep B&B to the small instances.
@@ -107,7 +126,7 @@ fn main() {
         }
     }
 
-    let set = items(1024, 7);
+    let set = items(1024, 7, any_cores);
     for granularity_mb in [25u64, 50, 100, 200] {
         let cap = Capacity {
             mem_mb: 7680,

@@ -88,7 +88,8 @@ pub enum PlannerMode {
     /// The planning fast path: fit-filtered, multiplicity-truncated
     /// instances solved through a content-addressed memo cache.
     /// Bit-identical to [`PlannerMode::NaiveSerial`] by construction (and
-    /// by differential proptest).
+    /// by differential proptest), up to the one-ulp ties a truncated
+    /// duplicate can win (`phishare_knapsack::prep`).
     #[default]
     Fast,
     /// The seed's serial per-device DP loop, retained as the differential
@@ -295,47 +296,24 @@ impl ClusterScheduler {
     }
 }
 
+/// Outstanding `(memory, threads)` pinned to each device, keyed by
+/// `(node, device)`.
+type Booked = HashMap<(u32, u32), (u64, u32)>;
+
 impl Ledger {
     fn holds(&self, job: JobId) -> bool {
         self.0.contains_key(&job)
     }
 
-    /// Outstanding (memory, threads) already pinned to `device`.
-    fn booked_on(&self, device: &DeviceView) -> (u64, u32) {
-        self.0
-            .values()
-            .filter(|b| b.node == device.node && b.device == device.device)
-            .fold((0, 0), |(m, t), b| (m + b.mem_mb, t + b.threads))
-    }
-
-    /// Declared memory on `device` not yet spoken for.
-    fn free_mb(&self, device: &DeviceView) -> u64 {
-        device
-            .free_declared_mb
-            .saturating_sub(self.booked_on(device).0)
-    }
-
-    /// This round's knapsack on `device`, net of outstanding pins; `None`
-    /// when no memory is free.
-    fn capacity(&self, cfg: &KnapsackConfig, device: &DeviceView) -> Option<Capacity> {
-        let (mem, threads) = self.booked_on(device);
-        let free = device.free_declared_mb.saturating_sub(mem);
-        if free == 0 {
-            return None;
+    /// Every device's outstanding pins, summed in one pass over the ledger.
+    fn booked(&self) -> Booked {
+        let mut booked = Booked::new();
+        for b in self.0.values() {
+            let (mem, threads) = booked.entry((b.node, b.device)).or_default();
+            *mem += b.mem_mb;
+            *threads += b.threads;
         }
-        let spoken_for = if cfg.count_resident_threads {
-            device.resident_threads + threads
-        } else {
-            0
-        };
-        Some(Capacity {
-            mem_mb: free,
-            granularity_mb: cfg.granularity_mb,
-            thread_limit: cfg.thread_budget().saturating_sub(spoken_for),
-            // Eq. (1) always normalizes by the hardware thread count, even
-            // when the strict ablation shrinks the packing budget.
-            value_ref_threads: cfg.thread_limit,
-        })
+        booked
     }
 
     fn book(&mut self, job: &PendingJob, device: &DeviceView) -> Pin {
@@ -356,6 +334,32 @@ impl Ledger {
     }
 }
 
+/// This round's knapsack on `device`, net of its outstanding pins
+/// `(mem, threads)`; `None` when no memory is free.
+fn capacity(
+    cfg: &KnapsackConfig,
+    device: &DeviceView,
+    (mem, threads): (u64, u32),
+) -> Option<Capacity> {
+    let free = device.free_declared_mb.saturating_sub(mem);
+    if free == 0 {
+        return None;
+    }
+    let spoken_for = if cfg.count_resident_threads {
+        device.resident_threads + threads
+    } else {
+        0
+    };
+    Some(Capacity {
+        mem_mb: free,
+        granularity_mb: cfg.granularity_mb,
+        thread_limit: cfg.thread_budget().saturating_sub(spoken_for),
+        // Eq. (1) always normalizes by the hardware thread count, even
+        // when the strict ablation shrinks the packing budget.
+        value_ref_threads: cfg.thread_limit,
+    })
+}
+
 /// MCC's round: visit the pending jobs in random order, placing each on a
 /// random device whose free memory, net of outstanding pins, still holds
 /// it.
@@ -365,7 +369,14 @@ fn random_round(
     pending: &[PendingJob],
     devices: &[DeviceView],
 ) -> Vec<Pin> {
-    let mut free: Vec<u64> = devices.iter().map(|d| ledger.free_mb(d)).collect();
+    let booked = ledger.booked();
+    let mut free: Vec<u64> = devices
+        .iter()
+        .map(|d| {
+            let (mem, _) = booked.get(&(d.node, d.device)).copied().unwrap_or_default();
+            d.free_declared_mb.saturating_sub(mem)
+        })
+        .collect();
     let mut order: Vec<usize> = (0..pending.len()).collect();
     rng.shuffle(&mut order);
     let mut pins = Vec::new();
@@ -389,7 +400,8 @@ fn random_round(
 /// get the pick of the queue. Each device's round offers `select` the FIFO
 /// window of jobs not pinned yet and the device's capacity net of every
 /// pin so far; `select` answers with positions into that window, in pin
-/// order.
+/// order. The unpinned jobs and every device's booked totals are taken
+/// once per call and kept current as rounds book pins.
 ///
 /// A device whose capacity is below the component-wise smallest
 /// `(mem_mb, threads)` of the unpinned jobs is skipped: no window job fits
@@ -403,14 +415,15 @@ fn device_rounds(
     devices: &[DeviceView],
     mut select: impl FnMut(&[&PendingJob], &Capacity) -> Vec<usize>,
 ) -> Vec<Pin> {
-    let Some((min_mem, min_threads)) = pending
+    let mut unpinned: Vec<&PendingJob> = pending.iter().filter(|j| !ledger.holds(j.id)).collect();
+    let Some((min_mem, min_threads)) = unpinned
         .iter()
-        .filter(|j| !ledger.holds(j.id))
         .map(|j| (j.mem_mb, j.threads))
         .reduce(|(m, t), (jm, jt)| (m.min(jm), t.min(jt)))
     else {
         return Vec::new();
     };
+    let mut booked = ledger.booked();
     let mut order: Vec<&DeviceView> = devices.iter().collect();
     order.sort_by(|a, b| {
         b.free_declared_mb
@@ -420,22 +433,27 @@ fn device_rounds(
     });
     let mut pins = Vec::new();
     for device in order {
-        let Some(cap) = ledger.capacity(cfg, device) else {
+        let on_device = booked.entry((device.node, device.device)).or_default();
+        let Some(cap) = capacity(cfg, device, *on_device) else {
             continue;
         };
         if cap.mem_mb < min_mem || cap.thread_limit < min_threads {
             continue;
         }
-        let window: Vec<&PendingJob> = pending
-            .iter()
-            .filter(|j| !ledger.holds(j.id))
-            .take(cfg.window)
-            .collect();
-        if window.is_empty() {
-            continue;
+        let window = &unpinned[..unpinned.len().min(cfg.window)];
+        let mut picks = select(window, &cap);
+        for &pos in &picks {
+            let job = window[pos];
+            on_device.0 += job.mem_mb;
+            on_device.1 += job.threads;
+            pins.push(ledger.book(job, device));
         }
-        for pos in select(&window, &cap) {
-            pins.push(ledger.book(window[pos], device));
+        picks.sort_unstable();
+        for pos in picks.into_iter().rev() {
+            unpinned.remove(pos);
+        }
+        if unpinned.is_empty() {
+            break;
         }
     }
     pins

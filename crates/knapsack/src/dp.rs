@@ -10,7 +10,8 @@
 //!   [`prep_2d`](crate::prep::prep_2d) / [`prep_1d`](crate::prep::prep_1d)
 //!   (fit-filtered, multiplicity-truncated) and return selected *positions*
 //!   into it. Because both families funnel through the same cores, a prepped
-//!   solve is bit-identical to the raw solve on the same instance.
+//!   solve is bit-identical to the raw solve on the same instance, up to
+//!   the one-ulp ties a truncated copy can win (see [`crate::prep`]).
 
 use crate::item::{Capacity, PackItem, Packing};
 use crate::prep::Prepped;
@@ -42,7 +43,7 @@ pub struct DpScratch {
 
 /// A dense bit grid recording, per item layer, which DP cells were improved
 /// by taking the item — the backtracking information for reconstruction.
-/// Borrows its storage from a [`DpScratch`]. The 2-D core pads each memory
+/// Borrows its storage from a [`DpScratch`]. The 2-D core pads each table
 /// row to whole words, so cell `(w, t)` is bit `w · row_bits + t`.
 struct BitGrid<'a> {
     words: &'a mut Vec<u64>,
@@ -97,11 +98,20 @@ impl<'a> BitGrid<'a> {
 }
 
 /// One effective item layer for the 2-D core: weight/thread units plus its
-/// already-evaluated value.
+/// already-evaluated value. [`dp_core_2d`] rescales and may swap the two
+/// weights in place; from then on `w` names the table's row dimension and
+/// `t` its column dimension, whichever resource each one is.
 struct Layer2 {
     w: usize,
     t: usize,
     v: f64,
+}
+
+fn gcd(mut a: usize, mut b: usize) -> usize {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Shared 2-D DP core. Returns the selected layer positions in
@@ -109,11 +119,25 @@ struct Layer2 {
 /// cell. Both the raw and the prepped entry points call this, which is what
 /// makes them bit-identical on equal effective instances.
 ///
-/// It computes exactly the classic in-place table `dp[w][t]` (best value of
-/// the processed layers within `w` memory and `t` thread units) and the
-/// classic backtracking bits, but only where they can matter. Layer `k` is
-/// clamped, per dimension, to `[max(w_k, min(lo, hi)), hi]` with
-/// `hi = min(w_max, Σ_{j≤k} w_j)` and `lo = w_max − Σ_{j>k} w_j`:
+/// It solves on the instance's own grid. Every layer's weights are divided
+/// by their gcd in each dimension (`g_w`, `g_t`; 0 counts as 1) and the
+/// capacities floor-divided, `W' = ⌊W/g_w⌋`, `T' = ⌊T/g_t⌋`. Every subset
+/// sum is a multiple of the gcd, so by induction over layers cell `(w, t)`
+/// of the unit table holds the same value and bit as cell
+/// `(⌊w/g_w⌋, ⌊t/g_t⌋)` of the scaled one: both see the same candidate, the
+/// same incumbent and the same strict-`>` decision. The smaller of `W'+1`
+/// and `T'+1` then becomes the rows and the larger the inner columns; the
+/// recurrence is symmetric in its two weights, so the swap moves where a
+/// cell is stored, not how it is computed. Selections and
+/// `total_value.to_bits()` are those of the unit table, and reconstruction
+/// returns layer positions, so callers see no change.
+///
+/// On that grid it computes exactly the classic in-place table `dp[w][t]`
+/// (best value of the processed layers within `w` row and `t` column
+/// units) and the classic backtracking bits, but only where they can
+/// matter. Layer `k` is clamped, per dimension, to
+/// `[max(w_k, min(lo, hi)), hi]` with `hi = min(w_max, Σ_{j≤k} w_j)` and
+/// `lo = w_max − Σ_{j>k} w_j`:
 ///
 /// * **Above the prefix sum** the constraint cannot bind, so every row
 ///   `w > hi` (column `t > hi`) is a bitwise copy of row `hi` (column
@@ -131,14 +155,30 @@ struct Layer2 {
 /// cleared between solves. For `w_k ≥ 1` the descending sweep has not yet
 /// touched row `w − w_k`, so each row update is one branch-free
 /// element-wise maximum with a strict-`>` mask; rows start on a word
-/// boundary of the bit grid, so the mask is ORed in whole words. A
-/// memory-free item (`w_k = 0`) reads its own row and keeps the cell loop.
+/// boundary of the bit grid, so the mask is ORed in whole words. A layer
+/// with no row weight (`w_k = 0`) reads its own row and keeps the cell loop.
 fn dp_core_2d(
-    layers: &[Layer2],
+    layers: &mut [Layer2],
     w_max: usize,
     t_max: usize,
     scratch: &mut DpScratch,
 ) -> (Vec<usize>, f64) {
+    let (g_w, g_t) = layers
+        .iter()
+        .fold((0, 0), |(g_w, g_t), it| (gcd(g_w, it.w), gcd(g_t, it.t)));
+    let (g_w, g_t) = (g_w.max(1), g_t.max(1));
+    let (mut w_max, mut t_max) = (w_max / g_w, t_max / g_t);
+    let transpose = t_max < w_max;
+    for it in layers.iter_mut() {
+        (it.w, it.t) = (it.w / g_w, it.t / g_t);
+        if transpose {
+            (it.w, it.t) = (it.t, it.w);
+        }
+    }
+    if transpose {
+        (w_max, t_max) = (t_max, w_max);
+    }
+
     let stride = t_max + 1;
     let row_bits = stride.div_ceil(64) * 64;
     let DpScratch {
@@ -292,10 +332,14 @@ fn repair_threads(chosen: &mut Vec<usize>, threads_of: impl Fn(usize) -> u32, li
 /// enforced *inside* the DP, so the returned packing is always feasible and
 /// value-optimal under the discretization.
 ///
-/// Complexity `O(n · W · T)` with `W = capacity/granularity` memory units
-/// (153 for a 7.5 GB-usable card at 50 MB) and `T = thread_limit/4` thread
-/// units — 60 for [`Capacity::phi`]'s 240 threads, 90 under MCCK's default
-/// 1.5× thread budget — the 2-D analogue of the paper's `O(n·w)` claim.
+/// Complexity `O(n · W' · T')` on the instance's own grid: `W'` and `T'`
+/// are the capacities in memory units (`capacity/granularity`, 153 for a
+/// 7.5 GB-usable card at 50 MB) and thread units (`thread_limit/4`, 90
+/// under MCCK's default 1.5× thread budget), each divided by the gcd of the
+/// items' units in that dimension. Table I jobs declare 60, 180 or 240
+/// threads (15, 45 or 60 units), so a Table II device round solves on at
+/// most `⌊90/15⌋ + 1 = 7` thread rows — the 2-D analogue of the paper's
+/// `O(n·w)` claim.
 ///
 /// ```
 /// use phishare_knapsack::{solve_2d, Capacity, PackItem, ValueFunction};
@@ -331,7 +375,7 @@ pub fn solve_2d_with(
 
     // Pre-filter items that cannot fit alone; remember original positions.
     let mut pos_of = Vec::new();
-    let layers: Vec<Layer2> = items
+    let mut layers: Vec<Layer2> = items
         .iter()
         .enumerate()
         .filter_map(|(pos, it)| {
@@ -353,7 +397,7 @@ pub fn solve_2d_with(
         return Packing::default();
     }
 
-    let (chosen, total) = dp_core_2d(&layers, w_max, t_max, scratch);
+    let (chosen, total) = dp_core_2d(&mut layers, w_max, t_max, scratch);
     let selected = chosen.into_iter().map(|k| items[pos_of[k]].index).collect();
     Packing::from_selection(items, selected, total)
 }
@@ -412,9 +456,8 @@ pub fn solve_1d_filtered_with(
 
 /// Solve a [`Prepped`] 2-D instance. Returns `(positions, total_value)`
 /// where positions index into `pre.items` in ascending order. Bit-identical
-/// to [`solve_2d_with`] on the raw instance the prep came from (the
-/// truncated copies provably never enter any optimum — see
-/// [`crate::prep`]).
+/// to [`solve_2d_with`] on the raw instance the prep came from, except
+/// where a truncated copy would win a one-ulp tie (see [`crate::prep`]).
 pub fn solve_prepped_2d_with(
     pre: &Prepped,
     value_fn: ValueFunction,
@@ -423,7 +466,7 @@ pub fn solve_prepped_2d_with(
     if pre.items.is_empty() || pre.w_max == 0 || pre.t_max == 0 {
         return (Vec::new(), 0.0);
     }
-    let layers: Vec<Layer2> = pre
+    let mut layers: Vec<Layer2> = pre
         .items
         .iter()
         .map(|it| Layer2 {
@@ -432,14 +475,15 @@ pub fn solve_prepped_2d_with(
             v: value_fn.value(it.threads, pre.value_ref),
         })
         .collect();
-    let (mut chosen, total) = dp_core_2d(&layers, pre.w_max, pre.t_max, scratch);
+    let (mut chosen, total) = dp_core_2d(&mut layers, pre.w_max, pre.t_max, scratch);
     chosen.sort_unstable();
     (chosen, total)
 }
 
 /// Solve a [`Prepped`] 1-D instance (memory DP + thread repair). Returns
 /// `(positions, total_value)` with positions into `pre.items`, ascending.
-/// Bit-identical to [`solve_1d_filtered_with`] on the raw instance.
+/// Bit-identical to [`solve_1d_filtered_with`] on the raw instance, up to
+/// the same one-ulp ties as [`solve_prepped_2d_with`].
 pub fn solve_prepped_1d_with(
     pre: &Prepped,
     value_fn: ValueFunction,

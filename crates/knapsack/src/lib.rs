@@ -28,7 +28,13 @@
 //!
 //! Weights are discretized at a configurable granularity (the paper
 //! suggests 50 MB, giving `w = 8 GB / 50 MB = 160` columns and the
-//! "nearly linear in n" complexity claim of §IV-C).
+//! "nearly linear in n" complexity claim of §IV-C), threads at 4 per unit.
+//! The 2-D DP then solves on the instance's own grid: each dimension's
+//! units are divided by the gcd of the items' units in it, and the smaller
+//! dimension becomes the table's rows. Table I jobs declare 60, 180 or 240
+//! threads (15, 45 or 60 units), so under MCCK's 360-thread budget a solve
+//! has at most 7 thread rows against up to 160 memory columns, and its cost
+//! follows the sums the instance can reach, not the raw unit counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

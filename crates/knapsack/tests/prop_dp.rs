@@ -9,6 +9,7 @@ use phishare_knapsack::{
     DpScratch, PackItem, Packing, ValueFunction,
 };
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 fn arb_item(index: usize) -> impl Strategy<Value = PackItem> {
     (50u64..4000, 1u32..=60).prop_map(move |(mem_mb, cores)| PackItem {
@@ -40,11 +41,17 @@ fn arb_capacity() -> impl Strategy<Value = Capacity> {
         })
 }
 
-/// Instances for the kernel reference: zero-memory and zero-thread items,
-/// thread limits whose `t_max + 1` lies on both sides of 64 and 128, and
-/// memory either drawn at random or roomy enough for every item at once
-/// (with small thread counts, every item then fits in both dimensions).
+/// Instances for the kernel reference, half on the unit grid and half on
+/// a coarse one (see [`arb_unit_instance`] and [`arb_grid_instance`]).
 fn arb_kernel_instance() -> impl Strategy<Value = (Vec<PackItem>, Capacity)> {
+    prop_oneof![arb_unit_instance(), arb_grid_instance()]
+}
+
+/// Unit-grid instances: zero-memory and zero-thread items, thread limits
+/// whose `t_max + 1` lies on both sides of 64 and 128, and memory either
+/// drawn at random or roomy enough for every item at once (with small
+/// thread counts, every item then fits in both dimensions).
+fn arb_unit_instance() -> impl Strategy<Value = (Vec<PackItem>, Capacity)> {
     (
         prop::sample::select(vec![252u32, 256, 260, 508, 512]),
         prop::sample::select(vec![50u64, 100]),
@@ -65,27 +72,86 @@ fn arb_kernel_instance() -> impl Strategy<Value = (Vec<PackItem>, Capacity)> {
             )
         })
         .prop_map(|(raw, mem_mb, (thread_limit, granularity_mb))| {
-            let items: Vec<PackItem> = raw
-                .into_iter()
-                .enumerate()
-                .map(|(index, (mem_mb, threads))| PackItem {
-                    index,
-                    mem_mb,
-                    threads,
-                })
-                .collect();
-            let roomy = items
-                .iter()
-                .map(|it| it.mem_mb.div_ceil(granularity_mb) * granularity_mb)
-                .sum();
+            let items = index(raw);
             let cap = Capacity {
-                mem_mb: mem_mb.unwrap_or(roomy),
+                mem_mb: mem_mb.unwrap_or(roomy(&items, granularity_mb)),
                 granularity_mb,
                 thread_limit,
                 value_ref_threads: 240,
             };
             (items, cap)
         })
+}
+
+/// Instances whose units share a factor in each dimension, so the solver
+/// scales its table: memory in multiples of `k` units, threads either Table
+/// I's 60, 180 and 240 or multiples of `m` cores, zero weights in both
+/// dimensions, and capacities (thread limits from 100 to 512, memory
+/// random or roomy plus a slack under `k` units) that are mostly not
+/// multiples of the factor. Table I threads leave at most 8 thread rows,
+/// a coarse `k` few memory rows, so both orientations of the table occur.
+fn arb_grid_instance() -> impl Strategy<Value = (Vec<PackItem>, Capacity)> {
+    (
+        prop::sample::select(vec![50u64, 100]),
+        1u64..=8,
+        any::<bool>(),
+        1u32..=4,
+        100u32..=512,
+        1usize..=16,
+    )
+        .prop_flat_map(|(granularity_mb, k, table1, m, thread_limit, n)| {
+            let threads = if table1 {
+                prop::sample::select(vec![60u32, 180, 240]).boxed()
+            } else {
+                (1..=thread_limit / (4 * m))
+                    .prop_map(move |c| c * 4 * m)
+                    .boxed()
+            };
+            // `u·k` units exactly: `⌈(u·k·g − d)/g⌉ = u·k` for `d < g`.
+            let mem =
+                (1u64..=12, 0..granularity_mb).prop_map(move |(u, d)| u * k * granularity_mb - d);
+            let item = (
+                prop_oneof![1 => Just(0u64), 5 => mem],
+                prop_oneof![1 => Just(0u32), 5 => threads],
+            );
+            (
+                prop::collection::vec(item, 1..=n),
+                prop_oneof![
+                    (0..k * granularity_mb).prop_map(|slack| (None, slack)),
+                    (0u64..8000).prop_map(|mem_mb| (Some(mem_mb), 0)),
+                ],
+                Just((thread_limit, granularity_mb)),
+            )
+        })
+        .prop_map(|(raw, (mem_mb, slack), (thread_limit, granularity_mb))| {
+            let items = index(raw);
+            let cap = Capacity {
+                mem_mb: mem_mb.unwrap_or(roomy(&items, granularity_mb) + slack),
+                granularity_mb,
+                thread_limit,
+                value_ref_threads: 240,
+            };
+            (items, cap)
+        })
+}
+
+fn index(raw: Vec<(u64, u32)>) -> Vec<PackItem> {
+    raw.into_iter()
+        .enumerate()
+        .map(|(index, (mem_mb, threads))| PackItem {
+            index,
+            mem_mb,
+            threads,
+        })
+        .collect()
+}
+
+/// Memory that holds every item at once.
+fn roomy(items: &[PackItem], granularity_mb: u64) -> u64 {
+    items
+        .iter()
+        .map(|it| it.mem_mb.div_ceil(granularity_mb) * granularity_mb)
+        .sum()
 }
 
 /// The classic 2-D knapsack DP, cell by cell over the whole table, with
@@ -130,6 +196,67 @@ fn reference_2d(items: &[PackItem], cap: &Capacity, vf: ValueFunction) -> (Vec<u
     }
     selected.sort_unstable();
     (selected, dp[dp.len() - 1])
+}
+
+/// The grid the solver's kernel runs `(items, cap)` on, restated from
+/// `dp_core_2d`'s docs: per dimension (memory, threads), the capacity in
+/// units and the gcd of the fitting items' units. `None` when a capacity
+/// is zero or nothing fits.
+fn instance_grid(items: &[PackItem], cap: &Capacity) -> Option<[(usize, usize); 2]> {
+    let (w_max, t_max) = (cap.units(), (cap.thread_limit / 4) as usize);
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let (g_w, g_t) = items
+        .iter()
+        .map(|it| {
+            (
+                cap.item_units(it.mem_mb),
+                it.threads.div_ceil(4) as usize,
+                it,
+            )
+        })
+        .filter(|&(w, t, it)| w <= w_max && t <= t_max && it.threads <= cap.thread_limit)
+        .fold(None, |g, (w, t, _)| {
+            let (g_w, g_t) = g.unwrap_or((0, 0));
+            Some((gcd(g_w, w), gcd(g_t, t)))
+        })?;
+    (w_max > 0 && t_max > 0).then_some([(w_max, g_w.max(1)), (t_max, g_t.max(1))])
+}
+
+/// The kernel strategy reaches every path of the scaled grid: both
+/// orientations of the table, a zero weight in each orientation's row
+/// dimension, and capacities that are not multiples of a common factor
+/// above 1 in either dimension.
+#[test]
+fn kernel_instances_cover_the_scaled_grid() {
+    let strategy = arb_kernel_instance();
+    // [rows = memory, rows = threads, ..with a zero row weight, ..with a
+    // zero row weight, memory remainder, thread remainder]
+    let mut seen = [0usize; 6];
+    for case in 0..512 {
+        let (items, cap) = strategy.generate(&mut TestRng::for_case("grid coverage", case));
+        let Some([(w_max, g_w), (t_max, g_t)]) = instance_grid(&items, &cap) else {
+            continue;
+        };
+        let transposed = t_max / g_t < w_max / g_w;
+        let zero_row = items.iter().any(|it| {
+            let fits = cap.item_units(it.mem_mb) <= w_max && it.threads <= cap.thread_limit;
+            fits && if transposed {
+                it.threads == 0
+            } else {
+                it.mem_mb == 0
+            }
+        });
+        seen[usize::from(transposed)] += 1;
+        seen[2 + usize::from(transposed)] += usize::from(zero_row);
+        seen[4] += usize::from(g_w > 1 && w_max % g_w != 0);
+        seen[5] += usize::from(g_t > 1 && t_max % g_t != 0);
+    }
+    assert!(seen.iter().all(|&n| n >= 64), "{seen:?}");
 }
 
 fn assert_feasible(p: &Packing, cap: &Capacity) {
