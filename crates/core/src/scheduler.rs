@@ -224,6 +224,8 @@ struct Knapsack {
     /// requiring an eviction.
     cache: HashMap<SolveKey, Vec<usize>>,
     stats: PlanStats,
+    /// The window as packing items, refilled by every `select`.
+    items: Vec<PackItem>,
 }
 
 /// Jobs pinned but not yet dispatched, with their destination device and
@@ -504,29 +506,28 @@ impl Knapsack {
         window: &[&PendingJob],
         cap: &Capacity,
     ) -> Vec<usize> {
-        let items: Vec<PackItem> = window
-            .iter()
-            .enumerate()
-            .map(|(index, j)| PackItem {
+        self.items.clear();
+        self.items
+            .extend(window.iter().enumerate().map(|(index, j)| PackItem {
                 index,
                 mem_mb: j.mem_mb,
                 threads: j.threads,
-            })
-            .collect();
+            }));
+        let items = &self.items[..];
         let (variant, value_fn) = (cfg.variant, cfg.value_fn);
         if cfg.planner == PlannerMode::NaiveSerial {
             let scratch = &mut self.scratch;
             let packing = match variant {
-                KnapsackVariant::TwoD => solve_2d_with(&items, cap, value_fn, scratch),
+                KnapsackVariant::TwoD => solve_2d_with(items, cap, value_fn, scratch),
                 KnapsackVariant::OneDFiltered => {
-                    solve_1d_filtered_with(&items, cap, value_fn, scratch)
+                    solve_1d_filtered_with(items, cap, value_fn, scratch)
                 }
             };
             return packing.selected;
         }
         let pre = match variant {
-            KnapsackVariant::TwoD => prep_2d(&items, cap),
-            KnapsackVariant::OneDFiltered => prep_1d(&items, cap),
+            KnapsackVariant::TwoD => prep_2d(items, cap),
+            KnapsackVariant::OneDFiltered => prep_1d(items, cap),
         };
         if pre.items.is_empty() {
             // The raw solver would return an empty packing; skip the cache.

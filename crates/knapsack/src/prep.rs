@@ -46,7 +46,6 @@
 
 use crate::dp::THREADS_PER_UNIT;
 use crate::item::{Capacity, PackItem};
-use std::collections::HashMap;
 
 /// One surviving item of a preprocessed instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,6 +96,33 @@ fn class_cap(w: usize, t: usize, w_max: usize, t_max: usize) -> usize {
     cap
 }
 
+/// Multiplicity truncation of the fit-filtered `items` (in original
+/// order): keep the first `cap(w, t)` copies of each `(w, threads)` class,
+/// and return how many were dropped. The copy counts live in a sorted
+/// vector searched by bisection: instances have few classes, so this beats
+/// hashing every item.
+fn truncate_classes(items: &mut Vec<PrepItem>, cap: impl Fn(usize, usize) -> usize) -> usize {
+    let before = items.len();
+    // Per class: how many more copies to keep.
+    let mut left: Vec<((usize, u32), usize)> = Vec::new();
+    items.retain(|it| {
+        let class = (it.w, it.threads);
+        let i = left
+            .binary_search_by_key(&class, |&(c, _)| c)
+            .unwrap_or_else(|i| {
+                left.insert(i, (class, cap(it.w, it.t)));
+                i
+            });
+        let n = &mut left[i].1;
+        if *n == 0 {
+            return false;
+        }
+        *n -= 1;
+        true
+    });
+    before - items.len()
+}
+
 /// Preprocess for the 2-D solver ([`crate::solve_prepped_2d_with`]).
 /// Applies exactly [`crate::solve_2d_with`]'s fit filter, then truncates
 /// multiplicity classes.
@@ -114,26 +140,19 @@ pub fn prep_2d(items: &[PackItem], cap: &Capacity) -> Prepped {
     if w_max == 0 || t_max == 0 {
         return pre;
     }
-    let mut kept: HashMap<(usize, u32), usize> = HashMap::new();
     for (pos, it) in items.iter().enumerate() {
         let w = cap.item_units(it.mem_mb);
         let t = it.threads.div_ceil(THREADS_PER_UNIT) as usize;
-        if !(w <= w_max && t <= t_max && it.threads <= cap.thread_limit) {
-            continue;
+        if w <= w_max && t <= t_max && it.threads <= cap.thread_limit {
+            pre.items.push(PrepItem {
+                pos,
+                w,
+                t,
+                threads: it.threads,
+            });
         }
-        let n = kept.entry((w, it.threads)).or_insert(0);
-        if *n >= class_cap(w, t, w_max, t_max) {
-            pre.truncated += 1;
-            continue;
-        }
-        *n += 1;
-        pre.items.push(PrepItem {
-            pos,
-            w,
-            t,
-            threads: it.threads,
-        });
     }
+    pre.truncated = truncate_classes(&mut pre.items, |w, t| class_cap(w, t, w_max, t_max));
     pre
 }
 
@@ -154,25 +173,18 @@ pub fn prep_1d(items: &[PackItem], cap: &Capacity) -> Prepped {
     if w_max == 0 {
         return pre;
     }
-    let mut kept: HashMap<(usize, u32), usize> = HashMap::new();
     for (pos, it) in items.iter().enumerate() {
         let w = cap.item_units(it.mem_mb);
-        if !(w <= w_max && it.threads <= cap.thread_limit) {
-            continue;
+        if w <= w_max && it.threads <= cap.thread_limit {
+            pre.items.push(PrepItem {
+                pos,
+                w,
+                t: it.threads.div_ceil(THREADS_PER_UNIT) as usize,
+                threads: it.threads,
+            });
         }
-        let n = kept.entry((w, it.threads)).or_insert(0);
-        if *n >= class_cap(w, 0, w_max, 0) {
-            pre.truncated += 1;
-            continue;
-        }
-        *n += 1;
-        pre.items.push(PrepItem {
-            pos,
-            w,
-            t: it.threads.div_ceil(THREADS_PER_UNIT) as usize,
-            threads: it.threads,
-        });
     }
+    pre.truncated = truncate_classes(&mut pre.items, |w, _| class_cap(w, 0, w_max, 0));
     pre
 }
 
