@@ -1,26 +1,24 @@
-//! PERF-4 — the simulation-core fast-path benchmark gate.
+//! PERF-4 — the simulation-core benchmark gate.
 //!
-//! Runs a full 8-node × 1600-job experiment end to end under both event
-//! schemes: the next-completion fast path (`Experiment::run` — one
-//! prediction per device per generation, replaced in place in the device's
-//! event slot) against the retained per-offload scheme (`.per_offload_events()`
-//! — one event per active offload per generation, the pre-optimization
-//! cost model).
+//! Runs a full 8-node × 1600-job experiment end to end on one thread and
+//! gates its **absolute** event throughput: live events handled per second
+//! of wall time (best of [`RUNS`]) must stay at or above a fixed floor.
+//! Each device and host keeps one completion prediction per generation,
+//! replaced in place in its event slot, so this is the event loop's cost
+//! with the device substrate and COSMIC beneath it.
 //!
-//! The workload is built to exercise the regime the fast path targets:
-//! small-footprint, offload-dominant jobs with many kernel launches each,
-//! crammed ~20 deep per device under MCC. Every device membership change
-//! then re-predicts for every co-resident offload — O(n²) event churn per
-//! busy episode in the naive scheme, one prediction in the fast one. (The
-//! Table I mix at this scale is negotiation-bound instead; that path has
-//! its own gate in `perf_negotiation`.)
+//! The workload is built to exercise the event-churn regime: small-
+//! footprint, offload-dominant jobs with many kernel launches each,
+//! crammed ~20 deep per device under MCC, so every device membership
+//! change re-predicts for many co-resident offloads. (The Table I mix at
+//! this scale is negotiation-bound instead; that path has its own gate in
+//! `perf_negotiation`.)
 //!
-//! Emits `BENCH_sim.json` (under `target/experiments/` and at the repo
-//! root) and **fails** if the measured speedup drops below the 2×
-//! acceptance floor — a regression gate, not just a report. Both runs must
-//! return bit-identical results before timing means anything (the
-//! randomized version of this assertion lives in
-//! `cluster/tests/prop_runtime_diff.rs`).
+//! The live-event count is exact on any host, so the gate also fails if it
+//! rises above [`LIVE_EVENTS_MAX`]: more events for the same experiment
+//! is added work, whatever the host's speed. Emits `BENCH_sim.json` (under
+//! `target/experiments/` and at the repo root) and **fails** below the
+//! floor — a regression gate, not just a report.
 
 use phishare_bench::{banner, best_of_ms, commit_gate, GateKnobs, EXPERIMENT_SEED};
 use phishare_cluster::{ClusterConfig, Experiment};
@@ -33,7 +31,18 @@ use serde::Serialize;
 
 const NODES: u32 = 8;
 const JOBS: usize = 1600;
-const SPEEDUP_FLOOR: f64 = 2.0;
+/// Experiments timed; the best reading counts.
+const RUNS: usize = 7;
+/// Live events handled per second of wall time on one thread. The gate
+/// used to require 2× over a per-offload event scheme (one event per
+/// active offload per generation), whose last committed ratio was 4.343×:
+/// the floor keeps that margin, 2 / 4.343 of the 1 494 982 events/s
+/// measured (median of twelve gate runs on a 2-core x86-64 host) when the
+/// scheme was retired.
+const EVENTS_PER_S_FLOOR: f64 = 688_000.0;
+/// Live events the gate experiment handles. A count that rises is added
+/// work; one that falls is re-committed here and in `BENCH_sim.json`.
+const LIVE_EVENTS_MAX: u64 = 232_786;
 
 /// Offload-dense synthetic jobs: tiny memory footprints (so MCC's random
 /// cramming stacks devices deep), 92–97% offload duty, and 48–96 kernel
@@ -73,16 +82,12 @@ struct SimBench {
     policy: String,
     nodes: u32,
     jobs: usize,
-    naive_runs: usize,
     fast_runs: usize,
-    /// Best-of-runs wall time of one per-offload-event experiment, ms
-    /// ("before").
-    naive_ms: f64,
-    /// Best-of-runs wall time of one next-completion experiment, ms
-    /// ("after").
+    /// Best-of-runs wall time of one experiment, ms.
     fast_ms: f64,
-    speedup: f64,
-    speedup_floor: f64,
+    /// `live_events` per second of `fast_ms`.
+    events_per_s: f64,
+    events_per_s_floor: f64,
     completed: usize,
     makespan_secs: f64,
     live_events: u64,
@@ -94,45 +99,20 @@ fn gate() -> SimBench {
     let wl = gate_workload(JOBS, EXPERIMENT_SEED);
     let cfg = gate_config(policy, NODES);
 
-    // Sanity first: both schemes must agree before timing means anything.
-    let fast = Experiment::run(&cfg, &wl).expect("fast-path experiment runs");
-    let naive = Experiment::new(&cfg, &wl)
-        .per_offload_events()
-        .simulate()
-        .expect("naive-event experiment runs");
-    assert_eq!(fast, naive, "event schemes diverged on the gate workload");
-
-    let naive_runs = 3;
-    let fast_runs = 7;
-    let naive_ms = best_of_ms(
-        naive_runs,
-        || (),
-        |()| {
-            Experiment::new(&cfg, &wl)
-                .per_offload_events()
-                .simulate()
-                .expect("runs")
-        },
-    );
-    let fast_ms = best_of_ms(
-        fast_runs,
-        || (),
-        |()| Experiment::run(&cfg, &wl).expect("runs"),
-    );
+    let run = Experiment::run(&cfg, &wl).expect("gate experiment runs");
+    let fast_ms = best_of_ms(RUNS, || (), |()| Experiment::run(&cfg, &wl).expect("runs"));
 
     SimBench {
         policy: policy.to_string(),
         nodes: NODES,
         jobs: JOBS,
-        naive_runs,
-        fast_runs,
-        naive_ms,
+        fast_runs: RUNS,
         fast_ms,
-        speedup: naive_ms / fast_ms,
-        speedup_floor: SPEEDUP_FLOOR,
-        completed: fast.completed,
-        makespan_secs: fast.makespan_secs,
-        live_events: fast.events_processed,
+        events_per_s: run.events_processed as f64 / (fast_ms / 1e3),
+        events_per_s_floor: EVENTS_PER_S_FLOOR,
+        completed: run.completed,
+        makespan_secs: run.makespan_secs,
+        live_events: run.events_processed,
         knobs: GateKnobs::non_negotiation(1),
     }
 }
@@ -141,7 +121,10 @@ fn main() {
     banner(
         "perf_sim",
         "the DES substrate behind every §V experiment",
-        "next-completion event scheduling ≥ 2× faster than per-offload events, bit-identical results",
+        &format!(
+            "the event loop handles at least {EVENTS_PER_S_FLOOR:.0} live events/s on one \
+             thread, and at most {LIVE_EVENTS_MAX} of them"
+        ),
     );
 
     let result = gate();
@@ -155,8 +138,13 @@ fn main() {
         result.live_events
     );
     println!(
-        "naive (best of {}): {:.1} ms   fast (best of {}): {:.1} ms   speedup: {:.1}x",
-        result.naive_runs, result.naive_ms, result.fast_runs, result.fast_ms, result.speedup
+        "best of {}: {:.1} ms, {:.0} live events/s",
+        result.fast_runs, result.fast_ms, result.events_per_s
     );
-    commit_gate("sim", &result, "simulation fast path regressed");
+    commit_gate("sim", &result, "simulation event loop regressed");
+    assert!(
+        result.live_events <= LIVE_EVENTS_MAX,
+        "simulation event loop regressed: {} live events > {LIVE_EVENTS_MAX}",
+        result.live_events
+    );
 }

@@ -83,7 +83,7 @@ impl HostCpu {
     ///
     /// # Panics
     /// Panics (debug) if called with more than one tick of work left —
-    /// the caller fired a stale event the generation guard should drop.
+    /// the caller fired a stale event the generation check should drop.
     pub(crate) fn finish_segment(&mut self, now: SimTime, job: JobId) {
         self.advance_to(now);
         let seg = self
@@ -107,7 +107,9 @@ impl HostCpu {
     }
 
     /// Predicted completion instants under the current fair-share rate,
-    /// valid for the current generation.
+    /// valid for the current generation: the specification
+    /// [`HostCpu::next_completion`] is tested against.
+    #[cfg(test)]
     pub(crate) fn completions(&self) -> Vec<(JobId, SimTime)> {
         self.active
             .iter()
@@ -121,10 +123,9 @@ impl HostCpu {
     /// Earliest predicted completion `(job, at)`, valid for the current
     /// generation, without allocating.
     ///
-    /// Ties break to the lowest [`JobId`] — the order the per-phase events
-    /// of [`HostCpu::completions`] would fire in (they are pushed in
-    /// ascending-id order), so a single-event driver sees the same phase
-    /// finish first as a per-phase one.
+    /// Ties break to the lowest [`JobId`]: the first minimum of the
+    /// completions by `(time, id)`, as a device's `next_completion` breaks
+    /// them by `(time, proc)`.
     pub(crate) fn next_completion(&self) -> Option<(JobId, SimTime)> {
         let mut best: Option<(JobId, SimTime)> = None;
         for (job, seg) in &self.active {
@@ -167,6 +168,7 @@ impl HostCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -226,24 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn next_completion_is_first_min_of_completions() {
-        let mut h = HostCpu::new(4, SimTime::ZERO);
-        assert_eq!(h.next_completion(), None);
-        h.start_segment(t(0), JobId(7), d(10));
-        h.start_segment(t(0), JobId(2), d(10));
-        h.start_segment(t(0), JobId(5), d(20));
-        // Jobs 2 and 7 tie at t=10; the lower id wins, matching the order
-        // per-phase events are pushed (and therefore fire) in.
-        assert_eq!(h.next_completion(), Some((JobId(2), t(10))));
-        let earliest = h
-            .completions()
-            .into_iter()
-            .min_by_key(|&(j, at)| (at, j))
-            .unwrap();
-        assert_eq!(h.next_completion(), Some(earliest));
-    }
-
-    #[test]
     fn busy_core_accounting() {
         let mut h = HostCpu::new(4, SimTime::ZERO);
         h.start_segment(t(0), JobId(1), d(10));
@@ -260,5 +244,71 @@ mod tests {
         let mut h = HostCpu::new(2, SimTime::ZERO);
         h.start_segment(t(0), JobId(1), d(5));
         h.start_segment(t(0), JobId(1), d(5));
+    }
+
+    /// One step of a random host-phase sequence.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// After `gap` seconds, start a phase of `secs` seconds.
+        Start { gap: u64, secs: u64 },
+        /// Finish a phase that is due at the earliest prediction: the
+        /// `pick`-th (mod the count) of the phases tied at that instant.
+        Finish { pick: usize },
+        /// After `gap` seconds, abort the `pick`-th (mod the count) active
+        /// phase.
+        Abort { gap: u64, pick: usize },
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        // Few distinct durations and gaps, so equal-time ties are common.
+        prop_oneof![
+            3 => (0u64..3, 1u64..5).prop_map(|(gap, secs)| Op::Start { gap, secs }),
+            2 => any::<usize>().prop_map(|pick| Op::Finish { pick }),
+            1 => (0u64..3, any::<usize>()).prop_map(|(gap, pick)| Op::Abort { gap, pick }),
+        ]
+    }
+
+    proptest! {
+        /// `next_completion` is the first minimum of `completions` by
+        /// `(time, id)` after every start, finish and abort — the host's
+        /// share of the event scheduler's specification.
+        #[test]
+        fn next_completion_is_first_min_of_completions(
+            cores in 1u32..4,
+            ops in prop::collection::vec(arb_op(), 1..40),
+        ) {
+            let mut h = HostCpu::new(cores, SimTime::ZERO);
+            let mut now = SimTime::ZERO;
+            let mut next_job = 0u64;
+            for op in ops {
+                match op {
+                    Op::Start { gap, secs } => {
+                        now += d(gap);
+                        h.start_segment(now, JobId(next_job), d(secs));
+                        next_job += 1;
+                    }
+                    Op::Finish { pick } => {
+                        let comps = h.completions();
+                        let Some(&(_, at)) = comps.iter().min_by_key(|&&(j, at)| (at, j)) else {
+                            continue;
+                        };
+                        let due: Vec<JobId> =
+                            comps.iter().filter(|c| c.1 == at).map(|c| c.0).collect();
+                        now = at;
+                        h.finish_segment(now, due[pick % due.len()]);
+                    }
+                    Op::Abort { gap, pick } => {
+                        let comps = h.completions();
+                        if comps.is_empty() {
+                            continue;
+                        }
+                        now += d(gap);
+                        h.abort(now, comps[pick % comps.len()].0);
+                    }
+                }
+                let earliest = h.completions().into_iter().min_by_key(|&(j, at)| (at, j));
+                prop_assert_eq!(h.next_completion(), earliest);
+            }
+        }
     }
 }

@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 /// wall-clock measurement, not simulation output, and
 /// [`ExperimentResult::cycles_skipped`] only records how much work the
 /// quiescence fast path avoided, so both are excluded — bit-identity
-/// assertions across event modes, planner modes, partition counts, and
-/// quiescence settings compare everything else.
+/// assertions across the shared substrate pair, planner modes, partition
+/// counts, and quiescence settings compare everything else.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentResult {
     /// Which stack ran.
@@ -61,8 +61,7 @@ pub struct ExperimentResult {
     /// every card; the footprint argument in joules).
     pub energy_kwh: f64,
     /// Live discrete events handled (simulation cost, for the perf
-    /// benches). Stale prediction deliveries are excluded, so the count is
-    /// identical across event-scheduling modes.
+    /// benches). Stale predictions drained at pop time are excluded.
     pub events_processed: u64,
     /// Injected MPSS/device resets that actually struck (strikes on an
     /// already-down target are absorbed and not counted).

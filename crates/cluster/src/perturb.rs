@@ -32,7 +32,7 @@
 //! negotiation cycles are scheduled on demand — so it is applied lazily in
 //! `runtime.rs`: the offset of cycle `k` is a pure function of
 //! `(seed, "perturb-jitter", k)` via [`DetRng::substream_indexed`], immune
-//! to call-order drift between event modes and substrates.
+//! to call-order drift between substrates.
 
 use crate::config::ClusterConfig;
 use crate::fault::{check_expected_events, check_times, push_renewals};

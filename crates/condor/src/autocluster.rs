@@ -15,7 +15,7 @@
 //! [`ClassTable::floor`] O(log n).
 //!
 //! [`JobQueue`]: crate::JobQueue
-//! [`QueuedJob::class_key`]: crate::QueuedJob::class_key
+//! [`QueuedJob::class_key`]: crate::queue::QueuedJob::class_key
 
 use phishare_classad::CompiledReq;
 use phishare_workload::JobId;

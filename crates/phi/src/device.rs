@@ -810,7 +810,7 @@ mod tests {
             d.start_offload(t(0), slot, 60, secs(10), Affinity::Unmanaged);
         }
         // All three predictions coincide; the lowest ProcId wins — the
-        // order per-offload events would fire in.
+        // first minimum by (time, proc).
         assert_eq!(d.next_completion().unwrap().0, ProcId(2));
     }
 

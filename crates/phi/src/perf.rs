@@ -102,11 +102,12 @@ impl PerfModel {
 
     /// Both rates a device state admits, as `(pinned, unmanaged)`.
     ///
-    /// Every factor of [`PerfModel::offload_rate`] depends only on
-    /// device-wide aggregates, never on the individual offload — all active
-    /// offloads share one of exactly two rates. A reschedule therefore
-    /// needs two rate computations, not one per offload. Bit-identical to
-    /// calling `offload_rate` twice (the factor products are evaluated in
+    /// Every factor of the per-offload rate (the test-only
+    /// `PerfModel::offload_rate`) depends only on device-wide aggregates,
+    /// never on the individual offload — all active offloads share one of
+    /// exactly two rates. A reschedule therefore needs two rate
+    /// computations, not one per offload. Bit-identical to calling
+    /// `offload_rate` twice (the factor products are evaluated in
     /// the same order).
     pub(crate) fn offload_rates(
         &self,

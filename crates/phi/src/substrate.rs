@@ -146,7 +146,8 @@ pub trait DeviceSubstrate {
     fn set_rate_scale(&mut self, now: SimTime, scale: f64);
 
     /// Visit every predicted completion in ascending [`ProcId`] order —
-    /// the order per-offload events must be scheduled in.
+    /// the specification [`DeviceSubstrate::next_completion`] is checked
+    /// against.
     fn for_each_completion(&self, f: impl FnMut(ProcId, SimTime));
 
     /// The earliest predicted completion, ties to the lowest [`ProcId`].

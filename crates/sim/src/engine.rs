@@ -1,26 +1,15 @@
 //! The simulation driver.
 //!
 //! [`Sim`] owns the clock and the event queue. A simulation is advanced by
-//! repeatedly popping the earliest event and handing it, together with a
-//! mutable reference to the `Sim` itself, to a caller-supplied handler that
-//! may schedule further events. The world state lives in the caller (see
+//! repeatedly popping the earliest event ([`Sim::step`], or
+//! [`Sim::step_live`] to drain stale entries) and handling it in the
+//! caller's loop, which may schedule further events. The world state lives in the caller (see
 //! `phishare-cluster`); keeping it out of the engine avoids a tangle of
 //! generic event traits across crates and keeps every model crate a pure,
 //! unit-testable state machine.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
-
-/// Outcome of driving a simulation with `Sim::run_until`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained completely.
-    QueueEmpty,
-    /// The time horizon was reached with events still pending.
-    HorizonReached,
-    /// The event budget was exhausted (runaway-simulation guard).
-    EventBudgetExhausted,
-}
 
 /// A deterministic discrete-event simulator.
 ///
@@ -33,12 +22,12 @@ pub enum RunOutcome {
 /// let mut sim = Sim::new();
 /// sim.schedule_after(SimDuration::from_secs(1), Ev::Ping(0));
 /// let mut fired = Vec::new();
-/// sim.run(|sim, Ev::Ping(n)| {
+/// while let Some(Ev::Ping(n)) = sim.step() {
 ///     fired.push((sim.now(), n));
 ///     if n < 2 {
 ///         sim.schedule_after(SimDuration::from_secs(1), Ev::Ping(n + 1));
 ///     }
-/// });
+/// }
 /// assert_eq!(fired.len(), 3);
 /// assert_eq!(fired[2].0.as_secs_f64(), 3.0);
 /// ```
@@ -181,8 +170,7 @@ impl<E> Sim<E> {
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     ///
-    /// Returns `None` when the queue is empty. Most callers should prefer
-    /// [`Sim::run`] / `Sim::run_until`.
+    /// Returns `None` when the queue is empty.
     pub fn step(&mut self) -> Option<E> {
         let (time, event) = self.queue.pop()?;
         debug_assert!(time >= self.now, "event queue produced a past event");
@@ -216,35 +204,6 @@ impl<E> Sim<E> {
     pub fn budget_exhausted(&self) -> bool {
         self.events_processed >= self.event_budget
     }
-
-    /// Drive the simulation until the queue drains, passing each event to
-    /// `handler`.
-    pub fn run<F>(&mut self, mut handler: F) -> RunOutcome
-    where
-        F: FnMut(&mut Self, E),
-    {
-        self.run_until(SimTime::MAX, &mut handler)
-    }
-
-    /// Drive the simulation until the queue drains or the clock would pass
-    /// `horizon` (events at exactly `horizon` still fire).
-    pub(crate) fn run_until<F>(&mut self, horizon: SimTime, handler: &mut F) -> RunOutcome
-    where
-        F: FnMut(&mut Self, E),
-    {
-        loop {
-            match self.queue.peek_time() {
-                None => return RunOutcome::QueueEmpty,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {}
-            }
-            if self.events_processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
-            let event = self.step().expect("peeked event vanished");
-            handler(self, event);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +221,9 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(5), Ev::Tick(5));
         sim.schedule_at(SimTime::from_secs(2), Ev::Tick(2));
         let mut seen = Vec::new();
-        sim.run(|sim, ev| seen.push((sim.now(), ev)));
+        while let Some(ev) = sim.step() {
+            seen.push((sim.now(), ev));
+        }
         assert_eq!(
             seen,
             vec![
@@ -278,41 +239,25 @@ mod tests {
         let mut sim = Sim::new();
         sim.schedule_after(SimDuration::from_secs(1), Ev::Tick(0));
         let mut count = 0;
-        sim.run(|sim, Ev::Tick(n)| {
+        while let Some(Ev::Tick(n)) = sim.step() {
             count += 1;
             if n < 9 {
                 sim.schedule_after(SimDuration::from_secs(1), Ev::Tick(n + 1));
             }
-        });
+        }
         assert_eq!(count, 10);
         assert_eq!(sim.now(), SimTime::from_secs(10));
-    }
-
-    #[test]
-    fn horizon_stops_run() {
-        let mut sim = Sim::new();
-        for s in 1..=10 {
-            sim.schedule_at(SimTime::from_secs(s), Ev::Tick(s as u32));
-        }
-        let mut count = 0;
-        let outcome = sim.run_until(SimTime::from_secs(4), &mut |_, _| count += 1);
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        assert_eq!(count, 4); // events at exactly the horizon still fire
-        assert_eq!(sim.now(), SimTime::from_secs(4));
-        // The six later events are still queued.
-        assert_eq!(sim.run(|_, _| count += 1), RunOutcome::QueueEmpty);
-        assert_eq!(count, 10);
     }
 
     #[test]
     fn event_budget_guards_runaway() {
         let mut sim = Sim::new().with_event_budget(100);
         sim.schedule_after(SimDuration::from_ticks(1), Ev::Tick(0));
-        let outcome = sim.run(|sim, Ev::Tick(n)| {
-            // An event storm that never terminates on its own.
+        // An event storm that never terminates on its own.
+        while !sim.budget_exhausted() {
+            let Some(Ev::Tick(n)) = sim.step() else { break };
             sim.schedule_after(SimDuration::from_ticks(1), Ev::Tick(n));
-        });
-        assert_eq!(outcome, RunOutcome::EventBudgetExhausted);
+        }
         assert_eq!(sim.events_processed(), 100);
     }
 
@@ -335,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn run_drives_slot_events_with_plain_ones() {
+    fn step_drives_slot_events_with_plain_ones() {
         let mut sim = Sim::new();
         sim.schedule_at(SimTime::from_secs(2), Ev::Tick(2));
         sim.schedule_slot(0, SimTime::from_secs(9), Ev::Tick(9));
@@ -343,7 +288,9 @@ mod tests {
         sim.schedule_slot(1, SimTime::from_secs(4), Ev::Tick(4));
         sim.clear_slot(1);
         let mut seen = Vec::new();
-        assert_eq!(sim.run(|_, ev| seen.push(ev)), RunOutcome::QueueEmpty);
+        while let Some(ev) = sim.step() {
+            seen.push(ev);
+        }
         assert_eq!(seen, vec![Ev::Tick(1), Ev::Tick(2)]);
         assert_eq!(sim.now(), SimTime::from_secs(2));
     }
@@ -367,9 +314,8 @@ mod tests {
     }
 
     #[test]
-    fn empty_queue_returns_queue_empty() {
+    fn empty_queue_steps_to_none() {
         let mut sim: Sim<Ev> = Sim::new();
-        assert_eq!(sim.run(|_, _| ()), RunOutcome::QueueEmpty);
         assert_eq!(sim.step(), None);
     }
 }

@@ -327,16 +327,6 @@ impl<E> EventQueue<E> {
         self.stale_drained
     }
 
-    /// The time of the earliest pending event without removing it.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        let plain = self.heap.peek().map(|e| e.time);
-        let slot = self.slot_heap.first().map(SlotKey::time);
-        match (plain, slot) {
-            (Some(p), Some(s)) => Some(p.min(s)),
-            (p, s) => p.or(s),
-        }
-    }
-
     /// Reset the queue to its freshly-constructed state — empty, every
     /// slot vacant, sequence numbering restarted, stale counter zeroed —
     /// while keeping the heaps' and the slot table's allocations. This is
@@ -393,15 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(t(2), ());
-        assert_eq!(q.peek_time(), Some(t(2)));
-        assert_eq!(q.pop(), Some((t(2), ())));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
     fn pop_live_drains_stale_entries_lazily() {
         let mut q = EventQueue::new();
         q.push(t(1), -1);
@@ -447,7 +428,6 @@ mod tests {
         q.push(t(2), "plain-2b");
         q.set_slot(0, t(1), "slot-1");
         q.push(t(3), "plain-3");
-        assert_eq!(q.peek_time(), Some(t(1)));
         assert_eq!(
             drain(&mut q),
             vec!["slot-1", "plain-2a", "slot-2", "plain-2b", "plain-3"]
@@ -484,7 +464,7 @@ mod tests {
         q.set_slot(2, t(1), "a");
         q.clear_slot(2);
         q.clear_slot(2);
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
         q.set_slot(2, t(2), "b");
         assert_eq!(drain(&mut q), vec!["b"]);
     }

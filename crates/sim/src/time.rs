@@ -27,8 +27,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The origin of the simulation clock.
     pub const ZERO: SimTime = SimTime(0);
-    /// The maximum representable instant (used as an "infinitely far" sentinel).
-    pub(crate) const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw ticks (milliseconds).
     #[inline]

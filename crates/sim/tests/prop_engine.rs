@@ -156,15 +156,14 @@ proptest! {
         let mut fired = 0usize;
         let mut last = SimTime::ZERO;
         let mut monotone = true;
-        let delays_ref = &delays;
-        sim.run(|sim, idx| {
+        while let Some(idx) = sim.step() {
             fired += 1;
             monotone &= sim.now() >= last;
             last = sim.now();
-            if idx < delays_ref.len() {
-                sim.schedule_after(SimDuration::from_ticks(delays_ref[idx]), idx + 1);
+            if idx < delays.len() {
+                sim.schedule_after(SimDuration::from_ticks(delays[idx]), idx + 1);
             }
-        });
+        }
         prop_assert!(monotone, "clock went backwards");
         prop_assert_eq!(fired, delays.len() + 1);
         let expected: u64 = delays.iter().sum();

@@ -417,9 +417,9 @@ impl SharingEngine for HeapEngine {
         let root = self.heap.first()?;
         let tick = ticks_until(root.fin, self.v, self.rate);
         // Distinct fins can round to the same tick; resolve the tie to
-        // the smallest id so both engines (and both event-scheduling
-        // schemes upstream) pick the same winner. The root is the first
-        // candidate, so the search starts from its children.
+        // the smallest id so both engines pick the same winner as the
+        // first minimum of the completions by (tick, id). The root is the
+        // first candidate, so the search starts from its children.
         let mut best = root.id;
         self.tie_min_id(0, tick, &mut best);
         Some((best, tick))
