@@ -8,8 +8,8 @@
 //! lifetime counters — and implements [`DeviceSubstrate`] once. The models
 //! differ only in how the card's load becomes execution rates, a sealed
 //! rate-model trait with two implementations: [`PerfRates`], the paper's
-//! pinned/unmanaged rate pair kept once per card while each active offload
-//! keeps only its remaining work in its slab entry ([`PhiDevice`]), and
+//! pinned/unmanaged rate pair kept once per card, with each class's active
+//! offloads in one table sorted by remaining work ([`PhiDevice`]), and
 //! [`crate::sharing`]'s one shared rate set on a throughput engine. Every
 //! operation integrates execution up to `now`, then changes membership,
 //! then reshares the rates.
@@ -202,8 +202,9 @@ mod rule {
         /// The rule `spec` asks for.
         fn from_spec(spec: &DeviceSpec) -> Self;
 
-        /// Start tracking `proc`'s offload of `work` nominal ticks.
-        fn join(&mut self, proc: ProcId, work: f64) -> Self::Work;
+        /// Start tracking `proc`'s offload (pinned or not) of `work`
+        /// nominal ticks.
+        fn join(&mut self, proc: ProcId, pinned: bool, work: f64) -> Self::Work;
 
         /// Stop tracking `proc`'s offload (pinned or not); returns its
         /// remaining work and its rate.
@@ -213,12 +214,7 @@ mod rule {
         fn clear(&mut self) {}
 
         /// Integrate `dt` wall ticks of execution at the current rates.
-        /// `active` yields each offload's pinned flag and work.
-        fn advance<'a>(
-            &mut self,
-            dt: f64,
-            active: impl Iterator<Item = (bool, &'a mut Self::Work)>,
-        );
+        fn advance(&mut self, dt: f64);
 
         /// Recompute the rates for `(n_active, n_resident)` offloads and
         /// residents running `(active_threads, hw_threads)`, then derate
@@ -235,10 +231,7 @@ mod rule {
         );
 
         /// The earliest predicted completion, ties to the lowest proc.
-        fn next_completion<'a>(
-            &self,
-            active: impl Iterator<Item = (ProcId, bool, &'a Self::Work)>,
-        ) -> Option<(ProcId, u64)>;
+        fn next_completion(&self) -> Option<(ProcId, u64)>;
     }
 }
 
@@ -367,9 +360,7 @@ impl<R: RateModel> Card<R> {
     fn advance_to(&mut self, now: SimTime) {
         let dt = now.since(self.last_update).ticks() as f64;
         if dt > 0.0 {
-            let active = self.procs.iter_mut().filter_map(|(_, e)| e.active.as_mut());
-            self.rates
-                .advance(dt, active.map(|off| (off.pinned(), &mut off.work)));
+            self.rates.advance(dt);
             self.last_update = now;
         }
     }
@@ -512,7 +503,9 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
         self.advance_to(now);
         self.n_active += 1;
         self.active_threads_total += threads;
-        let work = self.rates.join(proc, work.ticks() as f64);
+        let work = self
+            .rates
+            .join(proc, affinity != Affinity::Unmanaged, work.ticks() as f64);
         self.entry_mut(slot).active = Some(ActiveOffload {
             threads,
             affinity,
@@ -577,12 +570,8 @@ impl<R: RateModel> DeviceSubstrate for Card<R> {
     }
 
     fn next_completion(&self) -> Option<(ProcId, SimTime)> {
-        let active = self.procs.iter().filter_map(|(_, entry)| {
-            let off = entry.active.as_ref()?;
-            Some((entry.id, off.pinned(), &off.work))
-        });
         self.rates
-            .next_completion(active)
+            .next_completion()
             .map(|(proc, ticks)| (proc, self.last_update + SimDuration::from_ticks(ticks)))
     }
 

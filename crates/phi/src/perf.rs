@@ -132,14 +132,19 @@ impl PerfModel {
 ///
 /// Every factor of the per-offload rate (`PerfModel::offload_rate`)
 /// depends only on card-wide aggregates, so all COSMIC-pinned offloads
-/// share one rate and all unmanaged ones another. The card keeps that `(pinned, unmanaged)` pair,
-/// already multiplied by the derate scale; an active offload keeps only its
-/// remaining nominal work, and a reshare writes two numbers.
+/// share one rate and all unmanaged ones another. The card keeps that
+/// `(pinned, unmanaged)` pair, already multiplied by the derate scale, and
+/// each class's active offloads in one table sorted by remaining nominal
+/// work; a reshare writes two numbers, and a slab entry keeps nothing for
+/// the rule.
 #[derive(Debug)]
 pub struct PerfRates {
     model: PerfModel,
     pinned: f64,
     unmanaged: f64,
+    /// One `(remaining, proc)` table per class, indexed by the pinned
+    /// flag, each sorted ascending by remaining work.
+    work: [Vec<(f64, ProcId)>; 2],
 }
 
 impl From<PerfModel> for PerfRates {
@@ -148,6 +153,7 @@ impl From<PerfModel> for PerfRates {
             model,
             pinned: 1.0,
             unmanaged: 1.0,
+            work: [Vec::new(), Vec::new()],
         }
     }
 }
@@ -163,10 +169,28 @@ impl PerfRates {
         }
     }
 
-    /// Wall ticks until `remaining` nominal work completes in class `pinned`.
+    /// Class `pinned`'s earliest completion as `(ticks, proc)`, ties to the
+    /// lowest proc.
+    ///
+    /// The class shares one rate and `⌈fl(x / rate)⌉` is monotone in `x`,
+    /// so tick counts never fall along the sorted table: the front's is the
+    /// least, and the entries that tie it are the ones right behind it.
+    /// The walk over them stops at the first entry above the front's
+    /// [`work_bound`] (more ticks, known without a division) or at the
+    /// first tick count above the front's.
     #[inline]
-    fn ticks_left(&self, pinned: bool, remaining: f64) -> u64 {
-        ceil_ticks(remaining / self.rate(pinned))
+    fn earliest(&self, pinned: bool) -> Option<(u64, ProcId)> {
+        let rate = self.rate(pinned);
+        let (&(front, mut proc), rest) = self.work[pinned as usize].split_first()?;
+        let ticks = ceil_ticks(front / rate);
+        let bound = work_bound(ticks, rate);
+        for &(remaining, other) in rest {
+            if remaining > bound || ceil_ticks(remaining / rate) > ticks {
+                break;
+            }
+            proc = proc.min(other);
+        }
+        Some((ticks, proc))
     }
 }
 
@@ -190,27 +214,45 @@ fn work_bound(ticks: u64, rate: f64) -> f64 {
     ticks.max(1) as f64 * (1.0 + 1e-12) * rate
 }
 
-/// Work is the offload's remaining nominal ticks; its rate is its class's.
+/// The rule keeps the work itself, in its class tables, so a slab entry
+/// holds nothing.
 impl RateModel for PerfRates {
-    type Work = f64;
+    type Work = ();
 
     fn from_spec(spec: &DeviceSpec) -> Self {
         spec.perf.into()
     }
 
-    fn join(&mut self, _: ProcId, work: f64) -> f64 {
-        work
+    fn join(&mut self, proc: ProcId, pinned: bool, work: f64) {
+        let table = &mut self.work[pinned as usize];
+        table.insert(table.partition_point(|&(w, _)| w <= work), (work, proc));
     }
 
-    fn leave(&mut self, _: ProcId, pinned: bool, remaining: f64) -> (f64, f64) {
-        (remaining, self.rate(pinned))
+    fn leave(&mut self, proc: ProcId, pinned: bool, _: ()) -> (f64, f64) {
+        let table = &mut self.work[pinned as usize];
+        let at = table
+            .iter()
+            .position(|&(_, p)| p == proc)
+            .unwrap_or_else(|| panic!("{proc} has no tracked offload"));
+        (table.remove(at).0, self.rate(pinned))
     }
 
-    fn advance<'a>(&mut self, dt: f64, active: impl Iterator<Item = (bool, &'a mut f64)>) {
-        let (pinned, unmanaged) = (self.pinned * dt, self.unmanaged * dt);
-        for (is_pinned, remaining) in active {
-            let done = if is_pinned { pinned } else { unmanaged };
-            *remaining = (*remaining - done).max(0.0);
+    fn clear(&mut self) {
+        self.work.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Subtracts each class's `done = fl(rate·dt)` from every member,
+    /// clamped at 0, and the tables stay sorted with no re-sort: for
+    /// `a ≤ b`, `a − done ≤ b − done` exactly, round-to-nearest never
+    /// swaps two ordered reals, and `max(·, 0)` is monotone too. Distinct
+    /// remainders may become equal (a rounding or the clamp merges them);
+    /// `earliest`'s tie walk needs no order among equals.
+    fn advance(&mut self, dt: f64) {
+        for (table, rate) in self.work.iter_mut().zip([self.unmanaged, self.pinned]) {
+            let done = rate * dt;
+            for (remaining, _) in table.iter_mut() {
+                *remaining = (*remaining - done).max(0.0);
+            }
         }
     }
 
@@ -232,47 +274,31 @@ impl RateModel for PerfRates {
         self.unmanaged = unmanaged * scale;
     }
 
+    /// Finds each proc in its class table, a linear search per visit; only
+    /// the examples and tests visit every completion.
     fn for_each_completion<'a>(
         &self,
-        by_id: impl Iterator<Item = (ProcId, bool, &'a f64)>,
+        by_id: impl Iterator<Item = (ProcId, bool, &'a ())>,
         mut f: impl FnMut(ProcId, u64),
     ) {
-        for (proc, pinned, &remaining) in by_id {
-            f(proc, self.ticks_left(pinned, remaining));
+        for (proc, pinned, _) in by_id {
+            let &(remaining, _) = self.work[pinned as usize]
+                .iter()
+                .find(|&&(_, p)| p == proc)
+                .unwrap_or_else(|| panic!("{proc} has no tracked offload"));
+            f(proc, ceil_ticks(remaining / self.rate(pinned)));
         }
     }
 
-    /// Scans the dense slab (cache-friendly); min by (ticks, id) is
-    /// iteration-order independent, so slot order here and the
-    /// ascending-id order of the reference specification pick the same
-    /// winner.
-    ///
-    /// Within one class the rate is shared and `⌈fl(x / rate)⌉` is
-    /// monotone in `x`, so an offload whose remaining work exceeds its
-    /// class's [`work_bound`] for the best so far would lose: it is
-    /// skipped without a division. The result is exactly the exhaustive
-    /// `min (ticks, proc)`, ties to the lowest proc included.
-    fn next_completion<'a>(
-        &self,
-        active: impl Iterator<Item = (ProcId, bool, &'a f64)>,
-    ) -> Option<(ProcId, u64)> {
-        let mut best: Option<(u64, ProcId)> = None;
-        // Indexed by the pinned flag.
-        let mut bound = [f64::INFINITY; 2];
-        for (proc, pinned, &remaining) in active {
-            if remaining > bound[pinned as usize] {
-                continue;
-            }
-            let candidate = (self.ticks_left(pinned, remaining), proc);
-            if best.is_none_or(|b| candidate < b) {
-                best = Some(candidate);
-                bound = [
-                    work_bound(candidate.0, self.unmanaged),
-                    work_bound(candidate.0, self.pinned),
-                ];
-            }
-        }
-        best.map(|(ticks, proc)| (proc, ticks))
+    /// The smaller of the two classes' [`earliest`](PerfRates::earliest):
+    /// exactly the exhaustive `min (ticks, proc)` over every active
+    /// offload, ties to the lowest proc included.
+    fn next_completion(&self) -> Option<(ProcId, u64)> {
+        [false, true]
+            .into_iter()
+            .filter_map(|pinned| self.earliest(pinned))
+            .min()
+            .map(|(ticks, proc)| (proc, ticks))
     }
 }
 
@@ -380,6 +406,9 @@ mod tests {
         /// a whole tick count or one ulp either side of it, clustered so
         /// that offloads of one class tie at the minimum.
         NearMultiple { dk: u64, ulps: i64 },
+        /// The smallest floats, 0 and the first subnormals: a rate above 2
+        /// divides the first one to 0 ticks.
+        Tiny(u64),
         /// Anywhere in `[0, 10⁷)` nominal ticks.
         Uniform(f64),
         /// Up to `f64::MAX`, mostly past the 2⁶⁴-tick saturation point.
@@ -393,6 +422,7 @@ mod tests {
                     let x = (k + dk as f64) * r;
                     f64::from_bits((x.to_bits() as i64 + ulps).max(0) as u64)
                 }
+                Remaining::Tiny(bits) => f64::from_bits(bits),
                 Remaining::Uniform(frac) => frac * 1e7,
                 Remaining::Huge(frac) => f64::MAX * frac,
             }
@@ -402,6 +432,7 @@ mod tests {
     fn arb_remaining() -> impl Strategy<Value = Remaining> {
         prop_oneof![
             6 => (0u64..2, -2i64..=2).prop_map(|(dk, ulps)| Remaining::NearMultiple { dk, ulps }),
+            1 => (0u64..3).prop_map(Remaining::Tiny),
             1 => (0.0..1.0f64).prop_map(Remaining::Uniform),
             1 => (0.0..=1.0f64).prop_map(Remaining::Huge),
         ]
@@ -416,65 +447,131 @@ mod tests {
         ]
     }
 
-    /// A card's rate pair after a reshare: the default model or a rate
-    /// floor above 1, loads up to 100× oversubscription (rates at
-    /// `min_rate`), and derate scales of 1, below 1 and subnormal.
-    fn arb_rates() -> impl Strategy<Value = PerfRates> {
-        (
-            prop_oneof![Just(1e-3), Just(0.25), Just(3.0)],
-            1usize..=12,
-            0usize..=8,
-            prop_oneof![Just(240u32), 1u32..=24_000],
-            prop_oneof![
-                Just(1.0),
-                Just(0.4),
-                1e-6..1.0f64,
-                Just(1e-310),
-                Just(1e-318)
-            ],
-        )
-            .prop_map(|(min_rate, n_active, extra, threads, scale)| {
-                let mut rates = PerfRates::from(PerfModel {
-                    min_rate,
-                    ..PerfModel::default()
-                });
-                rates.reshare((n_active, n_active + extra), (threads, 240), scale);
-                rates
-            })
+    /// One step of a random workout of the class tables.
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A new offload; `key` orders its proc id apart from join order.
+        Join {
+            key: u64,
+            pinned: bool,
+            work: Remaining,
+        },
+        /// Integrate whole wall ticks: a few, a power of two, or enough to
+        /// clamp every remainder to 0.
+        Advance(f64),
+        /// A new rate pair: loads up to 100× oversubscription (rates at
+        /// `min_rate`) and derate scales of 1, below 1 and subnormal.
+        Reshare {
+            n_active: usize,
+            extra: usize,
+            threads: u32,
+            scale: f64,
+        },
+        /// The model's offload at this index (modulo its length) leaves.
+        Leave(usize),
+        /// Device reset.
+        Clear,
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            6 => (0u64..6, any::<bool>(), arb_remaining())
+                .prop_map(|(key, pinned, work)| Step::Join { key, pinned, work }),
+            3 => prop_oneof![
+                (1u64..8).prop_map(|t| t as f64),
+                (0i32..=64).prop_map(|e| 2f64.powi(e)),
+            ]
+            .prop_map(Step::Advance),
+            2 => (
+                1usize..=12,
+                0usize..=8,
+                prop_oneof![Just(240u32), 1u32..=24_000],
+                prop_oneof![Just(1.0), Just(0.4), 1e-6..1.0f64, Just(1e-310), Just(1e-318)],
+            )
+                .prop_map(|(n_active, extra, threads, scale)| Step::Reshare {
+                    n_active,
+                    extra,
+                    threads,
+                    scale,
+                }),
+            2 => any::<usize>().prop_map(Step::Leave),
+            1 => Just(Step::Clear),
+        ]
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16_384))]
+        #![proptest_config(ProptestConfig::with_cases(4_096))]
 
-        /// The bounded scan equals the exhaustive `min (⌈rem/rate⌉, proc)`
-        /// with libm's ceil, and every visited completion is that
-        /// offload's own tick count, whatever the slot order.
+        /// The sorted class tables against a plain per-offload model: after
+        /// every random join, advance, reshare, leave or clear, each
+        /// remainder is bit-identical to the model's, each table is sorted,
+        /// `next_completion` is the exhaustive `min (⌈rem/rate⌉, proc)` with
+        /// libm's ceil, and `for_each_completion` visits each offload's own
+        /// tick count in the order asked.
         #[test]
-        fn bounded_scan_equals_exhaustive_min(
-            rates in arb_rates(),
+        fn class_tables_match_a_per_offload_model(
+            min_rate in prop_oneof![Just(1e-3), Just(0.25), Just(3.0)],
             k in arb_base_ticks(),
-            offloads in prop::collection::vec((0u64..6, any::<bool>(), arb_remaining()), 1..12),
+            steps in prop::collection::vec(arb_step(), 1..48),
         ) {
-            // Proc ids in random order relative to the visit order.
-            let active: Vec<(ProcId, bool, f64)> = offloads
-                .iter()
-                .enumerate()
-                .map(|(i, &(key, pinned, rem))| {
-                    (ProcId(key << 8 | i as u64), pinned, rem.value(k, rates.rate(pinned)))
-                })
-                .collect();
-            let ticks = |pinned: bool, rem: f64| (rem / rates.rate(pinned)).ceil().max(0.0) as u64;
-            let exhaustive = active
-                .iter()
-                .map(|&(proc, pinned, rem)| (ticks(pinned, rem), proc))
-                .min()
-                .map(|(t, proc)| (proc, t));
-            let iter = || active.iter().map(|(proc, pinned, rem)| (*proc, *pinned, rem));
-            prop_assert_eq!(rates.next_completion(iter()), exhaustive);
-            let mut visited = Vec::new();
-            rates.for_each_completion(iter(), |proc, t| visited.push((proc, t)));
-            let expected: Vec<_> = active.iter().map(|&(proc, pinned, rem)| (proc, ticks(pinned, rem))).collect();
-            prop_assert_eq!(visited, expected);
+            let mut rates = PerfRates::from(PerfModel { min_rate, ..PerfModel::default() });
+            let mut model: Vec<(ProcId, bool, f64)> = Vec::new();
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Join { key, pinned, work } => {
+                        let proc = ProcId(key << 8 | i as u64);
+                        let work = work.value(k, rates.rate(pinned));
+                        rates.join(proc, pinned, work);
+                        model.push((proc, pinned, work));
+                    }
+                    Step::Advance(dt) => {
+                        rates.advance(dt);
+                        for (_, pinned, rem) in &mut model {
+                            *rem = (*rem - rates.rate(*pinned) * dt).max(0.0);
+                        }
+                    }
+                    Step::Reshare { n_active, extra, threads, scale } => {
+                        rates.reshare((n_active, n_active + extra), (threads, 240), scale);
+                    }
+                    Step::Leave(at) => {
+                        if !model.is_empty() {
+                            let (proc, pinned, rem) = model.remove(at % model.len());
+                            let (left, rate) = rates.leave(proc, pinned, ());
+                            prop_assert_eq!(left.to_bits(), rem.to_bits());
+                            prop_assert_eq!(rate.to_bits(), rates.rate(pinned).to_bits());
+                        }
+                    }
+                    Step::Clear => {
+                        rates.clear();
+                        model.clear();
+                    }
+                }
+
+                prop_assert_eq!(rates.work[0].len() + rates.work[1].len(), model.len());
+                for table in &rates.work {
+                    prop_assert!(table.windows(2).all(|w| w[0].0 <= w[1].0), "unsorted {:?}", table);
+                }
+                for &(proc, pinned, rem) in &model {
+                    let held = rates.work[pinned as usize].iter().find(|e| e.1 == proc);
+                    prop_assert_eq!(held.map(|e| e.0.to_bits()), Some(rem.to_bits()));
+                }
+                let ticks = |pinned: bool, rem: f64| (rem / rates.rate(pinned)).ceil().max(0.0) as u64;
+                let exhaustive = model
+                    .iter()
+                    .map(|&(proc, pinned, rem)| (ticks(pinned, rem), proc))
+                    .min()
+                    .map(|(t, proc)| (proc, t));
+                prop_assert_eq!(rates.next_completion(), exhaustive);
+                let mut by_id = model.clone();
+                by_id.sort_unstable_by_key(|e| e.0);
+                let mut visited = Vec::new();
+                rates.for_each_completion(
+                    by_id.iter().map(|&(proc, pinned, _)| (proc, pinned, &())),
+                    |proc, t| visited.push((proc, t)),
+                );
+                let expected: Vec<_> = by_id.iter().map(|&(proc, pinned, rem)| (proc, ticks(pinned, rem))).collect();
+                prop_assert_eq!(visited, expected);
+            }
         }
     }
 }

@@ -44,7 +44,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
         }
     }
 
-    fn join(&mut self, proc: ProcId, work: f64) -> E::Handle {
+    fn join(&mut self, proc: ProcId, _: bool, work: f64) -> E::Handle {
         self.engine.join(proc.0, work)
     }
 
@@ -60,7 +60,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
 
     /// One O(1) virtual-clock update regardless of how many offloads are
     /// active.
-    fn advance<'a>(&mut self, dt: f64, _: impl Iterator<Item = (bool, &'a mut E::Handle)>) {
+    fn advance(&mut self, dt: f64) {
         self.engine.advance(dt);
     }
 
@@ -91,10 +91,7 @@ impl<E: SharingEngine> RateModel for FairShare<E> {
         }
     }
 
-    fn next_completion<'a>(
-        &self,
-        _: impl Iterator<Item = (ProcId, bool, &'a E::Handle)>,
-    ) -> Option<(ProcId, u64)> {
+    fn next_completion(&self) -> Option<(ProcId, u64)> {
         self.engine
             .next_completion()
             .map(|(id, ticks)| (ProcId(id), ticks))

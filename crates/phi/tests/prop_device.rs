@@ -20,9 +20,10 @@ use proptest::prelude::*;
 use reference::ReferenceCard;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Proc ids the random workouts draw from. Each id owns a private block of
-/// ten cores for its pinned offloads, so pinned sets never overlap.
-const PROCS: u64 = 6;
+/// Proc ids the random workouts draw from: a dozen, so a card's two rate
+/// classes hold deep completion tables. Each id owns a private block of
+/// five cores for its pinned offloads, so pinned sets never overlap.
+const PROCS: u64 = 12;
 
 /// One step of a random device workout. Steps that would break the
 /// substrate contract (attaching a resident, acting on a departed process,
@@ -83,6 +84,46 @@ fn arb_op() -> impl Strategy<Value = Op> {
         1 => prop::sample::select(vec![0.25, 0.5, 0.8, 1.0]).prop_map(|scale| Op::Derate { scale }),
         1 => Just(Op::Reset),
     ]
+}
+
+/// A workout that first fills the card: every proc attaches small and
+/// starts an offload, pinned or not, in a random order, so both rate
+/// classes begin with deep completion tables (many of them tied, as work is
+/// whole seconds, and not in proc order) that the random tail then drains,
+/// churns and resets. Random workouts alone rarely hold more than three
+/// offloads at once: the OOM killer, detaches and resets keep the card
+/// shallow.
+fn arb_filled_workout() -> impl Strategy<Value = Vec<Op>> {
+    (
+        prop::collection::vec(
+            (any::<u64>(), 1u32..=60, 1u64..30, any::<bool>()),
+            PROCS as usize,
+        ),
+        prop::collection::vec(arb_op(), 1..80),
+    )
+        .prop_map(|(starts, tail)| {
+            let mut fill: Vec<_> = (0..PROCS).zip(starts).collect();
+            fill.sort_unstable_by_key(|&(_, (order, ..))| order);
+            fill.into_iter()
+                .flat_map(|(proc, (_, cores, work_secs, pinned))| {
+                    [
+                        Op::Attach {
+                            proc,
+                            declared_mb: 500,
+                            threads: cores * 4,
+                            commit_mb: 200,
+                        },
+                        Op::StartOffload {
+                            proc,
+                            threads: cores * 4,
+                            work_secs,
+                            pinned,
+                        },
+                    ]
+                })
+                .chain(tail)
+                .collect()
+        })
 }
 
 /// Every predicted completion, in visit order.
@@ -170,7 +211,7 @@ fn lockstep<A: DeviceSubstrate, B: DeviceSubstrate>(
                     continue;
                 }
                 let affinity = if pinned {
-                    Affinity::Pinned(CoreSet::contiguous((proc * 10) as u32, 10))
+                    Affinity::Pinned(CoreSet::contiguous((proc * 5) as u32, 5))
                 } else {
                     Affinity::Unmanaged
                 };
@@ -282,10 +323,11 @@ proptest! {
     /// every outcome (OOM victim lists included), generation, prediction,
     /// aggregate, utilization integral and energy reading. Pinned
     /// affinities are mixed in so the incremental pinned-union bookkeeping
-    /// is exercised across slot reuse.
+    /// is exercised across slot reuse; half the workouts start from a
+    /// full card.
     #[test]
     fn phi_device_runs_in_lockstep_with_the_reference_card(
-        ops in prop::collection::vec(arb_op(), 1..80),
+        ops in prop_oneof![prop::collection::vec(arb_op(), 1..80), arb_filled_workout()],
         seed in 0u64..1000,
     ) {
         lockstep::<PhiDevice, ReferenceCard>(&phi_spec(), ops, seed)?;
