@@ -34,18 +34,20 @@
 //!
 //! ## Event scheduling
 //!
-//! Completion predictions are invalidated wholesale whenever a device's (or
-//! host's) membership changes — the generation counter bumps and every
-//! pending prediction event goes stale. Each device and host holds exactly
-//! one prediction event per generation, chosen by the allocation-free
-//! `next_completion()` and kept in the device's (or host's) event slot
-//! ([`phishare_sim::Sim::schedule_slot`]): a new generation's prediction
-//! replaces the stale one in place, so a card or host never has more than
-//! one pending prediction. A prediction that goes stale while it waits (its
-//! generation bumped with no re-sync before it surfaces) is drained at pop
-//! time ([`phishare_sim::Sim::step_live`]), so every event the handlers see
-//! is live; handling the winner bumps the generation and schedules the next
-//! winner.
+//! The queue holds only live events: whatever supersedes a pending event
+//! withdraws it on the spot, so every event [`phishare_sim::Sim::step`]
+//! pops is handled. Each card and each host holds at most one completion
+//! prediction, and the next negotiation cycle is one more, each in its own
+//! event slot ([`phishare_sim::Sim::schedule_slot`]). A membership change
+//! bumps a card's (or host's) generation; the next sync sets its slot to
+//! the new generation's prediction, chosen by the allocation-free
+//! `next_completion()`, which replaces the old one in place, or clears the
+//! slot when nothing is active. A cycle brought forward replaces the later
+//! one the same way. One bump has no sync behind it: a host-first job's
+//! attach in `World::on_dispatch`, which withdraws the card's prediction
+//! until its next sync (a known late-completion defect; that withdrawal is
+//! where the fix goes). `World::handle` asserts the invariant from the
+//! world's own state.
 //!
 //! That this delivers each offload's and host phase's completion at its
 //! own predicted instant, in `(time, insertion order)`, rests on three
@@ -81,24 +83,15 @@ type DevKey = (u32, u32);
 enum Ev {
     /// Job `workload[idx]` arrives in the queue.
     Arrive(usize),
-    /// A negotiation cycle with its sequence number (stale cycles are
-    /// dropped so completion-triggered cycles can supersede periodic ones).
-    Cycle(u64),
+    /// A negotiation cycle: the one pending in the cycle slot, which a
+    /// cycle requested for an earlier instant replaces.
+    Cycle,
     /// Shadow/starter finished; the job starts on its matched slot.
     Dispatch(JobId),
-    /// A node's host CPUs predict this job's host phase finishes now
-    /// (valid for `generation`).
-    HostDone {
-        job: JobId,
-        node: u32,
-        generation: u64,
-    },
-    /// A device predicts this offload finishes now (valid for `generation`).
-    OffloadComplete {
-        job: JobId,
-        key: DevKey,
-        generation: u64,
-    },
+    /// A node's host CPUs predict this job's host phase finishes now.
+    HostDone { job: JobId, node: u32 },
+    /// A device predicts this offload finishes now.
+    OffloadComplete { job: JobId, key: DevKey },
     /// Injected failure `plan[idx]` strikes.
     Fault(usize),
     /// The failure injected as `plan[idx]` heals (card back up / node
@@ -431,12 +424,16 @@ impl<'a> Experiment<'a> {
             world.trace = Some(Trace::new());
         }
         // The plain heap holds what is scheduled up front (every arrival,
-        // fault strike and perturbation window) plus a few cycles,
-        // dispatches, recoveries and releases; next-completion predictions
-        // live in one event slot per card and per host. Pre-size both so
-        // large experiments never pay growth reallocations. With scratch,
-        // the previous cell's (drained, capacity-retaining) queue and
-        // grant buffer are recycled instead.
+        // fault strike and perturbation window) and what replaces a popped
+        // one: a job's dispatch or release follows its arrival, a
+        // recovery its strike, a window's close its open. The slack covers
+        // the dispatches a fault orphans (a revoked match's event stays
+        // pending while its job waits or re-matches). Completion
+        // predictions and the next cycle live in event slots, one per
+        // card, per host and for the cycle. Pre-size both so large
+        // experiments never pay growth reallocations. With scratch, the
+        // previous cell's (drained, capacity-retaining) queue and grant
+        // buffer are recycled instead.
         let pending = workload.len() + plan.events.len() + perturbs.events.len() + 64;
         let mut sim: Sim<Ev> = if let Some(s) = scratch.as_deref_mut() {
             world.grants_buf = std::mem::take(&mut s.grants);
@@ -447,16 +444,15 @@ impl<'a> Experiment<'a> {
         } else {
             Sim::with_capacity(pending)
         };
-        sim.reserve_slots(world.cards.len() + world.nodes.len());
+        sim.reserve_slots(world.cycle_slot() + 1);
         for (idx, at) in workload.arrivals.iter().enumerate() {
             sim.schedule_at(*at, Ev::Arrive(idx));
         }
         // The first cycle runs at t = 0 (right after same-tick arrivals,
         // which were scheduled first).
         world.cycle_seq += 1;
-        let seq = world.cycle_seq;
         world.next_cycle = Some(SimTime::ZERO);
-        sim.schedule_at(SimTime::ZERO, Ev::Cycle(seq));
+        sim.schedule_slot(world.cycle_slot(), SimTime::ZERO, Ev::Cycle);
         // Fault strikes are pre-scheduled from the (sorted) plan; same-tick
         // ties resolve by insertion order.
         for (idx, f) in plan.events.iter().enumerate() {
@@ -468,11 +464,8 @@ impl<'a> Experiment<'a> {
             sim.schedule_at(p.at, Ev::Perturb(idx));
         }
 
-        // Stale predictions never reach the handler: the liveness predicate
-        // drains them at pop time without advancing the clock or consuming
-        // event budget.
         while !sim.budget_exhausted() {
-            let Some(ev) = sim.step_live(|ev| world.event_is_live(ev)) else {
+            let Some(ev) = sim.step() else {
                 break;
             };
             world.handle(&mut sim, ev);
@@ -688,7 +681,8 @@ struct World<'a, D: DeviceSubstrate, C: CosmicSubstrate> {
     /// unregister paths); taken/restored around each use so the hot loop
     /// never allocates. Recycled across runs via [`ExperimentScratch`].
     grants_buf: Vec<OffloadGrant>,
-    /// Sequence number of the latest scheduled cycle; stale cycles no-op.
+    /// Cycles scheduled so far; indexes the jitter substream (see
+    /// [`World::request_cycle`]).
     cycle_seq: u64,
     /// When the next cycle is due (None once the cluster drained).
     next_cycle: Option<SimTime>,
@@ -854,6 +848,12 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         self.cards.len() + (node - 1) as usize
     }
 
+    /// The event-queue slot of the next negotiation cycle, after the
+    /// hosts'.
+    fn cycle_slot(&self) -> usize {
+        self.cards.len() + self.nodes.len()
+    }
+
     fn node(&self, node: u32) -> &Node {
         &self.nodes[(node - 1) as usize]
     }
@@ -900,44 +900,36 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     // Event dispatch
     // ------------------------------------------------------------------
 
-    /// Whether `ev` is still current: the run loop's pop-time liveness
-    /// predicate, so stale events never reach [`World::handle`].
-    ///
-    /// A matching generation implies the predicted entity is still active:
-    /// every membership change (start, finish, abort, attach, detach) bumps
-    /// the generation, so a generation-current prediction cannot name a
-    /// departed job.
-    fn event_is_live(&self, ev: &Ev) -> bool {
-        match *ev {
-            Ev::Arrive(_) | Ev::Dispatch(_) => true,
-            // Fault, recovery, perturbation and backoff events carry their
-            // own state.
-            Ev::Fault(_) | Ev::Recover(_) | Ev::Perturb(_) | Ev::PerturbEnd(_) | Ev::Release(_) => {
-                true
-            }
-            Ev::Cycle(seq) => seq == self.cycle_seq,
-            Ev::HostDone {
-                node, generation, ..
-            } => self.node(node).host.generation() == generation,
-            Ev::OffloadComplete {
-                key, generation, ..
-            } => self.card(key).device.generation() == generation,
-        }
-    }
-
     fn handle(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
-        debug_assert!(self.event_is_live(&ev), "stale event reached the handler");
+        // Whatever supersedes a prediction or a cycle withdraws it, so the
+        // card's or host's synced generation is current, and a cycle is
+        // the one due now.
+        debug_assert!(
+            match ev {
+                Ev::Cycle => self.next_cycle == Some(sim.now()),
+                Ev::HostDone { node, .. } => {
+                    let n = self.node(node);
+                    n.synced_gen == Some(n.host.generation())
+                }
+                Ev::OffloadComplete { key, .. } => {
+                    let card = self.card(key);
+                    card.synced_gen == Some(card.device.generation())
+                }
+                _ => true,
+            },
+            "superseded event reached the handler: {ev:?}"
+        );
         // Any non-cycle event can move device ground truth, the queue, or
         // the perturbation state — conservatively defeat quiescence.
-        if !matches!(ev, Ev::Cycle(_)) {
+        if !matches!(ev, Ev::Cycle) {
             self.world_dirty = true;
         }
         match ev {
             Ev::Arrive(idx) => self.on_arrive(sim, idx),
-            Ev::Cycle(_) => self.on_cycle(sim),
+            Ev::Cycle => self.on_cycle(sim),
             Ev::Dispatch(job) => self.on_dispatch(sim, job),
-            Ev::HostDone { job, node, .. } => self.on_host_done(sim, job, node),
-            Ev::OffloadComplete { job, key, .. } => self.on_offload_complete(sim, job, key),
+            Ev::HostDone { job, node } => self.on_host_done(sim, job, node),
+            Ev::OffloadComplete { job, key } => self.on_offload_complete(sim, job, key),
             Ev::Fault(idx) => self.on_fault(sim, idx),
             Ev::Recover(idx) => self.on_recover(sim, idx),
             Ev::Perturb(idx) => self.on_perturb(sim, idx),
@@ -1141,11 +1133,16 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             return;
         }
         // Known defect: the attach bumped the card's generation, and when
-        // the job starts with a host phase nothing re-syncs the card, so a
-        // prediction pending for an offload already running here is stale;
-        // that completion fires late, at the card's next sync. A
-        // `sync_completions` here fixes it, but moves the committed
-        // benchmark goldens, so it lands with them.
+        // the job starts with a host phase nothing re-syncs the card, so
+        // the prediction pending for an offload already running here is
+        // superseded. Withdrawing it makes that completion fire late, at
+        // the card's next sync. A `sync_completions` here instead fixes
+        // it, but moves the committed benchmark goldens, so it lands with
+        // them.
+        let card = &self.cards[i];
+        if card.synced_gen != Some(card.device.generation()) {
+            sim.clear_slot(i);
+        }
         self.advance_segment(sim, job);
     }
 
@@ -1330,7 +1327,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     ///
     /// Sets the node's event slot to the single earliest prediction, or
     /// clears it when no phase is active; the entry it replaces belongs to
-    /// an older generation and is stale. It acts at most once per
+    /// an older generation and is superseded. It acts at most once per
     /// generation: an in-bounds memory commit re-anchors the progress
     /// integrator without bumping the generation, and a prediction
     /// *recomputed* from the new anchor can land a float-rounding tick away
@@ -1344,15 +1341,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
         }
         let slot = self.host_slot(node);
         match self.node(node).host.next_completion() {
-            Some((job, at)) => sim.schedule_slot(
-                slot,
-                at,
-                Ev::HostDone {
-                    job,
-                    node,
-                    generation,
-                },
-            ),
+            Some((job, at)) => sim.schedule_slot(slot, at, Ev::HostDone { job, node }),
             None => sim.clear_slot(slot),
         }
     }
@@ -1373,7 +1362,6 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
                 Ev::OffloadComplete {
                     job: JobId(proc.raw()),
                     key,
-                    generation,
                 },
             ),
             None => sim.clear_slot(slot),
@@ -1863,7 +1851,8 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
     }
 
     /// Schedule a negotiation cycle at `at` unless one is already due
-    /// earlier.
+    /// earlier; the earlier cycle replaces the pending one in the cycle
+    /// slot.
     ///
     /// Under cycle jitter the scheduled instant slips late by
     /// `uniform(0, jitter_max_secs)`. The offset is a pure function of
@@ -1887,7 +1876,7 @@ impl<'a, D: DeviceSubstrate, C: CosmicSubstrate> World<'a, D, C> {
             at
         };
         self.next_cycle = Some(at);
-        sim.schedule_at(at, Ev::Cycle(self.cycle_seq));
+        sim.schedule_slot(self.cycle_slot(), at, Ev::Cycle);
     }
 
     /// Whether the imminent cycle is provably a no-op. Exact, O(1):
@@ -2454,6 +2443,12 @@ mod tests {
                 assert!(violations.is_empty(), "{policy}/{pool:?}: {violations:?}");
             }
         }
+    }
+
+    #[test]
+    fn event_record_does_not_grow() {
+        // Every queued event holds one; no prediction carries a stamp.
+        assert!(std::mem::size_of::<Ev>() <= 24);
     }
 
     #[test]

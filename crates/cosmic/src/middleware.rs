@@ -212,15 +212,20 @@ impl CosmicDevice {
         work: SimDuration,
         enqueued: SimTime,
     ) -> Option<OffloadGrant> {
-        if self.active_threads_total + threads > self.hw_threads {
-            return None;
-        }
         let cores_needed = threads.div_ceil(self.threads_per_core);
         let cores = self.allocator.allocate(cores_needed)?;
         let entry = self.jobs.get_mut(slot.0).expect("admitting a live job");
         let job = entry.id;
         entry.active = Some(ActiveOffload { threads, cores });
         self.active_threads_total += threads;
+        // The paper's thread rule (at most 240 on a 60-core card) holds
+        // because every active offload's threads fit its granted cores.
+        debug_assert!(
+            self.active_threads_total <= self.hw_threads,
+            "{} active threads exceed the card's {}",
+            self.active_threads_total,
+            self.hw_threads
+        );
         self.queue_wait.record(now.since(enqueued).as_secs_f64());
         Some(OffloadGrant {
             job,

@@ -1,12 +1,11 @@
 //! The simulation driver.
 //!
 //! [`Sim`] owns the clock and the event queue. A simulation is advanced by
-//! repeatedly popping the earliest event ([`Sim::step`], or
-//! [`Sim::step_live`] to drain stale entries) and handling it in the
-//! caller's loop, which may schedule further events. The world state lives in the caller (see
-//! `phishare-cluster`); keeping it out of the engine avoids a tangle of
-//! generic event traits across crates and keeps every model crate a pure,
-//! unit-testable state machine.
+//! repeatedly popping the earliest event ([`Sim::step`]) and handling it
+//! in the caller's loop, which may schedule further events. The world
+//! state lives in the caller (see `phishare-cluster`); keeping it out of
+//! the engine avoids a tangle of generic event traits across crates and
+//! keeps every model crate a pure, unit-testable state machine.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -179,27 +178,6 @@ impl<E> Sim<E> {
         Some(event)
     }
 
-    /// Pop the earliest event for which `is_live` holds, lazily draining
-    /// stale entries without dispatching them.
-    ///
-    /// Drained entries advance neither the clock nor the processed-event
-    /// count — only the returned live event does. This is the fast-path
-    /// driver for next-completion scheduling: the caller's staleness
-    /// predicate replaces per-event generation checks in the handler.
-    pub fn step_live(&mut self, is_live: impl FnMut(&E) -> bool) -> Option<E> {
-        let (time, event) = self.queue.pop_live(is_live)?;
-        debug_assert!(time >= self.now, "event queue produced a past event");
-        self.now = time;
-        self.events_processed += 1;
-        Some(event)
-    }
-
-    /// Stale entries lazily discarded by [`Sim::step_live`].
-    #[cfg(test)]
-    pub(crate) fn stale_drained(&self) -> u64 {
-        self.queue.stale_drained()
-    }
-
     /// True once the runaway-guard event budget has been consumed.
     pub fn budget_exhausted(&self) -> bool {
         self.events_processed >= self.event_budget
@@ -293,24 +271,6 @@ mod tests {
         }
         assert_eq!(seen, vec![Ev::Tick(1), Ev::Tick(2)]);
         assert_eq!(sim.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
-    fn step_live_skips_stale_without_processing_them() {
-        let mut sim = Sim::with_capacity(8);
-        sim.schedule_at(SimTime::from_secs(1), Ev::Tick(0)); // stale
-        sim.schedule_at(SimTime::from_secs(2), Ev::Tick(7));
-        sim.schedule_at(SimTime::from_secs(3), Ev::Tick(0)); // stale
-        let live = sim.step_live(|Ev::Tick(n)| *n != 0);
-        assert_eq!(live, Some(Ev::Tick(7)));
-        // The clock lands on the live event; the drained entry counted
-        // separately and not as a processed event.
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-        assert_eq!(sim.events_processed(), 1);
-        assert_eq!(sim.stale_drained(), 1);
-        assert_eq!(sim.step_live(|Ev::Tick(n)| *n != 0), None);
-        assert_eq!(sim.stale_drained(), 2);
-        assert!(!sim.budget_exhausted());
     }
 
     #[test]

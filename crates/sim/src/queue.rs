@@ -90,19 +90,13 @@ struct SlotState<E> {
 /// an event goes in a *slot* ([`EventQueue::set_slot`]): a dense id that
 /// holds at most one pending entry, kept in an indexed binary min-heap
 /// beside the plain one. Setting an occupied slot replaces its entry in
-/// place (`O(log slots)`), so a superseded prediction never waits in a
-/// heap to be popped and dropped; [`EventQueue::clear_slot`] withdraws one. A slot entry
-/// takes its sequence number from the same counter as [`EventQueue::push`],
-/// and every pop takes the earlier `(time, seq)` head of the two heaps, so
-/// slot and plain events interleave exactly as if both had been pushed.
-///
-/// ## Stale entries
-///
-/// An entry can still go stale while it waits: a plain event superseded by
-/// a later one, or a slot entry whose predictor changed without setting
-/// its slot again. `EventQueue::pop_live` drains such entries lazily at
-/// pop time through the caller's liveness predicate and counts them in
-/// `EventQueue::stale_drained`.
+/// place (`O(log slots)`) and [`EventQueue::clear_slot`] withdraws it, so
+/// a caller that supersedes an event withdraws it on the spot and the
+/// queue holds only live entries: every pop is an event to handle. A slot
+/// entry takes its sequence number from the same counter as
+/// [`EventQueue::push`], and every pop takes the earlier `(time, seq)`
+/// head of the two heaps, so slot and plain events interleave exactly as
+/// if both had been pushed.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -111,7 +105,6 @@ pub struct EventQueue<E> {
     /// Slot id → its pending event and heap position.
     slots: Vec<SlotState<E>>,
     next_seq: u64,
-    stale_drained: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -134,7 +127,6 @@ impl<E> EventQueue<E> {
             slot_heap: Vec::new(),
             slots: Vec::new(),
             next_seq: 0,
-            stale_drained: 0,
         }
     }
 
@@ -307,38 +299,17 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Remove and return the earliest event for which `is_live` holds,
-    /// draining any stale entries encountered on the way without handing
-    /// them to the caller. Drained entries are tallied in
-    /// [`EventQueue::stale_drained`].
-    pub(crate) fn pop_live(&mut self, mut is_live: impl FnMut(&E) -> bool) -> Option<(SimTime, E)> {
-        while let Some((time, event)) = self.pop() {
-            if is_live(&event) {
-                return Some((time, event));
-            }
-            self.stale_drained += 1;
-        }
-        None
-    }
-
-    /// Total stale entries lazily drained by [`EventQueue::pop_live`].
-    #[cfg(test)]
-    pub(crate) fn stale_drained(&self) -> u64 {
-        self.stale_drained
-    }
-
     /// Reset the queue to its freshly-constructed state — empty, every
-    /// slot vacant, sequence numbering restarted, stale counter zeroed —
-    /// while keeping the heaps' and the slot table's allocations. This is
-    /// the cross-run recycling hook: a simulation built on a reset queue
-    /// behaves bit-identically to one built on [`EventQueue::new`], but
-    /// pays no growth reallocations.
+    /// slot vacant, sequence numbering restarted — while keeping the
+    /// heaps' and the slot table's allocations. This is the cross-run
+    /// recycling hook: a simulation built on a reset queue behaves
+    /// bit-identically to one built on [`EventQueue::new`], but pays no
+    /// growth reallocations.
     pub fn reset(&mut self) {
         self.heap.clear();
         self.slot_heap.clear();
         self.slots.clear();
         self.next_seq = 0;
-        self.stale_drained = 0;
     }
 }
 
@@ -380,23 +351,6 @@ mod tests {
         q.push(t(3), "mid");
         assert_eq!(q.pop().unwrap().1, "mid");
         assert_eq!(q.pop().unwrap().1, "late");
-    }
-
-    #[test]
-    fn pop_live_drains_stale_entries_lazily() {
-        let mut q = EventQueue::new();
-        q.push(t(1), -1);
-        q.push(t(2), 20);
-        q.push(t(3), -3);
-        q.push(t(4), 40);
-        // Negative payloads are stale; they are only discarded as they
-        // surface, and never reach the caller.
-        assert_eq!(q.pop_live(|e| *e >= 0), Some((t(2), 20)));
-        assert_eq!(q.stale_drained(), 1);
-        assert_eq!(q.pop_live(|e| *e >= 0), Some((t(4), 40)));
-        assert_eq!(q.stale_drained(), 2);
-        assert_eq!(q.pop_live(|e| *e >= 0), None);
-        assert_eq!(q.stale_drained(), 2);
     }
 
     #[test]
@@ -481,15 +435,6 @@ mod tests {
         // it must move up past it.
         q.clear_slot(3);
         assert_eq!(drain(&mut q), vec![1, 2, 3, 4, 5, 10, 12, 13, 14, 15, 16]);
-    }
-
-    #[test]
-    fn pop_live_drains_stale_slot_entries_too() {
-        let mut q = EventQueue::new();
-        q.set_slot(0, t(1), -1);
-        q.push(t(2), 20);
-        assert_eq!(q.pop_live(|e| *e >= 0), Some((t(2), 20)));
-        assert_eq!(q.stale_drained(), 1);
     }
 
     #[test]
